@@ -4,8 +4,9 @@
 // DurableDatabase's add_batch applies every batch to one shared mutable
 // index, so ingest throughput collapses as the archive grows (~1.1k
 // docs/sec at 100k in BENCH_durability.json). LiveDatabase seals each
-// batch into its own tiny frozen segment and publishes an immutable epoch,
-// so per-batch cost is O(batch), independent of archive size — and
+// batch into a small frozen segment ladder (merged by size, O(log tail)
+// segments) and publishes an immutable epoch, so amortized per-batch cost
+// is O(batch * log tail), independent of the base's size — and
 // queries keep serving from pinned epochs the whole time. This bench
 // measures the three-way contract:
 //
@@ -36,6 +37,7 @@
 //
 // Usage: bench_live_ingest_scaling [max_docs]   (e.g. 10000 as a CI smoke)
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -65,6 +67,9 @@ constexpr std::size_t kShards = 4;
 constexpr std::size_t kBatchDocs = 4000;
 constexpr std::size_t kTopK = 10;
 constexpr std::size_t kIdleSamples = 200;
+/// The one-doc-batch row: an always-on monitor's tail just below the
+/// default refreeze_min_docs (4096), where it is longest before a fold.
+constexpr std::size_t kOneDocBatches = 4000;
 // The query stream is duty-cycle paced: after each sample it sleeps nine
 // times the sample's own wall time, bounding the monitoring load at ~10%
 // of one core regardless of archive size or machine speed. A fixed-wall
@@ -323,6 +328,52 @@ int main(int argc, char** argv) {
       db = nullptr;
     }
     db.reset();
+    remove_tree(dir);
+  }
+
+  // -- One-doc batches: the always-on monitor's shape ----------------------
+  // One signature per add_batch, no fold: the segment ladder must keep the
+  // tail at most floor(log2(tail)) + 1 segments, so an idle query probes a
+  // handful of segments instead of one per batch.
+  {
+    const auto batches = synthetic_batches(kOneDocBatches);
+    const std::string dir = (tmp / "fmeter_live_bench_one_doc").string();
+    remove_tree(dir);
+    fmeter::core::LiveOptions options;
+    options.background_refreeze = false;
+    options.sync_each_epoch = false;  // the row measures shape, not fsync
+    fmeter::core::LiveDatabase db(env, dir, options);
+    const auto t_start = std::chrono::steady_clock::now();
+    for (const Batch& batch : batches) {
+      for (std::size_t i = 0; i < batch.signatures.size(); ++i) {
+        db.add_batch({batch.signatures[i]}, {batch.labels[i]});
+      }
+    }
+    const double seconds = seconds_since(t_start);
+    const auto stats = db.stats();
+    std::vector<double> idle_us;
+    for (std::size_t r = 0; r < kIdleSamples; ++r) {
+      idle_us.push_back(
+          sample_query_us(db.snapshot(), queries[r % queries.size()]));
+    }
+    const auto idle = fmeter::bench::percentiles_of(idle_us);
+    std::printf("%8zu %-14s %10.2f %12.0f %9.1f %9.1f %9s  (%zu segments)\n",
+                stats.tail_docs, "one-doc idle", seconds,
+                static_cast<double>(stats.tail_docs) / seconds, idle.p50,
+                idle.p99, "-", stats.segments);
+    json_rows.push_back(
+        {fmeter::bench::jnum("docs", static_cast<double>(stats.tail_docs)),
+         fmeter::bench::jnum("batch_docs", 1),
+         fmeter::bench::jstr("mode", "one-doc-idle"),
+         fmeter::bench::jnum("seconds", seconds),
+         fmeter::bench::jnum("segments", static_cast<double>(stats.segments)),
+         fmeter::bench::jnum("us_p50", idle.p50),
+         fmeter::bench::jnum("us_p99", idle.p99)});
+    checks.push_back(
+        {"one-doc batches keep segments <= log2(tail)+1 at " +
+             std::to_string(stats.tail_docs),
+         stats.segments <=
+             static_cast<std::size_t>(std::bit_width(stats.tail_docs))});
     remove_tree(dir);
   }
 

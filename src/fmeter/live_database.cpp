@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -14,6 +16,8 @@ namespace {
 struct LiveMetrics {
   obs::Counter* batches;
   obs::Counter* docs;
+  obs::Counter* seal_merges;
+  obs::Counter* seal_merge_docs;
   obs::Counter* refreezes;
   obs::Counter* refreeze_failures;
   obs::Histogram* publish_ns;
@@ -28,6 +32,12 @@ const LiveMetrics& live_metrics() {
                              "Batches sealed into live-archive segments");
     out.docs = &r.counter("fmeter_live_docs_ingested_total",
                           "Signatures ingested through the live archive");
+    out.seal_merges = &r.counter(
+        "fmeter_live_seal_merges_total",
+        "Seals that merged the batch with trailing ladder segments");
+    out.seal_merge_docs = &r.counter(
+        "fmeter_live_seal_merge_docs_total",
+        "Already-sealed signatures rewritten by seal merges");
     out.refreezes = &r.counter("fmeter_live_refreezes_total",
                                "Tail folds committed (epoch swaps)");
     out.refreeze_failures =
@@ -57,6 +67,53 @@ std::uint64_t elapsed_ns(const std::chrono::steady_clock::time_point& start) {
 bool hit_ranks_better(const SearchHit& a, const SearchHit& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.id < b.id;
+}
+
+/// Folds one probe's outcome into a query's running outcome. The enum's
+/// declaration order ranks severity, so the most severe non-ok wins.
+QueryOutcome worse_outcome(QueryOutcome a, QueryOutcome b) {
+  return static_cast<std::uint8_t>(b) > static_cast<std::uint8_t>(a) ? b : a;
+}
+
+/// The ladder rule. Segment doc counts (oldest first) stay superincreasing:
+/// each segment holds more documents than all newer ones together. A new
+/// batch of `docs` absorbs every trailing segment from the oldest one it
+/// would leave at or below that sum, as long as the merged run stays
+/// under `max_run` docs. With equal batches this is the binary counter of
+/// LevelDB and Lucene; below `max_run` the tail keeps at most
+/// floor(log2(tail_docs)) + 1 segments for any batch sizes, and an
+/// absorbed document lands in a segment at least twice the size of its
+/// old one. Returns how many trailing entries of `segment_docs` to absorb.
+std::size_t ladder_absorbs(const std::vector<std::size_t>& segment_docs,
+                           std::size_t docs, std::size_t max_run) {
+  std::size_t absorbed = 0;
+  std::size_t run = docs;  // the batch plus segments [i, end)
+  for (std::size_t i = segment_docs.size(); i-- > 0;) {
+    const std::size_t newer = run;
+    run += segment_docs[i];
+    if (run >= max_run) break;
+    if (segment_docs[i] <= newer) absorbed = segment_docs.size() - i;
+  }
+  return absorbed;
+}
+
+/// Copies documents [from, db.size()) of a sealed database onto a run.
+void append_docs(const SignatureDatabase& db, std::size_t from,
+                 std::vector<vsm::SparseVector>& signatures,
+                 std::vector<std::string>& labels) {
+  for (std::size_t i = from; i < db.size(); ++i) {
+    signatures.push_back(db.signature(i));
+    labels.push_back(db.label(i));
+  }
+}
+
+/// Builds a frozen single-shard segment database from one run.
+std::shared_ptr<const SignatureDatabase> seal(
+    std::vector<vsm::SparseVector> signatures,
+    std::vector<std::string> labels) {
+  auto db = std::make_shared<SignatureDatabase>(1);
+  db->add_batch(std::move(signatures), std::move(labels));
+  return db;
 }
 
 }  // namespace
@@ -93,14 +150,14 @@ const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
   const auto& segments = epoch_->segments;
   auto it = std::upper_bound(
       segments.begin(), segments.end(), id,
-      [](std::size_t value, const LiveSegment& seg) {
-        return value < seg.first_id;
+      [](std::size_t value, const std::shared_ptr<const LiveSegment>& seg) {
+        return value < seg->first_id;
       });
   if (it == segments.begin()) {
     throw std::out_of_range("LiveDatabase: id out of range");
   }
   --it;
-  return it->db->label(id - it->first_id);
+  return (*it)->db->label(id - (*it)->first_id);
 }
 
 const vsm::SparseVector& LiveDatabase::Snapshot::signature(
@@ -109,14 +166,14 @@ const vsm::SparseVector& LiveDatabase::Snapshot::signature(
   const auto& segments = epoch_->segments;
   auto it = std::upper_bound(
       segments.begin(), segments.end(), id,
-      [](std::size_t value, const LiveSegment& seg) {
-        return value < seg.first_id;
+      [](std::size_t value, const std::shared_ptr<const LiveSegment>& seg) {
+        return value < seg->first_id;
       });
   if (it == segments.begin()) {
     throw std::out_of_range("LiveDatabase: id out of range");
   }
   --it;
-  return it->db->signature(id - it->first_id);
+  return (*it)->db->signature(id - (*it)->first_id);
 }
 
 std::vector<SearchHit> LiveDatabase::Snapshot::search(
@@ -131,23 +188,32 @@ std::vector<std::vector<SearchHit>> LiveDatabase::Snapshot::search_batch(
     SimilarityMetric metric, PruningMode mode, QueryStats* stats,
     const SearchOptions& options) const {
   const LiveEpoch& epoch = *epoch_;
-  // The base probe carries the caller's full options — outcomes report the
-  // fate of the dominant probe; segment probes share the same deadline.
   auto results = epoch.base->search_batch(queries, k, metric,
                                           ScanPolicy::kIndexed, mode, stats,
                                           options);
   if (epoch.segments.empty() || k == 0) return results;
 
+  // Segment probes share the caller's deadline; their outcomes fold into
+  // the caller's sink so an interrupted or failing segment is reported,
+  // not silently dropped.
+  std::vector<QueryOutcome> segment_outcomes;
   SearchOptions segment_options;
   segment_options.deadline = options.deadline;
-  for (const LiveSegment& segment : epoch.segments) {
-    auto partial = segment.db->search_batch(queries, k, metric,
-                                            ScanPolicy::kIndexed, mode, stats,
-                                            segment_options);
+  if (options.outcomes != nullptr) segment_options.outcomes = &segment_outcomes;
+  for (const auto& segment : epoch.segments) {
+    auto partial = segment->db->search_batch(queries, k, metric,
+                                             ScanPolicy::kIndexed, mode, stats,
+                                             segment_options);
     for (std::size_t q = 0; q < partial.size(); ++q) {
       for (SearchHit& hit : partial[q]) {
-        hit.id += segment.first_id;
+        hit.id += segment->first_id;
         results[q].push_back(std::move(hit));
+      }
+    }
+    if (options.outcomes != nullptr) {
+      for (std::size_t q = 0; q < segment_outcomes.size(); ++q) {
+        (*options.outcomes)[q] =
+            worse_outcome((*options.outcomes)[q], segment_outcomes[q]);
       }
     }
   }
@@ -204,30 +270,28 @@ void LiveDatabase::open() {
       base->load(env_, dir_ + "/" + manifest.snapshot);
       recovery_.snapshot_loaded = true;
     }
-    // Replay: every intact journal record becomes one sealed segment, so
-    // the recovered epoch has exactly the shape the writer published —
-    // and searches bit-identical to a fresh bulk build of the same docs.
-    std::size_t next_id = base->size();
-    std::vector<LiveSegment> segments;
+    // Replay straight into the ladder a writer sealing the same records
+    // one by one would publish — one build per segment, not per record —
+    // so the recovered epoch searches bit-identically to a fresh bulk
+    // build of the same docs.
+    struct Replayed {
+      SealedBatch sealed;
+      std::vector<vsm::SparseVector> signatures;
+      std::vector<std::string> labels;
+    };
+    std::vector<Replayed> records;
     const std::string journal_path = dir_ + "/" + manifest.journal;
     const auto replayed = io::journal::replay(
         env_, journal_path,
-        [this, &next_id, &segments](std::span<const std::byte> payload) {
-          std::vector<vsm::SparseVector> signatures;
-          std::vector<std::string> labels;
-          decode_batch(payload, signatures, labels);
-          if (signatures.empty()) return;
-          auto record = std::make_shared<std::vector<std::byte>>(
-              payload.begin(), payload.end());
-          const std::size_t batch = signatures.size();
-          auto segment_db = std::make_shared<SignatureDatabase>(1);
-          segment_db->add_batch(std::move(signatures), std::move(labels));
-          LiveSegment segment;
-          segment.first_id = next_id;
-          segment.db = std::move(segment_db);
-          segment.journal_payload = std::move(record);
-          segments.push_back(std::move(segment));
-          next_id += batch;
+        [&records](std::span<const std::byte> payload) {
+          Replayed record;
+          decode_batch(payload, record.signatures, record.labels);
+          if (record.signatures.empty()) return;
+          record.sealed.docs = record.signatures.size();
+          record.sealed.journal_payload =
+              std::make_shared<const std::vector<std::byte>>(payload.begin(),
+                                                             payload.end());
+          records.push_back(std::move(record));
         },
         /*repair=*/true);
     recovery_.journal_records_replayed = replayed.records;
@@ -238,7 +302,46 @@ void LiveDatabase::open() {
       journal_ = std::make_unique<io::journal::Writer>(
           env_, journal_path, options_.sync_policy);
     }
-    epoch->segments = std::move(segments);
+
+    // Plan the ladder over the record sizes: docs and first record of
+    // each segment, oldest first.
+    std::vector<std::size_t> ladder_docs;
+    std::vector<std::size_t> ladder_first;
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      std::size_t docs = records[r].sealed.docs;
+      std::size_t first = r;
+      for (std::size_t n = ladder_absorbs(ladder_docs, docs, max_run()); n > 0;
+           --n) {
+        docs += ladder_docs.back();
+        first = ladder_first.back();
+        ladder_docs.pop_back();
+        ladder_first.pop_back();
+      }
+      ladder_docs.push_back(docs);
+      ladder_first.push_back(first);
+    }
+    std::size_t next_id = base->size();
+    for (std::size_t s = 0; s < ladder_first.size(); ++s) {
+      const std::size_t end =
+          s + 1 < ladder_first.size() ? ladder_first[s + 1] : records.size();
+      auto segment = std::make_shared<LiveSegment>();
+      segment->first_id = next_id;
+      std::vector<vsm::SparseVector> signatures;
+      std::vector<std::string> labels;
+      signatures.reserve(ladder_docs[s]);
+      labels.reserve(ladder_docs[s]);
+      for (std::size_t r = ladder_first[s]; r < end; ++r) {
+        std::move(records[r].signatures.begin(),
+                  records[r].signatures.end(),
+                  std::back_inserter(signatures));
+        std::move(records[r].labels.begin(), records[r].labels.end(),
+                  std::back_inserter(labels));
+        segment->batches.push_back(std::move(records[r].sealed));
+      }
+      segment->db = seal(std::move(signatures), std::move(labels));
+      next_id += ladder_docs[s];
+      epoch->segments.push_back(std::move(segment));
+    }
     epoch->total_docs = next_id - base->size();  // tail; base added below
   }
 
@@ -296,25 +399,74 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
   SignatureDatabase::validate_batch(signatures, labels);
   if (signatures.empty()) return acquire()->total_docs;
 
-  // Seal outside the writer lock: concurrent ingests encode and build
-  // their segments in parallel; only the journal append + pointer swap
-  // serialize.
-  std::shared_ptr<const std::vector<std::byte>> payload;
+  SealedBatch sealed;
+  sealed.docs = signatures.size();
   if (options_.journaled) {
-    payload = std::make_shared<const std::vector<std::byte>>(
+    sealed.journal_payload = std::make_shared<const std::vector<std::byte>>(
         encode_batch(signatures, labels));
   }
-  const std::size_t batch = signatures.size();
-  auto segment_db = std::make_shared<SignatureDatabase>(1);
-  segment_db->add_batch(std::move(signatures), std::move(labels));
+
+  // Plan and build the merge outside the writer lock, from a pinned epoch:
+  // concurrent ingests build concurrently; only the journal append and
+  // the pointer swap serialize.
+  const auto pinned = acquire();
+  std::vector<std::size_t> ladder_docs;
+  ladder_docs.reserve(pinned->segments.size());
+  for (const auto& segment : pinned->segments) {
+    ladder_docs.push_back(segment->db->size());
+  }
+  const std::size_t absorbed =
+      ladder_absorbs(ladder_docs, sealed.docs, max_run());
+  const std::span<const std::shared_ptr<const LiveSegment>> victims =
+      std::span(pinned->segments).last(absorbed);
+
+  auto segment = std::make_shared<LiveSegment>();
+  if (absorbed == 0) {
+    segment->db = seal(std::move(signatures), std::move(labels));
+  } else {
+    std::vector<vsm::SparseVector> run;
+    std::vector<std::string> run_labels;
+    for (const auto& victim : victims) {
+      append_docs(*victim->db, 0, run, run_labels);
+      segment->batches.insert(segment->batches.end(), victim->batches.begin(),
+                              victim->batches.end());
+    }
+    std::move(signatures.begin(), signatures.end(), std::back_inserter(run));
+    std::move(labels.begin(), labels.end(), std::back_inserter(run_labels));
+    segment->db = seal(std::move(run), std::move(run_labels));
+  }
+  segment->batches.push_back(sealed);
 
   std::size_t first = 0;
+  std::size_t merged_docs = 0;
   {
-    const std::lock_guard<std::mutex> lock(writer_mutex_);
+    std::unique_lock<std::mutex> lock(writer_mutex_);
+    // The merged run may be published only while its victims are still
+    // the trailing segments; a concurrent seal or re-freeze may have
+    // moved them. Then the batch goes in unmerged (built with the lock
+    // released) and a later seal's merge absorbs it.
+    const auto locked = acquire();
+    const auto& tail = locked->segments;
+    const bool victims_trailing =
+        tail.size() >= absorbed &&
+        std::equal(victims.begin(), victims.end(), tail.end() - absorbed);
+    if (!victims_trailing) {
+      lock.unlock();
+      auto lone = std::make_shared<LiveSegment>();
+      std::vector<vsm::SparseVector> batch_signatures;
+      std::vector<std::string> batch_labels;
+      append_docs(*segment->db, segment->db->size() - sealed.docs,
+                  batch_signatures, batch_labels);
+      lone->db = seal(std::move(batch_signatures), std::move(batch_labels));
+      lone->batches.push_back(sealed);
+      segment = std::move(lone);
+      lock.lock();
+    }
+    const std::size_t replaced = victims_trailing ? absorbed : 0;
     check_not_poisoned();
     const auto start = std::chrono::steady_clock::now();
     if (journal_) {
-      journal_->append(*payload);
+      journal_->append(*sealed.journal_payload);
       if (options_.sync_each_epoch &&
           options_.sync_policy == io::journal::SyncPolicy::kNone) {
         // Group commit: one fsync per published epoch, the contract that
@@ -326,18 +478,21 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     auto next = std::make_shared<LiveEpoch>(*current);
     next->sequence = current->sequence + 1;
     first = current->total_docs;
-    LiveSegment segment;
-    segment.first_id = first;
-    segment.db = std::move(segment_db);
-    segment.journal_payload = std::move(payload);
+    next->total_docs = current->total_docs + sealed.docs;
+    segment->first_id = next->total_docs - segment->db->size();
+    merged_docs = segment->db->size() - sealed.docs;
+    next->segments.resize(next->segments.size() - replaced);
     next->segments.push_back(std::move(segment));
-    next->total_docs = current->total_docs + batch;
     publish(std::move(next));
     live_metrics().publish_ns->record(elapsed_ns(start));
   }
 
   live_metrics().batches->inc();
-  live_metrics().docs->inc(batch);
+  live_metrics().docs->inc(sealed.docs);
+  if (merged_docs > 0) {
+    live_metrics().seal_merges->inc();
+    live_metrics().seal_merge_docs->inc(merged_docs);
+  }
   maybe_schedule_refreeze();
   return first;
 }
@@ -419,16 +574,9 @@ bool LiveDatabase::do_refreeze() {
   std::vector<std::string> labels;
   signatures.reserve(capture->total_docs);
   labels.reserve(capture->total_docs);
-  const SignatureDatabase& old_base = *capture->base;
-  for (std::size_t i = 0; i < old_base.size(); ++i) {
-    signatures.push_back(old_base.signature(i));
-    labels.push_back(old_base.label(i));
-  }
-  for (const LiveSegment& segment : capture->segments) {
-    for (std::size_t i = 0; i < segment.db->size(); ++i) {
-      signatures.push_back(segment.db->signature(i));
-      labels.push_back(segment.db->label(i));
-    }
+  append_docs(*capture->base, 0, signatures, labels);
+  for (const auto& segment : capture->segments) {
+    append_docs(*segment->db, 0, signatures, labels);
   }
   auto fresh = std::make_shared<SignatureDatabase>(base_shards_);
   fresh->add_batch(std::move(signatures), std::move(labels));
@@ -448,23 +596,43 @@ bool LiveDatabase::do_refreeze() {
     check_not_poisoned();
     const auto current = acquire();
 
-    // Segments sealed after the capture survive the fold. Their journal
-    // records move to the fresh journal *before* the manifest swap — the
-    // old journal dies with the old epoch, and a synced batch must not
-    // lose its durable copy in the swap.
-    std::vector<LiveSegment> survivors;
-    for (const LiveSegment& segment : current->segments) {
-      if (segment.first_id >= capture->total_docs) {
+    // Every segment whose id range extends past the capture survives the
+    // fold. One sealed after the capture may have merged with captured
+    // segments; it is split, its post-capture batches rebuilt alone. The
+    // survivors' journal records move to the fresh journal *before* the
+    // manifest swap — the old journal dies with the old epoch, and a
+    // synced batch must not lose its durable copy in the swap.
+    const std::size_t boundary = capture->total_docs;
+    std::vector<std::shared_ptr<const LiveSegment>> survivors;
+    for (const auto& segment : current->segments) {
+      if (segment->first_id + segment->db->size() <= boundary) continue;
+      if (segment->first_id >= boundary) {
         survivors.push_back(segment);
+        continue;
       }
+      auto split = std::make_shared<LiveSegment>();
+      split->first_id = boundary;
+      std::size_t id = segment->first_id;
+      for (const SealedBatch& batch : segment->batches) {
+        if (id >= boundary) split->batches.push_back(batch);
+        id += batch.docs;
+      }
+      std::vector<vsm::SparseVector> kept;
+      std::vector<std::string> kept_labels;
+      append_docs(*segment->db, boundary - segment->first_id, kept,
+                  kept_labels);
+      split->db = seal(std::move(kept), std::move(kept_labels));
+      survivors.push_back(std::move(split));
     }
     const std::string journal_file = journal_name(next_epoch);
     std::unique_ptr<io::journal::Writer> fresh_journal;
     if (options_.journaled) {
       fresh_journal = std::make_unique<io::journal::Writer>(
           env_, dir_ + "/" + journal_file, options_.sync_policy);
-      for (const LiveSegment& segment : survivors) {
-        fresh_journal->append(*segment.journal_payload);
+      for (const auto& segment : survivors) {
+        for (const SealedBatch& batch : segment->batches) {
+          fresh_journal->append(*batch.journal_payload);
+        }
       }
       fresh_journal->sync();
     }
@@ -490,7 +658,7 @@ bool LiveDatabase::do_refreeze() {
     published->sequence = current->sequence + 1;
     published->manifest_epoch = next_epoch;
     published->base = fresh;
-    published->base_docs = capture->total_docs;
+    published->base_docs = boundary;
     published->segments = std::move(survivors);
     published->total_docs = current->total_docs;
     publish(std::move(published));
@@ -555,8 +723,10 @@ LiveStats LiveDatabase::stats() const {
   out.segments = epoch->segments.size();
   out.base_shards = epoch->base->index().shard_stats();
   out.memory_bytes = epoch->base->index().memory_bytes();
-  for (const LiveSegment& segment : epoch->segments) {
-    out.memory_bytes += segment.db->index().memory_bytes();
+  for (const auto& segment : epoch->segments) {
+    out.memory_bytes += segment->db->index().memory_bytes();
+    out.tail_segments.push_back({segment->first_id, segment->db->size(),
+                                 segment->batches.size()});
   }
   return out;
 }

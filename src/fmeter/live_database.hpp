@@ -8,25 +8,36 @@
 // the other for longer than a pointer swap:
 //
 //   * Readers pin an immutable *published epoch* — a shared_ptr to a
-//     frozen base database plus a list of small frozen tail segments —
+//     frozen base database plus a short list of frozen tail segments —
 //     and serve every query from that pinned state (cf. LevelDB's
 //     version-set swap and Lucene's near-real-time segment refresh).
 //     Nothing a reader can see is ever mutated; a pinned snapshot stays
 //     valid for as long as the caller holds it, across any number of
 //     ingests and re-freezes.
-//   * Writers seal each add_batch() into its own immutable single-shard
-//     segment (built and frozen *outside* the writer lock), journal it,
-//     and publish a new epoch that shares the base and all prior segments
-//     — publish cost is O(segments), independent of archive size.
+//   * The tail segments form a size-tiered *ladder*: each holds more
+//     documents than all newer segments together. add_batch() absorbs
+//     the trailing segments that would break that and rebuilds them plus
+//     the batch as one frozen single-shard segment — with equal batches
+//     exactly the binary-counter merge of LevelDB and Lucene. No merged
+//     run reaches refreeze_min_docs (a run that large is the fold's job),
+//     so below that the tail holds at most floor(log2(tail_docs)) + 1
+//     segments and each document is rewritten at most log2(tail_docs)
+//     times. The merge is planned
+//     and built *outside* the writer lock from a pinned epoch; the lock
+//     covers only the journal append and the publish, which installs the
+//     merged run if its victims are still the trailing segments and
+//     otherwise appends the batch unmerged.
 //   * A background TaskPool job *re-freezes* the archive when the tail
 //     grows past a fraction of the base: it rebuilds one fresh sharded
-//     base from a pinned epoch (concurrent ingest keeps landing in new
-//     segments meanwhile), writes it as a snapshot, and commits the swap
-//     through the same MANIFEST machinery as DurableDatabase — snapshot
-//     file + fresh journal carrying any segments sealed after the capture,
-//     then the atomic manifest swap as the one commit point. A crash at
-//     any instant recovers to either the old epoch's files or the new
-//     ones, never a torn mix (enforced by the crash-matrix test).
+//     base from a pinned epoch (concurrent ingest keeps sealing meanwhile),
+//     writes it as a snapshot, and commits the swap through the same
+//     MANIFEST machinery as DurableDatabase — snapshot file + fresh
+//     journal carrying every batch sealed after the capture, then the
+//     atomic manifest swap as the one commit point. A segment whose merge
+//     straddles the capture is split: its post-capture batches are
+//     rebuilt into one survivor segment. A crash at any instant recovers
+//     to either the old epoch's files or the new ones, never a torn mix
+//     (enforced by the crash-matrix test).
 //
 // Durability contract (same vocabulary as DurableDatabase):
 //   * under SyncPolicy::kEachRecord, or kNone with sync_each_epoch (the
@@ -78,8 +89,10 @@ struct LiveOptions {
   /// commits and explicit sync() calls.
   bool sync_each_epoch = true;
   /// Re-freeze triggers when tail docs exceed both this fraction of the
-  /// base and refreeze_min_docs. The fraction bounds steady-state tail
-  /// overhead; the floor keeps small archives from folding constantly.
+  /// base and refreeze_min_docs. The ladder already bounds the segment
+  /// count, so the two knobs trade fold CPU (each fold rebuilds the whole
+  /// base) against base size; the floor keeps small archives from folding
+  /// constantly and also caps the size of a run the ladder merges.
   double refreeze_fraction = 0.125;
   std::size_t refreeze_min_docs = 4096;
   /// Schedule re-freezes automatically on the pool after qualifying
@@ -97,6 +110,13 @@ struct LiveOptions {
   std::function<void()> after_refreeze_capture{};
 };
 
+/// One tail segment of a pinned epoch, in id order.
+struct LiveSegmentStats {
+  std::size_t first_id = 0;
+  std::size_t docs = 0;
+  std::size_t batches = 0;  ///< journal records sealed into it
+};
+
 /// Point-in-time shape of the live archive, read entirely from one pinned
 /// epoch — safe concurrent with ingest and re-freeze by construction.
 struct LiveStats {
@@ -109,6 +129,7 @@ struct LiveStats {
   std::size_t segments = 0;
   std::size_t memory_bytes = 0;          ///< base + segment index footprint
   std::vector<exec::ShardStats> base_shards;
+  std::vector<LiveSegmentStats> tail_segments;  ///< the ladder, oldest first
 };
 
 class LiveDatabase {
@@ -131,9 +152,11 @@ class LiveDatabase {
 
     /// Top-k over every document in this epoch (base + segments), merged
     /// by the shared ordering — bit-identical to SignatureDatabase::search
-    /// over the same documents. `options.deadline` bounds the probes
-    /// cooperatively; `options.outcomes` reports per-query outcomes from
-    /// the base probe (segment probes are bounded by the same deadline).
+    /// over the same documents. `options.deadline` bounds the base and
+    /// every segment probe cooperatively; `options.outcomes` reports one
+    /// outcome per query folded over all probes, the most severe non-ok
+    /// outcome winning, and with it a failing segment degrades the query
+    /// to a flagged partial result instead of throwing.
     std::vector<SearchHit> search(const vsm::SparseVector& query,
                                   std::size_t k,
                                   SimilarityMetric metric =
@@ -162,8 +185,9 @@ class LiveDatabase {
   };
 
   /// Opens `dir` (creating it if absent): loads the manifest's snapshot as
-  /// the base epoch, replays the journal — each intact record becomes one
-  /// sealed segment, a torn tail is truncated — sweeps unreferenced files,
+  /// the base epoch, replays the journal straight into the ladder a
+  /// writer sealing the same records one by one would publish (one build
+  /// per segment; a torn tail is truncated), sweeps unreferenced files,
   /// and opens the journal for appending. Everything goes through `env` so
   /// the crash-matrix test can drive the lifecycle on FaultInjectingEnv.
   LiveDatabase(io::Env& env, std::string dir, LiveOptions options = {});
@@ -172,9 +196,10 @@ class LiveDatabase {
   LiveDatabase(const LiveDatabase&) = delete;
   LiveDatabase& operator=(const LiveDatabase&) = delete;
 
-  /// Streaming ingest: validate → seal the batch into a frozen segment
-  /// (outside the writer lock — concurrent ingests build concurrently) →
-  /// journal append (+ per-epoch sync) → publish the new epoch. Returns
+  /// Streaming ingest: validate → seal the batch, merged with the trailing
+  /// segments the ladder absorbs, into a frozen segment (outside the
+  /// writer lock — concurrent ingests build concurrently) → journal
+  /// append (+ per-epoch sync) → publish the new epoch. Returns
   /// the id of the first inserted signature. Thread-safe against
   /// concurrent add_batch/sync/refreeze/readers. May schedule a background
   /// re-freeze; throws std::invalid_argument on malformed input with the
@@ -227,14 +252,21 @@ class LiveDatabase {
   }
 
  private:
-  /// One sealed, immutable tail segment: the batch as a tiny frozen
-  /// single-shard database plus its encoded journal record, kept so a
-  /// re-freeze can re-journal segments sealed after its capture without
-  /// re-encoding (byte-identical records by construction).
+  /// One add_batch() as sealed: its doc count and its encoded journal
+  /// record (null when not journaled), kept so a re-freeze can re-journal
+  /// batches sealed after its capture without re-encoding (byte-identical
+  /// records by construction).
+  struct SealedBatch {
+    std::size_t docs = 0;
+    std::shared_ptr<const std::vector<std::byte>> journal_payload;
+  };
+
+  /// One immutable tail segment: a run of consecutive batches as a frozen
+  /// single-shard database.
   struct LiveSegment {
     std::size_t first_id = 0;
     std::shared_ptr<const SignatureDatabase> db;
-    std::shared_ptr<const std::vector<std::byte>> journal_payload;
+    std::vector<SealedBatch> batches;  ///< in id order, docs sum to db size
   };
 
   struct LiveEpoch {
@@ -242,11 +274,15 @@ class LiveDatabase {
     std::uint64_t manifest_epoch = 0;
     std::shared_ptr<const SignatureDatabase> base;
     std::size_t base_docs = 0;
-    std::vector<LiveSegment> segments;
+    std::vector<std::shared_ptr<const LiveSegment>> segments;  ///< the ladder
     std::size_t total_docs = 0;
   };
 
   void open();
+  /// The ladder builds no run of this many docs or more: a run that large
+  /// is the fold's to merge (rebuilding it on seal would repeat the fold's
+  /// work for a probe saving that is small next to scoring that many docs).
+  std::size_t max_run() const noexcept { return options_.refreeze_min_docs; }
   std::shared_ptr<const LiveEpoch> acquire() const;
   void publish(std::shared_ptr<const LiveEpoch> epoch);
   void maybe_schedule_refreeze();

@@ -6,9 +6,13 @@
 //   * a pinned Snapshot stays valid and answers from its own epoch no
 //     matter how much ingest / re-freezing happens after the pin;
 //   * a re-freeze folds the tail into the base, bumps the manifest epoch,
-//     and keeps segments sealed after its capture (the survivor path);
+//     and keeps segments sealed after its capture (the survivor path),
+//     splitting one whose merge straddles the capture;
+//   * the tail is a segment ladder: at most floor(log2(tail)) + 1
+//     segments over contiguous id ranges, each doc rewritten at most
+//     log2 times, and segment probe outcomes reach the caller;
 //   * reopening a directory replays snapshot + journal back to the same
-//     archive.
+//     archive, in the same ladder shape.
 //
 // The concurrency tests at the bottom run under the TSan CI job and are
 // the regression tests for the stats-scrape-vs-ingest race and the
@@ -17,8 +21,13 @@
 // add_batch/freeze, and queries must be safe against concurrent re-freeze.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +36,7 @@
 #include "fmeter/database.hpp"
 #include "fmeter/live_database.hpp"
 #include "io/env.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -60,6 +70,21 @@ std::vector<Batch> make_batches(std::size_t count, std::size_t docs_each,
     for (std::size_t d = 0; d < docs_each; ++d) {
       batches[b].signatures.push_back(random_sparse(rng, 64, 10));
       batches[b].labels.push_back("batch-" + std::to_string(b) + "-doc-" +
+                                  std::to_string(d));
+    }
+  }
+  return batches;
+}
+
+/// Batches of the given sizes, in order.
+std::vector<Batch> make_sized_batches(const std::vector<std::size_t>& sizes,
+                                      std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Batch> batches(sizes.size());
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    for (std::size_t d = 0; d < sizes[b]; ++d) {
+      batches[b].signatures.push_back(random_sparse(rng, 64, 10));
+      batches[b].labels.push_back("sized-" + std::to_string(b) + "-doc-" +
                                   std::to_string(d));
     }
   }
@@ -113,6 +138,59 @@ void expect_live_equivalent(const LiveDatabase::Snapshot& got,
   }
 }
 
+/// The ladder's search contract against a bulk build of the same docs:
+/// bit-identical hits under kExact, within 1e-9 under the pruned modes.
+void expect_same_hits(const LiveDatabase::Snapshot& got,
+                      const SignatureDatabase& want,
+                      const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  util::Rng rng(0x1add);
+  for (int q = 0; q < 6; ++q) {
+    const auto query = random_sparse(rng, 64, 10);
+    for (const auto metric :
+         {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
+      for (const auto mode :
+           {index::PruningMode::kExact, index::PruningMode::kMaxScore,
+            index::PruningMode::kAuto}) {
+        const auto got_hits = got.search(query, 10, metric, mode);
+        const auto want_hits = want.search(query, 10, metric,
+                                           ScanPolicy::kIndexed, mode);
+        ASSERT_EQ(got_hits.size(), want_hits.size()) << context << " q " << q;
+        for (std::size_t r = 0; r < want_hits.size(); ++r) {
+          EXPECT_EQ(got_hits[r].id, want_hits[r].id)
+              << context << " q " << q << " rank " << r;
+          if (mode == index::PruningMode::kExact) {
+            EXPECT_EQ(got_hits[r].score, want_hits[r].score)
+                << context << " q " << q << " rank " << r;
+          } else {
+            EXPECT_NEAR(got_hits[r].score, want_hits[r].score, 1e-9)
+                << context << " q " << q << " rank " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The ladder's shape invariants: at most floor(log2(tail)) + 1 segments,
+/// and id ranges that tile the tail contiguously from the base's end.
+void expect_ladder_shape(const LiveStats& stats, const std::string& context) {
+  EXPECT_LE(stats.segments, static_cast<std::size_t>(
+                                std::bit_width(stats.tail_docs)))
+      << context << ": " << stats.tail_docs << " tail docs";
+  std::size_t next_id = stats.base_docs;
+  for (const LiveSegmentStats& segment : stats.tail_segments) {
+    EXPECT_EQ(segment.first_id, next_id) << context;
+    EXPECT_GT(segment.docs, 0u) << context;
+    next_id += segment.docs;
+  }
+  EXPECT_EQ(next_id, stats.total_docs) << context;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
 LiveOptions foreground_options(std::size_t shards = 2) {
   LiveOptions options;
   options.num_shards = shards;
@@ -141,7 +219,8 @@ TEST(LiveDatabase, StreamingIngestMatchesBulkBuild) {
   EXPECT_EQ(stats.total_docs, 48u);
   EXPECT_EQ(stats.base_docs, 0u);
   EXPECT_EQ(stats.tail_docs, 48u);
-  EXPECT_EQ(stats.segments, 6u);
+  // 6 batches of 8 = 48 = 0b110 batches: a 32-doc and a 16-doc segment.
+  EXPECT_EQ(stats.segments, 2u);
   EXPECT_EQ(stats.manifest_epoch, 0u);
   EXPECT_GT(stats.memory_bytes, 0u);
 
@@ -238,7 +317,8 @@ TEST(LiveDatabase, ReopenReplaysSnapshotAndJournal) {
   const auto stats = reopened.stats();
   EXPECT_EQ(stats.base_docs, 18u);   // the folded snapshot
   EXPECT_EQ(stats.tail_docs, 12u);   // replayed journal records
-  EXPECT_EQ(stats.segments, 2u);
+  // 2 equal records = 0b10 records: replayed as one 12-doc segment.
+  EXPECT_EQ(stats.segments, 1u);
   expect_live_equivalent(reopened.snapshot(), build_reference(batches, 5, 2),
                          "reopened archive");
 
@@ -276,24 +356,36 @@ TEST(LiveDatabase, SegmentsSealedDuringRefreezeSurviveTheSwap) {
   // The survivor path: a batch sealed between the fold's capture and its
   // commit must stay in the tail of the new epoch AND keep its durable
   // journal copy (it is re-journaled into the new epoch's journal).
+  //
+  // The 16 pre-fold docs arrive as 12 + 4, so the captured ladder is
+  // [12, 4] and the mid-fold 8-doc batch absorbs both: one 24-doc segment
+  // straddling the capture, which the commit must split.
   InMemoryEnv env;
-  const auto batches = make_batches(4, 8);
+  const auto batches = make_sized_batches({12, 4, 8}, 0x11fe);
   auto options = foreground_options();
   LiveDatabase* handle = nullptr;
   options.after_refreeze_capture = [&] {
     handle->add_batch(batches[2].signatures, batches[2].labels);
+    const auto mid_fold = handle->stats();
+    ASSERT_EQ(mid_fold.tail_segments.size(), 1u);
+    EXPECT_EQ(mid_fold.tail_segments[0].docs, 24u);
+    EXPECT_EQ(mid_fold.tail_segments[0].batches, 3u);
   };
   LiveDatabase db(env, "live", options);
   handle = &db;
 
   db.add_batch(batches[0].signatures, batches[0].labels);
   db.add_batch(batches[1].signatures, batches[1].labels);
+  ASSERT_EQ(db.stats().segments, 2u);
   ASSERT_TRUE(db.refreeze_now());  // seals batch 2 mid-fold
 
   const auto stats = db.stats();
   EXPECT_EQ(stats.base_docs, 16u);  // batches 0+1 folded
   EXPECT_EQ(stats.tail_docs, 8u);   // batch 2 survived as tail
   EXPECT_EQ(stats.segments, 1u);
+  ASSERT_EQ(stats.tail_segments.size(), 1u);
+  EXPECT_EQ(stats.tail_segments[0].first_id, 16u);
+  EXPECT_EQ(stats.tail_segments[0].batches, 1u);  // split off the merge
   expect_live_equivalent(db.snapshot(), build_reference(batches, 3, 2),
                          "survivor epoch");
 
@@ -302,6 +394,156 @@ TEST(LiveDatabase, SegmentsSealedDuringRefreezeSurviveTheSwap) {
   EXPECT_EQ(reopened.recovery().journal_records_replayed, 1u);
   expect_live_equivalent(reopened.snapshot(), build_reference(batches, 3, 2),
                          "survivor reopen");
+}
+
+// The ladder bounds fan-out: after every seal the tail holds at most
+// floor(log2(tail)) + 1 segments over contiguous id ranges, for one-doc
+// batches and for a run of mixed sizes, and searches stay bit-identical to
+// a bulk build. The write-amplification counter proves each doc is
+// rewritten at most ceil(log2(n)) times.
+TEST(LiveDatabase, SegmentLadderBoundsFanOut) {
+  InMemoryEnv env;
+  auto batches = make_batches(1000, 1, 0x1add);
+  auto options = foreground_options();
+  options.refreeze_min_docs = 1 << 20;  // no run reaches the fold's size
+  LiveDatabase db(env, "live", options);
+
+  const std::uint64_t merges_before =
+      counter_value("fmeter_live_seal_merges_total");
+  const std::uint64_t merge_docs_before =
+      counter_value("fmeter_live_seal_merge_docs_total");
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    db.add_batch(batches[b].signatures, batches[b].labels);
+    expect_ladder_shape(db.stats(), "one-doc batch " + std::to_string(b));
+  }
+  // 1000 = 0b1111101000: six segments of 512, 256, 128, 64, 32 and 8.
+  EXPECT_EQ(db.stats().segments, 6u);
+  const auto merges = counter_value("fmeter_live_seal_merges_total") -
+                      merges_before;
+  const auto merge_docs =
+      counter_value("fmeter_live_seal_merge_docs_total") - merge_docs_before;
+  EXPECT_EQ(merges, 500u);  // every even-numbered seal carries
+  EXPECT_LE(merge_docs, 1000u * std::bit_width(999u));  // ceil(log2(1000))
+  expect_same_hits(db.snapshot(), build_reference(batches, 1000, 2),
+                   "one-doc ladder");
+
+  std::vector<std::size_t> sizes;
+  util::Rng rng(0x5123);
+  for (int b = 0; b < 120; ++b) sizes.push_back(1 + rng.below(40));
+  // Start with a shrinking run of sizes: a rule that only compares the
+  // newest segment with the run so far would keep one segment per batch
+  // of it.
+  std::sort(sizes.begin(), sizes.begin() + 30, std::greater<>());
+  const auto mixed = make_sized_batches(sizes, 0x5124);
+  for (std::size_t b = 0; b < mixed.size(); ++b) {
+    db.add_batch(mixed[b].signatures, mixed[b].labels);
+    expect_ladder_shape(db.stats(), "mixed batch " + std::to_string(b));
+  }
+  batches.insert(batches.end(), mixed.begin(), mixed.end());
+  const auto reference = build_reference(batches, batches.size(), 2);
+  expect_same_hits(db.snapshot(), reference, "mixed ladder");
+  expect_live_equivalent(db.snapshot(), reference, "mixed ladder");
+}
+
+// The ladder builds no run of refreeze_min_docs or more: merging that
+// much is the fold's work. Equal batches of half the floor never merge;
+// one-doc batches climb the ladder only below it.
+TEST(LiveDatabase, LadderLeavesFoldSizedRunsToTheFold) {
+  InMemoryEnv env;
+  auto options = foreground_options();
+  options.refreeze_min_docs = 16;
+  LiveDatabase db(env, "live", options);
+  const auto halves = make_batches(5, 8, 0xf01d);
+  for (const Batch& b : halves) db.add_batch(b.signatures, b.labels);
+  EXPECT_EQ(db.stats().segments, 5u);
+
+  const auto ones = make_batches(40, 1, 0xf01e);
+  for (const Batch& b : ones) db.add_batch(b.signatures, b.labels);
+  const auto stats = db.stats();
+  for (std::size_t s = 5; s < stats.tail_segments.size(); ++s) {
+    EXPECT_LT(stats.tail_segments[s].docs, 16u) << s;
+  }
+  EXPECT_LT(stats.segments, 5u + 40u / 2);
+  std::vector<Batch> all = halves;
+  all.insert(all.end(), ones.begin(), ones.end());
+  expect_live_equivalent(db.snapshot(), build_reference(all, all.size(), 2),
+                         "capped ladder");
+}
+
+// open() replays the journal into the ladder the writer published: the
+// segment count and every segment's range survive close + reopen.
+TEST(LiveDatabase, LadderShapeSurvivesReopen) {
+  InMemoryEnv env;
+  const auto batches =
+      make_sized_batches({5, 3, 9, 1, 1, 2, 7, 4, 4, 6, 1, 8, 1, 1}, 0x5e9);
+  std::vector<LiveSegmentStats> before;
+  {
+    LiveDatabase db(env, "live", foreground_options());
+    for (std::size_t b = 0; b < 4; ++b) {
+      db.add_batch(batches[b].signatures, batches[b].labels);
+    }
+    ASSERT_TRUE(db.refreeze_now());
+    for (std::size_t b = 4; b < batches.size(); ++b) {
+      db.add_batch(batches[b].signatures, batches[b].labels);
+    }
+    before = db.stats().tail_segments;
+    ASSERT_GT(before.size(), 1u);
+  }
+
+  LiveDatabase reopened(env, "live", foreground_options());
+  EXPECT_EQ(reopened.recovery().journal_records_replayed, batches.size() - 4);
+  const auto after = reopened.stats();
+  ASSERT_EQ(after.segments, before.size());
+  for (std::size_t s = 0; s < before.size(); ++s) {
+    EXPECT_EQ(after.tail_segments[s].first_id, before[s].first_id) << s;
+    EXPECT_EQ(after.tail_segments[s].docs, before[s].docs) << s;
+    EXPECT_EQ(after.tail_segments[s].batches, before[s].batches) << s;
+  }
+  expect_live_equivalent(reopened.snapshot(),
+                         build_reference(batches, batches.size(), 2),
+                         "reopened ladder");
+}
+
+// Segment probes report their outcomes: on a tail-only archive an expired
+// deadline stops every segment probe, and the caller's outcome says so
+// instead of kOk.
+TEST(LiveDatabase, SegmentProbeOutcomesReachTheCaller) {
+  InMemoryEnv env;
+  const auto batches = make_sized_batches({8, 4}, 0xdead);
+  LiveDatabase db(env, "live", foreground_options());
+  for (const Batch& b : batches) db.add_batch(b.signatures, b.labels);
+  ASSERT_EQ(db.stats().base_docs, 0u);
+  ASSERT_EQ(db.stats().segments, 2u);
+
+  const std::vector<vsm::SparseVector> queries = {batches[0].signatures[0],
+                                                  batches[1].signatures[0]};
+  std::vector<QueryOutcome> outcomes;
+  SearchOptions options;
+  options.outcomes = &outcomes;
+  options.deadline =
+      Deadline::at(Deadline::Clock::now() - std::chrono::seconds(1));
+  QueryStats stats;
+  for (const auto mode :
+       {index::PruningMode::kExact, index::PruningMode::kAuto}) {
+    const auto hits = db.search_batch(queries, 5, SimilarityMetric::kCosine,
+                                      mode, &stats, options);
+    ASSERT_EQ(outcomes.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(outcomes[q], QueryOutcome::kDeadlineExceeded) << q;
+      EXPECT_TRUE(hits[q].empty()) << q;
+    }
+  }
+  EXPECT_EQ(stats.deadline_exceeded, 8u);  // 2 modes x 2 queries x 2 segments
+
+  // Without a deadline the same batch is whole and ok.
+  options.deadline = {};
+  const auto hits = db.search_batch(queries, 5, SimilarityMetric::kCosine,
+                                    index::PruningMode::kAuto, nullptr,
+                                    options);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(outcomes[q], QueryOutcome::kOk) << q;
+    EXPECT_EQ(hits[q].size(), 5u) << q;
+  }
 }
 
 TEST(LiveDatabase, MalformedBatchLeavesArchiveUnchanged) {
@@ -462,6 +704,76 @@ TEST(LiveDatabase, ConcurrentIngestQueryRefreezeScrape) {
   expect_live_equivalent(reopened.snapshot(),
                          build_reference(batches, 24, 2),
                          "post-concurrency reopen");
+}
+
+// Two writers race their optimistic merges against each other and against
+// background re-freezes, so a planned merge regularly finds its victims no
+// longer trailing and falls back to an unmerged append. No acknowledged
+// doc may be lost or moved, and the final archive must answer
+// bit-identically to a bulk build in acknowledged-id order.
+TEST(LiveDatabase, ConcurrentWritersLadderFallbackKeepsEveryDoc) {
+  InMemoryEnv env;
+  const auto batches = make_batches(240, 1, 0x7a7a);
+  exec::TaskPool pool(2);
+  LiveOptions options;
+  options.num_shards = 2;
+  options.refreeze_min_docs = 32;
+  options.refreeze_fraction = 0.5;
+  options.pool = &pool;
+  std::vector<std::size_t> first_ids(batches.size());
+  // The expected archive: the batches in acknowledged-id order.
+  std::vector<Batch> acknowledged;
+  const auto acknowledge = [&] {
+    std::vector<std::size_t> order(batches.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return first_ids[a] < first_ids[b];
+    });
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      ASSERT_EQ(first_ids[order[i]], i);
+      acknowledged.push_back(batches[order[i]]);
+    }
+  };
+  {
+    LiveDatabase db(env, "live", options);
+    const auto writer = [&](std::size_t parity) {
+      for (std::size_t b = parity; b < batches.size(); b += 2) {
+        first_ids[b] = db.add_batch(batches[b].signatures, batches[b].labels);
+      }
+    };
+    std::thread even(writer, 0);
+    std::thread odd(writer, 1);
+    std::thread reader([&] {
+      util::Rng rng(0xfeed);
+      for (int q = 0; q < 100; ++q) {
+        const auto snapshot = db.snapshot();
+        const auto hits = snapshot.search(random_sparse(rng, 64, 10), 5);
+        EXPECT_LE(hits.size(), 5u);
+        for (const auto& hit : hits) {
+          ASSERT_LT(hit.id, snapshot.size());
+          EXPECT_EQ(snapshot.label(hit.id), hit.label);
+        }
+      }
+    });
+    even.join();
+    odd.join();
+    reader.join();
+    db.wait_for_refreeze();
+    EXPECT_GE(db.refreezes(), 1u);
+    acknowledge();
+    ASSERT_EQ(acknowledged.size(), batches.size());
+    expect_same_hits(db.snapshot(),
+                     build_reference(acknowledged, acknowledged.size(), 2),
+                     "post-race");
+  }
+
+  LiveDatabase reopened(env, "live", options);
+  expect_live_equivalent(reopened.snapshot(),
+                         build_reference(acknowledged, acknowledged.size(), 2),
+                         "post-race reopen");
+  expect_same_hits(reopened.snapshot(),
+                   build_reference(acknowledged, acknowledged.size(), 2),
+                   "post-race reopen");
 }
 
 }  // namespace
