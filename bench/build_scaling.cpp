@@ -1,13 +1,13 @@
-// Sequential add() vs. parallel bulk ingest (add_batch + freeze) as the
-// archive grows.
+// Inline vs. parallel bulk ingest (ShardedIndex::add_batch) as the archive
+// grows.
 //
 // An operator's archive is rebuilt whenever a corpus is (re)loaded from
-// disk, and PR 4 turned that from N sequential single-threaded add() calls
-// into per-shard build tasks fanned out on the exec::TaskPool with each
-// shard frozen into its posting arena at the end. This bench measures both
-// ingest paths into a 4-shard ShardedIndex at 10k/100k docs, verifies the
-// parallel build is document-for-document identical to the sequential one,
-// and emits BENCH_build.json. The >=2x speedup check only arms on >=4
+// disk, and add_batch fans the per-shard arena builds out as tasks on the
+// exec::TaskPool. This bench measures the same add_batch into a 4-shard
+// ShardedIndex at 10k/100k docs twice: on a one-worker pool (the inline,
+// sequential build) and on a pool with one worker per hardware thread,
+// verifies the parallel build is document-for-document identical to the
+// sequential one, and emits BENCH_build.json. The >=2x speedup check only arms on >=4
 // hardware threads and the full 100k corpus (a single-core CI box runs the
 // same code inline, where there is nothing to win).
 //
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const std::size_t max_corpus = parsed > 0 ? parsed : 100000;
 
   fmeter::bench::print_banner(
-      "build_scaling: sequential add() vs. parallel bulk ingest + freeze",
+      "build_scaling: inline vs. parallel bulk ingest (add_batch)",
       "archive (re)builds must not serialize on one core");
 
   const std::size_t cores = std::thread::hardware_concurrency();
@@ -73,10 +73,11 @@ int main(int argc, char** argv) {
           rng, zipf, perms[d % kClasses], kNnz));
     }
 
+    fmeter::exec::TaskPool one_worker(1);
     const auto t_seq = std::chrono::steady_clock::now();
     fmeter::exec::ShardedIndex sequential(kShards);
-    for (const auto& doc : docs) sequential.add(doc);
-    sequential.freeze();
+    sequential.add_batch(std::span<const fmeter::vsm::SparseVector>(docs),
+                         &one_worker);
     const double seq_s = seconds_since(t_seq);
 
     fmeter::exec::TaskPool pool(cores > 0 ? cores : 1);
@@ -89,8 +90,7 @@ int main(int argc, char** argv) {
     // The parallel build must be byte-for-byte the sequential one.
     bool identical = parallel.size() == sequential.size() &&
                      parallel.num_terms() == sequential.num_terms() &&
-                     parallel.num_postings() == sequential.num_postings() &&
-                     parallel.frozen() && sequential.frozen();
+                     parallel.num_postings() == sequential.num_postings();
     const auto seq_stats = sequential.shard_stats();
     const auto par_stats = parallel.shard_stats();
     for (std::size_t s = 0; identical && s < seq_stats.size(); ++s) {

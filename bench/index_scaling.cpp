@@ -1,27 +1,20 @@
 // Scan vs. inverted-index vs. max-score-pruned query throughput as the
-// signature archive grows — now over both index layouts: the mutable
-// vector-per-term layout (the PR 3 baseline) and the frozen struct-of-arrays
-// posting arena with block-max metadata and doc reordering.
+// signature archive grows, over the struct-of-arrays posting arena with
+// block-max metadata and doc reordering.
 //
 // The paper's pitch is that signatures are indexable "similar to regular
 // text documents" — which only pays off if the index actually beats a
 // linear scan once the archive is big, and classic IR engines additionally
 // prune with score upper bounds instead of scoring every document. This
-// bench stores 1k/10k/100k synthetic tf-idf signatures and measures
-// queries/sec for both metrics across two ladders over the *same* corpus
-// (regenerated from the same seed):
-//
-//   ladder 1 (mutable):  brute-force scan, exact indexed, max-score pruned
-//                        — the PR 3 pruned path, unchanged layout.
-//   ladder 2 (frozen):   the same corpus bulk-loaded and frozen; exact
-//                        frozen (bit-identical to the scan), block-max
-//                        pruned frozen, and the kAuto policy that picks
-//                        exact-vs-pruned per shard from the measured
-//                        crossover.
+// bench bulk-loads 1k/10k/100k synthetic tf-idf signatures and measures
+// queries/sec for both metrics: the brute-force scan, the exact indexed
+// path (bit-identical to the scan), the block-max pruned path, and the
+// kAuto policy that picks exact-vs-pruned per shard from the measured
+// crossover.
 //
 // Correctness gates run before any throughput number is trusted: pruned
 // hits must match the scan (same set, same order, scores within 1e-9) and
-// frozen exact hits must match the scan bit-for-bit.
+// exact hits must match the scan bit-for-bit.
 //
 // The synthetic corpus is bench_common.hpp's shared archive model: eleven
 // behavior classes over per-class Zipf(1.1) permutations of the ~3.8k
@@ -31,7 +24,6 @@
 // Writes machine-readable results to BENCH_index_scaling.json.
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -62,8 +54,8 @@ double queries_per_sec(const SignatureDatabase& db,
                        SimilarityMetric metric, ScanPolicy policy,
                        PruningMode mode, int repetitions) {
   std::size_t q = 0;
-  // CPU time: the cross-layout ratios below compare cells measured minutes
-  // apart, where shared-box wall-clock noise would drown the signal.
+  // CPU time: the ratios below compare cells measured minutes apart, where
+  // shared-box wall-clock noise would drown the signal.
   const auto samples = fmeter::bench::time_op_cpu_us(
       [&] {
         (void)db.search(queries[q++ % queries.size()], kTopK, metric, policy,
@@ -93,8 +85,7 @@ bool hits_equivalent(const std::vector<SearchHit>& got,
   return true;
 }
 
-/// Measured numbers for one (corpus, metric, policy) cell, keyed for the
-/// cross-ladder comparisons.
+/// Measured numbers for one (corpus, metric, policy) cell.
 struct Cell {
   double qps = 0.0;
   double prune_rate = 0.0;
@@ -113,21 +104,19 @@ int main(int argc, char** argv) {
   const std::size_t max_corpus = parsed > 0 ? parsed : 100000;
 
   fmeter::bench::print_banner(
-      "index_scaling: scan vs. mutable index vs. frozen block-max arena",
+      "index_scaling: scan vs. block-max indexed arena",
       "§1/§2.2 — signatures are indexable like text documents");
 
-  std::printf("%8s %8s %7s %12s %8s %8s %10s %8s\n", "corpus", "layout",
-              "metric", "policy", "q/s", "pruned%", "visited/q", "blkskip");
+  std::printf("%8s %7s %14s %8s %8s %10s %8s\n", "corpus", "metric",
+              "policy", "q/s", "pruned%", "visited/q", "blkskip");
 
   std::vector<fmeter::bench::ShapeCheck> checks;
   std::vector<fmeter::bench::JsonRow> json_rows;
-  std::map<std::string, Cell> cells;  // "corpus/metric/policy" -> numbers
 
-  const auto record = [&](std::size_t corpus, const char* layout,
-                          const char* metric, const char* policy, Cell cell) {
-    cells[std::to_string(corpus) + "/" + metric + "/" + policy] = cell;
-    std::printf("%8zu %8s %7s %12s %8.0f %7.1f%% %10.0f %8.0f\n", corpus,
-                layout, metric, policy, cell.qps, 100.0 * cell.prune_rate,
+  const auto record = [&](std::size_t corpus, const char* metric,
+                          const char* policy, const Cell& cell) {
+    std::printf("%8zu %7s %14s %8.0f %7.1f%% %10.0f %8.0f\n", corpus, metric,
+                policy, cell.qps, 100.0 * cell.prune_rate,
                 cell.visited_per_query, cell.blocks_skipped_per_query);
     json_rows.push_back(
         {fmeter::bench::jnum("docs", static_cast<double>(corpus)),
@@ -142,210 +131,104 @@ int main(int argc, char** argv) {
                              cell.blocks_skipped_per_query)});
   };
 
-  // Both ladders regenerate the identical corpus and query stream from the
-  // same seed, so every cross-ladder comparison is doc-for-doc.
-  const auto make_queries = [&](fmeter::util::Rng& rng,
-                                const fmeter::util::ZipfDistribution& zipf,
-                                const auto& perms) {
-    std::vector<fmeter::vsm::SparseVector> queries;
-    for (std::size_t i = 0; i < 32; ++i) {
-      queries.push_back(fmeter::bench::synthetic_class_signature(
-          rng, zipf, perms[i % kClasses], kNnz));
-    }
-    return queries;
-  };
   const int reps = 5;
-
-  // ------------------------- ladder 1: mutable -------------------------
-  {
-    fmeter::util::Rng rng(kSeed);
-    const fmeter::util::ZipfDistribution zipf(kDimension, 1.1);
-    const auto perms =
-        fmeter::bench::class_permutations(rng, kClasses, kDimension);
-    const auto queries = make_queries(rng, zipf, perms);
-    // One shard: this bench isolates index-layer savings against the scan;
-    // shard-parallel execution is bench_query_engine_scaling's story.
-    SignatureDatabase db(1);
-    for (const std::size_t corpus : kCorpusLadder) {
-      if (corpus > max_corpus) break;
-      while (db.size() < corpus) {
-        db.add(fmeter::bench::synthetic_class_signature(
-                   rng, zipf, perms[db.size() % kClasses], kNnz),
-               "class-" + std::to_string(db.size() % kClasses));
+  fmeter::util::Rng rng(kSeed);
+  const fmeter::util::ZipfDistribution zipf(kDimension, 1.1);
+  const auto perms =
+      fmeter::bench::class_permutations(rng, kClasses, kDimension);
+  std::vector<fmeter::vsm::SparseVector> queries;
+  for (std::size_t i = 0; i < 32; ++i) {
+    queries.push_back(fmeter::bench::synthetic_class_signature(
+        rng, zipf, perms[i % kClasses], kNnz));
+  }
+  // One shard: this bench isolates index-layer savings against the scan;
+  // shard-parallel execution is bench_query_engine_scaling's story.
+  SignatureDatabase db(1);
+  for (const std::size_t corpus : kCorpusLadder) {
+    if (corpus > max_corpus) break;
+    // Bulk-load the increment (bench_build_scaling measures the build).
+    std::vector<fmeter::vsm::SparseVector> batch;
+    std::vector<std::string> labels;
+    while (db.size() + batch.size() < corpus) {
+      const std::size_t id = db.size() + batch.size();
+      batch.push_back(fmeter::bench::synthetic_class_signature(
+          rng, zipf, perms[id % kClasses], kNnz));
+      labels.push_back("class-" + std::to_string(id % kClasses));
+    }
+    db.add_batch(std::move(batch), std::move(labels));
+    for (const auto metric :
+         {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
+      const char* name =
+          metric == SimilarityMetric::kCosine ? "cosine" : "euclid";
+      // Correctness gates before any throughput number.
+      QueryStats stats;
+      bool pruned_ok = true;
+      bool exact_bit_identical = true;
+      for (const auto& query : queries) {
+        const auto golden =
+            db.search(query, kTopK, metric, ScanPolicy::kBruteForce);
+        const auto exact = db.search(query, kTopK, metric);
+        const auto pruned =
+            db.search(query, kTopK, metric, ScanPolicy::kIndexed,
+                      PruningMode::kMaxScore, &stats);
+        exact_bit_identical = exact_bit_identical &&
+                              hits_equivalent(exact, golden,
+                                              /*bit_identical=*/true);
+        pruned_ok = pruned_ok && hits_equivalent(pruned, golden);
       }
-      for (const auto metric :
-           {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
-        const char* name =
-            metric == SimilarityMetric::kCosine ? "cosine" : "euclid";
-        // Correctness gate before any throughput number.
-        QueryStats stats;
-        bool equivalent = true;
-        for (const auto& query : queries) {
-          const auto golden =
-              db.search(query, kTopK, metric, ScanPolicy::kBruteForce);
-          const auto pruned =
-              db.search(query, kTopK, metric, ScanPolicy::kIndexed,
-                        PruningMode::kMaxScore, &stats);
-          equivalent = equivalent && hits_equivalent(pruned, golden);
-        }
-        checks.push_back({"mutable pruned == scan (set+order, 1e-9) at " +
+      checks.push_back({"frozen exact bit-identical to golden scan at " +
+                            std::to_string(corpus) + " (" + name + ")",
+                        exact_bit_identical});
+      checks.push_back({"frozen pruned == scan (set+order, 1e-9) at " +
+                            std::to_string(corpus) + " (" + name + ")",
+                        pruned_ok});
+      const double considered =
+          static_cast<double>(stats.docs_scored + stats.docs_pruned);
+      Cell scan, exact, pruned, autod;
+      scan.qps = queries_per_sec(db, queries, metric, ScanPolicy::kBruteForce,
+                                 PruningMode::kExact, reps);
+      exact.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
+                                  PruningMode::kExact, reps);
+      pruned.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
+                                   PruningMode::kMaxScore, reps);
+      autod.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
+                                  PruningMode::kAuto, reps);
+      pruned.prune_rate =
+          considered > 0.0
+              ? static_cast<double>(stats.docs_pruned) / considered
+              : 0.0;
+      pruned.visited_per_query = static_cast<double>(stats.postings_visited) /
+                                 static_cast<double>(queries.size());
+      pruned.blocks_skipped_per_query =
+          static_cast<double>(stats.blocks_skipped) /
+          static_cast<double>(queries.size());
+      record(corpus, name, "scan", scan);
+      record(corpus, name, "indexed_frozen", exact);
+      record(corpus, name, "pruned_frozen", pruned);
+      record(corpus, name, "auto", autod);
+      if (corpus >= 10000) {
+        checks.push_back({"indexed beats scan at " + std::to_string(corpus) +
+                              " signatures (" + name + ")",
+                          exact.qps > scan.qps});
+      }
+      if (corpus <= 1000) {
+        // Pruning's bookkeeping costs more than it saves on small shards;
+        // kAuto must stay at exact-path speed there.
+        checks.push_back({"kAuto holds exact-path speed at " +
+                              std::to_string(corpus) + " docs (" + name + ")",
+                          autod.qps >= 0.8 * exact.qps});
+      }
+      if (corpus >= 100000) {
+        checks.push_back({"frozen pruned skips whole blocks at " +
                               std::to_string(corpus) + " (" + name + ")",
-                          equivalent});
-        const double considered =
-            static_cast<double>(stats.docs_scored + stats.docs_pruned);
-        Cell scan, exact, pruned;
-        scan.qps = queries_per_sec(db, queries, metric,
-                                   ScanPolicy::kBruteForce,
-                                   PruningMode::kExact, reps);
-        exact.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
-                                    PruningMode::kExact, reps);
-        pruned.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
-                                     PruningMode::kMaxScore, reps);
-        pruned.prune_rate =
-            considered > 0.0
-                ? static_cast<double>(stats.docs_pruned) / considered
-                : 0.0;
-        pruned.visited_per_query =
-            static_cast<double>(stats.postings_visited) /
-            static_cast<double>(queries.size());
-        record(corpus, "mutable", name, "scan", scan);
-        record(corpus, "mutable", name, "indexed", exact);
-        record(corpus, "mutable", name, "pruned", pruned);
-        if (corpus >= 10000) {
-          checks.push_back({"indexed beats scan at " + std::to_string(corpus) +
-                                " signatures (" + name + ")",
-                            exact.qps > scan.qps});
-        }
-        if (corpus >= 100000) {
-          // PR 3 measured 1.75x on this container; the gate sits at 1.4x
-          // to absorb single-core scheduling noise plus the (deliberate)
-          // extra bound bookkeeping the suffix-impact filter added.
-          checks.push_back({"mutable max-score >= 1.4x exact indexed at " +
-                                std::to_string(corpus) + " docs, k=10 (" +
-                                name + ")",
-                            pruned.qps >= 1.4 * exact.qps});
-        }
+                          pruned.blocks_skipped_per_query > 0.0});
       }
     }
   }
-
-  // ------------------------- ladder 2: frozen --------------------------
-  {
-    fmeter::util::Rng rng(kSeed);
-    const fmeter::util::ZipfDistribution zipf(kDimension, 1.1);
-    const auto perms =
-        fmeter::bench::class_permutations(rng, kClasses, kDimension);
-    const auto queries = make_queries(rng, zipf, perms);
-    SignatureDatabase db(1);
-    for (const std::size_t corpus : kCorpusLadder) {
-      if (corpus > max_corpus) break;
-      // Bulk-load the increment and freeze — the ingest path this layout
-      // is built for (bench_build_scaling measures the build itself).
-      std::vector<fmeter::vsm::SparseVector> batch;
-      std::vector<std::string> labels;
-      while (db.size() + batch.size() < corpus) {
-        const std::size_t id = db.size() + batch.size();
-        batch.push_back(fmeter::bench::synthetic_class_signature(
-            rng, zipf, perms[id % kClasses], kNnz));
-        labels.push_back("class-" + std::to_string(id % kClasses));
-      }
-      db.add_batch(std::move(batch), std::move(labels));
-      for (const auto metric :
-           {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
-        const char* name =
-            metric == SimilarityMetric::kCosine ? "cosine" : "euclid";
-        QueryStats stats;
-        bool pruned_ok = true;
-        bool exact_bit_identical = true;
-        for (const auto& query : queries) {
-          const auto golden =
-              db.search(query, kTopK, metric, ScanPolicy::kBruteForce);
-          const auto exact = db.search(query, kTopK, metric);
-          const auto pruned =
-              db.search(query, kTopK, metric, ScanPolicy::kIndexed,
-                        PruningMode::kMaxScore, &stats);
-          exact_bit_identical = exact_bit_identical &&
-                                hits_equivalent(exact, golden,
-                                                /*bit_identical=*/true);
-          pruned_ok = pruned_ok && hits_equivalent(pruned, golden);
-        }
-        checks.push_back({"frozen exact bit-identical to golden scan at " +
-                              std::to_string(corpus) + " (" + name + ")",
-                          exact_bit_identical});
-        checks.push_back({"frozen pruned == scan (set+order, 1e-9) at " +
-                              std::to_string(corpus) + " (" + name + ")",
-                          pruned_ok});
-        const double considered =
-            static_cast<double>(stats.docs_scored + stats.docs_pruned);
-        Cell exact, pruned, autod;
-        exact.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
-                                    PruningMode::kExact, reps);
-        pruned.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
-                                     PruningMode::kMaxScore, reps);
-        autod.qps = queries_per_sec(db, queries, metric, ScanPolicy::kIndexed,
-                                    PruningMode::kAuto, reps);
-        pruned.prune_rate =
-            considered > 0.0
-                ? static_cast<double>(stats.docs_pruned) / considered
-                : 0.0;
-        pruned.visited_per_query =
-            static_cast<double>(stats.postings_visited) /
-            static_cast<double>(queries.size());
-        pruned.blocks_skipped_per_query =
-            static_cast<double>(stats.blocks_skipped) /
-            static_cast<double>(queries.size());
-        record(corpus, "frozen", name, "indexed_frozen", exact);
-        record(corpus, "frozen", name, "pruned_frozen", pruned);
-        record(corpus, "frozen", name, "auto", autod);
-
-        const Cell& mut_pruned =
-            cells[std::to_string(corpus) + "/" + name + "/pruned"];
-        const Cell& mut_exact =
-            cells[std::to_string(corpus) + "/" + name + "/indexed"];
-        if (corpus <= 1000) {
-          // The PR 3 regression this PR's kAuto fixes: pruned cost ~1.8x
-          // exact at 1k docs. kAuto must stay at exact-path speed there.
-          checks.push_back({"kAuto holds exact-path speed at " +
-                                std::to_string(corpus) + " docs (" + name +
-                                ")",
-                            autod.qps >= 0.8 * mut_exact.qps});
-        }
-        if (corpus >= 100000) {
-          // Through the full engine path on the shared 1-core container
-          // the frozen advantage measures 1.07-1.26x (pruned) and
-          // 1.1-1.7x (exact) run to run — 1.4-1.7x in direct index-layer
-          // probes with a warm scratch. Cell-to-cell noise spans those
-          // whole bands even on per-process CPU time (neighbors contend
-          // for the memory subsystem), so the enforced speed gates are
-          // never-slower; the structural claims ride on the deterministic
-          // postings_visited gate below (2.29x measured) and the
-          // correctness gates above.
-          checks.push_back(
-              {"frozen pruned never slower than mutable pruned at " +
-                   std::to_string(corpus) + " docs, k=10 (" + name + ")",
-               pruned.qps >= 1.0 * mut_pruned.qps});
-          checks.push_back({"frozen exact never slower than mutable exact "
-                            "at " +
-                                std::to_string(corpus) + " docs (" + name +
-                                ")",
-                            exact.qps >= 1.0 * mut_exact.qps});
-          checks.push_back(
-              {"frozen pruned visits <= 1/2 the postings of mutable pruned "
-               "at " +
-                   std::to_string(corpus) + " (" + name + ")",
-               pruned.visited_per_query * 2.0 <= mut_pruned.visited_per_query});
-          checks.push_back({"frozen pruned skips whole blocks at " +
-                                std::to_string(corpus) + " (" + name + ")",
-                            pruned.blocks_skipped_per_query > 0.0});
-        }
-      }
-    }
-    std::printf("\nindex stats: %zu docs (%s), %zu terms, %zu postings, "
-                "%.1f KiB\n",
-                db.index().size(), db.index().frozen() ? "frozen" : "mixed",
-                db.index().num_terms(), db.index().num_postings(),
-                static_cast<double>(db.index().memory_bytes()) / 1024.0);
-  }
+  std::printf("\nindex stats: %zu docs, %zu terms, %zu postings, %.1f KiB\n",
+              db.index().size(), db.index().num_terms(),
+              db.index().num_postings(),
+              static_cast<double>(db.index().memory_bytes()) / 1024.0);
 
   fmeter::bench::emit_json("BENCH_index_scaling.json", "index_scaling",
                            json_rows);

@@ -50,16 +50,10 @@ double estimated_cell_docs(double docs_per_shard, std::size_t k,
 /// documents in the same order (bit-identical, even), so routing small
 /// shards to it changes nothing but the speed. Forced pruning stays
 /// available at the index layer (InvertedIndex::top_k_pruned directly).
-/// The crossover depends on the shard's dominant layout — a mostly
-/// unfrozen shard behaves like the mutable tiers even if an old arena
-/// sits underneath, so "frozen" means the arena holds a majority of the
-/// documents.
 PruningMode resolve_mode(const ShardedIndex& index, std::size_t shard,
                          std::size_t k, PruningMode mode) {
   if (mode == PruningMode::kExact) return mode;
-  const auto& target = index.shard(shard);
-  return index::InvertedIndex::resolve_auto(
-      target.size(), k, target.frozen_docs() * 2 >= target.size());
+  return index::InvertedIndex::resolve_auto(index.shard(shard).size(), k);
 }
 
 /// Scores one query against one shard, mapping hits to global doc ids.
@@ -339,7 +333,7 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   if (k == 0 || index_->empty()) return results;
 
   // Pin the reader side of the index's ingest lock for the whole batch:
-  // a concurrent add_batch or freeze serializes against it instead of
+  // a concurrent add_batch serializes against it instead of
   // mutating postings under the scoring loops. Pool workers executing this
   // batch's spans are covered by this guard — the caller blocks on the
   // batch latch before releasing it.

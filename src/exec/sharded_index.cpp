@@ -1,5 +1,6 @@
 #include "exec/sharded_index.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <future>
@@ -60,30 +61,6 @@ ShardedIndex& ShardedIndex::operator=(ShardedIndex&& other) noexcept {
   return *this;
 }
 
-ShardedIndex::DocId ShardedIndex::add(const vsm::SparseVector& doc) {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  const auto global = static_cast<DocId>(size());
-  const auto indices = doc.indices();
-  // Grow the occupancy bitmap before touching the shard so a failed resize
-  // leaves the index unchanged; the shard's own add() is transactional.
-  if (!indices.empty() &&
-      static_cast<std::size_t>(indices.back()) >= term_seen_.size()) {
-    term_seen_.resize(static_cast<std::size_t>(indices.back()) + 1, false);
-  }
-  const DocId local = shards_[shard_of(global)].add(doc);
-  if (local != local_of(global)) {
-    throw std::logic_error("ShardedIndex: shard id stream out of sync");
-  }
-  for (const auto term : indices) {
-    if (!term_seen_[term]) {
-      term_seen_[term] = true;
-      ++nonempty_terms_;
-    }
-  }
-  ++size_;
-  return global;
-}
-
 void ShardedIndex::add_batch(std::span<const vsm::SparseVector> docs,
                              TaskPool* pool) {
   std::vector<const vsm::SparseVector*> pointers;
@@ -99,22 +76,31 @@ void ShardedIndex::add_batch(std::span<const vsm::SparseVector* const> docs,
   // before the futures resolve, which happens before this thread releases
   // the lock — so any reader admitted afterwards sees the finished build.
   const std::unique_lock<std::shared_mutex> lock(mutex_);
+  // Validate the whole batch before the fan-out: a shard's own check only
+  // sees its slice, so a bad document in one slice would otherwise leave
+  // the other shards holding their part of a rejected batch.
+  for (const auto* doc : docs) {
+    for (const double value : doc->values()) {
+      if (!std::isfinite(value)) {
+        throw std::invalid_argument(
+            "ShardedIndex::add_batch: document carries a non-finite weight");
+      }
+    }
+  }
+  if (docs.empty()) return;
   const std::size_t base = size();
   const std::size_t shards = shards_.size();
 
   // Each shard's slice of the batch: batch index i becomes global id
-  // base + i, so shard s receives the ascending run i ≡ (s - base) mod N —
-  // the same documents in the same order as N sequential add() calls.
+  // base + i, so shard s receives the ascending run i ≡ (s - base) mod N.
   const auto build_shard = [this, docs, base, shards](std::size_t s) {
-    auto& shard = shards_[s];
-    std::size_t i = (s + shards - base % shards) % shards;
-    for (; i < docs.size(); i += shards) {
-      const DocId local = shard.add(*docs[i]);
-      if (local != local_of(static_cast<DocId>(base + i))) {
-        throw std::logic_error("ShardedIndex: shard id stream out of sync");
-      }
+    std::vector<const vsm::SparseVector*> slice;
+    slice.reserve(docs.size() / shards + 1);
+    for (std::size_t i = (s + shards - base % shards) % shards;
+         i < docs.size(); i += shards) {
+      slice.push_back(docs[i]);
     }
-    shard.freeze();
+    shards_[s].add_batch(slice);
   };
 
   // Pool-independent cutoffs first, so small builds never pay for
@@ -197,7 +183,7 @@ ShardedIndex ShardedIndex::load(const index::snapshot::Reader& reader,
   ShardedIndex out(shards);
   const std::uint64_t docs = reader.doc_count();
 
-  // Per-shard rebuild (parse sections, re-add, freeze), fanned out with the
+  // Per-shard rebuild (parse sections, one build each), fanned out with the
   // same inline cutoffs as add_batch: small archives and pool workers build
   // on the calling thread. Shards are disjoint, so the only cross-thread
   // hand-off is the futures' completion.
@@ -277,19 +263,6 @@ ShardedIndex ShardedIndex::load(std::istream& in, TaskPool* pool) {
   return load(reader, pool);
 }
 
-void ShardedIndex::freeze() {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  for (auto& shard : shards_) shard.freeze();
-}
-
-bool ShardedIndex::frozen() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (const auto& shard : shards_) {
-    if (!shard.frozen()) return false;
-  }
-  return true;
-}
-
 std::size_t ShardedIndex::num_postings() const {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   std::size_t total = 0;
@@ -316,7 +289,6 @@ std::vector<ShardStats> ShardedIndex::shard_stats() const {
   for (const auto& shard : shards_) {
     ShardStats entry;
     entry.docs = shard.size();
-    entry.frozen_docs = shard.frozen_docs();
     entry.terms = shard.num_terms();
     entry.postings = shard.num_postings();
     entry.memory = shard.memory_breakdown();

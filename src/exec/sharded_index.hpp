@@ -10,22 +10,18 @@
 // unchanged, and within a shard ascending local id is ascending global id,
 // so the per-shard top-k lists merge into exactly the global ranking.
 //
-// Ingest comes in two shapes with one result:
+// Ingest is add_batch(): the batch is partitioned round-robin by global id,
+// then each shard rebuilds its posting arena over its old documents plus
+// its slice (index::InvertedIndex::add_batch) in a dedicated task on the
+// TaskPool. Shards are disjoint, each shard receives its documents in
+// ascending global order regardless of scheduling, and the term-occupancy
+// bitmap is updated on the calling thread — so the built index is
+// deterministic, byte-for-byte the same as an inline build, and the only
+// cross-thread hand-off is the task futures' completion.
 //
-//  * add() — one document at a time, through the single-threaded path.
-//  * add_batch() — bulk: the batch is partitioned round-robin exactly as N
-//    sequential add() calls would, then each shard's documents are inserted
-//    by a dedicated task on the TaskPool and the shard is frozen into its
-//    struct-of-arrays posting arena. Shards are disjoint, each shard
-//    receives its documents in ascending global order regardless of
-//    scheduling, and the term-occupancy bitmap is updated on the calling
-//    thread — so the built index is deterministic, byte-for-byte the same
-//    as the sequential build plus freeze(), and the only cross-thread
-//    hand-off is the task futures' completion.
-//
-// Concurrency contract: mutators (add, add_batch, freeze, the assignment
-// operators) hold this index's writer lock; stats readers (shard_stats,
-// memory_bytes, memory_breakdown, num_postings, frozen, save) and query
+// Concurrency contract: mutators (add_batch, the assignment operators)
+// hold this index's writer lock; stats readers (shard_stats, memory_bytes,
+// memory_breakdown, num_postings, save) and query
 // execution (QueryEngine::run_batch holds read_lock() across the batch)
 // share the reader side. Scraping stats or running queries concurrently
 // with ingest is therefore safe — the reader simply serializes against the
@@ -57,7 +53,6 @@ using index::Metric;
 /// Per-shard statistics snapshot (for fmeter_inspect and monitoring).
 struct ShardStats {
   std::size_t docs = 0;
-  std::size_t frozen_docs = 0;  ///< docs compacted into the posting arena
   std::size_t terms = 0;
   std::size_t postings = 0;
   std::size_t memory_bytes = 0;
@@ -80,18 +75,17 @@ class ShardedIndex {
   ShardedIndex& operator=(const ShardedIndex& other);
   ShardedIndex& operator=(ShardedIndex&& other) noexcept;
 
-  /// Appends a document; returns its global id (dense, starting at 0).
-  DocId add(const vsm::SparseVector& doc);
-
-  /// Bulk ingest: appends every document (same ids and same per-shard
-  /// contents as calling add() in order) with the per-shard builds fanned
-  /// out onto `pool` (TaskPool::shared() when null), then freezes every
-  /// shard. Falls back to the calling thread when the batch is small, the
-  /// pool has no parallelism to offer, or the caller already is a pool
-  /// worker (a blocked submitter inside a fixed pool can deadlock it).
-  /// Basic exception guarantee only: if a mid-batch insertion throws, the
-  /// shards disagree about the id stream and the index must be discarded —
-  /// bulk loads build fresh indexes, so nothing incremental is lost.
+  /// Appends every document (global ids continue densely from size()) and
+  /// rebuilds every shard that receives one, with the per-shard builds
+  /// fanned out onto `pool` (TaskPool::shared() when null). Falls back to
+  /// the calling thread when the batch is small, the pool has no
+  /// parallelism to offer, or the caller already is a pool worker (a
+  /// blocked submitter inside a fixed pool can deadlock it). A document
+  /// with a non-finite weight rejects the whole batch with
+  /// std::invalid_argument before any shard changes. Only a failure inside
+  /// a shard build (an allocation giving out) degrades to the basic
+  /// guarantee: the shards may then disagree about the id stream and the
+  /// index must be discarded.
   void add_batch(std::span<const vsm::SparseVector* const> docs,
                  TaskPool* pool = nullptr);
   void add_batch(std::span<const vsm::SparseVector> docs,
@@ -99,14 +93,14 @@ class ShardedIndex {
 
   /// Appends every shard's forward-store sections to `writer` (the caller
   /// owns the writer so it can add layers of its own — SignatureDatabase
-  /// adds a labels section — before finish()). The emitted bytes are
-  /// independent of the freeze state.
+  /// adds a labels section — before finish()). The emitted bytes depend
+  /// only on the documents.
   void save(index::snapshot::Writer& writer) const;
   /// Convenience: a complete index-only snapshot on `out` (binary stream).
   void save(std::ostream& out) const;
 
   /// Restores an index from snapshot sections without touching the corpus:
-  /// per-shard rebuilds (re-add in public order + freeze) fan out onto
+  /// per-shard rebuilds (one build of the shard's documents) fan out onto
   /// `pool` exactly like add_batch — TaskPool::shared() when null, inline
   /// when the pool has no parallelism to offer or the archive is small —
   /// and the term-occupancy bitmap is rebuilt from the term-id sections on
@@ -119,15 +113,6 @@ class ShardedIndex {
   static ShardedIndex load(const index::snapshot::Reader& reader,
                            TaskPool* pool = nullptr);
   static ShardedIndex load(std::istream& in, TaskPool* pool = nullptr);
-
-  /// Freezes every shard (see index::InvertedIndex::freeze()); queries are
-  /// unchanged in results, faster in execution. Idempotent. Holds the
-  /// writer lock, so a freeze concurrent with an outstanding query or
-  /// stats scrape serializes instead of racing — the query sees the index
-  /// entirely before or entirely after the freeze, never mid-compaction.
-  void freeze();
-  /// True when every shard is fully frozen.
-  bool frozen() const;
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
   const index::InvertedIndex& shard(std::size_t s) const {
@@ -160,7 +145,7 @@ class ShardedIndex {
   /// forward components, summed over shards (the bitmap counts as offsets).
   MemoryBreakdown memory_breakdown() const;
 
-  /// Safe concurrent with add_batch/freeze: holds the reader lock, so the
+  /// Safe concurrent with add_batch: holds the reader lock, so the
   /// scrape observes every shard at a consistent point, never mid-build.
   std::vector<ShardStats> shard_stats() const;
 
@@ -187,7 +172,7 @@ class ShardedIndex {
   /// lock (the dispatch cost model reads them on every batch).
   std::atomic<std::size_t> nonempty_terms_{0};
   std::atomic<std::size_t> size_{0};
-  /// Writer side: add/add_batch/freeze/assignment. Reader side: stats,
+  /// Writer side: add_batch/assignment. Reader side: stats,
   /// save, and QueryEngine batches. See the header comment.
   mutable std::shared_mutex mutex_;
 };

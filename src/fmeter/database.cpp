@@ -79,6 +79,15 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// The validate_batch rule for one signature: a non-finite weight would
+/// poison norms, per-term bounds and every score they back.
+bool all_finite(const vsm::SparseVector& signature) noexcept {
+  for (const double value : signature.values()) {
+    if (!std::isfinite(value)) return false;
+  }
+  return true;
+}
+
 /// Scan-side ordering for hits, delegating to the one tie-break rule
 /// (index::ranks_better) so scan and engine can never drift apart.
 bool hit_before(const SearchHit& a, const SearchHit& b) noexcept {
@@ -174,23 +183,21 @@ SignatureDatabase& SignatureDatabase::operator=(
 
 std::size_t SignatureDatabase::add(vsm::SparseVector signature,
                                    std::string label) {
+  if (!all_finite(signature)) {
+    throw std::invalid_argument(
+        "add: signature carries a non-finite weight; rejected before any "
+        "mutation");
+  }
   std::size_t id = 0;
   {
-    // Transactional: the three containers must stay aligned even if an
+    // Transactional: the two containers must stay aligned even if an
     // allocation throws mid-add, or every later entry would pair with the
-    // wrong label / the indexed path would read out of bounds.
+    // wrong label. The index is left alone (see sync_index).
     const std::unique_lock<std::shared_mutex> store(store_mutex_);
     labels_.push_back(std::move(label));
     try {
       signatures_.push_back(std::move(signature));
     } catch (...) {
-      labels_.pop_back();
-      throw;
-    }
-    try {
-      index_.add(signatures_.back());
-    } catch (...) {
-      signatures_.pop_back();
       labels_.pop_back();
       throw;
     }
@@ -215,13 +222,11 @@ void SignatureDatabase::validate_batch(
         "add_batch: signatures and labels must align");
   }
   for (std::size_t i = 0; i < signatures.size(); ++i) {
-    for (const double value : signatures[i].values()) {
-      if (!std::isfinite(value)) {
-        throw std::invalid_argument(
-            "add_batch: signature " + std::to_string(i) +
-            " carries a non-finite weight; rejecting the batch before any "
-            "mutation");
-      }
+    if (!all_finite(signatures[i])) {
+      throw std::invalid_argument(
+          "add_batch: signature " + std::to_string(i) +
+          " carries a non-finite weight; rejecting the batch before any "
+          "mutation");
     }
   }
 }
@@ -232,8 +237,8 @@ std::size_t SignatureDatabase::add_batch(
   // must leave the database exactly as it was, still usable (see the
   // header's two-tier failure contract).
   validate_batch(signatures, labels);
+  const std::size_t appended = signatures.size();
   std::size_t first = 0;
-  std::size_t appended = 0;
   {
     const std::unique_lock<std::shared_mutex> store(store_mutex_);
     first = signatures_.size();
@@ -243,20 +248,9 @@ std::size_t SignatureDatabase::add_batch(
       signatures_.push_back(std::move(signatures[i]));
       labels_.push_back(std::move(labels[i]));
     }
-    // Pointers into signatures_ are stable from here: everything is
-    // appended, and the store lock is held until the index has consumed
-    // them (a concurrent batch's reallocation would move them otherwise).
-    std::vector<const vsm::SparseVector*> pointers;
-    pointers.reserve(signatures.size());
-    for (std::size_t id = first; id < signatures_.size(); ++id) {
-      pointers.push_back(&signatures_[id]);
-    }
-    {
-      const obs::StageSpan ingest_span(obs::Stage::kIngest);
-      index_.add_batch(std::span<const vsm::SparseVector* const>(pointers));
-    }
-    appended = pointers.size();
   }
+  // Index this batch together with any scalar adds before it: one build.
+  sync_index();
   // Invalidate after the append is visible — see add() for why.
   {
     const std::lock_guard<std::mutex> lock(syndrome_mutex_);
@@ -264,6 +258,28 @@ std::size_t SignatureDatabase::add_batch(
   }
   db_metrics().docs_ingested->inc(appended);
   return first;
+}
+
+void SignatureDatabase::sync_index() const {
+  {
+    const std::shared_lock<std::shared_mutex> store(store_mutex_);
+    if (index_.size() == signatures_.size()) return;
+  }
+  // Pointers into signatures_ stay valid while the writer lock keeps every
+  // other append out, until the index has consumed them.
+  const std::unique_lock<std::shared_mutex> store(store_mutex_);
+  std::vector<const vsm::SparseVector*> pointers;
+  for (std::size_t id = index_.size(); id < signatures_.size(); ++id) {
+    pointers.push_back(&signatures_[id]);
+  }
+  if (pointers.empty()) return;  // another reader caught up first
+  const obs::StageSpan ingest_span(obs::Stage::kIngest);
+  index_.add_batch(std::span<const vsm::SparseVector* const>(pointers));
+}
+
+const exec::ShardedIndex& SignatureDatabase::index() const {
+  sync_index();
+  return index_;
 }
 
 std::vector<std::string> SignatureDatabase::distinct_labels() const {
@@ -327,6 +343,12 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
     return std::vector<std::vector<SearchHit>>(queries.size());
   }
 
+  // The indexed path and the cost cap read the index; the brute-force scan
+  // reads only the store and must never pay for a build.
+  if (policy == ScanPolicy::kIndexed || admission_.max_query_cost_docs > 0.0) {
+    sync_index();
+  }
+
   // Gate 2: the per-query cost cap. A too-expensive query is swapped for
   // the empty query — which every execution path already defines as "no
   // hits, touch nothing" — so the batch keeps its shape and alignment, and
@@ -376,7 +398,7 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
   // The label fill-in reads the forward store after the engine released
   // the index's reader lock, so it needs its own reader side: a concurrent
   // add_batch may be reallocating labels_. Every doc id the engine
-  // returned is already appended (the store grows before the index does),
+  // returned is already appended (the index covers a prefix of the store),
   // so the lookup itself cannot go out of bounds.
   const std::shared_lock<std::shared_mutex> store(store_mutex_);
   for (std::size_t q = 0; q < batch.size(); ++q) {
@@ -441,10 +463,16 @@ SignatureDatabase::syndrome_cache() const {
         syndrome.centroid =
             sum.scaled(1.0 / static_cast<double>(syndrome.support));
       }
-      cache->centroid_index.add(syndrome.centroid);
       cache->syndromes.push_back(std::move(syndrome));
     }
   }
+  std::vector<const vsm::SparseVector*> centroids;
+  centroids.reserve(cache->syndromes.size());
+  for (const auto& syndrome : cache->syndromes) {
+    centroids.push_back(&syndrome.centroid);
+  }
+  cache->centroid_index.add_batch(
+      std::span<const vsm::SparseVector* const>(centroids));
   syndrome_cache_ = std::move(cache);
   return syndrome_cache_;
 }
@@ -497,20 +525,25 @@ std::string SignatureDatabase::classify_by_syndrome(
 }
 
 void SignatureDatabase::save(std::ostream& out) const {
+  sync_index();
   // Reader side for the whole serialization: a save concurrent with
   // ingest emits a consistent point-in-time image (the index's own save
   // additionally holds its reader lock, acquired nested under this one).
+  // The image is the indexed prefix: a scalar add landing after the sync
+  // is not in the index's forward store, so it is not in the file either.
   const std::shared_lock<std::shared_mutex> store(store_mutex_);
+  const std::size_t docs = index_.size();
   index::snapshot::Writer writer(
-      static_cast<std::uint32_t>(index_.num_shards()), signatures_.size(),
+      static_cast<std::uint32_t>(index_.num_shards()), docs,
       index_.num_terms());
   index_.save(writer);
 
   // Labels section: u64 count, then { u32 length, bytes } per label, in id
   // order. Labels are the only database state the index's forward store
   // does not already hold (the signature vectors are its exact contents).
+  const std::span<const std::string> labels(labels_.data(), docs);
   std::size_t bytes = sizeof(std::uint64_t);
-  for (const auto& label : labels_) {
+  for (const auto& label : labels) {
     bytes += sizeof(std::uint32_t) + label.size();
   }
   std::vector<std::byte> payload(bytes);
@@ -519,9 +552,9 @@ void SignatureDatabase::save(std::ostream& out) const {
     std::memcpy(payload.data() + at, data, size);
     at += size;
   };
-  const std::uint64_t count = labels_.size();
+  const std::uint64_t count = labels.size();
   put(&count, sizeof(count));
-  for (const auto& label : labels_) {
+  for (const auto& label : labels) {
     const auto length = static_cast<std::uint32_t>(label.size());
     put(&length, sizeof(length));
     put(label.data(), label.size());
@@ -647,6 +680,7 @@ void SignatureDatabase::load(io::Env& env, const std::string& path) {
 }
 
 void SignatureDatabase::publish_gauges() const {
+  sync_index();
   obs::MetricsRegistry& r = obs::MetricsRegistry::global();
   r.gauge("fmeter_index_documents", "Signatures stored in the sharded index")
       .set(static_cast<double>(index_.size()));
@@ -656,15 +690,6 @@ void SignatureDatabase::publish_gauges() const {
       .set(static_cast<double>(index_.num_shards()));
   r.gauge("fmeter_index_memory_bytes", "Heap footprint of the sharded index")
       .set(static_cast<double>(index_.memory_bytes()));
-  // Locked scrape instead of walking shard internals directly — safe
-  // concurrent with add_batch/freeze (the scrape serializes against them).
-  std::size_t frozen = 0;
-  for (const exec::ShardStats& s : index_.shard_stats()) {
-    frozen += s.frozen_docs;
-  }
-  r.gauge("fmeter_index_frozen_docs",
-          "Documents compacted into frozen posting arenas")
-      .set(static_cast<double>(frozen));
 }
 
 std::vector<std::size_t> SignatureDatabase::meta_cluster(

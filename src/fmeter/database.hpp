@@ -8,10 +8,17 @@
 // supports the paper's recursive meta-clustering of syndromes.
 //
 // Queries execute through the parallel query engine (exec::QueryEngine) over
-// a sharded inverted index (exec::ShardedIndex, built incrementally as
-// signatures are added) — the paper's "indexable like text documents" claim
-// made concrete and spread across cores. Scalar lookups are batches of one;
-// search_batch() amortizes per-worker accumulator state across many queries.
+// a sharded inverted index (exec::ShardedIndex) — the paper's "indexable
+// like text documents" claim made concrete and spread across cores. Scalar
+// lookups are batches of one; search_batch() amortizes per-worker
+// accumulator state across many queries.
+//
+// Indexing is lazy: the index always covers a prefix of the signature
+// store. add() only appends to the store; add_batch() and every index
+// reader (indexed search, the admission cost cap, save(), index(),
+// publish_gauges()) first extend the index over the rest of the store with
+// one ShardedIndex::add_batch. N scalar adds therefore cost one build, paid
+// by the first indexed read, and brute-force scans never build at all.
 // The original brute-force linear scan is retained as a per-query ScanPolicy
 // fallback and as the golden reference the engine is tested against; all
 // paths produce identical hits (ids, labels, ordering, and bit-identical
@@ -51,10 +58,10 @@ enum class ScanPolicy { kIndexed, kBruteForce };
 /// every golden guarantee in the test suite rides on it. kMaxScore prunes
 /// documents whose score upper bound cannot reach the running top-k
 /// threshold (per-term max-weight bounds + per-doc partial-mass bounds +
-/// per-block metadata over frozen shards, seeded across shards): the same
-/// documents in the same order, scores equal within 1e-9. kAuto picks
-/// exact or pruned per shard from the measured size crossover — the
-/// recommended default for callers that do not care which engine runs.
+/// per-block metadata, seeded across shards): the same documents in the
+/// same order, scores equal within 1e-9. kAuto picks exact or pruned per
+/// shard from the measured size crossover — the recommended default for
+/// callers that do not care which engine runs.
 /// Ignored under ScanPolicy::kBruteForce.
 using index::PruningMode;
 
@@ -128,26 +135,28 @@ class SignatureDatabase {
   SignatureDatabase& operator=(SignatureDatabase other) noexcept;
 
   /// Inserts a signature; returns its id. Signatures are expected to be
-  /// tf-idf weight vectors (typically L2-normalised). Also feeds the
-  /// sharded index (incremental add) and invalidates the syndrome cache.
+  /// tf-idf weight vectors (typically L2-normalised). Validated like
+  /// add_batch (std::invalid_argument on a non-finite weight, database
+  /// unchanged), then appended to the store *without* indexing it — the
+  /// next index reader indexes it (see the header comment). Invalidates
+  /// the syndrome cache.
   std::size_t add(vsm::SparseVector signature, std::string label);
 
   /// Bulk load: appends every (signature, label) pair — same ids and same
-  /// query results as add() in a loop — but the per-shard index builds fan
-  /// out onto the task pool and every shard is frozen into its contiguous
-  /// posting arena afterwards (exec::ShardedIndex::add_batch). Returns the
-  /// id of the first inserted signature.
+  /// query results as add() in a loop — and indexes every not yet indexed
+  /// signature with one build, fanned out onto the task pool
+  /// (exec::ShardedIndex::add_batch). Returns the id of the first inserted
+  /// signature.
   ///
   /// Failure contract, in two tiers: all *input validation* happens before
   /// any mutation — mismatched signature/label counts and malformed
   /// signatures (any non-finite weight, which would poison norms, per-term
   /// bounds and every score they back) throw std::invalid_argument naming
   /// the offending document while the database stays unchanged and fully
-  /// usable (strong guarantee). Only a failure *during* the build itself
-  /// (an allocation giving out mid-batch) degrades to the basic guarantee:
-  /// the shards disagree about the id stream and the database must be
-  /// discarded — bulk loads build fresh databases, so nothing incremental
-  /// is lost.
+  /// usable (strong guarantee). Only a failure *during* the index build
+  /// (an allocation giving out) degrades to the basic guarantee: the
+  /// batch stays in the store, and on a multi-shard index the shards may
+  /// disagree about the id stream, so the database must be discarded.
   std::size_t add_batch(std::vector<vsm::SparseVector> signatures,
                         std::vector<std::string> labels);
 
@@ -158,11 +167,6 @@ class SignatureDatabase {
   /// cleanly on recovery.
   static void validate_batch(const std::vector<vsm::SparseVector>& signatures,
                              const std::vector<std::string>& labels);
-
-  /// Freezes the sharded index (compacts all postings into per-shard
-  /// arenas; see index::InvertedIndex::freeze()). Queries return identical
-  /// results before and after; the hot scoring loops just get faster.
-  void freeze() { index_.freeze(); }
 
   std::size_t size() const {
     const std::shared_lock<std::shared_mutex> lock(store_mutex_);
@@ -273,8 +277,9 @@ class SignatureDatabase {
   /// labels — as one versioned, checksummed binary snapshot (format:
   /// index/snapshot.hpp). Signatures are *not* stored twice: the index's
   /// forward store is the authoritative copy and the signature store is
-  /// rebuilt from it on load. The emitted bytes are independent of the
-  /// freeze state. Throws index::snapshot::SnapshotError on I/O failure
+  /// rebuilt from it on load. The emitted bytes depend only on the stored
+  /// signatures and labels. Throws index::snapshot::SnapshotError on I/O
+  /// failure
   /// (carrying the errno text when the OS supplied one).
   ///
   /// The path overloads commit *atomically* through an io::Env —
@@ -300,13 +305,14 @@ class SignatureDatabase {
   void load(const std::string& path);
   void load(io::Env& env, const std::string& path);
 
-  /// The sharded index backing search() (introspection / stats).
-  const exec::ShardedIndex& index() const noexcept { return index_; }
+  /// The sharded index backing search() (introspection / stats), brought
+  /// up to date with the store first.
+  const exec::ShardedIndex& index() const;
   std::size_t num_shards() const noexcept { return index_.num_shards(); }
 
   /// Publishes the current index shape into the global metrics registry as
-  /// gauges (fmeter_index_documents, _terms, _shards, _frozen_docs,
-  /// _memory_bytes). Point-in-time, not a collector: databases are value
+  /// gauges (fmeter_index_documents, _terms, _shards, _memory_bytes), after
+  /// bringing the index up to date with the store. Point-in-time, not a collector: databases are value
   /// types that move and copy freely, so nothing may hold a callback into
   /// one. Call before MetricsRegistry::scrape() for fresh values.
   void publish_gauges() const;
@@ -333,6 +339,11 @@ class SignatureDatabase {
   /// destroyed one.
   std::shared_ptr<const SyndromeCache> syndrome_cache() const;
 
+  /// Indexes every stored signature the index does not cover yet (one
+  /// ShardedIndex::add_batch under the store writer lock). Takes only the
+  /// store's reader side when the index is already current.
+  void sync_index() const;
+
   /// distinct_labels() body, for callers already holding store_mutex_
   /// (shared_mutex acquisition is not recursive).
   std::vector<std::string> distinct_labels_locked() const;
@@ -347,14 +358,17 @@ class SignatureDatabase {
 
   /// Guards the forward store (signatures_ + labels_) — the database-level
   /// companion to the index's own reader/writer lock. Writers (add,
-  /// add_batch) hold it exclusively across the append; readers (label
+  /// add_batch, sync_index) hold it exclusively across the append or the
+  /// index build; readers (label
   /// fill-in after a query, brute-force scans, the syndrome build, save,
   /// copies, accessors) hold the shared side. Lock order where nesting
   /// occurs: syndrome_mutex_ → store_mutex_ → the index's lock.
   mutable std::shared_mutex store_mutex_;
   std::vector<vsm::SparseVector> signatures_;
   std::vector<std::string> labels_;
-  exec::ShardedIndex index_;
+  /// Covers signatures_[0, index_.size()); mutable because const readers
+  /// extend it (sync_index), always under store_mutex_'s writer side.
+  mutable exec::ShardedIndex index_;
   AdmissionOptions admission_{};
   /// Queries currently being served; bounded by the admission budget. Not
   /// copied/moved — a fresh instance starts with nothing in flight.

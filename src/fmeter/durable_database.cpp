@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "io/checksum.hpp"
@@ -296,16 +297,24 @@ void DurableDatabase::open() {
     }
     // Replay even when options say "no journal": records a previous
     // (journaled) incarnation committed are data, not configuration.
+    // Every record is decoded first and indexed once, as one batch: a
+    // build per record would rebuild every shard per record.
     const std::string journal_path = dir_ + "/" + manifest.journal;
+    std::vector<vsm::SparseVector> signatures;
+    std::vector<std::string> labels;
     const auto replayed = io::journal::replay(
         env_, journal_path,
-        [this](std::span<const std::byte> payload) {
-          std::vector<vsm::SparseVector> signatures;
-          std::vector<std::string> labels;
-          decode_batch(payload, signatures, labels);
-          db_.add_batch(std::move(signatures), std::move(labels));
+        [&signatures, &labels](std::span<const std::byte> payload) {
+          std::vector<vsm::SparseVector> record_signatures;
+          std::vector<std::string> record_labels;
+          decode_batch(payload, record_signatures, record_labels);
+          std::move(record_signatures.begin(), record_signatures.end(),
+                    std::back_inserter(signatures));
+          std::move(record_labels.begin(), record_labels.end(),
+                    std::back_inserter(labels));
         },
         /*repair=*/true);
+    db_.add_batch(std::move(signatures), std::move(labels));
     recovery_.journal_records_replayed = replayed.records;
     recovery_.journal_truncated = replayed.truncated_tail;
     recovery_.journal_bytes_dropped = replayed.dropped_bytes;

@@ -2,10 +2,10 @@
 // durable substrate (ISSUE 10 — the ROADMAP's "live archive" item).
 //
 // The paper's whole point is *continuous* monitoring, but SignatureDatabase
-// ingest is batch-oriented: add() lands in a mutable tail that erodes the
-// frozen-arena pruning wins, and freeze() is a stop-the-world rebuild.
-// LiveDatabase makes ingest and query concurrent without either blocking
-// the other for longer than a pointer swap:
+// ingest is batch-oriented: every index build rebuilds the posting arena
+// of each shard it touches, a stop-the-world O(archive) step under the
+// store lock. LiveDatabase makes ingest and query concurrent without
+// either blocking the other for longer than a pointer swap:
 //
 //   * Readers pin an immutable *published epoch* — a shared_ptr to a
 //     frozen base database plus a short list of frozen tail segments —

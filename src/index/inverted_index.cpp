@@ -17,30 +17,21 @@ namespace {
 // spends time.
 
 /// Fraction of the query's squared norm that the head phase accumulates
-/// before the threshold bootstrap. Late enough that the best-k accumulators
-/// identify the true contenders, early enough to leave most posting work
-/// skippable.
-constexpr double kBootstrapMassFraction = 0.95;
-
-/// Same knob over a frozen arena. The frozen path's bootstrap and filters
-/// run over the touched-doc list instead of the whole corpus, and the
-/// post-bootstrap lists go through the block-skipping loop — both make an
-/// earlier (cheaper) bootstrap affordable: less mandatory head
-/// accumulation, more posting mass routed past the skip tests. A looser
-/// early threshold only costs extra survivors, which the per-list filters
-/// and theta refreshes claw back; correctness never depends on this value.
+/// before the threshold bootstrap. The bootstrap and filters run over the
+/// touched-doc list instead of the whole corpus, and the post-bootstrap
+/// lists go through the block-skipping loop — both make an early (cheap)
+/// bootstrap affordable: less mandatory head accumulation, more posting
+/// mass routed past the skip tests. A looser early threshold only costs
+/// extra survivors, which the per-list filters and theta refreshes claw
+/// back; correctness never depends on this value.
 constexpr double kFrozenBootstrapMassFraction = 0.74;
 
-/// Theta refresh cadence over a frozen arena: refreshes are cheap there
-/// (the refresh heap runs over the survivor list only), and every raise
-/// unlocks more block skipping, so refresh almost every list instead of
-/// geometrically.
+/// Theta refresh cadence: re-raise the threshold whenever the remaining
+/// query mass has shrunk to this fraction of its value at the previous
+/// raise. Refreshes are cheap (the refresh heap runs over the survivor
+/// list only), and every raise unlocks more block skipping, so refresh
+/// almost every list.
 constexpr double kFrozenThetaRefreshFactor = 0.999;
-
-/// Re-raise the threshold whenever the remaining query mass has shrunk to
-/// this fraction of its value at the previous raise (geometric cadence keeps
-/// the number of raises logarithmic).
-constexpr double kThetaRefreshFactor = 0.7;
 
 /// Switch from posting-list accumulation to candidate-centric re-scoring
 /// when factor * (total forward extent of the survivors) < remaining posting
@@ -86,117 +77,99 @@ void heap_offer(BoundedHeap& heap, std::size_t capacity, IndexHit hit) {
 
 }  // namespace
 
-InvertedIndex::DocId InvertedIndex::add(const vsm::SparseVector& doc) {
-  const auto id = static_cast<DocId>(norms_.size());
-  const auto indices = doc.indices();
-  const auto values = doc.values();
-  // A non-finite weight would poison this document's cached norm, its
-  // terms' max/min bounds and every score computed against them — and
-  // produce a forward store the snapshot loader rightly rejects. Refuse it
-  // here, before any mutation, so every ingest path (scalar add, bulk
-  // add_batch, snapshot load) enforces one invariant.
-  for (const double value : values) {
-    if (!std::isfinite(value)) {
-      throw std::invalid_argument(
-          "InvertedIndex::add: document carries a non-finite weight");
-    }
-  }
-  // Transactional: a doc id only becomes visible via the final norms_ push,
-  // so a mid-add allocation failure must not leave stray postings behind
-  // (top_k sizes its accumulator by norms_ and would index past it). All
-  // pushes into the per-doc arrays are made no-throw by reserving first;
-  // the posting/forward appends roll back on failure; the irreversible
-  // max/min-weight updates happen only after nothing can throw anymore.
-  norms_.reserve(norms_.size() + 1);
-  norms_sq_.reserve(norms_sq_.size() + 1);
-  forward_offsets_.reserve(forward_offsets_.size() + 1);
-  if (!indices.empty()) {
-    const std::size_t terms = static_cast<std::size_t>(indices.back()) + 1;
-    // Bounds arrays grow before the tail lists: if a resize throws partway,
-    // a bounds array longer than tail_ is invisible, while a shorter one
-    // would be indexed out of bounds by later adds and pruned queries. The
-    // tail may be shorter than the bounds arrays after a freeze() (which
-    // empties it), so both resizes key off their own current size.
-    if (terms > max_weight_.size()) {
-      max_weight_.resize(terms, 0.0);
-      min_weight_.resize(terms, 0.0);
-    }
-    if (terms > tail_.size()) tail_.resize(terms);
-  }
-  const std::size_t forward_base = forward_terms_.size();
-  std::size_t appended = 0;
-  try {
-    forward_terms_.insert(forward_terms_.end(), indices.begin(), indices.end());
-    forward_weights_.insert(forward_weights_.end(), values.begin(),
-                            values.end());
-    for (; appended < indices.size(); ++appended) {
-      tail_[indices[appended]].push_back(Posting{id, values[appended]});
-    }
-  } catch (...) {
-    while (appended-- > 0) tail_[indices[appended]].pop_back();
-    forward_terms_.resize(forward_base);
-    forward_weights_.resize(forward_base);
-    throw;
-  }
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const TermId term = indices[i];
-    const bool arena_empty =
-        term >= arena_terms() || arena_offsets_[term + 1] == arena_offsets_[term];
-    if (arena_empty && tail_[term].size() == 1) {
-      ++nonempty_terms_;
-      max_weight_[term] = values[i];
-      min_weight_[term] = values[i];
-    } else {
-      max_weight_[term] = std::max(max_weight_[term], values[i]);
-      min_weight_[term] = std::min(min_weight_[term], values[i]);
-    }
-  }
-  num_postings_ += indices.size();
-  const double norm = doc.norm_l2();
-  norms_.push_back(norm);
-  norms_sq_.push_back(norm * norm);
-  if (!public_of_.empty()) {
-    // Tail ids are their own internal ids, so the internal-ordered norm
-    // copies stay aligned by plain appends.
-    norms_int_.push_back(norm);
-    norms_sq_int_.push_back(norm * norm);
-  }
-  forward_offsets_.push_back(forward_terms_.size());
-  return id;
+void InvertedIndex::add_batch(std::span<const vsm::SparseVector> docs) {
+  std::vector<const vsm::SparseVector*> pointers;
+  pointers.reserve(docs.size());
+  for (const auto& doc : docs) pointers.push_back(&doc);
+  add_batch(std::span<const vsm::SparseVector* const>(pointers));
 }
 
-void InvertedIndex::freeze() {
-  const std::size_t n = size();
-  if (frozen_docs_ == n) return;  // nothing added since the last freeze
-  const std::size_t terms = max_weight_.size();
+void InvertedIndex::add_batch(std::span<const vsm::SparseVector* const> docs) {
+  // A non-finite weight would poison its document's cached norm, its terms'
+  // max/min bounds and every score computed against them — and produce a
+  // forward store the snapshot loader rightly rejects. Refuse the whole
+  // batch here, before any mutation, so every ingest path (bulk build,
+  // snapshot load) enforces one invariant.
+  for (const auto* doc : docs) {
+    for (const double value : doc->values()) {
+      if (!std::isfinite(value)) {
+        throw std::invalid_argument(
+            "InvertedIndex::add_batch: document carries a non-finite weight");
+      }
+    }
+  }
+  if (docs.empty()) return;
+  const std::size_t stored = size();
+  const std::size_t n = stored + docs.size();
+  std::size_t terms = max_weight_.size();
+  std::size_t postings = forward_terms_.size();
+  std::vector<double> batch_norms(docs.size());
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    const auto indices = docs[i]->indices();
+    postings += indices.size();
+    if (!indices.empty()) {
+      terms = std::max(terms, static_cast<std::size_t>(indices.back()) + 1);
+    }
+    batch_norms[i] = docs[i]->norm_l2();
+  }
 
-  // Everything below is rebuilt from the forward store (the authoritative
-  // doc-major copy of every posting) entirely aside, so an allocation
-  // failure leaves the index untouched (strong guarantee); only noexcept
-  // moves follow.
-  const auto old_internal = [&](DocId pub) {
-    return pub < internal_of_.size() ? internal_of_[pub]
-                                     : static_cast<DocId>(pub);
+  // Public id g's (term, weight) run: stored documents come back from the
+  // forward store (the authoritative doc-major copy of every posting), new
+  // ones straight from the batch. Everything below is built aside from
+  // these runs, so an allocation failure leaves the index untouched (strong
+  // guarantee); only noexcept moves follow.
+  struct Run {
+    const TermId* terms;
+    const double* weights;
+    std::size_t size;
+  };
+  const auto run_of = [&](std::size_t g) -> Run {
+    if (g < stored) {
+      const std::size_t j = internal_of_[g];
+      const std::size_t begin = forward_offsets_[j];
+      return {forward_terms_.data() + begin, forward_weights_.data() + begin,
+              forward_offsets_[j + 1] - begin};
+    }
+    const auto& doc = *docs[g - stored];
+    return {doc.indices().data(), doc.values().data(), doc.indices().size()};
+  };
+  const auto norm_of = [&](std::size_t g) {
+    return g < stored ? norms_[internal_of_[g]] : batch_norms[g - stored];
   };
 
-  // 1. Doc-reorder keys: cluster documents by their dominant term so one
-  //    behavior's signatures become neighbors in internal id space (see
-  //    the header — this is what makes per-block id ranges selective).
+  // 1. One pass in public order: doc-reorder keys, per-term posting counts,
+  //    and the per-term max/min bounds (first posting sets them, later ones
+  //    widen them). Reorder keys cluster documents by their dominant term
+  //    so one behavior's signatures become neighbors in internal id space
+  //    (see the header — this is what makes per-block id ranges selective).
   //    Deterministic: strict-> keeps the lowest dominant term under weight
-  //    ties, and public id breaks key ties, so rebuilds and parallel bulk
-  //    builds produce identical arenas.
+  //    ties, and public id breaks key ties, so every build of the same
+  //    documents produces an identical arena.
   std::vector<DocId> order(n);
   std::vector<TermId> key(n);
+  std::vector<std::size_t> offsets(terms + 1, 0);
+  std::vector<double> max_w(terms, 0.0);
+  std::vector<double> min_w(terms, 0.0);
+  std::size_t nonempty = 0;
   for (std::size_t g = 0; g < n; ++g) {
-    const DocId j = old_internal(static_cast<DocId>(g));
+    const Run run = run_of(g);
     TermId dominant = std::numeric_limits<TermId>::max();  // empty docs last
     double best = -1.0;
-    for (std::size_t f = forward_offsets_[j]; f < forward_offsets_[j + 1];
-         ++f) {
-      const double magnitude = std::abs(forward_weights_[f]);
+    for (std::size_t f = 0; f < run.size; ++f) {
+      const TermId term = run.terms[f];
+      const double weight = run.weights[f];
+      const double magnitude = std::abs(weight);
       if (magnitude > best) {
         best = magnitude;
-        dominant = forward_terms_[f];
+        dominant = term;
+      }
+      if (offsets[term + 1]++ == 0) {
+        ++nonempty;
+        max_w[term] = weight;
+        min_w[term] = weight;
+      } else {
+        max_w[term] = std::max(max_w[term], weight);
+        min_w[term] = std::min(min_w[term], weight);
       }
     }
     key[g] = dominant;
@@ -210,24 +183,23 @@ void InvertedIndex::freeze() {
   // 2. Permutation tables, internal-ordered norms, permuted forward store.
   std::vector<DocId> internal_of(n);
   std::vector<DocId> public_of(n);
-  std::vector<double> norms_int(n);
-  std::vector<double> norms_sq_int(n);
+  std::vector<double> norms(n);
+  std::vector<double> norms_sq(n);
   std::vector<std::size_t> fwd_offsets(n + 1, 0);
-  std::vector<TermId> fwd_terms(forward_terms_.size());
-  std::vector<double> fwd_weights(forward_weights_.size());
+  std::vector<TermId> fwd_terms(postings);
+  std::vector<double> fwd_weights(postings);
   for (std::size_t r = 0; r < n; ++r) {
     const DocId g = order[r];
     internal_of[g] = static_cast<DocId>(r);
     public_of[r] = g;
-    norms_int[r] = norms_[g];
-    norms_sq_int[r] = norms_sq_[g];
-    const DocId j = old_internal(g);
-    const std::size_t begin = forward_offsets_[j];
-    const std::size_t end = forward_offsets_[j + 1];
+    const double norm = norm_of(g);
+    norms[r] = norm;
+    norms_sq[r] = norm * norm;
+    const Run run = run_of(g);
     std::size_t w = fwd_offsets[r];
-    for (std::size_t f = begin; f < end; ++f, ++w) {
-      fwd_terms[w] = forward_terms_[f];
-      fwd_weights[w] = forward_weights_[f];
+    for (std::size_t f = 0; f < run.size; ++f, ++w) {
+      fwd_terms[w] = run.terms[f];
+      fwd_weights[w] = run.weights[f];
     }
     fwd_offsets[r + 1] = w;
   }
@@ -235,11 +207,9 @@ void InvertedIndex::freeze() {
   // 3. Posting arena by counting sort over terms: docs visited in internal
   //    order with per-doc terms ascending, so every term's span comes out
   //    sorted by internal id with no comparison sort.
-  std::vector<std::size_t> offsets(terms + 1, 0);
-  for (const TermId term : fwd_terms) ++offsets[term + 1];
   for (std::size_t t = 0; t < terms; ++t) offsets[t + 1] += offsets[t];
-  std::vector<DocId> ids(fwd_terms.size());
-  std::vector<double> weights(fwd_terms.size());
+  std::vector<DocId> ids(postings);
+  std::vector<double> weights(postings);
   {
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (std::size_t r = 0; r < n; ++r) {
@@ -265,14 +235,14 @@ void InvertedIndex::freeze() {
       const std::size_t begin = offsets[t] + (b - block_begin[t]) * kBlockSize;
       const std::size_t end = std::min(begin + kBlockSize, offsets[t + 1]);
       block_last[b] = ids[end - 1];
-      double max_w = weights[begin];
-      double min_w = weights[begin];
+      double block_max_w = weights[begin];
+      double block_min_w = weights[begin];
       for (std::size_t i = begin + 1; i < end; ++i) {
-        max_w = std::max(max_w, weights[i]);
-        min_w = std::min(min_w, weights[i]);
+        block_max_w = std::max(block_max_w, weights[i]);
+        block_min_w = std::min(block_min_w, weights[i]);
       }
-      block_max[b] = max_w;
-      block_min[b] = min_w;
+      block_max[b] = block_max_w;
+      block_min[b] = block_min_w;
     }
   }
 
@@ -285,14 +255,15 @@ void InvertedIndex::freeze() {
   block_min_w_ = std::move(block_min);
   internal_of_ = std::move(internal_of);
   public_of_ = std::move(public_of);
-  norms_int_ = std::move(norms_int);
-  norms_sq_int_ = std::move(norms_sq_int);
+  norms_ = std::move(norms);
+  norms_sq_ = std::move(norms_sq);
+  max_weight_ = std::move(max_w);
+  min_weight_ = std::move(min_w);
   forward_offsets_ = std::move(fwd_offsets);
   forward_terms_ = std::move(fwd_terms);
   forward_weights_ = std::move(fwd_weights);
-  tail_.clear();
-  tail_.shrink_to_fit();
-  frozen_docs_ = n;
+  num_postings_ = postings;
+  nonempty_terms_ = nonempty;
 }
 
 std::size_t InvertedIndex::num_postings_for(
@@ -302,7 +273,6 @@ std::size_t InvertedIndex::num_postings_for(
     if (term < arena_terms()) {
       total += arena_offsets_[term + 1] - arena_offsets_[term];
     }
-    if (term < tail_.size()) total += tail_[term].size();
   }
   return total;
 }
@@ -311,10 +281,8 @@ MemoryBreakdown InvertedIndex::memory_breakdown() const noexcept {
   MemoryBreakdown mem;
   mem.postings = arena_ids_.capacity() * sizeof(DocId) +
                  arena_weights_.capacity() * sizeof(double);
-  for (const auto& list : tail_) mem.postings += list.capacity() * sizeof(Posting);
   mem.offsets = arena_offsets_.capacity() * sizeof(std::size_t) +
                 arena_block_begin_.capacity() * sizeof(std::size_t) +
-                tail_.capacity() * sizeof(tail_[0]) +
                 max_weight_.capacity() * sizeof(double) +
                 min_weight_.capacity() * sizeof(double) +
                 internal_of_.capacity() * sizeof(DocId) +
@@ -326,9 +294,7 @@ MemoryBreakdown InvertedIndex::memory_breakdown() const noexcept {
                 forward_terms_.capacity() * sizeof(TermId) +
                 forward_weights_.capacity() * sizeof(double) +
                 norms_.capacity() * sizeof(double) +
-                norms_sq_.capacity() * sizeof(double) +
-                norms_int_.capacity() * sizeof(double) +
-                norms_sq_int_.capacity() * sizeof(double);
+                norms_sq_.capacity() * sizeof(double);
   return mem;
 }
 
@@ -358,8 +324,7 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
   // Term-at-a-time accumulation of dot(query, doc) for every doc. Query
   // terms arrive in ascending index order, so each accumulator sums its
   // doc's shared terms in the same order as SparseVector::dot's merge join
-  // (each doc holds a term at most once, so arena-vs-tail placement cannot
-  // reorder a doc's accumulation — frozen results stay bit-identical).
+  // (each doc holds a term at most once), so results stay bit-identical.
   // The accumulator lives in the caller's scratch when provided, so a batch
   // of queries pays for the allocation once.
   TopKScratch local;
@@ -403,8 +368,7 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
     const std::size_t term = q_indices[i];
     const double q_weight = q_values[i];
     if (term < arena_terms()) {
-      // Hot frozen kernel: two contiguous streams (4-byte ids, 8-byte
-      // weights), no struct loads — the memory shape this PR exists for.
+      // Hot kernel: two contiguous streams (4-byte ids, 8-byte weights).
       const std::size_t begin = arena_offsets_[term];
       const std::size_t end = arena_offsets_[term + 1];
       const DocId* ids = arena_ids_.data();
@@ -420,20 +384,6 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
       }
       visited += end - begin;
     }
-    if (term < tail_.size()) {
-      const auto& list = tail_[term];
-      const std::size_t len = list.size();
-      visited += len;
-      std::size_t i2 = 0;
-      while (i2 < len) {
-        const std::size_t stop = len - i2 > stride ? i2 + stride : len;
-        const std::size_t chunk = stop - i2;
-        for (; i2 < stop; ++i2) {
-          acc[list[i2].doc] += q_weight * list[i2].weight;
-        }
-        guard.charge(chunk);
-      }
-    }
   }
 
   const double q_norm = query.norm_l2();
@@ -444,7 +394,7 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
   // and norms are both sequential reads — and emits public ids; a bounded
   // heap under the total (score, public id) order holds the same top-k
   // whatever the offer order, so the doc permutation cannot move a hit.
-  const double* snorms = scoring_norms();
+  const double* snorms = norms_.data();
   BoundedHeap heap;
   // Divide-free seed pre-test for cosine: score < seed ⟺ acc < seed·|q|·norm
   // (all positive), so a doc with acc below that product — shrunk by a
@@ -469,7 +419,7 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
         continue;
       }
       IndexHit hit;
-      hit.doc = public_of(static_cast<DocId>(doc));
+      hit.doc = public_of_[doc];
       if (metric == Metric::kCosine) {
         // Mirrors vsm::cosine_similarity: 0 when either vector is zero.
         hit.score = (q_norm == 0.0 || snorms[doc] == 0.0)
@@ -531,22 +481,16 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   const double q_norm_sq = q_norm * q_norm;
   const auto q_indices = query.indices();
   const auto q_values = query.values();
-  const std::size_t term_space = std::max(arena_terms(), tail_.size());
+  const std::size_t term_space = arena_terms();
 
   const auto arena_len = [&](TermId term) -> std::size_t {
-    return term < arena_terms() ? arena_offsets_[term + 1] - arena_offsets_[term]
-                                : 0;
-  };
-  const auto tail_len = [&](TermId term) -> std::size_t {
-    return term < tail_.size() ? tail_[term].size() : 0;
+    return arena_offsets_[term + 1] - arena_offsets_[term];
   };
 
-  // Query terms with postings, ordered by descending per-term score impact
-  // |q_w| * extreme posting weight — the max-score list order: the lists
-  // that can move scores most are accumulated first, so the threshold
-  // tightens as early as possible. The clamped impact is also a per-term
-  // cap on any document's score gain from that list (a doc missing the term
-  // gains 0), so impact suffix sums bound the unprocessed remainder.
+  // Query terms with postings, each with its per-term score impact
+  // |q_w| * extreme posting weight, clamped at 0: a per-term cap on any
+  // document's score gain from that list (a doc missing the term gains 0),
+  // so impact suffix sums bound the unprocessed remainder.
   struct TermRef {
     double impact;
     double q_weight;
@@ -558,28 +502,25 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   // arena_offsets_ does two random reads per comparison, and at many small
   // shards that made the sort a top-three cost of the whole pruned call.
   //
-  // Frozen head ordering: the bootstrap's job is to shrink the
-  // Cauchy–Schwarz slack |q_rem|·|d_rem|, and |q_rem| falls with the query
-  // mass q_w² retired per list while the cost is the list's postings — so
-  // the head is a greedy knapsack on mass retired per posting visited, not
-  // on impact. (The partial dots still surface the true top-k contenders:
-  // mass-heavy lists dominate every large dot product, and the threshold
-  // re-scores its candidates exactly before any pruning decision rests on
-  // it.) Mutable tiers keep the classic impact order.
-  const bool frozen_order = arena_terms() > 0;
+  // List order: the bootstrap's job is to shrink the Cauchy–Schwarz slack
+  // |q_rem|·|d_rem|, and |q_rem| falls with the query mass q_w² retired per
+  // list while the cost is the list's postings — so the head is a greedy
+  // knapsack on mass retired per posting visited, not on impact. (The
+  // partial dots still surface the true top-k contenders: mass-heavy lists
+  // dominate every large dot product, and the threshold re-scores its
+  // candidates exactly before any pruning decision rests on it.)
   std::vector<TermRef> terms;
   terms.reserve(q_indices.size());
   for (std::size_t i = 0; i < q_indices.size(); ++i) {
     const std::size_t term = q_indices[i];
     if (term >= term_space) continue;
-    const std::size_t len = arena_len(term) + tail_len(term);
+    const std::size_t len = arena_len(static_cast<TermId>(term));
     if (len == 0) continue;
     const double impact = std::max(q_values[i] * max_weight_[term],
                                    q_values[i] * min_weight_[term]);
     const double clamped = std::max(impact, 0.0);
-    const double key = frozen_order ? q_values[i] * q_values[i] /
-                                          static_cast<double>(len + 1)
-                                    : clamped;
+    const double key =
+        q_values[i] * q_values[i] / static_cast<double>(len + 1);
     terms.push_back({clamped, q_values[i], key, static_cast<TermId>(term)});
   }
   std::sort(terms.begin(), terms.end(),
@@ -590,8 +531,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   std::vector<std::size_t> suffix_postings(terms.size() + 1, 0);
   std::vector<double> suffix_impact(terms.size() + 1, 0.0);
   for (std::size_t j = terms.size(); j-- > 0;) {
-    suffix_postings[j] = suffix_postings[j + 1] + arena_len(terms[j].term) +
-                         tail_len(terms[j].term);
+    suffix_postings[j] = suffix_postings[j + 1] + arena_len(terms[j].term);
     suffix_impact[j] = suffix_impact[j + 1] + terms[j].impact;
   }
 
@@ -605,37 +545,28 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
 
   // Interleaved per-doc state — acc_mass[2d] is the partial dot, [2d+1] the
   // squared mass of the doc's already-processed terms (one cache line per
-  // posting touch instead of two). Over a frozen arena the buffer is not
-  // zeroed at all: a slot is valid only while its epoch stamp matches this
-  // query's counter and is reset lazily on first touch, so the query's
-  // working set is the docs its postings actually reach — the O(#docs)
-  // zeroing pass (2n doubles, the single largest fixed cost at archive
-  // scale) disappears from the hot path. `touched` records exactly the
-  // docs with head-phase state; `slots_valid` flips once a full-corpus
-  // repair pass has stamped every slot (give-up and fallback scans need
-  // the whole array readable).
-  const bool use_touched = arena_terms() > 0;
-  double* acc_mass;
-  std::uint32_t* epoch = nullptr;
-  std::uint32_t cur_epoch = 0;
-  bool slots_valid = !use_touched;
-  if (use_touched) {
-    state.acc_mass.resize(2 * n);
-    if (state.epoch.size() != n) {
-      state.epoch.assign(n, 0);
-      state.epoch_counter = 0;
-    }
-    if (++state.epoch_counter == 0) {  // stamp wrap: all stamps invalid again
-      state.epoch.assign(n, 0);
-      state.epoch_counter = 1;
-    }
-    state.touched.clear();
-    epoch = state.epoch.data();
-    cur_epoch = state.epoch_counter;
-  } else {
-    state.acc_mass.assign(2 * n, 0.0);
+  // posting touch instead of two). The buffer is not zeroed at all: a slot
+  // is valid only while its epoch stamp matches this query's counter and
+  // is reset lazily on first touch, so the query's working set is the docs
+  // its postings actually reach — no O(#docs) zeroing pass (2n doubles,
+  // the single largest fixed cost at archive scale). `touched` records
+  // exactly the docs with head-phase state; `slots_valid` flips once a
+  // full-corpus repair pass has stamped every slot (give-up and fallback
+  // scans need the whole array readable).
+  state.acc_mass.resize(2 * n);
+  if (state.epoch.size() != n) {
+    state.epoch.assign(n, 0);
+    state.epoch_counter = 0;
   }
-  acc_mass = state.acc_mass.data();
+  if (++state.epoch_counter == 0) {  // stamp wrap: all stamps invalid again
+    state.epoch.assign(n, 0);
+    state.epoch_counter = 1;
+  }
+  state.touched.clear();
+  double* acc_mass = state.acc_mass.data();
+  std::uint32_t* epoch = state.epoch.data();
+  const std::uint32_t cur_epoch = state.epoch_counter;
+  bool slots_valid = false;
   // Stamps every stale slot as a zeroed valid slot (one O(#docs) pass) —
   // the escape hatch for code paths that must read the whole array.
   const auto repair_all_slots = [&] {
@@ -652,8 +583,8 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
 
   // Per-doc norms in internal (arena) order — every doc id inside this
   // function is an internal id until the final heaps translate back.
-  const double* snorms = scoring_norms();
-  const double* snorms_sq = scoring_norms_sq();
+  const double* snorms = norms_.data();
+  const double* snorms_sq = norms_sq_.data();
 
   // Exact re-score of one doc from the forward store. The merge order (and
   // therefore the rounding) matches SparseVector::dot, so these scores are
@@ -710,12 +641,11 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   // accumulators.
   bool weight_skipped = false;
 
-  /// Full accumulation (dot + mass) of one term's arena span and tail list.
-  /// Lazily resets stale slots (and records first touches) when the epoch
-  /// machinery is live.
+  /// Full accumulation (dot + mass) of one term's arena span. Lazily resets
+  /// stale slots and records first touches.
   const auto touch_slot = [&](DocId d) -> double* {
     double* slot = acc_mass + 2 * d;
-    if (use_touched && epoch[d] != cur_epoch) {
+    if (epoch[d] != cur_epoch) {
       epoch[d] = cur_epoch;
       slot[0] = 0.0;
       slot[1] = 0.0;
@@ -724,48 +654,25 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
     return slot;
   };
   const auto accumulate_full = [&](TermId term, double q_weight) {
-    if (term < arena_terms()) {
-      const std::size_t begin = arena_offsets_[term];
-      const std::size_t end = arena_offsets_[term + 1];
-      const DocId* ids = arena_ids_.data();
-      const double* ws = arena_weights_.data();
-      std::size_t i = begin;
-      while (i < end) {
-        const std::size_t stop = end - i > stride ? i + stride : end;
-        const std::size_t chunk = stop - i;
-        for (; i < stop; ++i) {
+    const std::size_t begin = arena_offsets_[term];
+    const std::size_t end = arena_offsets_[term + 1];
+    const DocId* ids = arena_ids_.data();
+    const double* ws = arena_weights_.data();
+    std::size_t i = begin;
+    while (i < end) {
+      const std::size_t stop = end - i > stride ? i + stride : end;
+      const std::size_t chunk = stop - i;
+      for (; i < stop; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
-          if (i + 12 < end) __builtin_prefetch(acc_mass + 2 * ids[i + 12], 1);
+        if (i + 12 < end) __builtin_prefetch(acc_mass + 2 * ids[i + 12], 1);
 #endif
-          double* slot = touch_slot(ids[i]);
-          slot[0] += q_weight * ws[i];
-          slot[1] += ws[i] * ws[i];
-        }
-        guard.charge(chunk);
+        double* slot = touch_slot(ids[i]);
+        slot[0] += q_weight * ws[i];
+        slot[1] += ws[i] * ws[i];
       }
-      visited += end - begin;
+      guard.charge(chunk);
     }
-    if (term < tail_.size()) {
-      const auto& list = tail_[term];
-      const std::size_t len = list.size();
-      std::size_t i = 0;
-      while (i < len) {
-        const std::size_t stop = len - i > stride ? i + stride : len;
-        const std::size_t chunk = stop - i;
-        for (; i < stop; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-          if (i + 12 < len) {
-            __builtin_prefetch(acc_mass + 2 * list[i + 12].doc, 1);
-          }
-#endif
-          double* slot = touch_slot(list[i].doc);
-          slot[0] += q_weight * list[i].weight;
-          slot[1] += list[i].weight * list[i].weight;
-        }
-        guard.charge(chunk);
-      }
-      visited += len;
-    }
+    visited += end - begin;
   };
 
   double q_rem_sq = 0.0;  // squared norm of the unprocessed query prefix
@@ -774,10 +681,8 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   // Head phase: accumulate the highest-impact lists (dot and mass) until
   // the bulk of the query's mass is covered and partial accumulators can
   // identify the true top-k contenders.
-  const double boot_fraction = use_touched ? kFrozenBootstrapMassFraction
-                                           : kBootstrapMassFraction;
-  const double boot_target =
-      (1.0 - boot_fraction) * (q_rem_sq > 0.0 ? q_rem_sq : 1.0);
+  const double boot_target = (1.0 - kFrozenBootstrapMassFraction) *
+                             (q_rem_sq > 0.0 ? q_rem_sq : 1.0);
   std::size_t li = 0;
   for (; li < terms.size() && (q_rem_sq > boot_target || li < 2); ++li) {
     accumulate_full(terms[li].term, terms[li].q_weight);
@@ -790,18 +695,17 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   // that score, so pruning strictly below it can never evict a true top-k
   // member — ties included. Depth > k is a pure threshold sharpener: the
   // partial key mis-ranks some contenders, and a few extra exact
-  // re-scores (2k total on the frozen path, each one forward extent)
-  // recover the true k-th best far more often than a k-deep probe —
-  // measurably the difference between the survivor set collapsing or not
-  // at an early bootstrap.
+  // re-scores (2k total, each one forward extent) recover the true k-th
+  // best far more often than a k-deep probe — measurably the difference
+  // between the survivor set collapsing or not at an early bootstrap.
   double theta = seed_score;
-  const std::size_t boot_depth = use_touched ? 2 * top : top;
+  const std::size_t boot_depth = 2 * top;
   std::vector<double> rescored;
   const auto raise_theta = [&](const std::uint32_t* docs, std::size_t count) {
     // One checkpoint per raise, charged at the scan's size: the raise
     // itself is a cheap partial-key scan plus at most boot_depth memoized
     // re-scores, so per-raise granularity is plenty.
-    guard.charge(docs == nullptr ? n : count);
+    guard.charge(count);
     BoundedHeap best;
     const auto offer = [&](DocId d) {
       // Partial key: the partial dot, for both metrics. Any candidates
@@ -812,11 +716,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
       // streaming norms_sq_ through the O(#docs) scan.
       heap_offer(best, boot_depth, IndexHit{d, acc_mass[2 * d]});
     };
-    if (docs == nullptr) {
-      for (std::size_t d = 0; d < n; ++d) offer(static_cast<DocId>(d));
-    } else {
-      for (std::size_t i = 0; i < count; ++i) offer(docs[i]);
-    }
+    for (std::size_t i = 0; i < count; ++i) offer(docs[i]);
     if (best.size() < top) return;  // not enough docs to back a threshold
     rescored.clear();
     while (!best.empty()) {
@@ -831,12 +731,8 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   };
   // Bootstrap from the docs the head phase actually reached: untouched
   // docs all carry a zero partial dot, so they cannot improve the best-k
-  // partial key (and the frozen path never materialized their slots).
-  if (use_touched) {
-    raise_theta(state.touched.data(), state.touched.size());
-  } else {
-    raise_theta(nullptr, 0);
-  }
+  // partial key (and their slots were never materialized).
+  raise_theta(state.touched.data(), state.touched.size());
 
   // A doc survives unless its best possible score falls strictly below the
   // (margin-relaxed) threshold. The remaining dot is capped by the tighter
@@ -883,25 +779,18 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
     };
     if (from_all) {
       alive.clear();
-      bool untouched_discharged = false;
-      if (use_touched) {
-        // Every untouched doc has acc = 0 and its full mass remaining, so
-        // one closed-form bound settles them all: for cosine the norms
-        // cancel (best possible score |q_rem| / |q|; zero-norm docs score
-        // exactly 0), for euclidean the supremum over any doc norm is
-        // -sqrt(max(|q|² - |q_rem|², 0)), attained at |d| = |q_rem|. When
-        // that best case falls strictly below the threshold, the filter
-        // scans only the touched list — the frozen path's second O(#docs)
-        // pass gone.
-        if (metric == Metric::kCosine) {
-          untouched_discharged =
-              theta_m > 0.0 &&
-              (q_norm == 0.0 || q_rem_2 < theta_m * theta_m * q_norm_sq);
-        } else {
-          untouched_discharged =
-              -std::sqrt(std::max(q_norm_sq - q_rem_2, 0.0)) < theta_m;
-        }
-      }
+      // Every untouched doc has acc = 0 and its full mass remaining, so one
+      // closed-form bound settles them all: for cosine the norms cancel
+      // (best possible score |q_rem| / |q|; zero-norm docs score exactly
+      // 0), for euclidean the supremum over any doc norm is
+      // -sqrt(max(|q|² - |q_rem|², 0)), attained at |d| = |q_rem|. When that
+      // best case falls strictly below the threshold, the filter scans only
+      // the touched list instead of the whole corpus.
+      const bool untouched_discharged =
+          metric == Metric::kCosine
+              ? theta_m > 0.0 &&
+                    (q_norm == 0.0 || q_rem_2 < theta_m * theta_m * q_norm_sq)
+              : -std::sqrt(std::max(q_norm_sq - q_rem_2, 0.0)) < theta_m;
       if (untouched_discharged) {
         for (const auto d : state.touched) {
           if (keep(d)) alive.push_back(d);
@@ -938,36 +827,20 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   if (alive.size() * 4 > 3 * n) {
     repair_all_slots();  // the dense finish reads every doc's accumulator
     const auto accumulate_dot = [&](TermId term, double q_weight) {
-      if (term < arena_terms()) {
-        const std::size_t begin = arena_offsets_[term];
-        const std::size_t end = arena_offsets_[term + 1];
-        const DocId* ids = arena_ids_.data();
-        const double* ws = arena_weights_.data();
-        std::size_t i = begin;
-        while (i < end) {
-          const std::size_t stop = end - i > stride ? i + stride : end;
-          const std::size_t chunk = stop - i;
-          for (; i < stop; ++i) {
-            acc_mass[2 * ids[i]] += q_weight * ws[i];
-          }
-          guard.charge(chunk);
+      const std::size_t begin = arena_offsets_[term];
+      const std::size_t end = arena_offsets_[term + 1];
+      const DocId* ids = arena_ids_.data();
+      const double* ws = arena_weights_.data();
+      std::size_t i = begin;
+      while (i < end) {
+        const std::size_t stop = end - i > stride ? i + stride : end;
+        const std::size_t chunk = stop - i;
+        for (; i < stop; ++i) {
+          acc_mass[2 * ids[i]] += q_weight * ws[i];
         }
-        visited += end - begin;
+        guard.charge(chunk);
       }
-      if (term < tail_.size()) {
-        const auto& list = tail_[term];
-        const std::size_t len = list.size();
-        std::size_t i = 0;
-        while (i < len) {
-          const std::size_t stop = len - i > stride ? i + stride : len;
-          const std::size_t chunk = stop - i;
-          for (; i < stop; ++i) {
-            acc_mass[2 * list[i].doc] += q_weight * list[i].weight;
-          }
-          guard.charge(chunk);
-        }
-        visited += len;
-      }
+      visited += end - begin;
     };
     for (; li < terms.size(); ++li) {
       accumulate_dot(terms[li].term, terms[li].q_weight);
@@ -987,8 +860,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
           const double sq = q_norm_sq + snorms_sq[d] - 2.0 * acc_mass[2 * d];
           score = sq <= 0.0 ? -0.0 : -std::sqrt(sq);
         }
-        heap_offer(heap, top,
-                   IndexHit{public_of(static_cast<DocId>(d)), score});
+        heap_offer(heap, top, IndexHit{public_of_[d], score});
       }
       guard.charge(chunk);
     }
@@ -999,68 +871,49 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
     return drain_heap(heap);
   }
 
-  /// Block-skipping accumulation of one term over the frozen arena plus a
-  /// full pass over its tail. A block is skipped when its doc-id range
-  /// holds no survivor (the survivor list and the id stream are both
-  /// sorted, so one cursor decides each block from the metadata alone —
-  /// zero posting loads) or when its best weight bound cannot contribute
-  /// positive score (see weight_skipped above). Skipped blocks hold only
-  /// postings the survivors never needed, so the per-doc bounds stay
-  /// conservative with the full q_weight² still retired from q_rem.
+  /// Block-skipping accumulation of one term. A block is skipped when its
+  /// doc-id range holds no survivor (the survivor list and the id stream
+  /// are both sorted, so one cursor decides each block from the metadata
+  /// alone — zero posting loads) or when its best weight bound cannot
+  /// contribute positive score (see weight_skipped above). Skipped blocks
+  /// hold only postings the survivors never needed, so the per-doc bounds
+  /// stay conservative with the full q_weight² still retired from q_rem.
   const auto accumulate_skipping = [&](TermId term, double q_weight) {
-    if (term < arena_terms()) {
-      const std::size_t b0 = arena_block_begin_[term];
-      const std::size_t b1 = arena_block_begin_[term + 1];
-      const std::size_t off = arena_offsets_[term];
-      const std::size_t end_off = arena_offsets_[term + 1];
-      const DocId* ids = arena_ids_.data();
-      const double* ws = arena_weights_.data();
-      std::size_t a = 0;  // cursor into the sorted survivor list
-      for (std::size_t b = b0; b < b1; ++b) {
-        if (a == alive.size()) {  // no survivors left: the rest all skip
-          blocks_skipped += b1 - b;
-          break;
-        }
-        const DocId last = block_last_doc_[b];
-        if (alive[a] > last) {
-          ++blocks_skipped;  // no survivor falls inside this block
-        } else if (std::max(q_weight * block_max_w_[b],
-                            q_weight * block_min_w_[b]) <= 0.0) {
-          ++blocks_skipped;  // block cannot raise any survivor's score
-          weight_skipped = true;
-          while (a < alive.size() && alive[a] <= last) ++a;
-        } else {
-          const std::size_t begin = off + (b - b0) * kBlockSize;
-          const std::size_t end = std::min(begin + kBlockSize, end_off);
-          for (std::size_t i = begin; i < end; ++i) {
-            double* slot = acc_mass + 2 * ids[i];
-            slot[0] += q_weight * ws[i];
-            slot[1] += ws[i] * ws[i];
-          }
-          visited += end - begin;
-          // Per-processed-block checkpoint (one branch per kBlockSize
-          // postings); skipped blocks are three metadata loads and ride on
-          // the next processed block's charge.
-          guard.charge(end - begin);
-          while (a < alive.size() && alive[a] <= last) ++a;
-        }
+    const std::size_t b0 = arena_block_begin_[term];
+    const std::size_t b1 = arena_block_begin_[term + 1];
+    const std::size_t off = arena_offsets_[term];
+    const std::size_t end_off = arena_offsets_[term + 1];
+    const DocId* ids = arena_ids_.data();
+    const double* ws = arena_weights_.data();
+    std::size_t a = 0;  // cursor into the sorted survivor list
+    for (std::size_t b = b0; b < b1; ++b) {
+      if (a == alive.size()) {  // no survivors left: the rest all skip
+        blocks_skipped += b1 - b;
+        break;
       }
-    }
-    if (term < tail_.size()) {
-      const auto& list = tail_[term];
-      const std::size_t len = list.size();
-      std::size_t i = 0;
-      while (i < len) {
-        const std::size_t stop = len - i > stride ? i + stride : len;
-        const std::size_t chunk = stop - i;
-        for (; i < stop; ++i) {
-          double* slot = acc_mass + 2 * list[i].doc;
-          slot[0] += q_weight * list[i].weight;
-          slot[1] += list[i].weight * list[i].weight;
+      const DocId last = block_last_doc_[b];
+      if (alive[a] > last) {
+        ++blocks_skipped;  // no survivor falls inside this block
+      } else if (std::max(q_weight * block_max_w_[b],
+                          q_weight * block_min_w_[b]) <= 0.0) {
+        ++blocks_skipped;  // block cannot raise any survivor's score
+        weight_skipped = true;
+        while (a < alive.size() && alive[a] <= last) ++a;
+      } else {
+        const std::size_t begin = off + (b - b0) * kBlockSize;
+        const std::size_t end = std::min(begin + kBlockSize, end_off);
+        for (std::size_t i = begin; i < end; ++i) {
+          double* slot = acc_mass + 2 * ids[i];
+          slot[0] += q_weight * ws[i];
+          slot[1] += ws[i] * ws[i];
         }
-        guard.charge(chunk);
+        visited += end - begin;
+        // Per-processed-block checkpoint (one branch per kBlockSize
+        // postings); skipped blocks are three metadata loads and ride on
+        // the next processed block's charge.
+        guard.charge(end - begin);
+        while (a < alive.size() && alive[a] <= last) ++a;
       }
-      visited += len;
     }
   };
 
@@ -1078,12 +931,9 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   // skipped list still pays.
   bool candidate_mode = false;
   double last_raise_rem = q_rem_sq;
-  double skip_scale =
-      arena_terms() > 0
-          ? std::min(1.0, static_cast<double>(alive.size()) *
-                              static_cast<double>(kBlockSize) /
-                              static_cast<double>(n))
-          : 1.0;
+  double skip_scale = std::min(1.0, static_cast<double>(alive.size()) *
+                                        static_cast<double>(kBlockSize) /
+                                        static_cast<double>(n));
   std::size_t tail_len_seen = 0;
   std::size_t tail_visited_base = visited;
   for (; li < terms.size(); ++li) {
@@ -1093,7 +943,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
       break;
     }
     accumulate_skipping(terms[li].term, terms[li].q_weight);
-    tail_len_seen += arena_len(terms[li].term) + tail_len(terms[li].term);
+    tail_len_seen += arena_len(terms[li].term);
     if (tail_len_seen > 0) {
       skip_scale = std::max(
           static_cast<double>(visited - tail_visited_base) /
@@ -1101,9 +951,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
           1.0 / static_cast<double>(kBlockSize));
     }
     q_rem_sq -= terms[li].q_weight * terms[li].q_weight;
-    const double refresh =
-        use_touched ? kFrozenThetaRefreshFactor : kThetaRefreshFactor;
-    if (q_rem_sq <= refresh * last_raise_rem) {
+    if (q_rem_sq <= kFrozenThetaRefreshFactor * last_raise_rem) {
       last_raise_rem = q_rem_sq;
       raise_theta(alive.data(), alive.size());
     }
@@ -1168,7 +1016,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
       // early; the cadence stays amortized).
       guard.charge(forward_offsets_[d + 1] - forward_offsets_[d]);
       if (state.rescore_epoch[d] != state.rescore_counter) ++forward_gathers;
-      heap_offer(heap, top, IndexHit{public_of(d), memo_score(d)});
+      heap_offer(heap, top, IndexHit{public_of_[d], memo_score(d)});
     }
   } else {
     for (const auto d : alive) {
@@ -1181,7 +1029,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
         const double sq = q_norm_sq + snorms_sq[d] - 2.0 * acc_mass[2 * d];
         score = sq <= 0.0 ? -0.0 : -std::sqrt(sq);
       }
-      heap_offer(heap, top, IndexHit{public_of(d), score});
+      heap_offer(heap, top, IndexHit{public_of_[d], score});
     }
   }
   if (stats != nullptr) {

@@ -11,49 +11,43 @@
 // of its own non-zero terms, so work is proportional to the postings of the
 // query's terms rather than to sum(nnz) over every stored signature.
 //
-// Storage is two-tier:
+// Storage is one layout, the **frozen posting arena**, rebuilt by every
+// add_batch(): all postings are compacted into three contiguous parallel
+// arrays (term-major doc-id and weight streams plus a per-term offset
+// table). The scoring loops read two separate dense streams (4-byte ids,
+// 8-byte weights) — a shape autovectorizers like. Each term's span is
+// additionally partitioned into fixed-size blocks (kBlockSize postings)
+// carrying the block's last doc id and max/min posting weight, the
+// block-max metadata the pruned path skips whole blocks with.
 //
-//  * The **frozen posting arena** — built by freeze(): every posting is
-//    compacted into three contiguous parallel arrays (term-major doc-id and
-//    weight streams plus a per-term offset table), replacing the one
-//    heap-allocated std::vector per term of the mutable layout. The scoring
-//    loops read two separate dense streams (4-byte ids, 8-byte weights)
-//    instead of 16-byte AoS Posting structs — 25% less bandwidth on the
-//    hottest loop in the repo and a shape autovectorizers like. Each term's
-//    span is additionally partitioned into fixed-size blocks (kBlockSize
-//    postings) carrying the block's last doc id and max/min posting weight,
-//    the block-max metadata the pruned path skips whole blocks with.
+// A build also *reorders documents*: arena postings are stored under an
+// internal doc-id permutation that clusters documents by their dominant
+// (highest-|weight|) term, translated back to public ids only at the result
+// boundary. Signatures of one behavior share their hottest kernel
+// functions, so similar documents become *neighbors in id space* — which is
+// what makes per-block doc-id ranges selective: a query's surviving
+// candidates concentrate in a few contiguous internal ranges, and whole
+// blocks elsewhere are skipped from three metadata loads. (Classic
+// document-reordering for block-max indexes; the public id space, every
+// returned hit, and all tie-breaks are unchanged.)
 //
-//    freeze() additionally *reorders documents*: arena postings are stored
-//    under an internal doc-id permutation that clusters documents by their
-//    dominant (highest-|weight|) term, translated back to public ids only
-//    at the result boundary. Signatures of one behavior share their hottest
-//    kernel functions, so similar documents become *neighbors in id space*
-//    — which is what makes per-block doc-id ranges selective: a query's
-//    surviving candidates concentrate in a few contiguous internal ranges,
-//    and whole blocks elsewhere are skipped from three metadata loads.
-//    (Classic document-reordering for block-max indexes; the public id
-//    space, every returned hit, and all tie-breaks are unchanged.)
-//  * The **unfrozen tail** — the classic vector-per-term layout. add()
-//    always appends here, so incremental insertion after a freeze stays
-//    supported; a term's logical posting list is its arena span followed by
-//    its tail list (doc ids only grow, so the concatenation stays sorted).
-//    freeze() folds the tail back into the arena at any time.
+// The build contract: add_batch() appends documents and rebuilds the whole
+// arena from the forward store aside, then swaps it in, so a build costs
+// O(documents stored). Callers that ingest one document at a time batch
+// them first (fmeter::core::SignatureDatabase indexes lazily, on its first
+// indexed read).
 //
-// Two query paths with two distinct equivalence contracts (both walk arena
-// span + tail per term, so the contracts hold in every freeze state):
+// Two query paths with two distinct equivalence contracts:
 //
 //  * top_k() — the exact path. The final scoring pass is O(#docs) of cheap
 //    arithmetic (one divide or sqrt per doc), which keeps scores
 //    *bit-identical* to the linear scan:
-//      cosine:    dot / (|q| * |d|)        with |d| cached at add() time
+//      cosine:    dot / (|q| * |d|)        with |d| cached at build time
 //      euclidean: sqrt(|q|^2 + |d|^2 - 2*dot), clamped at 0
 //    matching vsm::cosine_similarity / vsm::euclidean_distance expression
 //    for expression, and the term-at-a-time accumulation visits each doc's
 //    shared terms in the same ascending-index order as the merge join in
-//    SparseVector::dot, so even the floating-point rounding agrees. A doc
-//    accumulates each term exactly once whether that posting lives in the
-//    arena or the tail, so freezing cannot move a single bit.
+//    SparseVector::dot, so even the floating-point rounding agrees.
 //
 //  * top_k_pruned() — the max-score path. Classic IR engines do not score
 //    every document; they prune with per-term score upper bounds. This path
@@ -62,8 +56,8 @@
 //    discards documents by the tighter of two upper bounds: the
 //    Cauchy–Schwarz remainder (partial dot plus |q_rem|·|d_rem| from
 //    per-doc processed-mass bookkeeping) and the max-score suffix bound
-//    (the sum of the unprocessed lists' per-term impact caps). Over the
-//    frozen arena the surviving lists are then walked block-at-a-time:
+//    (the sum of the unprocessed lists' per-term impact caps). The
+//    surviving lists are then walked block-at-a-time:
 //    a block whose doc-id range contains no surviving candidate is skipped
 //    without touching a single posting (the survivor set and the arena
 //    streams are both doc-id-sorted, so one merge cursor decides each
@@ -92,17 +86,17 @@
 //    constructed) may swap relative to the exact path — their scores still
 //    agree within the 1e-9 contract.
 //
-// To support pruning, add() additionally maintains per-term maximum and
-// minimum posting weights (the max-score bounds, covering arena and tail),
-// per-doc squared norms and a forward store of each document's
-// (term, weight) pairs — roughly doubling memory_bytes() relative to the
-// postings-only layout (reported honestly, split by component in
-// memory_breakdown(); the forward store is also the natural substrate for
-// future snapshot/persistence work).
+// To support pruning, a build additionally records per-term maximum and
+// minimum posting weights (the max-score bounds), per-doc squared norms
+// and a forward store of each document's (term, weight) pairs — roughly
+// doubling memory_bytes() relative to the postings-only layout (reported
+// honestly, split by component in memory_breakdown(); the forward store is
+// also what a build and a snapshot read the documents back from).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "index/cancel.hpp"
@@ -181,8 +175,8 @@ struct PruneStats {
 /// Heap footprint of one index, split by role (all byte counts include
 /// unused vector capacity). total() is what memory_bytes() reports.
 struct MemoryBreakdown {
-  std::size_t postings = 0;  ///< arena id/weight streams + tail posting lists
-  std::size_t offsets = 0;   ///< per-term offset table, tail headers, bounds
+  std::size_t postings = 0;  ///< arena id/weight streams
+  std::size_t offsets = 0;   ///< per-term offset table, bounds, permutation
   std::size_t blocks = 0;    ///< per-block last-doc / max / min metadata
   std::size_t forward = 0;   ///< forward store + per-doc norms
   std::size_t total() const noexcept {
@@ -205,7 +199,7 @@ struct TopKScratch {
   std::vector<double> acc_mass;         ///< pruned path: interleaved dot, mass
   std::vector<std::uint32_t> alive;     ///< pruned path: surviving doc ids
   std::vector<double> query_dense;      ///< pruned path: densified query
-  // Frozen-path lazy accumulator reset: acc_mass[2d] is valid only when
+  // Lazy accumulator reset: acc_mass[2d] is valid only when
   // epoch[d] == epoch_counter, so a query pays O(docs touched) instead of
   // an O(#docs) zeroing pass, and `touched` enumerates exactly the docs
   // with nonzero head-phase state for the bootstrap and filter scans.
@@ -232,28 +226,17 @@ class InvertedIndex {
   /// amortizes the cursor logic over a few cache lines of each stream.
   static constexpr std::size_t kBlockSize = 128;
 
-  /// Appends a document; returns its id (ids are dense, starting at 0).
-  /// Incremental in every freeze state: new postings land in the unfrozen
-  /// tail (posting lists stay sorted by doc id because ids only grow), and
-  /// the per-term max/min weight bounds used by top_k_pruned() are updated
-  /// in place, so pruned queries stay correct after any interleaving of
-  /// add(), freeze() and query calls. Throws std::invalid_argument on a
-  /// non-finite weight (before any mutation): it would poison the cached
-  /// norms and bounds, and make a saved snapshot of this index unloadable.
-  DocId add(const vsm::SparseVector& doc);
-
-  /// Compacts every posting (arena + tail) into the frozen struct-of-arrays
-  /// arena and rebuilds the per-block metadata; the tail becomes empty.
-  /// Queries return identical results before and after (the exact path
-  /// bit-identically so); only their speed changes. Idempotent; strong
-  /// exception guarantee (the new arena is built aside and swapped in).
-  void freeze();
-
-  /// Documents whose postings live in the frozen arena (the first
-  /// frozen_docs() ids); the remainder are in the unfrozen tail.
-  std::size_t frozen_docs() const noexcept { return frozen_docs_; }
-  /// True when every posting is frozen (trivially true when empty).
-  bool frozen() const noexcept { return frozen_docs_ == size(); }
+  /// Appends `docs` (ids continue densely from size()) and rebuilds the
+  /// arena, block metadata, bounds and doc permutation over every stored
+  /// document — O(documents stored), so ingest in batches. The result
+  /// depends only on the documents in id order, never on how they were
+  /// split into batches. Throws std::invalid_argument if any document
+  /// carries a non-finite weight (it would poison the cached norms and
+  /// bounds, and make a saved snapshot unloadable); the whole batch is
+  /// checked before anything changes. Strong exception guarantee: the new
+  /// layout is built aside and swapped in.
+  void add_batch(std::span<const vsm::SparseVector* const> docs);
+  void add_batch(std::span<const vsm::SparseVector> docs);
 
   std::size_t size() const noexcept { return norms_.size(); }
   bool empty() const noexcept { return norms_.empty(); }
@@ -264,11 +247,10 @@ class InvertedIndex {
   std::size_t num_postings() const noexcept { return num_postings_; }
 
   /// Cached L2 norm of a stored document.
-  double norm(DocId doc) const { return norms_.at(doc); }
+  double norm(DocId doc) const { return norms_.at(internal_of_.at(doc)); }
 
   /// Largest weight stored for `term` (0 if the term has no postings) —
-  /// the max-score per-term upper bound, maintained incrementally across
-  /// arena and tail.
+  /// the max-score per-term upper bound.
   double max_weight(TermId term) const noexcept {
     return term < max_weight_.size() ? max_weight_[term] : 0.0;
   }
@@ -293,21 +275,15 @@ class InvertedIndex {
   /// Resolves PruningMode::kAuto for a shard of `docs` documents answering
   /// a top-`k` query: kMaxScore once the shard is large enough that bound
   /// bookkeeping pays for itself, kExact below. The cutoffs come from the
-  /// measured crossovers in BENCH_index_scaling.json, not from theory —
-  /// and they differ by layout: on the mutable tiers pruning wins from
-  /// ~4k docs (it ran ~1.8× *slower* than exact at 1k, ~1.15× faster by
-  /// 10k), but the frozen arena's exact kernel is so much faster that the
-  /// crossover moves past 10k (frozen exact beats frozen pruned ~1.2×
-  /// there), so a frozen shard prunes only well above it.
-  static PruningMode resolve_auto(std::size_t docs, std::size_t k,
-                                  bool frozen) noexcept {
-    constexpr std::size_t kAutoPrunedMinDocsMutable = 4096;
-    constexpr std::size_t kAutoPrunedMinDocsFrozen = 32768;
-    const std::size_t cutoff =
-        frozen ? kAutoPrunedMinDocsFrozen : kAutoPrunedMinDocsMutable;
+  /// measured crossover in BENCH_index_scaling.json, not from theory: the
+  /// arena's exact kernel is fast enough that it still beats the pruned
+  /// one ~1.2× at 10k docs, so a shard prunes only well above that.
+  static PruningMode resolve_auto(std::size_t docs, std::size_t k) noexcept {
+    constexpr std::size_t kAutoPrunedMinDocs = 32768;
     // Near-full retrieval gives bounds nothing to discard.
-    return (docs >= cutoff && k * 16 <= docs) ? PruningMode::kMaxScore
-                                              : PruningMode::kExact;
+    return (docs >= kAutoPrunedMinDocs && k * 16 <= docs)
+               ? PruningMode::kMaxScore
+               : PruningMode::kExact;
   }
 
   /// Top-k most similar documents, ranked by descending score; equal scores
@@ -362,52 +338,27 @@ class InvertedIndex {
 
   /// Appends this index's forward store to a snapshot as the per-shard
   /// offsets / term-id / weight sections (see snapshot.hpp for the format).
-  /// Documents are written in *public* id order, so the emitted bytes are
-  /// identical in every freeze state — the arena permutation never leaks
-  /// into the file.
+  /// Documents are written in *public* id order, so the emitted bytes
+  /// depend only on the documents — the arena permutation never leaks into
+  /// the file.
   void save(snapshot::Writer& writer, std::uint32_t shard) const;
 
-  /// Rebuilds one shard from its snapshot sections: re-adds every document
-  /// in public order and freezes, so the loaded index is byte-for-byte the
-  /// index a fresh sequential (or bulk-parallel) build of the same
-  /// documents would produce — all query contracts transfer. Throws
+  /// Rebuilds one shard from its snapshot sections with one add_batch of
+  /// every document in public order, so the loaded index is byte-for-byte
+  /// the index a fresh build of the same documents would produce — all
+  /// query contracts transfer. Throws
   /// snapshot::SnapshotError on any corruption or validation failure.
   static InvertedIndex load(const snapshot::Reader& reader,
                             std::uint32_t shard);
 
  private:
-  struct Posting {
-    DocId doc;
-    double weight;
-  };
-
-  /// Terms the offset table covers (the arena knows nothing about terms
-  /// first seen after the last freeze()).
+  /// Terms the offset table covers.
   std::size_t arena_terms() const noexcept {
     return arena_offsets_.empty() ? 0 : arena_offsets_.size() - 1;
   }
 
-  /// Internal (arena-ordered) id of a public doc id. Documents added after
-  /// the last freeze keep their public id (the permutation only covers the
-  /// frozen span, and tail ids sort above every frozen internal id).
-  DocId internal_of(DocId pub) const noexcept {
-    return pub < internal_of_.size() ? internal_of_[pub] : pub;
-  }
-  /// Public id of an internal (arena-ordered) id.
-  DocId public_of(DocId internal) const noexcept {
-    return internal < public_of_.size() ? public_of_[internal] : internal;
-  }
-  /// Per-doc L2 norms in internal order (the scoring loops' index space);
-  /// norms_ stays public-ordered for the norm() API.
-  const double* scoring_norms() const noexcept {
-    return public_of_.empty() ? norms_.data() : norms_int_.data();
-  }
-  const double* scoring_norms_sq() const noexcept {
-    return public_of_.empty() ? norms_sq_.data() : norms_sq_int_.data();
-  }
-
-  // --- frozen arena (term-major struct-of-arrays; empty until freeze()) ---
-  // All doc ids below are *internal* ids (see internal_of/public_of).
+  // --- posting arena (term-major struct-of-arrays) ---
+  // All doc ids below are *internal* ids (see internal_of_/public_of_).
   std::vector<DocId> arena_ids_;        // doc-id stream, all terms
   std::vector<double> arena_weights_;   // parallel weight stream
   std::vector<std::size_t> arena_offsets_;  // term t's span: [t], [t+1])
@@ -421,30 +372,23 @@ class InvertedIndex {
   std::vector<double> block_max_w_;     // largest posting weight in the block
   std::vector<double> block_min_w_;     // smallest posting weight in the block
 
-  // --- unfrozen tail (vector-per-term; add() always appends here) ---
-  std::vector<std::vector<Posting>> tail_;  // indexed by TermId
-
-  // Doc-reorder permutation (empty until the first freeze; covers exactly
-  // the frozen span thereafter) plus internal-ordered norm copies so the
-  // hot loops run gather-free in internal space.
+  // Doc-reorder permutation. Every per-doc array below is indexed by
+  // internal id, so the hot loops run gather-free in internal space.
   std::vector<DocId> internal_of_;  // public id -> internal id
   std::vector<DocId> public_of_;    // internal id -> public id
-  std::vector<double> norms_int_;
-  std::vector<double> norms_sq_int_;
 
   std::vector<double> norms_;                   // per-doc L2 norm
   std::vector<double> norms_sq_;                // per-doc squared L2 norm
   std::vector<double> max_weight_;              // per-term max posting weight
   std::vector<double> min_weight_;              // per-term min posting weight
   // Forward store: doc d's (term, weight) pairs live at
-  // [forward_offsets_[d], forward_offsets_[d + 1]) in ascending term order,
-  // indexed by *internal* id once frozen — the candidate re-scoring
-  // substrate of the pruned path and the per-doc extents behind its
-  // candidate-switch cost model.
+  // [forward_offsets_[d], forward_offsets_[d + 1]) in ascending term order
+  // — the candidate re-scoring substrate of the pruned path, the per-doc
+  // extents behind its candidate-switch cost model, and the source every
+  // rebuild reads the stored documents back from.
   std::vector<std::size_t> forward_offsets_{0};
   std::vector<TermId> forward_terms_;
   std::vector<double> forward_weights_;
-  std::size_t frozen_docs_ = 0;
   std::size_t num_postings_ = 0;
   std::size_t nonempty_terms_ = 0;
 };

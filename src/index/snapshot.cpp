@@ -421,15 +421,15 @@ namespace fmeter::index {
 
 void InvertedIndex::save(snapshot::Writer& writer, std::uint32_t shard) const {
   const std::size_t n = size();
-  // Forward image in *public* id order: identical bytes whatever the freeze
-  // state (the arena's internal permutation is un-applied here), so saving
-  // before or after freeze() produces the same file.
+  // Forward image in *public* id order: the arena's internal permutation is
+  // un-applied here, so the bytes depend only on the documents, never on
+  // how they were batched into builds.
   std::vector<std::uint64_t> offsets(n + 1, 0);
   std::vector<TermId> terms(forward_terms_.size());
   std::vector<double> weights(forward_weights_.size());
   std::size_t w = 0;
   for (std::size_t pub = 0; pub < n; ++pub) {
-    const DocId internal = internal_of(static_cast<DocId>(pub));
+    const DocId internal = internal_of_[pub];
     for (std::size_t f = forward_offsets_[internal];
          f < forward_offsets_[internal + 1]; ++f, ++w) {
       terms[w] = forward_terms_[f];
@@ -447,14 +447,11 @@ void InvertedIndex::save(snapshot::Writer& writer, std::uint32_t shard) const {
 
 InvertedIndex InvertedIndex::load(const snapshot::Reader& reader,
                                   std::uint32_t shard) {
-  // Re-add in public order, then freeze: byte-for-byte the sequential build
-  // plus freeze(), which is also byte-for-byte the parallel bulk build — so
-  // every query contract of a fresh index holds for a loaded one.
+  // One build of every document in public order: byte-for-byte a fresh
+  // build of the same documents — so every query contract of a fresh index
+  // holds for a loaded one.
   InvertedIndex index;
-  for (const auto& doc : snapshot::read_shard_documents(reader, shard)) {
-    index.add(doc);
-  }
-  index.freeze();
+  index.add_batch(snapshot::read_shard_documents(reader, shard));
   return index;
 }
 

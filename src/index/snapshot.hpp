@@ -1,14 +1,14 @@
 // Versioned binary snapshot container for the index layer (ROADMAP:
 // persistence so a rebuilt server does not re-index the archive).
 //
-// Design: the *forward store* is the serialization substrate. freeze()
-// already rebuilds every derived structure — posting arena, block-max
-// metadata, doc-reordering permutation, per-term bounds — deterministically
-// from the forward store, so a snapshot only has to persist what cannot be
-// recomputed: each shard's per-document (term, weight) pairs in public id
-// order, plus (for a database snapshot) the labels. A loader re-adds the
-// documents and re-freezes, which makes the loaded index byte-for-byte the
-// index a fresh bulk build (add_batch) would produce — every query contract
+// Design: the *forward store* is the serialization substrate. A build
+// (InvertedIndex::add_batch) derives every other structure — posting
+// arena, block-max metadata, doc-reordering permutation, per-term bounds —
+// deterministically from the documents, so a snapshot only has to persist
+// what cannot be recomputed: each shard's per-document (term, weight) pairs
+// in public id order, plus (for a database snapshot) the labels. A loader
+// rebuilds from the documents, which makes the loaded index byte-for-byte
+// the index a fresh bulk build (add_batch) would produce — every query contract
 // (exact bit-identity, pruned 1e-9, any mode, any shard count) transfers to
 // snapshots with no new equivalence proofs.
 //
@@ -186,7 +186,7 @@ class Reader {
 /// per-document sparse vectors in public id order, validating structure:
 /// offsets start at 0 and never decrease, both streams match the final
 /// offset, term ids are strictly increasing within a document, and every
-/// weight is finite. Shared by InvertedIndex::load (re-add + freeze) and
+/// weight is finite. Shared by InvertedIndex::load (one add_batch) and
 /// SignatureDatabase::load (which also rebuilds its signature store).
 std::vector<vsm::SparseVector> read_shard_documents(const Reader& reader,
                                                     std::uint32_t shard);

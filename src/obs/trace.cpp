@@ -41,7 +41,7 @@ const char* stage_help(Stage stage) noexcept {
     case Stage::kMerge:
       return "Time merging per-shard hit lists into the final top-k";
     case Stage::kIngest:
-      return "Time ingesting one add_batch call";
+      return "Time of one index build (add_batch or a lazy catch-up)";
     case Stage::kSnapshotSave:
       return "Time writing and finishing one snapshot";
     case Stage::kSnapshotLoad:

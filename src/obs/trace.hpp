@@ -29,7 +29,7 @@ enum class Stage : int {
   kShardProbe,        ///< one shard's top-k probe (per query, per shard)
   kRescore,           ///< candidate rescore pass after pruned probe
   kMerge,             ///< cross-shard result merge
-  kIngest,            ///< add_batch document ingestion
+  kIngest,            ///< index build (add_batch or a lazy catch-up)
   kSnapshotSave,      ///< snapshot write + finish
   kSnapshotLoad,      ///< snapshot open + validate
   kRefreeze,          ///< live-archive background tail fold + epoch swap

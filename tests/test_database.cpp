@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "util/rng.hpp"
 
 namespace fmeter::core {
 namespace {
@@ -236,6 +245,113 @@ TEST(SignatureDatabase, AddBatchValidBatchAfterRejectedOneWorks) {
   EXPECT_EQ(first, 6u);
   EXPECT_EQ(db.size(), 8u);
   EXPECT_EQ(db.search(vec({{9, 1.0}}), 1)[0].label, "e");
+}
+
+/// Completed kIngest spans: one per index build (add_batch or catch-up).
+std::uint64_t index_builds() {
+  obs::StageTracer::global();  // registers the stage counters
+  return obs::MetricsRegistry::global()
+      .counter("fmeter_stage_ingest_spans_total")
+      .value();
+}
+
+vsm::SparseVector random_doc(util::Rng& rng) {
+  std::vector<vsm::SparseVector::Entry> entries;
+  const std::size_t nnz = 1 + rng.below(8);
+  for (std::size_t i = 0; i < nnz; ++i) {
+    entries.emplace_back(static_cast<vsm::SparseVector::Index>(rng.below(48)),
+                         rng.uniform(0.05, 1.0));
+  }
+  return vec(std::move(entries));
+}
+
+TEST(SignatureDatabase, ScalarAddsAndBruteForceScansBuildNoIndex) {
+  // add() only appends to the store and a brute-force scan reads only the
+  // store, so neither may pay for an index build; the first indexed read
+  // builds once for every pending add, and later reads find it current.
+  util::Rng rng(0x1a2);
+  SignatureDatabase db(2);
+  const auto query = random_doc(rng);
+  const std::uint64_t before = index_builds();
+  for (int i = 0; i < 200; ++i) db.add(random_doc(rng), "l" + std::to_string(i % 3));
+  const auto scanned =
+      db.search(query, 5, SimilarityMetric::kCosine, ScanPolicy::kBruteForce);
+  EXPECT_EQ(db.classify_by_syndrome(query, SimilarityMetric::kCosine,
+                                    ScanPolicy::kBruteForce),
+            db.classify_by_syndrome(query));
+  EXPECT_EQ(index_builds(), before) << "scalar adds or scans built the index";
+
+  const auto indexed = db.search(query, 5);
+  EXPECT_EQ(index_builds(), before + 1);
+  ASSERT_EQ(indexed.size(), scanned.size());
+  for (std::size_t r = 0; r < scanned.size(); ++r) {
+    EXPECT_EQ(indexed[r].id, scanned[r].id);
+    EXPECT_EQ(indexed[r].score, scanned[r].score);
+  }
+  (void)db.search(query, 5);
+  db.publish_gauges();
+  EXPECT_EQ(db.index().size(), 200u);
+  EXPECT_EQ(index_builds(), before + 1) << "a current index was rebuilt";
+
+  // add_batch indexes the scalar adds before it in the same build.
+  db.add(random_doc(rng), "tail");
+  db.add_batch({random_doc(rng), random_doc(rng)}, {"x", "y"});
+  EXPECT_EQ(index_builds(), before + 2);
+  EXPECT_EQ(db.index().size(), 203u);
+}
+
+TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
+  // Writers append without indexing; every reader below extends the index
+  // under the store lock. Under TSan this pins the catch-up hand-off, and
+  // every result must be a consistent prefix of the store.
+  constexpr int kDocs = 300;
+  util::Rng rng(0x7ace);
+  std::vector<vsm::SparseVector> docs;
+  for (int i = 0; i < kDocs; ++i) docs.push_back(random_doc(rng));
+  SignatureDatabase db(3);
+
+  std::thread writer([&] {
+    for (int i = 0; i < kDocs; ++i) db.add(docs[i], "l" + std::to_string(i % 4));
+  });
+  std::thread searcher([&] {
+    for (int q = 0; q < 60; ++q) {
+      const auto hits = db.search(docs[q % kDocs], 5);
+      EXPECT_LE(hits.size(), 5u);
+      for (const auto& hit : hits) {
+        EXPECT_LT(hit.id, static_cast<std::size_t>(kDocs));
+        EXPECT_EQ(hit.label, "l" + std::to_string(hit.id % 4));
+      }
+    }
+  });
+  std::thread saver([&] {
+    for (int i = 0; i < 10; ++i) {
+      std::stringstream bytes;
+      db.save(bytes);
+      SignatureDatabase loaded;
+      loaded.load(bytes);
+      ASSERT_LE(loaded.size(), static_cast<std::size_t>(kDocs));
+      for (std::size_t id = 0; id < loaded.size(); ++id) {
+        ASSERT_TRUE(loaded.signature(id) == docs[id]) << "id " << id;
+      }
+    }
+  });
+  std::thread scraper([&] {
+    for (int i = 0; i < 60; ++i) {
+      db.publish_gauges();
+      EXPECT_LE(db.index().size(), static_cast<std::size_t>(kDocs));
+    }
+  });
+  writer.join();
+  searcher.join();
+  saver.join();
+  scraper.join();
+
+  EXPECT_EQ(db.size(), static_cast<std::size_t>(kDocs));
+  const auto hits = db.search(docs[7], 1);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].score, db.search(docs[7], 1, SimilarityMetric::kCosine,
+                                     ScanPolicy::kBruteForce)[0].score);
+  EXPECT_EQ(db.index().size(), static_cast<std::size_t>(kDocs));
 }
 
 }  // namespace

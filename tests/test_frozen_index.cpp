@@ -1,16 +1,19 @@
-// Property suite for the frozen posting arena and parallel bulk ingest.
+// Property suite for the posting arena and parallel bulk ingest.
 //
-// The freeze/tail contract: freeze() changes the memory layout, never the
-// answers — the exact path stays *bit-identical* across any interleaving of
-// add(), freeze() and queries, the pruned path keeps its same-set/
-// same-order/1e-9 contract, and add_batch() (parallel per-shard builds on a
-// TaskPool, frozen at the end) produces byte-for-byte the same index as
-// sequential add() plus freeze(). Everything here is seeded-RNG and
-// wall-clock free; the parallel-build tests run under the TSan CI job.
+// The build contract: how documents are split into add_batch() calls
+// changes nothing but build cost — the exact path stays *bit-identical*
+// across any interleaving of builds and queries, the pruned path keeps its
+// same-set/same-order/1e-9 contract, parallel per-shard builds on a
+// TaskPool produce byte-for-byte the same index as an inline build, and a
+// database's lazy indexing of scalar adds answers exactly like a bulk
+// build. Everything here is seeded-RNG and wall-clock free; the
+// parallel-build tests run under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,36 +68,40 @@ void expect_hits_close(const std::vector<index::IndexHit>& got,
   }
 }
 
-TEST(FrozenIndex, FreezePreservesExactPathBitIdentically) {
+TEST(FrozenIndex, BatchSplitNeverMovesExactResults) {
   util::Rng rng(0xf4023);
   for (int trial = 0; trial < 8; ++trial) {
-    index::InvertedIndex mutable_idx;
-    index::InvertedIndex frozen_idx;
     const std::size_t n = 40 + rng.below(80);
-    util::Rng docs_a(0x1000 + static_cast<std::uint64_t>(trial));
-    util::Rng docs_b(0x1000 + static_cast<std::uint64_t>(trial));
+    std::vector<vsm::SparseVector> docs;
     for (std::size_t i = 0; i < n; ++i) {
-      mutable_idx.add(random_sparse(docs_a, 48, 10, /*allow_negative=*/true));
-      frozen_idx.add(random_sparse(docs_b, 48, 10, /*allow_negative=*/true));
+      docs.push_back(random_sparse(rng, 48, 10, /*allow_negative=*/true));
     }
-    frozen_idx.freeze();
-    EXPECT_TRUE(frozen_idx.frozen());
-    EXPECT_EQ(frozen_idx.frozen_docs(), n);
-    EXPECT_EQ(frozen_idx.num_postings(), mutable_idx.num_postings());
-    EXPECT_EQ(frozen_idx.num_terms(), mutable_idx.num_terms());
+    index::InvertedIndex whole;
+    whole.add_batch(docs);
+    // The same documents in random-sized batches.
+    index::InvertedIndex split;
+    const std::span<const vsm::SparseVector> all(docs);
+    for (std::size_t at = 0; at < n;) {
+      const std::size_t len = std::min(n - at, 1 + rng.below(30));
+      split.add_batch(all.subspan(at, len));
+      at += len;
+    }
+    ASSERT_EQ(split.size(), n);
+    EXPECT_EQ(split.num_postings(), whole.num_postings());
+    EXPECT_EQ(split.num_terms(), whole.num_terms());
     for (int q = 0; q < 6; ++q) {
       const auto query = random_sparse(rng, 48, 10, /*allow_negative=*/true);
       for (const auto metric :
            {index::Metric::kCosine, index::Metric::kEuclidean}) {
         for (const std::size_t k : {std::size_t{1}, std::size_t{7}, n}) {
-          const auto want = mutable_idx.top_k(query, k, metric);
-          const auto got = frozen_idx.top_k(query, k, metric);
+          const auto want = whole.top_k(query, k, metric);
+          const auto got = split.top_k(query, k, metric);
           expect_hits_identical(got, want,
                                 "trial " + std::to_string(trial) + " k " +
                                     std::to_string(k));
-          // The frozen pruned path keeps the weaker contract vs the same
-          // golden results.
-          const auto pruned = frozen_idx.top_k_pruned(query, k, metric);
+          // The pruned path keeps the weaker contract vs the same golden
+          // results.
+          const auto pruned = split.top_k_pruned(query, k, metric);
           expect_hits_close(pruned, want,
                             "pruned trial " + std::to_string(trial) + " k " +
                                 std::to_string(k));
@@ -104,7 +111,7 @@ TEST(FrozenIndex, FreezePreservesExactPathBitIdentically) {
   }
 }
 
-TEST(FrozenIndex, BulkFreezeMatchesIncrementalAddAcrossShardCounts) {
+TEST(FrozenIndex, BulkBuildMatchesScalarAddsAcrossShardCounts) {
   util::Rng rng(0xb01c);
   for (const std::size_t shards : kShardCounts) {
     std::vector<vsm::SparseVector> signatures;
@@ -121,7 +128,6 @@ TEST(FrozenIndex, BulkFreezeMatchesIncrementalAddAcrossShardCounts) {
     const std::size_t first = bulk.add_batch(signatures, labels);
     EXPECT_EQ(first, 0u);
     ASSERT_EQ(bulk.size(), incremental.size());
-    EXPECT_TRUE(bulk.index().frozen());
     for (int q = 0; q < 8; ++q) {
       const auto query = random_sparse(rng, 40, 9);
       for (const auto metric :
@@ -148,11 +154,60 @@ TEST(FrozenIndex, BulkFreezeMatchesIncrementalAddAcrossShardCounts) {
   }
 }
 
-TEST(FrozenIndex, BoundsStayFreshAcrossFreezeAddQueryInterleavings) {
-  // The per-term max/min bounds span arena and tail; the per-block metadata
-  // covers only the arena. A freshness bug in either would make the pruned
-  // path silently drop documents — so interleave every mutation the index
-  // supports and re-check the pruned contract after each step.
+TEST(FrozenIndex, ScalarAddsThenSearchMatchAddBatchBuildInEveryMode) {
+  // N scalar add() calls index nothing; the first indexed search indexes
+  // all N with one build. That build must be byte-for-byte the add_batch
+  // build of the same documents, so every mode answers bit-identically.
+  util::Rng rng(0x5ca1a);
+  for (const std::size_t shards : kShardCounts) {
+    std::vector<vsm::SparseVector> signatures;
+    std::vector<std::string> labels;
+    for (int i = 0; i < 150; ++i) {
+      signatures.push_back(random_sparse(rng, 48, 10, /*allow_negative=*/true));
+      labels.push_back("label-" + std::to_string(i % 5));
+    }
+    SignatureDatabase scalar(shards);
+    for (std::size_t i = 0; i < signatures.size(); ++i) {
+      scalar.add(signatures[i], labels[i]);
+    }
+    SignatureDatabase bulk(shards);
+    bulk.add_batch(signatures, labels);
+    const std::string context = std::to_string(shards) + " shards";
+    for (int q = 0; q < 6; ++q) {
+      const auto query = random_sparse(rng, 48, 10, /*allow_negative=*/true);
+      for (const auto metric :
+           {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
+        for (const auto mode : {PruningMode::kExact, PruningMode::kMaxScore,
+                                PruningMode::kAuto}) {
+          const auto want =
+              bulk.search(query, 9, metric, ScanPolicy::kIndexed, mode);
+          const auto got =
+              scalar.search(query, 9, metric, ScanPolicy::kIndexed, mode);
+          ASSERT_EQ(got.size(), want.size()) << context;
+          for (std::size_t r = 0; r < want.size(); ++r) {
+            EXPECT_EQ(got[r].id, want[r].id) << context << " rank " << r;
+            EXPECT_EQ(got[r].label, want[r].label) << context << " rank " << r;
+            EXPECT_EQ(got[r].score, want[r].score) << context << " rank " << r;
+          }
+        }
+      }
+    }
+    const auto scalar_stats = scalar.index().shard_stats();
+    const auto bulk_stats = bulk.index().shard_stats();
+    ASSERT_EQ(scalar_stats.size(), bulk_stats.size());
+    for (std::size_t s = 0; s < bulk_stats.size(); ++s) {
+      EXPECT_EQ(scalar_stats[s].docs, bulk_stats[s].docs) << context;
+      EXPECT_EQ(scalar_stats[s].terms, bulk_stats[s].terms) << context;
+      EXPECT_EQ(scalar_stats[s].postings, bulk_stats[s].postings) << context;
+    }
+  }
+}
+
+TEST(FrozenIndex, BoundsStayFreshAcrossAddBatchQueryInterleavings) {
+  // Every build recomputes the per-term max/min bounds and the per-block
+  // metadata. A freshness bug in either would make the pruned path
+  // silently drop documents — so interleave builds of every size with
+  // queries and re-check the pruned contract after each step.
   util::Rng rng(0x1ce9);
   index::InvertedIndex idx;
   index::TopKScratch scratch;
@@ -168,43 +223,36 @@ TEST(FrozenIndex, BoundsStayFreshAcrossFreezeAddQueryInterleavings) {
     }
   };
   for (int round = 0; round < 6; ++round) {
-    for (int i = 0; i < 25; ++i) {
-      idx.add(random_sparse(rng, 32, 8, /*allow_negative=*/true));
+    std::vector<vsm::SparseVector> docs;
+    const int batch = round % 2 == 0 ? 25 : 1;
+    for (int i = 0; i < batch; ++i) {
+      docs.push_back(random_sparse(rng, 32, 8, /*allow_negative=*/true));
     }
-    check("tail round " + std::to_string(round));
-    if (round % 2 == 0) {
-      idx.freeze();
-      EXPECT_TRUE(idx.frozen()) << "round " << round;
-      check("frozen round " + std::to_string(round));
-    } else {
-      EXPECT_LT(idx.frozen_docs(), idx.size()) << "round " << round;
-    }
+    idx.add_batch(docs);
+    check("round " + std::to_string(round));
   }
-  // Re-freezing folds the tail back in; results must not move.
-  idx.freeze();
-  idx.freeze();  // idempotent
-  check("after double freeze");
+  idx.add_batch(std::span<const vsm::SparseVector>());  // empty: a no-op
+  check("after empty batch");
 }
 
 TEST(FrozenIndex, ParallelBulkBuildIsDeterministic) {
   // add_batch fans per-shard builds onto the pool; the result must be
-  // byte-for-byte the sequential build (same shard contents, same stats,
-  // bit-identical queries) on every run. This is the configuration the
-  // TSan CI job exercises for the parallel ingest path.
+  // byte-for-byte the inline build on a one-worker pool (same shard
+  // contents, same stats, bit-identical queries) on every run. This is the
+  // configuration the TSan CI job exercises for the parallel ingest path.
   util::Rng rng(0xde7e3);
   std::vector<vsm::SparseVector> docs;
   for (int i = 0; i < 6000; ++i) docs.push_back(random_sparse(rng, 64, 10));
 
   exec::ShardedIndex sequential(4);
-  for (const auto& doc : docs) sequential.add(doc);
-  sequential.freeze();
+  exec::TaskPool one_worker(1);
+  sequential.add_batch(std::span<const vsm::SparseVector>(docs), &one_worker);
 
   exec::TaskPool pool(3);
   for (int run = 0; run < 2; ++run) {
     exec::ShardedIndex parallel(4);
     parallel.add_batch(std::span<const vsm::SparseVector>(docs), &pool);
     ASSERT_EQ(parallel.size(), sequential.size()) << "run " << run;
-    EXPECT_TRUE(parallel.frozen()) << "run " << run;
     EXPECT_EQ(parallel.num_terms(), sequential.num_terms()) << "run " << run;
     EXPECT_EQ(parallel.num_postings(), sequential.num_postings())
         << "run " << run;
@@ -213,8 +261,6 @@ TEST(FrozenIndex, ParallelBulkBuildIsDeterministic) {
     ASSERT_EQ(par_stats.size(), seq_stats.size());
     for (std::size_t s = 0; s < seq_stats.size(); ++s) {
       EXPECT_EQ(par_stats[s].docs, seq_stats[s].docs) << "shard " << s;
-      EXPECT_EQ(par_stats[s].frozen_docs, seq_stats[s].frozen_docs)
-          << "shard " << s;
       EXPECT_EQ(par_stats[s].postings, seq_stats[s].postings) << "shard " << s;
       EXPECT_EQ(par_stats[s].terms, seq_stats[s].terms) << "shard " << s;
     }
@@ -234,8 +280,8 @@ TEST(FrozenIndex, ParallelBulkBuildIsDeterministic) {
 }
 
 TEST(FrozenIndex, IncrementalAddAfterBulkBatchKeepsContracts) {
-  // The frozen arena plus a growing unfrozen tail is the steady state of a
-  // live archive: bulk-load history, then stream new incidents in.
+  // Bulk-load history, then stream new incidents in one scalar add at a
+  // time: each indexed search first indexes the adds since the last one.
   util::Rng rng(0x7a11);
   std::vector<vsm::SparseVector> docs;
   std::vector<std::string> labels;
@@ -274,34 +320,31 @@ TEST(FrozenIndex, IncrementalAddAfterBulkBatchKeepsContracts) {
   }
 }
 
-TEST(FrozenIndex, MemoryBreakdownComponentsSumAndTrackFreezing) {
+TEST(FrozenIndex, MemoryBreakdownComponentsSum) {
   util::Rng rng(0x3e3);
   index::InvertedIndex idx;
-  for (int i = 0; i < 200; ++i) idx.add(random_sparse(rng, 48, 10));
-  const auto before = idx.memory_breakdown();
-  EXPECT_EQ(before.total(), idx.memory_bytes());
-  EXPECT_GT(before.postings, 0u);
-  EXPECT_GT(before.forward, 0u);
-  EXPECT_EQ(before.blocks, 0u);  // no arena yet
-
-  idx.freeze();
-  const auto after = idx.memory_breakdown();
-  EXPECT_EQ(after.total(), idx.memory_bytes());
-  EXPECT_GT(after.blocks, 0u);
-  EXPECT_GT(after.offsets, 0u);
-  EXPECT_GT(after.postings, 0u);
+  EXPECT_EQ(idx.memory_breakdown().total(), idx.memory_bytes());
+  std::vector<vsm::SparseVector> docs;
+  for (int i = 0; i < 200; ++i) docs.push_back(random_sparse(rng, 48, 10));
+  idx.add_batch(docs);
+  const auto mem = idx.memory_breakdown();
+  EXPECT_EQ(mem.total(), idx.memory_bytes());
+  EXPECT_GT(mem.blocks, 0u);
+  EXPECT_GT(mem.offsets, 0u);
+  EXPECT_GT(mem.postings, 0u);
+  EXPECT_GT(mem.forward, 0u);
 
   // Sharded aggregation: per-shard breakdowns sum to (at most) the global
   // one, which only adds this layer's term bitmap on top.
   exec::ShardedIndex sharded(3);
-  for (int i = 0; i < 150; ++i) sharded.add(random_sparse(rng, 48, 10));
-  sharded.freeze();
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 150; ++i) corpus.push_back(random_sparse(rng, 48, 10));
+  sharded.add_batch(std::span<const vsm::SparseVector>(corpus));
   const auto global = sharded.memory_breakdown();
   EXPECT_EQ(global.total(), sharded.memory_bytes());
   index::MemoryBreakdown summed;
   for (const auto& stats : sharded.shard_stats()) {
     EXPECT_EQ(stats.memory.total(), stats.memory_bytes);
-    EXPECT_EQ(stats.frozen_docs, stats.docs);
     summed += stats.memory;
   }
   EXPECT_EQ(global.postings, summed.postings);
@@ -313,18 +356,15 @@ TEST(FrozenIndex, MemoryBreakdownComponentsSumAndTrackFreezing) {
 TEST(FrozenIndex, AutoModeResolvesByShardSizeAndMatchesGolden) {
   using index::InvertedIndex;
   using index::PruningMode;
-  // The measured crossovers: on the mutable layout pruning loses below
-  // ~4k docs; the frozen arena's exact kernel pushes its crossover past
-  // 10k (see resolve_auto).
-  EXPECT_EQ(InvertedIndex::resolve_auto(1000, 10, false), PruningMode::kExact);
-  EXPECT_EQ(InvertedIndex::resolve_auto(4096, 10, false),
-            PruningMode::kMaxScore);
-  EXPECT_EQ(InvertedIndex::resolve_auto(10000, 10, true), PruningMode::kExact);
-  EXPECT_EQ(InvertedIndex::resolve_auto(100000, 10, true),
-            PruningMode::kMaxScore);
+  // The measured crossover: the arena's exact kernel still beats pruning
+  // at 10k docs, so kAuto prunes only from 32k (see resolve_auto).
+  EXPECT_EQ(InvertedIndex::resolve_auto(1000, 10), PruningMode::kExact);
+  EXPECT_EQ(InvertedIndex::resolve_auto(10000, 10), PruningMode::kExact);
+  EXPECT_EQ(InvertedIndex::resolve_auto(32767, 10), PruningMode::kExact);
+  EXPECT_EQ(InvertedIndex::resolve_auto(32768, 10), PruningMode::kMaxScore);
+  EXPECT_EQ(InvertedIndex::resolve_auto(100000, 10), PruningMode::kMaxScore);
   // Near-full retrieval gives the bounds nothing to discard.
-  EXPECT_EQ(InvertedIndex::resolve_auto(8000, 4000, false),
-            PruningMode::kExact);
+  EXPECT_EQ(InvertedIndex::resolve_auto(100000, 8000), PruningMode::kExact);
 
   util::Rng rng(0xa070);
   // Small database: kAuto must take the exact path — bit-identical hits.
@@ -347,7 +387,8 @@ TEST(FrozenIndex, AutoModeResolvesByShardSizeAndMatchesGolden) {
     }
   }
 
-  // Large single shard: kAuto resolves to pruned — same set/order, 1e-9.
+  // A 5k single shard sits below the crossover: kAuto must take the exact
+  // path, which the bit-identical comparison pins down, and prune nothing.
   // Clustered classes on permuted term slices, the corpus shape pruning
   // works on (a uniform random corpus takes the give-up branch by design).
   std::vector<std::vector<std::uint32_t>> perm(4,
@@ -375,33 +416,17 @@ TEST(FrozenIndex, AutoModeResolvesByShardSizeAndMatchesGolden) {
         vsm::SparseVector::from_entries(std::move(entries)).l2_normalized());
   }
   exec::ShardedIndex sharded(1);
-  // A 5k *mutable* shard sits above the mutable crossover — kAuto must
-  // prune there; the same corpus bulk-frozen sits below the (higher)
-  // frozen crossover — kAuto must take the frozen exact path, which the
-  // bit-identical comparison pins down.
-  for (const auto& doc : docs) sharded.add(doc);
+  sharded.add_batch(std::span<const vsm::SparseVector>(docs));
   const exec::QueryEngine engine(sharded);
-  exec::ShardedIndex frozen_sharded(1);
-  frozen_sharded.add_batch(std::span<const vsm::SparseVector>(docs));
-  const exec::QueryEngine frozen_engine(frozen_sharded);
   for (int q = 0; q < 5; ++q) {
     const auto& query = docs[rng.below(docs.size())];
-    exec::QueryStats stats;
     const auto exact = engine.run(query, 10, index::Metric::kCosine);
+    exec::QueryStats stats;
     const auto autod = engine.run(query, 10, index::Metric::kCosine,
                                   PruningMode::kAuto, &stats);
-    expect_hits_close(autod, exact, "auto large query " + std::to_string(q));
-    EXPECT_GT(stats.docs_pruned, 0u) << "auto did not prune a mutable 5k shard";
-
-    const auto frozen_exact =
-        frozen_engine.run(query, 10, index::Metric::kCosine);
-    exec::QueryStats frozen_stats;
-    const auto frozen_auto = frozen_engine.run(
-        query, 10, index::Metric::kCosine, PruningMode::kAuto, &frozen_stats);
-    expect_hits_identical(frozen_auto, frozen_exact,
-                          "frozen auto query " + std::to_string(q));
-    EXPECT_EQ(frozen_stats.docs_pruned, 0u)
-        << "frozen 5k shard sits below the frozen crossover";
+    expect_hits_identical(autod, exact, "auto query " + std::to_string(q));
+    EXPECT_EQ(stats.docs_pruned, 0u)
+        << "a 5k shard sits below the crossover";
   }
 }
 
@@ -411,22 +436,22 @@ TEST(FrozenIndex, BlockSkippingReducesPostingsVisited) {
   // of unrelated ones, queried with k spanning the cluster. The survivors
   // are exactly the cluster, the doc reordering makes them contiguous in
   // internal id space, and finishing them off the forward store is dearer
-  // than walking the remaining lists — so the tail phase walks frozen
-  // lists block-by-block and skips every block that holds only archive
-  // noise. The frozen path must return the same hits as the unfrozen one
-  // while touching fewer postings and actually skipping blocks.
+  // than walking the remaining lists — so the tail phase walks the lists
+  // block-by-block and skips every block that holds only archive noise.
+  // The pruned path must return the same hits as the exact one while
+  // touching fewer postings and actually skipping blocks.
   util::Rng rng(0xb10c);
   constexpr std::size_t kClusterDocs = 1200;
   constexpr std::size_t kNoiseDocs = 30000;
   constexpr std::uint32_t kClusterTerms = 50;  // terms 0..49 are the cluster's
   constexpr std::uint32_t kDim = 950;
-  index::InvertedIndex unfrozen;
+  std::vector<vsm::SparseVector> docs;
   for (std::size_t d = 0; d < kClusterDocs; ++d) {
     std::vector<vsm::SparseVector::Entry> entries;
     for (std::uint32_t t = 0; t < kClusterTerms; ++t) {
       entries.emplace_back(t, 1.0 + 0.01 * rng.uniform());
     }
-    unfrozen.add(
+    docs.push_back(
         vsm::SparseVector::from_entries(std::move(entries)).l2_normalized());
   }
   for (std::size_t d = 0; d < kNoiseDocs; ++d) {
@@ -440,14 +465,14 @@ TEST(FrozenIndex, BlockSkippingReducesPostingsVisited) {
                               rng.below(kDim - kClusterTerms)),
           0.5 + rng.uniform());
     }
-    unfrozen.add(
+    docs.push_back(
         vsm::SparseVector::from_entries(std::move(entries)).l2_normalized());
   }
-  index::InvertedIndex frozen = unfrozen;
-  frozen.freeze();
+  index::InvertedIndex idx;
+  idx.add_batch(docs);
 
   index::TopKScratch scratch;
-  index::PruneStats unfrozen_stats, frozen_stats;
+  index::PruneStats exact_stats, pruned_stats;
   std::vector<vsm::SparseVector::Entry> q_entries;
   for (std::uint32_t t = 0; t < kClusterTerms; ++t) q_entries.emplace_back(t, 1.0);
   const auto query =
@@ -455,50 +480,59 @@ TEST(FrozenIndex, BlockSkippingReducesPostingsVisited) {
   for (const auto metric :
        {index::Metric::kCosine, index::Metric::kEuclidean}) {
     for (const std::size_t k : {std::size_t{10}, std::size_t{1000}}) {
-      const auto want = unfrozen.top_k_pruned(query, k, metric, &scratch,
-                                              index::InvertedIndex::kNoSeed,
-                                              &unfrozen_stats);
-      const auto got = frozen.top_k_pruned(query, k, metric, &scratch,
-                                           index::InvertedIndex::kNoSeed,
-                                           &frozen_stats);
+      const auto want = idx.top_k(query, k, metric, &scratch,
+                                  index::InvertedIndex::kNoSeed, &exact_stats);
+      const auto got = idx.top_k_pruned(query, k, metric, &scratch,
+                                        index::InvertedIndex::kNoSeed,
+                                        &pruned_stats);
       expect_hits_close(got, want, "k " + std::to_string(k));
     }
   }
-  EXPECT_GT(frozen_stats.blocks_skipped, 0u)
-      << "frozen: scored " << frozen_stats.docs_scored << " pruned "
-      << frozen_stats.docs_pruned << " visited "
-      << frozen_stats.postings_visited << " | unfrozen visited "
-      << unfrozen_stats.postings_visited;
-  EXPECT_LT(frozen_stats.postings_visited, unfrozen_stats.postings_visited);
-  EXPECT_EQ(frozen_stats.docs_scored + frozen_stats.docs_pruned,
-            unfrozen_stats.docs_scored + unfrozen_stats.docs_pruned);
+  EXPECT_GT(pruned_stats.blocks_skipped, 0u)
+      << "pruned: scored " << pruned_stats.docs_scored << " pruned "
+      << pruned_stats.docs_pruned << " visited "
+      << pruned_stats.postings_visited << " | exact visited "
+      << exact_stats.postings_visited;
+  EXPECT_LT(pruned_stats.postings_visited, exact_stats.postings_visited);
+  EXPECT_EQ(pruned_stats.docs_scored + pruned_stats.docs_pruned,
+            exact_stats.docs_scored + exact_stats.docs_pruned);
 }
 
 TEST(FrozenIndex, DegenerateStatesStayDefined) {
   index::InvertedIndex idx;
-  idx.freeze();  // freezing an empty index is a no-op
-  EXPECT_TRUE(idx.frozen());
+  idx.add_batch(std::span<const vsm::SparseVector>());  // empty batch: no-op
+  EXPECT_TRUE(idx.empty());
   EXPECT_EQ(idx.top_k(vsm::SparseVector::from_entries({{1, 1.0}}), 3).size(),
             0u);
-  idx.add(vsm::SparseVector::from_entries({{2, 0.5}}));
-  EXPECT_FALSE(idx.frozen());
-  idx.freeze();
+  EXPECT_EQ(
+      idx.top_k_pruned(vsm::SparseVector::from_entries({{1, 1.0}}), 3).size(),
+      0u);
+  idx.add_batch(std::vector<vsm::SparseVector>{
+      vsm::SparseVector::from_entries({{2, 0.5}})});
   const auto query = vsm::SparseVector::from_entries({{2, 1.0}});
   EXPECT_EQ(idx.top_k(query, 0).size(), 0u);          // k == 0
   EXPECT_EQ(idx.top_k(vsm::SparseVector(), 3).size(), 0u);  // empty query
   ASSERT_EQ(idx.top_k(query, 3).size(), 1u);
   EXPECT_EQ(idx.top_k_pruned(query, 3).size(), 1u);
 
-  // Empty documents freeze too (no postings, still ranked by the scan rule).
+  // Empty documents build too (no postings, still ranked by the scan rule).
   index::InvertedIndex with_empty;
-  with_empty.add(vsm::SparseVector());
-  with_empty.add(vsm::SparseVector::from_entries({{0, 1.0}}));
-  with_empty.freeze();
+  with_empty.add_batch(std::vector<vsm::SparseVector>{
+      vsm::SparseVector(), vsm::SparseVector::from_entries({{0, 1.0}})});
   const auto hits = with_empty.top_k(vsm::SparseVector::from_entries({{0, 1.0}}),
                                      2);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].doc, 1u);
   EXPECT_EQ(hits[1].doc, 0u);
+
+  // An index of only empty documents has no term space at all.
+  index::InvertedIndex all_empty;
+  all_empty.add_batch(std::vector<vsm::SparseVector>(3));
+  for (const auto metric :
+       {index::Metric::kCosine, index::Metric::kEuclidean}) {
+    expect_hits_identical(all_empty.top_k_pruned(query, 2, metric),
+                          all_empty.top_k(query, 2, metric), "all empty");
+  }
 }
 
 }  // namespace

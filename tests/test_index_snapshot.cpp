@@ -4,12 +4,13 @@
 // The contract under test (index/snapshot.hpp): a saved archive restores
 // without re-indexing into a database byte-for-byte equal to a fresh bulk
 // build of the same documents — searches in every mode (kExact/kMaxScore/
-// kAuto), at any shard count, from any freeze state of the source, return
-// bit-identical results — and every corrupted input (truncated files,
+// kAuto), at any shard count, however the source was built (scalar adds,
+// bulk batches, or both), return bit-identical results — and every
+// corrupted input (truncated files,
 // flipped bytes in each region, wrong version, foreign endianness,
 // zero-length files) fails with a diagnostic SnapshotError that leaves the
 // load target untouched and usable (strong guarantee). The parallel-load
-// test runs under the TSan CI job (per-shard re-freeze fan-out).
+// test runs under the TSan CI job (per-shard build fan-out).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -119,7 +120,6 @@ void expect_databases_equivalent(const SignatureDatabase& loaded,
       << context;
   EXPECT_EQ(loaded.index().num_postings(), reference.index().num_postings())
       << context;
-  EXPECT_TRUE(loaded.index().frozen()) << context;
   for (std::size_t id = 0; id < reference.size(); ++id) {
     ASSERT_EQ(loaded.label(id), reference.label(id)) << context << " id " << id;
     ASSERT_TRUE(loaded.signature(id) == reference.signature(id))
@@ -167,38 +167,59 @@ TEST(IndexSnapshot, RoundTripBitIdenticalAcrossShardCountsAndModes) {
   }
 }
 
-TEST(IndexSnapshot, SavedBytesIndependentOfFreezeState) {
-  // The forward image is written in public id order, so never-frozen,
-  // fully-frozen and frozen-plus-tail sources of the same documents emit
+TEST(IndexSnapshot, SavedBytesIndependentOfHowTheSourceWasBuilt) {
+  // The forward image is written in public id order, so scalar-added,
+  // bulk-built and bulk-plus-scalar sources of the same documents emit
   // byte-for-byte the same snapshot — and all of them restore to the same
-  // (frozen, bulk-build-equal) database.
+  // bulk-build-equal database.
   const TestCorpus corpus = make_corpus(0xf0e, 90);
-  const std::size_t cut = 60;  // the tail split for the frozen+tail state
+  const std::size_t cut = 60;  // bulk prefix of the mixed source
   for (const std::size_t shards : kShardCounts) {
-    SignatureDatabase never_frozen(shards);
-    SignatureDatabase fully_frozen(shards);
-    SignatureDatabase frozen_tail(shards);
+    SignatureDatabase scalar(shards);
+    SignatureDatabase mixed(shards);
     for (std::size_t i = 0; i < corpus.signatures.size(); ++i) {
-      never_frozen.add(corpus.signatures[i], corpus.labels[i]);
-      fully_frozen.add(corpus.signatures[i], corpus.labels[i]);
-      frozen_tail.add(corpus.signatures[i], corpus.labels[i]);
-      if (i + 1 == cut) frozen_tail.freeze();
+      scalar.add(corpus.signatures[i], corpus.labels[i]);
     }
-    fully_frozen.freeze();
-    ASSERT_TRUE(fully_frozen.index().frozen());
-    ASSERT_FALSE(never_frozen.index().frozen());
-    ASSERT_FALSE(frozen_tail.index().frozen());
-
-    const std::string bytes = save_to_string(never_frozen);
-    EXPECT_EQ(save_to_string(fully_frozen), bytes)
-        << shards << " shards: frozen vs unfrozen bytes";
-    EXPECT_EQ(save_to_string(frozen_tail), bytes)
-        << shards << " shards: frozen+tail vs unfrozen bytes";
-
+    mixed.add_batch({corpus.signatures.begin(), corpus.signatures.begin() + cut},
+                    {corpus.labels.begin(), corpus.labels.begin() + cut});
+    util::Rng rng(0x5ca1);
+    (void)mixed.search(random_sparse(rng, 96, 12), 3);  // indexes the prefix
+    for (std::size_t i = cut; i < corpus.signatures.size(); ++i) {
+      mixed.add(corpus.signatures[i], corpus.labels[i]);
+    }
     const SignatureDatabase reference = build_bulk(corpus, shards);
+
+    const std::string bytes = save_to_string(reference);
+    EXPECT_EQ(save_to_string(scalar), bytes)
+        << shards << " shards: scalar vs bulk bytes";
+    EXPECT_EQ(save_to_string(mixed), bytes)
+        << shards << " shards: bulk+scalar vs bulk bytes";
     expect_databases_equivalent(load_from_string(bytes), reference,
                                 0xabc + shards,
-                                std::to_string(shards) + " shards, any state");
+                                std::to_string(shards) + " shards, any build");
+  }
+}
+
+TEST(IndexSnapshot, SaveRightAfterScalarAddsRoundTripsEveryDocument) {
+  // Scalar adds leave the index behind the store; save() must bring it up
+  // to date first, or the file would miss the unindexed tail of the store.
+  const TestCorpus corpus = make_corpus(0x5a5e, 40);
+  for (const std::size_t shards : kShardCounts) {
+    SignatureDatabase db(shards);
+    db.add_batch({corpus.signatures.begin(), corpus.signatures.begin() + 10},
+                 {corpus.labels.begin(), corpus.labels.begin() + 10});
+    for (std::size_t i = 10; i < corpus.signatures.size(); ++i) {
+      db.add(corpus.signatures[i], corpus.labels[i]);
+    }
+    const SignatureDatabase loaded = load_from_string(save_to_string(db));
+    ASSERT_EQ(loaded.size(), corpus.signatures.size()) << shards << " shards";
+    for (std::size_t id = 0; id < corpus.signatures.size(); ++id) {
+      EXPECT_EQ(loaded.label(id), corpus.labels[id]) << "id " << id;
+      EXPECT_TRUE(loaded.signature(id) == corpus.signatures[id]) << "id " << id;
+    }
+    expect_databases_equivalent(loaded, build_bulk(corpus, shards),
+                                0x7e57 + shards,
+                                std::to_string(shards) + " shards");
   }
 }
 
@@ -253,9 +274,11 @@ TEST(IndexSnapshot, ShardedIndexRoundTripWithoutLabels) {
   util::Rng rng(0x1d8);
   for (const std::size_t shards : kShardCounts) {
     exec::ShardedIndex original(shards);
+    std::vector<vsm::SparseVector> docs;
     for (int i = 0; i < 150; ++i) {
-      original.add(random_sparse(rng, 64, 10, /*allow_negative=*/true));
+      docs.push_back(random_sparse(rng, 64, 10, /*allow_negative=*/true));
     }
+    original.add_batch(std::span<const vsm::SparseVector>(docs));
 
     std::ostringstream out;
     original.save(out);
@@ -266,7 +289,6 @@ TEST(IndexSnapshot, ShardedIndexRoundTripWithoutLabels) {
     EXPECT_EQ(loaded.num_shards(), original.num_shards());
     EXPECT_EQ(loaded.num_terms(), original.num_terms());
     EXPECT_EQ(loaded.num_postings(), original.num_postings());
-    EXPECT_TRUE(loaded.frozen());
 
     const exec::QueryEngine original_engine(original);
     const exec::QueryEngine loaded_engine(loaded);
@@ -290,13 +312,16 @@ TEST(IndexSnapshot, InvertedIndexSectionsRoundTrip) {
   // The index-layer primitive the higher layers are built from.
   util::Rng rng(0x90);
   index::InvertedIndex original;
+  std::vector<vsm::SparseVector> docs;
   for (int i = 0; i < 80; ++i) {
-    original.add(random_sparse(rng, 48, 8, /*allow_negative=*/true));
+    docs.push_back(random_sparse(rng, 48, 8, /*allow_negative=*/true));
   }
-  original.freeze();
-  for (int i = 0; i < 10; ++i) {  // leave an unfrozen tail
-    original.add(random_sparse(rng, 48, 8, true));
+  original.add_batch(docs);
+  docs.clear();
+  for (int i = 0; i < 10; ++i) {  // built in two batches
+    docs.push_back(random_sparse(rng, 48, 8, true));
   }
+  original.add_batch(docs);
 
   snap::Writer writer(1, original.size(), original.num_terms());
   original.save(writer, 0);
@@ -310,7 +335,6 @@ TEST(IndexSnapshot, InvertedIndexSectionsRoundTrip) {
   ASSERT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded.num_terms(), original.num_terms());
   EXPECT_EQ(loaded.num_postings(), original.num_postings());
-  EXPECT_TRUE(loaded.frozen());
   for (int q = 0; q < 8; ++q) {
     const auto query = random_sparse(rng, 48, 8, true);
     const auto want = original.top_k(query, 5);
@@ -325,7 +349,7 @@ TEST(IndexSnapshot, InvertedIndexSectionsRoundTrip) {
 
 TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
   // 6000 docs clears the parallel-build cutoff, so ShardedIndex::load fans
-  // per-shard re-freezes onto the pool — the configuration the TSan CI job
+  // per-shard builds onto the pool — the configuration the TSan CI job
   // exercises. Loaded twice in parallel and once inline, all three must be
   // identical.
   util::Rng rng(0x6000);
@@ -333,7 +357,7 @@ TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
   for (int i = 0; i < 6000; ++i) docs.push_back(random_sparse(rng, 64, 10));
 
   exec::ShardedIndex original(4);
-  for (const auto& doc : docs) original.add(doc);
+  original.add_batch(std::span<const vsm::SparseVector>(docs));
   std::ostringstream out;
   original.save(out);
   const std::string bytes = out.str();
@@ -346,7 +370,6 @@ TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
     std::istringstream in(bytes);
     const exec::ShardedIndex parallel = exec::ShardedIndex::load(in, &pool);
     ASSERT_EQ(parallel.size(), inline_loaded.size()) << "run " << run;
-    EXPECT_TRUE(parallel.frozen()) << "run " << run;
     EXPECT_EQ(parallel.num_terms(), inline_loaded.num_terms()) << "run " << run;
     EXPECT_EQ(parallel.num_postings(), inline_loaded.num_postings())
         << "run " << run;
@@ -355,8 +378,6 @@ TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
     ASSERT_EQ(got_stats.size(), want_stats.size());
     for (std::size_t s = 0; s < want_stats.size(); ++s) {
       EXPECT_EQ(got_stats[s].docs, want_stats[s].docs) << "shard " << s;
-      EXPECT_EQ(got_stats[s].frozen_docs, want_stats[s].frozen_docs)
-          << "shard " << s;
       EXPECT_EQ(got_stats[s].postings, want_stats[s].postings) << "shard " << s;
       EXPECT_EQ(got_stats[s].terms, want_stats[s].terms) << "shard " << s;
     }

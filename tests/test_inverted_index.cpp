@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,17 +71,41 @@ void expect_golden_equivalence(const SignatureDatabase& db,
   }
 }
 
-TEST(InvertedIndex, IncrementalAddTracksStats) {
+TEST(InvertedIndex, AddBatchTracksStats) {
   index::InvertedIndex idx;
   EXPECT_TRUE(idx.empty());
-  EXPECT_EQ(idx.add(vsm::SparseVector::from_entries({{0, 1.0}, {4, 2.0}})), 0u);
-  EXPECT_EQ(idx.add(vsm::SparseVector::from_entries({{4, 1.0}})), 1u);
-  EXPECT_EQ(idx.add(vsm::SparseVector()), 2u);  // empty doc is still a doc
+  idx.add_batch(std::vector<vsm::SparseVector>{
+      vsm::SparseVector::from_entries({{0, 1.0}, {4, 2.0}}),
+      vsm::SparseVector::from_entries({{4, 1.0}}),
+      vsm::SparseVector()});  // empty doc is still a doc
   EXPECT_EQ(idx.size(), 3u);
   EXPECT_EQ(idx.num_terms(), 2u);     // terms 0 and 4
   EXPECT_EQ(idx.num_postings(), 3u);  // 2 + 1 + 0
   EXPECT_DOUBLE_EQ(idx.norm(1), 1.0);
   EXPECT_DOUBLE_EQ(idx.norm(2), 0.0);
+  EXPECT_DOUBLE_EQ(idx.max_weight(4), 2.0);
+  EXPECT_DOUBLE_EQ(idx.min_weight(4), 1.0);
+
+  // A second batch continues the id space; norms stay addressed by public
+  // id through the rebuilt permutation.
+  idx.add_batch(std::vector<vsm::SparseVector>{
+      vsm::SparseVector::from_entries({{9, -3.0}})});
+  EXPECT_EQ(idx.size(), 4u);
+  EXPECT_EQ(idx.num_terms(), 3u);
+  EXPECT_EQ(idx.num_postings(), 4u);
+  EXPECT_DOUBLE_EQ(idx.norm(0), std::sqrt(5.0));
+  EXPECT_DOUBLE_EQ(idx.norm(3), 3.0);
+  EXPECT_DOUBLE_EQ(idx.min_weight(9), -3.0);
+  EXPECT_DOUBLE_EQ(idx.max_weight(9), -3.0);
+
+  // A non-finite weight anywhere rejects the whole batch, index unchanged.
+  EXPECT_THROW(idx.add_batch(std::vector<vsm::SparseVector>{
+                   vsm::SparseVector::from_entries({{1, 1.0}}),
+                   vsm::SparseVector::from_entries(
+                       {{2, std::numeric_limits<double>::infinity()}})}),
+               std::invalid_argument);
+  EXPECT_EQ(idx.size(), 4u);
+  EXPECT_EQ(idx.num_postings(), 4u);
 }
 
 TEST(InvertedIndex, TopKOnEmptyIndexIsEmpty) {

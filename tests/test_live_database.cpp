@@ -600,7 +600,6 @@ TEST(LiveDatabase, StatsScrapeDuringParallelIngestIsSafe) {
 
   std::thread ingester([&] {
     for (const Batch& b : batches) db.add_batch(b.signatures, b.labels);
-    db.freeze();
   });
   std::thread scraper([&] {
     for (int i = 0; i < 200; ++i) {
@@ -617,37 +616,6 @@ TEST(LiveDatabase, StatsScrapeDuringParallelIngestIsSafe) {
   ingester.join();
   scraper.join();
   EXPECT_EQ(db.size(), 256u);
-}
-
-// Regression: freeze() concurrent with an outstanding query used to be
-// undefined. Queries and freezes now serialize on the index's
-// reader/writer lock — every query sees a consistent pre- or post-freeze
-// index, never a half-frozen shard.
-TEST(LiveDatabase, FreezeDuringQueryIsSafe) {
-  const auto batches = make_batches(16, 8, 0xf0f0);
-  SignatureDatabase db(4);
-  for (std::size_t b = 0; b < 8; ++b) {
-    db.add_batch(batches[b].signatures, batches[b].labels);
-  }
-
-  std::thread freezer([&] {
-    for (std::size_t b = 8; b < 16; ++b) {
-      db.add_batch(batches[b].signatures, batches[b].labels);
-      db.freeze();
-    }
-  });
-  std::thread querier([&] {
-    util::Rng rng(0x51ca);
-    for (int q = 0; q < 100; ++q) {
-      const auto query = random_sparse(rng, 64, 10);
-      const auto hits = db.search(query, 5);
-      EXPECT_LE(hits.size(), 5u);
-      for (const auto& hit : hits) EXPECT_LT(hit.id, 128u);
-    }
-  });
-  freezer.join();
-  querier.join();
-  EXPECT_EQ(db.size(), 128u);
 }
 
 // The live archive's full concurrent surface: ingest, snapshot queries,

@@ -166,7 +166,7 @@ index::InvertedIndex clustered_index(util::Rng& rng, std::size_t docs,
       }
     }
   }
-  index::InvertedIndex idx;
+  std::vector<vsm::SparseVector> built;
   for (std::size_t d = 0; d < docs; ++d) {
     std::vector<vsm::SparseVector::Entry> entries;
     for (std::size_t i = 0; i < nnz; ++i) {
@@ -177,11 +177,12 @@ index::InvertedIndex clustered_index(util::Rng& rng, std::size_t docs,
                                rank, dimension - 1)],
                            std::exp(rng.normal(0.0, 2.0)));
     }
-    auto doc = vsm::SparseVector::from_entries(std::move(entries))
-                   .l2_normalized();
-    if (out != nullptr) out->push_back(doc);
-    idx.add(doc);
+    built.push_back(vsm::SparseVector::from_entries(std::move(entries))
+                        .l2_normalized());
   }
+  index::InvertedIndex idx;
+  idx.add_batch(built);
+  if (out != nullptr) *out = std::move(built);
   return idx;
 }
 
@@ -216,10 +217,11 @@ TEST(PrunedSearch, ClusteredCorpusActuallyPrunesAndStaysEquivalent) {
   EXPECT_GT(total.docs_pruned, total.docs_scored);
 }
 
-TEST(PrunedSearch, PerTermBoundsStayFreshUnderIncrementalAdd) {
-  // add() must keep the per-term max/min weights current even when adds
-  // interleave with queries — a stale bound would make the pruned path
-  // silently drop documents whose new weights beat the cached maximum.
+TEST(PrunedSearch, PerTermBoundsStayFreshUnderRepeatedAddBatch) {
+  // Every add_batch must leave the per-term max/min weights current even
+  // when builds interleave with queries — a stale bound would make the
+  // pruned path silently drop documents whose new weights beat the cached
+  // maximum.
   util::Rng rng(0xadd5);
   index::InvertedIndex idx;
   std::vector<vsm::SparseVector> docs;
@@ -227,7 +229,7 @@ TEST(PrunedSearch, PerTermBoundsStayFreshUnderIncrementalAdd) {
   for (int i = 0; i < 120; ++i) {
     const auto doc = random_sparse(rng, 24, 8, /*allow_negative=*/true);
     docs.push_back(doc);
-    idx.add(doc);
+    idx.add_batch(std::span(&doc, 1));
 
     // Reference bounds recomputed from scratch over every stored doc.
     std::vector<double> max_ref(24, 0.0), min_ref(24, 0.0);
@@ -276,11 +278,8 @@ TEST(PrunedSearch, CrossShardSeedingNeverChangesResults) {
   util::Rng rng(0x5eed5);
   exec::ShardedIndex index(3);
   std::vector<vsm::SparseVector> docs;
-  for (int i = 0; i < 400; ++i) {
-    auto doc = random_sparse(rng, 40, 9);
-    docs.push_back(doc);
-    index.add(docs.back());
-  }
+  for (int i = 0; i < 400; ++i) docs.push_back(random_sparse(rng, 40, 9));
+  index.add_batch(std::span<const vsm::SparseVector>(docs));
   index::TopKScratch scratch;
   for (int q = 0; q < 15; ++q) {
     const auto query = random_sparse(rng, 40, 9);
@@ -334,7 +333,9 @@ TEST(PrunedSearch, EngineDispatchPathMatchesExactUnderThreads) {
   // threshold hand-off.
   util::Rng rng(0xd15b);
   exec::ShardedIndex index(4);
-  for (int i = 0; i < 5000; ++i) index.add(random_sparse(rng, 32, 8));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 24; ++q) queries.push_back(random_sparse(rng, 32, 8));

@@ -129,7 +129,9 @@ TEST(QueryEngine, KZeroAndEmptyQueriesShortCircuitWithoutDispatch) {
   // Large enough that a non-degenerate batch *does* dispatch (see the
   // control at the end) — otherwise the zero-dispatch assertions below
   // would hold vacuously via the small-index inline path.
-  for (int i = 0; i < 5000; ++i) index.add(random_sparse(rng, 32, 8));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
 
   exec::TaskPool pool(2);
   const exec::QueryEngine engine(index, &pool);
@@ -280,7 +282,9 @@ TEST(QueryEngine, SearchesIssuedFromInsidePoolTasksDoNotDeadlock) {
   exec::ShardedIndex index(4);
   // Big enough to clear the engine's small-index inline cutoff: this test
   // must reach the dispatch path, or the re-entry guard goes unexercised.
-  for (int i = 0; i < 5000; ++i) index.add(random_sparse(rng, 32, 8));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 4; ++q) queries.push_back(random_sparse(rng, 32, 8));
@@ -329,7 +333,9 @@ TEST(QueryEngine, DedicatedPoolProducesSameResultsAsSharedPool) {
   util::Rng rng(0x9001);
   exec::ShardedIndex index(4);
   // Above the small-index inline cutoff so both engines actually dispatch.
-  for (int i = 0; i < 5000; ++i) index.add(random_sparse(rng, 32, 8));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 16; ++q) queries.push_back(random_sparse(rng, 32, 8));
@@ -360,7 +366,9 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
   // to a single-threaded reference.
   util::Rng rng(0x57e5);
   exec::ShardedIndex index(5);
-  for (int i = 0; i < 6000; ++i) index.add(random_sparse(rng, 32, 8));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 6000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 24; ++q) {
@@ -439,7 +447,9 @@ TEST(QueryEngine, SteadyStateDispatchAllocationsStabilize) {
   // flat across both the inline and the pooled branch.
   util::Rng rng(0xa110);
   exec::ShardedIndex index(4);
-  for (int i = 0; i < 6000; ++i) index.add(random_sparse(rng, 32, 8));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 6000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 16; ++q) queries.push_back(random_sparse(rng, 32, 8));

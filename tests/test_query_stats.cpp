@@ -70,20 +70,19 @@ void expect_stats_equal(const PruneStats& got, const PruneStats& want,
 TEST(QueryStats, ExactPathCountersAreExactlyDetermined) {
   util::Rng rng(0xe1);
   InvertedIndex idx;
-  for (int i = 0; i < 300; ++i) idx.add(random_sparse(rng, 64, 10));
-  for (const bool frozen : {false, true}) {
-    if (frozen) idx.freeze();
-    for (int q = 0; q < 6; ++q) {
-      const auto query = random_sparse(rng, 64, 10);
-      PruneStats stats;
-      idx.top_k(query, 10, Metric::kCosine, nullptr,
-      index::InvertedIndex::kNoSeed, &stats);
-      EXPECT_EQ(stats.docs_scored, idx.size());
-      EXPECT_EQ(stats.docs_pruned, 0u);
-      EXPECT_EQ(stats.postings_visited, idx.num_postings_for(query));
-      EXPECT_EQ(stats.blocks_skipped, 0u);
-      EXPECT_EQ(stats.forward_gathers, 0u);
-    }
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 300; ++i) corpus.push_back(random_sparse(rng, 64, 10));
+  idx.add_batch(std::span<const vsm::SparseVector>(corpus));
+  for (int q = 0; q < 6; ++q) {
+    const auto query = random_sparse(rng, 64, 10);
+    PruneStats stats;
+    idx.top_k(query, 10, Metric::kCosine, nullptr,
+              index::InvertedIndex::kNoSeed, &stats);
+    EXPECT_EQ(stats.docs_scored, idx.size());
+    EXPECT_EQ(stats.docs_pruned, 0u);
+    EXPECT_EQ(stats.postings_visited, idx.num_postings_for(query));
+    EXPECT_EQ(stats.blocks_skipped, 0u);
+    EXPECT_EQ(stats.forward_gathers, 0u);
   }
 }
 
@@ -93,8 +92,7 @@ TEST(QueryStats, CountersAccumulateAndFreshStructsSumToShared) {
   // stats reuse cannot leak or reset each other's counts.
   const auto docs = clustered_corpus(0xacc, 800);
   InvertedIndex idx;
-  for (const auto& doc : docs) idx.add(doc);
-  idx.freeze();
+  idx.add_batch(docs);
 
   util::Rng rng(0x5);
   std::vector<vsm::SparseVector> queries;
@@ -141,14 +139,14 @@ TEST(QueryStats, SkippedBlocksNeverContributeVisitedPostings) {
   constexpr std::size_t kNoiseDocs = 8000;
   constexpr std::uint32_t kClusterTerms = 30;
   constexpr std::uint32_t kDim = 400;
-  InvertedIndex idx;
+  std::vector<vsm::SparseVector> docs;
   for (std::size_t d = 0; d < kClusterDocs; ++d) {
     std::vector<vsm::SparseVector::Entry> entries;
     for (std::uint32_t t = 0; t < kClusterTerms; ++t) {
       entries.emplace_back(t, 1.0 + 0.01 * rng.uniform());
     }
-    idx.add(vsm::SparseVector::from_entries(std::move(entries))
-                .l2_normalized());
+    docs.push_back(vsm::SparseVector::from_entries(std::move(entries))
+                       .l2_normalized());
   }
   for (std::size_t d = 0; d < kNoiseDocs; ++d) {
     std::vector<vsm::SparseVector::Entry> entries;
@@ -159,10 +157,11 @@ TEST(QueryStats, SkippedBlocksNeverContributeVisitedPostings) {
               static_cast<std::uint32_t>(rng.below(kDim - kClusterTerms)),
           0.5 + rng.uniform());
     }
-    idx.add(vsm::SparseVector::from_entries(std::move(entries))
-                .l2_normalized());
+    docs.push_back(vsm::SparseVector::from_entries(std::move(entries))
+                       .l2_normalized());
   }
-  idx.freeze();
+  InvertedIndex idx;
+  idx.add_batch(docs);
 
   std::vector<vsm::SparseVector::Entry> q_entries;
   for (std::uint32_t t = 0; t < kClusterTerms; ++t) {
@@ -197,8 +196,7 @@ TEST(QueryStats, EngineSumsAcrossShardsAndBatchedTasks) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{5}}) {
     exec::ShardedIndex index(shards);
-    for (const auto& doc : docs) index.add(doc);
-    index.freeze();
+    index.add_batch(std::span<const vsm::SparseVector>(docs));
 
     // Expected totals from direct per-shard exact runs.
     PruneStats expected;
@@ -244,8 +242,7 @@ TEST(QueryStats, ForwardGathersFireInCandidateModeOnly) {
   // and exactly zero on the exact path over the same index.
   const auto docs = clustered_corpus(0xf0a4, 4000);
   InvertedIndex idx;
-  for (const auto& doc : docs) idx.add(doc);
-  idx.freeze();
+  idx.add_batch(docs);
 
   util::Rng rng(0x21);
   std::size_t gathers_seen = 0;

@@ -1,8 +1,11 @@
 // ShardedIndex: round-robin id mapping invariants, balanced shard fill,
-// distinct-term and posting aggregation, and memory accounting.
+// distinct-term and posting aggregation, memory accounting, and batch
+// validation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "exec/sharded_index.hpp"
@@ -37,13 +40,23 @@ TEST(ShardedIndex, GlobalLocalMappingRoundTrips) {
   }
 }
 
-TEST(ShardedIndex, AddAssignsSequentialGlobalIdsAndBalancesShards) {
+TEST(ShardedIndex, AddBatchAssignsSequentialGlobalIdsAndBalancesShards) {
   util::Rng rng(0x51a2);
   ShardedIndex index(3);
-  for (ShardedIndex::DocId expected = 0; expected < 20; ++expected) {
-    EXPECT_EQ(index.add(random_sparse(rng, 32, 6)), expected);
-  }
+  // Batches of uneven sizes: each one continues the round-robin where the
+  // last left off, so global g always lives in shard g % 3 at local g / 3.
+  std::vector<vsm::SparseVector> docs;
+  for (int i = 0; i < 20; ++i) docs.push_back(random_sparse(rng, 32, 6));
+  const std::span<const vsm::SparseVector> all(docs);
+  index.add_batch(all.subspan(0, 7));
+  index.add_batch(all.subspan(7, 1));
+  index.add_batch(all.subspan(8));
   EXPECT_EQ(index.size(), 20u);
+  for (ShardedIndex::DocId global = 0; global < 20; ++global) {
+    const auto& shard = index.shard(index.shard_of(global));
+    EXPECT_EQ(shard.norm(index.local_of(global)), docs[global].norm_l2())
+        << "global " << global;
+  }
   // Round-robin keeps shard sizes within one document of each other.
   std::size_t smallest = index.shard(0).size();
   std::size_t largest = smallest;
@@ -61,16 +74,21 @@ TEST(ShardedIndex, AddAssignsSequentialGlobalIdsAndBalancesShards) {
 TEST(ShardedIndex, ZeroShardRequestClampsToOne) {
   ShardedIndex index(0);
   EXPECT_EQ(index.num_shards(), 1u);
-  EXPECT_EQ(index.add(vsm::SparseVector::from_entries({{0, 1.0}})), 0u);
+  const std::vector<vsm::SparseVector> docs{
+      vsm::SparseVector::from_entries({{0, 1.0}})};
+  index.add_batch(std::span<const vsm::SparseVector>(docs));
+  EXPECT_EQ(index.size(), 1u);
 }
 
 TEST(ShardedIndex, NumTermsCountsDistinctTermsAcrossShards) {
   ShardedIndex index(2);
   // Term 7 lands in both shards; it must count once globally even though
   // each shard reports it separately.
-  index.add(vsm::SparseVector::from_entries({{7, 1.0}, {3, 0.5}}));  // shard 0
-  index.add(vsm::SparseVector::from_entries({{7, 2.0}}));            // shard 1
-  index.add(vsm::SparseVector::from_entries({{11, 1.0}}));           // shard 0
+  const std::vector<vsm::SparseVector> docs{
+      vsm::SparseVector::from_entries({{7, 1.0}, {3, 0.5}}),  // shard 0
+      vsm::SparseVector::from_entries({{7, 2.0}}),            // shard 1
+      vsm::SparseVector::from_entries({{11, 1.0}})};          // shard 0
+  index.add_batch(std::span<const vsm::SparseVector>(docs));
   EXPECT_EQ(index.num_terms(), 3u);  // terms 3, 7, 11
   EXPECT_EQ(index.num_postings(), 4u);
   std::size_t per_shard_term_sum = 0;
@@ -83,7 +101,9 @@ TEST(ShardedIndex, NumTermsCountsDistinctTermsAcrossShards) {
 TEST(ShardedIndex, ShardStatsSumToAggregates) {
   util::Rng rng(0x57a7);
   ShardedIndex index(4);
-  for (int i = 0; i < 40; ++i) index.add(random_sparse(rng, 64, 10));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 40; ++i) corpus.push_back(random_sparse(rng, 64, 10));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
 
   const auto stats = index.shard_stats();
   ASSERT_EQ(stats.size(), 4u);
@@ -106,12 +126,46 @@ TEST(ShardedIndex, MemoryBytesTracksContent) {
   EXPECT_EQ(index.num_postings(), 0u);
   const std::size_t before = index.memory_bytes();
   util::Rng rng(0x3e3);
-  for (int i = 0; i < 30; ++i) index.add(random_sparse(rng, 48, 8));
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 30; ++i) corpus.push_back(random_sparse(rng, 48, 8));
+  index.add_batch(std::span<const vsm::SparseVector>(corpus));
   // Postings dominate the footprint: at least one (doc, weight) pair per
   // posting must be accounted for.
   EXPECT_GE(index.memory_bytes(),
             before + index.num_postings() *
                          (sizeof(std::uint32_t) + sizeof(double)));
+}
+
+TEST(ShardedIndex, RejectedBatchLeavesIndexUnchangedAndUsable) {
+  // A non-finite weight in a later shard's slice must reject the batch
+  // before any shard takes its part: with 2 shards and [ok, ok, NaN],
+  // shard 0 would otherwise keep doc 0 while the id counter stays put, and
+  // every later batch would land at the wrong local ids.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ShardedIndex index(2);
+  const std::vector<vsm::SparseVector> bad{
+      vsm::SparseVector::from_entries({{0, 1.0}}),
+      vsm::SparseVector::from_entries({{1, 1.0}}),
+      vsm::SparseVector::from_entries({{2, nan}})};
+  EXPECT_THROW(index.add_batch(std::span<const vsm::SparseVector>(bad)),
+               std::invalid_argument);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.num_terms(), 0u);
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    EXPECT_EQ(index.shard(s).size(), 0u) << "shard " << s;
+  }
+
+  const std::vector<vsm::SparseVector> good{
+      vsm::SparseVector::from_entries({{0, 1.0}}),
+      vsm::SparseVector::from_entries({{1, 1.0}}),
+      vsm::SparseVector::from_entries({{2, 1.0}})};
+  index.add_batch(std::span<const vsm::SparseVector>(good));
+  index.add_batch(std::span<const vsm::SparseVector>(good));
+  EXPECT_EQ(index.size(), 6u);
+  EXPECT_EQ(index.shard(0).size(), 3u);
+  EXPECT_EQ(index.shard(1).size(), 3u);
+  EXPECT_EQ(index.num_terms(), 3u);
+  EXPECT_EQ(index.num_postings(), 6u);
 }
 
 }  // namespace

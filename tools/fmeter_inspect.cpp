@@ -8,11 +8,11 @@
 //
 //   fmeter_inspect stats <corpus.fmc|snapshot.fms>
 //       Prints per-label document counts, corpus vocabulary statistics,
-//       per-shard inverted-index statistics (docs, frozen docs, terms,
-//       postings, and the memory footprint split into postings / offsets /
+//       per-shard inverted-index statistics (docs, terms, postings, and
+//       the memory footprint split into postings / offsets /
 //       block-metadata / forward-store bytes) and the cosine-similarity
 //       matrix between per-label tf-idf centroids. The index is bulk-loaded
-//       (parallel per-shard builds, frozen posting arenas).
+//       (parallel per-shard builds).
 //
 //   fmeter_inspect topterms <corpus.fmc> <label> [n]
 //       Prints the n (default 15) highest-weighted kernel functions of the
@@ -219,18 +219,18 @@ std::map<std::string, workloads::WorkloadKind> workload_names() {
 
 
 /// Per-shard statistics, memory split by component (see
-/// index::MemoryBreakdown): postings = arena streams + tail lists,
+/// index::MemoryBreakdown): postings = arena streams,
 /// offsets = per-term tables + bounds + id maps, blocks = block-max
 /// metadata, forward = forward store + norms.
 void print_shard_table(const exec::ShardedIndex& index) {
-  std::printf("%6s %8s %8s %8s %10s | %9s %9s %9s %9s KiB\n", "shard", "docs",
-              "frozen", "terms", "postings", "post", "offs", "blocks", "fwd");
+  std::printf("%6s %8s %8s %10s | %9s %9s %9s %9s KiB\n", "shard", "docs",
+              "terms", "postings", "post", "offs", "blocks", "fwd");
   const auto shard_stats = index.shard_stats();
   for (std::size_t s = 0; s < shard_stats.size(); ++s) {
     const auto& mem = shard_stats[s].memory;
-    std::printf("%6zu %8zu %8zu %8zu %10zu | %9.1f %9.1f %9.1f %9.1f\n", s,
-                shard_stats[s].docs, shard_stats[s].frozen_docs,
-                shard_stats[s].terms, shard_stats[s].postings,
+    std::printf("%6zu %8zu %8zu %10zu | %9.1f %9.1f %9.1f %9.1f\n", s,
+                shard_stats[s].docs, shard_stats[s].terms,
+                shard_stats[s].postings,
                 static_cast<double>(mem.postings) / 1024.0,
                 static_cast<double>(mem.offsets) / 1024.0,
                 static_cast<double>(mem.blocks) / 1024.0,
@@ -356,10 +356,9 @@ void print_stats_json(const core::SignatureDatabase& db, const char* source) {
   const auto shard_stats = index.shard_stats();
   for (std::size_t s = 0; s < shard_stats.size(); ++s) {
     std::printf(
-        "%s\n    {\"docs\": %zu, \"frozen_docs\": %zu, \"terms\": %zu, "
+        "%s\n    {\"docs\": %zu, \"terms\": %zu, "
         "\"postings\": %zu, \"memory_bytes\": %zu}",
-        s == 0 ? "" : ",", shard_stats[s].docs, shard_stats[s].frozen_docs,
-        shard_stats[s].terms, shard_stats[s].postings,
+        s == 0 ? "" : ",", shard_stats[s].docs, shard_stats[s].terms, shard_stats[s].postings,
         shard_stats[s].memory_bytes);
   }
   std::printf("\n  ],\n  \"labels\": [");
@@ -408,7 +407,7 @@ int cmd_stats(int argc, char** argv) {
     for (std::size_t i = 0; i < corpus.size(); ++i) {
       labels.push_back(corpus[i].label);
     }
-    // Parallel build + freeze; signatures are not needed afterwards, so
+    // Parallel build; signatures are not needed afterwards, so
     // hand the whole corpus over instead of deep-copying it.
     db.add_batch(std::move(signatures), std::move(labels));
   }
@@ -597,7 +596,7 @@ int cmd_search(int argc, char** argv) {
     }
     query = signatures[query_doc];
     query_label = corpus[query_doc].label;
-    db.add_batch(std::move(batch), std::move(labels));  // parallel + frozen
+    db.add_batch(std::move(batch), std::move(labels));  // parallel build
   }
 
   core::QueryStats stats;
