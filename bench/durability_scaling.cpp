@@ -1,37 +1,45 @@
 // What durable ingest costs, and what recovery buys back.
 //
-// ISSUE 8's ledger: the write-ahead journal turns add_batch into
-// validate → journal → apply, so every batch is one sequential append (plus
+// The write-ahead journal turns LiveDatabase::add_batch into validate →
+// seal → journal → publish, so every batch is one sequential append (plus
 // an fsync under the strict policy). This bench ingests the same synthetic
-// signature stream into a DurableDatabase under the three sync modes —
+// signature stream into a LiveDatabase under the three sync modes —
 //
-//   off   — journaled=false: RAM only, durability solely from checkpoint();
+//   off   — journaled=false: RAM only, durability solely from re-freezes;
 //           the no-journal baseline the overhead gate compares against;
-//   async — SyncPolicy::kNone: append without fsync, one sync() at the end
-//           (group-commit shape: crash loses only the un-synced tail);
+//   async — SyncPolicy::kNone with sync_each_epoch=false: append without
+//           fsync, one sync() at the end (group-commit shape: a crash
+//           loses only the un-synced tail);
 //   fsync — SyncPolicy::kEachRecord: fsync per batch, the strict
 //           commit-on-return contract the crash-matrix test enforces
 //
-// — then measures both recovery paths a restarted server takes: replaying
-// the full journal, and loading a checkpointed snapshot. Each row carries
-// `overhead_vs_off` (paired same-run time ratio vs the off baseline, so it
-// transfers across machines the way absolute seconds do not) for
-// bench_check.py's --overhead-ceiling gate: journaling must stay a tax on
-// ingest, not a rewrite of its cost.
+// — with background re-freezes off, so the timed ingest is seal + journal
+// + publish only (folds are bench_live_ingest_scaling's subject). One
+// pass at 100k takes about a second, too short for a single sample to be
+// stable, so each mode runs 5 times, interleaved (off, async, fsync, off,
+// ...) so drift hits every mode alike, and each row reports the median.
+// Then it measures both recovery paths a restarted server takes:
+// replaying the full journal into tail segments, and — after
+// refreeze_now(), the archive's checkpoint — loading the snapshot. Each
+// ingest row carries `overhead_vs_off` (median vs the off median of the
+// same run, so it transfers across machines the way absolute seconds do
+// not) for bench_check.py's --overhead-ceiling gate: journaling must stay
+// a tax on ingest, not a rewrite of its cost.
 //
 // Usage: bench_durability_scaling [max_docs]   (e.g. 10000 as a CI smoke)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "fmeter/durable_database.hpp"
+#include "fmeter/live_database.hpp"
 #include "io/env.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/zipf.hpp"
 
 namespace {
@@ -41,6 +49,7 @@ constexpr std::size_t kNnz = 120;
 constexpr std::size_t kClasses = 11;
 constexpr std::size_t kShards = 4;
 constexpr std::size_t kBatchDocs = 100;
+constexpr std::size_t kRepetitions = 5;
 
 double seconds_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -71,8 +80,8 @@ std::vector<Batch> synthetic_batches(std::size_t docs) {
   return batches;
 }
 
-bool same_archive(const fmeter::core::SignatureDatabase& a,
-                  const fmeter::core::SignatureDatabase& b) {
+bool same_archive(const fmeter::core::LiveDatabase::Snapshot& a,
+                  const fmeter::core::LiveDatabase::Snapshot& b) {
   if (a.size() != b.size()) return false;
   fmeter::util::Rng rng(0x5eaf);
   for (int q = 0; q < 5; ++q) {
@@ -118,84 +127,96 @@ int main(int argc, char** argv) {
     if (docs > max_docs) break;
     const auto batches = synthetic_batches(docs);
 
+    using fmeter::io::journal::SyncPolicy;
     struct Mode {
       const char* name;
-      fmeter::core::DurableOptions options;
+      fmeter::core::LiveOptions options;
     };
     const std::vector<Mode> modes = {
-        {"off", {.num_shards = kShards, .journaled = false}},
+        {"off",
+         {.num_shards = kShards,
+          .journaled = false,
+          .background_refreeze = false}},
         {"async",
          {.num_shards = kShards,
-          .journaled = true,
-          .sync_policy = fmeter::io::journal::SyncPolicy::kNone}},
+          .sync_policy = SyncPolicy::kNone,
+          .sync_each_epoch = false,
+          .background_refreeze = false}},
         {"fsync",
          {.num_shards = kShards,
-          .journaled = true,
-          .sync_policy = fmeter::io::journal::SyncPolicy::kEachRecord}},
+          .sync_policy = SyncPolicy::kEachRecord,
+          .background_refreeze = false}},
+    };
+    const auto mode_dir = [&tmp](const Mode& mode) {
+      return (tmp / ("fmeter_durability_bench_" + std::string(mode.name)))
+          .string();
     };
 
-    double off_seconds = 0.0;
-    std::string fsync_dir;
-    std::vector<std::unique_ptr<fmeter::core::DurableDatabase>> keep_alive;
+    std::vector<std::vector<double>> samples(modes.size());
+    for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+      for (std::size_t m = 0; m < modes.size(); ++m) {
+        const Mode& mode = modes[m];
+        remove_tree(mode_dir(mode));
+        fmeter::core::LiveDatabase db(env, mode_dir(mode), mode.options);
+        const auto t_start = std::chrono::steady_clock::now();
+        for (const Batch& batch : batches) {
+          db.add_batch(batch.signatures, batch.labels);
+        }
+        if (mode.options.journaled && !mode.options.sync_each_epoch) {
+          db.sync();  // group commit: the async mode's single commit point
+        }
+        samples[m].push_back(seconds_since(t_start));
+      }
+    }
 
-    for (const Mode& mode : modes) {
-      const std::string dir =
-          (tmp / ("fmeter_durability_bench_" + std::string(mode.name)))
-              .string();
-      remove_tree(dir);
-      auto db = std::make_unique<fmeter::core::DurableDatabase>(env, dir,
-                                                                mode.options);
-      const auto t_start = std::chrono::steady_clock::now();
-      for (const Batch& batch : batches) {
-        db->add_batch(batch.signatures, batch.labels);
-      }
-      if (mode.options.journaled &&
-          mode.options.sync_policy == fmeter::io::journal::SyncPolicy::kNone) {
-        db->sync();  // group commit: the async mode's single commit point
-      }
-      const double seconds = seconds_since(t_start);
-      if (std::string(mode.name) == "off") off_seconds = seconds;
-      if (std::string(mode.name) == "fsync") fsync_dir = dir;
-      const double overhead =
-          off_seconds > 0.0 ? seconds / off_seconds - 1.0 : 0.0;
-      std::printf("%8zu %-8s %10.2f %12.0f %11.1f%%\n", docs, mode.name,
+    const double off_seconds = fmeter::util::percentile(samples.front(), 50.0);
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      const double seconds = fmeter::util::percentile(samples[m], 50.0);
+      const double overhead = seconds / off_seconds - 1.0;
+      std::printf("%8zu %-8s %10.2f %12.0f %11.1f%%\n", docs, modes[m].name,
                   seconds, static_cast<double>(docs) / seconds,
                   100.0 * overhead);
       json_rows.push_back(
           {fmeter::bench::jnum("docs", static_cast<double>(docs)),
            fmeter::bench::jnum("shards", kShards),
            fmeter::bench::jstr("phase", "ingest"),
-           fmeter::bench::jstr("mode", mode.name),
+           fmeter::bench::jstr("mode", modes[m].name),
            fmeter::bench::jnum("seconds", seconds),
            fmeter::bench::jnum("docs_per_sec",
                                static_cast<double>(docs) / seconds),
            fmeter::bench::jnum("overhead_vs_off", overhead)});
-      keep_alive.push_back(std::move(db));
     }
 
-    // Recovery path A: restart replays the whole journal (no checkpoint
-    // ever ran — the worst case the manifest allows).
-    keep_alive.clear();  // close the writers before reopening
+    // Recovery path A: restart replays the whole journal of the last
+    // fsync pass (no re-freeze ever ran — the worst case the manifest
+    // allows).
+    const fmeter::core::LiveOptions reopen = {.num_shards = kShards,
+                                              .background_refreeze = false};
+    const std::string fsync_dir = mode_dir(modes.back());
     const auto t_journal = std::chrono::steady_clock::now();
-    fmeter::core::DurableDatabase replayed(
-        env, fsync_dir, {.num_shards = kShards});
+    fmeter::core::LiveDatabase replayed(env, fsync_dir, reopen);
     const double journal_s = seconds_since(t_journal);
     checks.push_back(
         {"journal replay recovered " + std::to_string(docs) + " docs",
-         replayed.db().size() == docs &&
+         replayed.size() == docs &&
              replayed.recovery().journal_records_replayed == batches.size()});
 
     // Recovery path B: restart after a checkpoint loads the snapshot and
     // replays an empty journal.
-    replayed.checkpoint();
+    replayed.refreeze_now();
     const auto t_snapshot = std::chrono::steady_clock::now();
-    fmeter::core::DurableDatabase loaded(
-        env, fsync_dir, {.num_shards = kShards});
+    fmeter::core::LiveDatabase loaded(env, fsync_dir, reopen);
     const double snapshot_s = seconds_since(t_snapshot);
     checks.push_back({"snapshot recovery is bit-identical to ingest at " +
                           std::to_string(docs),
                       loaded.recovery().snapshot_loaded &&
-                          same_archive(loaded.db(), replayed.db())});
+                          same_archive(loaded.snapshot(),
+                                       replayed.snapshot())});
+    if (docs >= 100000) {
+      checks.push_back({"journal replay within 2x of snapshot load at " +
+                            std::to_string(docs),
+                        journal_s <= 2.0 * snapshot_s});
+    }
 
     std::printf("%8zu %-8s %10.2f %12.0f %12s\n", docs, "replay", journal_s,
                 static_cast<double>(docs) / journal_s, "-");
@@ -214,11 +235,7 @@ int main(int argc, char** argv) {
                                static_cast<double>(docs) / secs)});
     }
 
-    for (const Mode& mode : modes) {
-      remove_tree(
-          (tmp / ("fmeter_durability_bench_" + std::string(mode.name)))
-              .string());
-    }
+    for (const Mode& mode : modes) remove_tree(mode_dir(mode));
   }
 
   fmeter::bench::emit_json("BENCH_durability.json", "durability_scaling",

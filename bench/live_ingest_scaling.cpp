@@ -1,14 +1,13 @@
 // What the live archive sustains: streaming ingest throughput while
 // serving a concurrent query load (ISSUE 10's tentpole ledger).
 //
-// DurableDatabase's add_batch applies every batch to one shared mutable
-// index, so ingest throughput collapses as the archive grows (~1.1k
-// docs/sec at 100k in BENCH_durability.json). LiveDatabase seals each
-// batch into a small frozen segment ladder (merged by size, O(log tail)
-// segments) and publishes an immutable epoch, so amortized per-batch cost
-// is O(batch * log tail), independent of the base's size — and
-// queries keep serving from pinned epochs the whole time. This bench
-// measures the three-way contract:
+// SignatureDatabase's add_batch rebuilds every shard of one shared index
+// per batch, so its ingest throughput collapses as the archive grows.
+// LiveDatabase seals each batch into a small frozen segment ladder (merged
+// by size, O(log tail) segments) and publishes an immutable epoch, so
+// amortized per-batch cost is O(batch * log tail), independent of the
+// base's size — and queries keep serving from pinned epochs the whole
+// time. This bench measures the three-way contract:
 //
 //   ingest        — pure streaming ingest, no queries: the sigs/sec the
 //                   epoch design sustains (journaled, group commit per

@@ -88,14 +88,6 @@ bool all_finite(const vsm::SparseVector& signature) noexcept {
   return true;
 }
 
-/// Scan-side ordering for hits, delegating to the one tie-break rule
-/// (index::ranks_better) so scan and engine can never drift apart.
-bool hit_before(const SearchHit& a, const SearchHit& b) noexcept {
-  return index::ranks_better(
-      {static_cast<index::InvertedIndex::DocId>(a.id), a.score},
-      {static_cast<index::InvertedIndex::DocId>(b.id), b.score});
-}
-
 /// RAII in-flight reservation for one search_batch call: admit-or-reject
 /// at construction (never queue), release on scope exit. With no limit
 /// configured the counter is untouched — the unlimited path stays free.
@@ -434,7 +426,7 @@ std::vector<SearchHit> SignatureDatabase::search_scan(
   }
   const std::size_t top = std::min(k, hits.size());
   std::partial_sort(hits.begin(), hits.begin() + static_cast<std::ptrdiff_t>(top),
-                    hits.end(), hit_before);
+                    hits.end(), hit_ranks_better);
   hits.resize(top);
   return hits;
 }

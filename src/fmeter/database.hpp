@@ -105,6 +105,15 @@ struct SearchHit {
   double score = 0.0;      ///< cosine similarity or negative L2 distance
 };
 
+/// "a ranks strictly better than b": delegates to the one tie-break rule
+/// (index::ranks_better — score descending, then ascending id), so the
+/// scan, the engine and every merge of per-part top-k lists agree.
+inline bool hit_ranks_better(const SearchHit& a, const SearchHit& b) noexcept {
+  return index::ranks_better(
+      {static_cast<index::InvertedIndex::DocId>(a.id), a.score},
+      {static_cast<index::InvertedIndex::DocId>(b.id), b.score});
+}
+
 struct Syndrome {
   std::string label;
   vsm::SparseVector centroid;   ///< mean signature of the label
@@ -162,7 +171,7 @@ class SignatureDatabase {
 
   /// add_batch's validation tier, callable on its own: throws
   /// std::invalid_argument for mismatched counts or any non-finite weight,
-  /// touches nothing. DurableDatabase runs this *before* journaling a
+  /// touches nothing. LiveDatabase runs this *before* journaling a
   /// batch, so a record that reaches the journal is guaranteed to replay
   /// cleanly on recovery.
   static void validate_batch(const std::vector<vsm::SparseVector>& signatures,

@@ -17,9 +17,9 @@
 #include "exec/sharded_index.hpp"  // IWYU pragma: export
 #include "exec/task_pool.hpp"      // IWYU pragma: export
 #include "fmeter/anomaly.hpp"      // IWYU pragma: export
+#include "fmeter/archive_format.hpp"  // IWYU pragma: export
 #include "fmeter/collector.hpp"    // IWYU pragma: export
 #include "fmeter/database.hpp"     // IWYU pragma: export
-#include "fmeter/durable_database.hpp"  // IWYU pragma: export
 #include "fmeter/live_database.hpp"  // IWYU pragma: export
 #include "fmeter/pipeline.hpp"     // IWYU pragma: export
 #include "fmeter/retrieval.hpp"    // IWYU pragma: export

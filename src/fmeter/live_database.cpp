@@ -60,15 +60,6 @@ std::uint64_t elapsed_ns(const std::chrono::steady_clock::time_point& start) {
   return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
 }
 
-/// The one shared ordering (index::ranks_better over global ids): score
-/// descending, ascending id as the tie-break. Merging per-part top-k lists
-/// with it reproduces the monolithic ranking exactly because per-document
-/// scores do not depend on which part holds the document.
-bool hit_ranks_better(const SearchHit& a, const SearchHit& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.id < b.id;
-}
-
 /// Folds one probe's outcome into a query's running outcome. The enum's
 /// declaration order ranks severity, so the most severe non-ok wins.
 QueryOutcome worse_outcome(QueryOutcome a, QueryOutcome b) {
@@ -144,8 +135,9 @@ std::size_t LiveDatabase::Snapshot::num_segments() const noexcept {
   return epoch_->segments.size();
 }
 
-const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
-  if (id < epoch_->base_docs) return epoch_->base->label(id);
+std::pair<const SignatureDatabase*, std::size_t>
+LiveDatabase::Snapshot::locate(std::size_t id) const {
+  if (id < epoch_->base_docs) return {epoch_->base.get(), id};
   // Segments are ordered by first_id; find the one whose range holds `id`.
   const auto& segments = epoch_->segments;
   auto it = std::upper_bound(
@@ -157,23 +149,18 @@ const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
     throw std::out_of_range("LiveDatabase: id out of range");
   }
   --it;
-  return (*it)->db->label(id - (*it)->first_id);
+  return {(*it)->db.get(), id - (*it)->first_id};
+}
+
+const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
+  const auto [db, local] = locate(id);
+  return db->label(local);
 }
 
 const vsm::SparseVector& LiveDatabase::Snapshot::signature(
     std::size_t id) const {
-  if (id < epoch_->base_docs) return epoch_->base->signature(id);
-  const auto& segments = epoch_->segments;
-  auto it = std::upper_bound(
-      segments.begin(), segments.end(), id,
-      [](std::size_t value, const std::shared_ptr<const LiveSegment>& seg) {
-        return value < seg->first_id;
-      });
-  if (it == segments.begin()) {
-    throw std::out_of_range("LiveDatabase: id out of range");
-  }
-  --it;
-  return (*it)->db->signature(id - (*it)->first_id);
+  const auto [db, local] = locate(id);
+  return db->signature(local);
 }
 
 std::vector<SearchHit> LiveDatabase::Snapshot::search(
@@ -218,7 +205,9 @@ std::vector<std::vector<SearchHit>> LiveDatabase::Snapshot::search_batch(
     }
   }
   // Each part contributed its own full top-k, so the global top-k is a
-  // subset of the union; one sort by the shared ordering recovers it.
+  // subset of the union; one sort by the shared ordering recovers it —
+  // exactly, because per-document scores do not depend on which part
+  // holds the document.
   for (auto& merged : results) {
     std::sort(merged.begin(), merged.end(), hit_ranks_better);
     if (merged.size() > k) merged.resize(k);
@@ -320,12 +309,13 @@ void LiveDatabase::open() {
       ladder_docs.push_back(docs);
       ladder_first.push_back(first);
     }
-    std::size_t next_id = base->size();
-    for (std::size_t s = 0; s < ladder_first.size(); ++s) {
+    // The segments are independent builds: seal them across the pool (the
+    // caller participates), as the shards of one bulk build would be.
+    std::vector<std::shared_ptr<LiveSegment>> segments(ladder_first.size());
+    pool().run_spans(segments.size(), [&](std::size_t s, std::size_t) {
       const std::size_t end =
           s + 1 < ladder_first.size() ? ladder_first[s + 1] : records.size();
       auto segment = std::make_shared<LiveSegment>();
-      segment->first_id = next_id;
       std::vector<vsm::SparseVector> signatures;
       std::vector<std::string> labels;
       signatures.reserve(ladder_docs[s]);
@@ -339,7 +329,12 @@ void LiveDatabase::open() {
         segment->batches.push_back(std::move(records[r].sealed));
       }
       segment->db = seal(std::move(signatures), std::move(labels));
-      next_id += ladder_docs[s];
+      segments[s] = std::move(segment);
+    });
+    std::size_t next_id = base->size();
+    for (auto& segment : segments) {
+      segment->first_id = next_id;
+      next_id += segment->db->size();
       epoch->segments.push_back(std::move(segment));
     }
     epoch->total_docs = next_id - base->size();  // tail; base added below
@@ -513,11 +508,9 @@ void LiveDatabase::maybe_schedule_refreeze() {
     return;
   }
   if (refreeze_inflight_.exchange(true)) return;  // single-flight
-  exec::TaskPool& pool =
-      options_.pool != nullptr ? *options_.pool : exec::TaskPool::shared();
   try {
     const std::lock_guard<std::mutex> lock(refreeze_mutex_);
-    refreeze_future_ = pool.submit([this] {
+    refreeze_future_ = pool().submit([this] {
       try {
         do_refreeze();
       } catch (const std::exception&) {

@@ -1,5 +1,7 @@
 // Live signature archive: epoch/RCU-style streaming ingest over the
-// durable substrate (ISSUE 10 — the ROADMAP's "live archive" item).
+// durable directory format of fmeter/archive_format.hpp. It is the one
+// front-end that opens, journals into and checkpoints an archive
+// directory; refreeze_now() is its checkpoint.
 //
 // The paper's whole point is *continuous* monitoring, but SignatureDatabase
 // ingest is batch-oriented: every index build rebuilds the posting arena
@@ -30,21 +32,25 @@
 //   * A background TaskPool job *re-freezes* the archive when the tail
 //     grows past a fraction of the base: it rebuilds one fresh sharded
 //     base from a pinned epoch (concurrent ingest keeps sealing meanwhile),
-//     writes it as a snapshot, and commits the swap through the same
-//     MANIFEST machinery as DurableDatabase — snapshot file + fresh
-//     journal carrying every batch sealed after the capture, then the
-//     atomic manifest swap as the one commit point. A segment whose merge
-//     straddles the capture is split: its post-capture batches are
-//     rebuilt into one survivor segment. A crash at any instant recovers
-//     to either the old epoch's files or the new ones, never a torn mix
-//     (enforced by the crash-matrix test).
+//     writes it as a snapshot, and commits the swap through the
+//     directory's MANIFEST — snapshot file + fresh journal carrying every
+//     batch sealed after the capture, then the atomic manifest swap as
+//     the one commit point. A segment whose merge straddles the capture
+//     is split: its post-capture batches are rebuilt into one survivor
+//     segment. A crash at any instant recovers to either the old epoch's
+//     files or the new ones, never a torn mix (enforced by the
+//     crash-matrix test).
 //
-// Durability contract (same vocabulary as DurableDatabase):
+// Durability contract (enforced by the crash matrix in
+// tests/test_durability.cpp):
 //   * under SyncPolicy::kEachRecord, or kNone with sync_each_epoch (the
 //     default), a batch is durable when add_batch() returns;
 //   * under kNone with sync_each_epoch off ("async" ingest), a crash loses
 //     at most the epochs published since the last sync()/re-freeze — the
 //     journal's group-commit contract, chosen per LiveOptions;
+//   * with the journal off, durability comes solely from re-freezes;
+//   * a batch interrupted mid-append vanishes atomically, and the
+//     directory is always openable after a crash;
 //   * recovery replays the manifest's snapshot + journal and always yields
 //     a database whose search results are bit-identical to a fresh bulk
 //     build of exactly the recovered documents.
@@ -65,11 +71,12 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/task_pool.hpp"
+#include "fmeter/archive_format.hpp"
 #include "fmeter/database.hpp"
-#include "fmeter/durable_database.hpp"
 #include "io/env.hpp"
 #include "io/journal.hpp"
 
@@ -99,7 +106,8 @@ struct LiveOptions {
   /// ingests. Off = fold only on explicit refreeze_now() calls (tests,
   /// crash matrix).
   bool background_refreeze = true;
-  /// Pool for background re-freezes (TaskPool::shared() when null).
+  /// Pool for background re-freezes and the segment builds of journal
+  /// replay (TaskPool::shared() when null).
   exec::TaskPool* pool = nullptr;
   /// Deterministic test seam, in the spirit of RunOptions::inject_cell_fault:
   /// when set, invoked by a re-freeze right after it pins its capture and
@@ -181,15 +189,19 @@ class LiveDatabase {
     friend class LiveDatabase;
     explicit Snapshot(std::shared_ptr<const LiveEpoch> epoch)
         : epoch_(std::move(epoch)) {}
+    /// The part (base or tail segment) holding `id`, and `id` within it.
+    std::pair<const SignatureDatabase*, std::size_t> locate(
+        std::size_t id) const;
     std::shared_ptr<const LiveEpoch> epoch_;
   };
 
   /// Opens `dir` (creating it if absent): loads the manifest's snapshot as
   /// the base epoch, replays the journal straight into the ladder a
   /// writer sealing the same records one by one would publish (one build
-  /// per segment; a torn tail is truncated), sweeps unreferenced files,
-  /// and opens the journal for appending. Everything goes through `env` so
-  /// the crash-matrix test can drive the lifecycle on FaultInjectingEnv.
+  /// per segment, the segments built in parallel on the pool; a torn tail
+  /// is truncated), sweeps unreferenced files, and opens the journal for
+  /// appending. Everything goes through `env` so the crash-matrix test can
+  /// drive the lifecycle on FaultInjectingEnv.
   LiveDatabase(io::Env& env, std::string dir, LiveOptions options = {});
   ~LiveDatabase();
 
@@ -226,12 +238,14 @@ class LiveDatabase {
       PruningMode mode = PruningMode::kAuto, QueryStats* stats = nullptr,
       const SearchOptions& options = {}) const;
 
-  /// Synchronous re-freeze: folds the pinned epoch's segments into a fresh
-  /// sharded base and commits the swap durably. Returns true when a fold
-  /// committed, false when there was nothing to fold or another re-freeze
-  /// was already in flight (the call then waits for it). Throws on I/O
-  /// failure — the published epoch is unchanged and the directory recovers
-  /// to old-or-new on reopen.
+  /// Synchronous re-freeze — the archive's checkpoint: folds the pinned
+  /// epoch's segments into a fresh sharded base, writes it as the next
+  /// epoch's snapshot and commits the swap durably. Once it returns true,
+  /// every batch published before the call is durable whatever the sync
+  /// policy, journaled or not. Returns false when there was nothing to
+  /// fold or another re-freeze was already in flight (the call then waits
+  /// for it). Throws on I/O failure — the published epoch is unchanged and
+  /// the directory recovers to old-or-new on reopen.
   bool refreeze_now();
 
   /// Blocks until any scheduled background re-freeze has finished.
@@ -283,6 +297,9 @@ class LiveDatabase {
   /// is the fold's to merge (rebuilding it on seal would repeat the fold's
   /// work for a probe saving that is small next to scoring that many docs).
   std::size_t max_run() const noexcept { return options_.refreeze_min_docs; }
+  exec::TaskPool& pool() const {
+    return options_.pool != nullptr ? *options_.pool : exec::TaskPool::shared();
+  }
   std::shared_ptr<const LiveEpoch> acquire() const;
   void publish(std::shared_ptr<const LiveEpoch> epoch);
   void maybe_schedule_refreeze();

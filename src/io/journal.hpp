@@ -74,7 +74,7 @@ enum class SyncPolicy {
 /// i.e. when a crash killed it before the first sync; otherwise opens at
 /// the end, trusting recovery (replay with repair) ran first.
 ///
-/// Not thread-safe; callers (DurableDatabase) serialize appends.
+/// Not thread-safe; callers (LiveDatabase) serialize appends.
 class Writer {
  public:
   Writer(Env& env, std::string path, SyncPolicy policy);

@@ -1,29 +1,37 @@
-// DurableDatabase battery (fmeter/durable_database.hpp) — the durability
+// Durability battery for archive directories (fmeter/archive_format.hpp)
+// opened through LiveDatabase, the one front-end that writes them. The
 // contract under test:
 //
-//   * a batch whose commit point passed (journal fsync under kEachRecord,
-//     sync()/checkpoint() under kNone) survives ANY later crash;
+//   * a batch whose commit point passed (add_batch returning under
+//     kEachRecord or kNone + sync_each_epoch, sync() under pure async,
+//     refreeze_now() in every mode) survives ANY later crash;
 //   * a batch interrupted mid-append vanishes atomically;
 //   * the directory is always openable after a crash;
-//   * the recovered database answers bit-identically to a fresh bulk build
+//   * the recovered archive answers bit-identically to a fresh bulk build
 //     of exactly the recovered batches.
 //
-// The crash-matrix test enforces this by killing a FaultInjectingEnv at
-// EVERY mutating operation of a full lifecycle (open, batches, checkpoint,
-// more batches) with torn writes enabled, under both crash models, then
-// reopening and checking the contract. The concurrent append/checkpoint
-// test runs under the TSan CI job.
+// The crash matrices enforce this by killing a FaultInjectingEnv at EVERY
+// mutating operation of a full lifecycle (open, batches, re-freezes raced
+// by a mid-fold seal, more batches) with torn writes enabled, under both
+// crash models and both per-batch commit policies, then reopening and
+// checking the contract. The journal record codec is pinned byte for byte
+// and its decoder's rejections are tested directly. The concurrent
+// add_batch/sync/refreeze test runs under the TSan CI job, and the whole
+// file — the decoders fed torn bytes included — under the UBSan job.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "fmeter/durable_database.hpp"
+#include "fmeter/archive_format.hpp"
 #include "fmeter/live_database.hpp"
 #include "io/env.hpp"
 #include "util/rng.hpp"
@@ -35,6 +43,7 @@ namespace {
 using io::FaultInjectingEnv;
 using io::InMemoryEnv;
 using io::IoError;
+using io::journal::SyncPolicy;
 
 vsm::SparseVector random_sparse(util::Rng& rng, std::uint32_t dimension,
                                 std::size_t max_nnz) {
@@ -78,10 +87,17 @@ SignatureDatabase build_reference(const std::vector<Batch>& batches,
   return db;
 }
 
-/// Bit-identical search results between the recovered database and a fresh
+/// Two shards, explicit re-freezes only: the tests decide when the
+/// archive checkpoints.
+LiveOptions archive_options(SyncPolicy policy = SyncPolicy::kNone) {
+  return {.num_shards = 2, .sync_policy = policy,
+          .background_refreeze = false};
+}
+
+/// Bit-identical search results between the recovered archive and a fresh
 /// bulk build of the same batches — the "recovery loses nothing and
 /// invents nothing" check.
-void expect_equivalent(const SignatureDatabase& got,
+void expect_equivalent(const LiveDatabase::Snapshot& got,
                        const SignatureDatabase& want,
                        const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
@@ -104,322 +120,11 @@ void expect_equivalent(const SignatureDatabase& got,
   }
 }
 
-/// How many whole batches the recovered database holds; fails the test if
+/// How many whole batches the recovered archive holds; fails the test if
 /// its contents are not an exact batch-prefix of `batches`.
-std::size_t recovered_prefix(const SignatureDatabase& db,
+std::size_t recovered_prefix(const LiveDatabase::Snapshot& got,
                              const std::vector<Batch>& batches,
                              const std::string& context) {
-  const std::size_t docs_each = batches.front().labels.size();
-  EXPECT_EQ(db.size() % docs_each, 0u)
-      << context << ": a torn batch was half-applied";
-  const std::size_t prefix = db.size() / docs_each;
-  EXPECT_LE(prefix, batches.size()) << context;
-  std::size_t id = 0;
-  for (std::size_t b = 0; b < prefix; ++b) {
-    for (std::size_t d = 0; d < docs_each; ++d, ++id) {
-      EXPECT_EQ(db.label(id), batches[b].labels[d]) << context;
-    }
-  }
-  return prefix;
-}
-
-// ---------------------------------------------------------------------------
-// Plain lifecycle
-// ---------------------------------------------------------------------------
-
-TEST(DurableDatabase, FreshOpenIngestReopenReplays) {
-  InMemoryEnv env;
-  const auto batches = make_batches(3, 4);
-  {
-    DurableDatabase db(env, "arch");
-    EXPECT_TRUE(db.recovery().created);
-    EXPECT_EQ(db.epoch(), 0u);
-    for (const Batch& b : batches) db.add_batch(b.signatures, b.labels);
-    EXPECT_EQ(db.db().size(), 12u);
-  }
-  DurableDatabase reopened(env, "arch");
-  EXPECT_FALSE(reopened.recovery().created);
-  EXPECT_FALSE(reopened.recovery().snapshot_loaded);  // no checkpoint yet
-  EXPECT_EQ(reopened.recovery().journal_records_replayed, 3u);
-  EXPECT_FALSE(reopened.recovery().journal_truncated);
-  expect_equivalent(reopened.db(), build_reference(batches, 3, 1),
-                    "journal-only reopen");
-}
-
-TEST(DurableDatabase, CheckpointRotatesAndReopensFromSnapshot) {
-  InMemoryEnv env;
-  const auto batches = make_batches(4, 3);
-  {
-    DurableDatabase db(env, "arch", {.num_shards = 2});
-    db.add_batch(batches[0].signatures, batches[0].labels);
-    db.add_batch(batches[1].signatures, batches[1].labels);
-    db.checkpoint();
-    EXPECT_EQ(db.epoch(), 1u);
-    db.add_batch(batches[2].signatures, batches[2].labels);
-    db.add_batch(batches[3].signatures, batches[3].labels);
-  }
-  // The directory holds exactly the manifest + current pair.
-  auto names = env.list_dir("arch");
-  EXPECT_EQ(names, (std::vector<std::string>{"MANIFEST", "journal-000001.wal",
-                                             "snapshot-000001"}));
-
-  DurableDatabase reopened(env, "arch", {.num_shards = 2});
-  EXPECT_TRUE(reopened.recovery().snapshot_loaded);
-  EXPECT_EQ(reopened.recovery().epoch, 1u);
-  EXPECT_EQ(reopened.recovery().journal_records_replayed, 2u);
-  expect_equivalent(reopened.db(), build_reference(batches, 4, 2),
-                    "snapshot+journal reopen");
-
-  // A second checkpoint directly after reopen folds the journal in.
-  reopened.checkpoint();
-  EXPECT_EQ(reopened.epoch(), 2u);
-  DurableDatabase again(env, "arch", {.num_shards = 2});
-  EXPECT_EQ(again.recovery().journal_records_replayed, 0u);
-  expect_equivalent(again.db(), build_reference(batches, 4, 2),
-                    "post-second-checkpoint");
-}
-
-TEST(DurableDatabase, SyncIsTheCommitPointUnderAsyncPolicy) {
-  InMemoryEnv env;
-  const auto batches = make_batches(3, 2);
-  DurableOptions options;
-  options.sync_policy = io::journal::SyncPolicy::kNone;
-  DurableDatabase db(env, "arch", options);
-  db.add_batch(batches[0].signatures, batches[0].labels);
-  db.sync();  // commit point for batch 0
-  db.add_batch(batches[1].signatures, batches[1].labels);
-  env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
-
-  DurableDatabase reopened(env, "arch", options);
-  EXPECT_EQ(reopened.recovery().journal_records_replayed, 1u);
-  expect_equivalent(reopened.db(), build_reference(batches, 1, 1),
-                    "async: only the synced batch survives");
-}
-
-TEST(DurableDatabase, UnjournaledModeDependsEntirelyOnCheckpoint) {
-  InMemoryEnv env;
-  const auto batches = make_batches(2, 3);
-  DurableOptions off;
-  off.journaled = false;
-  DurableDatabase db(env, "arch", off);
-  db.add_batch(batches[0].signatures, batches[0].labels);
-  db.checkpoint();
-  db.add_batch(batches[1].signatures, batches[1].labels);  // RAM only
-  env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
-
-  DurableDatabase reopened(env, "arch", off);
-  EXPECT_TRUE(reopened.recovery().snapshot_loaded);
-  expect_equivalent(reopened.db(), build_reference(batches, 1, 1),
-                    "journal off: checkpointed batch only");
-}
-
-TEST(DurableDatabase, InvalidBatchRejectedBeforeJournalAndRam) {
-  InMemoryEnv env;
-  DurableDatabase db(env, "arch");
-  const auto batches = make_batches(1, 2);
-  db.add_batch(batches[0].signatures, batches[0].labels);
-  const std::uint64_t journal_size = env.file_size("arch/journal-000000.wal");
-
-  std::vector<vsm::SparseVector> bad = {vsm::SparseVector::from_entries(
-      {{0, std::numeric_limits<double>::quiet_NaN()}})};
-  EXPECT_THROW(db.add_batch(bad, {"poison"}), std::invalid_argument);
-  EXPECT_THROW(db.add_batch(batches[0].signatures, {}),
-               std::invalid_argument);
-
-  // Neither the journal nor the in-memory database moved.
-  EXPECT_EQ(env.file_size("arch/journal-000000.wal"), journal_size);
-  EXPECT_EQ(db.db().size(), 2u);
-  DurableDatabase reopened(env, "arch");
-  EXPECT_EQ(reopened.recovery().journal_records_replayed, 1u);
-}
-
-TEST(DurableDatabase, SweepsCrashLeftovers) {
-  InMemoryEnv env;
-  {
-    DurableDatabase db(env, "arch");
-    const auto batches = make_batches(1, 2);
-    db.add_batch(batches[0].signatures, batches[0].labels);
-  }
-  // Plant debris a torn checkpoint could leave: a temp file and a
-  // next-epoch pair the manifest never adopted.
-  env.new_writable_file("arch/snapshot-000001.tmp", true)->sync();
-  env.new_writable_file("arch/snapshot-000001", true)->sync();
-  env.new_writable_file("arch/journal-000001.wal", true)->sync();
-  env.sync_dir("arch");
-
-  DurableDatabase reopened(env, "arch");
-  EXPECT_EQ(reopened.recovery().removed_files.size(), 3u);
-  EXPECT_EQ(env.list_dir("arch"),
-            (std::vector<std::string>{"MANIFEST", "journal-000000.wal"}));
-  EXPECT_EQ(reopened.db().size(), 2u);
-}
-
-TEST(DurableDatabase, CorruptManifestRefusedLoudly) {
-  InMemoryEnv env;
-  {
-    DurableDatabase db(env, "arch");
-  }
-  std::string raw = env.read_file("arch/MANIFEST");
-  raw[raw.size() / 2] = static_cast<char>(raw[raw.size() / 2] ^ 0x01);
-  auto file = env.new_writable_file("arch/MANIFEST", /*truncate=*/true);
-  file->append(std::string_view(raw));
-  file->sync();
-  // Silently starting a fresh database over live data would be the one
-  // unforgivable recovery behavior.
-  EXPECT_THROW(DurableDatabase(env, "arch"), DurabilityError);
-}
-
-// ---------------------------------------------------------------------------
-// The crash matrix
-// ---------------------------------------------------------------------------
-
-/// The lifecycle whose every fault point the matrix kills: open fresh,
-/// three committed batches, a checkpoint, two more committed batches.
-/// Returns how many batches had passed their commit point (add_batch
-/// returned under kEachRecord) before the fault hit.
-std::size_t run_lifecycle(io::Env& env, const std::vector<Batch>& batches) {
-  std::size_t committed = 0;
-  DurableDatabase db(env, "arch", {.num_shards = 2});
-  for (std::size_t b = 0; b < 3; ++b) {
-    db.add_batch(batches[b].signatures, batches[b].labels);
-    ++committed;
-  }
-  db.checkpoint();
-  for (std::size_t b = 3; b < 5; ++b) {
-    db.add_batch(batches[b].signatures, batches[b].labels);
-    ++committed;
-  }
-  return committed;
-}
-
-TEST(DurableDatabase, CrashMatrixEveryFaultPointBothCrashModes) {
-  const auto batches = make_batches(5, 3);
-
-  FaultInjectingEnv counter;
-  ASSERT_EQ(run_lifecycle(counter, batches), 5u);
-  const std::uint64_t total_ops = counter.ops_seen();
-  ASSERT_GT(total_ops, 20u) << "lifecycle too small to be a real matrix";
-
-  std::size_t faulted_runs = 0;
-  for (std::uint64_t n = 0; n < total_ops; ++n) {
-    for (const auto mode : {InMemoryEnv::CrashMode::kDropUnsynced,
-                            InMemoryEnv::CrashMode::kPersistEverything}) {
-      const std::string context = "op " + std::to_string(n) +
-                                  (mode == InMemoryEnv::CrashMode::kDropUnsynced
-                                       ? " drop-unsynced"
-                                       : " persist-everything");
-      FaultInjectingEnv env;
-      env.set_tear(FaultInjectingEnv::TearMode::kHalf);
-      env.fail_at_op(n);
-      std::size_t committed = 0;
-      try {
-        committed = run_lifecycle(env, batches);
-        FAIL() << context << ": lifecycle completed without a fault";
-      } catch (const IoError&) {
-        ++faulted_runs;
-      } catch (const index::snapshot::SnapshotError&) {
-        ++faulted_runs;  // checkpoint wraps snapshot-write IoErrors
-      }
-      env.disarm();
-      env.crash(mode);
-
-      // Contract clause 3: ALWAYS openable. No exception may escape here.
-      DurableDatabase recovered(env, "arch", {.num_shards = 2});
-
-      // Clauses 1+2: the recovered contents are a whole-batch prefix of
-      // the attempted sequence, at least as long as the committed count.
-      const std::size_t prefix =
-          recovered_prefix(recovered.db(), batches, context);
-      EXPECT_GE(prefix, committed) << context << ": committed batch lost";
-
-      // Clause 4: bit-identical to a fresh bulk build of that prefix.
-      expect_equivalent(recovered.db(),
-                        build_reference(batches, prefix, 2), context);
-
-      // And the recovered database still ingests + checkpoints.
-      recovered.add_batch(batches[0].signatures, batches[0].labels);
-      recovered.checkpoint();
-      EXPECT_EQ(recovered.db().size(), (prefix + 1) * 3) << context;
-    }
-  }
-  EXPECT_EQ(faulted_runs, 2 * total_ops);
-}
-
-TEST(DurableDatabase, RecoveryItselfSurvivesCrashes) {
-  // Crash-during-recovery: prepare a directory whose journal has a torn
-  // tail, then kill the reopen at every fault point. Whatever happens, the
-  // directory must stay openable and the committed batches intact.
-  const auto batches = make_batches(3, 3);
-  const auto prepare = [&](FaultInjectingEnv& env) {
-    {
-      DurableDatabase db(env, "arch", {.num_shards = 2});
-      db.add_batch(batches[0].signatures, batches[0].labels);
-      db.add_batch(batches[1].signatures, batches[1].labels);
-    }
-    // Torn tail: append half a record's worth of garbage to the journal.
-    auto file = env.new_writable_file("arch/journal-000000.wal",
-                                      /*truncate=*/false);
-    file->append(std::string_view("\x40\x00\x00", 3));  // cut length prefix
-    file->sync();
-    env.reset_ops();
-  };
-
-  FaultInjectingEnv counter;
-  prepare(counter);
-  { DurableDatabase probe(counter, "arch", {.num_shards = 2}); }
-  const std::uint64_t recovery_ops = counter.ops_seen();
-  ASSERT_GT(recovery_ops, 0u);
-
-  for (std::uint64_t n = 0; n < recovery_ops; ++n) {
-    const std::string context = "recovery op " + std::to_string(n);
-    FaultInjectingEnv env;
-    prepare(env);
-    env.fail_at_op(n);
-    try {
-      DurableDatabase db(env, "arch", {.num_shards = 2});
-    } catch (const IoError&) {
-    }
-    env.disarm();
-    env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
-
-    DurableDatabase recovered(env, "arch", {.num_shards = 2});
-    EXPECT_EQ(recovered.recovery().journal_records_replayed, 2u) << context;
-    expect_equivalent(recovered.db(), build_reference(batches, 2, 2), context);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The live epoch-swap crash matrix (ISSUE 10)
-// ---------------------------------------------------------------------------
-
-/// Bit-identical results between a recovered live archive and a fresh bulk
-/// build — the live twin of expect_equivalent.
-void expect_live_equivalent(const LiveDatabase::Snapshot& got,
-                            const SignatureDatabase& want,
-                            const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  for (std::size_t id = 0; id < want.size(); ++id) {
-    ASSERT_EQ(got.label(id), want.label(id)) << context << " id " << id;
-    ASSERT_TRUE(got.signature(id) == want.signature(id))
-        << context << " id " << id;
-  }
-  util::Rng rng(0x9e17);
-  for (int q = 0; q < 4; ++q) {
-    const auto query = random_sparse(rng, 64, 10);
-    const auto got_hits = got.search(query, 5);
-    const auto want_hits = want.search(query, 5);
-    ASSERT_EQ(got_hits.size(), want_hits.size()) << context << " q " << q;
-    for (std::size_t r = 0; r < want_hits.size(); ++r) {
-      EXPECT_EQ(got_hits[r].id, want_hits[r].id) << context << " rank " << r;
-      EXPECT_EQ(got_hits[r].score, want_hits[r].score)
-          << context << " rank " << r;
-    }
-  }
-}
-
-std::size_t live_recovered_prefix(const LiveDatabase::Snapshot& got,
-                                  const std::vector<Batch>& batches,
-                                  const std::string& context) {
   const std::size_t docs_each = batches.front().labels.size();
   EXPECT_EQ(got.size() % docs_each, 0u)
       << context << ": a torn batch was half-applied";
@@ -434,18 +139,248 @@ std::size_t live_recovered_prefix(const LiveDatabase::Snapshot& got,
   return prefix;
 }
 
-/// The live lifecycle whose every fault point the matrix kills: open
-/// fresh, two committed batches, a re-freeze whose capture is raced by a
-/// batch sealed mid-fold (the survivor re-journal path), one more batch,
-/// and a second re-freeze. `committed` is updated as each add_batch
-/// returns — under kNone + sync_each_epoch that return IS the commit
-/// point — so the caller knows the durability floor even when a fault
-/// unwinds the lifecycle.
-void run_live_lifecycle(io::Env& env, const std::vector<Batch>& batches,
-                        std::size_t& committed) {
-  LiveOptions options;
-  options.num_shards = 2;
-  options.background_refreeze = false;
+// ---------------------------------------------------------------------------
+// Journal record codec
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> bytes_of(std::initializer_list<unsigned> values) {
+  std::vector<std::byte> out;
+  for (const unsigned v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
+/// Doc 0: label "ab", terms {1: 0.5, 7: -2.0}; doc 1: empty label, no terms.
+std::vector<std::byte> golden_record() {
+  return bytes_of({
+      0x02, 0, 0, 0, 0, 0, 0, 0,                         // u64 doc count
+      0x02, 0, 0, 0, 'a', 'b',                           // label "ab"
+      0x02, 0, 0, 0,                                     // u32 nnz
+      0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f,       // term 1, 0.5
+      0x07, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0xc0,       // term 7, -2.0
+      0x00, 0, 0, 0,                                     // label ""
+      0x00, 0, 0, 0,                                     // u32 nnz
+  });
+}
+
+/// Offset of doc 0's first term id inside golden_record().
+constexpr std::size_t kGoldenFirstTerm = 8 + 4 + 2 + 4;
+
+TEST(ArchiveFormat, EncodeBatchMatchesGoldenBytes) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "golden bytes are little-endian";
+  }
+  const std::vector<vsm::SparseVector> signatures = {
+      vsm::SparseVector::from_sorted({1, 7}, {0.5, -2.0}),
+      vsm::SparseVector{}};
+  const std::vector<std::string> labels = {"ab", ""};
+  const std::vector<std::byte> record = encode_batch(signatures, labels);
+  EXPECT_EQ(record, golden_record());
+
+  std::vector<vsm::SparseVector> decoded;
+  std::vector<std::string> decoded_labels;
+  decode_batch(record, decoded, decoded_labels);
+  EXPECT_EQ(decoded_labels, labels);
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_TRUE(decoded[0] == signatures[0]);
+  EXPECT_TRUE(decoded[1] == signatures[1]);
+}
+
+TEST(ArchiveFormat, DecodeBatchRejectsEveryTruncation) {
+  std::vector<std::byte> record = golden_record();
+  std::vector<vsm::SparseVector> signatures;
+  std::vector<std::string> labels;
+  for (std::size_t cut = 0; cut < record.size(); ++cut) {
+    EXPECT_THROW(
+        decode_batch(std::span(record).first(cut), signatures, labels),
+        DurabilityError)
+        << "cut at " << cut;
+  }
+  // A forged term count far past the payload is a truncation too, and
+  // must not size an allocation by the forged count.
+  for (std::size_t i = 0; i < 4; ++i) {
+    record[kGoldenFirstTerm - 4 + i] = std::byte{0xff};
+  }
+  EXPECT_THROW(decode_batch(record, signatures, labels), DurabilityError);
+}
+
+TEST(ArchiveFormat, DecodeBatchRejectsTrailingBytes) {
+  std::vector<std::byte> record = golden_record();
+  record.push_back(std::byte{0});
+  std::vector<vsm::SparseVector> signatures;
+  std::vector<std::string> labels;
+  EXPECT_THROW(decode_batch(record, signatures, labels), DurabilityError);
+}
+
+TEST(ArchiveFormat, DecodeBatchRejectsUnsortedIndices) {
+  std::vector<std::byte> record = golden_record();
+  record[kGoldenFirstTerm] = std::byte{9};  // terms {9, 7}
+  std::vector<vsm::SparseVector> signatures;
+  std::vector<std::string> labels;
+  EXPECT_THROW(decode_batch(record, signatures, labels), DurabilityError);
+  record[kGoldenFirstTerm] = std::byte{7};  // terms {7, 7}
+  EXPECT_THROW(decode_batch(record, signatures, labels), DurabilityError);
+}
+
+// ---------------------------------------------------------------------------
+// Plain lifecycle
+// ---------------------------------------------------------------------------
+
+TEST(LiveDurability, FreshOpenIngestReopenReplays) {
+  InMemoryEnv env;
+  const auto batches = make_batches(3, 4);
+  {
+    LiveDatabase db(env, "arch", archive_options());
+    EXPECT_TRUE(db.recovery().created);
+    EXPECT_EQ(db.manifest_epoch(), 0u);
+    for (const Batch& b : batches) db.add_batch(b.signatures, b.labels);
+    EXPECT_EQ(db.size(), 12u);
+  }
+  LiveDatabase reopened(env, "arch", archive_options());
+  EXPECT_FALSE(reopened.recovery().created);
+  EXPECT_FALSE(reopened.recovery().snapshot_loaded);  // no re-freeze yet
+  EXPECT_EQ(reopened.recovery().journal_records_replayed, 3u);
+  EXPECT_FALSE(reopened.recovery().journal_truncated);
+  expect_equivalent(reopened.snapshot(), build_reference(batches, 3, 1),
+                    "journal-only reopen");
+}
+
+TEST(LiveDurability, RefreezeRotatesAndReopensFromSnapshot) {
+  InMemoryEnv env;
+  const auto batches = make_batches(4, 3);
+  {
+    LiveDatabase db(env, "arch", archive_options());
+    db.add_batch(batches[0].signatures, batches[0].labels);
+    db.add_batch(batches[1].signatures, batches[1].labels);
+    ASSERT_TRUE(db.refreeze_now());
+    EXPECT_EQ(db.manifest_epoch(), 1u);
+    db.add_batch(batches[2].signatures, batches[2].labels);
+    db.add_batch(batches[3].signatures, batches[3].labels);
+  }
+  // The directory holds exactly the manifest + current pair.
+  EXPECT_EQ(env.list_dir("arch"),
+            (std::vector<std::string>{"MANIFEST", "journal-000001.wal",
+                                      "snapshot-000001"}));
+
+  LiveDatabase reopened(env, "arch", archive_options());
+  EXPECT_TRUE(reopened.recovery().snapshot_loaded);
+  EXPECT_EQ(reopened.recovery().epoch, 1u);
+  EXPECT_EQ(reopened.recovery().journal_records_replayed, 2u);
+  expect_equivalent(reopened.snapshot(), build_reference(batches, 4, 2),
+                    "snapshot+journal reopen");
+
+  // A second re-freeze directly after reopen folds the journal in.
+  ASSERT_TRUE(reopened.refreeze_now());
+  EXPECT_EQ(reopened.manifest_epoch(), 2u);
+  LiveDatabase again(env, "arch", archive_options());
+  EXPECT_EQ(again.recovery().journal_records_replayed, 0u);
+  expect_equivalent(again.snapshot(), build_reference(batches, 4, 2),
+                    "post-second-refreeze");
+}
+
+TEST(LiveDurability, SyncIsTheCommitPointUnderAsyncPolicy) {
+  InMemoryEnv env;
+  const auto batches = make_batches(3, 2);
+  LiveOptions options = archive_options(SyncPolicy::kNone);
+  options.sync_each_epoch = false;
+  LiveDatabase db(env, "arch", options);
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  db.sync();  // commit point for batch 0
+  db.add_batch(batches[1].signatures, batches[1].labels);
+  env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
+
+  LiveDatabase reopened(env, "arch", options);
+  EXPECT_EQ(reopened.recovery().journal_records_replayed, 1u);
+  expect_equivalent(reopened.snapshot(), build_reference(batches, 1, 1),
+                    "async: only the synced batch survives");
+}
+
+TEST(LiveDurability, UnjournaledModeDependsEntirelyOnRefreeze) {
+  InMemoryEnv env;
+  const auto batches = make_batches(2, 3);
+  LiveOptions off = archive_options();
+  off.journaled = false;
+  LiveDatabase db(env, "arch", off);
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  ASSERT_TRUE(db.refreeze_now());
+  db.add_batch(batches[1].signatures, batches[1].labels);  // RAM only
+  env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
+
+  LiveDatabase reopened(env, "arch", off);
+  EXPECT_TRUE(reopened.recovery().snapshot_loaded);
+  expect_equivalent(reopened.snapshot(), build_reference(batches, 1, 1),
+                    "journal off: re-frozen batch only");
+}
+
+TEST(LiveDurability, InvalidBatchRejectedBeforeJournalAndRam) {
+  InMemoryEnv env;
+  LiveDatabase db(env, "arch", archive_options());
+  const auto batches = make_batches(1, 2);
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  const std::uint64_t journal_size = env.file_size("arch/journal-000000.wal");
+
+  std::vector<vsm::SparseVector> bad = {vsm::SparseVector::from_entries(
+      {{0, std::numeric_limits<double>::quiet_NaN()}})};
+  EXPECT_THROW(db.add_batch(bad, {"poison"}), std::invalid_argument);
+  EXPECT_THROW(db.add_batch(batches[0].signatures, {}),
+               std::invalid_argument);
+
+  // Neither the journal nor the published archive moved.
+  EXPECT_EQ(env.file_size("arch/journal-000000.wal"), journal_size);
+  EXPECT_EQ(db.size(), 2u);
+  LiveDatabase reopened(env, "arch", archive_options());
+  EXPECT_EQ(reopened.recovery().journal_records_replayed, 1u);
+}
+
+TEST(LiveDurability, SweepsCrashLeftovers) {
+  InMemoryEnv env;
+  {
+    LiveDatabase db(env, "arch", archive_options());
+    const auto batches = make_batches(1, 2);
+    db.add_batch(batches[0].signatures, batches[0].labels);
+  }
+  // Plant debris a torn re-freeze could leave: a temp file and a
+  // next-epoch pair the manifest never adopted.
+  env.new_writable_file("arch/snapshot-000001.tmp", true)->sync();
+  env.new_writable_file("arch/snapshot-000001", true)->sync();
+  env.new_writable_file("arch/journal-000001.wal", true)->sync();
+  env.sync_dir("arch");
+
+  LiveDatabase reopened(env, "arch", archive_options());
+  EXPECT_EQ(reopened.recovery().removed_files.size(), 3u);
+  EXPECT_EQ(env.list_dir("arch"),
+            (std::vector<std::string>{"MANIFEST", "journal-000000.wal"}));
+  EXPECT_EQ(reopened.size(), 2u);
+}
+
+TEST(LiveDurability, CorruptManifestRefusedLoudly) {
+  InMemoryEnv env;
+  {
+    LiveDatabase db(env, "arch", archive_options());
+  }
+  std::string raw = env.read_file("arch/MANIFEST");
+  raw[raw.size() / 2] = static_cast<char>(raw[raw.size() / 2] ^ 0x01);
+  auto file = env.new_writable_file("arch/MANIFEST", /*truncate=*/true);
+  file->append(std::string_view(raw));
+  file->sync();
+  // Silently starting a fresh archive over live data would be the one
+  // unforgivable recovery behavior.
+  EXPECT_THROW(LiveDatabase(env, "arch", archive_options()), DurabilityError);
+}
+
+// ---------------------------------------------------------------------------
+// The crash matrices
+// ---------------------------------------------------------------------------
+
+/// The lifecycle whose every fault point the matrix kills: open fresh,
+/// two committed batches, a re-freeze whose capture is raced by a batch
+/// sealed mid-fold (the survivor re-journal path), one more batch, and a
+/// second re-freeze. `committed` is updated as each add_batch returns —
+/// under kEachRecord and under kNone + sync_each_epoch that return IS the
+/// commit point — so the caller knows the durability floor even when a
+/// fault unwinds the lifecycle.
+void run_lifecycle(io::Env& env, const std::vector<Batch>& batches,
+                   SyncPolicy policy, std::size_t& committed) {
+  LiveOptions options = archive_options(policy);
   LiveDatabase* handle = nullptr;
   bool sealed_mid_fold = false;
   options.after_refreeze_capture = [&] {
@@ -466,12 +401,12 @@ void run_live_lifecycle(io::Env& env, const std::vector<Batch>& batches,
   db.refreeze_now();  // folds 2+3
 }
 
-TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
+void run_crash_matrix(SyncPolicy policy) {
   const auto batches = make_batches(4, 3);
 
   FaultInjectingEnv counter;
   std::size_t clean_committed = 0;
-  run_live_lifecycle(counter, batches, clean_committed);
+  run_lifecycle(counter, batches, policy, clean_committed);
   ASSERT_EQ(clean_committed, 4u);
   const std::uint64_t total_ops = counter.ops_seen();
   ASSERT_GT(total_ops, 20u) << "lifecycle too small to be a real matrix";
@@ -481,7 +416,7 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
   for (std::uint64_t n = 0; n < total_ops; ++n) {
     for (const auto mode : {InMemoryEnv::CrashMode::kDropUnsynced,
                             InMemoryEnv::CrashMode::kPersistEverything}) {
-      const std::string context = "live op " + std::to_string(n) +
+      const std::string context = "op " + std::to_string(n) +
                                   (mode == InMemoryEnv::CrashMode::kDropUnsynced
                                        ? " drop-unsynced"
                                        : " persist-everything");
@@ -490,7 +425,7 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
       env.fail_at_op(n);
       std::size_t committed = 0;
       try {
-        run_live_lifecycle(env, batches, committed);
+        run_lifecycle(env, batches, policy, committed);
         // A fault in the post-commit retirement section (deleting the old
         // epoch's files) is deliberately tolerated: the swap has already
         // committed, so ingest must not fail over a leftover file the
@@ -509,19 +444,16 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
 
       // ALWAYS openable: recovery lands on whatever epoch the manifest
       // names — the old one or the new one, never a torn mix.
-      LiveOptions reopen_options;
-      reopen_options.num_shards = 2;
-      reopen_options.background_refreeze = false;
-      LiveDatabase recovered(env, "live", reopen_options);
+      LiveDatabase recovered(env, "live", archive_options(policy));
       EXPECT_LE(recovered.recovery().epoch, 2u) << context;
 
       // Committed batches survive, contents are a whole-batch prefix, and
       // the recovered archive is bit-identical to a fresh bulk build.
       const std::size_t prefix =
-          live_recovered_prefix(recovered.snapshot(), batches, context);
+          recovered_prefix(recovered.snapshot(), batches, context);
       EXPECT_GE(prefix, committed) << context << ": committed batch lost";
-      expect_live_equivalent(recovered.snapshot(),
-                             build_reference(batches, prefix, 2), context);
+      expect_equivalent(recovered.snapshot(),
+                        build_reference(batches, prefix, 2), context);
 
       // And the recovered archive still ingests + re-freezes.
       recovered.add_batch(batches[0].signatures, batches[0].labels);
@@ -534,33 +466,85 @@ TEST(LiveDatabase, EpochSwapCrashMatrixEveryFaultPointBothCrashModes) {
       << "most fault points must be pre-commit";
 }
 
+TEST(LiveDurability, CrashMatrixEveryFaultPointUnderEachRecordSync) {
+  run_crash_matrix(SyncPolicy::kEachRecord);
+}
+
+TEST(LiveDurability, CrashMatrixEveryFaultPointUnderPerEpochGroupCommit) {
+  run_crash_matrix(SyncPolicy::kNone);  // sync_each_epoch is the default
+}
+
+TEST(LiveDurability, RecoveryItselfSurvivesCrashes) {
+  // Crash-during-recovery: prepare a directory whose journal has a torn
+  // tail, then kill the reopen at every fault point. Whatever happens, the
+  // directory must stay openable and the committed batches intact.
+  const auto batches = make_batches(3, 3);
+  const auto prepare = [&](FaultInjectingEnv& env) {
+    {
+      LiveDatabase db(env, "arch", archive_options());
+      db.add_batch(batches[0].signatures, batches[0].labels);
+      db.add_batch(batches[1].signatures, batches[1].labels);
+    }
+    // Torn tail: append half a record's worth of garbage to the journal.
+    auto file = env.new_writable_file("arch/journal-000000.wal",
+                                      /*truncate=*/false);
+    file->append(std::string_view("\x40\x00\x00", 3));  // cut length prefix
+    file->sync();
+    env.reset_ops();
+  };
+
+  FaultInjectingEnv counter;
+  prepare(counter);
+  { LiveDatabase probe(counter, "arch", archive_options()); }
+  const std::uint64_t recovery_ops = counter.ops_seen();
+  ASSERT_GT(recovery_ops, 0u);
+
+  for (std::uint64_t n = 0; n < recovery_ops; ++n) {
+    const std::string context = "recovery op " + std::to_string(n);
+    FaultInjectingEnv env;
+    prepare(env);
+    env.fail_at_op(n);
+    try {
+      LiveDatabase db(env, "arch", archive_options());
+    } catch (const IoError&) {
+    }
+    env.disarm();
+    env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
+
+    LiveDatabase recovered(env, "arch", archive_options());
+    EXPECT_EQ(recovered.recovery().journal_records_replayed, 2u) << context;
+    expect_equivalent(recovered.snapshot(), build_reference(batches, 2, 2),
+                      context);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency (runs under the TSan CI job)
 // ---------------------------------------------------------------------------
 
-TEST(DurableDatabase, ConcurrentAppendAndCheckpoint) {
+TEST(LiveDurability, ConcurrentAddBatchSyncAndRefreeze) {
   InMemoryEnv env;
   const auto batches = make_batches(24, 2, 0xc0);
-  DurableDatabase db(env, "arch", {.num_shards = 2});
+  LiveDatabase db(env, "arch", archive_options());
 
   std::thread ingester([&] {
     for (const Batch& b : batches) db.add_batch(b.signatures, b.labels);
   });
-  std::thread checkpointer([&] {
-    for (int i = 0; i < 6; ++i) db.checkpoint();
+  std::thread refreezer([&] {
+    for (int i = 0; i < 6; ++i) db.refreeze_now();
   });
   std::thread syncer([&] {
     for (int i = 0; i < 10; ++i) db.sync();
   });
   ingester.join();
-  checkpointer.join();
+  refreezer.join();
   syncer.join();
 
-  EXPECT_EQ(db.db().size(), 48u);
-  db.checkpoint();  // fold everything in, then reopen must see all of it
-  DurableDatabase reopened(env, "arch", {.num_shards = 2});
-  EXPECT_EQ(reopened.db().size(), 48u);
-  expect_equivalent(reopened.db(), build_reference(batches, 24, 2),
+  EXPECT_EQ(db.size(), 48u);
+  db.refreeze_now();  // fold everything in, then reopen must see all of it
+  LiveDatabase reopened(env, "arch", archive_options());
+  EXPECT_EQ(reopened.size(), 48u);
+  expect_equivalent(reopened.snapshot(), build_reference(batches, 24, 2),
                     "post-concurrency reopen");
 }
 

@@ -24,7 +24,7 @@
 #include "exec/sharded_index.hpp"
 #include "exec/task_pool.hpp"
 #include "fmeter/database.hpp"
-#include "fmeter/durable_database.hpp"
+#include "fmeter/live_database.hpp"
 #include "index/inverted_index.hpp"
 #include "index/snapshot.hpp"
 #include "io/env.hpp"
@@ -757,12 +757,13 @@ TEST(DurableArchive, JournalTornTailNeverDiscardsTheSnapshot) {
       labels[b].push_back("b" + std::to_string(b) + "d" + std::to_string(d));
     }
   }
-  // Batches 0,1 live in the checkpointed snapshot; 2,3 in the journal.
+  // Batches 0,1 live in the re-frozen snapshot; 2,3 in the journal.
+  const LiveOptions options = {.num_shards = 2, .background_refreeze = false};
   const auto build = [&](io::Env& env) {
-    DurableDatabase db(env, "arch", {.num_shards = 2});
+    LiveDatabase db(env, "arch", options);
     db.add_batch(sigs[0], labels[0]);
     db.add_batch(sigs[1], labels[1]);
-    db.checkpoint();
+    ASSERT_TRUE(db.refreeze_now());
     db.add_batch(sigs[2], labels[2]);
     db.add_batch(sigs[3], labels[3]);
   };
@@ -804,23 +805,25 @@ TEST(DurableArchive, JournalTornTailNeverDiscardsTheSnapshot) {
     file->sync();
     file->close();
 
-    DurableDatabase reopened(env, "arch", {.num_shards = 2});
+    LiveDatabase reopened(env, "arch", options);
     EXPECT_TRUE(reopened.recovery().snapshot_loaded) << shape.name;
     EXPECT_TRUE(reopened.recovery().journal_truncated) << shape.name;
     EXPECT_EQ(reopened.recovery().journal_records_replayed, shape.replayed)
         << shape.name;
-    ASSERT_EQ(reopened.db().size(), (2 + shape.replayed) * 2) << shape.name;
+    const auto pinned = reopened.snapshot();
+    EXPECT_EQ(pinned.base_docs(), 4u) << shape.name;
+    ASSERT_EQ(pinned.size(), (2 + shape.replayed) * 2) << shape.name;
     std::size_t id = 0;
     for (std::size_t b = 0; b < 2 + shape.replayed; ++b) {
       for (std::size_t d = 0; d < 2; ++d, ++id) {
-        EXPECT_EQ(reopened.db().label(id), labels[b][d]) << shape.name;
+        EXPECT_EQ(pinned.label(id), labels[b][d]) << shape.name;
       }
     }
-    // Repair left a journal that accepts new batches and checkpoints.
+    // Repair left a journal that accepts new batches and re-freezes.
     reopened.add_batch(sigs[3], labels[3]);
-    reopened.checkpoint();
-    DurableDatabase again(env, "arch", {.num_shards = 2});
-    EXPECT_EQ(again.db().size(), (2 + shape.replayed + 1) * 2) << shape.name;
+    EXPECT_TRUE(reopened.refreeze_now()) << shape.name;
+    LiveDatabase again(env, "arch", options);
+    EXPECT_EQ(again.size(), (2 + shape.replayed + 1) * 2) << shape.name;
   }
 }
 

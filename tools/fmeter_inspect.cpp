@@ -56,12 +56,13 @@
 //       against a cold archive before trusting it.
 //
 //   fmeter_inspect recover <dir>
-//       Opens a durable archive directory (MANIFEST + snapshot + journal),
-//       performing the same recovery the database does at startup: loads
-//       the manifest's snapshot, replays the journal — truncating a torn
-//       tail — and sweeps unreferenced files. Prints what was found and
-//       done: epoch, files, records replayed vs bytes dropped, leftovers
-//       removed.
+//       Opens a durable archive directory (MANIFEST + snapshot + journal)
+//       as a LiveDatabase, performing the same recovery the archive does
+//       at startup: loads the manifest's snapshot, replays the journal —
+//       truncating a torn tail — into tail segments and sweeps
+//       unreferenced files. Prints what was found and done: epoch, files,
+//       records replayed vs bytes dropped, leftovers removed, and the
+//       recovered archive's shape.
 //
 //   `stats`, `search`, `metrics`, `verify` and `recover` accept --json for
 //   machine-readable output.
@@ -86,7 +87,6 @@
 #include <sstream>
 #include <string>
 
-#include "fmeter/durable_database.hpp"
 #include "fmeter/fmeter.hpp"
 #include "index/snapshot.hpp"
 #include "io/env.hpp"
@@ -826,7 +826,9 @@ int cmd_recover(int argc, char** argv) {
                 dir + " has no MANIFEST — not a durable archive");
   }
   const core::Manifest manifest = core::read_manifest(env, dir);
-  core::DurableDatabase db(env, dir);
+  core::LiveOptions options;
+  options.background_refreeze = false;  // report recovery, never fold
+  core::LiveDatabase db(env, dir, options);
   const core::RecoveryInfo& info = db.recovery();
   if (json) {
     std::printf(
@@ -841,7 +843,7 @@ int cmd_recover(int argc, char** argv) {
         static_cast<unsigned long long>(manifest.epoch),
         json_escape(manifest.snapshot).c_str(),
         json_escape(manifest.journal).c_str(),
-        info.snapshot_loaded ? "true" : "false", db.db().size(),
+        info.snapshot_loaded ? "true" : "false", db.size(),
         static_cast<unsigned long long>(info.journal_records_replayed),
         info.journal_truncated ? "true" : "false",
         static_cast<unsigned long long>(info.journal_bytes_dropped),
@@ -869,9 +871,11 @@ int cmd_recover(int argc, char** argv) {
   for (const auto& name : info.removed_files) {
     std::printf("  swept unreferenced file: %s\n", name.c_str());
   }
-  std::printf("recovered database: %zu signatures, %zu shards, %zu terms\n",
-              db.db().size(), db.db().num_shards(),
-              db.db().index().num_terms());
+  const core::LiveStats stats = db.stats();
+  std::printf(
+      "recovered archive: %zu signatures, %zu base shards, %zu tail "
+      "segments\n",
+      stats.total_docs, stats.base_shards.size(), stats.segments);
   return 0;
 }
 
