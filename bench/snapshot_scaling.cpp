@@ -7,8 +7,9 @@
 //
 //   reindex — load the text corpus, fit tf-idf, bulk-build + freeze the
 //             sharded index (the pre-snapshot cold-start path);
-//   load    — restore the binary snapshot (decode sections, re-add,
-//             re-freeze in parallel): tokenize/tf-idf/text parsing gone.
+//   load    — restore the binary snapshot (decode the labels, rebuild
+//             every shard from its sections in parallel through
+//             ShardedIndex::load): tokenize/tf-idf/text parsing gone.
 //
 // It verifies the restored database answers bit-identically to the fresh
 // build in every mode, records save/load throughput and snapshot size, and
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
         static_cast<double>(std::filesystem::file_size(snapshot_path)) /
         (1024.0 * 1024.0);
 
-    // Cold-start path B: binary snapshot -> decode -> parallel re-freeze.
+    // Cold-start path B: binary snapshot -> parallel per-shard rebuild.
     fmeter::core::SignatureDatabase loaded;
     const auto t_load = std::chrono::steady_clock::now();
     loaded.load(snapshot_path);

@@ -2,8 +2,7 @@
 
 #include <cmath>
 #include <cstring>
-#include <exception>
-#include <future>
+#include <functional>
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
@@ -14,9 +13,23 @@ namespace fmeter::exec {
 namespace {
 
 /// Below this many documents a bulk build is microseconds of work and the
-/// pool dispatch (queue mutex, condvar wakeup, future sync per shard) would
-/// dominate it — build inline instead. Results are identical either way.
+/// pool dispatch would dominate it — build inline instead. Results are
+/// identical either way.
 constexpr std::size_t kMinDocsForParallelBuild = 4096;
+
+/// Runs `build(s)` once per shard. Small builds run inline before any pool
+/// is touched, so they never materialize the shared pool; the rest go
+/// through run_spans, which runs solo on a one-thread pool or a worker
+/// caller, lets the caller participate, and rethrows the first failure.
+void build_shards(std::size_t shards, std::size_t docs, TaskPool* pool,
+                  const std::function<void(std::size_t)>& build) {
+  if (shards == 1 || docs < kMinDocsForParallelBuild) {
+    for (std::size_t s = 0; s < shards; ++s) build(s);
+    return;
+  }
+  TaskPool& workers = pool != nullptr ? *pool : TaskPool::shared();
+  workers.run_spans(shards, [&build](std::size_t s, std::size_t) { build(s); });
+}
 
 }  // namespace
 
@@ -63,24 +76,22 @@ ShardedIndex& ShardedIndex::operator=(ShardedIndex&& other) noexcept {
 
 void ShardedIndex::add_batch(std::span<const vsm::SparseVector> docs,
                              TaskPool* pool) {
-  std::vector<const vsm::SparseVector*> pointers;
-  pointers.reserve(docs.size());
-  for (const auto& doc : docs) pointers.push_back(&doc);
-  add_batch(std::span<const vsm::SparseVector* const>(pointers), pool);
+  const std::vector<vsm::SparseView> views(docs.begin(), docs.end());
+  add_batch(std::span<const vsm::SparseView>(views), pool);
 }
 
-void ShardedIndex::add_batch(std::span<const vsm::SparseVector* const> docs,
+void ShardedIndex::add_batch(std::span<const vsm::SparseView> docs,
                              TaskPool* pool) {
   // The writer lock is held across the whole fan-out: the pool workers
   // mutate disjoint shards without taking it, but their writes complete
-  // before the futures resolve, which happens before this thread releases
+  // before run_spans returns, which happens before this thread releases
   // the lock — so any reader admitted afterwards sees the finished build.
   const std::unique_lock<std::shared_mutex> lock(mutex_);
   // Validate the whole batch before the fan-out: a shard's own check only
   // sees its slice, so a bad document in one slice would otherwise leave
   // the other shards holding their part of a rejected batch.
-  for (const auto* doc : docs) {
-    for (const double value : doc->values()) {
+  for (const vsm::SparseView& doc : docs) {
+    for (const double value : doc.values) {
       if (!std::isfinite(value)) {
         throw std::invalid_argument(
             "ShardedIndex::add_batch: document carries a non-finite weight");
@@ -94,7 +105,7 @@ void ShardedIndex::add_batch(std::span<const vsm::SparseVector* const> docs,
   // Each shard's slice of the batch: batch index i becomes global id
   // base + i, so shard s receives the ascending run i ≡ (s - base) mod N.
   const auto build_shard = [this, docs, base, shards](std::size_t s) {
-    std::vector<const vsm::SparseVector*> slice;
+    std::vector<vsm::SparseView> slice;
     slice.reserve(docs.size() / shards + 1);
     for (std::size_t i = (s + shards - base % shards) % shards;
          i < docs.size(); i += shards) {
@@ -103,43 +114,11 @@ void ShardedIndex::add_batch(std::span<const vsm::SparseVector* const> docs,
     shards_[s].add_batch(slice);
   };
 
-  // Pool-independent cutoffs first, so small builds never pay for
-  // materializing the process-wide shared pool; a pool worker must build
-  // inline because blocking it on subtasks can deadlock the fixed pool.
-  bool inline_build = shards == 1 || docs.size() < kMinDocsForParallelBuild;
-  TaskPool* workers = nullptr;
-  if (!inline_build) {
-    workers = pool != nullptr ? pool : &TaskPool::shared();
-    inline_build = workers->size() <= 1 || workers->current_thread_is_worker();
-  }
-  if (inline_build) {
-    for (std::size_t s = 0; s < shards; ++s) build_shard(s);
-  } else {
-    std::vector<std::future<void>> pending;
-    pending.reserve(shards);
-    std::exception_ptr first_error;
-    try {
-      for (std::size_t s = 0; s < shards; ++s) {
-        pending.push_back(workers->submit([&build_shard, s] { build_shard(s); }));
-      }
-    } catch (...) {
-      first_error = std::current_exception();
-    }
-    // Every queued task references locals; drain all of them before any
-    // unwind, keeping the earliest failure (submit outranks task errors).
-    for (auto& future : pending) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  build_shards(shards, docs.size(), pool, build_shard);
 
   // Aggregate bookkeeping on the calling thread — no cross-thread writes.
-  for (const auto* doc : docs) {
-    const auto indices = doc->indices();
+  for (const vsm::SparseView& doc : docs) {
+    const auto indices = doc.indices;
     if (!indices.empty() &&
         static_cast<std::size_t>(indices.back()) >= term_seen_.size()) {
       term_seen_.resize(static_cast<std::size_t>(indices.back()) + 1, false);
@@ -183,10 +162,9 @@ ShardedIndex ShardedIndex::load(const index::snapshot::Reader& reader,
   ShardedIndex out(shards);
   const std::uint64_t docs = reader.doc_count();
 
-  // Per-shard rebuild (parse sections, one build each), fanned out with the
-  // same inline cutoffs as add_batch: small archives and pool workers build
-  // on the calling thread. Shards are disjoint, so the only cross-thread
-  // hand-off is the futures' completion.
+  // Per-shard rebuild (parse sections, one build each), fanned out exactly
+  // like add_batch. Shards are disjoint, so the only cross-thread hand-off
+  // is the batch's completion.
   const auto load_shard = [&reader, &out, shards, docs](std::size_t s) {
     out.shards_[s] =
         index::InvertedIndex::load(reader, static_cast<std::uint32_t>(s));
@@ -198,34 +176,7 @@ ShardedIndex ShardedIndex::load(const index::snapshot::Reader& reader,
                           " docs, header implies " + std::to_string(expected));
     }
   };
-  bool inline_build = shards == 1 || docs < kMinDocsForParallelBuild;
-  TaskPool* workers = nullptr;
-  if (!inline_build) {
-    workers = pool != nullptr ? pool : &TaskPool::shared();
-    inline_build = workers->size() <= 1 || workers->current_thread_is_worker();
-  }
-  if (inline_build) {
-    for (std::size_t s = 0; s < shards; ++s) load_shard(s);
-  } else {
-    std::vector<std::future<void>> pending;
-    pending.reserve(shards);
-    std::exception_ptr first_error;
-    try {
-      for (std::size_t s = 0; s < shards; ++s) {
-        pending.push_back(workers->submit([&load_shard, s] { load_shard(s); }));
-      }
-    } catch (...) {
-      first_error = std::current_exception();
-    }
-    for (auto& future : pending) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  build_shards(shards, docs, pool, load_shard);
 
   // Term-occupancy bitmap straight from the term-id sections — no need to
   // re-walk the parsed documents, the sections *are* the postings' terms.

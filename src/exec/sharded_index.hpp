@@ -12,12 +12,12 @@
 //
 // Ingest is add_batch(): the batch is partitioned round-robin by global id,
 // then each shard rebuilds its posting arena over its old documents plus
-// its slice (index::InvertedIndex::add_batch) in a dedicated task on the
-// TaskPool. Shards are disjoint, each shard receives its documents in
-// ascending global order regardless of scheduling, and the term-occupancy
-// bitmap is updated on the calling thread — so the built index is
-// deterministic, byte-for-byte the same as an inline build, and the only
-// cross-thread hand-off is the task futures' completion.
+// its slice (index::InvertedIndex::add_batch) as one span of a
+// TaskPool::run_spans batch. Shards are disjoint, each shard receives its
+// documents in ascending global order regardless of scheduling, and the
+// term-occupancy bitmap is updated on the calling thread — so the built
+// index is deterministic, byte-for-byte the same as an inline build, and
+// the only cross-thread hand-off is the batch's completion.
 //
 // Concurrency contract: mutators (add_batch, the assignment operators)
 // hold this index's writer lock; stats readers (shard_stats, memory_bytes,
@@ -79,14 +79,14 @@ class ShardedIndex {
   /// rebuilds every shard that receives one, with the per-shard builds
   /// fanned out onto `pool` (TaskPool::shared() when null). Falls back to
   /// the calling thread when the batch is small, the pool has no
-  /// parallelism to offer, or the caller already is a pool worker (a
-  /// blocked submitter inside a fixed pool can deadlock it). A document
+  /// parallelism to offer, or the caller already is a pool worker
+  /// (TaskPool::run_spans runs such a batch solo). A document
   /// with a non-finite weight rejects the whole batch with
   /// std::invalid_argument before any shard changes. Only a failure inside
   /// a shard build (an allocation giving out) degrades to the basic
   /// guarantee: the shards may then disagree about the id stream and the
   /// index must be discarded.
-  void add_batch(std::span<const vsm::SparseVector* const> docs,
+  void add_batch(std::span<const vsm::SparseView> docs,
                  TaskPool* pool = nullptr);
   void add_batch(std::span<const vsm::SparseVector> docs,
                  TaskPool* pool = nullptr);
@@ -117,6 +117,14 @@ class ShardedIndex {
   std::size_t num_shards() const noexcept { return shards_.size(); }
   const index::InvertedIndex& shard(std::size_t s) const {
     return shards_.at(s);
+  }
+
+  /// Document `global` (< size()) as a view of its shard's forward-store
+  /// run, valid until the next build of that shard. Unsynchronized like
+  /// shard(): hold read_lock(), or whatever lock serializes the owner's
+  /// builds (SignatureDatabase holds its store lock).
+  vsm::SparseView document(DocId global) const noexcept {
+    return shards_[shard_of(global)].document(local_of(global));
   }
 
   /// Pins the reader side of the ingest/stats lock. QueryEngine holds one

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <chrono>
 #include <limits>
 #include <sstream>
@@ -147,8 +148,8 @@ SignatureDatabase::SignatureDatabase(const SignatureDatabase& other)
 SignatureDatabase::SignatureDatabase(
     const SignatureDatabase& other,
     std::shared_lock<std::shared_mutex>&& store_lock)
-    : signatures_(other.signatures_),
-      labels_(other.labels_),
+    : labels_(other.labels_),
+      pending_(other.pending_),
       index_(other.index_),
       admission_(other.admission_) {
   // inflight_ deliberately starts at 0: in-flight queries belong to the
@@ -157,16 +158,16 @@ SignatureDatabase::SignatureDatabase(
 }
 
 SignatureDatabase::SignatureDatabase(SignatureDatabase&& other) noexcept
-    : signatures_(std::move(other.signatures_)),
-      labels_(std::move(other.labels_)),
+    : labels_(std::move(other.labels_)),
+      pending_(std::move(other.pending_)),
       index_(std::move(other.index_)),
       admission_(other.admission_),
       syndrome_cache_(std::move(other.syndrome_cache_)) {}
 
 SignatureDatabase& SignatureDatabase::operator=(
     SignatureDatabase other) noexcept {
-  signatures_ = std::move(other.signatures_);
   labels_ = std::move(other.labels_);
+  pending_ = std::move(other.pending_);
   index_ = std::move(other.index_);
   admission_ = other.admission_;
   syndrome_cache_ = std::move(other.syndrome_cache_);
@@ -188,12 +189,12 @@ std::size_t SignatureDatabase::add(vsm::SparseVector signature,
     const std::unique_lock<std::shared_mutex> store(store_mutex_);
     labels_.push_back(std::move(label));
     try {
-      signatures_.push_back(std::move(signature));
+      pending_.push_back(std::move(signature));
     } catch (...) {
       labels_.pop_back();
       throw;
     }
-    id = signatures_.size() - 1;
+    id = labels_.size() - 1;
   }
   // Invalidate *after* the append is visible: a classify racing this add
   // that rebuilt the cache from the pre-append store would otherwise
@@ -233,13 +234,15 @@ std::size_t SignatureDatabase::add_batch(
   std::size_t first = 0;
   {
     const std::unique_lock<std::shared_mutex> store(store_mutex_);
-    first = signatures_.size();
-    signatures_.reserve(signatures_.size() + signatures.size());
-    labels_.reserve(labels_.size() + labels.size());
-    for (std::size_t i = 0; i < signatures.size(); ++i) {
-      signatures_.push_back(std::move(signatures[i]));
-      labels_.push_back(std::move(labels[i]));
-    }
+    first = labels_.size();
+    // Both reservations before either append: the moves below cannot
+    // throw, so the two containers stay aligned.
+    labels_.reserve(first + labels.size());
+    pending_.reserve(pending_.size() + signatures.size());
+    pending_.insert(pending_.end(), std::make_move_iterator(signatures.begin()),
+                    std::make_move_iterator(signatures.end()));
+    labels_.insert(labels_.end(), std::make_move_iterator(labels.begin()),
+                   std::make_move_iterator(labels.end()));
   }
   // Index this batch together with any scalar adds before it: one build.
   sync_index();
@@ -255,18 +258,30 @@ std::size_t SignatureDatabase::add_batch(
 void SignatureDatabase::sync_index() const {
   {
     const std::shared_lock<std::shared_mutex> store(store_mutex_);
-    if (index_.size() == signatures_.size()) return;
+    if (pending_.empty()) return;
   }
-  // Pointers into signatures_ stay valid while the writer lock keeps every
-  // other append out, until the index has consumed them.
   const std::unique_lock<std::shared_mutex> store(store_mutex_);
-  std::vector<const vsm::SparseVector*> pointers;
-  for (std::size_t id = index_.size(); id < signatures_.size(); ++id) {
-    pointers.push_back(&signatures_[id]);
-  }
-  if (pointers.empty()) return;  // another reader caught up first
+  if (pending_.empty()) return;  // another reader caught up first
   const obs::StageSpan ingest_span(obs::Stage::kIngest);
-  index_.add_batch(std::span<const vsm::SparseVector* const>(pointers));
+  index_.add_batch(std::span<const vsm::SparseVector>(pending_));
+  // The forward store now holds the only copy; release the capacity too.
+  std::vector<vsm::SparseVector>().swap(pending_);
+}
+
+vsm::SparseView SignatureDatabase::document_locked(std::size_t id) const {
+  const std::size_t indexed = index_.size();
+  if (id < indexed) {
+    return index_.document(static_cast<exec::ShardedIndex::DocId>(id));
+  }
+  return pending_[id - indexed];
+}
+
+vsm::SparseVector SignatureDatabase::signature(std::size_t id) const {
+  const std::shared_lock<std::shared_mutex> store(store_mutex_);
+  if (id >= labels_.size()) {
+    throw std::out_of_range("SignatureDatabase::signature: id out of range");
+  }
+  return vsm::SparseVector(document_locked(id));
 }
 
 const exec::ShardedIndex& SignatureDatabase::index() const {
@@ -335,8 +350,9 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
     return std::vector<std::vector<SearchHit>>(queries.size());
   }
 
-  // The indexed path and the cost cap read the index; the brute-force scan
-  // reads only the store and must never pay for a build.
+  // The indexed path and the cost cap need every document indexed; the
+  // brute-force scan reads the pending list as it is and must never pay
+  // for a build.
   if (policy == ScanPolicy::kIndexed || admission_.max_query_cost_docs > 0.0) {
     sync_index();
   }
@@ -387,11 +403,11 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
                                       mode, stats, options);
   stamp_rejections();
   std::vector<std::vector<SearchHit>> results(batch.size());
-  // The label fill-in reads the forward store after the engine released
-  // the index's reader lock, so it needs its own reader side: a concurrent
-  // add_batch may be reallocating labels_. Every doc id the engine
-  // returned is already appended (the index covers a prefix of the store),
-  // so the lookup itself cannot go out of bounds.
+  // The label fill-in reads labels_ after the engine released the index's
+  // reader lock, so it needs its own reader side: a concurrent add_batch
+  // may be reallocating labels_. Every doc id the engine returned already
+  // has its label (labels are appended before any build), so the lookup
+  // itself cannot go out of bounds.
   const std::shared_lock<std::shared_mutex> store(store_mutex_);
   for (std::size_t q = 0; q < batch.size(); ++q) {
     results[q].reserve(batch[q].size());
@@ -413,21 +429,36 @@ std::vector<SearchHit> SignatureDatabase::search_scan(
   // all-zero/empty query.
   if (k == 0 || query.empty()) return {};
   const std::shared_lock<std::shared_mutex> store(store_mutex_);
-  std::vector<SearchHit> hits;
-  hits.reserve(signatures_.size());
-  for (std::size_t id = 0; id < signatures_.size(); ++id) {
-    SearchHit hit;
-    hit.id = id;
-    hit.label = labels_[id];
-    hit.score = metric == SimilarityMetric::kCosine
-                    ? vsm::cosine_similarity(query, signatures_[id])
-                    : -vsm::euclidean_distance(query, signatures_[id]);
-    hits.push_back(std::move(hit));
+  // Score every document where it lies — one sequential sweep of each
+  // shard's forward store, then the pending list — rank, and fetch labels
+  // for the top k only. The ranking does not depend on the visit order.
+  std::vector<index::IndexHit> scored;
+  scored.reserve(labels_.size());
+  const auto score = [&](std::size_t id, vsm::SparseView doc) {
+    scored.push_back({static_cast<index::InvertedIndex::DocId>(id),
+                      metric == SimilarityMetric::kCosine
+                          ? vsm::cosine_similarity(query, doc)
+                          : -vsm::euclidean_distance(query, doc)});
+  };
+  for (std::size_t s = 0; s < index_.num_shards(); ++s) {
+    index_.shard(s).for_each_document([&](auto local, vsm::SparseView doc) {
+      score(index_.global_of(s, local), doc);
+    });
   }
-  const std::size_t top = std::min(k, hits.size());
-  std::partial_sort(hits.begin(), hits.begin() + static_cast<std::ptrdiff_t>(top),
-                    hits.end(), hit_ranks_better);
-  hits.resize(top);
+  const std::size_t indexed = index_.size();
+  for (std::size_t id = indexed; id < labels_.size(); ++id) {
+    score(id, pending_[id - indexed]);
+  }
+  const std::size_t top = std::min(k, scored.size());
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<std::ptrdiff_t>(top),
+                    scored.end(), index::ranks_better);
+  std::vector<SearchHit> hits(top);
+  for (std::size_t r = 0; r < top; ++r) {
+    hits[r].id = scored[r].doc;
+    hits[r].label = labels_[scored[r].doc];
+    hits[r].score = scored[r].score;
+  }
   return hits;
 }
 
@@ -446,9 +477,9 @@ SignatureDatabase::syndrome_cache() const {
       Syndrome syndrome;
       syndrome.label = label;
       vsm::SparseVector sum;
-      for (std::size_t id = 0; id < signatures_.size(); ++id) {
+      for (std::size_t id = 0; id < labels_.size(); ++id) {
         if (labels_[id] != label) continue;
-        sum = sum.plus(signatures_[id]);
+        sum = sum.plus(document_locked(id));
         ++syndrome.support;
       }
       if (syndrome.support > 0) {
@@ -458,13 +489,11 @@ SignatureDatabase::syndrome_cache() const {
       cache->syndromes.push_back(std::move(syndrome));
     }
   }
-  std::vector<const vsm::SparseVector*> centroids;
-  centroids.reserve(cache->syndromes.size());
+  std::vector<vsm::SparseView> centroids;
   for (const auto& syndrome : cache->syndromes) {
-    centroids.push_back(&syndrome.centroid);
+    centroids.push_back(syndrome.centroid);
   }
-  cache->centroid_index.add_batch(
-      std::span<const vsm::SparseVector* const>(centroids));
+  cache->centroid_index.add_batch(centroids);
   syndrome_cache_ = std::move(cache);
   return syndrome_cache_;
 }
@@ -606,42 +635,15 @@ void SignatureDatabase::load(std::istream& in) {
     throw SnapshotError("snapshot: labels section has trailing bytes");
   }
 
-  // Decode every shard's documents and interleave them back into global id
-  // order (global g lives in shard g % N at local id g / N).
-  const std::size_t shards = reader.shard_count();
-  if (shards == 0) {
-    throw SnapshotError("snapshot: shard count must be at least 1");
+  // One parallel build per shard straight from its sections — byte-for-
+  // byte the index a bulk build of the same documents produces — into a
+  // temporary that replaces *this only on success (the strong guarantee).
+  SignatureDatabase loaded(1);
+  {
+    const obs::StageSpan ingest_span(obs::Stage::kIngest);
+    loaded.index_ = exec::ShardedIndex::load(reader);
   }
-  std::vector<std::vector<vsm::SparseVector>> per_shard(shards);
-  std::size_t decoded = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    per_shard[s] = index::snapshot::read_shard_documents(
-        reader, static_cast<std::uint32_t>(s));
-    decoded += per_shard[s].size();
-  }
-  if (decoded != reader.doc_count()) {
-    throw SnapshotError("snapshot: sections hold " + std::to_string(decoded) +
-                        " documents, header declares " +
-                        std::to_string(reader.doc_count()));
-  }
-  std::vector<vsm::SparseVector> signatures;
-  signatures.reserve(decoded);
-  for (std::size_t g = 0; g < decoded; ++g) {
-    const std::size_t shard = g % shards;
-    const std::size_t local = g / shards;
-    if (local >= per_shard[shard].size()) {
-      throw SnapshotError("snapshot: shard " + std::to_string(shard) +
-                          " is short of its round-robin share");
-    }
-    signatures.push_back(std::move(per_shard[shard][local]));
-  }
-
-  // Rebuild through the normal parallel bulk-ingest path into a temporary,
-  // then swap — the strong guarantee, and the reason a loaded database is
-  // byte-for-byte a freshly bulk-built one (tokenize/tf-idf work is what
-  // disappeared, not the deterministic index build).
-  SignatureDatabase loaded(shards);
-  loaded.add_batch(std::move(signatures), std::move(labels));
+  loaded.labels_ = std::move(labels);
   *this = std::move(loaded);
 }
 

@@ -13,12 +13,13 @@
 // lookups are batches of one; search_batch() amortizes per-worker
 // accumulator state across many queries.
 //
-// Indexing is lazy: the index always covers a prefix of the signature
-// store. add() only appends to the store; add_batch() and every index
-// reader (indexed search, the admission cost cap, save(), index(),
-// publish_gauges()) first extend the index over the rest of the store with
-// one ShardedIndex::add_batch. N scalar adds therefore cost one build, paid
-// by the first indexed read, and brute-force scans never build at all.
+// Every signature is stored once: ids [0, index().size()) only in the
+// index's forward store, later ones in a list of scalar adds not indexed
+// yet. add() only appends to that list; add_batch() and every index reader
+// (indexed search, the admission cost cap, save(), index(),
+// publish_gauges()) first move it into the index with one
+// ShardedIndex::add_batch. N scalar adds therefore cost one build, paid by
+// the first indexed read, and brute-force scans never build at all.
 // The original brute-force linear scan is retained as a per-query ScanPolicy
 // fallback and as the golden reference the engine is tested against; all
 // paths produce identical hits (ids, labels, ordering, and bit-identical
@@ -137,8 +138,8 @@ class SignatureDatabase {
   // Thread safety mirrors the index layer's contract (see
   // exec/sharded_index.hpp): ingest (add/add_batch) may run concurrently
   // with searches, classifies, stats scrapes, and save() — writers hold
-  // the forward store's writer lock, readers its reader side, so queries
-  // see a consistent pre- or post-batch store, never a half-appended one.
+  // the store lock's writer side, readers its reader side, so queries see
+  // a consistent pre- or post-batch database, never a half-appended one.
   SignatureDatabase(const SignatureDatabase& other);
   SignatureDatabase(SignatureDatabase&& other) noexcept;
   SignatureDatabase& operator=(SignatureDatabase other) noexcept;
@@ -146,9 +147,9 @@ class SignatureDatabase {
   /// Inserts a signature; returns its id. Signatures are expected to be
   /// tf-idf weight vectors (typically L2-normalised). Validated like
   /// add_batch (std::invalid_argument on a non-finite weight, database
-  /// unchanged), then appended to the store *without* indexing it — the
-  /// next index reader indexes it (see the header comment). Invalidates
-  /// the syndrome cache.
+  /// unchanged), then appended to the pending list *without* indexing it —
+  /// the next index reader indexes it (see the header comment).
+  /// Invalidates the syndrome cache.
   std::size_t add(vsm::SparseVector signature, std::string label);
 
   /// Bulk load: appends every (signature, label) pair — same ids and same
@@ -164,7 +165,7 @@ class SignatureDatabase {
   /// the offending document while the database stays unchanged and fully
   /// usable (strong guarantee). Only a failure *during* the index build
   /// (an allocation giving out) degrades to the basic guarantee: the
-  /// batch stays in the store, and on a multi-shard index the shards may
+  /// batch stays pending, and on a multi-shard index the shards may
   /// disagree about the id stream, so the database must be discarded.
   std::size_t add_batch(std::vector<vsm::SparseVector> signatures,
                         std::vector<std::string> labels);
@@ -179,20 +180,12 @@ class SignatureDatabase {
 
   std::size_t size() const {
     const std::shared_lock<std::shared_mutex> lock(store_mutex_);
-    return signatures_.size();
+    return labels_.size();
   }
-  bool empty() const {
-    const std::shared_lock<std::shared_mutex> lock(store_mutex_);
-    return signatures_.empty();
-  }
+  bool empty() const { return size() == 0; }
 
-  /// The store is append-only, so a returned reference stays valid under
-  /// concurrent ingest only until the next reallocation — callers that
-  /// hold one across their own ingest calls need external synchronization.
-  const vsm::SparseVector& signature(std::size_t id) const {
-    const std::shared_lock<std::shared_mutex> lock(store_mutex_);
-    return signatures_.at(id);
-  }
+  /// A copy of signature `id`; std::out_of_range past size().
+  vsm::SparseVector signature(std::size_t id) const;
   const std::string& label(std::size_t id) const {
     const std::shared_lock<std::shared_mutex> lock(store_mutex_);
     return labels_.at(id);
@@ -284,12 +277,10 @@ class SignatureDatabase {
 
   /// Persists the whole database — every shard's forward store plus the
   /// labels — as one versioned, checksummed binary snapshot (format:
-  /// index/snapshot.hpp). Signatures are *not* stored twice: the index's
-  /// forward store is the authoritative copy and the signature store is
-  /// rebuilt from it on load. The emitted bytes depend only on the stored
-  /// signatures and labels. Throws index::snapshot::SnapshotError on I/O
-  /// failure
-  /// (carrying the errno text when the OS supplied one).
+  /// index/snapshot.hpp). The forward store is the only copy of the
+  /// signatures, in RAM and on disk. The emitted bytes depend only on the
+  /// stored signatures and labels. Throws index::snapshot::SnapshotError on
+  /// I/O failure (carrying the errno text when the OS supplied one).
   ///
   /// The path overloads commit *atomically* through an io::Env —
   /// write-temp → fsync → rename → fsync-dir — so a crash or I/O failure
@@ -300,30 +291,30 @@ class SignatureDatabase {
   void save(io::Env& env, const std::string& path) const;
 
   /// Restores a database from a snapshot without re-indexing the corpus:
-  /// labels and per-document sparse vectors are decoded from the sections,
-  /// then rebuilt through the parallel bulk-ingest path (add_batch), so
-  /// the loaded database is byte-for-byte the database a fresh bulk build
-  /// of the same documents would produce — searches in every mode
-  /// (kExact/kMaxScore/kAuto), at the snapshot's shard count, return
-  /// bit-identical results. Strong guarantee: the snapshot is validated
-  /// (header, version, endianness, per-section checksums) and loaded into
-  /// a temporary which replaces *this only on success; any
-  /// index::snapshot::SnapshotError leaves the current contents untouched
-  /// and usable.
+  /// the labels are decoded, then ShardedIndex::load builds every shard
+  /// from its sections in parallel, so the loaded database is
+  /// byte-for-byte the database a fresh bulk build of the same documents
+  /// would produce — searches in every mode (kExact/kMaxScore/kAuto), at
+  /// the snapshot's shard count, return bit-identical results. Strong
+  /// guarantee: the snapshot is validated (header, version, endianness,
+  /// per-section checksums) and loaded into a temporary which replaces
+  /// *this only on success; any index::snapshot::SnapshotError leaves the
+  /// current contents untouched and usable.
   void load(std::istream& in);
   void load(const std::string& path);
   void load(io::Env& env, const std::string& path);
 
-  /// The sharded index backing search() (introspection / stats), brought
-  /// up to date with the store first.
+  /// The sharded index backing search() (introspection / stats), with
+  /// every pending signature indexed first.
   const exec::ShardedIndex& index() const;
   std::size_t num_shards() const noexcept { return index_.num_shards(); }
 
   /// Publishes the current index shape into the global metrics registry as
   /// gauges (fmeter_index_documents, _terms, _shards, _memory_bytes), after
-  /// bringing the index up to date with the store. Point-in-time, not a collector: databases are value
-  /// types that move and copy freely, so nothing may hold a callback into
-  /// one. Call before MetricsRegistry::scrape() for fresh values.
+  /// indexing every pending signature. Point-in-time, not a collector:
+  /// databases are value types that move and copy freely, so nothing may
+  /// hold a callback into one. Call before MetricsRegistry::scrape() for
+  /// fresh values.
   void publish_gauges() const;
 
  private:
@@ -348,10 +339,16 @@ class SignatureDatabase {
   /// destroyed one.
   std::shared_ptr<const SyndromeCache> syndrome_cache() const;
 
-  /// Indexes every stored signature the index does not cover yet (one
-  /// ShardedIndex::add_batch under the store writer lock). Takes only the
-  /// store's reader side when the index is already current.
+  /// Moves every pending signature into the index (one
+  /// ShardedIndex::add_batch under the store writer lock) and releases the
+  /// pending list. Takes only the store's reader side when nothing is
+  /// pending.
   void sync_index() const;
+
+  /// Signature `id` (< size()) as a view: the index's forward-store run
+  /// when indexed, the pending entry otherwise. The caller holds either
+  /// side of store_mutex_, which keeps the view valid.
+  vsm::SparseView document_locked(std::size_t id) const;
 
   /// distinct_labels() body, for callers already holding store_mutex_
   /// (shared_mutex acquisition is not recursive).
@@ -365,18 +362,19 @@ class SignatureDatabase {
                             SimilarityMetric metric,
                             const SyndromeCache& cache) const;
 
-  /// Guards the forward store (signatures_ + labels_) — the database-level
+  /// Guards labels_, pending_ and index builds — the database-level
   /// companion to the index's own reader/writer lock. Writers (add,
   /// add_batch, sync_index) hold it exclusively across the append or the
-  /// index build; readers (label
-  /// fill-in after a query, brute-force scans, the syndrome build, save,
-  /// copies, accessors) hold the shared side. Lock order where nesting
+  /// build; readers (label fill-in after a query, brute-force scans, the
+  /// syndrome build, save, copies, accessors) hold the shared side, which
+  /// keeps their forward-store views valid. Lock order where nesting
   /// occurs: syndrome_mutex_ → store_mutex_ → the index's lock.
   mutable std::shared_mutex store_mutex_;
-  std::vector<vsm::SparseVector> signatures_;
   std::vector<std::string> labels_;
-  /// Covers signatures_[0, index_.size()); mutable because const readers
-  /// extend it (sync_index), always under store_mutex_'s writer side.
+  /// Ids [index_.size(), labels_.size()), not indexed yet. Mutable, like
+  /// index_, because const readers move them into the index (sync_index),
+  /// always under store_mutex_'s writer side.
+  mutable std::vector<vsm::SparseVector> pending_;
   mutable exec::ShardedIndex index_;
   AdmissionOptions admission_{};
   /// Queries currently being served; bounded by the admission budget. Not

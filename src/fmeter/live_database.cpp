@@ -157,8 +157,7 @@ const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
   return db->label(local);
 }
 
-const vsm::SparseVector& LiveDatabase::Snapshot::signature(
-    std::size_t id) const {
+vsm::SparseVector LiveDatabase::Snapshot::signature(std::size_t id) const {
   const auto [db, local] = locate(id);
   return db->signature(local);
 }

@@ -156,7 +156,7 @@ class LiveDatabase {
     bool empty() const noexcept { return size() == 0; }
 
     const std::string& label(std::size_t id) const;
-    const vsm::SparseVector& signature(std::size_t id) const;
+    vsm::SparseVector signature(std::size_t id) const;
 
     /// Top-k over every document in this epoch (base + segments), merged
     /// by the shared ordering — bit-identical to SignatureDatabase::search

@@ -78,20 +78,18 @@ void heap_offer(BoundedHeap& heap, std::size_t capacity, IndexHit hit) {
 }  // namespace
 
 void InvertedIndex::add_batch(std::span<const vsm::SparseVector> docs) {
-  std::vector<const vsm::SparseVector*> pointers;
-  pointers.reserve(docs.size());
-  for (const auto& doc : docs) pointers.push_back(&doc);
-  add_batch(std::span<const vsm::SparseVector* const>(pointers));
+  const std::vector<vsm::SparseView> views(docs.begin(), docs.end());
+  add_batch(std::span<const vsm::SparseView>(views));
 }
 
-void InvertedIndex::add_batch(std::span<const vsm::SparseVector* const> docs) {
+void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
   // A non-finite weight would poison its document's cached norm, its terms'
   // max/min bounds and every score computed against them — and produce a
   // forward store the snapshot loader rightly rejects. Refuse the whole
   // batch here, before any mutation, so every ingest path (bulk build,
   // snapshot load) enforces one invariant.
-  for (const auto* doc : docs) {
-    for (const double value : doc->values()) {
+  for (const vsm::SparseView& doc : docs) {
+    for (const double value : doc.values) {
       if (!std::isfinite(value)) {
         throw std::invalid_argument(
             "InvertedIndex::add_batch: document carries a non-finite weight");
@@ -103,14 +101,11 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseVector* const> docs) {
   const std::size_t n = stored + docs.size();
   std::size_t terms = max_weight_.size();
   std::size_t postings = forward_terms_.size();
-  std::vector<double> batch_norms(docs.size());
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    const auto indices = docs[i]->indices();
-    postings += indices.size();
-    if (!indices.empty()) {
-      terms = std::max(terms, static_cast<std::size_t>(indices.back()) + 1);
+  for (const vsm::SparseView& doc : docs) {
+    postings += doc.indices.size();
+    if (!doc.indices.empty()) {
+      terms = std::max(terms, static_cast<std::size_t>(doc.indices.back()) + 1);
     }
-    batch_norms[i] = docs[i]->norm_l2();
   }
 
   // Public id g's (term, weight) run: stored documents come back from the
@@ -118,23 +113,12 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseVector* const> docs) {
   // ones straight from the batch. Everything below is built aside from
   // these runs, so an allocation failure leaves the index untouched (strong
   // guarantee); only noexcept moves follow.
-  struct Run {
-    const TermId* terms;
-    const double* weights;
-    std::size_t size;
-  };
-  const auto run_of = [&](std::size_t g) -> Run {
-    if (g < stored) {
-      const std::size_t j = internal_of_[g];
-      const std::size_t begin = forward_offsets_[j];
-      return {forward_terms_.data() + begin, forward_weights_.data() + begin,
-              forward_offsets_[j + 1] - begin};
-    }
-    const auto& doc = *docs[g - stored];
-    return {doc.indices().data(), doc.values().data(), doc.indices().size()};
+  const auto run_of = [&](std::size_t g) -> vsm::SparseView {
+    return g < stored ? document(static_cast<DocId>(g)) : docs[g - stored];
   };
   const auto norm_of = [&](std::size_t g) {
-    return g < stored ? norms_[internal_of_[g]] : batch_norms[g - stored];
+    return g < stored ? norms_[internal_of_[g]]
+                      : vsm::norm_l2(docs[g - stored]);
   };
 
   // 1. One pass in public order: doc-reorder keys, per-term posting counts,
@@ -152,12 +136,12 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseVector* const> docs) {
   std::vector<double> min_w(terms, 0.0);
   std::size_t nonempty = 0;
   for (std::size_t g = 0; g < n; ++g) {
-    const Run run = run_of(g);
+    const vsm::SparseView run = run_of(g);
     TermId dominant = std::numeric_limits<TermId>::max();  // empty docs last
     double best = -1.0;
-    for (std::size_t f = 0; f < run.size; ++f) {
-      const TermId term = run.terms[f];
-      const double weight = run.weights[f];
+    for (std::size_t f = 0; f < run.indices.size(); ++f) {
+      const TermId term = run.indices[f];
+      const double weight = run.values[f];
       const double magnitude = std::abs(weight);
       if (magnitude > best) {
         best = magnitude;
@@ -195,11 +179,11 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseVector* const> docs) {
     const double norm = norm_of(g);
     norms[r] = norm;
     norms_sq[r] = norm * norm;
-    const Run run = run_of(g);
+    const vsm::SparseView run = run_of(g);
     std::size_t w = fwd_offsets[r];
-    for (std::size_t f = 0; f < run.size; ++f, ++w) {
-      fwd_terms[w] = run.terms[f];
-      fwd_weights[w] = run.weights[f];
+    for (std::size_t f = 0; f < run.indices.size(); ++f, ++w) {
+      fwd_terms[w] = run.indices[f];
+      fwd_weights[w] = run.values[f];
     }
     fwd_offsets[r + 1] = w;
   }
@@ -323,7 +307,7 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
 
   // Term-at-a-time accumulation of dot(query, doc) for every doc. Query
   // terms arrive in ascending index order, so each accumulator sums its
-  // doc's shared terms in the same order as SparseVector::dot's merge join
+  // doc's shared terms in the same order as vsm::dot's merge join
   // (each doc holds a term at most once), so results stay bit-identical.
   // The accumulator lives in the caller's scratch when provided, so a batch
   // of queries pays for the allocation once.
@@ -587,7 +571,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   const double* snorms_sq = norms_sq_.data();
 
   // Exact re-score of one doc from the forward store. The merge order (and
-  // therefore the rounding) matches SparseVector::dot, so these scores are
+  // therefore the rounding) matches vsm::dot, so these scores are
   // bit-identical to the brute-force scan.
   const auto exact_score = [&](DocId doc) {
     double dot = 0.0;

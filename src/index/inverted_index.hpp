@@ -47,7 +47,7 @@
 //    matching vsm::cosine_similarity / vsm::euclidean_distance expression
 //    for expression, and the term-at-a-time accumulation visits each doc's
 //    shared terms in the same ascending-index order as the merge join in
-//    SparseVector::dot, so even the floating-point rounding agrees.
+//    vsm::dot, so even the floating-point rounding agrees.
 //
 //  * top_k_pruned() — the max-score path. Classic IR engines do not score
 //    every document; they prune with per-term score upper bounds. This path
@@ -90,8 +90,9 @@
 // minimum posting weights (the max-score bounds), per-doc squared norms
 // and a forward store of each document's (term, weight) pairs — roughly
 // doubling memory_bytes() relative to the postings-only layout (reported
-// honestly, split by component in memory_breakdown(); the forward store is
-// also what a build and a snapshot read the documents back from).
+// honestly, split by component in memory_breakdown()). The forward store
+// is the only copy of the stored documents: builds, snapshots and
+// document() (SignatureDatabase's signature reads) all read it.
 #pragma once
 
 #include <cstddef>
@@ -235,7 +236,7 @@ class InvertedIndex {
   /// bounds, and make a saved snapshot unloadable); the whole batch is
   /// checked before anything changes. Strong exception guarantee: the new
   /// layout is built aside and swapped in.
-  void add_batch(std::span<const vsm::SparseVector* const> docs);
+  void add_batch(std::span<const vsm::SparseView> docs);
   void add_batch(std::span<const vsm::SparseVector> docs);
 
   std::size_t size() const noexcept { return norms_.size(); }
@@ -248,6 +249,20 @@ class InvertedIndex {
 
   /// Cached L2 norm of a stored document.
   double norm(DocId doc) const { return norms_.at(internal_of_.at(doc)); }
+
+  /// Stored document `doc` (< size()) as a view of its forward-store run.
+  /// Valid until the next add_batch() of this index.
+  vsm::SparseView document(DocId doc) const noexcept {
+    return forward_run(internal_of_[doc]);
+  }
+
+  /// Calls fn(doc, document(doc)) for every stored document in
+  /// forward-store order, not id order: one sequential sweep of the store
+  /// for callers that visit every document in any order.
+  template <typename Fn>
+  void for_each_document(Fn&& fn) const {
+    for (std::size_t r = 0; r < size(); ++r) fn(public_of_[r], forward_run(r));
+  }
 
   /// Largest weight stored for `term` (0 if the term has no postings) —
   /// the max-score per-term upper bound.
@@ -352,6 +367,14 @@ class InvertedIndex {
                             std::uint32_t shard);
 
  private:
+  /// Forward-store run of the document at internal id `internal`.
+  vsm::SparseView forward_run(std::size_t internal) const noexcept {
+    const std::size_t begin = forward_offsets_[internal];
+    const std::size_t size = forward_offsets_[internal + 1] - begin;
+    return {{forward_terms_.data() + begin, size},
+            {forward_weights_.data() + begin, size}};
+  }
+
   /// Terms the offset table covers.
   std::size_t arena_terms() const noexcept {
     return arena_offsets_.empty() ? 0 : arena_offsets_.size() - 1;

@@ -1,5 +1,6 @@
 #include "index/snapshot.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -298,14 +299,28 @@ std::span<const std::byte> Reader::section(SectionKind kind,
                       section_kind_name(kind) + "/" + std::to_string(shard));
 }
 
-std::vector<vsm::SparseVector> read_shard_documents(const Reader& reader,
-                                                    std::uint32_t shard) {
-  const auto offsets =
+namespace {
+
+/// One shard's (offsets, term ids, weights) sections, copied out of the
+/// file image, with a view of every document in public id order. `docs`
+/// points into `terms` and `weights`; moving the struct keeps it valid.
+struct ShardDocuments {
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::uint32_t> terms;
+  std::vector<double> weights;
+  std::vector<vsm::SparseView> docs;
+};
+
+/// Decodes and validates one shard's sections: offsets start at 0 and
+/// never decrease, both streams match the final offset, term ids are
+/// strictly increasing within a document, and every weight is finite and
+/// non-zero. InvertedIndex::load's input.
+ShardDocuments read_shard_documents(const Reader& reader,
+                                    std::uint32_t shard) {
+  auto offsets =
       reader.section_as<std::uint64_t>(SectionKind::kForwardOffsets, shard);
-  const auto terms =
-      reader.section_as<std::uint32_t>(SectionKind::kTermIds, shard);
-  const auto weights =
-      reader.section_as<double>(SectionKind::kWeights, shard);
+  auto terms = reader.section_as<std::uint32_t>(SectionKind::kTermIds, shard);
+  auto weights = reader.section_as<double>(SectionKind::kWeights, shard);
 
   const std::string where = "snapshot: shard " + std::to_string(shard);
   if (offsets.empty() || offsets.front() != 0) {
@@ -322,7 +337,7 @@ std::vector<vsm::SparseVector> read_shard_documents(const Reader& reader,
                         " posting streams disagree with the offset table");
   }
 
-  std::vector<vsm::SparseVector> docs;
+  std::vector<vsm::SparseView> docs;
   docs.reserve(offsets.size() - 1);
   for (std::size_t d = 0; d + 1 < offsets.size(); ++d) {
     for (std::size_t f = offsets[d]; f < offsets[d + 1]; ++f) {
@@ -337,15 +352,15 @@ std::vector<vsm::SparseVector> read_shard_documents(const Reader& reader,
                             " carries a non-finite or zero weight");
       }
     }
-    // Validated above, so the trusted no-sort construction applies.
-    docs.push_back(vsm::SparseVector::from_sorted(
-        {terms.begin() + static_cast<std::ptrdiff_t>(offsets[d]),
-         terms.begin() + static_cast<std::ptrdiff_t>(offsets[d + 1])},
-        {weights.begin() + static_cast<std::ptrdiff_t>(offsets[d]),
-         weights.begin() + static_cast<std::ptrdiff_t>(offsets[d + 1])}));
+    const std::size_t size = offsets[d + 1] - offsets[d];
+    docs.push_back({{terms.data() + offsets[d], size},
+                    {weights.data() + offsets[d], size}});
   }
-  return docs;
+  return {std::move(offsets), std::move(terms), std::move(weights),
+          std::move(docs)};
 }
+
+}  // namespace
 
 VerifyResult verify_stream(std::istream& in) {
   VerifyResult result;
@@ -429,12 +444,10 @@ void InvertedIndex::save(snapshot::Writer& writer, std::uint32_t shard) const {
   std::vector<double> weights(forward_weights_.size());
   std::size_t w = 0;
   for (std::size_t pub = 0; pub < n; ++pub) {
-    const DocId internal = internal_of_[pub];
-    for (std::size_t f = forward_offsets_[internal];
-         f < forward_offsets_[internal + 1]; ++f, ++w) {
-      terms[w] = forward_terms_[f];
-      weights[w] = forward_weights_[f];
-    }
+    const vsm::SparseView doc = document(static_cast<DocId>(pub));
+    std::copy(doc.indices.begin(), doc.indices.end(), terms.begin() + w);
+    std::copy(doc.values.begin(), doc.values.end(), weights.begin() + w);
+    w += doc.indices.size();
     offsets[pub + 1] = w;
   }
   writer.add_section(snapshot::SectionKind::kForwardOffsets, shard,
@@ -450,8 +463,9 @@ InvertedIndex InvertedIndex::load(const snapshot::Reader& reader,
   // One build of every document in public order: byte-for-byte a fresh
   // build of the same documents — so every query contract of a fresh index
   // holds for a loaded one.
+  const auto sections = snapshot::read_shard_documents(reader, shard);
   InvertedIndex index;
-  index.add_batch(snapshot::read_shard_documents(reader, shard));
+  index.add_batch(sections.docs);
   return index;
 }
 

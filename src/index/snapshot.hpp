@@ -54,7 +54,6 @@
 #include <vector>
 
 #include "io/env.hpp"
-#include "vsm/sparse_vector.hpp"
 
 namespace fmeter::index::snapshot {
 
@@ -181,15 +180,6 @@ class Reader {
   std::uint64_t term_count_ = 0;
   std::vector<Section> sections_;
 };
-
-/// Decodes one shard's (offsets, term ids, weights) sections back into
-/// per-document sparse vectors in public id order, validating structure:
-/// offsets start at 0 and never decrease, both streams match the final
-/// offset, term ids are strictly increasing within a document, and every
-/// weight is finite. Shared by InvertedIndex::load (one add_batch) and
-/// SignatureDatabase::load (which also rebuilds its signature store).
-std::vector<vsm::SparseVector> read_shard_documents(const Reader& reader,
-                                                    std::uint32_t shard);
 
 /// One section's verification outcome (see verify_stream).
 struct SectionVerify {

@@ -7,6 +7,30 @@
 
 namespace fmeter::vsm {
 
+double dot(SparseView a, SparseView b) noexcept {
+  double total = 0.0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.indices.size() && j < b.indices.size()) {
+    if (a.indices[i] < b.indices[j]) {
+      ++i;
+    } else if (a.indices[i] > b.indices[j]) {
+      ++j;
+    } else {
+      total += a.values[i] * b.values[j];
+      ++i;
+      ++j;
+    }
+  }
+  return total;
+}
+
+double norm_l2(SparseView v) noexcept {
+  double total = 0.0;
+  for (const double value : v.values) total += value * value;
+  return std::sqrt(total);
+}
+
 SparseVector SparseVector::from_entries(std::vector<Entry> entries) {
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.first < b.first; });
@@ -76,34 +100,10 @@ std::size_t SparseVector::dimension_bound() const noexcept {
   return indices_.empty() ? 0 : static_cast<std::size_t>(indices_.back()) + 1;
 }
 
-double SparseVector::dot(const SparseVector& other) const noexcept {
-  double total = 0.0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < indices_.size() && j < other.indices_.size()) {
-    if (indices_[i] < other.indices_[j]) {
-      ++i;
-    } else if (indices_[i] > other.indices_[j]) {
-      ++j;
-    } else {
-      total += values_[i] * other.values_[j];
-      ++i;
-      ++j;
-    }
-  }
-  return total;
-}
-
 double SparseVector::norm_l1() const noexcept {
   double total = 0.0;
   for (const double v : values_) total += std::abs(v);
   return total;
-}
-
-double SparseVector::norm_l2() const noexcept {
-  double total = 0.0;
-  for (const double v : values_) total += v * v;
-  return std::sqrt(total);
 }
 
 double SparseVector::norm_lp(double p) const {
@@ -126,14 +126,14 @@ SparseVector SparseVector::l2_normalized() const {
   return scaled(1.0 / norm);
 }
 
-SparseVector SparseVector::plus(const SparseVector& other) const {
+SparseVector SparseVector::plus(SparseView other) const {
   std::vector<Entry> entries;
-  entries.reserve(nnz() + other.nnz());
+  entries.reserve(nnz() + other.indices.size());
   for (std::size_t i = 0; i < indices_.size(); ++i) {
     entries.emplace_back(indices_[i], values_[i]);
   }
-  for (std::size_t i = 0; i < other.indices_.size(); ++i) {
-    entries.emplace_back(other.indices_[i], other.values_[i]);
+  for (std::size_t i = 0; i < other.indices.size(); ++i) {
+    entries.emplace_back(other.indices[i], other.values[i]);
   }
   return from_entries(std::move(entries));
 }
@@ -168,11 +168,11 @@ std::string SparseVector::to_string() const {
   return out.str();
 }
 
-double euclidean_distance(const SparseVector& a, const SparseVector& b) noexcept {
+double euclidean_distance(SparseView a, SparseView b) noexcept {
   // ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b, computed without materialising a-b.
-  const double na = a.norm_l2();
-  const double nb = b.norm_l2();
-  const double sq = na * na + nb * nb - 2.0 * a.dot(b);
+  const double na = norm_l2(a);
+  const double nb = norm_l2(b);
+  const double sq = na * na + nb * nb - 2.0 * dot(a, b);
   return sq <= 0.0 ? 0.0 : std::sqrt(sq);
 }
 
@@ -181,11 +181,11 @@ double minkowski_distance(const SparseVector& a, const SparseVector& b, double p
   return a.minus(b).norm_lp(p);
 }
 
-double cosine_similarity(const SparseVector& a, const SparseVector& b) noexcept {
-  const double na = a.norm_l2();
-  const double nb = b.norm_l2();
+double cosine_similarity(SparseView a, SparseView b) noexcept {
+  const double na = norm_l2(a);
+  const double nb = norm_l2(b);
   if (na == 0.0 || nb == 0.0) return 0.0;
-  return a.dot(b) / (na * nb);
+  return dot(a, b) / (na * nb);
 }
 
 }  // namespace fmeter::vsm

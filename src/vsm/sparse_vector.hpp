@@ -15,6 +15,20 @@
 
 namespace fmeter::vsm {
 
+/// Non-owning view of a sparse vector's two parallel arrays. SparseVector
+/// converts to one implicitly, and the index hands out views of its stored
+/// documents, so the kernels below serve both without a copy.
+struct SparseView {
+  std::span<const std::uint32_t> indices;
+  std::span<const double> values;
+};
+
+/// Dot product (merge join over the two index arrays).
+double dot(SparseView a, SparseView b) noexcept;
+
+/// L2 norm.
+double norm_l2(SparseView v) noexcept;
+
 /// Immutable-ish sparse vector: parallel arrays of strictly increasing term
 /// indices and their (typically non-zero) values.
 class SparseVector {
@@ -23,6 +37,13 @@ class SparseVector {
   using Entry = std::pair<Index, double>;
 
   SparseVector() = default;
+
+  /// Copies a view of a SparseVector or of an index document as it is.
+  explicit SparseVector(SparseView view)
+      : indices_(view.indices.begin(), view.indices.end()),
+        values_(view.values.begin(), view.values.end()) {}
+
+  operator SparseView() const noexcept { return {indices_, values_}; }
 
   /// Builds from unsorted (index, value) pairs; duplicate indices are summed,
   /// zero-valued entries are dropped.
@@ -53,11 +74,13 @@ class SparseVector {
   std::size_t dimension_bound() const noexcept;
 
   /// Dot product with another sparse vector (merge join).
-  double dot(const SparseVector& other) const noexcept;
+  double dot(SparseView other) const noexcept {
+    return vsm::dot(*this, other);
+  }
 
   /// Lp norms.
   double norm_l1() const noexcept;
-  double norm_l2() const noexcept;
+  double norm_l2() const noexcept { return vsm::norm_l2(*this); }
   double norm_lp(double p) const;
 
   /// Returns a copy scaled by `factor`.
@@ -68,7 +91,7 @@ class SparseVector {
   SparseVector l2_normalized() const;
 
   /// Element-wise sum / difference.
-  SparseVector plus(const SparseVector& other) const;
+  SparseVector plus(SparseView other) const;
   SparseVector minus(const SparseVector& other) const;
 
   /// Accumulates this vector into a dense buffer (used for centroids).
@@ -89,12 +112,12 @@ class SparseVector {
 };
 
 /// Euclidean (L2) distance between sparse vectors.
-double euclidean_distance(const SparseVector& a, const SparseVector& b) noexcept;
+double euclidean_distance(SparseView a, SparseView b) noexcept;
 
 /// Minkowski distance induced by the Lp norm (paper §2.1). Requires p >= 1.
 double minkowski_distance(const SparseVector& a, const SparseVector& b, double p);
 
 /// Cosine of the angle between two vectors; 0 if either is the zero vector.
-double cosine_similarity(const SparseVector& a, const SparseVector& b) noexcept;
+double cosine_similarity(SparseView a, SparseView b) noexcept;
 
 }  // namespace fmeter::vsm

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -300,10 +301,92 @@ TEST(SignatureDatabase, ScalarAddsAndBruteForceScansBuildNoIndex) {
   EXPECT_EQ(db.index().size(), 203u);
 }
 
+void expect_same_hits(const std::vector<SearchHit>& got,
+                      const std::vector<SearchHit>& want,
+                      const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].id, want[r].id) << context << " rank " << r;
+    EXPECT_EQ(got[r].label, want[r].label) << context << " rank " << r;
+    EXPECT_EQ(got[r].score, want[r].score) << context << " rank " << r;
+  }
+}
+
+TEST(SignatureDatabase, IndexedPlusPendingDocumentsReadLikeABulkBuild) {
+  // add_batch indexes the first documents; the scalar adds after it stay
+  // pending. Readers that need no index see both sides of that boundary
+  // exactly as a bulk-built database does, and none of them builds.
+  constexpr std::size_t kIndexed = 40;
+  constexpr std::size_t kPending = 25;
+  util::Rng rng(0x5ad);
+  std::vector<vsm::SparseVector> docs;
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < kIndexed + kPending; ++i) {
+    docs.push_back(random_doc(rng));
+    labels.push_back("l" + std::to_string(i % 3));
+  }
+  SignatureDatabase reference(3);
+  reference.add_batch(docs, labels);
+  SignatureDatabase mixed(3);
+  mixed.add_batch({docs.begin(), docs.begin() + kIndexed},
+                  {labels.begin(), labels.begin() + kIndexed});
+  for (std::size_t i = kIndexed; i < docs.size(); ++i) {
+    mixed.add(docs[i], labels[i]);
+  }
+  const std::uint64_t builds = index_builds();
+
+  for (std::size_t id = 0; id < docs.size(); ++id) {
+    EXPECT_TRUE(mixed.signature(id) == docs[id]) << "id " << id;
+  }
+  EXPECT_THROW((void)mixed.signature(docs.size()), std::out_of_range);
+
+  std::vector<vsm::SparseVector> queries;
+  for (std::size_t q = 0; q < 6; ++q) queries.push_back(docs[q * 11]);
+  queries.push_back(random_doc(rng));
+  for (const auto metric :
+       {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      expect_same_hits(
+          mixed.search(queries[q], 10, metric, ScanPolicy::kBruteForce),
+          reference.search(queries[q], 10, metric, ScanPolicy::kBruteForce),
+          "scan query " + std::to_string(q));
+    }
+  }
+
+  const auto got = mixed.syndromes();
+  const auto want = reference.syndromes();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].support, want[i].support);
+    EXPECT_TRUE(got[i].centroid == want[i].centroid) << want[i].label;
+  }
+
+  const SignatureDatabase copy = mixed;
+  EXPECT_EQ(index_builds(), builds) << "a read of the mixed state built";
+  ASSERT_EQ(copy.size(), docs.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::string context = "copy query " + std::to_string(q);
+    expect_same_hits(
+        copy.search(queries[q], 10, SimilarityMetric::kCosine,
+                    ScanPolicy::kBruteForce),
+        reference.search(queries[q], 10, SimilarityMetric::kCosine,
+                         ScanPolicy::kBruteForce),
+        context);
+    expect_same_hits(copy.search(queries[q], 10),
+                     reference.search(queries[q], 10), context);
+  }
+  EXPECT_EQ(copy.classify_by_syndrome(queries[0]),
+            reference.classify_by_syndrome(queries[0]));
+}
+
 TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
-  // Writers append without indexing; every reader below extends the index
-  // under the store lock. Under TSan this pins the catch-up hand-off, and
-  // every result must be a consistent prefix of the store.
+  // Writers append without indexing; every index reader below moves the
+  // pending adds into the index under the store lock, rebuilding the
+  // forward store that signature() and the brute-force scan read views
+  // of. Under TSan/ASan this pins the catch-up hand-off and the lifetime of
+  // those views, and every result must be a consistent prefix of the
+  // database.
   constexpr int kDocs = 300;
   util::Rng rng(0x7ace);
   std::vector<vsm::SparseVector> docs;
@@ -341,10 +424,27 @@ TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
       EXPECT_LE(db.index().size(), static_cast<std::size_t>(kDocs));
     }
   });
+  std::thread document_reader([&] {
+    for (int i = 0; i < 60; ++i) {
+      const std::size_t size = db.size();
+      for (std::size_t id = i % 7; id < size; id += 7) {
+        ASSERT_TRUE(db.signature(id) == docs[id]) << "id " << id;
+      }
+      const auto hits = db.search(docs[i % kDocs], 5,
+                                  SimilarityMetric::kCosine,
+                                  ScanPolicy::kBruteForce);
+      EXPECT_LE(hits.size(), 5u);
+      for (const auto& hit : hits) {
+        EXPECT_LT(hit.id, static_cast<std::size_t>(kDocs));
+        EXPECT_EQ(hit.label, "l" + std::to_string(hit.id % 4));
+      }
+    }
+  });
   writer.join();
   searcher.join();
   saver.join();
   scraper.join();
+  document_reader.join();
 
   EXPECT_EQ(db.size(), static_cast<std::size_t>(kDocs));
   const auto hits = db.search(docs[7], 1);

@@ -19,7 +19,8 @@ namespace {
 
 std::vector<std::byte> payload_of(const std::string& text) {
   std::vector<std::byte> out(text.size());
-  std::memcpy(out.data(), text.data(), text.size());
+  // memcpy from/to the null data() of an empty string/vector is undefined.
+  if (!text.empty()) std::memcpy(out.data(), text.data(), text.size());
   return out;
 }
 
