@@ -36,7 +36,9 @@
 // Usage: bench_query_engine_scaling [--docs N | N]
 //   e.g. `bench_query_engine_scaling --docs 5000` as a CI smoke; the full
 //   ladder is 10k/100k signatures.
-// Writes machine-readable results to BENCH_query_engine.json.
+// Writes machine-readable results to BENCH_query_engine.json. Every row
+// carries the host's hardware thread count (`cores`): dispatch_pooled and
+// the multi-shard speedups only mean parallelism when it is above 1.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -363,7 +365,8 @@ int main(int argc, char** argv) {
                    static_cast<double>(cell.stats.spans_reserved)),
                fmeter::bench::jnum(
                    "tasks_executed",
-                   static_cast<double>(cell.stats.tasks_executed))});
+                   static_cast<double>(cell.stats.tasks_executed)),
+               fmeter::bench::jnum("cores", static_cast<double>(cores))});
         }
       }
 
@@ -400,7 +403,8 @@ int main(int argc, char** argv) {
                  "independent_postings_visited",
                  static_cast<double>(cmp.independent.postings_visited)),
              fmeter::bench::jnum("work_ratio",
-                                 seeded_work / independent_work)});
+                                 seeded_work / independent_work),
+             fmeter::bench::jnum("cores", static_cast<double>(cores))});
         checks.push_back(
             {"seeded and independent pruning agree on results at " +
                  std::to_string(corpus),

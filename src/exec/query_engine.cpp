@@ -20,7 +20,10 @@ namespace {
 // scoring one stored document against one query in the exact pass. The
 // model is deliberately coarse — it only has to separate "microseconds of
 // work, dispatch would dominate" from "milliseconds of work, workers pay
-// for themselves", not predict runtimes.
+// for themselves", not predict runtimes. It must, however, price the
+// kernel that will run: every shard is resolved with the same rule the
+// cells use (resolve_mode), so the dispatch gate and admission control
+// (estimated_query_cost) both see the work that actually happens.
 
 /// Fixed price of fanning out: listing the batch, waking workers, and the
 /// completion latch. Roughly tens of microseconds on contended boxes.
@@ -29,19 +32,6 @@ constexpr double kDispatchOverheadDocs = 8192.0;
 /// Marginal price per grid span: the reservation fetch_add plus the cache
 /// misses of a participant switching to a new (shard, query-block) cell.
 constexpr double kSpanOverheadDocs = 64.0;
-
-/// Estimated scoring work for one (query, shard) cell. The exact pass
-/// touches every document in the shard. The pruned pass bounds its probes
-/// by the threshold: its cost scales with k (bootstrap + candidate
-/// verification) plus a small fraction of the shard it still streams
-/// through. kAuto is modelled as pruned — it resolves to kMaxScore
-/// exactly on the large shards where this decision matters.
-double estimated_cell_docs(double docs_per_shard, std::size_t k,
-                           PruningMode mode) {
-  if (mode == PruningMode::kExact) return docs_per_shard;
-  return std::min(docs_per_shard, 32.0 * static_cast<double>(k) +
-                                      docs_per_shard / 8.0);
-}
 
 /// Resolves the effective scoring path for one shard. kAuto picks per
 /// shard from the measured size crossover, and the engine treats kMaxScore
@@ -54,6 +44,25 @@ PruningMode resolve_mode(const ShardedIndex& index, std::size_t shard,
                          std::size_t k, PruningMode mode) {
   if (mode == PruningMode::kExact) return mode;
   return index::InvertedIndex::resolve_auto(index.shard(shard).size(), k);
+}
+
+/// Estimated scoring work for one query across every shard, each shard
+/// priced at the kernel resolve_mode() will actually run on it. The exact
+/// pass touches every document in the shard. The pruned pass bounds its
+/// probes by the threshold: its cost scales with k (bootstrap + candidate
+/// verification) plus a small fraction of the shard it still streams
+/// through.
+double estimated_query_docs(const ShardedIndex& index, std::size_t k,
+                            PruningMode mode) {
+  double docs = 0.0;
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    const auto shard_docs = static_cast<double>(index.shard(s).size());
+    docs += resolve_mode(index, s, k, mode) == PruningMode::kExact
+                ? shard_docs
+                : std::min(shard_docs,
+                           32.0 * static_cast<double>(k) + shard_docs / 8.0);
+  }
+  return docs;
 }
 
 /// Scores one query against one shard, mapping hits to global doc ids.
@@ -308,8 +317,6 @@ double QueryEngine::estimated_query_cost(const ShardedIndex& index,
   // Posting lists are walked below; pin the reader side of the ingest lock
   // so a concurrent add_batch cannot resize them mid-estimate.
   const auto ingest_guard = index.read_lock();
-  const double docs_per_shard =
-      static_cast<double>(index.size()) / static_cast<double>(shards);
   // The grid term the dispatch decision already uses, plus this query's own
   // posting footprint — the part a shape-blind estimate misses, and exactly
   // what makes an adversarially dense query expensive.
@@ -317,9 +324,7 @@ double QueryEngine::estimated_query_cost(const ShardedIndex& index,
   for (std::size_t s = 0; s < shards; ++s) {
     postings += static_cast<double>(index.shard(s).num_postings_for(query));
   }
-  return estimated_cell_docs(docs_per_shard, k, mode) *
-             static_cast<double>(shards) +
-         postings;
+  return estimated_query_docs(index, k, mode) + postings;
 }
 
 std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
@@ -534,10 +539,8 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   // first so inline-only workloads never materialize the shared pool (a
   // pooled win needs total_work > overhead / (1 - 1/participants), i.e.
   // at least twice the dispatch overhead).
-  const double docs_per_shard =
-      static_cast<double>(index_->size()) / static_cast<double>(shards);
-  const double total_work =
-      estimated_cell_docs(docs_per_shard, k, mode) * static_cast<double>(cells);
+  const double total_work = estimated_query_docs(*index_, k, mode) *
+                            static_cast<double>(n_eligible);
   if (total_work <= 2.0 * kDispatchOverheadDocs) return run_inline();
   TaskPool& pool = this->pool();
   if (pool.size() <= 1 || pool.current_thread_is_worker()) {

@@ -13,16 +13,17 @@
 // brute-force scan: same ids, same scores, same ascending-id tie-break.
 //
 // Whether a batch fans out at all is a cost-model decision, not a flat
-// document cutoff: the model weighs total scoring work (documents per
-// shard × grid cells, discounted when the mode prunes) against the fixed
+// document cutoff: the model weighs total scoring work against the fixed
 // cost of waking workers plus per-span reservation overhead, and fans out
-// only when the projected parallel time wins. Small work inlines on the
-// caller — where the grid runs shard-major (every query against shard 0,
-// then shard 1, …) so a shard's term metadata stays hot across the whole
-// batch, and the next cell's posting spans are prefetched
-// (InvertedIndex::warm) while the current cell computes. The chosen branch
-// is visible per batch in QueryStats and cumulatively via
-// inline_batches()/pooled_batches().
+// only when the projected parallel time wins. Each shard is priced at the
+// kernel it will actually run — kAuto and kMaxScore resolve per shard via
+// index::InvertedIndex::resolve_auto, exactly as the cells do — so a shard
+// below the pruning crossover costs its full document count, and only a
+// shard that really prunes gets the pruned discount. Small work inlines on
+// the caller, where the grid runs shard-major (every query against shard
+// 0, then shard 1, …) so a shard's term metadata stays hot across the
+// whole batch. The chosen branch is visible per batch in QueryStats and
+// cumulatively via inline_batches()/pooled_batches().
 //
 // Cross-shard threshold seeding applies to *both* modes and is the one
 // piece of per-query shared state: a relaxed atomic score floor holding
@@ -31,10 +32,13 @@
 // to drop shard-local also-rans scoring strictly below it before they
 // touch the heap (provably below the global k-th best — see the seed
 // contract on InvertedIndex::top_k; merged results are unchanged). The
-// floor is a monotonic hint — a stale read only costs pruning opportunity,
-// never correctness — so relaxed loads and a CAS-max suffice; the hot
-// path takes no lock. PruningMode::kAuto still resolves per shard via
-// index::InvertedIndex::resolve_auto.
+// exact kernel does not depend on the floor to be cheap: once its own
+// heap holds k hits it raises its divide-free pre-test to the heap's
+// worst score, so shards that start together — every shard of a pooled
+// batch — skip most divides and heap offers without waiting on each
+// other. The floor is a monotonic hint — a stale read only costs pruning
+// opportunity, never correctness — so relaxed loads and a CAS-max
+// suffice; the hot path takes no lock.
 //
 // Steady state allocates nothing on the dispatch side: scoring scratch
 // (one arena per pool worker, owned by the engine, plus a thread-local

@@ -380,28 +380,29 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
   // whatever the offer order, so the doc permutation cannot move a hit.
   const double* snorms = norms_.data();
   BoundedHeap heap;
-  // Divide-free seed pre-test for cosine: score < seed ⟺ acc < seed·|q|·norm
-  // (all positive), so a doc with acc below that product — shrunk by a
-  // 1e-13 relative margin, ~450× the worst rounding drift of the two extra
-  // multiplies — is provably below the cross-shard floor and can skip the
-  // divide and the heap entirely. Borderline docs (within the margin, or
-  // exactly tied with the seed) fail the pre-test and fall through to the
-  // exact compute + exact seed compare below, so the returned hits are
-  // bit-identical with and without the pre-test. In a multi-shard engine
-  // sweep every shard after the first runs seeded, which turns most of its
-  // scoring loop into one multiply-compare per doc.
-  const bool seed_pretest =
-      metric == Metric::kCosine && seed_score > 0.0 && q_norm > 0.0;
-  const double seed_pretest_factor =
-      seed_pretest ? seed_score * q_norm * (1.0 - 1e-13) : 0.0;
+  // Divide-free pre-test for cosine: score < t ⟺ acc < t·|q|·norm (|q|,
+  // norm > 0), so a doc with acc below that product — shrunk by a 1e-13
+  // relative margin, ~450× the worst rounding drift of the two extra
+  // multiplies — is provably below t and skips the divide and the heap
+  // entirely. Borderline docs (within the margin, or exactly tied with t)
+  // fail the pre-test and fall through to the exact compute, the exact
+  // seed compare and the heap's id tie-break, so the returned hits are
+  // bit-identical with and without it. t starts at the cross-shard seed
+  // and rises to the heap's worst score once the heap holds `top` hits: a
+  // doc strictly below that can never displace a retained hit. So even an
+  // unseeded shard — every shard of a pooled batch starts unseeded — turns
+  // most of its scoring loop into one multiply-compare per doc. Only
+  // positive thresholds arm it (the margin shrinks toward zero).
+  const bool running_pretest = metric == Metric::kCosine && q_norm > 0.0;
+  double pretest_score = std::max(seed_score, 0.0);
+  bool pretest = running_pretest && pretest_score > 0.0;
+  double pretest_factor = pretest_score * q_norm * (1.0 - 1e-13);
   std::size_t doc = 0;
   while (doc < n) {
     const std::size_t doc_stop = n - doc > stride ? doc + stride : n;
     const std::size_t chunk = doc_stop - doc;
     for (; doc < doc_stop; ++doc) {
-      if (seed_pretest && acc[doc] < seed_pretest_factor * snorms[doc]) {
-        continue;
-      }
+      if (pretest && acc[doc] < pretest_factor * snorms[doc]) continue;
       IndexHit hit;
       hit.doc = public_of_[doc];
       if (metric == Metric::kCosine) {
@@ -425,6 +426,12 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
       // churning through every shard-local also-ran.
       if (hit.score < seed_score) continue;
       heap_offer(heap, top, hit);
+      if (running_pretest && heap.size() == top &&
+          heap.top().score > pretest_score) {
+        pretest_score = heap.top().score;
+        pretest = true;
+        pretest_factor = pretest_score * q_norm * (1.0 - 1e-13);
+      }
     }
     guard.charge(chunk);
   }

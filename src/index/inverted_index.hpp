@@ -289,10 +289,16 @@ class InvertedIndex {
 
   /// Resolves PruningMode::kAuto for a shard of `docs` documents answering
   /// a top-`k` query: kMaxScore once the shard is large enough that bound
-  /// bookkeeping pays for itself, kExact below. The cutoffs come from the
-  /// measured crossover in BENCH_index_scaling.json, not from theory: the
-  /// arena's exact kernel is fast enough that it still beats the pruned
-  /// one ~1.2× at 10k docs, so a shard prunes only well above that.
+  /// bookkeeping pays for itself, kExact below. The cutoffs come from
+  /// measured crossovers, not from theory. Re-measured once the exact
+  /// cosine pass gained its running pre-test (one unseeded shard, top-10,
+  /// bench_index_scaling's corpus, CPU-time medians over 15–25 alternating
+  /// exact/pruned pairs on a 4-vCPU VM): exact/pruned time is 0.7 at 10k,
+  /// 0.8 at 25k and 50k and 0.9–1.0 at 100k docs for cosine, against
+  /// 0.9–1.0, 1.1, 1.1 and 1.3–1.5 before it; Euclidean, whose pass did
+  /// not change, still reads 0.8–0.9, 1.1, 1.0–1.2 and 1.3–1.4. So the
+  /// cosine crossover now sits at or above 100k and the Euclidean one near
+  /// 20k. The 32768 cutoff is kept as is, between the two.
   static PruningMode resolve_auto(std::size_t docs, std::size_t k) noexcept {
     constexpr std::size_t kAutoPrunedMinDocs = 32768;
     // Near-full retrieval gives bounds nothing to discard.
@@ -318,7 +324,10 @@ class InvertedIndex {
   /// fewer than k hits, but every omitted document provably loses to the
   /// seed. Retained hits keep bit-identical scores; docs scoring exactly at
   /// the seed are kept so cross-shard tie-breaks stay intact. kNoSeed (the
-  /// default) restores the full standalone top-k contract.
+  /// default) restores the full standalone top-k contract. Seeded or not,
+  /// the cosine pass raises its own divide-free pre-test to the heap's
+  /// worst score once the heap is full, so an unseeded call still skips
+  /// the divide for most documents; docs_scored counts every document.
   ///
   /// `deadline`, when non-null and active, is polled at amortized
   /// cooperative checkpoints (every ~CheckpointGuard::kInterval postings /

@@ -123,9 +123,11 @@ TEST(PrunedSearch, NegativeWeightsMatchBruteForce) {
 TEST(PrunedSearch, AdversarialTiesDuplicatesAndZeroWeights) {
   // Exact duplicates tie on every metric, so ranking degenerates to the
   // ascending-id tie-break; empty documents and the empty query probe the
-  // zero-weight conventions (cosine 0, euclidean -|q|). Duplicates take
-  // identical accumulation sequences in the pruned path, so their scores
-  // tie exactly and the order must match the scan's everywhere.
+  // zero-weight conventions (cosine 0, euclidean -|q|); negated duplicates
+  // put ties below zero, and k = 7 cuts through the tied duplicate runs.
+  // Duplicates take identical accumulation sequences in the pruned path,
+  // so their scores tie exactly and the order must match the scan's
+  // everywhere.
   const auto base = vsm::SparseVector::from_entries({{3, 0.6}, {11, 0.8}});
   const auto other = vsm::SparseVector::from_entries({{3, 1.0}, {7, 0.2}});
   for (const std::size_t shards : kShardCounts) {
@@ -135,14 +137,35 @@ TEST(PrunedSearch, AdversarialTiesDuplicatesAndZeroWeights) {
     db.add(vsm::SparseVector(), "empty-a");
     db.add(vsm::SparseVector(), "empty-b");
     db.add(base.scaled(2.0), "scaled");
+    for (int rep = 0; rep < 3; ++rep) db.add(base.scaled(-1.0), "negated");
     for (const auto& query :
-         {base, other, base.scaled(0.5), vsm::SparseVector(),
-          vsm::SparseVector::from_entries({{999, 1.0}})}) {
+         {base, other, base.scaled(0.5), base.scaled(-1.0),
+          vsm::SparseVector(), vsm::SparseVector::from_entries({{999, 1.0}})}) {
       for (const std::size_t k :
-           {std::size_t{1}, std::size_t{4}, db.size()}) {
-        expect_pruned_equivalence(db, query, k,
-                                  "ties shards " + std::to_string(shards) +
-                                      " k " + std::to_string(k));
+           {std::size_t{1}, std::size_t{4}, std::size_t{7}, db.size()}) {
+        const std::string context = "ties shards " + std::to_string(shards) +
+                                    " k " + std::to_string(k);
+        expect_pruned_equivalence(db, query, k, context);
+        // The exact kernel (and kAuto, which runs it on shards this small)
+        // raises its divide-free pre-test from its own heap; with the k-th
+        // score tied across duplicates, results must still match the scan
+        // to the bit.
+        for (const auto metric :
+             {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
+          const auto golden =
+              db.search(query, k, metric, ScanPolicy::kBruteForce);
+          for (const auto mode : {PruningMode::kExact, PruningMode::kAuto}) {
+            const auto hits =
+                db.search(query, k, metric, ScanPolicy::kIndexed, mode);
+            ASSERT_EQ(hits.size(), golden.size()) << context;
+            for (std::size_t rank = 0; rank < golden.size(); ++rank) {
+              EXPECT_EQ(hits[rank].id, golden[rank].id)
+                  << context << " rank " << rank;
+              EXPECT_EQ(hits[rank].score, golden[rank].score)
+                  << context << " rank " << rank;
+            }
+          }
+        }
       }
     }
   }

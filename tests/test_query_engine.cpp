@@ -2,11 +2,15 @@
 // corpora, the brute-force scan, the single-shard index, every N-shard
 // configuration and the batched API must return bit-identical results —
 // same ids, same labels, same ordering, same scores. Plus the defined
-// degenerate behavior (k == 0 / empty query => no hits, no dispatch) and
-// Euclidean classification through the engine.
+// degenerate behavior (k == 0 / empty query => no hits, no dispatch),
+// Euclidean classification through the engine, and the dispatch cost
+// model pricing each shard at the kernel it runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "exec/task_pool.hpp"
 #include "fmeter/database.hpp"
 #include "fmeter/retrieval.hpp"
+#include "index/inverted_index.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -24,15 +29,44 @@ namespace {
 constexpr std::size_t kShardCounts[] = {1, 2, 3, 5, 8};
 
 vsm::SparseVector random_sparse(util::Rng& rng, std::uint32_t dimension,
-                                std::size_t max_nnz) {
+                                std::size_t max_nnz,
+                                bool allow_negative = false) {
   std::vector<vsm::SparseVector::Entry> entries;
   const std::size_t nnz = rng.below(max_nnz + 1);  // may be 0 => empty vector
   for (std::size_t i = 0; i < nnz; ++i) {
+    double value = rng.uniform(0.05, 1.0);
+    if (allow_negative && rng.bernoulli(0.3)) value = -value;
     entries.emplace_back(
-        static_cast<vsm::SparseVector::Index>(rng.below(dimension)),
-        rng.uniform(0.05, 1.0));
+        static_cast<vsm::SparseVector::Index>(rng.below(dimension)), value);
   }
   return vsm::SparseVector::from_entries(std::move(entries));
+}
+
+/// Ground truth straight from the per-document similarity functions: every
+/// document scored, ranked by the one shared ordering, cut to k.
+std::vector<exec::IndexHit> scan_top_k(
+    const std::vector<vsm::SparseVector>& corpus,
+    const vsm::SparseVector& query, std::size_t k) {
+  std::vector<exec::IndexHit> all;
+  for (std::size_t d = 0; d < corpus.size(); ++d) {
+    all.push_back({static_cast<std::uint32_t>(d),
+                   vsm::cosine_similarity(query, corpus[d])});
+  }
+  std::sort(all.begin(), all.end(), index::ranks_better);
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+void expect_index_hits_identical(const std::vector<exec::IndexHit>& actual,
+                                 const std::vector<exec::IndexHit>& expected,
+                                 const std::string& context) {
+  ASSERT_EQ(actual.size(), expected.size()) << context;
+  for (std::size_t rank = 0; rank < actual.size(); ++rank) {
+    EXPECT_EQ(actual[rank].doc, expected[rank].doc)
+        << context << " rank " << rank;
+    EXPECT_EQ(actual[rank].score, expected[rank].score)
+        << context << " rank " << rank;
+  }
 }
 
 /// The same corpus replicated into one database per shard count.
@@ -101,6 +135,145 @@ TEST(QueryEngine, AllShardCountsAndBatchingMatchBruteForce) {
       }
     }
   }
+
+  // Edge inputs for the exact kernel's running top-k threshold, on a corpus
+  // large enough that a 6-query batch fans out: a quarter of the documents
+  // are one duplicated vector (hundreds tied exactly at the k-th score, so
+  // the ranking rests on the id tie-break), a quarter are zero-norm, a
+  // quarter carry negative weights. k runs up to and past the shard size.
+  // The one-worker pool keeps every batch on the caller; the two-worker
+  // pool must take the pooled branch, where every shard starts unseeded.
+  const auto tied = vsm::SparseVector::from_entries({{2, 0.6}, {5, 0.8}});
+  std::vector<vsm::SparseVector> corpus;
+  constexpr std::size_t kEdgeDocs = 3200;
+  for (std::size_t i = 0; i < kEdgeDocs; ++i) {
+    switch (i % 4) {
+      case 0: corpus.push_back(tied); break;
+      case 1: corpus.emplace_back(); break;
+      case 2: corpus.push_back(random_sparse(rng, 48, 10, true)); break;
+      default: corpus.push_back(random_sparse(rng, 48, 10)); break;
+    }
+  }
+  SignatureDatabase scan_db(1);
+  for (const auto& doc : corpus) scan_db.add(doc, "edge");
+  const std::vector<vsm::SparseVector> queries = {
+      tied,
+      tied.scaled(-1.0),  // the duplicates all score -1
+      vsm::SparseVector::from_entries({{2, 1.0}, {7, -0.5}}),
+      vsm::SparseVector::from_entries({{999, 1.0}}),  // scores all zero
+      vsm::SparseVector::from_entries({{1, -0.7}, {5, 0.3}, {20, 0.9}})
+          .scaled(3.0),
+      vsm::SparseVector::from_entries({{5, 0.5}, {11, 0.5}, {40, 0.25}})};
+  exec::TaskPool solo(1);
+  exec::TaskPool duo(2);
+  for (const std::size_t shards : {1, 2, 3, 8}) {
+    exec::ShardedIndex index(shards);
+    index.add_batch(std::span<const vsm::SparseVector>(corpus));
+    const exec::QueryEngine inline_engine(index, &solo);
+    const exec::QueryEngine pooled_engine(index, &duo);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{10},
+                                kEdgeDocs / 8, kEdgeDocs}) {
+      for (const auto metric :
+           {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
+        const auto golden =
+            scan_db.search_batch(queries, k, metric, ScanPolicy::kBruteForce);
+        const auto index_metric = metric == SimilarityMetric::kCosine
+                                      ? exec::Metric::kCosine
+                                      : exec::Metric::kEuclidean;
+        for (const auto mode : {PruningMode::kExact, PruningMode::kAuto}) {
+          const std::string context =
+              "edge shards " + std::to_string(shards) + " k " +
+              std::to_string(k) +
+              (metric == SimilarityMetric::kCosine ? " cosine" : " l2") +
+              (mode == PruningMode::kExact ? " exact" : " auto");
+          const auto pooled_before = pooled_engine.pooled_batches();
+          const auto inlined =
+              inline_engine.run_batch(queries, k, index_metric, mode);
+          const auto pooled =
+              pooled_engine.run_batch(queries, k, index_metric, mode);
+          EXPECT_EQ(pooled_engine.pooled_batches(), pooled_before + 1)
+              << context;
+          for (std::size_t q = 0; q < queries.size(); ++q) {
+            std::vector<exec::IndexHit> expected;
+            for (const auto& hit : golden[q]) {
+              expected.push_back(
+                  {static_cast<std::uint32_t>(hit.id), hit.score});
+            }
+            expect_index_hits_identical(
+                inlined[q], expected,
+                context + " inline query " + std::to_string(q));
+            expect_index_hits_identical(
+                pooled[q], expected,
+                context + " pooled query " + std::to_string(q));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(inline_engine.pooled_batches(), 0u) << "shards " << shards;
+  }
+}
+
+TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
+  // 4 × 8k documents: every shard sits below the kAuto crossover, so kAuto
+  // and kMaxScore both run the exact kernel on each — 32k documents of
+  // exact work, which clears the pooled gate even for a single query. The
+  // cost model must price that work, not a pruned discount of it.
+  util::Rng rng(0x5ca1ed);
+  constexpr std::size_t k = 10;
+  std::vector<vsm::SparseVector> corpus;
+  for (int i = 0; i < 32000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  exec::ShardedIndex sharded(4);
+  sharded.add_batch(std::span<const vsm::SparseVector>(corpus));
+  ASSERT_EQ(index::InvertedIndex::resolve_auto(sharded.shard(0).size(), k),
+            PruningMode::kExact);
+
+  auto query = random_sparse(rng, 32, 8);
+  if (query.empty()) query = vsm::SparseVector::from_entries({{3, 1.0}});
+  exec::TaskPool solo(1);
+  const exec::QueryEngine reference(sharded, &solo);
+  const auto exact = reference.run(query, k, exec::Metric::kCosine,
+                                   PruningMode::kExact);
+  EXPECT_EQ(reference.inline_batches(), 1u);
+  expect_index_hits_identical(exact, scan_top_k(corpus, query, k),
+                              "inline exact vs scan");
+
+  exec::TaskPool pool(2);
+  for (const auto mode : {PruningMode::kAuto, PruningMode::kMaxScore}) {
+    const std::string context =
+        mode == PruningMode::kAuto ? "auto" : "maxscore";
+    const exec::QueryEngine engine(sharded, &pool);
+    exec::QueryStats stats;
+    const auto hits = engine.run(query, k, exec::Metric::kCosine, mode, &stats);
+    EXPECT_EQ(engine.pooled_batches(), 1u) << context;
+    EXPECT_EQ(stats.dispatch_pooled, 1u) << context;
+    EXPECT_EQ(stats.docs_scored, corpus.size()) << context;  // no pruning ran
+    expect_index_hits_identical(hits, exact, context);
+  }
+
+  // Admission control prices through the same model.
+  const double exact_cost = exec::QueryEngine::estimated_query_cost(
+      sharded, query, k, PruningMode::kExact);
+  EXPECT_EQ(exec::QueryEngine::estimated_query_cost(sharded, query, k,
+                                                    PruningMode::kAuto),
+            exact_cost);
+  EXPECT_EQ(exec::QueryEngine::estimated_query_cost(sharded, query, k,
+                                                    PruningMode::kMaxScore),
+            exact_cost);
+
+  // At the crossover the shard really prunes, and is priced below exact.
+  while (corpus.size() < 32768) corpus.push_back(random_sparse(rng, 32, 8));
+  exec::ShardedIndex large(1);
+  large.add_batch(std::span<const vsm::SparseVector>(corpus));
+  ASSERT_EQ(index::InvertedIndex::resolve_auto(large.size(), k),
+            PruningMode::kMaxScore);
+  const double large_exact = exec::QueryEngine::estimated_query_cost(
+      large, query, k, PruningMode::kExact);
+  EXPECT_LT(exec::QueryEngine::estimated_query_cost(large, query, k,
+                                                    PruningMode::kAuto),
+            large_exact);
+  EXPECT_LT(exec::QueryEngine::estimated_query_cost(large, query, k,
+                                                    PruningMode::kMaxScore),
+            large_exact);
 }
 
 TEST(QueryEngine, IncrementalAddsKeepAllShardCountsEquivalent) {
