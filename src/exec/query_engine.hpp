@@ -19,10 +19,11 @@
 // kernel it will actually run — kAuto and kMaxScore resolve per shard via
 // index::InvertedIndex::resolve_auto, exactly as the cells do — so a shard
 // below the pruning crossover costs its full document count, and only a
-// shard that really prunes gets the pruned discount. Small work inlines on
-// the caller, where the grid runs shard-major (every query against shard
-// 0, then shard 1, …) so a shard's term metadata stays hot across the
-// whole batch. The chosen branch is visible per batch in QueryStats and
+// shard that really prunes gets the pruned discount. The fixed cost of a
+// fan-out is calibrated in the same document units (~2k documents, see
+// query_engine.cpp). Small work inlines on the caller, where the grid runs
+// shard-major (every query against shard 0, then shard 1, …) so a shard's
+// term metadata stays hot across the whole batch. The chosen branch is visible per batch in QueryStats and
 // cumulatively via inline_batches()/pooled_batches().
 //
 // Cross-shard threshold seeding applies to *both* modes and is the one

@@ -18,6 +18,21 @@ namespace {
 thread_local const TaskPool* tls_owning_pool = nullptr;
 thread_local std::size_t tls_worker_index = 0;
 
+/// CPUs this process may run on: its affinity mask where the platform
+/// exposes one (taskset, a container's cpuset), else the hardware thread
+/// count. Sizing by the mask keeps a pool restricted to 2 of 64 cores from
+/// spawning 64 workers that only contend for the 2.
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    return std::max(1, CPU_COUNT(&cpus));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 }  // namespace
 
 bool TaskPool::current_thread_is_worker() const noexcept {
@@ -31,9 +46,7 @@ TaskPool::TaskPool(std::size_t num_threads)
 
 TaskPool::TaskPool(const Options& options) : pin_threads_(options.pin_threads) {
   const std::size_t requested =
-      options.num_threads > 0
-          ? options.num_threads
-          : std::max(1u, std::thread::hardware_concurrency());
+      options.num_threads > 0 ? options.num_threads : usable_cpus();
   const std::size_t count = std::max<std::size_t>(1, requested);
   worker_spans_ = std::make_unique<std::atomic<std::uint64_t>[]>(count);
   workers_.reserve(count);
@@ -282,7 +295,7 @@ void TaskPool::publish_metrics(obs::MetricsRegistry& registry) {
 }
 
 TaskPool& TaskPool::shared() {
-  static TaskPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  static TaskPool pool(usable_cpus());
   // The shared pool outlives every scrape site in practice; publishing here
   // means any binary that touches the pool exports its utilization for free.
   static const bool published = [] {

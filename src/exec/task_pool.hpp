@@ -51,7 +51,7 @@ namespace fmeter::exec {
 class TaskPool {
  public:
   struct Options {
-    std::size_t num_threads = 0;  ///< 0 → hardware concurrency
+    std::size_t num_threads = 0;  ///< 0 → CPUs in the affinity mask
     bool pin_threads = false;     ///< pthread_setaffinity_np worker i → core i
   };
 
@@ -158,7 +158,8 @@ class TaskPool {
     return future;
   }
 
-  /// Process-wide pool sized to the hardware concurrency, created on first
+  /// Process-wide pool sized to the CPUs this process may run on (its
+  /// affinity mask, so taskset and container cpusets count), created on first
   /// use. Query engines default to it so that every SignatureDatabase does
   /// not spawn its own threads.
   static TaskPool& shared();

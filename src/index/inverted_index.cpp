@@ -39,10 +39,15 @@ constexpr double kFrozenThetaRefreshFactor = 0.999;
 /// off the forward store — measured per doc, not assumed uniform — so the
 /// factor only prices the forward store's slightly colder access pattern.
 /// Re-tuned against the frozen block-max path: block skipping makes the
-/// remaining posting work cheaper per entry, so the switch waits for a
-/// 1.5× advantage instead of parity (2.0 walked measurably too many
-/// lists at 100k before bailing to the forward store).
-constexpr double kCandidateSwitchFactor = 1.5;
+/// remaining posting work cheaper per entry, so the switch waits for an
+/// 8× advantage. A forward re-score streams a ~2.4 KB run from memory per
+/// candidate while skipped blocks cost three metadata loads; on one
+/// unseeded 100k-document shard of the bench corpus (4-vCPU Xeon VM, min
+/// of 9 sweeps, 2 runs each) the pruned/exact time ratio read 1.11-1.16 at
+/// 1.5 and 0.74-0.84 at 8 for cosine (0.78-0.84 at 50k), and 0.79-0.80
+/// vs 0.56-0.59 for Euclidean. Anywhere in 8-24 measured alike; never
+/// switching read 1.01-1.03.
+constexpr double kCandidateSwitchFactor = 8.0;
 
 /// Absolute/relative slack subtracted from the threshold before any prune
 /// test, absorbing the rounding drift between the accumulation orders of
@@ -72,6 +77,80 @@ void heap_offer(BoundedHeap& heap, std::size_t capacity, IndexHit hit) {
   } else if (ranks_better(hit, heap.top())) {
     heap.pop();
     heap.push(hit);
+  }
+}
+
+/// The dense scoring pass: turns every document's completed dot product
+/// (acc[doc * kStride], internal order) into its score and keeps the best
+/// `top` (ids emitted through `public_of`) in `heap`, whose root is the
+/// worst retained hit. The loop runs in internal (arena) order —
+/// accumulators and norms are both sequential reads — and a bounded heap
+/// under the total (score, public id) order holds the same top-k whatever
+/// the offer order, so the doc permutation cannot move a hit.
+///
+/// Divide-free pre-test for cosine: score < t ⟺ acc < t·|q|·norm (|q|,
+/// norm > 0), so a doc with acc below that product — shrunk by a 1e-13
+/// relative margin, ~450× the worst rounding drift of the two extra
+/// multiplies — is provably below t and skips the divide and the heap
+/// entirely. Borderline docs (within the margin, or exactly tied with t)
+/// fail the pre-test and fall through to the exact compute, the exact seed
+/// compare and the heap's id tie-break, so the returned hits are
+/// bit-identical with and without it. t starts at the cross-shard seed and
+/// rises to the heap's worst score once the heap holds `top` hits: a doc
+/// strictly below that can never displace a retained hit. So even an
+/// unseeded shard — every shard of a pooled batch starts unseeded — turns
+/// most of its scoring loop into one multiply-compare per doc. Only
+/// positive thresholds arm it (the margin shrinks toward zero).
+template <std::size_t kStride>
+void score_dense(const double* acc, std::span<const double> norms,
+                 std::span<const InvertedIndex::DocId> public_of,
+                 double q_norm, Metric metric, double seed_score,
+                 std::size_t top, BoundedHeap& heap, CheckpointGuard& guard) {
+  const std::size_t n = norms.size();
+  const std::size_t stride = guard.stride();
+  const double* snorms = norms.data();
+  const bool running_pretest = metric == Metric::kCosine && q_norm > 0.0;
+  double pretest_score = std::max(seed_score, 0.0);
+  bool pretest = running_pretest && pretest_score > 0.0;
+  double pretest_factor = pretest_score * q_norm * (1.0 - 1e-13);
+  std::size_t doc = 0;
+  while (doc < n) {
+    const std::size_t doc_stop = n - doc > stride ? doc + stride : n;
+    const std::size_t chunk = doc_stop - doc;
+    for (; doc < doc_stop; ++doc) {
+      const double dot = acc[doc * kStride];
+      if (pretest && dot < pretest_factor * snorms[doc]) continue;
+      IndexHit hit;
+      hit.doc = public_of[doc];
+      if (metric == Metric::kCosine) {
+        // Mirrors vsm::cosine_similarity: 0 when either vector is zero.
+        hit.score = (q_norm == 0.0 || snorms[doc] == 0.0)
+                        ? 0.0
+                        : dot / (q_norm * snorms[doc]);
+      } else {
+        // Mirrors vsm::euclidean_distance (negated): ||q-d||^2 expanded,
+        // clamped at zero before the sqrt. The clamp emits -0.0 because the
+        // scan negates the distance's +0.0 — bit-identical even in sign.
+        const double sq =
+            q_norm * q_norm + snorms[doc] * snorms[doc] - 2.0 * dot;
+        hit.score = sq <= 0.0 ? -0.0 : -std::sqrt(sq);
+      }
+      // Cross-shard seed: k documents elsewhere already reach seed_score,
+      // so anything strictly below it can never enter the global top-k —
+      // drop it before the heap. Exact compare on the exact score (no
+      // margin): equal scores must survive for the ascending-id tie-break,
+      // and the heap then fills only with genuine contenders instead of
+      // churning through every shard-local also-ran.
+      if (hit.score < seed_score) continue;
+      heap_offer(heap, top, hit);
+      if (running_pretest && heap.size() == top &&
+          heap.top().score > pretest_score) {
+        pretest_score = heap.top().score;
+        pretest = true;
+        pretest_factor = pretest_score * q_norm * (1.0 - 1e-13);
+      }
+    }
+    guard.charge(chunk);
   }
 }
 
@@ -370,71 +449,11 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
     }
   }
 
-  const double q_norm = query.norm_l2();
-
   // Score every doc (including ones with zero overlap — the scan ranks them
-  // too) and keep the best `top` in a bounded heap whose root is the worst
-  // retained hit. The loop runs in internal (arena) order — accumulators
-  // and norms are both sequential reads — and emits public ids; a bounded
-  // heap under the total (score, public id) order holds the same top-k
-  // whatever the offer order, so the doc permutation cannot move a hit.
-  const double* snorms = norms_.data();
+  // too).
   BoundedHeap heap;
-  // Divide-free pre-test for cosine: score < t ⟺ acc < t·|q|·norm (|q|,
-  // norm > 0), so a doc with acc below that product — shrunk by a 1e-13
-  // relative margin, ~450× the worst rounding drift of the two extra
-  // multiplies — is provably below t and skips the divide and the heap
-  // entirely. Borderline docs (within the margin, or exactly tied with t)
-  // fail the pre-test and fall through to the exact compute, the exact
-  // seed compare and the heap's id tie-break, so the returned hits are
-  // bit-identical with and without it. t starts at the cross-shard seed
-  // and rises to the heap's worst score once the heap holds `top` hits: a
-  // doc strictly below that can never displace a retained hit. So even an
-  // unseeded shard — every shard of a pooled batch starts unseeded — turns
-  // most of its scoring loop into one multiply-compare per doc. Only
-  // positive thresholds arm it (the margin shrinks toward zero).
-  const bool running_pretest = metric == Metric::kCosine && q_norm > 0.0;
-  double pretest_score = std::max(seed_score, 0.0);
-  bool pretest = running_pretest && pretest_score > 0.0;
-  double pretest_factor = pretest_score * q_norm * (1.0 - 1e-13);
-  std::size_t doc = 0;
-  while (doc < n) {
-    const std::size_t doc_stop = n - doc > stride ? doc + stride : n;
-    const std::size_t chunk = doc_stop - doc;
-    for (; doc < doc_stop; ++doc) {
-      if (pretest && acc[doc] < pretest_factor * snorms[doc]) continue;
-      IndexHit hit;
-      hit.doc = public_of_[doc];
-      if (metric == Metric::kCosine) {
-        // Mirrors vsm::cosine_similarity: 0 when either vector is zero.
-        hit.score = (q_norm == 0.0 || snorms[doc] == 0.0)
-                        ? 0.0
-                        : acc[doc] / (q_norm * snorms[doc]);
-      } else {
-        // Mirrors vsm::euclidean_distance (negated): ||q-d||^2 expanded,
-        // clamped at zero before the sqrt. The clamp emits -0.0 because the
-        // scan negates the distance's +0.0 — bit-identical even in sign.
-        const double sq =
-            q_norm * q_norm + snorms[doc] * snorms[doc] - 2.0 * acc[doc];
-        hit.score = sq <= 0.0 ? -0.0 : -std::sqrt(sq);
-      }
-      // Cross-shard seed: k documents elsewhere already reach seed_score,
-      // so anything strictly below it can never enter the global top-k —
-      // drop it before the heap. Exact compare on the exact score (no
-      // margin): equal scores must survive for the ascending-id tie-break,
-      // and the heap then fills only with genuine contenders instead of
-      // churning through every shard-local also-ran.
-      if (hit.score < seed_score) continue;
-      heap_offer(heap, top, hit);
-      if (running_pretest && heap.size() == top &&
-          heap.top().score > pretest_score) {
-        pretest_score = heap.top().score;
-        pretest = true;
-        pretest_factor = pretest_score * q_norm * (1.0 - 1e-13);
-      }
-    }
-    guard.charge(chunk);
-  }
+  score_dense<1>(acc, norms_, public_of_, query.norm_l2(), metric, seed_score,
+                 top, heap, guard);
   if (stats != nullptr) {
     stats->docs_scored += n;
     stats->postings_visited += visited;
@@ -836,25 +855,11 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
     for (; li < terms.size(); ++li) {
       accumulate_dot(terms[li].term, terms[li].q_weight);
     }
+    // The exact path's scoring pass, running threshold included, over the
+    // interleaved accumulators.
     BoundedHeap heap;
-    std::size_t d = 0;
-    while (d < n) {
-      const std::size_t d_stop = n - d > stride ? d + stride : n;
-      const std::size_t chunk = d_stop - d;
-      for (; d < d_stop; ++d) {
-        double score;
-        if (metric == Metric::kCosine) {
-          score = (q_norm == 0.0 || snorms[d] == 0.0)
-                      ? 0.0
-                      : acc_mass[2 * d] / (q_norm * snorms[d]);
-        } else {
-          const double sq = q_norm_sq + snorms_sq[d] - 2.0 * acc_mass[2 * d];
-          score = sq <= 0.0 ? -0.0 : -std::sqrt(sq);
-        }
-        heap_offer(heap, top, IndexHit{public_of_[d], score});
-      }
-      guard.charge(chunk);
-    }
+    score_dense<2>(acc_mass, norms_, public_of_, q_norm, metric, seed_score,
+                   top, heap, guard);
     if (stats != nullptr) {
       stats->docs_scored += n;
       stats->postings_visited += visited;

@@ -290,15 +290,15 @@ class InvertedIndex {
   /// Resolves PruningMode::kAuto for a shard of `docs` documents answering
   /// a top-`k` query: kMaxScore once the shard is large enough that bound
   /// bookkeeping pays for itself, kExact below. The cutoffs come from
-  /// measured crossovers, not from theory. Re-measured once the exact
-  /// cosine pass gained its running pre-test (one unseeded shard, top-10,
-  /// bench_index_scaling's corpus, CPU-time medians over 15–25 alternating
-  /// exact/pruned pairs on a 4-vCPU VM): exact/pruned time is 0.7 at 10k,
-  /// 0.8 at 25k and 50k and 0.9–1.0 at 100k docs for cosine, against
-  /// 0.9–1.0, 1.1, 1.1 and 1.3–1.5 before it; Euclidean, whose pass did
-  /// not change, still reads 0.8–0.9, 1.1, 1.0–1.2 and 1.3–1.4. So the
-  /// cosine crossover now sits at or above 100k and the Euclidean one near
-  /// 20k. The 32768 cutoff is kept as is, between the two.
+  /// measured crossovers, not from theory. Re-measured after the exact
+  /// cosine pass gained its running pre-test and the pruned path's
+  /// candidate switch was retuned (one unseeded shard, top-10, the bench
+  /// corpus, minimum of 9 alternating exact/pruned sweeps of 64 queries,
+  /// 3 runs per size on a 4-vCPU Xeon VM): exact/pruned time is 0.6 at
+  /// 10k, 1.0 at 25k, 1.1–1.2 at 50k and 1.2–1.3 at 100k docs for cosine,
+  /// and 0.8, 1.3, 1.5 and 1.7 for Euclidean. The running pre-test alone
+  /// had pushed the cosine crossover to ~100k (0.7, 0.8, 0.8, 0.9–1.0);
+  /// the retune brings it back to ~25k, so the 32768 cutoff stands.
   static PruningMode resolve_auto(std::size_t docs, std::size_t k) noexcept {
     constexpr std::size_t kAutoPrunedMinDocs = 32768;
     // Near-full retrieval gives bounds nothing to discard.

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exec/query_engine.hpp"
@@ -42,33 +43,6 @@ vsm::SparseVector random_sparse(util::Rng& rng, std::uint32_t dimension,
   return vsm::SparseVector::from_entries(std::move(entries));
 }
 
-/// Ground truth straight from the per-document similarity functions: every
-/// document scored, ranked by the one shared ordering, cut to k.
-std::vector<exec::IndexHit> scan_top_k(
-    const std::vector<vsm::SparseVector>& corpus,
-    const vsm::SparseVector& query, std::size_t k) {
-  std::vector<exec::IndexHit> all;
-  for (std::size_t d = 0; d < corpus.size(); ++d) {
-    all.push_back({static_cast<std::uint32_t>(d),
-                   vsm::cosine_similarity(query, corpus[d])});
-  }
-  std::sort(all.begin(), all.end(), index::ranks_better);
-  all.resize(std::min(k, all.size()));
-  return all;
-}
-
-void expect_index_hits_identical(const std::vector<exec::IndexHit>& actual,
-                                 const std::vector<exec::IndexHit>& expected,
-                                 const std::string& context) {
-  ASSERT_EQ(actual.size(), expected.size()) << context;
-  for (std::size_t rank = 0; rank < actual.size(); ++rank) {
-    EXPECT_EQ(actual[rank].doc, expected[rank].doc)
-        << context << " rank " << rank;
-    EXPECT_EQ(actual[rank].score, expected[rank].score)
-        << context << " rank " << rank;
-  }
-}
-
 /// The same corpus replicated into one database per shard count.
 std::vector<SignatureDatabase> replicated_dbs(util::Rng& rng, std::size_t n,
                                               std::uint32_t dimension,
@@ -85,14 +59,24 @@ std::vector<SignatureDatabase> replicated_dbs(util::Rng& rng, std::size_t n,
   return dbs;
 }
 
-void expect_hits_identical(const std::vector<SearchHit>& actual,
-                           const std::vector<SearchHit>& expected,
+std::size_t id_of(const SearchHit& hit) { return hit.id; }
+std::size_t id_of(const exec::IndexHit& hit) { return hit.doc; }
+
+/// Same ids in the same order with bit-identical scores — database hits or
+/// raw engine hits on either side; labels too when both sides carry them.
+template <typename Actual, typename Expected>
+void expect_hits_identical(const std::vector<Actual>& actual,
+                           const std::vector<Expected>& expected,
                            const std::string& context) {
   ASSERT_EQ(actual.size(), expected.size()) << context;
   for (std::size_t rank = 0; rank < actual.size(); ++rank) {
-    EXPECT_EQ(actual[rank].id, expected[rank].id) << context << " rank " << rank;
-    EXPECT_EQ(actual[rank].label, expected[rank].label)
+    EXPECT_EQ(id_of(actual[rank]), id_of(expected[rank]))
         << context << " rank " << rank;
+    if constexpr (std::is_same_v<Actual, SearchHit> &&
+                  std::is_same_v<Expected, SearchHit>) {
+      EXPECT_EQ(actual[rank].label, expected[rank].label)
+          << context << " rank " << rank;
+    }
     EXPECT_EQ(actual[rank].score, expected[rank].score)
         << context << " rank " << rank;
   }
@@ -194,16 +178,11 @@ TEST(QueryEngine, AllShardCountsAndBatchingMatchBruteForce) {
           EXPECT_EQ(pooled_engine.pooled_batches(), pooled_before + 1)
               << context;
           for (std::size_t q = 0; q < queries.size(); ++q) {
-            std::vector<exec::IndexHit> expected;
-            for (const auto& hit : golden[q]) {
-              expected.push_back(
-                  {static_cast<std::uint32_t>(hit.id), hit.score});
-            }
-            expect_index_hits_identical(
-                inlined[q], expected,
+            expect_hits_identical(
+                inlined[q], golden[q],
                 context + " inline query " + std::to_string(q));
-            expect_index_hits_identical(
-                pooled[q], expected,
+            expect_hits_identical(
+                pooled[q], golden[q],
                 context + " pooled query " + std::to_string(q));
           }
         }
@@ -214,18 +193,21 @@ TEST(QueryEngine, AllShardCountsAndBatchingMatchBruteForce) {
 }
 
 TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
-  // 4 × 8k documents: every shard sits below the kAuto crossover, so kAuto
-  // and kMaxScore both run the exact kernel on each — 32k documents of
+  // 4 × 4k documents: every shard sits below the kAuto crossover, so kAuto
+  // and kMaxScore both run the exact kernel on each — 16k documents of
   // exact work, which clears the pooled gate even for a single query. The
-  // cost model must price that work, not a pruned discount of it.
+  // cost model must price that work, not a pruned discount of it (priced
+  // as pruned, the query would stay under the gate and run inline).
   util::Rng rng(0x5ca1ed);
   constexpr std::size_t k = 10;
   std::vector<vsm::SparseVector> corpus;
-  for (int i = 0; i < 32000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
+  for (int i = 0; i < 16000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
   exec::ShardedIndex sharded(4);
   sharded.add_batch(std::span<const vsm::SparseVector>(corpus));
   ASSERT_EQ(index::InvertedIndex::resolve_auto(sharded.shard(0).size(), k),
             PruningMode::kExact);
+  SignatureDatabase scan_db(1);
+  scan_db.add_batch(corpus, std::vector<std::string>(corpus.size(), "doc"));
 
   auto query = random_sparse(rng, 32, 8);
   if (query.empty()) query = vsm::SparseVector::from_entries({{3, 1.0}});
@@ -234,8 +216,10 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
   const auto exact = reference.run(query, k, exec::Metric::kCosine,
                                    PruningMode::kExact);
   EXPECT_EQ(reference.inline_batches(), 1u);
-  expect_index_hits_identical(exact, scan_top_k(corpus, query, k),
-                              "inline exact vs scan");
+  expect_hits_identical(exact,
+                        scan_db.search(query, k, SimilarityMetric::kCosine,
+                                       ScanPolicy::kBruteForce),
+                        "inline exact vs scan");
 
   exec::TaskPool pool(2);
   for (const auto mode : {PruningMode::kAuto, PruningMode::kMaxScore}) {
@@ -247,7 +231,7 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
     EXPECT_EQ(engine.pooled_batches(), 1u) << context;
     EXPECT_EQ(stats.dispatch_pooled, 1u) << context;
     EXPECT_EQ(stats.docs_scored, corpus.size()) << context;  // no pruning ran
-    expect_index_hits_identical(hits, exact, context);
+    expect_hits_identical(hits, exact, context);
   }
 
   // Admission control prices through the same model.
