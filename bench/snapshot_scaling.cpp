@@ -13,16 +13,28 @@
 //
 // It verifies the restored database answers bit-identically to the fresh
 // build in every mode, records save/load throughput and snapshot size, and
-// emits BENCH_snapshot.json. Shape gate: load ≥ 3× faster than re-index at
-// the 100k-doc rung.
+// emits BENCH_snapshot.json. Restore memory is measured where a restarted
+// daemon pays it: the bench re-executes itself to load the snapshot in a
+// fresh process and reports that process's peak RSS (`load_peak_rss_mb`)
+// next to the loaded index's memory_bytes() (`index_mb`). Every row carries
+// the host's hardware thread count (`cores`). Shape gates at the 100k-doc
+// rung: load ≥ 3× faster than re-index, and the restore's peak RSS ≤ 1.3×
+// the index it restores (a restore that holds the file's sections twice
+// reads ~1.55×).
 //
 // Usage: bench_snapshot_scaling [max_corpus]   (e.g. 10000 as a CI smoke)
+//        bench_snapshot_scaling --load-child <snapshot>   (internal: the
+//        fresh-process restore; prints "<peak RSS kB> <index bytes>")
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_common.hpp"
 #include "fmeter/database.hpp"
@@ -110,9 +122,52 @@ bool searches_bit_identical(const fmeter::core::SignatureDatabase& a,
   return true;
 }
 
+/// Peak resident set of this process so far, in kB.
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;  // kilobytes on Linux
+}
+
+/// The --load-child side: restore `snapshot` and report this process's
+/// peak RSS and the restored index's footprint.
+int load_child(const char* snapshot) {
+  fmeter::core::SignatureDatabase db;
+  db.load(snapshot);
+  std::printf("%ld %zu\n", peak_rss_kb(), db.index().memory_bytes());
+  return 0;
+}
+
+struct FreshLoad {
+  double peak_rss_mb = 0.0;
+  double index_mb = 0.0;
+};
+
+/// Restores `snapshot` in a new process running this binary (exec'd, not
+/// forked, so none of this process's heap or threads is inherited).
+FreshLoad load_in_fresh_process(const std::string& snapshot) {
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe");
+  const std::string command =
+      "'" + self + "' --load-child '" + snapshot + "'";
+  FreshLoad out;
+  std::FILE* child = popen(command.c_str(), "r");
+  if (child == nullptr) return out;
+  long rss_kb = 0;
+  std::size_t index_bytes = 0;
+  const bool parsed =
+      std::fscanf(child, "%ld %zu", &rss_kb, &index_bytes) == 2;
+  if (pclose(child) != 0 || !parsed) return out;
+  out.peak_rss_mb = static_cast<double>(rss_kb) / 1024.0;
+  out.index_mb = static_cast<double>(index_bytes) / (1024.0 * 1024.0);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 3 && std::string(argv[1]) == "--load-child") {
+    return load_child(argv[2]);
+  }
   const std::size_t parsed = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 0;
   const std::size_t max_corpus = parsed > 0 ? parsed : 100000;
 
@@ -125,8 +180,11 @@ int main(int argc, char** argv) {
   const std::string corpus_path = (tmp / "fmeter_snapshot_bench.fmc").string();
   const std::string snapshot_path = (tmp / "fmeter_snapshot_bench.fms").string();
 
-  std::printf("%8s %10s %10s %10s %10s %10s %8s\n", "docs", "reindex_s",
-              "save_s", "load_s", "file_MB", "load_MB/s", "ratio");
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  std::printf("hardware threads: %u\n\n", cores);
+  std::printf("%8s %10s %10s %10s %10s %10s %8s %10s %10s\n", "docs",
+              "reindex_s", "save_s", "load_s", "file_MB", "load_MB/s", "ratio",
+              "load_rss", "index_MB");
 
   std::vector<fmeter::bench::ShapeCheck> checks;
   std::vector<fmeter::bench::JsonRow> json_rows;
@@ -159,8 +217,10 @@ int main(int argc, char** argv) {
                       identical});
 
     const double ratio = load_s > 0.0 ? reindex_s / load_s : 0.0;
-    std::printf("%8zu %10.2f %10.2f %10.2f %10.1f %10.1f %7.2fx\n", docs,
-                reindex_s, save_s, load_s, file_mb, file_mb / load_s, ratio);
+    const FreshLoad fresh = load_in_fresh_process(snapshot_path);
+    std::printf("%8zu %10.2f %10.2f %10.2f %10.1f %10.1f %7.2fx %10.1f %10.1f\n",
+                docs, reindex_s, save_s, load_s, file_mb, file_mb / load_s,
+                ratio, fresh.peak_rss_mb, fresh.index_mb);
 
     for (const auto& [phase, secs] :
          {std::pair<const char*, double>{"reindex", reindex_s},
@@ -174,7 +234,10 @@ int main(int argc, char** argv) {
            fmeter::bench::jnum("file_mb", file_mb),
            fmeter::bench::jnum("mb_per_sec", secs > 0.0 ? file_mb / secs : 0.0),
            fmeter::bench::jnum("speedup",
-                               std::string(phase) == "load" ? ratio : 0.0)});
+                               std::string(phase) == "load" ? ratio : 0.0),
+           fmeter::bench::jnum("load_peak_rss_mb", fresh.peak_rss_mb),
+           fmeter::bench::jnum("index_mb", fresh.index_mb),
+           fmeter::bench::jnum("cores", static_cast<double>(cores))});
     }
     // The persistence payoff must be structural, not marginal: restoring
     // skips text parsing and tf-idf entirely, so anything under 3x means
@@ -183,6 +246,14 @@ int main(int argc, char** argv) {
       checks.push_back({"snapshot load >= 3x faster than corpus re-index at " +
                             std::to_string(docs) + " docs",
                         ratio >= 3.0});
+      // Restore must not hold the file's bytes beside the index it builds:
+      // the sections become the forward store, so the peak is the index
+      // plus the arena build's temporaries.
+      checks.push_back({"fresh-process load peak RSS <= 1.3x the loaded "
+                        "index's memory_bytes at " +
+                            std::to_string(docs) + " docs",
+                        fresh.index_mb > 0.0 &&
+                            fresh.peak_rss_mb <= 1.3 * fresh.index_mb});
     }
   }
 

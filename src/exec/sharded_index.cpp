@@ -1,7 +1,6 @@
 #include "exec/sharded_index.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <mutex>
 #include <shared_mutex>
@@ -152,7 +151,7 @@ void ShardedIndex::save(std::ostream& out) const {
   writer.finish(out);
 }
 
-ShardedIndex ShardedIndex::load(const index::snapshot::Reader& reader,
+ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
                                 TaskPool* pool) {
   using index::snapshot::SnapshotError;
   const std::size_t shards = reader.shard_count();
@@ -162,9 +161,9 @@ ShardedIndex ShardedIndex::load(const index::snapshot::Reader& reader,
   ShardedIndex out(shards);
   const std::uint64_t docs = reader.doc_count();
 
-  // Per-shard rebuild (parse sections, one build each), fanned out exactly
-  // like add_batch. Shards are disjoint, so the only cross-thread hand-off
-  // is the batch's completion.
+  // Per-shard restore (adopt the sections, build the arena), fanned out
+  // exactly like add_batch. Shards take disjoint sections, so the only
+  // cross-thread hand-off is the batch's completion.
   const auto load_shard = [&reader, &out, shards, docs](std::size_t s) {
     out.shards_[s] =
         index::InvertedIndex::load(reader, static_cast<std::uint32_t>(s));
@@ -178,26 +177,20 @@ ShardedIndex ShardedIndex::load(const index::snapshot::Reader& reader,
   };
   build_shards(shards, docs, pool, load_shard);
 
-  // Term-occupancy bitmap straight from the term-id sections — no need to
-  // re-walk the parsed documents, the sections *are* the postings' terms.
-  // Read off the raw byte span: materializing a second full copy of every
-  // id stream (section_as) would be tens of megabytes of transient
-  // allocation on the load path at archive scale.
-  for (std::size_t s = 0; s < shards; ++s) {
-    const auto bytes = reader.section(index::snapshot::SectionKind::kTermIds,
-                                      static_cast<std::uint32_t>(s));
-    for (std::size_t at = 0; at + sizeof(std::uint32_t) <= bytes.size();
-         at += sizeof(std::uint32_t)) {
-      std::uint32_t term;
-      std::memcpy(&term, bytes.data() + at, sizeof(term));
-      if (static_cast<std::size_t>(term) >= out.term_seen_.size()) {
-        out.term_seen_.resize(static_cast<std::size_t>(term) + 1, false);
+  // Term-occupancy bitmap from the adopted forward stores.
+  for (const auto& shard : out.shards_) {
+    shard.for_each_document([&out](index::InvertedIndex::DocId,
+                                   vsm::SparseView doc) {
+      for (const auto term : doc.indices) {
+        if (static_cast<std::size_t>(term) >= out.term_seen_.size()) {
+          out.term_seen_.resize(static_cast<std::size_t>(term) + 1, false);
+        }
+        if (!out.term_seen_[term]) {
+          out.term_seen_[term] = true;
+          ++out.nonempty_terms_;
+        }
       }
-      if (!out.term_seen_[term]) {
-        out.term_seen_[term] = true;
-        ++out.nonempty_terms_;
-      }
-    }
+    });
   }
   out.size_ = docs;
   if (out.nonempty_terms_ != reader.term_count()) {
@@ -210,7 +203,7 @@ ShardedIndex ShardedIndex::load(const index::snapshot::Reader& reader,
 }
 
 ShardedIndex ShardedIndex::load(std::istream& in, TaskPool* pool) {
-  const index::snapshot::Reader reader(in);
+  index::snapshot::Reader reader(in);
   return load(reader, pool);
 }
 

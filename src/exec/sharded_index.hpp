@@ -94,23 +94,24 @@ class ShardedIndex {
   /// Appends every shard's forward-store sections to `writer` (the caller
   /// owns the writer so it can add layers of its own — SignatureDatabase
   /// adds a labels section — before finish()). The emitted bytes depend
-  /// only on the documents.
+  /// only on the documents. The writer borrows each shard's forward store,
+  /// so the index must not change until finish() returns.
   void save(index::snapshot::Writer& writer) const;
   /// Convenience: a complete index-only snapshot on `out` (binary stream).
   void save(std::ostream& out) const;
 
   /// Restores an index from snapshot sections without touching the corpus:
-  /// per-shard rebuilds (one build of the shard's documents) fan out onto
-  /// `pool` exactly like add_batch — TaskPool::shared() when null, inline
-  /// when the pool has no parallelism to offer or the archive is small —
-  /// and the term-occupancy bitmap is rebuilt from the term-id sections on
-  /// the calling thread. The loaded index is byte-for-byte the index
+  /// each shard takes its sections out of `reader` as its forward store
+  /// and builds its arena; the shards fan out onto `pool` exactly like
+  /// add_batch — TaskPool::shared() when null, inline when the pool has no
+  /// parallelism to offer or the archive is small — and the term-occupancy
+  /// bitmap is rebuilt from the adopted stores on the calling thread. The loaded index is byte-for-byte the index
   /// add_batch would build from the same documents. Throws
   /// index::snapshot::SnapshotError on corruption, truncation, version or
   /// endianness mismatch, or when the sections disagree with the header's
   /// shard/doc/term counts; nothing partial escapes (the result is built
   /// locally and returned by value only on success).
-  static ShardedIndex load(const index::snapshot::Reader& reader,
+  static ShardedIndex load(index::snapshot::Reader& reader,
                            TaskPool* pool = nullptr);
   static ShardedIndex load(std::istream& in, TaskPool* pool = nullptr);
 

@@ -1,16 +1,13 @@
 #include "fmeter/database.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iterator>
 #include <chrono>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -581,7 +578,7 @@ void SignatureDatabase::save(std::ostream& out) const {
     put(label.data(), label.size());
   }
   writer.add_section(index::snapshot::SectionKind::kLabels, 0,
-                     std::move(payload));
+                     std::span<const std::byte>(payload));
   writer.finish(out);
 }
 
@@ -600,13 +597,17 @@ void SignatureDatabase::save(io::Env& env, const std::string& path) const {
 }
 
 void SignatureDatabase::load(std::istream& in) {
+  index::snapshot::Reader reader(in);
+  load(reader);
+}
+
+void SignatureDatabase::load(index::snapshot::Reader& reader) {
   using index::snapshot::SnapshotError;
-  const index::snapshot::Reader reader(in);
 
   // Labels first: their count must agree with the header before any heavy
   // decoding starts.
-  const auto label_bytes =
-      reader.section(index::snapshot::SectionKind::kLabels, 0);
+  const auto label_bytes = reader.section<std::byte>(
+      index::snapshot::SectionKind::kLabels, 0);
   std::size_t at = 0;
   const auto take = [&label_bytes, &at](void* into, std::size_t size) {
     if (at + size > label_bytes.size()) {
@@ -648,29 +649,12 @@ void SignatureDatabase::load(std::istream& in) {
 }
 
 void SignatureDatabase::load(const std::string& path) {
-  errno = 0;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::string message = "snapshot: cannot open " + path;
-    if (errno != 0) {
-      message += " (";
-      message += std::strerror(errno);
-      message += ")";
-    }
-    throw index::snapshot::SnapshotError(message);
-  }
-  load(in);
+  load(io::Env::posix(), path);
 }
 
 void SignatureDatabase::load(io::Env& env, const std::string& path) {
-  std::string bytes;
-  try {
-    bytes = env.read_file(path);
-  } catch (const io::IoError& e) {
-    throw index::snapshot::SnapshotError(std::string("snapshot: ") + e.what());
-  }
-  std::istringstream in(std::move(bytes), std::ios::binary);
-  load(in);
+  index::snapshot::Reader reader(env, path);
+  load(reader);
 }
 
 void SignatureDatabase::publish_gauges() const {

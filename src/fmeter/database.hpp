@@ -45,6 +45,10 @@
 #include "ml/kmeans.hpp"
 #include "vsm/sparse_vector.hpp"
 
+namespace fmeter::index::snapshot {
+class Reader;
+}  // namespace fmeter::index::snapshot
+
 namespace fmeter::core {
 
 enum class SimilarityMetric { kCosine, kEuclidean };
@@ -291,15 +295,18 @@ class SignatureDatabase {
   void save(io::Env& env, const std::string& path) const;
 
   /// Restores a database from a snapshot without re-indexing the corpus:
-  /// the labels are decoded, then ShardedIndex::load builds every shard
-  /// from its sections in parallel, so the loaded database is
+  /// the sections stream into typed storage, the labels are decoded, then
+  /// ShardedIndex::load adopts each shard's sections as its forward store
+  /// and builds the arenas in parallel, so the loaded database is
   /// byte-for-byte the database a fresh bulk build of the same documents
   /// would produce — searches in every mode (kExact/kMaxScore/kAuto), at
   /// the snapshot's shard count, return bit-identical results. Strong
   /// guarantee: the snapshot is validated (header, version, endianness,
   /// per-section checksums) and loaded into a temporary which replaces
   /// *this only on success; any index::snapshot::SnapshotError leaves the
-  /// current contents untouched and usable.
+  /// current contents untouched and usable. The path overloads stream the
+  /// file through the Env's positioned reads (the path-only form through
+  /// Env::posix()), with no whole-file buffer.
   void load(std::istream& in);
   void load(const std::string& path);
   void load(io::Env& env, const std::string& path);
@@ -318,6 +325,8 @@ class SignatureDatabase {
   void publish_gauges() const;
 
  private:
+  void load(index::snapshot::Reader& reader);
+
   static std::size_t default_num_shards() noexcept;
 
   /// Copy under the source's reader lock — the delegating public copy

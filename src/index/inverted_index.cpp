@@ -177,28 +177,49 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
   }
   if (docs.empty()) return;
   const std::size_t stored = size();
-  const std::size_t n = stored + docs.size();
-  std::size_t terms = max_weight_.size();
-  std::size_t postings = forward_terms_.size();
+  const std::size_t stored_postings = forward_terms_.size();
+  std::size_t postings = stored_postings;
+  for (const vsm::SparseView& doc : docs) postings += doc.indices.size();
+
+  // Append the batch's runs to the public-order forward store. The
+  // reservations are exact, so capacity equals size whether the store grew
+  // over many batches or was adopted from a snapshot, and the appends
+  // below cannot throw.
+  forward_offsets_.reserve(stored + docs.size() + 1);
+  forward_terms_.reserve(postings);
+  forward_weights_.reserve(postings);
   for (const vsm::SparseView& doc : docs) {
-    postings += doc.indices.size();
-    if (!doc.indices.empty()) {
-      terms = std::max(terms, static_cast<std::size_t>(doc.indices.back()) + 1);
+    forward_terms_.insert(forward_terms_.end(), doc.indices.begin(),
+                          doc.indices.end());
+    forward_weights_.insert(forward_weights_.end(), doc.values.begin(),
+                            doc.values.end());
+    forward_offsets_.push_back(forward_terms_.size());
+  }
+  try {
+    build_arena(stored);
+  } catch (...) {
+    // Strong guarantee: truncate back to the documents stored before.
+    forward_offsets_.resize(stored + 1);
+    forward_terms_.resize(stored_postings);
+    forward_weights_.resize(stored_postings);
+    throw;
+  }
+}
+
+void InvertedIndex::build_arena(std::size_t stored) {
+  // Rebuilds every structure derived from the forward store. Documents
+  // [0, stored) keep their cached norms; the rest are new. Everything is
+  // built aside, so an allocation failure leaves the index untouched; only
+  // noexcept moves follow.
+  const std::size_t n = forward_offsets_.size() - 1;
+  const std::size_t postings = forward_terms_.size();
+  std::size_t terms = max_weight_.size();
+  for (std::size_t g = stored; g < n; ++g) {
+    const vsm::SparseView run = forward_run(g);
+    if (!run.indices.empty()) {
+      terms = std::max(terms, static_cast<std::size_t>(run.indices.back()) + 1);
     }
   }
-
-  // Public id g's (term, weight) run: stored documents come back from the
-  // forward store (the authoritative doc-major copy of every posting), new
-  // ones straight from the batch. Everything below is built aside from
-  // these runs, so an allocation failure leaves the index untouched (strong
-  // guarantee); only noexcept moves follow.
-  const auto run_of = [&](std::size_t g) -> vsm::SparseView {
-    return g < stored ? document(static_cast<DocId>(g)) : docs[g - stored];
-  };
-  const auto norm_of = [&](std::size_t g) {
-    return g < stored ? norms_[internal_of_[g]]
-                      : vsm::norm_l2(docs[g - stored]);
-  };
 
   // 1. One pass in public order: doc-reorder keys, per-term posting counts,
   //    and the per-term max/min bounds (first posting sets them, later ones
@@ -215,7 +236,7 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
   std::vector<double> min_w(terms, 0.0);
   std::size_t nonempty = 0;
   for (std::size_t g = 0; g < n; ++g) {
-    const vsm::SparseView run = run_of(g);
+    const vsm::SparseView run = forward_run(g);
     TermId dominant = std::numeric_limits<TermId>::max();  // empty docs last
     double best = -1.0;
     for (std::size_t f = 0; f < run.indices.size(); ++f) {
@@ -243,28 +264,19 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
     return a < b;
   });
 
-  // 2. Permutation tables, internal-ordered norms, permuted forward store.
+  // 2. Permutation tables and internal-ordered norms.
   std::vector<DocId> internal_of(n);
   std::vector<DocId> public_of(n);
   std::vector<double> norms(n);
   std::vector<double> norms_sq(n);
-  std::vector<std::size_t> fwd_offsets(n + 1, 0);
-  std::vector<TermId> fwd_terms(postings);
-  std::vector<double> fwd_weights(postings);
   for (std::size_t r = 0; r < n; ++r) {
     const DocId g = order[r];
     internal_of[g] = static_cast<DocId>(r);
     public_of[r] = g;
-    const double norm = norm_of(g);
+    const double norm =
+        g < stored ? norms_[internal_of_[g]] : vsm::norm_l2(forward_run(g));
     norms[r] = norm;
     norms_sq[r] = norm * norm;
-    const vsm::SparseView run = run_of(g);
-    std::size_t w = fwd_offsets[r];
-    for (std::size_t f = 0; f < run.indices.size(); ++f, ++w) {
-      fwd_terms[w] = run.indices[f];
-      fwd_weights[w] = run.values[f];
-    }
-    fwd_offsets[r + 1] = w;
   }
 
   // 3. Posting arena by counting sort over terms: docs visited in internal
@@ -276,10 +288,11 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
   {
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t f = fwd_offsets[r]; f < fwd_offsets[r + 1]; ++f) {
-        const std::size_t slot = cursor[fwd_terms[f]]++;
+      const vsm::SparseView run = forward_run(public_of[r]);
+      for (std::size_t f = 0; f < run.indices.size(); ++f) {
+        const std::size_t slot = cursor[run.indices[f]]++;
         ids[slot] = static_cast<DocId>(r);
-        weights[slot] = fwd_weights[f];
+        weights[slot] = run.values[f];
       }
     }
   }
@@ -322,9 +335,6 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
   norms_sq_ = std::move(norms_sq);
   max_weight_ = std::move(max_w);
   min_weight_ = std::move(min_w);
-  forward_offsets_ = std::move(fwd_offsets);
-  forward_terms_ = std::move(fwd_terms);
-  forward_weights_ = std::move(fwd_weights);
   num_postings_ = postings;
   nonempty_terms_ = nonempty;
 }
@@ -353,7 +363,7 @@ MemoryBreakdown InvertedIndex::memory_breakdown() const noexcept {
   mem.blocks = block_last_doc_.capacity() * sizeof(DocId) +
                block_max_w_.capacity() * sizeof(double) +
                block_min_w_.capacity() * sizeof(double);
-  mem.forward = forward_offsets_.capacity() * sizeof(std::size_t) +
+  mem.forward = forward_offsets_.capacity() * sizeof(std::uint64_t) +
                 forward_terms_.capacity() * sizeof(TermId) +
                 forward_weights_.capacity() * sizeof(double) +
                 norms_.capacity() * sizeof(double) +
@@ -596,13 +606,21 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
   const double* snorms = norms_.data();
   const double* snorms_sq = norms_sq_.data();
 
+  // Forward-store run length of internal doc `doc` (the store is in public
+  // order, so the run is reached through public_of_).
+  const auto forward_extent = [&](DocId doc) {
+    const std::size_t pub = public_of_[doc];
+    return forward_offsets_[pub + 1] - forward_offsets_[pub];
+  };
+
   // Exact re-score of one doc from the forward store. The merge order (and
   // therefore the rounding) matches vsm::dot, so these scores are
   // bit-identical to the brute-force scan.
   const auto exact_score = [&](DocId doc) {
     double dot = 0.0;
     const double* qd = state.query_dense.data();
-    for (std::size_t f = forward_offsets_[doc]; f < forward_offsets_[doc + 1];
+    const std::size_t pub = public_of_[doc];
+    for (std::size_t f = forward_offsets_[pub]; f < forward_offsets_[pub + 1];
          ++f) {
       dot += forward_weights_[f] * qd[forward_terms_[f]];
     }
@@ -781,10 +799,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
         kept = lhs <= 0.0 ||
                (2.0 * rem_impact >= lhs && lhs * lhs <= 4.0 * q_rem_2 * d_rem_2);
       }
-      if (kept) {
-        alive_extent_sum += static_cast<double>(forward_offsets_[d + 1] -
-                                                forward_offsets_[d]);
-      }
+      if (kept) alive_extent_sum += static_cast<double>(forward_extent(d));
       return kept;
     };
     if (from_all) {
@@ -1010,7 +1025,7 @@ std::vector<IndexHit> InvertedIndex::top_k_pruned(
       // Charged at the candidate's forward extent — the work the gather is
       // about to do (memo hits overcharge slightly, which only polls a bit
       // early; the cadence stays amortized).
-      guard.charge(forward_offsets_[d + 1] - forward_offsets_[d]);
+      guard.charge(forward_extent(d));
       if (state.rescore_epoch[d] != state.rescore_counter) ++forward_gathers;
       heap_offer(heap, top, IndexHit{public_of_[d], memo_score(d)});
     }

@@ -31,11 +31,16 @@
 // document-reordering for block-max indexes; the public id space, every
 // returned hit, and all tie-breaks are unchanged.)
 //
-// The build contract: add_batch() appends documents and rebuilds the whole
-// arena from the forward store aside, then swaps it in, so a build costs
-// O(documents stored). Callers that ingest one document at a time batch
-// them first (fmeter::core::SignatureDatabase indexes lazily, on its first
-// indexed read).
+// The forward store — each document's (term, weight) run — is kept in
+// *public* id order, which is also the snapshot's section layout; the
+// arena, norms and block metadata are in internal order. The build
+// contract: add_batch() appends the batch's runs to the forward store and
+// rebuilds the whole arena from it aside, then swaps it in, so a build
+// costs O(documents stored). Callers that ingest one document at a time
+// batch them first (fmeter::core::SignatureDatabase indexes lazily, on its
+// first indexed read). A snapshot load adopts the file's sections as the
+// forward store and builds only the arena; a save hands the store to the
+// snapshot writer as it stands.
 //
 // Two query paths with two distinct equivalence contracts:
 //
@@ -227,15 +232,16 @@ class InvertedIndex {
   /// amortizes the cursor logic over a few cache lines of each stream.
   static constexpr std::size_t kBlockSize = 128;
 
-  /// Appends `docs` (ids continue densely from size()) and rebuilds the
-  /// arena, block metadata, bounds and doc permutation over every stored
-  /// document — O(documents stored), so ingest in batches. The result
-  /// depends only on the documents in id order, never on how they were
-  /// split into batches. Throws std::invalid_argument if any document
-  /// carries a non-finite weight (it would poison the cached norms and
-  /// bounds, and make a saved snapshot unloadable); the whole batch is
-  /// checked before anything changes. Strong exception guarantee: the new
-  /// layout is built aside and swapped in.
+  /// Appends `docs` (ids continue densely from size()) to the forward store
+  /// and rebuilds the arena, block metadata, bounds and doc permutation
+  /// over every stored document — O(documents stored), so ingest in
+  /// batches. The result depends only on the documents in id order, never
+  /// on how they were split into batches. Throws std::invalid_argument if
+  /// any document carries a non-finite weight (it would poison the cached
+  /// norms and bounds, and make a saved snapshot unloadable); the whole
+  /// batch is checked before anything changes. Strong exception guarantee:
+  /// the new layout is built aside and swapped in, and a failed build
+  /// truncates the forward store back to its old documents.
   void add_batch(std::span<const vsm::SparseView> docs);
   void add_batch(std::span<const vsm::SparseVector> docs);
 
@@ -253,15 +259,16 @@ class InvertedIndex {
   /// Stored document `doc` (< size()) as a view of its forward-store run.
   /// Valid until the next add_batch() of this index.
   vsm::SparseView document(DocId doc) const noexcept {
-    return forward_run(internal_of_[doc]);
+    return forward_run(doc);
   }
 
-  /// Calls fn(doc, document(doc)) for every stored document in
-  /// forward-store order, not id order: one sequential sweep of the store
-  /// for callers that visit every document in any order.
+  /// Calls fn(doc, document(doc)) for every stored document in id order:
+  /// one sequential sweep of the forward store.
   template <typename Fn>
   void for_each_document(Fn&& fn) const {
-    for (std::size_t r = 0; r < size(); ++r) fn(public_of_[r], forward_run(r));
+    for (std::size_t d = 0; d < size(); ++d) {
+      fn(static_cast<DocId>(d), forward_run(d));
+    }
   }
 
   /// Largest weight stored for `term` (0 if the term has no postings) —
@@ -364,24 +371,27 @@ class InvertedIndex {
 
   /// Appends this index's forward store to a snapshot as the per-shard
   /// offsets / term-id / weight sections (see snapshot.hpp for the format).
-  /// Documents are written in *public* id order, so the emitted bytes
-  /// depend only on the documents — the arena permutation never leaks into
-  /// the file.
+  /// The store is in *public* id order, so the emitted bytes depend only on
+  /// the documents — the arena permutation never leaks into the file. The
+  /// writer borrows the store: no add_batch() until it has finished.
   void save(snapshot::Writer& writer, std::uint32_t shard) const;
 
-  /// Rebuilds one shard from its snapshot sections with one add_batch of
-  /// every document in public order, so the loaded index is byte-for-byte
-  /// the index a fresh build of the same documents would produce — all
-  /// query contracts transfer. Throws
+  /// Restores one shard from its snapshot sections: validates them, moves
+  /// them out of `reader` as the forward store (no copy) and builds the
+  /// arena over it — byte-for-byte the index a fresh build of the same
+  /// documents would produce, so all query contracts transfer. Throws
   /// snapshot::SnapshotError on any corruption or validation failure.
-  static InvertedIndex load(const snapshot::Reader& reader,
-                            std::uint32_t shard);
+  static InvertedIndex load(snapshot::Reader& reader, std::uint32_t shard);
 
  private:
-  /// Forward-store run of the document at internal id `internal`.
-  vsm::SparseView forward_run(std::size_t internal) const noexcept {
-    const std::size_t begin = forward_offsets_[internal];
-    const std::size_t size = forward_offsets_[internal + 1] - begin;
+  /// Rebuilds the arena, blocks, bounds, permutation and norms from the
+  /// forward store; documents [0, stored) reuse their cached norms.
+  void build_arena(std::size_t stored);
+
+  /// Forward-store run of the document at public id `doc`.
+  vsm::SparseView forward_run(std::size_t doc) const noexcept {
+    const std::size_t begin = forward_offsets_[doc];
+    const std::size_t size = forward_offsets_[doc + 1] - begin;
     return {{forward_terms_.data() + begin, size},
             {forward_weights_.data() + begin, size}};
   }
@@ -415,12 +425,14 @@ class InvertedIndex {
   std::vector<double> norms_sq_;                // per-doc squared L2 norm
   std::vector<double> max_weight_;              // per-term max posting weight
   std::vector<double> min_weight_;              // per-term min posting weight
-  // Forward store: doc d's (term, weight) pairs live at
-  // [forward_offsets_[d], forward_offsets_[d + 1]) in ascending term order
-  // — the candidate re-scoring substrate of the pruned path, the per-doc
-  // extents behind its candidate-switch cost model, and the source every
-  // rebuild reads the stored documents back from.
-  std::vector<std::size_t> forward_offsets_{0};
+  // Forward store, in *public* id order: doc d's (term, weight) pairs live
+  // at [forward_offsets_[d], forward_offsets_[d + 1]) in ascending term
+  // order — the candidate re-scoring substrate of the pruned path (which
+  // reaches an internal id's run through public_of_), the per-doc extents
+  // behind its candidate-switch cost model, the source every rebuild reads
+  // the stored documents back from, and the snapshot sections verbatim.
+  // Builds append to it; a snapshot load adopts the file's sections.
+  std::vector<std::uint64_t> forward_offsets_{0};
   std::vector<TermId> forward_terms_;
   std::vector<double> forward_weights_;
   std::size_t num_postings_ = 0;

@@ -1,11 +1,9 @@
 #include "index/snapshot.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #include "index/inverted_index.hpp"
@@ -65,13 +63,106 @@ void write_bytes(std::ostream& out, std::span<const std::byte> bytes) {
   }
 }
 
-void read_exact(std::istream& in, void* into, std::size_t bytes,
+}  // namespace
+
+/// Sequential reads over an istream or an Env file, with the total size
+/// when the source can tell it. read() fills as much of `into` as the
+/// source holds — short only at EOF — looping over short reads.
+class ByteSource {
+ public:
+  static constexpr std::uint64_t kUnknownSize = ~std::uint64_t{0};
+
+  virtual std::size_t read(std::span<std::byte> into) = 0;
+  /// Bytes from the current position to the end, or kUnknownSize.
+  virtual std::uint64_t remaining() const = 0;
+};
+
+namespace {
+
+class StreamSource final : public ByteSource {
+ public:
+  explicit StreamSource(std::istream& in) : in_(in) {
+    // A seekable stream (files, stringstreams) reveals its size; a pipe
+    // does not, and reads it as it comes.
+    const auto at = in.tellg();
+    if (at == std::istream::pos_type(-1)) return;
+    in.seekg(0, std::ios::end);
+    const auto end = in.tellg();
+    in.seekg(at);
+    if (end != std::istream::pos_type(-1) && in) {
+      size_ = static_cast<std::uint64_t>(end - at);
+    }
+    in.clear();
+  }
+
+  std::size_t read(std::span<std::byte> into) override {
+    in_.read(reinterpret_cast<char*>(into.data()),
+             static_cast<std::streamsize>(into.size()));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    consumed_ += got;
+    return got;
+  }
+
+  std::uint64_t remaining() const override {
+    return size_ == kUnknownSize ? kUnknownSize : size_ - consumed_;
+  }
+
+ private:
+  std::istream& in_;
+  std::uint64_t size_ = kUnknownSize;
+  std::uint64_t consumed_ = 0;
+};
+
+class FileSource final : public ByteSource {
+ public:
+  FileSource(const io::RandomAccessFile& file, std::uint64_t size)
+      : file_(file), size_(size) {}
+
+  std::size_t read(std::span<std::byte> into) override {
+    // RandomAccessFile::read may come back short without being at EOF.
+    std::size_t got = 0;
+    while (got < into.size()) {
+      const std::size_t n = file_.read(at_ + got, into.subspan(got));
+      if (n == 0) break;
+      got += n;
+    }
+    at_ += got;
+    return got;
+  }
+
+  std::uint64_t remaining() const override {
+    return at_ < size_ ? size_ - at_ : 0;
+  }
+
+ private:
+  const io::RandomAccessFile& file_;
+  std::uint64_t size_;
+  std::uint64_t at_ = 0;
+};
+
+void read_exact(ByteSource& in, void* into, std::size_t bytes,
                 const char* what) {
-  in.read(reinterpret_cast<char*>(into), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
+  if (in.read({static_cast<std::byte*>(into), bytes}) != bytes) {
     throw SnapshotError(std::string("snapshot: truncated file (short read in ") +
                         what + ")");
   }
+}
+
+/// True when the source holds no byte past the last section.
+bool at_end(ByteSource& in) {
+  std::byte extra;
+  return in.read({&extra, 1}) == 0;
+}
+
+/// Bytes per element of a section kind's typed storage.
+std::size_t element_size(SectionKind kind) noexcept {
+  switch (kind) {
+    case SectionKind::kForwardOffsets: return sizeof(std::uint64_t);
+    case SectionKind::kTermIds: return sizeof(std::uint32_t);
+    case SectionKind::kWeights: return sizeof(double);
+    case SectionKind::kLabels: return 1;
+  }
+  return 1;
 }
 
 /// Header prefix + directory, parsed and fully validated (magic, version,
@@ -84,7 +175,7 @@ struct ParsedHeader {
   std::uint64_t bytes_read = 0;
 };
 
-ParsedHeader read_header(std::istream& in) {
+ParsedHeader read_header(ByteSource& in) {
   ParsedHeader out;
   HeaderPrefix& prefix = out.prefix;
   read_exact(in, &prefix, sizeof(prefix), "header");
@@ -187,14 +278,9 @@ Writer::Writer(std::uint32_t shard_count, std::uint64_t doc_count,
       doc_count_(doc_count),
       term_count_(term_count) {}
 
-void Writer::add_section(SectionKind kind, std::uint32_t shard,
-                         std::vector<std::byte> payload) {
-  Section section;
-  section.kind = kind;
-  section.shard = shard;
-  section.checksum = fnv1a(payload);
-  section.payload = std::move(payload);
-  sections_.push_back(std::move(section));
+void Writer::add_bytes(SectionKind kind, std::uint32_t shard,
+                       std::span<const std::byte> payload) {
+  sections_.push_back({kind, shard, payload, fnv1a(payload)});
 }
 
 void Writer::finish(std::ostream& out) {
@@ -251,23 +337,86 @@ void Writer::finish(io::Env& env, const std::string& path) {
 
 Reader::Reader(std::istream& in) {
   const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
+  StreamSource source(in);
+  read_all(source);
+}
+
+Reader::Reader(const io::Env& env, const std::string& path) {
+  const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
+  try {
+    const auto file = env.new_random_access_file(path);
+    FileSource source(*file, env.file_size(path));
+    read_all(source);
+  } catch (const io::IoError& e) {
+    // One exception type per layer, as for the write side.
+    throw SnapshotError(std::string("snapshot: ") + e.what());
+  }
+}
+
+namespace {
+
+/// Reads `bytes` of payload straight into `data` as a vector of T and
+/// returns the bytes read, for the checksum.
+template <typename T, typename Data>
+std::span<const std::byte> read_section(ByteSource& in, std::uint64_t bytes,
+                                        Data& data) {
+  auto& out = data.template emplace<std::vector<T>>(
+      static_cast<std::size_t>(bytes / sizeof(T)));
+  read_exact(in, out.data(), static_cast<std::size_t>(bytes),
+             "section payload");
+  return std::as_bytes(std::span<const T>(out));
+}
+
+}  // namespace
+
+void Reader::read_all(ByteSource& in) {
   const ParsedHeader header = read_header(in);
 
   shard_count_ = header.prefix.shard_count;
   doc_count_ = header.prefix.doc_count;
   term_count_ = header.prefix.term_count;
 
+  // Every length is checked before any of them sizes an allocation: a
+  // forged entry must fail as a SnapshotError, not as bad_alloc.
+  const std::uint64_t present = in.remaining();
+  std::uint64_t declared = 0;
+  for (const DirectoryEntry& entry : header.directory) {
+    const auto kind = static_cast<SectionKind>(entry.kind);
+    if (entry.bytes % element_size(kind) != 0) {
+      throw SnapshotError(std::string("snapshot: section ") +
+                          section_kind_name(kind) + "/" +
+                          std::to_string(entry.shard) +
+                          " byte length is not a whole number of elements");
+    }
+    if (present != ByteSource::kUnknownSize &&
+        entry.bytes > present - declared) {
+      throw SnapshotError(
+          "snapshot: truncated file (section directory declares more "
+          "payload than the file holds)");
+    }
+    declared += entry.bytes;
+  }
+
   sections_.reserve(header.directory.size());
   for (const DirectoryEntry& entry : header.directory) {
     const auto kind = static_cast<SectionKind>(entry.kind);
-    Section section;
-    section.kind = kind;
-    section.shard = entry.shard;
-    section.payload.resize(entry.bytes);
-    if (entry.bytes > 0) {
-      read_exact(in, section.payload.data(), entry.bytes, "section payload");
+    Section section{kind, entry.shard, {}};
+    std::span<const std::byte> bytes;
+    switch (kind) {
+      case SectionKind::kForwardOffsets:
+        bytes = read_section<std::uint64_t>(in, entry.bytes, section.data);
+        break;
+      case SectionKind::kTermIds:
+        bytes = read_section<std::uint32_t>(in, entry.bytes, section.data);
+        break;
+      case SectionKind::kWeights:
+        bytes = read_section<double>(in, entry.bytes, section.data);
+        break;
+      case SectionKind::kLabels:
+        bytes = read_section<std::byte>(in, entry.bytes, section.data);
+        break;
     }
-    if (fnv1a(section.payload) != entry.checksum) {
+    if (fnv1a(bytes) != entry.checksum) {
       throw SnapshotError(std::string("snapshot: section ") +
                           section_kind_name(kind) + "/" +
                           std::to_string(entry.shard) + " checksum mismatch");
@@ -275,7 +424,7 @@ Reader::Reader(std::istream& in) {
     sections_.push_back(std::move(section));
   }
   // Anything after the last declared section is not this snapshot's data.
-  if (in.peek() != std::istream::traits_type::eof()) {
+  if (!at_end(in)) {
     throw SnapshotError("snapshot: trailing bytes after the last section");
   }
 }
@@ -283,16 +432,19 @@ Reader::Reader(std::istream& in) {
 bool Reader::has_section(SectionKind kind,
                          std::uint32_t shard) const noexcept {
   for (const Section& section : sections_) {
-    if (section.kind == kind && section.shard == shard) return true;
+    if (section.kind == kind && section.shard == shard) return !section.taken;
   }
   return false;
 }
 
-std::span<const std::byte> Reader::section(SectionKind kind,
-                                           std::uint32_t shard) const {
+const Reader::Section& Reader::find(SectionKind kind,
+                                    std::uint32_t shard) const {
+  // Compares only kind and shard of other sections, so threads taking
+  // distinct sections never touch each other's state.
   for (const Section& section : sections_) {
     if (section.kind == kind && section.shard == shard) {
-      return section.payload;
+      if (section.taken) break;
+      return section;
     }
   }
   throw SnapshotError(std::string("snapshot: missing section ") +
@@ -301,27 +453,14 @@ std::span<const std::byte> Reader::section(SectionKind kind,
 
 namespace {
 
-/// One shard's (offsets, term ids, weights) sections, copied out of the
-/// file image, with a view of every document in public id order. `docs`
-/// points into `terms` and `weights`; moving the struct keeps it valid.
-struct ShardDocuments {
-  std::vector<std::uint64_t> offsets;
-  std::vector<std::uint32_t> terms;
-  std::vector<double> weights;
-  std::vector<vsm::SparseView> docs;
-};
-
-/// Decodes and validates one shard's sections: offsets start at 0 and
-/// never decrease, both streams match the final offset, term ids are
-/// strictly increasing within a document, and every weight is finite and
-/// non-zero. InvertedIndex::load's input.
-ShardDocuments read_shard_documents(const Reader& reader,
-                                    std::uint32_t shard) {
-  auto offsets =
-      reader.section_as<std::uint64_t>(SectionKind::kForwardOffsets, shard);
-  auto terms = reader.section_as<std::uint32_t>(SectionKind::kTermIds, shard);
-  auto weights = reader.section_as<double>(SectionKind::kWeights, shard);
-
+/// Validates one shard's sections before an index adopts them as its
+/// forward store: offsets start at 0 and never decrease, both streams
+/// match the final offset, term ids are strictly increasing within a
+/// document, and every weight is finite and non-zero.
+void validate_forward_store(std::span<const std::uint64_t> offsets,
+                            std::span<const std::uint32_t> terms,
+                            std::span<const double> weights,
+                            std::uint32_t shard) {
   const std::string where = "snapshot: shard " + std::to_string(shard);
   if (offsets.empty() || offsets.front() != 0) {
     throw SnapshotError(where + " offsets section must start at 0");
@@ -336,9 +475,6 @@ ShardDocuments read_shard_documents(const Reader& reader,
     throw SnapshotError(where +
                         " posting streams disagree with the offset table");
   }
-
-  std::vector<vsm::SparseView> docs;
-  docs.reserve(offsets.size() - 1);
   for (std::size_t d = 0; d + 1 < offsets.size(); ++d) {
     for (std::size_t f = offsets[d]; f < offsets[d + 1]; ++f) {
       if (f > offsets[d] && terms[f] <= terms[f - 1]) {
@@ -352,18 +488,14 @@ ShardDocuments read_shard_documents(const Reader& reader,
                             " carries a non-finite or zero weight");
       }
     }
-    const std::size_t size = offsets[d + 1] - offsets[d];
-    docs.push_back({{terms.data() + offsets[d], size},
-                    {weights.data() + offsets[d], size}});
   }
-  return {std::move(offsets), std::move(terms), std::move(weights),
-          std::move(docs)};
 }
 
 }  // namespace
 
-VerifyResult verify_stream(std::istream& in) {
+VerifyResult verify_stream(std::istream& stream) {
   VerifyResult result;
+  StreamSource in(stream);
   ParsedHeader header;
   try {
     header = read_header(in);
@@ -380,7 +512,7 @@ VerifyResult verify_stream(std::istream& in) {
   // step, so a split at a non-multiple boundary would hash different
   // chunks than the writer's one-shot pass and "verify" nothing.
   constexpr std::size_t kChunk = 1u << 20;
-  std::vector<char> chunk(kChunk);
+  std::vector<std::byte> chunk(kChunk);
 
   bool all_ok = true;
   for (const DirectoryEntry& entry : header.directory) {
@@ -394,11 +526,8 @@ VerifyResult verify_stream(std::istream& in) {
     while (remaining > 0) {
       const std::size_t want =
           remaining < kChunk ? static_cast<std::size_t>(remaining) : kChunk;
-      in.read(chunk.data(), static_cast<std::streamsize>(want));
-      const auto got = static_cast<std::size_t>(in.gcount());
-      hash = fnv1a_extend(
-          hash, std::span<const std::byte>(
-                    reinterpret_cast<const std::byte*>(chunk.data()), got));
+      const std::size_t got = in.read({chunk.data(), want});
+      hash = fnv1a_extend(hash, std::span<const std::byte>(chunk).first(got));
       result.total_bytes += got;
       remaining -= got;
       if (got != want) {
@@ -422,7 +551,7 @@ VerifyResult verify_stream(std::istream& in) {
                      std::to_string(section.shard) + " checksum mismatch";
     }
   }
-  if (all_ok && in.peek() != std::istream::traits_type::eof()) {
+  if (all_ok && !at_end(in)) {
     result.error = "snapshot: trailing bytes after the last section";
     return result;
   }
@@ -435,37 +564,33 @@ VerifyResult verify_stream(std::istream& in) {
 namespace fmeter::index {
 
 void InvertedIndex::save(snapshot::Writer& writer, std::uint32_t shard) const {
-  const std::size_t n = size();
-  // Forward image in *public* id order: the arena's internal permutation is
-  // un-applied here, so the bytes depend only on the documents, never on
-  // how they were batched into builds.
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-  std::vector<TermId> terms(forward_terms_.size());
-  std::vector<double> weights(forward_weights_.size());
-  std::size_t w = 0;
-  for (std::size_t pub = 0; pub < n; ++pub) {
-    const vsm::SparseView doc = document(static_cast<DocId>(pub));
-    std::copy(doc.indices.begin(), doc.indices.end(), terms.begin() + w);
-    std::copy(doc.values.begin(), doc.values.end(), weights.begin() + w);
-    w += doc.indices.size();
-    offsets[pub + 1] = w;
-  }
+  // The forward store is already in public id order — the sections' layout
+  // — so the writer borrows it as it stands.
   writer.add_section(snapshot::SectionKind::kForwardOffsets, shard,
-                     std::span<const std::uint64_t>(offsets));
+                     std::span<const std::uint64_t>(forward_offsets_));
   writer.add_section(snapshot::SectionKind::kTermIds, shard,
-                     std::span<const TermId>(terms));
+                     std::span<const TermId>(forward_terms_));
   writer.add_section(snapshot::SectionKind::kWeights, shard,
-                     std::span<const double>(weights));
+                     std::span<const double>(forward_weights_));
 }
 
-InvertedIndex InvertedIndex::load(const snapshot::Reader& reader,
+InvertedIndex InvertedIndex::load(snapshot::Reader& reader,
                                   std::uint32_t shard) {
-  // One build of every document in public order: byte-for-byte a fresh
-  // build of the same documents — so every query contract of a fresh index
-  // holds for a loaded one.
-  const auto sections = snapshot::read_shard_documents(reader, shard);
+  // The validated sections become the forward store as they are; only the
+  // arena is built. Same documents, same build: byte-for-byte a fresh
+  // build, so every query contract of a fresh index holds for a loaded one.
+  using snapshot::SectionKind;
   InvertedIndex index;
-  index.add_batch(sections.docs);
+  index.forward_offsets_ =
+      reader.take_section<std::uint64_t>(SectionKind::kForwardOffsets, shard);
+  index.forward_terms_ =
+      reader.take_section<TermId>(SectionKind::kTermIds, shard);
+  index.forward_weights_ =
+      reader.take_section<double>(SectionKind::kWeights, shard);
+  snapshot::validate_forward_store(index.forward_offsets_,
+                                   index.forward_terms_,
+                                   index.forward_weights_, shard);
+  index.build_arena(0);
   return index;
 }
 

@@ -6,9 +6,12 @@
 // arena, block-max metadata, doc-reordering permutation, per-term bounds —
 // deterministically from the documents, so a snapshot only has to persist
 // what cannot be recomputed: each shard's per-document (term, weight) pairs
-// in public id order, plus (for a database snapshot) the labels. A loader
-// rebuilds from the documents, which makes the loaded index byte-for-byte
-// the index a fresh bulk build (add_batch) would produce — every query contract
+// in public id order, plus (for a database snapshot) the labels. The index
+// keeps its forward store in that same public order, so the sections *are*
+// the forward store: a save hands the Writer borrowed views of it, and a
+// load moves the Reader's typed sections in as the new index's forward
+// store and builds only the arena. The loaded index is byte-for-byte the
+// index a fresh bulk build (add_batch) would produce — every query contract
 // (exact bit-identity, pruned 1e-9, any mode, any shard count) transfers to
 // snapshots with no new equivalence proofs.
 //
@@ -36,21 +39,23 @@
 //   kLabels          u64 label count, then per label { u32 length, bytes }
 //
 // Corruption behavior: every failure mode — truncation, flipped bytes in
-// any section, wrong version, foreign endianness, zero-length file —
-// throws SnapshotError with a diagnostic message. The header checksum
-// covers the directory, so a corrupted length/checksum entry cannot
-// misdirect section parsing; per-section checksums catch payload damage.
-// Writers buffer nothing twice: checksums are computed over the in-memory
-// arrays before the single sequential write pass.
+// any section, wrong version, foreign endianness, zero-length file, forged
+// section lengths — throws SnapshotError with a diagnostic message. The
+// header checksum covers the directory, so a corrupted length/checksum
+// entry cannot misdirect section parsing; per-section checksums catch
+// payload damage. Writers copy nothing: checksums are computed over the
+// caller's in-memory arrays before the single sequential write pass.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <iosfwd>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "io/env.hpp"
@@ -85,29 +90,23 @@ const char* section_kind_name(SectionKind kind) noexcept;
 /// its job is detecting truncation and bit rot, which it does per byte.
 std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept;
 
-/// Collects sections (owning their payload bytes), then emits the whole
-/// file in one sequential pass — no seeking, so any std::ostream works
-/// (files, stringstreams in tests).
+/// Collects sections, then emits the whole file in one sequential pass —
+/// no seeking, so any std::ostream works (files, stringstreams in tests).
+/// Sections are *borrowed*, not copied: the caller keeps the arrays alive
+/// and unchanged until finish() returns.
 class Writer {
  public:
   Writer(std::uint32_t shard_count, std::uint64_t doc_count,
          std::uint64_t term_count);
 
-  /// Appends one section. Payload bytes are moved in and written verbatim.
-  void add_section(SectionKind kind, std::uint32_t shard,
-                   std::vector<std::byte> payload);
-
-  /// Typed convenience: copies `data`'s object representation into a
-  /// payload (the arrays serialized here are trivially copyable scalars).
+  /// Appends one section over `data`'s object representation (the arrays
+  /// serialized here are trivially copyable scalars). Its checksum is taken
+  /// now; its bytes are written by finish().
   template <typename T>
   void add_section(SectionKind kind, std::uint32_t shard,
                    std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> payload(data.size_bytes());
-    if (!data.empty()) {
-      std::memcpy(payload.data(), data.data(), data.size_bytes());
-    }
-    add_section(kind, shard, std::move(payload));
+    add_bytes(kind, shard, std::as_bytes(data));
   }
 
   /// Writes header + directory + payloads. Throws SnapshotError on stream
@@ -123,10 +122,13 @@ class Writer {
   void finish(io::Env& env, const std::string& path);
 
  private:
+  void add_bytes(SectionKind kind, std::uint32_t shard,
+                 std::span<const std::byte> payload);
+
   struct Section {
     SectionKind kind;
     std::uint32_t shard;
-    std::vector<std::byte> payload;
+    std::span<const std::byte> payload;
     std::uint64_t checksum;
   };
   std::uint32_t shard_count_;
@@ -135,46 +137,68 @@ class Writer {
   std::vector<Section> sections_;
 };
 
-/// Parses and fully validates a snapshot stream up front: magic, version,
-/// endianness, header checksum, section sizes against the payload actually
-/// present, and every per-section checksum. After construction, sections
-/// are in-memory byte spans — corruption can no longer surface mid-load,
+class ByteSource;
+
+/// Parses and fully validates a snapshot up front: magic, version,
+/// endianness, header checksum, section lengths against the bytes the
+/// file holds, and every per-section checksum. Each section is read from
+/// the source straight into typed storage — u64 offsets, u32 term ids,
+/// f64 weights, bytes for labels — with no whole-file buffer and no second
+/// copy. After construction corruption can no longer surface mid-load,
 /// which is what lets callers build into a temporary and swap on success.
+///
+/// Forged lengths fail before they size an allocation: a directory whose
+/// sections overrun the bytes present, or a length that is not a whole
+/// number of the kind's elements, throws SnapshotError, never bad_alloc.
+/// (An istream that cannot seek does not reveal its size; only the
+/// element-size check applies to it.)
 class Reader {
  public:
   explicit Reader(std::istream& in);
+  /// Streams `path` through `env`'s positioned reads, looping over short
+  /// reads. An io::IoError on the way surfaces as SnapshotError.
+  Reader(const io::Env& env, const std::string& path);
 
   std::uint32_t shard_count() const noexcept { return shard_count_; }
   std::uint64_t doc_count() const noexcept { return doc_count_; }
   std::uint64_t term_count() const noexcept { return term_count_; }
 
   bool has_section(SectionKind kind, std::uint32_t shard) const noexcept;
-  /// Throws SnapshotError when the section is absent.
-  std::span<const std::byte> section(SectionKind kind,
-                                     std::uint32_t shard) const;
 
-  /// Typed view of a section payload; throws SnapshotError when the byte
-  /// length is not a multiple of sizeof(T).
+  /// Typed view of a section. T must be the kind's element type:
+  /// std::uint64_t (offsets), std::uint32_t (term ids), double (weights),
+  /// std::byte (labels). Throws SnapshotError when the section is absent
+  /// or already taken.
   template <typename T>
-  std::vector<T> section_as(SectionKind kind, std::uint32_t shard) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto bytes = section(kind, shard);
-    if (bytes.size() % sizeof(T) != 0) {
-      throw SnapshotError(std::string("snapshot: section ") +
-                          section_kind_name(kind) +
-                          " byte length is not a whole number of elements");
-    }
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
+  std::span<const T> section(SectionKind kind, std::uint32_t shard) const {
+    return std::get<std::vector<T>>(find(kind, shard).data);
+  }
+
+  /// Moves a section's storage out — how a load adopts it without a copy.
+  /// The section counts as absent afterwards. Distinct sections may be
+  /// taken from different threads at once.
+  template <typename T>
+  std::vector<T> take_section(SectionKind kind, std::uint32_t shard) {
+    Section& section = find(kind, shard);
+    section.taken = true;
+    return std::move(std::get<std::vector<T>>(section.data));
   }
 
  private:
   struct Section {
     SectionKind kind;
     std::uint32_t shard;
-    std::vector<std::byte> payload;
+    std::variant<std::vector<std::uint64_t>, std::vector<std::uint32_t>,
+                 std::vector<double>, std::vector<std::byte>>
+        data;
+    bool taken = false;
   };
+  void read_all(ByteSource& source);
+  const Section& find(SectionKind kind, std::uint32_t shard) const;
+  Section& find(SectionKind kind, std::uint32_t shard) {
+    return const_cast<Section&>(std::as_const(*this).find(kind, shard));
+  }
+
   std::uint32_t shard_count_ = 0;
   std::uint64_t doc_count_ = 0;
   std::uint64_t term_count_ = 0;

@@ -123,8 +123,9 @@ class Env {
   /// Truncates to `size` bytes (journal recovery chops torn tails).
   virtual void truncate_file(const std::string& path, std::uint64_t size) = 0;
 
-  /// Whole file into a string (snapshot/manifest loads; sections are
-  /// copied into memory by the snapshot Reader anyway).
+  /// Whole file into a string (manifest and journal loads). Snapshots do
+  /// not come through here: the snapshot Reader streams each section from
+  /// new_random_access_file() straight into its typed storage.
   std::string read_file(const std::string& path) const;
 
   /// The process-wide PosixEnv. Leaked like the metrics registry so

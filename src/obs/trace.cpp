@@ -45,7 +45,9 @@ const char* stage_help(Stage stage) noexcept {
     case Stage::kSnapshotSave:
       return "Time writing and finishing one snapshot";
     case Stage::kSnapshotLoad:
-      return "Time opening and validating one snapshot";
+      return "Time reading and validating one snapshot, file I/O included";
+    case Stage::kRefreeze:
+      return "Time of one live-archive fold of the tail into a new base";
     case Stage::kStageCount_:
       break;
   }

@@ -31,7 +31,7 @@ enum class Stage : int {
   kMerge,             ///< cross-shard result merge
   kIngest,            ///< index build (add_batch or a lazy catch-up)
   kSnapshotSave,      ///< snapshot write + finish
-  kSnapshotLoad,      ///< snapshot open + validate
+  kSnapshotLoad,      ///< snapshot read (file I/O included) + validate
   kRefreeze,          ///< live-archive background tail fold + epoch swap
   kStageCount_,       ///< sentinel — not a stage
 };

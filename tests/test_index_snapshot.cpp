@@ -329,7 +329,7 @@ TEST(IndexSnapshot, InvertedIndexSectionsRoundTrip) {
   writer.finish(out);
 
   std::istringstream in(out.str());
-  const snap::Reader reader(in);
+  snap::Reader reader(in);
   const index::InvertedIndex loaded = index::InvertedIndex::load(reader, 0);
 
   ASSERT_EQ(loaded.size(), original.size());
@@ -424,20 +424,47 @@ class SnapshotCorruption : public ::testing::Test {
     before_ = target_.search(probe_, 5, SimilarityMetric::kCosine);
   }
 
+  /// Read chunk limits the streamed load runs under: pathological 7-byte
+  /// reads, and chunks just over 1 MiB.
+  static constexpr std::size_t kChunkLimits[] = {7, (std::size_t{1} << 20) + 1};
+
   /// Asserts that loading `bytes` fails with a SnapshotError whose message
-  /// is a real diagnostic, and that the target database is untouched and
-  /// still fully usable afterwards.
+  /// is a real diagnostic — through the istream path and, with the same
+  /// message, through load(Env&, path) under every read chunk limit — and
+  /// that the target database is untouched and still fully usable
+  /// afterwards.
   void expect_clean_failure(const std::string& bytes,
                             const std::string& context) {
-    std::istringstream in(bytes);
-    try {
-      target_.load(in);
-      FAIL() << context << ": load of corrupt snapshot succeeded";
-    } catch (const snap::SnapshotError& error) {
-      EXPECT_GT(std::strlen(error.what()), 10u)
-          << context << ": diagnostic too short";
-    } catch (const std::exception& error) {
-      FAIL() << context << ": wrong exception type: " << error.what();
+    std::string stream_error;
+    {
+      std::istringstream in(bytes);
+      try {
+        target_.load(in);
+        FAIL() << context << ": load of corrupt snapshot succeeded";
+      } catch (const snap::SnapshotError& error) {
+        stream_error = error.what();
+        EXPECT_GT(stream_error.size(), 10u)
+            << context << ": diagnostic too short";
+      } catch (const std::exception& error) {
+        FAIL() << context << ": wrong exception type: " << error.what();
+      }
+    }
+    io::InMemoryEnv env;
+    env.create_dir("d");
+    env.new_writable_file("d/snap")->append(bytes);
+    for (const std::size_t limit : kChunkLimits) {
+      env.set_read_chunk_limit(limit);
+      try {
+        target_.load(env, "d/snap");
+        FAIL() << context << ": streamed load of corrupt snapshot succeeded"
+               << " (chunk limit " << limit << ")";
+      } catch (const snap::SnapshotError& error) {
+        EXPECT_EQ(error.what(), stream_error)
+            << context << " (chunk limit " << limit << ")";
+      } catch (const std::exception& error) {
+        FAIL() << context << ": wrong exception type: " << error.what()
+               << " (chunk limit " << limit << ")";
+      }
     }
     // Strong guarantee: contents, labels and query results unchanged...
     ASSERT_EQ(target_.size(), 10u) << context;
@@ -631,6 +658,81 @@ TEST_F(SnapshotCorruption, SuccessfulLoadReplacesTargetEntirely) {
   std::istringstream in(bytes_);
   target_.load(in);
   expect_databases_equivalent(target_, source_, 0xfeed, "post-load");
+
+  // The streamed load under short reads restores the same database.
+  io::InMemoryEnv env;
+  env.create_dir("d");
+  env.new_writable_file("d/snap")->append(bytes_);
+  for (const std::size_t limit : kChunkLimits) {
+    env.set_read_chunk_limit(limit);
+    SignatureDatabase streamed(3);
+    streamed.load(env, "d/snap");
+    expect_databases_equivalent(streamed, source_, 0xfeed,
+                                "streamed, chunk limit " +
+                                    std::to_string(limit));
+  }
+}
+
+/// Rewrites directory entry `entry`'s byte length and re-seals the header
+/// checksum, so only the length check itself can reject the file.
+std::string forge_section_length(std::string bytes, std::uint32_t entry,
+                                 std::uint64_t length) {
+  constexpr std::size_t kPrefix = 40;
+  constexpr std::size_t kEntry = 24;
+  std::uint32_t sections = 0;
+  std::memcpy(&sections, bytes.data() + 20, sizeof(sections));
+  std::memcpy(bytes.data() + kPrefix + entry * kEntry + 8, &length,
+              sizeof(length));
+  const std::size_t header = kPrefix + sections * kEntry;
+  const std::uint64_t checksum = snap::fnv1a(std::as_bytes(
+      std::span<const char>(bytes.data(), header)));
+  std::memcpy(bytes.data() + header, &checksum, sizeof(checksum));
+  return bytes;
+}
+
+TEST_F(SnapshotCorruption, ForgedSectionLengthsFailBeforeAllocating) {
+  // A header whose checksum is valid but whose directory declares more
+  // payload than the file holds must fail as a SnapshotError before the
+  // length sizes an allocation — an exabyte request would otherwise
+  // surface as std::bad_alloc. Re-sealing an unchanged header must
+  // reproduce the writer's bytes, or the forgeries below prove nothing.
+  std::uint64_t original = 0;
+  std::memcpy(&original, bytes_.data() + kPrefixBytes + 8, sizeof(original));
+  ASSERT_EQ(forge_section_length(bytes_, 0, original), bytes_);
+  for (const std::uint64_t length :
+       {std::uint64_t{1} << 60, std::uint64_t{1} << 40,
+        static_cast<std::uint64_t>(bytes_.size()) * 8}) {
+    const std::string forged = forge_section_length(bytes_, 0, length);
+    expect_clean_failure(forged, "offsets length forged to " +
+                                     std::to_string(length));
+    std::istringstream in(forged);
+    try {
+      target_.load(in);
+    } catch (const snap::SnapshotError& error) {
+      EXPECT_NE(std::string(error.what()).find("truncated"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // A length that is not a whole number of u64 offsets is rejected by its
+  // element size, before anything is read.
+  const std::string ragged = forge_section_length(bytes_, 0, 12);
+  expect_clean_failure(ragged, "offsets length of 12 bytes");
+  std::istringstream in(ragged);
+  try {
+    target_.load(in);
+  } catch (const snap::SnapshotError& error) {
+    EXPECT_NE(std::string(error.what()).find("whole number of elements"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(SnapshotCorruption, StreamedLoadMapsIoErrorsToSnapshotError) {
+  // A missing file is an IoError underneath; callers see one error type.
+  io::InMemoryEnv env;
+  EXPECT_THROW(target_.load(env, "absent/snap"), snap::SnapshotError);
+  ASSERT_EQ(target_.size(), 10u);
 }
 
 TEST_F(SnapshotCorruption, VerifyStreamAcceptsCleanArchiveAndReportsLayout) {
@@ -824,6 +926,81 @@ TEST(DurableArchive, JournalTornTailNeverDiscardsTheSnapshot) {
     EXPECT_TRUE(reopened.refreeze_now()) << shape.name;
     LiveDatabase again(env, "arch", options);
     EXPECT_EQ(again.size(), (2 + shape.replayed + 1) * 2) << shape.name;
+  }
+}
+
+TEST(IndexSnapshot, LoadedShardEqualsAFreshBuildIncludingMemory) {
+  // A load adopts the file's sections as the forward store. Built in
+  // several batches or loaded, a shard holds the same bytes in the same
+  // allocation sizes: adopted storage carries no slack.
+  util::Rng rng(0x3e3);
+  std::vector<vsm::SparseVector> docs;
+  for (int i = 0; i < 300; ++i) {
+    docs.push_back(random_sparse(rng, 64, 10, /*allow_negative=*/true));
+  }
+  index::InvertedIndex fresh;
+  const std::span<const vsm::SparseVector> all(docs);
+  fresh.add_batch(all.first(100));
+  fresh.add_batch(all.subspan(100, 50));
+  fresh.add_batch(all.subspan(150));
+  index::InvertedIndex bulk;
+  bulk.add_batch(all);
+
+  snap::Writer writer(1, fresh.size(), fresh.num_terms());
+  fresh.save(writer, 0);
+  std::ostringstream out;
+  writer.finish(out);
+  std::istringstream in(out.str());
+  snap::Reader reader(in);
+  const index::InvertedIndex loaded = index::InvertedIndex::load(reader, 0);
+  EXPECT_FALSE(reader.has_section(snap::SectionKind::kTermIds, 0));
+
+  for (const index::InvertedIndex* built : {&fresh, &bulk}) {
+    ASSERT_EQ(loaded.size(), built->size());
+    EXPECT_EQ(loaded.num_terms(), built->num_terms());
+    EXPECT_EQ(loaded.num_postings(), built->num_postings());
+    const index::MemoryBreakdown want = built->memory_breakdown();
+    const index::MemoryBreakdown got = loaded.memory_breakdown();
+    EXPECT_EQ(got.postings, want.postings);
+    EXPECT_EQ(got.offsets, want.offsets);
+    EXPECT_EQ(got.blocks, want.blocks);
+    EXPECT_EQ(got.forward, want.forward);
+    for (std::size_t d = 0; d < built->size(); ++d) {
+      const auto id = static_cast<index::InvertedIndex::DocId>(d);
+      ASSERT_TRUE(vsm::SparseVector(loaded.document(id)) ==
+                  vsm::SparseVector(built->document(id)))
+          << "doc " << d;
+      ASSERT_EQ(loaded.norm(id), built->norm(id)) << "doc " << d;
+    }
+  }
+  for (int q = 0; q < 8; ++q) {
+    const auto query = random_sparse(rng, 64, 10, true);
+    const auto want = bulk.top_k_pruned(query, 5);
+    const auto got = loaded.top_k_pruned(query, 5);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(got[r].doc, want[r].doc);
+      EXPECT_EQ(got[r].score, want[r].score);
+    }
+  }
+}
+
+TEST(IndexSnapshot, SavingALoadedDatabaseReproducesTheFile) {
+  // save hands the writer the adopted forward stores as they are, so a
+  // load-save cycle is byte-for-byte, through both load paths.
+  const TestCorpus corpus = make_corpus(0x5a7e, 200);
+  for (const std::size_t shards : kShardCounts) {
+    const std::string original = save_to_string(build_bulk(corpus, shards));
+    EXPECT_EQ(save_to_string(load_from_string(original)), original)
+        << shards << " shards";
+
+    io::InMemoryEnv env;
+    env.create_dir("d");
+    env.new_writable_file("d/snap")->append(original);
+    SignatureDatabase streamed;
+    streamed.load(env, "d/snap");
+    streamed.save(env, "d/again");
+    EXPECT_EQ(env.read_file("d/again"), original) << shards << " shards";
   }
 }
 

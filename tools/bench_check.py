@@ -56,6 +56,9 @@ MEASURED_FIELDS = {
     # query p99 against the idle-ingest p99 (machine-relative, like
     # speedup_vs_scalar, so it gates off the baseline machine).
     "sigs_per_sec", "p99_vs_idle", "refreezes", "queries_served",
+    # snapshot_scaling: a restore's peak RSS (measured in a fresh process)
+    # and the restored index's memory_bytes.
+    "load_peak_rss_mb", "index_mb",
 }
 # Lower-is-better metrics, in preference order; each file is gated on the
 # first one its rows actually carry (query benches emit us_per_query, the

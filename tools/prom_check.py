@@ -3,7 +3,8 @@
 
 CI pipes ``fmeter_inspect metrics`` through this script: it parses every
 line of the text format (HELP/TYPE comments, ``name[{labels}] value``
-samples), fails on malformed lines, and then checks that every metric name
+samples), fails on malformed lines and on a HELP line with no text (an
+undocumented series), and then checks that every metric name
 passed via ``--require`` appeared with at least one sample. Histogram
 conventions are enforced where a TYPE declares one: its ``_bucket`` series
 must carry an ``le`` label, end with ``le="+Inf"``, and the +Inf count must
@@ -21,7 +22,7 @@ import re
 import sys
 
 NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
-HELP_RE = re.compile(rf"^# HELP ({NAME}) .*$")
+HELP_RE = re.compile(rf"^# HELP ({NAME})(?: (.*))?$")
 TYPE_RE = re.compile(rf"^# TYPE ({NAME}) (counter|gauge|histogram|summary|untyped)$")
 SAMPLE_RE = re.compile(
     rf"^({NAME})(\{{[^{{}}]*\}})? "
@@ -52,7 +53,11 @@ def main():
         if not line:
             continue
         if line.startswith("#"):
-            if HELP_RE.match(line):
+            help_match = HELP_RE.match(line)
+            if help_match:
+                if not (help_match.group(2) or "").strip():
+                    errors.append(f"line {lineno}: {help_match.group(1)} "
+                                  f"has an empty HELP text")
                 continue
             type_match = TYPE_RE.match(line)
             if type_match:
