@@ -11,10 +11,18 @@
 // hardware threads and the full 100k corpus (a single-core CI box runs the
 // same code inline, where there is nothing to win).
 //
+// A third row measures the live archive's fold: ShardedIndex::appended of
+// the last 10% of the corpus onto a base holding the first 90%, on the
+// one-worker pool (a background fold runs alone on one pool worker). It
+// must equal the sequential bulk build shard for shard (operator==), and
+// at 100k it must take at most 0.6x the bulk build's time: the merge
+// extends each posting list instead of re-scattering every posting.
+//
 // Usage: bench_build_scaling [max_corpus]   (e.g. 5000 as a CI smoke)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,11 +110,39 @@ int main(int argc, char** argv) {
                           std::to_string(corpus),
                       identical});
 
+    // The fold: a 90% base, untimed, extended by the last 10%.
+    const std::span<const fmeter::vsm::SparseVector> all(docs);
+    const std::size_t base_docs = corpus - corpus / 10;
+    const std::vector<fmeter::vsm::SparseView> tail(all.begin() + base_docs,
+                                                    all.end());
+    fmeter::exec::ShardedIndex base(kShards);
+    base.add_batch(all.first(base_docs), &one_worker);
+    const auto t_fold = std::chrono::steady_clock::now();
+    const fmeter::exec::ShardedIndex folded =
+        base.appended(tail, &one_worker);
+    const double fold_s = seconds_since(t_fold);
+    bool fold_identical = folded.size() == sequential.size();
+    for (std::size_t s = 0; fold_identical && s < kShards; ++s) {
+      fold_identical = folded.shard(s) == sequential.shard(s);
+    }
+    checks.push_back({"fold identical to the bulk build at " +
+                          std::to_string(corpus),
+                      fold_identical});
+    const double fold_ratio = seq_s > 0.0 ? fold_s / seq_s : 0.0;
+    if (corpus >= 100000) {
+      checks.push_back({"fold (10% onto 90%) <= 0.6x the bulk build at " +
+                            std::to_string(corpus) + " docs",
+                        fold_ratio <= 0.6});
+    }
+
     const double ratio = par_s > 0.0 ? seq_s / par_s : 0.0;
     std::printf("%8zu %12s %10.2f %12.0f %8s\n", corpus, "sequential", seq_s,
                 static_cast<double>(corpus) / seq_s, "");
     std::printf("%8zu %12s %10.2f %12.0f %7.2fx\n", corpus, "parallel", par_s,
                 static_cast<double>(corpus) / par_s, ratio);
+    std::printf("%8zu %12s %10.2f %12.0f %7.2fx of sequential\n", corpus,
+                "fold", fold_s, static_cast<double>(corpus) / fold_s,
+                fold_ratio);
     for (const auto& [mode, secs] :
          {std::pair<const char*, double>{"sequential", seq_s},
           {"parallel", par_s}}) {
@@ -119,6 +155,15 @@ int main(int argc, char** argv) {
                                static_cast<double>(corpus) / secs),
            fmeter::bench::jnum("cores", static_cast<double>(cores))});
     }
+    json_rows.push_back(
+        {fmeter::bench::jnum("docs", static_cast<double>(corpus)),
+         fmeter::bench::jnum("shards", kShards),
+         fmeter::bench::jstr("mode", "fold"),
+         fmeter::bench::jnum("seconds", fold_s),
+         fmeter::bench::jnum("docs_per_sec",
+                             static_cast<double>(corpus) / fold_s),
+         fmeter::bench::jnum("speedup", fold_s > 0.0 ? seq_s / fold_s : 0.0),
+         fmeter::bench::jnum("cores", static_cast<double>(cores))});
     // The parallelism gate arms only where parallelism exists to measure.
     if (cores >= 4 && corpus >= 100000) {
       checks.push_back({"parallel bulk ingest >= 2x sequential at " +

@@ -167,6 +167,10 @@ int main(int argc, char** argv) {
   const auto tmp = std::filesystem::temp_directory_path();
   fmeter::io::Env& env = fmeter::io::Env::posix();
   const auto queries = synthetic_queries(64);
+  // Every row records the host's hardware threads: ingest and fold rates
+  // mean little without them.
+  const double cores = static_cast<double>(std::thread::hardware_concurrency());
+  std::printf("hardware threads: %.0f\n\n", cores);
 
   std::printf("%8s %-14s %10s %12s %9s %9s %9s\n", "docs", "mode", "seconds",
               "sigs_per_s", "p50us", "p99us", "p99/idle");
@@ -215,7 +219,8 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("seconds", ingest_seconds),
          fmeter::bench::jnum("sigs_per_sec", ingest_rate),
          fmeter::bench::jnum("refreezes",
-                             static_cast<double>(ingest_refreezes))});
+                             static_cast<double>(ingest_refreezes)),
+         fmeter::bench::jnum("cores", cores)});
 
     // -- Phase 2: idle query baseline on the finished archive --------------
     std::vector<double> idle_us;
@@ -237,7 +242,8 @@ int main(int argc, char** argv) {
                              static_cast<double>(idle_us.size() * 3)),
          fmeter::bench::jnum("us_p50", idle.p50),
          fmeter::bench::jnum("us_p95", idle.p95),
-         fmeter::bench::jnum("us_p99", idle.p99)});
+         fmeter::bench::jnum("us_p99", idle.p99),
+         fmeter::bench::jnum("cores", cores)});
     db.reset();
 
     // -- Phase 3: full-speed ingest while serving the paced query load ----
@@ -293,7 +299,8 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("us_p50", served.p50),
          fmeter::bench::jnum("us_p95", served.p95),
          fmeter::bench::jnum("us_p99", served.p99),
-         fmeter::bench::jnum("p99_vs_idle", p99_vs_idle)});
+         fmeter::bench::jnum("p99_vs_idle", p99_vs_idle),
+         fmeter::bench::jnum("cores", cores)});
 
     checks.push_back(
         {"every signature archived under concurrent load at " +
@@ -367,7 +374,8 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("seconds", seconds),
          fmeter::bench::jnum("segments", static_cast<double>(stats.segments)),
          fmeter::bench::jnum("us_p50", idle.p50),
-         fmeter::bench::jnum("us_p99", idle.p99)});
+         fmeter::bench::jnum("us_p99", idle.p99),
+         fmeter::bench::jnum("cores", cores)});
     checks.push_back(
         {"one-doc batches keep segments <= log2(tail)+1 at " +
              std::to_string(stats.tail_docs),

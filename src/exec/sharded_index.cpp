@@ -1,5 +1,6 @@
 #include "exec/sharded_index.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <mutex>
@@ -81,14 +82,47 @@ void ShardedIndex::add_batch(std::span<const vsm::SparseVector> docs,
 
 void ShardedIndex::add_batch(std::span<const vsm::SparseView> docs,
                              TaskPool* pool) {
-  // The writer lock is held across the whole fan-out: the pool workers
-  // mutate disjoint shards without taking it, but their writes complete
-  // before run_spans returns, which happens before this thread releases
-  // the lock — so any reader admitted afterwards sees the finished build.
+  // The writer lock is held across the whole build, so two concurrent
+  // add_batch calls serialize and neither loses its batch. Every shard is
+  // built aside; only the noexcept swaps below touch this index.
   const std::unique_lock<std::shared_mutex> lock(mutex_);
+  std::size_t nonempty = 0;
+  std::vector<bool> seen = terms_seen_with(docs, nonempty);
+  std::vector<index::InvertedIndex> built = build_appended(docs, pool);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (first_slot(s) < docs.size()) shards_[s] = std::move(built[s]);
+  }
+  term_seen_ = std::move(seen);
+  nonempty_terms_ = nonempty;
+  size_ += docs.size();
+}
+
+ShardedIndex ShardedIndex::appended(std::span<const vsm::SparseView> docs,
+                                    TaskPool* pool) const {
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
+  ShardedIndex out(shards_.size());
+  std::size_t nonempty = 0;
+  out.term_seen_ = terms_seen_with(docs, nonempty);
+  out.shards_ = build_appended(docs, pool);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (first_slot(s) >= docs.size()) out.shards_[s] = shards_[s];
+  }
+  out.nonempty_terms_ = nonempty;
+  out.size_ = size() + docs.size();
+  return out;
+}
+
+std::size_t ShardedIndex::first_slot(std::size_t shard) const noexcept {
+  // Batch index i becomes global id size() + i, so shard s receives the
+  // ascending run i ≡ (s - size()) mod N.
+  const std::size_t shards = shards_.size();
+  return (shard + shards - size() % shards) % shards;
+}
+
+std::vector<index::InvertedIndex> ShardedIndex::build_appended(
+    std::span<const vsm::SparseView> docs, TaskPool* pool) const {
   // Validate the whole batch before the fan-out: a shard's own check only
-  // sees its slice, so a bad document in one slice would otherwise leave
-  // the other shards holding their part of a rejected batch.
+  // sees its slice, so this is the one place that rejects a batch whole.
   for (const vsm::SparseView& doc : docs) {
     for (const double value : doc.values) {
       if (!std::isfinite(value)) {
@@ -97,39 +131,44 @@ void ShardedIndex::add_batch(std::span<const vsm::SparseView> docs,
       }
     }
   }
-  if (docs.empty()) return;
-  const std::size_t base = size();
   const std::size_t shards = shards_.size();
-
-  // Each shard's slice of the batch: batch index i becomes global id
-  // base + i, so shard s receives the ascending run i ≡ (s - base) mod N.
-  const auto build_shard = [this, docs, base, shards](std::size_t s) {
+  std::vector<index::InvertedIndex> built(shards);
+  const auto build_shard = [this, docs, shards, &built](std::size_t s) {
+    if (first_slot(s) >= docs.size()) return;
     std::vector<vsm::SparseView> slice;
     slice.reserve(docs.size() / shards + 1);
-    for (std::size_t i = (s + shards - base % shards) % shards;
-         i < docs.size(); i += shards) {
+    for (std::size_t i = first_slot(s); i < docs.size(); i += shards) {
       slice.push_back(docs[i]);
     }
-    shards_[s].add_batch(slice);
+    built[s] = shards_[s].appended(slice);
   };
-
   build_shards(shards, docs.size(), pool, build_shard);
+  return built;
+}
 
-  // Aggregate bookkeeping on the calling thread — no cross-thread writes.
+std::vector<bool> ShardedIndex::terms_seen_with(
+    std::span<const vsm::SparseView> docs, std::size_t& nonempty) const {
+  // Sized once, exactly, so the bitmap's capacity — part of
+  // memory_breakdown() — depends only on the documents, not on how they
+  // were batched.
+  std::size_t terms = term_seen_.size();
   for (const vsm::SparseView& doc : docs) {
-    const auto indices = doc.indices;
-    if (!indices.empty() &&
-        static_cast<std::size_t>(indices.back()) >= term_seen_.size()) {
-      term_seen_.resize(static_cast<std::size_t>(indices.back()) + 1, false);
+    if (!doc.indices.empty()) {
+      terms = std::max(terms, static_cast<std::size_t>(doc.indices.back()) + 1);
     }
-    for (const auto term : indices) {
-      if (!term_seen_[term]) {
-        term_seen_[term] = true;
-        ++nonempty_terms_;
+  }
+  std::vector<bool> seen(terms, false);
+  std::copy(term_seen_.begin(), term_seen_.end(), seen.begin());
+  nonempty = num_terms();
+  for (const vsm::SparseView& doc : docs) {
+    for (const auto term : doc.indices) {
+      if (!seen[term]) {
+        seen[term] = true;
+        ++nonempty;
       }
     }
   }
-  size_ += docs.size();
+  return seen;
 }
 
 void ShardedIndex::save_locked(index::snapshot::Writer& writer) const {
@@ -177,14 +216,17 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
   };
   build_shards(shards, docs, pool, load_shard);
 
-  // Term-occupancy bitmap from the adopted forward stores.
+  // Term-occupancy bitmap from the adopted forward stores, sized like a
+  // build's (see terms_seen_with).
+  std::size_t terms = 0;
+  for (const auto& shard : out.shards_) {
+    terms = std::max(terms, shard.term_range());
+  }
+  out.term_seen_ = std::vector<bool>(terms, false);
   for (const auto& shard : out.shards_) {
     shard.for_each_document([&out](index::InvertedIndex::DocId,
                                    vsm::SparseView doc) {
       for (const auto term : doc.indices) {
-        if (static_cast<std::size_t>(term) >= out.term_seen_.size()) {
-          out.term_seen_.resize(static_cast<std::size_t>(term) + 1, false);
-        }
         if (!out.term_seen_[term]) {
           out.term_seen_[term] = true;
           ++out.nonempty_terms_;

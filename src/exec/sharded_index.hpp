@@ -10,18 +10,22 @@
 // unchanged, and within a shard ascending local id is ascending global id,
 // so the per-shard top-k lists merge into exactly the global ranking.
 //
-// Ingest is add_batch(): the batch is partitioned round-robin by global id,
-// then each shard rebuilds its posting arena over its old documents plus
-// its slice (index::InvertedIndex::add_batch) as one span of a
-// TaskPool::run_spans batch. Shards are disjoint, each shard receives its
-// documents in ascending global order regardless of scheduling, and the
-// term-occupancy bitmap is updated on the calling thread — so the built
-// index is deterministic, byte-for-byte the same as an inline build, and
-// the only cross-thread hand-off is the batch's completion.
+// Ingest is appended() (add_batch() is the same build, swapped in): the
+// batch is partitioned round-robin by global id, then each shard it
+// reaches appends its slice to its old documents
+// (index::InvertedIndex::appended — a merge into the old posting arena, or
+// the full scatter on an empty shard) as one span of a TaskPool::run_spans
+// batch. Shards are disjoint, each shard receives its documents in
+// ascending global order regardless of scheduling, and the term-occupancy
+// bitmap is built on the calling thread — so the built index is
+// deterministic, byte-for-byte a bulk build of the same documents however
+// they were batched, and the only cross-thread hand-off is the batch's
+// completion. Every shard is built aside, so a failed build changes
+// nothing.
 //
 // Concurrency contract: mutators (add_batch, the assignment operators)
 // hold this index's writer lock; stats readers (shard_stats, memory_bytes,
-// memory_breakdown, num_postings, save) and query
+// memory_breakdown, num_postings, save), appended() and query
 // execution (QueryEngine::run_batch holds read_lock() across the batch)
 // share the reader side. Scraping stats or running queries concurrently
 // with ingest is therefore safe — the reader simply serializes against the
@@ -75,17 +79,25 @@ class ShardedIndex {
   ShardedIndex& operator=(const ShardedIndex& other);
   ShardedIndex& operator=(ShardedIndex&& other) noexcept;
 
-  /// Appends every document (global ids continue densely from size()) and
-  /// rebuilds every shard that receives one, with the per-shard builds
-  /// fanned out onto `pool` (TaskPool::shared() when null). Falls back to
-  /// the calling thread when the batch is small, the pool has no
+  /// A new index holding this one's documents followed by `docs` (global
+  /// ids continuing densely from size()): every shard the batch reaches
+  /// appends its round-robin slice (index::InvertedIndex::appended), the
+  /// others are copied. The result equals a bulk build of the same
+  /// documents at the same shard count, byte for byte. The per-shard
+  /// builds fan out onto `pool` (TaskPool::shared() when null); they run
+  /// on the calling thread when the batch is small, the pool has no
   /// parallelism to offer, or the caller already is a pool worker
-  /// (TaskPool::run_spans runs such a batch solo). A document
-  /// with a non-finite weight rejects the whole batch with
-  /// std::invalid_argument before any shard changes. Only a failure inside
-  /// a shard build (an allocation giving out) degrades to the basic
-  /// guarantee: the shards may then disagree about the id stream and the
-  /// index must be discarded.
+  /// (TaskPool::run_spans runs such a batch solo). Holds the reader lock;
+  /// this index is untouched. A document with a non-finite weight rejects
+  /// the whole batch with std::invalid_argument before any build.
+  ShardedIndex appended(std::span<const vsm::SparseView> docs,
+                        TaskPool* pool = nullptr) const;
+
+  /// Appends every document the way appended() builds them, under the
+  /// writer lock: every reached shard is built aside, then all are swapped
+  /// in together. Strong guarantee — a rejected batch or a failed build
+  /// (an allocation giving out) leaves the index unchanged and usable.
+  /// Concurrent add_batch calls serialize on the lock; none loses a batch.
   void add_batch(std::span<const vsm::SparseView> docs,
                  TaskPool* pool = nullptr);
   void add_batch(std::span<const vsm::SparseVector> docs,
@@ -174,6 +186,21 @@ class ShardedIndex {
   /// Shared implementation of the save(writer) overloads; the caller holds
   /// the reader lock (the lock is not recursive).
   void save_locked(index::snapshot::Writer& writer) const;
+
+  /// The batch index of the first document of a batch that shard `shard`
+  /// receives (it reaches the shard iff this is below the batch size).
+  std::size_t first_slot(std::size_t shard) const noexcept;
+
+  /// Validates `docs`, then builds every shard the batch reaches appended
+  /// with its slice; unreached shards stay empty in the result. The caller
+  /// holds either side of the lock.
+  std::vector<index::InvertedIndex> build_appended(
+      std::span<const vsm::SparseView> docs, TaskPool* pool) const;
+
+  /// The term-occupancy bitmap after `docs`, sized exactly, and its count
+  /// of set bits in `nonempty`. The caller holds either side of the lock.
+  std::vector<bool> terms_seen_with(std::span<const vsm::SparseView> docs,
+                                    std::size_t& nonempty) const;
 
   std::vector<index::InvertedIndex> shards_;
   std::vector<bool> term_seen_;  // global term occupancy, for num_terms()

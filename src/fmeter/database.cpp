@@ -224,25 +224,33 @@ void SignatureDatabase::validate_batch(
 std::size_t SignatureDatabase::add_batch(
     std::vector<vsm::SparseVector> signatures, std::vector<std::string> labels) {
   // Validate the whole batch before touching any member: a rejected batch
-  // must leave the database exactly as it was, still usable (see the
-  // header's two-tier failure contract).
+  // must leave the database exactly as it was, still usable.
   validate_batch(signatures, labels);
   const std::size_t appended = signatures.size();
   std::size_t first = 0;
   {
     const std::unique_lock<std::shared_mutex> store(store_mutex_);
     first = labels_.size();
+    const std::size_t pending_before = pending_.size();
     // Both reservations before either append: the moves below cannot
     // throw, so the two containers stay aligned.
     labels_.reserve(first + labels.size());
-    pending_.reserve(pending_.size() + signatures.size());
+    pending_.reserve(pending_before + signatures.size());
     pending_.insert(pending_.end(), std::make_move_iterator(signatures.begin()),
                     std::make_move_iterator(signatures.end()));
     labels_.insert(labels_.end(), std::make_move_iterator(labels.begin()),
                    std::make_move_iterator(labels.end()));
+    // Index this batch together with any scalar adds before it: one build.
+    // The index build is strong, so undoing the appends restores the
+    // database exactly.
+    try {
+      index_pending_locked();
+    } catch (...) {
+      pending_.resize(pending_before);
+      labels_.resize(first);
+      throw;
+    }
   }
-  // Index this batch together with any scalar adds before it: one build.
-  sync_index();
   // Invalidate after the append is visible — see add() for why.
   {
     const std::lock_guard<std::mutex> lock(syndrome_mutex_);
@@ -252,13 +260,45 @@ std::size_t SignatureDatabase::add_batch(
   return first;
 }
 
+SignatureDatabase SignatureDatabase::appended(
+    std::span<const vsm::SparseView> signatures,
+    std::vector<std::string> labels) const {
+  if (signatures.size() != labels.size()) {
+    throw std::invalid_argument("appended: signatures and labels must align");
+  }
+  SignatureDatabase out(num_shards());
+  out.admission_ = admission_;
+  const std::shared_lock<std::shared_mutex> store(store_mutex_);
+  // Scalar adds not indexed yet come first, in id order.
+  std::vector<vsm::SparseView> with_pending;
+  if (!pending_.empty()) {
+    with_pending.assign(pending_.begin(), pending_.end());
+    with_pending.insert(with_pending.end(), signatures.begin(),
+                        signatures.end());
+    signatures = with_pending;
+  }
+  {
+    const obs::StageSpan ingest_span(obs::Stage::kIngest);
+    out.index_ = index_.appended(signatures);
+  }
+  out.labels_.reserve(labels_.size() + labels.size());
+  out.labels_.insert(out.labels_.end(), labels_.begin(), labels_.end());
+  out.labels_.insert(out.labels_.end(), std::make_move_iterator(labels.begin()),
+                     std::make_move_iterator(labels.end()));
+  return out;
+}
+
 void SignatureDatabase::sync_index() const {
   {
     const std::shared_lock<std::shared_mutex> store(store_mutex_);
     if (pending_.empty()) return;
   }
   const std::unique_lock<std::shared_mutex> store(store_mutex_);
-  if (pending_.empty()) return;  // another reader caught up first
+  index_pending_locked();  // a no-op if another reader caught up first
+}
+
+void SignatureDatabase::index_pending_locked() const {
+  if (pending_.empty()) return;
   const obs::StageSpan ingest_span(obs::Stage::kIngest);
   index_.add_batch(std::span<const vsm::SparseVector>(pending_));
   // The forward store now holds the only copy; release the capacity too.

@@ -162,17 +162,26 @@ class SignatureDatabase {
   /// (exec::ShardedIndex::add_batch). Returns the id of the first inserted
   /// signature.
   ///
-  /// Failure contract, in two tiers: all *input validation* happens before
-  /// any mutation — mismatched signature/label counts and malformed
+  /// Strong guarantee: mismatched signature/label counts and malformed
   /// signatures (any non-finite weight, which would poison norms, per-term
   /// bounds and every score they back) throw std::invalid_argument naming
-  /// the offending document while the database stays unchanged and fully
-  /// usable (strong guarantee). Only a failure *during* the index build
-  /// (an allocation giving out) degrades to the basic guarantee: the
-  /// batch stays pending, and on a multi-shard index the shards may
-  /// disagree about the id stream, so the database must be discarded.
+  /// the offending document before any mutation; a failure during the
+  /// index build (an allocation giving out) throws after every shard was
+  /// built aside and none swapped in, and the batch is taken back out. The
+  /// database stays unchanged and fully usable either way.
   std::size_t add_batch(std::vector<vsm::SparseVector> signatures,
                         std::vector<std::string> labels);
+
+  /// A new database holding this one's signatures and labels (pending
+  /// scalar adds included) followed by `signatures` and `labels`, built by
+  /// exec::ShardedIndex::appended at this database's shard count — equal
+  /// to a bulk build of all of them, byte for byte. Copies the forward
+  /// store and the labels, never a signature of its own; `signatures` are
+  /// read during the call only. This database is untouched. The build is
+  /// one obs::Stage::kIngest span. Validated like add_batch
+  /// (std::invalid_argument, nothing built).
+  SignatureDatabase appended(std::span<const vsm::SparseView> signatures,
+                             std::vector<std::string> labels) const;
 
   /// add_batch's validation tier, callable on its own: throws
   /// std::invalid_argument for mismatched counts or any non-finite weight,
@@ -353,6 +362,10 @@ class SignatureDatabase {
   /// pending list. Takes only the store's reader side when nothing is
   /// pending.
   void sync_index() const;
+  /// sync_index()'s build, for a caller holding store_mutex_'s writer side.
+  /// Strong guarantee: on failure the index and the pending list are
+  /// unchanged.
+  void index_pending_locked() const;
 
   /// Signature `id` (< size()) as a view: the index's forward-store run
   /// when indexed, the pending entry otherwise. The caller holds either

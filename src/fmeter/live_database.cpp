@@ -37,7 +37,7 @@ const LiveMetrics& live_metrics() {
         "Seals that merged the batch with trailing ladder segments");
     out.seal_merge_docs = &r.counter(
         "fmeter_live_seal_merge_docs_total",
-        "Already-sealed signatures rewritten by seal merges");
+        "Already-sealed signatures merged by seal merges");
     out.refreezes = &r.counter("fmeter_live_refreezes_total",
                                "Tail folds committed (epoch swaps)");
     out.refreeze_failures =
@@ -88,23 +88,31 @@ std::size_t ladder_absorbs(const std::vector<std::size_t>& segment_docs,
   return absorbed;
 }
 
-/// Copies documents [from, db.size()) of a sealed database onto a run.
-void append_docs(const SignatureDatabase& db, std::size_t from,
-                 std::vector<vsm::SparseVector>& signatures,
-                 std::vector<std::string>& labels) {
-  for (std::size_t i = from; i < db.size(); ++i) {
-    signatures.push_back(db.signature(i));
+/// Appends views of documents [from, db.size()) of a sealed database —
+/// into its forward store, valid while `db` lives — and their labels.
+void append_views(const SignatureDatabase& db, std::size_t from,
+                  std::vector<vsm::SparseView>& views,
+                  std::vector<std::string>& labels) {
+  const exec::ShardedIndex& index = db.index();
+  const std::size_t size = db.size();
+  for (std::size_t i = from; i < size; ++i) {
+    views.push_back(index.document(static_cast<exec::ShardedIndex::DocId>(i)));
     labels.push_back(db.label(i));
   }
 }
 
-/// Builds a frozen single-shard segment database from one run.
+/// Builds a frozen single-shard segment database: `oldest`'s documents,
+/// when given, followed by `docs` — merged into its posting arena
+/// (SignatureDatabase::appended), which is a bulk build of the run.
 std::shared_ptr<const SignatureDatabase> seal(
-    std::vector<vsm::SparseVector> signatures,
+    const SignatureDatabase* oldest, std::span<const vsm::SparseView> docs,
     std::vector<std::string> labels) {
-  auto db = std::make_shared<SignatureDatabase>(1);
-  db->add_batch(std::move(signatures), std::move(labels));
-  return db;
+  if (oldest == nullptr) {
+    return std::make_shared<SignatureDatabase>(
+        SignatureDatabase(1).appended(docs, std::move(labels)));
+  }
+  return std::make_shared<SignatureDatabase>(
+      oldest->appended(docs, std::move(labels)));
 }
 
 }  // namespace
@@ -133,6 +141,14 @@ std::size_t LiveDatabase::Snapshot::tail_docs() const noexcept {
 
 std::size_t LiveDatabase::Snapshot::num_segments() const noexcept {
   return epoch_->segments.size();
+}
+
+const SignatureDatabase& LiveDatabase::Snapshot::base() const noexcept {
+  return *epoch_->base;
+}
+
+const SignatureDatabase& LiveDatabase::Snapshot::segment(std::size_t i) const {
+  return *epoch_->segments.at(i)->db;
 }
 
 std::pair<const SignatureDatabase*, std::size_t>
@@ -315,19 +331,23 @@ void LiveDatabase::open() {
       const std::size_t end =
           s + 1 < ladder_first.size() ? ladder_first[s + 1] : records.size();
       auto segment = std::make_shared<LiveSegment>();
-      std::vector<vsm::SparseVector> signatures;
+      std::vector<vsm::SparseView> signatures;
       std::vector<std::string> labels;
       signatures.reserve(ladder_docs[s]);
       labels.reserve(ladder_docs[s]);
       for (std::size_t r = ladder_first[s]; r < end; ++r) {
-        std::move(records[r].signatures.begin(),
-                  records[r].signatures.end(),
-                  std::back_inserter(signatures));
+        signatures.insert(signatures.end(), records[r].signatures.begin(),
+                          records[r].signatures.end());
         std::move(records[r].labels.begin(), records[r].labels.end(),
                   std::back_inserter(labels));
         segment->batches.push_back(std::move(records[r].sealed));
       }
-      segment->db = seal(std::move(signatures), std::move(labels));
+      segment->db = seal(nullptr, signatures, std::move(labels));
+      // The segment's forward store now holds these documents; release the
+      // decoded copies here, on this span's thread, not all at the end.
+      for (std::size_t r = ladder_first[s]; r < end; ++r) {
+        std::vector<vsm::SparseVector>().swap(records[r].signatures);
+      }
       segments[s] = std::move(segment);
     });
     std::size_t next_id = base->size();
@@ -341,7 +361,6 @@ void LiveDatabase::open() {
 
   manifest_epoch_ = manifest.epoch;
   recovery_.epoch = manifest.epoch;
-  base_shards_ = base->num_shards();
   epoch->manifest_epoch = manifest.epoch;
   epoch->base_docs = base->size();
   epoch->total_docs += epoch->base_docs;
@@ -414,20 +433,27 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
   const std::span<const std::shared_ptr<const LiveSegment>> victims =
       std::span(pinned->segments).last(absorbed);
 
+  // The seal reads the victims' forward stores and the batch in place: the
+  // oldest victim's arena is extended by the rest of the run.
+  const std::vector<vsm::SparseView> batch(signatures.begin(),
+                                           signatures.end());
   auto segment = std::make_shared<LiveSegment>();
   if (absorbed == 0) {
-    segment->db = seal(std::move(signatures), std::move(labels));
+    segment->db = seal(nullptr, batch, std::move(labels));
   } else {
-    std::vector<vsm::SparseVector> run;
+    std::vector<vsm::SparseView> run;
     std::vector<std::string> run_labels;
+    for (const auto& victim : victims.subspan(1)) {
+      append_views(*victim->db, 0, run, run_labels);
+    }
     for (const auto& victim : victims) {
-      append_docs(*victim->db, 0, run, run_labels);
       segment->batches.insert(segment->batches.end(), victim->batches.begin(),
                               victim->batches.end());
     }
-    std::move(signatures.begin(), signatures.end(), std::back_inserter(run));
+    run.insert(run.end(), batch.begin(), batch.end());
     std::move(labels.begin(), labels.end(), std::back_inserter(run_labels));
-    segment->db = seal(std::move(run), std::move(run_labels));
+    segment->db =
+        seal(victims.front()->db.get(), run, std::move(run_labels));
   }
   segment->batches.push_back(sealed);
 
@@ -447,11 +473,12 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     if (!victims_trailing) {
       lock.unlock();
       auto lone = std::make_shared<LiveSegment>();
-      std::vector<vsm::SparseVector> batch_signatures;
       std::vector<std::string> batch_labels;
-      append_docs(*segment->db, segment->db->size() - sealed.docs,
-                  batch_signatures, batch_labels);
-      lone->db = seal(std::move(batch_signatures), std::move(batch_labels));
+      for (std::size_t i = segment->db->size() - sealed.docs;
+           i < segment->db->size(); ++i) {
+        batch_labels.push_back(segment->db->label(i));
+      }
+      lone->db = seal(nullptr, batch, std::move(batch_labels));
       lone->batches.push_back(sealed);
       segment = std::move(lone);
       lock.lock();
@@ -558,20 +585,21 @@ bool LiveDatabase::do_refreeze() {
   const auto start = std::chrono::steady_clock::now();
   const obs::StageSpan span(obs::Stage::kRefreeze);
 
-  // 1. Rebuild one fresh sharded base from the pinned capture — no locks
-  //    held, ingest keeps publishing segments meanwhile. The rebuild goes
-  //    through add_batch, so the new base is byte-for-byte the database a
-  //    bulk build of the same documents would produce.
-  std::vector<vsm::SparseVector> signatures;
+  // 1. Build the next base from the pinned capture — no locks held, ingest
+  //    keeps publishing segments meanwhile: the capture's base extended by
+  //    every tail segment, read in place from their immutable forward
+  //    stores. appended() merges them into the base's posting arenas, so
+  //    the new base is byte-for-byte the database a bulk build of the same
+  //    documents would produce.
+  std::vector<vsm::SparseView> tail;
   std::vector<std::string> labels;
-  signatures.reserve(capture->total_docs);
-  labels.reserve(capture->total_docs);
-  append_docs(*capture->base, 0, signatures, labels);
+  tail.reserve(capture->total_docs - capture->base_docs);
+  labels.reserve(capture->total_docs - capture->base_docs);
   for (const auto& segment : capture->segments) {
-    append_docs(*segment->db, 0, signatures, labels);
+    append_views(*segment->db, 0, tail, labels);
   }
-  auto fresh = std::make_shared<SignatureDatabase>(base_shards_);
-  fresh->add_batch(std::move(signatures), std::move(labels));
+  const auto fresh = std::make_shared<const SignatureDatabase>(
+      capture->base->appended(tail, std::move(labels)));
 
   // 2. Write the new base as the next epoch's snapshot — still no locks;
   //    the file is atomic-committed and unreferenced until the manifest
@@ -582,7 +610,7 @@ bool LiveDatabase::do_refreeze() {
   fresh->save(env_, dir_ + "/" + snapshot_file);
 
   // 3. The commit section, under the writer lock (ingest pauses for the
-  //    duration of a journal rotation + manifest swap, not the rebuild).
+  //    duration of a journal rotation + manifest swap, not the build).
   {
     const std::lock_guard<std::mutex> lock(writer_mutex_);
     check_not_poisoned();
@@ -590,7 +618,7 @@ bool LiveDatabase::do_refreeze() {
 
     // Every segment whose id range extends past the capture survives the
     // fold. One sealed after the capture may have merged with captured
-    // segments; it is split, its post-capture batches rebuilt alone. The
+    // segments; it is split, its post-capture batches sealed alone. The
     // survivors' journal records move to the fresh journal *before* the
     // manifest swap — the old journal dies with the old epoch, and a
     // synced batch must not lose its durable copy in the swap.
@@ -609,11 +637,11 @@ bool LiveDatabase::do_refreeze() {
         if (id >= boundary) split->batches.push_back(batch);
         id += batch.docs;
       }
-      std::vector<vsm::SparseVector> kept;
+      std::vector<vsm::SparseView> kept;
       std::vector<std::string> kept_labels;
-      append_docs(*segment->db, boundary - segment->first_id, kept,
-                  kept_labels);
-      split->db = seal(std::move(kept), std::move(kept_labels));
+      append_views(*segment->db, boundary - segment->first_id, kept,
+                   kept_labels);
+      split->db = seal(nullptr, kept, std::move(kept_labels));
       survivors.push_back(std::move(split));
     }
     const std::string journal_file = journal_name(next_epoch);

@@ -4,8 +4,8 @@
 // directory; refreeze_now() is its checkpoint.
 //
 // The paper's whole point is *continuous* monitoring, but SignatureDatabase
-// ingest is batch-oriented: every index build rebuilds the posting arena
-// of each shard it touches, a stop-the-world O(archive) step under the
+// ingest is batch-oriented: every index build copies and extends the
+// posting arena of each shard it touches, an O(archive) step under the
 // store lock. LiveDatabase makes ingest and query concurrent without
 // either blocking the other for longer than a pointer swap:
 //
@@ -18,28 +18,35 @@
 //     ingests and re-freezes.
 //   * The tail segments form a size-tiered *ladder*: each holds more
 //     documents than all newer segments together. add_batch() absorbs
-//     the trailing segments that would break that and rebuilds them plus
+//     the trailing segments that would break that and seals them plus
 //     the batch as one frozen single-shard segment — with equal batches
-//     exactly the binary-counter merge of LevelDB and Lucene. No merged
-//     run reaches refreeze_min_docs (a run that large is the fold's job),
-//     so below that the tail holds at most floor(log2(tail_docs)) + 1
-//     segments and each document is rewritten at most log2(tail_docs)
-//     times. The merge is planned
-//     and built *outside* the writer lock from a pinned epoch; the lock
-//     covers only the journal append and the publish, which installs the
-//     merged run if its victims are still the trailing segments and
-//     otherwise appends the batch unmerged.
+//     exactly the binary-counter merge of LevelDB and Lucene. The seal
+//     extends the oldest (largest) victim: SignatureDatabase::appended
+//     copies its forward store and merges the other victims' documents
+//     and the batch into its posting arena, reading them in place from
+//     their immutable forward stores. No merged run reaches
+//     refreeze_min_docs (a run that large is the fold's job), so below
+//     that the tail holds at most floor(log2(tail_docs)) + 1 segments and
+//     each document is merged at most log2(tail_docs) times. The merge is
+//     planned and built *outside* the writer lock from a pinned epoch;
+//     the lock covers only the journal append and the publish, which
+//     installs the merged run if its victims are still the trailing
+//     segments and otherwise appends the batch unmerged.
 //   * A background TaskPool job *re-freezes* the archive when the tail
-//     grows past a fraction of the base: it rebuilds one fresh sharded
-//     base from a pinned epoch (concurrent ingest keeps sealing meanwhile),
-//     writes it as a snapshot, and commits the swap through the
+//     grows past a fraction of the base: the next base is the pinned
+//     capture's base appended with every tail segment's documents (views
+//     of their forward stores, no signature copied), merged into the
+//     base's posting arenas shard by shard — byte-for-byte a bulk build of
+//     the same documents, at the cost of copying the base plus a merge,
+//     not a rebuild. Concurrent ingest keeps sealing meanwhile. The fold
+//     writes the new base as a snapshot and commits the swap through the
 //     directory's MANIFEST — snapshot file + fresh journal carrying every
 //     batch sealed after the capture, then the atomic manifest swap as
 //     the one commit point. A segment whose merge straddles the capture
-//     is split: its post-capture batches are rebuilt into one survivor
-//     segment. A crash at any instant recovers to either the old epoch's
-//     files or the new ones, never a torn mix (enforced by the
-//     crash-matrix test).
+//     is split: its post-capture documents are sealed into one survivor
+//     segment by the same builder. A crash at any instant recovers to
+//     either the old epoch's files or the new ones, never a torn mix
+//     (enforced by the crash-matrix test).
 //
 // Durability contract (enforced by the crash matrix in
 // tests/test_durability.cpp):
@@ -97,8 +104,8 @@ struct LiveOptions {
   bool sync_each_epoch = true;
   /// Re-freeze triggers when tail docs exceed both this fraction of the
   /// base and refreeze_min_docs. The ladder already bounds the segment
-  /// count, so the two knobs trade fold CPU (each fold rebuilds the whole
-  /// base) against base size; the floor keeps small archives from folding
+  /// count, so the two knobs trade fold CPU (each fold copies the whole
+  /// base and merges the tail into it) against base size; the floor keeps small archives from folding
   /// constantly and also caps the size of a run the ladder merges.
   double refreeze_fraction = 0.125;
   std::size_t refreeze_min_docs = 4096;
@@ -111,7 +118,7 @@ struct LiveOptions {
   exec::TaskPool* pool = nullptr;
   /// Deterministic test seam, in the spirit of RunOptions::inject_cell_fault:
   /// when set, invoked by a re-freeze right after it pins its capture and
-  /// before it rebuilds — the one place the crash matrix and the
+  /// before it builds — the one place the crash matrix and the
   /// survivor-segment tests need to seal a batch "concurrently" without
   /// nondeterministic threads. Runs on the folding thread with no locks
   /// held, so it may call add_batch. Null in production.
@@ -184,6 +191,13 @@ class LiveDatabase {
     std::size_t base_docs() const noexcept;
     std::size_t tail_docs() const noexcept;
     std::size_t num_segments() const noexcept;
+
+    /// The frozen parts themselves, for introspection: the sharded base
+    /// (ids [0, base_docs())) and tail segment `i` (oldest first, <
+    /// num_segments()), each a database of its own ids from 0. Valid while
+    /// this snapshot lives.
+    const SignatureDatabase& base() const noexcept;
+    const SignatureDatabase& segment(std::size_t i) const;
 
    private:
     friend class LiveDatabase;
@@ -294,7 +308,7 @@ class LiveDatabase {
 
   void open();
   /// The ladder builds no run of this many docs or more: a run that large
-  /// is the fold's to merge (rebuilding it on seal would repeat the fold's
+  /// is the fold's to merge (merging it on seal would repeat the fold's
   /// work for a probe saving that is small next to scoring that many docs).
   std::size_t max_run() const noexcept { return options_.refreeze_min_docs; }
   exec::TaskPool& pool() const {
@@ -314,7 +328,6 @@ class LiveDatabase {
   io::Env& env_;
   std::string dir_;
   LiveOptions options_;
-  std::size_t base_shards_ = 1;  ///< adopted from the snapshot on open
 
   /// Guards only the published-epoch pointer; held for a pointer copy.
   mutable std::mutex publish_mutex_;

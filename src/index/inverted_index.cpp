@@ -154,6 +154,23 @@ void score_dense(const double* acc, std::span<const double> norms,
   }
 }
 
+/// A document's doc-reorder key: its dominant (highest-|weight|) term.
+/// Strict > keeps the lowest such term under weight ties, and an empty
+/// document sorts after every other.
+InvertedIndex::TermId dominant_term(const vsm::SparseView& run) noexcept {
+  InvertedIndex::TermId dominant =
+      std::numeric_limits<InvertedIndex::TermId>::max();
+  double best = -1.0;
+  for (std::size_t f = 0; f < run.indices.size(); ++f) {
+    const double magnitude = std::abs(run.values[f]);
+    if (magnitude > best) {
+      best = magnitude;
+      dominant = run.indices[f];
+    }
+  }
+  return dominant;
+}
+
 }  // namespace
 
 void InvertedIndex::add_batch(std::span<const vsm::SparseVector> docs) {
@@ -162,59 +179,63 @@ void InvertedIndex::add_batch(std::span<const vsm::SparseVector> docs) {
 }
 
 void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
+  *this = appended(docs);
+}
+
+InvertedIndex InvertedIndex::appended(
+    std::span<const vsm::SparseView> docs) const {
   // A non-finite weight would poison its document's cached norm, its terms'
   // max/min bounds and every score computed against them — and produce a
   // forward store the snapshot loader rightly rejects. Refuse the whole
-  // batch here, before any mutation, so every ingest path (bulk build,
-  // snapshot load) enforces one invariant.
+  // batch here, before any build, so every ingest path enforces one
+  // invariant.
   for (const vsm::SparseView& doc : docs) {
     for (const double value : doc.values) {
       if (!std::isfinite(value)) {
         throw std::invalid_argument(
-            "InvertedIndex::add_batch: document carries a non-finite weight");
+            "InvertedIndex::appended: document carries a non-finite weight");
       }
     }
   }
-  if (docs.empty()) return;
+  if (docs.empty()) return *this;
   const std::size_t stored = size();
-  const std::size_t stored_postings = forward_terms_.size();
-  std::size_t postings = stored_postings;
+  std::size_t postings = forward_terms_.size();
   for (const vsm::SparseView& doc : docs) postings += doc.indices.size();
 
-  // Append the batch's runs to the public-order forward store. The
-  // reservations are exact, so capacity equals size whether the store grew
-  // over many batches or was adopted from a snapshot, and the appends
-  // below cannot throw.
-  forward_offsets_.reserve(stored + docs.size() + 1);
-  forward_terms_.reserve(postings);
-  forward_weights_.reserve(postings);
+  // This index's forward store followed by the batch's runs, copied once.
+  // The reservations are exact, so capacity equals size however the store
+  // was assembled — and so does memory_breakdown().
+  InvertedIndex out;
+  out.forward_offsets_.reserve(stored + docs.size() + 1);
+  out.forward_terms_.reserve(postings);
+  out.forward_weights_.reserve(postings);
+  out.forward_offsets_.assign(forward_offsets_.begin(), forward_offsets_.end());
+  out.forward_terms_.assign(forward_terms_.begin(), forward_terms_.end());
+  out.forward_weights_.assign(forward_weights_.begin(),
+                              forward_weights_.end());
   for (const vsm::SparseView& doc : docs) {
-    forward_terms_.insert(forward_terms_.end(), doc.indices.begin(),
-                          doc.indices.end());
-    forward_weights_.insert(forward_weights_.end(), doc.values.begin(),
-                            doc.values.end());
-    forward_offsets_.push_back(forward_terms_.size());
+    out.forward_terms_.insert(out.forward_terms_.end(), doc.indices.begin(),
+                              doc.indices.end());
+    out.forward_weights_.insert(out.forward_weights_.end(),
+                                doc.values.begin(), doc.values.end());
+    out.forward_offsets_.push_back(out.forward_terms_.size());
   }
-  try {
-    build_arena(stored);
-  } catch (...) {
-    // Strong guarantee: truncate back to the documents stored before.
-    forward_offsets_.resize(stored + 1);
-    forward_terms_.resize(stored_postings);
-    forward_weights_.resize(stored_postings);
-    throw;
+  // The merge pays a few passes over the term range to save re-scattering
+  // the old postings, so it only wins once there are more of those.
+  if (num_postings_ < arena_terms() + 1) {
+    out.build_arena();
+  } else {
+    out.merge_arena(*this);
   }
+  return out;
 }
 
-void InvertedIndex::build_arena(std::size_t stored) {
-  // Rebuilds every structure derived from the forward store. Documents
-  // [0, stored) keep their cached norms; the rest are new. Everything is
-  // built aside, so an allocation failure leaves the index untouched; only
-  // noexcept moves follow.
+void InvertedIndex::build_arena() {
+  // Derives every structure from the forward store by a full scatter.
   const std::size_t n = forward_offsets_.size() - 1;
   const std::size_t postings = forward_terms_.size();
-  std::size_t terms = max_weight_.size();
-  for (std::size_t g = stored; g < n; ++g) {
+  std::size_t terms = 0;
+  for (std::size_t g = 0; g < n; ++g) {
     const vsm::SparseView run = forward_run(g);
     if (!run.indices.empty()) {
       terms = std::max(terms, static_cast<std::size_t>(run.indices.back()) + 1);
@@ -226,8 +247,7 @@ void InvertedIndex::build_arena(std::size_t stored) {
   //    widen them). Reorder keys cluster documents by their dominant term
   //    so one behavior's signatures become neighbors in internal id space
   //    (see the header — this is what makes per-block id ranges selective).
-  //    Deterministic: strict-> keeps the lowest dominant term under weight
-  //    ties, and public id breaks key ties, so every build of the same
+  //    Deterministic: public id breaks key ties, so every build of the same
   //    documents produces an identical arena.
   std::vector<DocId> order(n);
   std::vector<TermId> key(n);
@@ -237,16 +257,9 @@ void InvertedIndex::build_arena(std::size_t stored) {
   std::size_t nonempty = 0;
   for (std::size_t g = 0; g < n; ++g) {
     const vsm::SparseView run = forward_run(g);
-    TermId dominant = std::numeric_limits<TermId>::max();  // empty docs last
-    double best = -1.0;
     for (std::size_t f = 0; f < run.indices.size(); ++f) {
       const TermId term = run.indices[f];
       const double weight = run.values[f];
-      const double magnitude = std::abs(weight);
-      if (magnitude > best) {
-        best = magnitude;
-        dominant = term;
-      }
       if (offsets[term + 1]++ == 0) {
         ++nonempty;
         max_w[term] = weight;
@@ -256,7 +269,7 @@ void InvertedIndex::build_arena(std::size_t stored) {
         min_w[term] = std::min(min_w[term], weight);
       }
     }
-    key[g] = dominant;
+    key[g] = dominant_term(run);
     order[g] = static_cast<DocId>(g);
   }
   std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
@@ -265,78 +278,244 @@ void InvertedIndex::build_arena(std::size_t stored) {
   });
 
   // 2. Permutation tables and internal-ordered norms.
-  std::vector<DocId> internal_of(n);
-  std::vector<DocId> public_of(n);
-  std::vector<double> norms(n);
-  std::vector<double> norms_sq(n);
+  internal_of_.resize(n);
+  public_of_.resize(n);
+  keys_.resize(n);
+  norms_.resize(n);
+  norms_sq_.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
     const DocId g = order[r];
-    internal_of[g] = static_cast<DocId>(r);
-    public_of[r] = g;
-    const double norm =
-        g < stored ? norms_[internal_of_[g]] : vsm::norm_l2(forward_run(g));
-    norms[r] = norm;
-    norms_sq[r] = norm * norm;
+    internal_of_[g] = static_cast<DocId>(r);
+    public_of_[r] = g;
+    keys_[r] = key[g];
+    const double norm = vsm::norm_l2(forward_run(g));
+    norms_[r] = norm;
+    norms_sq_[r] = norm * norm;
   }
 
   // 3. Posting arena by counting sort over terms: docs visited in internal
   //    order with per-doc terms ascending, so every term's span comes out
   //    sorted by internal id with no comparison sort.
   for (std::size_t t = 0; t < terms; ++t) offsets[t + 1] += offsets[t];
-  std::vector<DocId> ids(postings);
-  std::vector<double> weights(postings);
+  arena_ids_.resize(postings);
+  arena_weights_.resize(postings);
   {
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (std::size_t r = 0; r < n; ++r) {
-      const vsm::SparseView run = forward_run(public_of[r]);
+      const vsm::SparseView run = forward_run(public_of_[r]);
       for (std::size_t f = 0; f < run.indices.size(); ++f) {
         const std::size_t slot = cursor[run.indices[f]]++;
-        ids[slot] = static_cast<DocId>(r);
-        weights[slot] = run.values[f];
+        arena_ids_[slot] = static_cast<DocId>(r);
+        arena_weights_[slot] = run.values[f];
       }
     }
   }
-
-  // 4. Per-block metadata.
-  std::vector<std::size_t> block_begin(terms + 1, 0);
-  for (std::size_t t = 0; t < terms; ++t) {
-    const std::size_t len = offsets[t + 1] - offsets[t];
-    block_begin[t + 1] = block_begin[t] + (len + kBlockSize - 1) / kBlockSize;
-  }
-  std::vector<DocId> block_last(block_begin[terms]);
-  std::vector<double> block_max(block_begin[terms]);
-  std::vector<double> block_min(block_begin[terms]);
-  for (std::size_t t = 0; t < terms; ++t) {
-    for (std::size_t b = block_begin[t]; b < block_begin[t + 1]; ++b) {
-      const std::size_t begin = offsets[t] + (b - block_begin[t]) * kBlockSize;
-      const std::size_t end = std::min(begin + kBlockSize, offsets[t + 1]);
-      block_last[b] = ids[end - 1];
-      double block_max_w = weights[begin];
-      double block_min_w = weights[begin];
-      for (std::size_t i = begin + 1; i < end; ++i) {
-        block_max_w = std::max(block_max_w, weights[i]);
-        block_min_w = std::min(block_min_w, weights[i]);
-      }
-      block_max[b] = block_max_w;
-      block_min[b] = block_min_w;
-    }
-  }
-
-  arena_ids_ = std::move(ids);
-  arena_weights_ = std::move(weights);
   arena_offsets_ = std::move(offsets);
-  arena_block_begin_ = std::move(block_begin);
-  block_last_doc_ = std::move(block_last);
-  block_max_w_ = std::move(block_max);
-  block_min_w_ = std::move(block_min);
-  internal_of_ = std::move(internal_of);
-  public_of_ = std::move(public_of);
-  norms_ = std::move(norms);
-  norms_sq_ = std::move(norms_sq);
   max_weight_ = std::move(max_w);
   min_weight_ = std::move(min_w);
   num_postings_ = postings;
   nonempty_terms_ = nonempty;
+  layout_blocks();
+  for (std::size_t t = 0; t < terms; ++t) fill_blocks(t);
+}
+
+void InvertedIndex::merge_arena(const InvertedIndex& old) {
+  // `old` holds documents [0, stored) of this forward store. Its internal
+  // order is a subsequence of the one a full build would pick: new
+  // documents have larger public ids, so within one dominant-term key they
+  // sort after every old one. Each term's span is therefore old's span,
+  // renumbered, merged with the new postings — no full scatter.
+  const std::size_t stored = old.size();
+  const std::size_t n = forward_offsets_.size() - 1;
+  const std::size_t postings = forward_terms_.size();
+  std::size_t terms = old.max_weight_.size();
+  for (std::size_t g = stored; g < n; ++g) {
+    const vsm::SparseView run = forward_run(g);
+    if (!run.indices.empty()) {
+      terms = std::max(terms, static_cast<std::size_t>(run.indices.back()) + 1);
+    }
+  }
+
+  // 1. The new documents in key order, each placed behind the old ones of
+  //    its key (old's keys ascend along its internal order). The q-th new
+  //    document in key order lands at internal id fresh_internal[q],
+  //    behind fresh_bound[q] old documents.
+  const std::size_t fresh = n - stored;
+  std::vector<DocId> order(fresh);
+  std::vector<TermId> key(fresh);
+  for (std::size_t q = 0; q < fresh; ++q) {
+    key[q] = dominant_term(forward_run(stored + q));
+    order[q] = static_cast<DocId>(stored + q);
+  }
+  std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
+    if (key[a - stored] != key[b - stored]) {
+      return key[a - stored] < key[b - stored];
+    }
+    return a < b;
+  });
+  std::vector<DocId> remap(stored);  // old internal id -> new internal id
+  std::vector<DocId> fresh_internal(fresh);
+  std::vector<DocId> fresh_bound(fresh);
+  internal_of_.resize(n);
+  public_of_.resize(n);
+  keys_.resize(n);
+  norms_.resize(n);
+  norms_sq_.resize(n);
+  std::size_t r = 0;
+  std::size_t old_r = 0;
+  const auto take_old = [&](std::size_t end) {
+    for (; old_r < end; ++old_r, ++r) {
+      remap[old_r] = static_cast<DocId>(r);
+      public_of_[r] = old.public_of_[old_r];
+      keys_[r] = old.keys_[old_r];
+      norms_[r] = old.norms_[old_r];
+      norms_sq_[r] = old.norms_sq_[old_r];
+    }
+  };
+  for (std::size_t q = 0; q < fresh; ++q) {
+    const DocId g = order[q];
+    const TermId k = key[g - stored];
+    take_old(static_cast<std::size_t>(
+        std::upper_bound(old.keys_.begin() + old_r, old.keys_.end(), k) -
+        old.keys_.begin()));
+    fresh_internal[q] = static_cast<DocId>(r);
+    fresh_bound[q] = static_cast<DocId>(old_r);
+    public_of_[r] = g;
+    keys_[r] = k;
+    const double norm = vsm::norm_l2(forward_run(g));
+    norms_[r] = norm;
+    norms_sq_[r] = norm * norm;
+    ++r;
+  }
+  take_old(stored);
+  for (std::size_t i = 0; i < n; ++i) {
+    internal_of_[public_of_[i]] = static_cast<DocId>(i);
+  }
+
+  // 2. Bounds: old's, widened by the new postings in public order — the
+  //    same fold a full build's public-order pass computes. New-posting
+  //    counts per term ride along.
+  const std::size_t old_terms = old.arena_terms();
+  const auto old_begin = [&](std::size_t t) {
+    return t < old_terms ? old.arena_offsets_[t] : old.num_postings_;
+  };
+  std::vector<double> max_w(terms, 0.0);
+  std::vector<double> min_w(terms, 0.0);
+  std::copy(old.max_weight_.begin(), old.max_weight_.end(), max_w.begin());
+  std::copy(old.min_weight_.begin(), old.min_weight_.end(), min_w.begin());
+  std::vector<std::size_t> fresh_offsets(terms + 1, 0);
+  std::size_t nonempty = old.nonempty_terms_;
+  for (std::size_t g = stored; g < n; ++g) {
+    const vsm::SparseView run = forward_run(g);
+    for (std::size_t f = 0; f < run.indices.size(); ++f) {
+      const TermId term = run.indices[f];
+      const double weight = run.values[f];
+      if (fresh_offsets[term + 1]++ == 0 &&
+          old_begin(term) == old_begin(term + 1)) {
+        ++nonempty;
+        max_w[term] = weight;
+        min_w[term] = weight;
+      } else {
+        max_w[term] = std::max(max_w[term], weight);
+        min_w[term] = std::min(min_w[term], weight);
+      }
+    }
+  }
+
+  // 3. Scatter only the new postings — each as its document's key-order
+  //    rank q — visiting the new documents in key order, so each term's
+  //    fresh span is sorted.
+  for (std::size_t t = 0; t < terms; ++t) {
+    fresh_offsets[t + 1] += fresh_offsets[t];
+  }
+  std::vector<DocId> fresh_rank(fresh_offsets[terms]);
+  std::vector<double> fresh_weights(fresh_offsets[terms]);
+  {
+    std::vector<std::size_t> cursor(fresh_offsets.begin(),
+                                    fresh_offsets.end() - 1);
+    for (std::size_t q = 0; q < fresh; ++q) {
+      const vsm::SparseView run = forward_run(order[q]);
+      for (std::size_t f = 0; f < run.indices.size(); ++f) {
+        const std::size_t slot = cursor[run.indices[f]]++;
+        fresh_rank[slot] = static_cast<DocId>(q);
+        fresh_weights[slot] = run.values[f];
+      }
+    }
+  }
+
+  // 4. Each term's span: runs of old's postings, renumbered through
+  //    `remap` (monotone, so they stay sorted), with each fresh posting
+  //    placed behind the old postings whose documents precede it. Its
+  //    blocks follow while the span is still in cache.
+  //    The streams are written front to back, so they are appended to,
+  //    never zero-filled first.
+  arena_offsets_.resize(terms + 1);
+  for (std::size_t t = 0; t <= terms; ++t) {
+    arena_offsets_[t] = old_begin(t) + fresh_offsets[t];
+  }
+  layout_blocks();
+  arena_ids_.reserve(postings);
+  arena_weights_.reserve(postings);
+  const DocId* old_ids = old.arena_ids_.data();
+  const double* old_weights = old.arena_weights_.data();
+  const auto copy_old = [&](std::size_t begin, std::size_t end) {
+    arena_weights_.insert(arena_weights_.end(), old_weights + begin,
+                          old_weights + end);
+    for (std::size_t a = begin; a < end; ++a) {
+      arena_ids_.push_back(remap[old_ids[a]]);
+    }
+  };
+  for (std::size_t t = 0; t < terms; ++t) {
+    std::size_t a = old_begin(t);
+    const std::size_t a_end = old_begin(t + 1);
+    for (std::size_t b = fresh_offsets[t]; b < fresh_offsets[t + 1]; ++b) {
+      const DocId q = fresh_rank[b];
+      std::size_t run_end = a;
+      while (run_end < a_end && old_ids[run_end] < fresh_bound[q]) ++run_end;
+      copy_old(a, run_end);
+      a = run_end;
+      arena_ids_.push_back(fresh_internal[q]);
+      arena_weights_.push_back(fresh_weights[b]);
+    }
+    copy_old(a, a_end);
+    fill_blocks(t);
+  }
+  max_weight_ = std::move(max_w);
+  min_weight_ = std::move(min_w);
+  num_postings_ = postings;
+  nonempty_terms_ = nonempty;
+}
+
+void InvertedIndex::layout_blocks() {
+  const std::size_t terms = arena_terms();
+  arena_block_begin_.assign(terms + 1, 0);
+  for (std::size_t t = 0; t < terms; ++t) {
+    const std::size_t len = arena_offsets_[t + 1] - arena_offsets_[t];
+    arena_block_begin_[t + 1] =
+        arena_block_begin_[t] + (len + kBlockSize - 1) / kBlockSize;
+  }
+  const std::size_t blocks = arena_block_begin_[terms];
+  block_last_doc_.resize(blocks);
+  block_max_w_.resize(blocks);
+  block_min_w_.resize(blocks);
+}
+
+void InvertedIndex::fill_blocks(std::size_t term) {
+  const std::size_t first = arena_block_begin_[term];
+  for (std::size_t b = first; b < arena_block_begin_[term + 1]; ++b) {
+    const std::size_t begin = arena_offsets_[term] + (b - first) * kBlockSize;
+    const std::size_t end =
+        std::min(begin + kBlockSize, arena_offsets_[term + 1]);
+    block_last_doc_[b] = arena_ids_[end - 1];
+    double block_max_w = arena_weights_[begin];
+    double block_min_w = arena_weights_[begin];
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      block_max_w = std::max(block_max_w, arena_weights_[i]);
+      block_min_w = std::min(block_min_w, arena_weights_[i]);
+    }
+    block_max_w_[b] = block_max_w;
+    block_min_w_[b] = block_min_w;
+  }
 }
 
 std::size_t InvertedIndex::num_postings_for(
@@ -359,7 +538,8 @@ MemoryBreakdown InvertedIndex::memory_breakdown() const noexcept {
                 max_weight_.capacity() * sizeof(double) +
                 min_weight_.capacity() * sizeof(double) +
                 internal_of_.capacity() * sizeof(DocId) +
-                public_of_.capacity() * sizeof(DocId);
+                public_of_.capacity() * sizeof(DocId) +
+                keys_.capacity() * sizeof(TermId);
   mem.blocks = block_last_doc_.capacity() * sizeof(DocId) +
                block_max_w_.capacity() * sizeof(double) +
                block_min_w_.capacity() * sizeof(double);

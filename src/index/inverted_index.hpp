@@ -11,8 +11,8 @@
 // of its own non-zero terms, so work is proportional to the postings of the
 // query's terms rather than to sum(nnz) over every stored signature.
 //
-// Storage is one layout, the **frozen posting arena**, rebuilt by every
-// add_batch(): all postings are compacted into three contiguous parallel
+// Storage is one layout, the **frozen posting arena**, laid out by every
+// build: all postings are compacted into three contiguous parallel
 // arrays (term-major doc-id and weight streams plus a per-term offset
 // table). The scoring loops read two separate dense streams (4-byte ids,
 // 8-byte weights) — a shape autovectorizers like. Each term's span is
@@ -34,13 +34,28 @@
 // The forward store — each document's (term, weight) run — is kept in
 // *public* id order, which is also the snapshot's section layout; the
 // arena, norms and block metadata are in internal order. The build
-// contract: add_batch() appends the batch's runs to the forward store and
-// rebuilds the whole arena from it aside, then swaps it in, so a build
-// costs O(documents stored). Callers that ingest one document at a time
-// batch them first (fmeter::core::SignatureDatabase indexes lazily, on its
-// first indexed read). A snapshot load adopts the file's sections as the
-// forward store and builds only the arena; a save hands the store to the
-// snapshot writer as it stands.
+// contract: an index is immutable once built, and appended(docs) returns a
+// new one holding its documents followed by `docs` — byte-for-byte the
+// index a bulk build of all of them produces. Two builds do that:
+//
+//  * the scatter, on an empty index (and on a snapshot load, which adopts
+//    the file's sections as the forward store) or one holding fewer
+//    postings than its term range, where the merge's passes over the
+//    term range would cost more than re-scattering the old postings: one
+//    public-order pass for keys, counts and bounds, a sort by doc-reorder
+//    key, a counting sort of every posting into the arena;
+//  * the merge, otherwise. The reorder key is (dominant term,
+//    public id) and new ids are larger, so a new document never moves an
+//    old one: the old internal order is a subsequence of the new, and
+//    within one key the old documents come first. The merge copies the
+//    forward store once, keeps the old cached norms, widens the old
+//    per-term bounds by the new postings in public order, scatters only
+//    the new postings, and merges them into each term's old span through
+//    an old → new internal id map. Its cost is a sequential pass over the
+//    old arena plus a scatter of the batch, not a scatter of everything.
+//
+// add_batch() is `*this = appended(docs)`. A snapshot save hands the store
+// to the snapshot writer as it stands.
 //
 // Two query paths with two distinct equivalence contracts:
 //
@@ -182,7 +197,7 @@ struct PruneStats {
 /// unused vector capacity). total() is what memory_bytes() reports.
 struct MemoryBreakdown {
   std::size_t postings = 0;  ///< arena id/weight streams
-  std::size_t offsets = 0;   ///< per-term offset table, bounds, permutation
+  std::size_t offsets = 0;   ///< per-term offsets and bounds, permutation, keys
   std::size_t blocks = 0;    ///< per-block last-doc / max / min metadata
   std::size_t forward = 0;   ///< forward store + per-doc norms
   std::size_t total() const noexcept {
@@ -232,18 +247,24 @@ class InvertedIndex {
   /// amortizes the cursor logic over a few cache lines of each stream.
   static constexpr std::size_t kBlockSize = 128;
 
-  /// Appends `docs` (ids continue densely from size()) to the forward store
-  /// and rebuilds the arena, block metadata, bounds and doc permutation
-  /// over every stored document — O(documents stored), so ingest in
-  /// batches. The result depends only on the documents in id order, never
-  /// on how they were split into batches. Throws std::invalid_argument if
-  /// any document carries a non-finite weight (it would poison the cached
-  /// norms and bounds, and make a saved snapshot unloadable); the whole
-  /// batch is checked before anything changes. Strong exception guarantee:
-  /// the new layout is built aside and swapped in, and a failed build
-  /// truncates the forward store back to its old documents.
+  /// A new index holding this one's documents (ids [0, size())) followed
+  /// by `docs` (ids continuing densely) — equal (operator==, capacities
+  /// included) to a bulk build of the same documents, however they were
+  /// split into batches. This index is untouched. Costs a copy of the
+  /// forward store plus the merge described in the header; an empty or
+  /// tiny index runs the full scatter instead. Throws std::invalid_argument if any document
+  /// carries a non-finite weight (it would poison the cached norms and
+  /// bounds, and make a saved snapshot unloadable).
+  InvertedIndex appended(std::span<const vsm::SparseView> docs) const;
+
+  /// `*this = appended(docs)`: strong exception guarantee, since the
+  /// result is built aside and moved in.
   void add_batch(std::span<const vsm::SparseView> docs);
   void add_batch(std::span<const vsm::SparseVector> docs);
+
+  /// Member-wise equality over every array (values, not capacities): the
+  /// property appended() guarantees against a bulk build.
+  bool operator==(const InvertedIndex&) const = default;
 
   std::size_t size() const noexcept { return norms_.size(); }
   bool empty() const noexcept { return norms_.empty(); }
@@ -252,12 +273,14 @@ class InvertedIndex {
   std::size_t num_terms() const noexcept { return nonempty_terms_; }
   /// Total postings across all lists (== sum of nnz over documents).
   std::size_t num_postings() const noexcept { return num_postings_; }
+  /// One past the largest term id stored (0 when there is none).
+  std::size_t term_range() const noexcept { return arena_terms(); }
 
   /// Cached L2 norm of a stored document.
   double norm(DocId doc) const { return norms_.at(internal_of_.at(doc)); }
 
   /// Stored document `doc` (< size()) as a view of its forward-store run.
-  /// Valid until the next add_batch() of this index.
+  /// Valid until this index is assigned to or destroyed.
   vsm::SparseView document(DocId doc) const noexcept {
     return forward_run(doc);
   }
@@ -384,9 +407,21 @@ class InvertedIndex {
   static InvertedIndex load(snapshot::Reader& reader, std::uint32_t shard);
 
  private:
-  /// Rebuilds the arena, blocks, bounds, permutation and norms from the
-  /// forward store; documents [0, stored) reuse their cached norms.
-  void build_arena(std::size_t stored);
+  // The three build steps below fill a freshly constructed index whose
+  // forward store is already in place.
+
+  /// The scatter: derives the arena, bounds, permutation and norms from the
+  /// forward store alone.
+  void build_arena();
+
+  /// The merge: the forward store holds `old`'s documents followed by new
+  /// ones; reuses old's norms, bounds and arena spans.
+  void merge_arena(const InvertedIndex& old);
+
+  /// Sizes the block metadata from the arena's offset table.
+  void layout_blocks();
+  /// Fills term `term`'s block metadata from its finished span.
+  void fill_blocks(std::size_t term);
 
   /// Forward-store run of the document at public id `doc`.
   vsm::SparseView forward_run(std::size_t doc) const noexcept {
@@ -420,6 +455,9 @@ class InvertedIndex {
   // internal id, so the hot loops run gather-free in internal space.
   std::vector<DocId> internal_of_;  // public id -> internal id
   std::vector<DocId> public_of_;    // internal id -> public id
+  // Each document's reorder key (its dominant term; empty documents sort
+  // last), ascending along internal order — where a merge places new ones.
+  std::vector<TermId> keys_;
 
   std::vector<double> norms_;                   // per-doc L2 norm
   std::vector<double> norms_sq_;                // per-doc squared L2 norm
@@ -429,9 +467,9 @@ class InvertedIndex {
   // at [forward_offsets_[d], forward_offsets_[d + 1]) in ascending term
   // order — the candidate re-scoring substrate of the pruned path (which
   // reaches an internal id's run through public_of_), the per-doc extents
-  // behind its candidate-switch cost model, the source every rebuild reads
-  // the stored documents back from, and the snapshot sections verbatim.
-  // Builds append to it; a snapshot load adopts the file's sections.
+  // behind its candidate-switch cost model, the source every build reads
+  // the stored documents from, and the snapshot sections verbatim.
+  // A build copies it; a snapshot load adopts the file's sections.
   std::vector<std::uint64_t> forward_offsets_{0};
   std::vector<TermId> forward_terms_;
   std::vector<double> forward_weights_;

@@ -590,7 +590,7 @@ InvertedIndex InvertedIndex::load(snapshot::Reader& reader,
   snapshot::validate_forward_store(index.forward_offsets_,
                                    index.forward_terms_,
                                    index.forward_weights_, shard);
-  index.build_arena(0);
+  index.build_arena();
   return index;
 }
 

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -532,6 +534,262 @@ TEST(FrozenIndex, DegenerateStatesStayDefined) {
        {index::Metric::kCosine, index::Metric::kEuclidean}) {
     expect_hits_identical(all_empty.top_k_pruned(query, 2, metric),
                           all_empty.top_k(query, 2, metric), "all empty");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// appended(): the merge build equals a bulk build (the scatter), exactly
+// ---------------------------------------------------------------------------
+
+/// Documents owned as raw arrays, so weights the SparseVector invariant
+/// drops (+0.0 and -0.0) reach the index through views.
+struct RawCorpus {
+  std::vector<std::vector<std::uint32_t>> terms;
+  std::vector<std::vector<double>> weights;
+
+  std::vector<vsm::SparseView> views() const {
+    std::vector<vsm::SparseView> out;
+    for (std::size_t d = 0; d < terms.size(); ++d) {
+      out.push_back({terms[d], weights[d]});
+    }
+    return out;
+  }
+};
+
+/// Every hazard of the merge in one corpus: a term range that grows with
+/// the id (later batches bring terms the old index never saw), empty
+/// documents, duplicates, negative and signed-zero weights, and few
+/// dominant terms, so reorder-key ties straddle every split. Terms 1 and 2
+/// only ever carry {±0, 0.5} and {±0, -0.5}: their min and max bounds are
+/// a zero whose sign only the public-order fold gets right.
+RawCorpus merge_hazard_corpus(util::Rng& rng, std::size_t n) {
+  static constexpr double kWeights[] = {1.0, 0.5, -0.5, -1.0, 0.0, -0.0};
+  RawCorpus corpus;
+  for (std::size_t d = 0; d < n; ++d) {
+    std::vector<std::uint32_t> terms;
+    std::vector<double> weights;
+    if (d > 0 && rng.bernoulli(0.15)) {
+      const std::size_t copy = rng.below(d);
+      terms = corpus.terms[copy];
+      weights = corpus.weights[copy];
+    } else if (!rng.bernoulli(0.1)) {
+      const std::uint32_t dimension = 6 + static_cast<std::uint32_t>(d / 3);
+      const std::size_t nnz = 1 + rng.below(5);
+      for (std::size_t i = 0; i < nnz; ++i) {
+        terms.push_back(static_cast<std::uint32_t>(rng.below(dimension)));
+      }
+      if (rng.bernoulli(0.5)) terms.push_back(1 + rng.below(2));
+      std::sort(terms.begin(), terms.end());
+      terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+      for (const std::uint32_t term : terms) {
+        double weight = kWeights[rng.below(std::size(kWeights))];
+        if (term == 1 || term == 2) {
+          const double signed_zero = rng.bernoulli(0.5) ? 0.0 : -0.0;
+          const double half = term == 1 ? 0.5 : -0.5;
+          weight = rng.bernoulli(0.6) ? signed_zero : half;
+        }
+        weights.push_back(weight);
+      }
+      // Most documents are dominated by their lowest term: few distinct
+      // reorder keys, so key ties straddle every split.
+      if (!terms.empty() && rng.bernoulli(0.6)) {
+        weights[0] = terms[0] == 1 || terms[0] == 2 ? weights[0] : 2.0;
+      }
+    }
+    corpus.terms.push_back(std::move(terms));
+    corpus.weights.push_back(std::move(weights));
+  }
+  return corpus;
+}
+
+void expect_same_memory(const index::MemoryBreakdown& got,
+                        const index::MemoryBreakdown& want,
+                        const std::string& context) {
+  EXPECT_EQ(got.postings, want.postings) << context;
+  EXPECT_EQ(got.offsets, want.offsets) << context;
+  EXPECT_EQ(got.blocks, want.blocks) << context;
+  EXPECT_EQ(got.forward, want.forward) << context;
+}
+
+/// `got` is the index `want` is: every member equal, the bounds equal to
+/// the bit (operator== compares doubles by value, and +0.0 == -0.0), and
+/// the same footprint, capacities included.
+void expect_same_index(const index::InvertedIndex& got,
+                       const index::InvertedIndex& want,
+                       std::uint32_t term_bound, const std::string& context) {
+  EXPECT_TRUE(got == want) << context;
+  for (std::uint32_t t = 0; t < term_bound; ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_weight(t)),
+              std::bit_cast<std::uint64_t>(want.max_weight(t)))
+        << context << " max bound of term " << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.min_weight(t)),
+              std::bit_cast<std::uint64_t>(want.min_weight(t)))
+        << context << " min bound of term " << t;
+  }
+  expect_same_memory(got.memory_breakdown(), want.memory_breakdown(), context);
+}
+
+TEST(FrozenIndex, AppendedEqualsBulkBuildAtEverySplit) {
+  util::Rng rng(0xa99e);
+  for (const std::size_t n : {1u, 2u, 37u, 300u}) {
+    const RawCorpus corpus = merge_hazard_corpus(rng, n);
+    const auto views = corpus.views();
+    const std::span<const vsm::SparseView> docs(views);
+    index::InvertedIndex bulk;
+    bulk.add_batch(docs);
+    const std::uint32_t term_bound = 8 + static_cast<std::uint32_t>(n / 3);
+    for (const std::size_t split : {std::size_t{0}, std::size_t{1},
+                                    1 + rng.below(n), n - 1, n}) {
+      index::InvertedIndex head;
+      head.add_batch(docs.first(split));
+      const std::string context =
+          "n " + std::to_string(n) + " split " + std::to_string(split);
+      expect_same_index(head.appended(docs.subspan(split)), bulk, term_bound,
+                        context);
+      // The old index is untouched by appended().
+      index::InvertedIndex head_again;
+      head_again.add_batch(docs.first(split));
+      EXPECT_TRUE(head == head_again) << context;
+    }
+  }
+}
+
+TEST(FrozenIndex, AppendChainsEqualBulkBuild) {
+  util::Rng rng(0xc4a1);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t n = 40 + rng.below(260);
+    const RawCorpus corpus = merge_hazard_corpus(rng, n);
+    const auto views = corpus.views();
+    const std::span<const vsm::SparseView> docs(views);
+    const std::uint32_t term_bound = 8 + static_cast<std::uint32_t>(n / 3);
+    index::InvertedIndex chain;
+    std::size_t at = 0;
+    int link = 0;
+    while (at < n) {
+      const std::size_t len = std::min(n - at, rng.below(n / 4 + 2));
+      if (link % 2 == 0) {
+        chain = chain.appended(docs.subspan(at, len));
+      } else {
+        chain.add_batch(docs.subspan(at, len));
+      }
+      at += len;
+      index::InvertedIndex prefix;
+      prefix.add_batch(docs.first(at));
+      expect_same_index(chain, prefix, term_bound,
+                        "trial " + std::to_string(trial) + " link " +
+                            std::to_string(link++));
+    }
+  }
+}
+
+std::string saved_bytes(const SignatureDatabase& db) {
+  std::ostringstream out;
+  db.save(out);
+  return out.str();
+}
+
+std::string saved_bytes(const exec::ShardedIndex& index) {
+  std::ostringstream out;
+  index.save(out);
+  return out.str();
+}
+
+/// `got` is the database `want` is: same snapshot bytes, same shards,
+/// same footprint, and bit-identical hits in both kernels.
+void expect_same_database(const SignatureDatabase& got,
+                          const SignatureDatabase& want,
+                          std::span<const vsm::SparseVector> queries,
+                          const std::string& context) {
+  EXPECT_EQ(saved_bytes(got), saved_bytes(want)) << context;
+  ASSERT_EQ(got.num_shards(), want.num_shards()) << context;
+  for (std::size_t s = 0; s < got.num_shards(); ++s) {
+    EXPECT_TRUE(got.index().shard(s) == want.index().shard(s))
+        << context << " shard " << s;
+  }
+  expect_same_memory(got.index().memory_breakdown(),
+                     want.index().memory_breakdown(), context);
+  for (const auto metric :
+       {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
+    for (const auto mode :
+         {index::PruningMode::kExact, index::PruningMode::kMaxScore}) {
+      const auto got_hits = got.search_batch(queries, 10, metric,
+                                             ScanPolicy::kIndexed, mode);
+      const auto want_hits = want.search_batch(queries, 10, metric,
+                                               ScanPolicy::kIndexed, mode);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_EQ(got_hits[q].size(), want_hits[q].size()) << context;
+        for (std::size_t r = 0; r < want_hits[q].size(); ++r) {
+          EXPECT_EQ(got_hits[q][r].id, want_hits[q][r].id) << context;
+          EXPECT_EQ(got_hits[q][r].label, want_hits[q][r].label) << context;
+          EXPECT_EQ(got_hits[q][r].score, want_hits[q][r].score) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(FrozenIndex, ShardedAndDatabaseAppendedMatchBulkBuild) {
+  util::Rng rng(0x5a9d);
+  const std::size_t n = 400;
+  std::vector<vsm::SparseVector> corpus;
+  std::vector<std::string> labels;
+  for (std::size_t d = 0; d < n; ++d) {
+    // Duplicates and empty documents ride along (nnz may be 0).
+    corpus.push_back(d > 0 && rng.bernoulli(0.1)
+                         ? corpus[rng.below(d)]
+                         : random_sparse(rng, 10 + static_cast<std::uint32_t>(
+                                                       d / 4),
+                                         10, /*allow_negative=*/true));
+    labels.push_back("l" + std::to_string(d % 7));
+  }
+  std::vector<vsm::SparseVector> queries;
+  for (int q = 0; q < 6; ++q) queries.push_back(random_sparse(rng, 110, 10));
+  const std::vector<vsm::SparseView> views(corpus.begin(), corpus.end());
+  const std::span<const vsm::SparseView> docs(views);
+  exec::TaskPool pool(2);
+
+  for (const std::size_t shards : {1u, 3u, 4u}) {
+    SignatureDatabase bulk(shards);
+    bulk.add_batch(corpus, labels);
+    for (const std::size_t split : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{157}, n - 1, n}) {
+      SignatureDatabase head(shards);
+      head.add_batch({corpus.begin(), corpus.begin() + split},
+                     {labels.begin(), labels.begin() + split});
+      const SignatureDatabase got = head.appended(
+          docs.subspan(split), {labels.begin() + split, labels.end()});
+      EXPECT_EQ(head.size(), split);
+      expect_same_database(got, bulk, queries,
+                           std::to_string(shards) + " shards, split " +
+                               std::to_string(split));
+    }
+    // Scalar adds not indexed yet are part of what appended() extends.
+    SignatureDatabase pending(shards);
+    for (std::size_t d = 0; d < 157; ++d) pending.add(corpus[d], labels[d]);
+    expect_same_database(
+        pending.appended(docs.subspan(157), {labels.begin() + 157, labels.end()}),
+        bulk, queries, std::to_string(shards) + " shards, pending head");
+
+    // Chains of appends and add_batches on the pool, index layer alone.
+    exec::ShardedIndex chain(shards);
+    std::size_t at = 0;
+    for (int link = 0; at < n; ++link) {
+      const std::size_t len = std::min(n - at, rng.below(n / 3));
+      if (link % 2 == 0) {
+        chain = chain.appended(docs.subspan(at, len), &pool);
+      } else {
+        chain.add_batch(docs.subspan(at, len), &pool);
+      }
+      at += len;
+    }
+    const std::string context = std::to_string(shards) + " shards, chain";
+    EXPECT_EQ(saved_bytes(chain), saved_bytes(bulk.index())) << context;
+    EXPECT_EQ(chain.num_terms(), bulk.index().num_terms()) << context;
+    expect_same_memory(chain.memory_breakdown(),
+                       bulk.index().memory_breakdown(), context);
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_TRUE(chain.shard(s) == bulk.index().shard(s)) << context;
+    }
   }
 }
 

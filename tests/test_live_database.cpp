@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "fmeter/live_database.hpp"
 #include "io/env.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -187,6 +189,40 @@ void expect_ladder_shape(const LiveStats& stats, const std::string& context) {
   EXPECT_EQ(next_id, stats.total_docs) << context;
 }
 
+std::string saved_bytes(const SignatureDatabase& db) {
+  std::ostringstream out;
+  db.save(out);
+  return out.str();
+}
+
+/// Every frozen part of a pinned epoch — the base at its shard count, each
+/// segment at one shard — equals a bulk build of exactly its documents:
+/// the ladder merges and the fold extend posting arenas in place of a
+/// rebuild, and must land on the same bytes.
+void expect_parts_are_bulk_builds(const LiveDatabase::Snapshot& snapshot,
+                                  const std::string& context) {
+  const auto expect_bulk_built = [&context](const SignatureDatabase& part,
+                                            const std::string& name) {
+    std::vector<vsm::SparseVector> signatures;
+    std::vector<std::string> labels;
+    for (std::size_t id = 0; id < part.size(); ++id) {
+      signatures.push_back(part.signature(id));
+      labels.push_back(part.label(id));
+    }
+    SignatureDatabase bulk(part.num_shards());
+    bulk.add_batch(std::move(signatures), std::move(labels));
+    for (std::size_t s = 0; s < part.num_shards(); ++s) {
+      EXPECT_TRUE(part.index().shard(s) == bulk.index().shard(s))
+          << context << " " << name << " shard " << s;
+    }
+    EXPECT_EQ(saved_bytes(part), saved_bytes(bulk)) << context << " " << name;
+  };
+  expect_bulk_built(snapshot.base(), "base");
+  for (std::size_t i = 0; i < snapshot.num_segments(); ++i) {
+    expect_bulk_built(snapshot.segment(i), "segment " + std::to_string(i));
+  }
+}
+
 std::uint64_t counter_value(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
 }
@@ -213,6 +249,8 @@ TEST(LiveDatabase, StreamingIngestMatchesBulkBuild) {
   for (const Batch& b : batches) {
     EXPECT_EQ(db.add_batch(b.signatures, b.labels), expected_first);
     expected_first += b.signatures.size();
+    expect_parts_are_bulk_builds(db.snapshot(),
+                                 "after " + std::to_string(expected_first));
   }
 
   const auto stats = db.stats();
@@ -234,9 +272,12 @@ TEST(LiveDatabase, RefreezeFoldsTailAndPreservesResults) {
   LiveDatabase db(env, "live", foreground_options());
   for (std::size_t b = 0; b < 4; ++b) {
     db.add_batch(batches[b].signatures, batches[b].labels);
+    expect_parts_are_bulk_builds(db.snapshot(),
+                                 "batch " + std::to_string(b));
   }
 
   ASSERT_TRUE(db.refreeze_now());
+  expect_parts_are_bulk_builds(db.snapshot(), "first fold");
   EXPECT_EQ(db.refreezes(), 1u);
   EXPECT_EQ(db.manifest_epoch(), 1u);
   auto stats = db.stats();
@@ -254,6 +295,8 @@ TEST(LiveDatabase, RefreezeFoldsTailAndPreservesResults) {
   // Mixed base + tail keeps answering bit-identically.
   for (std::size_t b = 4; b < 6; ++b) {
     db.add_batch(batches[b].signatures, batches[b].labels);
+    expect_parts_are_bulk_builds(db.snapshot(),
+                                 "batch " + std::to_string(b));
   }
   stats = db.stats();
   EXPECT_EQ(stats.base_docs, 32u);
@@ -262,9 +305,33 @@ TEST(LiveDatabase, RefreezeFoldsTailAndPreservesResults) {
                          "base+tail archive");
 
   ASSERT_TRUE(db.refreeze_now());
+  expect_parts_are_bulk_builds(db.snapshot(), "second fold");
   EXPECT_EQ(db.manifest_epoch(), 2u);
   expect_live_equivalent(db.snapshot(), build_reference(batches, 6, 2),
                          "second fold");
+}
+
+TEST(LiveDatabase, SealsAndFoldsAreStampedAsIngestSpans) {
+  // Every segment seal and every fold is one index build, stamped as one
+  // obs::Stage::kIngest span, whether it scatters or merges.
+  obs::StageTracer::global();  // registers the stage counters
+  InMemoryEnv env;
+  const auto batches = make_batches(4, 8);
+  LiveDatabase db(env, "live", foreground_options());
+  const auto ingest_spans = [] {
+    return counter_value("fmeter_stage_ingest_spans_total");
+  };
+  const std::uint64_t before = ingest_spans();
+  db.add_batch(batches[0].signatures, batches[0].labels);  // scatter
+  EXPECT_EQ(ingest_spans(), before + 1);
+  db.add_batch(batches[1].signatures, batches[1].labels);  // ladder merge
+  EXPECT_EQ(ingest_spans(), before + 2);
+  ASSERT_EQ(db.snapshot().num_segments(), 1u);
+  ASSERT_TRUE(db.refreeze_now());  // fold onto an empty base
+  EXPECT_EQ(ingest_spans(), before + 3);
+  db.add_batch(batches[2].signatures, batches[2].labels);
+  ASSERT_TRUE(db.refreeze_now());  // fold merging into the base
+  EXPECT_EQ(ingest_spans(), before + 5);
 }
 
 TEST(LiveDatabase, PinnedSnapshotSurvivesIngestAndRefreeze) {

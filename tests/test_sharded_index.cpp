@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/sharded_index.hpp"
@@ -166,6 +167,43 @@ TEST(ShardedIndex, RejectedBatchLeavesIndexUnchangedAndUsable) {
   EXPECT_EQ(index.shard(1).size(), 3u);
   EXPECT_EQ(index.num_terms(), 3u);
   EXPECT_EQ(index.num_postings(), 6u);
+}
+
+TEST(ShardedIndex, ConcurrentAddBatchesLoseNoBatch) {
+  // Every add_batch builds its shards aside from the index it read, then
+  // swaps them in: the writer lock spans read and swap, so two writers
+  // serialize and neither overwrites the other's batch. appended() and
+  // stats readers run beside them on the reader side.
+  util::Rng rng(0xc0c0);
+  std::vector<vsm::SparseVector> docs;
+  for (int i = 0; i < 40; ++i) docs.push_back(random_sparse(rng, 32, 6));
+  ShardedIndex index(3);
+  const auto writer = [&index, &docs] {
+    for (std::size_t b = 0; b < docs.size(); b += 4) {
+      index.add_batch(std::span<const vsm::SparseVector>(docs).subspan(b, 4));
+    }
+  };
+  std::thread first(writer);
+  std::thread second(writer);
+  std::thread reader([&index] {
+    for (int i = 0; i < 20; ++i) {
+      // A copy holds whole batches only, and its shards agree with it.
+      const ShardedIndex copy = index.appended({});
+      EXPECT_EQ(copy.size() % 4, 0u);
+      std::size_t shard_docs = 0;
+      for (const ShardStats& shard : index.shard_stats()) {
+        shard_docs += shard.docs;
+      }
+      EXPECT_EQ(shard_docs % 4, 0u);
+    }
+  });
+  first.join();
+  second.join();
+  reader.join();
+  std::size_t postings = 0;
+  for (const auto& doc : docs) postings += doc.nnz();
+  EXPECT_EQ(index.size(), 2 * docs.size());
+  EXPECT_EQ(index.num_postings(), 2 * postings);
 }
 
 }  // namespace
