@@ -1,9 +1,9 @@
-// Inline vs. parallel bulk ingest (ShardedIndex::add_batch) as the archive
+// Inline vs. parallel bulk ingest (ShardedIndex::appended) as the archive
 // grows.
 //
 // An operator's archive is rebuilt whenever a corpus is (re)loaded from
-// disk, and add_batch fans the per-shard arena builds out as tasks on the
-// exec::TaskPool. This bench measures the same add_batch into a 4-shard
+// disk, and appended() fans the per-shard arena builds out as tasks on the
+// exec::TaskPool. This bench measures the same bulk build of a 4-shard
 // ShardedIndex at 10k/100k docs twice: on a one-worker pool (the inline,
 // sequential build) and on a pool with one worker per hardware thread,
 // verifies the parallel build is document-for-document identical to the
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   const std::size_t max_corpus = parsed > 0 ? parsed : 100000;
 
   fmeter::bench::print_banner(
-      "build_scaling: inline vs. parallel bulk ingest (add_batch)",
+      "build_scaling: inline vs. parallel bulk ingest (appended)",
       "archive (re)builds must not serialize on one core");
 
   const std::size_t cores = std::thread::hardware_concurrency();
@@ -83,16 +83,14 @@ int main(int argc, char** argv) {
 
     fmeter::exec::TaskPool one_worker(1);
     const auto t_seq = std::chrono::steady_clock::now();
-    fmeter::exec::ShardedIndex sequential(kShards);
-    sequential.add_batch(std::span<const fmeter::vsm::SparseVector>(docs),
-                         &one_worker);
+    const auto sequential = fmeter::exec::ShardedIndex(kShards).appended(
+        std::span<const fmeter::vsm::SparseVector>(docs), &one_worker);
     const double seq_s = seconds_since(t_seq);
 
     fmeter::exec::TaskPool pool(cores > 0 ? cores : 1);
     const auto t_par = std::chrono::steady_clock::now();
-    fmeter::exec::ShardedIndex parallel(kShards);
-    parallel.add_batch(std::span<const fmeter::vsm::SparseVector>(docs),
-                       &pool);
+    const auto parallel = fmeter::exec::ShardedIndex(kShards).appended(
+        std::span<const fmeter::vsm::SparseVector>(docs), &pool);
     const double par_s = seconds_since(t_par);
 
     // The parallel build must be byte-for-byte the sequential one.
@@ -115,8 +113,8 @@ int main(int argc, char** argv) {
     const std::size_t base_docs = corpus - corpus / 10;
     const std::vector<fmeter::vsm::SparseView> tail(all.begin() + base_docs,
                                                     all.end());
-    fmeter::exec::ShardedIndex base(kShards);
-    base.add_batch(all.first(base_docs), &one_worker);
+    const auto base = fmeter::exec::ShardedIndex(kShards).appended(
+        all.first(base_docs), &one_worker);
     const auto t_fold = std::chrono::steady_clock::now();
     const fmeter::exec::ShardedIndex folded =
         base.appended(tail, &one_worker);

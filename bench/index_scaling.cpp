@@ -226,9 +226,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nindex stats: %zu docs, %zu terms, %zu postings, %.1f KiB\n",
-              db.index().size(), db.index().num_terms(),
-              db.index().num_postings(),
-              static_cast<double>(db.index().memory_bytes()) / 1024.0);
+              db.index()->size(), db.index()->num_terms(),
+              db.index()->num_postings(),
+              static_cast<double>(db.index()->memory_bytes()) / 1024.0);
 
   fmeter::bench::emit_json("BENCH_index_scaling.json", "index_scaling",
                            json_rows);

@@ -1,8 +1,8 @@
 // What the live archive sustains: streaming ingest throughput while
 // serving a concurrent query load (ISSUE 10's tentpole ledger).
 //
-// SignatureDatabase's add_batch rebuilds every shard of one shared index
-// per batch, so its ingest throughput collapses as the archive grows.
+// SignatureDatabase's add_batch copies every shard of one shared index and
+// merges the batch into it, so its per-batch cost grows with the archive.
 // LiveDatabase seals each batch into a small frozen segment ladder (merged
 // by size, O(log tail) segments) and publishes an immutable epoch, so
 // amortized per-batch cost is O(batch * log tail), independent of the

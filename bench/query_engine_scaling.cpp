@@ -7,7 +7,7 @@
 // 1's power-law call counts) is served through exec::QueryEngine at every
 // combination of shard count {1,2,4,8}, batch size {1,16,64} and
 // PruningMode {exact, max-score}. Indexes are built with the parallel bulk
-// ingest (add_batch) and therefore frozen — the serving-path layout every
+// ingest (appended) and therefore frozen — the serving-path layout every
 // real archive ends up in.
 //
 // Two things keep the numbers honest on noisy hosts:
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
     // Bulk-ingested (frozen) 1-shard index: the equivalence reference and
     // the scalar baseline every ratio is paired against.
     ShardedIndex reference_index(1);
-    reference_index.add_batch(corpus_span);
+    reference_index = reference_index.appended(corpus_span);
     const QueryEngine reference(reference_index);
 
     double baseline_qps = 0.0;
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
     bool all_equivalent = true;
     for (const std::size_t shards : kShardCounts) {
       ShardedIndex sharded(shards);
-      if (shards > 1) sharded.add_batch(corpus_span);
+      if (shards > 1) sharded = sharded.appended(corpus_span);
       const ShardedIndex& index = shards == 1 ? reference_index : sharded;
       const QueryEngine engine(index);
       for (const auto mode : {PruningMode::kExact, PruningMode::kMaxScore}) {

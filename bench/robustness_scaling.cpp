@@ -203,8 +203,8 @@ int main(int argc, char** argv) {
         signatures.data(), corpus);
 
     // ---- phase 1: checkpoint overhead -----------------------------------
-    ShardedIndex index(kShards);
-    index.add_batch(corpus_span);  // bulk-ingested => frozen serving layout
+    // Bulk-ingested => frozen serving layout.
+    const ShardedIndex index = ShardedIndex(kShards).appended(corpus_span);
     const QueryEngine engine(index);
 
     // A deadline that keeps every checkpoint armed but can never fire
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
     double honest_cost = 0.0, heavy_cost = 1e300;
     for (std::size_t i = 0; i < shed_stream.size(); ++i) {
       const double cost = QueryEngine::estimated_query_cost(
-          db.index(), shed_stream[i], kTopK, PruningMode::kMaxScore);
+          *db.index(), shed_stream[i], kTopK, PruningMode::kMaxScore);
       if (i % kHeavyEvery == 0) {
         heavy_cost = std::min(heavy_cost, cost);
       } else {

@@ -134,7 +134,7 @@ long peak_rss_kb() {
 int load_child(const char* snapshot) {
   fmeter::core::SignatureDatabase db;
   db.load(snapshot);
-  std::printf("%ld %zu\n", peak_rss_kb(), db.index().memory_bytes());
+  std::printf("%ld %zu\n", peak_rss_kb(), db.index()->memory_bytes());
   return 0;
 }
 

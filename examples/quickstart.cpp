@@ -55,8 +55,8 @@ int main() {
     db.add(signatures[i], corpus[i].label);
   }
   std::printf("indexed: %zu signatures, %zu terms, %zu postings\n",
-              db.index().size(), db.index().num_terms(),
-              db.index().num_postings());
+              db.index()->size(), db.index()->num_terms(),
+              db.index()->num_postings());
   core::SignatureGenConfig probe = gen;
   probe.signatures_per_workload = 1;
   probe.seed = 0xdeadbeef;

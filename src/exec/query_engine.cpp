@@ -319,9 +319,6 @@ double QueryEngine::estimated_query_cost(const ShardedIndex& index,
                                          std::size_t k, PruningMode mode) {
   const std::size_t shards = index.num_shards();
   if (shards == 0 || index.size() == 0 || query.empty()) return 0.0;
-  // Posting lists are walked below; pin the reader side of the ingest lock
-  // so a concurrent add_batch cannot resize them mid-estimate.
-  const auto ingest_guard = index.read_lock();
   // The grid term the dispatch decision already uses, plus this query's own
   // posting footprint — the part a shape-blind estimate misses, and exactly
   // what makes an adversarially dense query expensive.
@@ -341,13 +338,6 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
     options.outcomes->assign(queries.size(), QueryOutcome::kOk);
   }
   if (k == 0 || index_->empty()) return results;
-
-  // Pin the reader side of the index's ingest lock for the whole batch:
-  // a concurrent add_batch serializes against it instead of
-  // mutating postings under the scoring loops. Pool workers executing this
-  // batch's spans are covered by this guard — the caller blocks on the
-  // batch latch before releasing it.
-  const auto ingest_guard = index_->read_lock();
 
   const auto batch_start = std::chrono::steady_clock::now();
   // Collected whether or not the caller asked: the registry is always on.

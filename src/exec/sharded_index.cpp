@@ -1,11 +1,7 @@
 #include "exec/sharded_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <mutex>
-#include <shared_mutex>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -36,119 +32,19 @@ void build_shards(std::size_t shards, std::size_t docs, TaskPool* pool,
 ShardedIndex::ShardedIndex(std::size_t num_shards)
     : shards_(num_shards == 0 ? 1 : num_shards) {}
 
-ShardedIndex::ShardedIndex(const ShardedIndex& other) {
-  const std::shared_lock<std::shared_mutex> source(other.mutex_);
-  shards_ = other.shards_;
-  term_seen_ = other.term_seen_;
-  nonempty_terms_.store(other.nonempty_terms_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  size_.store(other.size_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-}
-
-// Moves are setup-time: the source must have no concurrent users (it is
-// about to be gutted regardless), so no lock is taken.
-ShardedIndex::ShardedIndex(ShardedIndex&& other) noexcept
-    : shards_(std::move(other.shards_)),
-      term_seen_(std::move(other.term_seen_)),
-      nonempty_terms_(
-          other.nonempty_terms_.load(std::memory_order_relaxed)),
-      size_(other.size_.load(std::memory_order_relaxed)) {}
-
-ShardedIndex& ShardedIndex::operator=(const ShardedIndex& other) {
-  ShardedIndex copy(other);
-  return *this = std::move(copy);
-}
-
-ShardedIndex& ShardedIndex::operator=(ShardedIndex&& other) noexcept {
-  if (this != &other) {
-    const std::unique_lock<std::shared_mutex> lock(mutex_);
-    shards_ = std::move(other.shards_);
-    term_seen_ = std::move(other.term_seen_);
-    nonempty_terms_.store(
-        other.nonempty_terms_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    size_.store(other.size_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-void ShardedIndex::add_batch(std::span<const vsm::SparseVector> docs,
-                             TaskPool* pool) {
+ShardedIndex ShardedIndex::appended(std::span<const vsm::SparseVector> docs,
+                                    TaskPool* pool) const {
   const std::vector<vsm::SparseView> views(docs.begin(), docs.end());
-  add_batch(std::span<const vsm::SparseView>(views), pool);
-}
-
-void ShardedIndex::add_batch(std::span<const vsm::SparseView> docs,
-                             TaskPool* pool) {
-  // The writer lock is held across the whole build, so two concurrent
-  // add_batch calls serialize and neither loses its batch. Every shard is
-  // built aside; only the noexcept swaps below touch this index.
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  std::size_t nonempty = 0;
-  std::vector<bool> seen = terms_seen_with(docs, nonempty);
-  std::vector<index::InvertedIndex> built = build_appended(docs, pool);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (first_slot(s) < docs.size()) shards_[s] = std::move(built[s]);
-  }
-  term_seen_ = std::move(seen);
-  nonempty_terms_ = nonempty;
-  size_ += docs.size();
+  return appended(std::span<const vsm::SparseView>(views), pool);
 }
 
 ShardedIndex ShardedIndex::appended(std::span<const vsm::SparseView> docs,
                                     TaskPool* pool) const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  ShardedIndex out(shards_.size());
-  std::size_t nonempty = 0;
-  out.term_seen_ = terms_seen_with(docs, nonempty);
-  out.shards_ = build_appended(docs, pool);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (first_slot(s) >= docs.size()) out.shards_[s] = shards_[s];
-  }
-  out.nonempty_terms_ = nonempty;
-  out.size_ = size() + docs.size();
-  return out;
-}
-
-std::size_t ShardedIndex::first_slot(std::size_t shard) const noexcept {
-  // Batch index i becomes global id size() + i, so shard s receives the
-  // ascending run i ≡ (s - size()) mod N.
   const std::size_t shards = shards_.size();
-  return (shard + shards - size() % shards) % shards;
-}
+  ShardedIndex out(shards);
+  out.size_ = size_ + docs.size();
 
-std::vector<index::InvertedIndex> ShardedIndex::build_appended(
-    std::span<const vsm::SparseView> docs, TaskPool* pool) const {
-  // Validate the whole batch before the fan-out: a shard's own check only
-  // sees its slice, so this is the one place that rejects a batch whole.
-  for (const vsm::SparseView& doc : docs) {
-    for (const double value : doc.values) {
-      if (!std::isfinite(value)) {
-        throw std::invalid_argument(
-            "ShardedIndex::add_batch: document carries a non-finite weight");
-      }
-    }
-  }
-  const std::size_t shards = shards_.size();
-  std::vector<index::InvertedIndex> built(shards);
-  const auto build_shard = [this, docs, shards, &built](std::size_t s) {
-    if (first_slot(s) >= docs.size()) return;
-    std::vector<vsm::SparseView> slice;
-    slice.reserve(docs.size() / shards + 1);
-    for (std::size_t i = first_slot(s); i < docs.size(); i += shards) {
-      slice.push_back(docs[i]);
-    }
-    built[s] = shards_[s].appended(slice);
-  };
-  build_shards(shards, docs.size(), pool, build_shard);
-  return built;
-}
-
-std::vector<bool> ShardedIndex::terms_seen_with(
-    std::span<const vsm::SparseView> docs, std::size_t& nonempty) const {
-  // Sized once, exactly, so the bitmap's capacity — part of
+  // Term-occupancy bitmap, sized once, exactly, so its capacity — part of
   // memory_breakdown() — depends only on the documents, not on how they
   // were batched.
   std::size_t terms = term_seen_.size();
@@ -157,36 +53,45 @@ std::vector<bool> ShardedIndex::terms_seen_with(
       terms = std::max(terms, static_cast<std::size_t>(doc.indices.back()) + 1);
     }
   }
-  std::vector<bool> seen(terms, false);
-  std::copy(term_seen_.begin(), term_seen_.end(), seen.begin());
-  nonempty = num_terms();
+  out.term_seen_ = std::vector<bool>(terms, false);
+  std::copy(term_seen_.begin(), term_seen_.end(), out.term_seen_.begin());
+  out.nonempty_terms_ = nonempty_terms_;
   for (const vsm::SparseView& doc : docs) {
     for (const auto term : doc.indices) {
-      if (!seen[term]) {
-        seen[term] = true;
-        ++nonempty;
+      if (!out.term_seen_[term]) {
+        out.term_seen_[term] = true;
+        ++out.nonempty_terms_;
       }
     }
   }
-  return seen;
+
+  // Batch index i becomes global id size() + i, so shard s receives the
+  // ascending run i ≡ (s - size()) mod N; a shard the batch misses appends
+  // nothing, which copies it. A non-finite weight throws from the build of
+  // the shard it lands in, which rejects the whole batch.
+  const auto build_shard = [this, docs, shards, &out](std::size_t s) {
+    std::vector<vsm::SparseView> slice;
+    slice.reserve(docs.size() / shards + 1);
+    for (std::size_t i = (s + shards - size_ % shards) % shards;
+         i < docs.size(); i += shards) {
+      slice.push_back(docs[i]);
+    }
+    out.shards_[s] = shards_[s].appended(slice);
+  };
+  build_shards(shards, docs.size(), pool, build_shard);
+  return out;
 }
 
-void ShardedIndex::save_locked(index::snapshot::Writer& writer) const {
+void ShardedIndex::save(index::snapshot::Writer& writer) const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s].save(writer, static_cast<std::uint32_t>(s));
   }
 }
 
-void ShardedIndex::save(index::snapshot::Writer& writer) const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  save_locked(writer);
-}
-
 void ShardedIndex::save(std::ostream& out) const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
   index::snapshot::Writer writer(static_cast<std::uint32_t>(shards_.size()),
                                  size(), num_terms());
-  save_locked(writer);
+  save(writer);
   writer.finish(out);
 }
 
@@ -201,7 +106,7 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
   const std::uint64_t docs = reader.doc_count();
 
   // Per-shard restore (adopt the sections, build the arena), fanned out
-  // exactly like add_batch. Shards take disjoint sections, so the only
+  // exactly like appended(). Shards take disjoint sections, so the only
   // cross-thread hand-off is the batch's completion.
   const auto load_shard = [&reader, &out, shards, docs](std::size_t s) {
     out.shards_[s] =
@@ -250,7 +155,6 @@ ShardedIndex ShardedIndex::load(std::istream& in, TaskPool* pool) {
 }
 
 std::size_t ShardedIndex::num_postings() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard.num_postings();
   return total;
@@ -261,7 +165,6 @@ std::size_t ShardedIndex::memory_bytes() const {
 }
 
 MemoryBreakdown ShardedIndex::memory_breakdown() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
   MemoryBreakdown total;
   total.offsets += term_seen_.capacity() / 8;
   for (const auto& shard : shards_) total += shard.memory_breakdown();
@@ -269,7 +172,6 @@ MemoryBreakdown ShardedIndex::memory_breakdown() const {
 }
 
 std::vector<ShardStats> ShardedIndex::shard_stats() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
   std::vector<ShardStats> stats;
   stats.reserve(shards_.size());
   for (const auto& shard : shards_) {

@@ -10,36 +10,30 @@
 // unchanged, and within a shard ascending local id is ascending global id,
 // so the per-shard top-k lists merge into exactly the global ranking.
 //
-// Ingest is appended() (add_batch() is the same build, swapped in): the
-// batch is partitioned round-robin by global id, then each shard it
-// reaches appends its slice to its old documents
-// (index::InvertedIndex::appended — a merge into the old posting arena, or
-// the full scatter on an empty shard) as one span of a TaskPool::run_spans
-// batch. Shards are disjoint, each shard receives its documents in
-// ascending global order regardless of scheduling, and the term-occupancy
-// bitmap is built on the calling thread — so the built index is
-// deterministic, byte-for-byte a bulk build of the same documents however
-// they were batched, and the only cross-thread hand-off is the batch's
-// completion. Every shard is built aside, so a failed build changes
-// nothing.
+// A ShardedIndex is an immutable value once built: appended() returns a
+// new index holding this one's documents followed by a batch. The batch is
+// partitioned round-robin by global id, then each shard it reaches
+// appends its slice to its old documents (index::InvertedIndex::appended —
+// a merge into the old posting arena, or the full scatter on an empty
+// shard) as one span of a TaskPool::run_spans batch. Shards are disjoint,
+// each shard receives its documents in ascending global order regardless
+// of scheduling, and the term-occupancy bitmap is built on the calling
+// thread — so the built index is deterministic, byte-for-byte a bulk
+// build of the same documents however they were batched, and the only
+// cross-thread hand-off is the batch's completion. A bulk build is
+// ShardedIndex(n).appended(docs).
 //
-// Concurrency contract: mutators (add_batch, the assignment operators)
-// hold this index's writer lock; stats readers (shard_stats, memory_bytes,
-// memory_breakdown, num_postings, save), appended() and query
-// execution (QueryEngine::run_batch holds read_lock() across the batch)
-// share the reader side. Scraping stats or running queries concurrently
-// with ingest is therefore safe — the reader simply serializes against the
-// in-flight mutation — while size()/num_terms() stay lock-free (relaxed
-// atomics) for the dispatch cost model's hot path. shard() itself remains
-// unsynchronized: hold read_lock() around direct shard access if ingest
-// may be concurrent, or pin an immutable epoch via the live-archive layer
-// (fmeter::core::LiveDatabase), which never mutates what readers can see.
+// Concurrency contract: nothing here locks. Every const member may run on
+// any number of threads at once, because nothing mutates a built index;
+// the only mutators are assignment and destruction, which the owner
+// serializes. Owners that publish a changing archive swap whole indexes
+// behind a pointer (SignatureDatabase holds a
+// shared_ptr<const ShardedIndex>; fmeter::core::LiveDatabase pins
+// immutable epochs), so a reader that pinned one keeps it intact.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <iosfwd>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -69,16 +63,6 @@ class ShardedIndex {
 
   explicit ShardedIndex(std::size_t num_shards = 1);
 
-  // Copyable and movable despite the reader-writer lock: each instance owns
-  // a fresh lock; copying holds the source's reader side so a copy taken
-  // while another thread ingests observes a consistent state. Moves and
-  // assignments are setup-time operations — the destination must not have
-  // concurrent readers.
-  ShardedIndex(const ShardedIndex& other);
-  ShardedIndex(ShardedIndex&& other) noexcept;
-  ShardedIndex& operator=(const ShardedIndex& other);
-  ShardedIndex& operator=(ShardedIndex&& other) noexcept;
-
   /// A new index holding this one's documents followed by `docs` (global
   /// ids continuing densely from size()): every shard the batch reaches
   /// appends its round-robin slice (index::InvertedIndex::appended), the
@@ -87,21 +71,14 @@ class ShardedIndex {
   /// builds fan out onto `pool` (TaskPool::shared() when null); they run
   /// on the calling thread when the batch is small, the pool has no
   /// parallelism to offer, or the caller already is a pool worker
-  /// (TaskPool::run_spans runs such a batch solo). Holds the reader lock;
-  /// this index is untouched. A document with a non-finite weight rejects
-  /// the whole batch with std::invalid_argument before any build.
+  /// (TaskPool::run_spans runs such a batch solo). This index is
+  /// untouched, so a rejected batch or a failed build (an allocation giving
+  /// out) changes nothing. A document with a non-finite weight rejects the
+  /// whole batch with std::invalid_argument.
   ShardedIndex appended(std::span<const vsm::SparseView> docs,
                         TaskPool* pool = nullptr) const;
-
-  /// Appends every document the way appended() builds them, under the
-  /// writer lock: every reached shard is built aside, then all are swapped
-  /// in together. Strong guarantee — a rejected batch or a failed build
-  /// (an allocation giving out) leaves the index unchanged and usable.
-  /// Concurrent add_batch calls serialize on the lock; none loses a batch.
-  void add_batch(std::span<const vsm::SparseView> docs,
-                 TaskPool* pool = nullptr);
-  void add_batch(std::span<const vsm::SparseVector> docs,
-                 TaskPool* pool = nullptr);
+  ShardedIndex appended(std::span<const vsm::SparseVector> docs,
+                        TaskPool* pool = nullptr) const;
 
   /// Appends every shard's forward-store sections to `writer` (the caller
   /// owns the writer so it can add layers of its own — SignatureDatabase
@@ -115,10 +92,11 @@ class ShardedIndex {
   /// Restores an index from snapshot sections without touching the corpus:
   /// each shard takes its sections out of `reader` as its forward store
   /// and builds its arena; the shards fan out onto `pool` exactly like
-  /// add_batch — TaskPool::shared() when null, inline when the pool has no
+  /// appended() — TaskPool::shared() when null, inline when the pool has no
   /// parallelism to offer or the archive is small — and the term-occupancy
-  /// bitmap is rebuilt from the adopted stores on the calling thread. The loaded index is byte-for-byte the index
-  /// add_batch would build from the same documents. Throws
+  /// bitmap is rebuilt from the adopted stores on the calling
+  /// thread. The loaded index is byte-for-byte the index appended() would
+  /// build from the same documents. Throws
   /// index::snapshot::SnapshotError on corruption, truncation, version or
   /// endianness mismatch, or when the sections disagree with the header's
   /// shard/doc/term counts; nothing partial escapes (the result is built
@@ -133,30 +111,17 @@ class ShardedIndex {
   }
 
   /// Document `global` (< size()) as a view of its shard's forward-store
-  /// run, valid until the next build of that shard. Unsynchronized like
-  /// shard(): hold read_lock(), or whatever lock serializes the owner's
-  /// builds (SignatureDatabase holds its store lock).
+  /// run, valid for as long as this index lives.
   vsm::SparseView document(DocId global) const noexcept {
     return shards_[shard_of(global)].document(local_of(global));
   }
 
-  /// Pins the reader side of the ingest/stats lock. QueryEngine holds one
-  /// across each batch; callers touching shard() directly while ingest may
-  /// be concurrent should do the same.
-  std::shared_lock<std::shared_mutex> read_lock() const {
-    return std::shared_lock<std::shared_mutex>(mutex_);
-  }
-
-  std::size_t size() const noexcept {
-    return size_.load(std::memory_order_relaxed);
-  }
+  std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size() == 0; }
 
   /// Distinct terms with at least one posting in *any* shard (a term that
   /// appears in several shards counts once, unlike summing per-shard stats).
-  std::size_t num_terms() const noexcept {
-    return nonempty_terms_.load(std::memory_order_relaxed);
-  }
+  std::size_t num_terms() const noexcept { return nonempty_terms_; }
   /// Total postings across all shards (== sum of nnz over documents).
   std::size_t num_postings() const;
   /// Aggregate heap footprint: every shard's accounting plus this layer's
@@ -166,8 +131,6 @@ class ShardedIndex {
   /// forward components, summed over shards (the bitmap counts as offsets).
   MemoryBreakdown memory_breakdown() const;
 
-  /// Safe concurrent with add_batch: holds the reader lock, so the
-  /// scrape observes every shard at a consistent point, never mid-build.
   std::vector<ShardStats> shard_stats() const;
 
   /// Round-robin global↔local id mapping.
@@ -183,34 +146,10 @@ class ShardedIndex {
   }
 
  private:
-  /// Shared implementation of the save(writer) overloads; the caller holds
-  /// the reader lock (the lock is not recursive).
-  void save_locked(index::snapshot::Writer& writer) const;
-
-  /// The batch index of the first document of a batch that shard `shard`
-  /// receives (it reaches the shard iff this is below the batch size).
-  std::size_t first_slot(std::size_t shard) const noexcept;
-
-  /// Validates `docs`, then builds every shard the batch reaches appended
-  /// with its slice; unreached shards stay empty in the result. The caller
-  /// holds either side of the lock.
-  std::vector<index::InvertedIndex> build_appended(
-      std::span<const vsm::SparseView> docs, TaskPool* pool) const;
-
-  /// The term-occupancy bitmap after `docs`, sized exactly, and its count
-  /// of set bits in `nonempty`. The caller holds either side of the lock.
-  std::vector<bool> terms_seen_with(std::span<const vsm::SparseView> docs,
-                                    std::size_t& nonempty) const;
-
   std::vector<index::InvertedIndex> shards_;
   std::vector<bool> term_seen_;  // global term occupancy, for num_terms()
-  /// Lock-free mirrors of the ingest bookkeeping, readable without the
-  /// lock (the dispatch cost model reads them on every batch).
-  std::atomic<std::size_t> nonempty_terms_{0};
-  std::atomic<std::size_t> size_{0};
-  /// Writer side: add_batch/assignment. Reader side: stats,
-  /// save, and QueryEngine batches. See the header comment.
-  mutable std::shared_mutex mutex_;
+  std::size_t nonempty_terms_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace fmeter::exec

@@ -132,26 +132,21 @@ std::size_t SignatureDatabase::default_num_shards() noexcept {
 }
 
 SignatureDatabase::SignatureDatabase(const SignatureDatabase& other)
-    : SignatureDatabase(other,
-                        std::shared_lock<std::shared_mutex>(other.store_mutex_)) {
-  // The store lock (a temporary of the mem-initializer above) is already
-  // released here, so taking the cache mutex now cannot invert the
-  // syndrome_mutex_ → store_mutex_ lock order. The cache is an immutable
+    : admission_(other.admission_) {
+  // inflight_ deliberately starts at 0: in-flight queries belong to the
+  // instance serving them, not to the data. The index is immutable, so the
+  // copy shares it.
+  {
+    const std::shared_lock<std::shared_mutex> store(other.store_mutex_);
+    labels_ = other.labels_;
+    pending_ = other.pending_;
+    index_ = other.index_;
+  }
+  // Taken after the store lock is released, so the syndrome_mutex_ →
+  // store_mutex_ lock order cannot invert. The cache is an immutable
   // snapshot; sharing the pointer is as good as a deep copy.
   const std::lock_guard<std::mutex> lock(other.syndrome_mutex_);
   syndrome_cache_ = other.syndrome_cache_;
-}
-
-SignatureDatabase::SignatureDatabase(
-    const SignatureDatabase& other,
-    std::shared_lock<std::shared_mutex>&& store_lock)
-    : labels_(other.labels_),
-      pending_(other.pending_),
-      index_(other.index_),
-      admission_(other.admission_) {
-  // inflight_ deliberately starts at 0: in-flight queries belong to the
-  // instance serving them, not to the data.
-  (void)store_lock;  // held for the whole member-wise copy above
 }
 
 SignatureDatabase::SignatureDatabase(SignatureDatabase&& other) noexcept
@@ -279,7 +274,8 @@ SignatureDatabase SignatureDatabase::appended(
   }
   {
     const obs::StageSpan ingest_span(obs::Stage::kIngest);
-    out.index_ = index_.appended(signatures);
+    out.index_ = std::make_shared<const exec::ShardedIndex>(
+        index_->appended(signatures));
   }
   out.labels_.reserve(labels_.size() + labels.size());
   out.labels_.insert(out.labels_.end(), labels_.begin(), labels_.end());
@@ -288,27 +284,31 @@ SignatureDatabase SignatureDatabase::appended(
   return out;
 }
 
-void SignatureDatabase::sync_index() const {
+std::shared_ptr<const exec::ShardedIndex> SignatureDatabase::sync_index()
+    const {
   {
     const std::shared_lock<std::shared_mutex> store(store_mutex_);
-    if (pending_.empty()) return;
+    if (pending_.empty()) return index_;
   }
   const std::unique_lock<std::shared_mutex> store(store_mutex_);
   index_pending_locked();  // a no-op if another reader caught up first
+  return index_;
 }
 
 void SignatureDatabase::index_pending_locked() const {
   if (pending_.empty()) return;
   const obs::StageSpan ingest_span(obs::Stage::kIngest);
-  index_.add_batch(std::span<const vsm::SparseVector>(pending_));
+  // Built aside; readers holding the old index keep it as it was.
+  index_ = std::make_shared<const exec::ShardedIndex>(
+      index_->appended(std::span<const vsm::SparseVector>(pending_)));
   // The forward store now holds the only copy; release the capacity too.
   std::vector<vsm::SparseVector>().swap(pending_);
 }
 
 vsm::SparseView SignatureDatabase::document_locked(std::size_t id) const {
-  const std::size_t indexed = index_.size();
+  const std::size_t indexed = index_->size();
   if (id < indexed) {
-    return index_.document(static_cast<exec::ShardedIndex::DocId>(id));
+    return index_->document(static_cast<exec::ShardedIndex::DocId>(id));
   }
   return pending_[id - indexed];
 }
@@ -321,9 +321,8 @@ vsm::SparseVector SignatureDatabase::signature(std::size_t id) const {
   return vsm::SparseVector(document_locked(id));
 }
 
-const exec::ShardedIndex& SignatureDatabase::index() const {
-  sync_index();
-  return index_;
+std::shared_ptr<const exec::ShardedIndex> SignatureDatabase::index() const {
+  return sync_index();
 }
 
 std::vector<std::string> SignatureDatabase::distinct_labels() const {
@@ -389,9 +388,11 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
 
   // The indexed path and the cost cap need every document indexed; the
   // brute-force scan reads the pending list as it is and must never pay
-  // for a build.
+  // for a build. The pin keeps this batch's index intact while a
+  // concurrent ingest swaps in the next one.
+  std::shared_ptr<const exec::ShardedIndex> pinned;
   if (policy == ScanPolicy::kIndexed || admission_.max_query_cost_docs > 0.0) {
-    sync_index();
+    pinned = sync_index();
   }
 
   // Gate 2: the per-query cost cap. A too-expensive query is swapped for
@@ -405,7 +406,7 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
   if (admission_.max_query_cost_docs > 0.0) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const double cost = exec::QueryEngine::estimated_query_cost(
-          index_, *queries[i], k, mode);
+          *pinned, *queries[i], k, mode);
       if (cost <= admission_.max_query_cost_docs) continue;
       if (admitted.empty()) {
         admitted.assign(queries.begin(), queries.end());
@@ -435,13 +436,12 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
     stamp_rejections();
     return results;
   }
-  const exec::QueryEngine engine(index_);
+  const exec::QueryEngine engine(*pinned);
   const auto batch = engine.run_batch(effective, k, to_index_metric(metric),
                                       mode, stats, options);
   stamp_rejections();
   std::vector<std::vector<SearchHit>> results(batch.size());
-  // The label fill-in reads labels_ after the engine released the index's
-  // reader lock, so it needs its own reader side: a concurrent add_batch
+  // The label fill-in needs the store's reader side: a concurrent add_batch
   // may be reallocating labels_. Every doc id the engine returned already
   // has its label (labels are appended before any build), so the lookup
   // itself cannot go out of bounds.
@@ -477,12 +477,12 @@ std::vector<SearchHit> SignatureDatabase::search_scan(
                           ? vsm::cosine_similarity(query, doc)
                           : -vsm::euclidean_distance(query, doc)});
   };
-  for (std::size_t s = 0; s < index_.num_shards(); ++s) {
-    index_.shard(s).for_each_document([&](auto local, vsm::SparseView doc) {
-      score(index_.global_of(s, local), doc);
+  for (std::size_t s = 0; s < index_->num_shards(); ++s) {
+    index_->shard(s).for_each_document([&](auto local, vsm::SparseView doc) {
+      score(index_->global_of(s, local), doc);
     });
   }
-  const std::size_t indexed = index_.size();
+  const std::size_t indexed = index_->size();
   for (std::size_t id = indexed; id < labels_.size(); ++id) {
     score(id, pending_[id - indexed]);
   }
@@ -530,7 +530,7 @@ SignatureDatabase::syndrome_cache() const {
   for (const auto& syndrome : cache->syndromes) {
     centroids.push_back(syndrome.centroid);
   }
-  cache->centroid_index.add_batch(centroids);
+  cache->centroid_index = exec::ShardedIndex().appended(centroids);
   syndrome_cache_ = std::move(cache);
   return syndrome_cache_;
 }
@@ -583,22 +583,21 @@ std::string SignatureDatabase::classify_by_syndrome(
 }
 
 void SignatureDatabase::save(std::ostream& out) const {
-  sync_index();
-  // Reader side for the whole serialization: a save concurrent with
-  // ingest emits a consistent point-in-time image (the index's own save
-  // additionally holds its reader lock, acquired nested under this one).
-  // The image is the indexed prefix: a scalar add landing after the sync
-  // is not in the index's forward store, so it is not in the file either.
-  const std::shared_lock<std::shared_mutex> store(store_mutex_);
-  const std::size_t docs = index_.size();
+  // The image is the pinned index plus its labels: a scalar add landing
+  // after the sync is not in that index's forward store, so it is not in
+  // the file either. The store's reader side covers only the label
+  // encoding, not the write.
+  const auto pinned = sync_index();
+  const std::size_t docs = pinned->size();
   index::snapshot::Writer writer(
-      static_cast<std::uint32_t>(index_.num_shards()), docs,
-      index_.num_terms());
-  index_.save(writer);
+      static_cast<std::uint32_t>(pinned->num_shards()), docs,
+      pinned->num_terms());
+  pinned->save(writer);
 
   // Labels section: u64 count, then { u32 length, bytes } per label, in id
   // order. Labels are the only database state the index's forward store
   // does not already hold (the signature vectors are its exact contents).
+  std::shared_lock<std::shared_mutex> store(store_mutex_);
   const std::span<const std::string> labels(labels_.data(), docs);
   std::size_t bytes = sizeof(std::uint64_t);
   for (const auto& label : labels) {
@@ -617,6 +616,7 @@ void SignatureDatabase::save(std::ostream& out) const {
     put(&length, sizeof(length));
     put(label.data(), label.size());
   }
+  store.unlock();
   writer.add_section(index::snapshot::SectionKind::kLabels, 0,
                      std::span<const std::byte>(payload));
   writer.finish(out);
@@ -682,7 +682,8 @@ void SignatureDatabase::load(index::snapshot::Reader& reader) {
   SignatureDatabase loaded(1);
   {
     const obs::StageSpan ingest_span(obs::Stage::kIngest);
-    loaded.index_ = exec::ShardedIndex::load(reader);
+    loaded.index_ = std::make_shared<const exec::ShardedIndex>(
+        exec::ShardedIndex::load(reader));
   }
   loaded.labels_ = std::move(labels);
   *this = std::move(loaded);
@@ -698,16 +699,16 @@ void SignatureDatabase::load(io::Env& env, const std::string& path) {
 }
 
 void SignatureDatabase::publish_gauges() const {
-  sync_index();
+  const auto pinned = sync_index();
   obs::MetricsRegistry& r = obs::MetricsRegistry::global();
   r.gauge("fmeter_index_documents", "Signatures stored in the sharded index")
-      .set(static_cast<double>(index_.size()));
+      .set(static_cast<double>(pinned->size()));
   r.gauge("fmeter_index_terms", "Distinct terms with at least one posting")
-      .set(static_cast<double>(index_.num_terms()));
+      .set(static_cast<double>(pinned->num_terms()));
   r.gauge("fmeter_index_shards", "Index shard count")
-      .set(static_cast<double>(index_.num_shards()));
+      .set(static_cast<double>(pinned->num_shards()));
   r.gauge("fmeter_index_memory_bytes", "Heap footprint of the sharded index")
-      .set(static_cast<double>(index_.memory_bytes()));
+      .set(static_cast<double>(pinned->memory_bytes()));
 }
 
 std::vector<std::size_t> SignatureDatabase::meta_cluster(

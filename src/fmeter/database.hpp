@@ -13,13 +13,16 @@
 // lookups are batches of one; search_batch() amortizes per-worker
 // accumulator state across many queries.
 //
-// Every signature is stored once: ids [0, index().size()) only in the
+// Every signature is stored once: ids [0, index()->size()) only in the
 // index's forward store, later ones in a list of scalar adds not indexed
-// yet. add() only appends to that list; add_batch() and every index reader
+// yet. The index is an immutable exec::ShardedIndex behind a shared_ptr.
+// add() only appends to that list; add_batch() and every index reader
 // (indexed search, the admission cost cap, save(), index(),
-// publish_gauges()) first move it into the index with one
-// ShardedIndex::add_batch. N scalar adds therefore cost one build, paid by
-// the first indexed read, and brute-force scans never build at all.
+// publish_gauges()) first index it: one ShardedIndex::appended build whose
+// result replaces the pointer. N scalar adds therefore cost one build, paid
+// by the first indexed read, and brute-force scans never build at all.
+// Queries run on a pinned index with no lock held, so a query never waits
+// for a build and a build never changes what a running query reads.
 // The original brute-force linear scan is retained as a per-query ScanPolicy
 // fallback and as the golden reference the engine is tested against; all
 // paths produce identical hits (ids, labels, ordering, and bit-identical
@@ -131,19 +134,22 @@ class SignatureDatabase {
   SignatureDatabase() : SignatureDatabase(default_num_shards()) {}
   /// Explicit shard count (clamped to ≥ 1). Results are independent of the
   /// shard count — only query parallelism changes.
-  explicit SignatureDatabase(std::size_t num_shards) : index_(num_shards) {}
+  explicit SignatureDatabase(std::size_t num_shards)
+      : index_(std::make_shared<const exec::ShardedIndex>(num_shards)) {}
 
   // Copyable and movable despite the locks: each instance owns fresh
-  // mutexes; data and any built cache travel with the object. Copying
-  // holds the source's reader side, so a copy taken mid-ingest is a
-  // consistent point-in-time snapshot. Moves require external
+  // mutexes. A copy shares the source's index (immutable) and any built
+  // syndrome cache, and copies the labels and pending adds under the
+  // source's reader side — O(labels), not O(archive), and a consistent
+  // point-in-time snapshot even mid-ingest. Moves require external
   // synchronization, like any moved-from object.
   //
-  // Thread safety mirrors the index layer's contract (see
-  // exec/sharded_index.hpp): ingest (add/add_batch) may run concurrently
-  // with searches, classifies, stats scrapes, and save() — writers hold
-  // the store lock's writer side, readers its reader side, so queries see
-  // a consistent pre- or post-batch database, never a half-appended one.
+  // Thread safety: ingest (add/add_batch) may run concurrently with
+  // searches, classifies, accessors, stats scrapes and save(). Writers
+  // hold the store lock's writer side while they append or swap in a new
+  // index; readers pin the index and read labels under its reader side,
+  // so queries see a consistent pre- or post-batch database, never a
+  // half-appended one.
   SignatureDatabase(const SignatureDatabase& other);
   SignatureDatabase(SignatureDatabase&& other) noexcept;
   SignatureDatabase& operator=(SignatureDatabase other) noexcept;
@@ -159,16 +165,16 @@ class SignatureDatabase {
   /// Bulk load: appends every (signature, label) pair — same ids and same
   /// query results as add() in a loop — and indexes every not yet indexed
   /// signature with one build, fanned out onto the task pool
-  /// (exec::ShardedIndex::add_batch). Returns the id of the first inserted
+  /// (exec::ShardedIndex::appended). Returns the id of the first inserted
   /// signature.
   ///
   /// Strong guarantee: mismatched signature/label counts and malformed
   /// signatures (any non-finite weight, which would poison norms, per-term
   /// bounds and every score they back) throw std::invalid_argument naming
   /// the offending document before any mutation; a failure during the
-  /// index build (an allocation giving out) throws after every shard was
-  /// built aside and none swapped in, and the batch is taken back out. The
-  /// database stays unchanged and fully usable either way.
+  /// index build (an allocation giving out) throws before the new index is
+  /// swapped in, and the batch is taken back out. The database stays
+  /// unchanged and fully usable either way.
   std::size_t add_batch(std::vector<vsm::SparseVector> signatures,
                         std::vector<std::string> labels);
 
@@ -197,9 +203,9 @@ class SignatureDatabase {
   }
   bool empty() const { return size() == 0; }
 
-  /// A copy of signature `id`; std::out_of_range past size().
+  /// Copies of signature and label `id`; std::out_of_range past size().
   vsm::SparseVector signature(std::size_t id) const;
-  const std::string& label(std::size_t id) const {
+  std::string label(std::size_t id) const {
     const std::shared_lock<std::shared_mutex> lock(store_mutex_);
     return labels_.at(id);
   }
@@ -321,9 +327,13 @@ class SignatureDatabase {
   void load(io::Env& env, const std::string& path);
 
   /// The sharded index backing search() (introspection / stats), with
-  /// every pending signature indexed first.
-  const exec::ShardedIndex& index() const;
-  std::size_t num_shards() const noexcept { return index_.num_shards(); }
+  /// every pending signature indexed first. The pointer pins it: later
+  /// ingest swaps in a new index and leaves this one as it is.
+  std::shared_ptr<const exec::ShardedIndex> index() const;
+  std::size_t num_shards() const {
+    const std::shared_lock<std::shared_mutex> lock(store_mutex_);
+    return index_->num_shards();
+  }
 
   /// Publishes the current index shape into the global metrics registry as
   /// gauges (fmeter_index_documents, _terms, _shards, _memory_bytes), after
@@ -338,12 +348,6 @@ class SignatureDatabase {
 
   static std::size_t default_num_shards() noexcept;
 
-  /// Copy under the source's reader lock — the delegating public copy
-  /// constructor passes the held lock in so all members come from one
-  /// consistent snapshot.
-  SignatureDatabase(const SignatureDatabase& other,
-                    std::shared_lock<std::shared_mutex>&& store_lock);
-
   struct SyndromeCache {
     std::vector<Syndrome> syndromes;
     exec::ShardedIndex centroid_index;  // single shard: a handful of docs
@@ -357,14 +361,14 @@ class SignatureDatabase {
   /// destroyed one.
   std::shared_ptr<const SyndromeCache> syndrome_cache() const;
 
-  /// Moves every pending signature into the index (one
-  /// ShardedIndex::add_batch under the store writer lock) and releases the
-  /// pending list. Takes only the store's reader side when nothing is
-  /// pending.
-  void sync_index() const;
-  /// sync_index()'s build, for a caller holding store_mutex_'s writer side.
-  /// Strong guarantee: on failure the index and the pending list are
-  /// unchanged.
+  /// Indexes every pending signature (one ShardedIndex::appended build and
+  /// pointer swap under the store writer lock), releases the pending list
+  /// and returns the current index, pinned. Takes only the store's reader
+  /// side when nothing is pending.
+  std::shared_ptr<const exec::ShardedIndex> sync_index() const;
+  /// sync_index()'s build and swap, for a caller holding store_mutex_'s
+  /// writer side. Strong guarantee: on failure the index and the pending
+  /// list are unchanged.
   void index_pending_locked() const;
 
   /// Signature `id` (< size()) as a view: the index's forward-store run
@@ -384,20 +388,21 @@ class SignatureDatabase {
                             SimilarityMetric metric,
                             const SyndromeCache& cache) const;
 
-  /// Guards labels_, pending_ and index builds — the database-level
-  /// companion to the index's own reader/writer lock. Writers (add,
+  /// Guards labels_, pending_ and the index_ pointer. Writers (add,
   /// add_batch, sync_index) hold it exclusively across the append or the
-  /// build; readers (label fill-in after a query, brute-force scans, the
-  /// syndrome build, save, copies, accessors) hold the shared side, which
-  /// keeps their forward-store views valid. Lock order where nesting
-  /// occurs: syndrome_mutex_ → store_mutex_ → the index's lock.
+  /// build and swap; readers (index pins, label fill-in after a query,
+  /// brute-force scans, the syndrome build, save, copies, accessors) hold
+  /// the shared side, which keeps their forward-store views valid. Lock
+  /// order where nesting occurs: syndrome_mutex_ → store_mutex_.
   mutable std::shared_mutex store_mutex_;
   std::vector<std::string> labels_;
-  /// Ids [index_.size(), labels_.size()), not indexed yet. Mutable, like
+  /// Ids [index_->size(), labels_.size()), not indexed yet. Mutable, like
   /// index_, because const readers move them into the index (sync_index),
   /// always under store_mutex_'s writer side.
   mutable std::vector<vsm::SparseVector> pending_;
-  mutable exec::ShardedIndex index_;
+  /// Never null outside a moved-from database. Replaced, never mutated, so
+  /// a pinned copy stays valid and unchanged.
+  mutable std::shared_ptr<const exec::ShardedIndex> index_;
   AdmissionOptions admission_{};
   /// Queries currently being served; bounded by the admission budget. Not
   /// copied/moved — a fresh instance starts with nothing in flight.

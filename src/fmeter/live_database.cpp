@@ -89,14 +89,16 @@ std::size_t ladder_absorbs(const std::vector<std::size_t>& segment_docs,
 }
 
 /// Appends views of documents [from, db.size()) of a sealed database —
-/// into its forward store, valid while `db` lives — and their labels.
+/// into its forward store, valid while `db` lives (a sealed database never
+/// swaps its index) — and their labels.
 void append_views(const SignatureDatabase& db, std::size_t from,
                   std::vector<vsm::SparseView>& views,
                   std::vector<std::string>& labels) {
-  const exec::ShardedIndex& index = db.index();
+  const auto index = db.index();
   const std::size_t size = db.size();
   for (std::size_t i = from; i < size; ++i) {
-    views.push_back(index.document(static_cast<exec::ShardedIndex::DocId>(i)));
+    views.push_back(
+        index->document(static_cast<exec::ShardedIndex::DocId>(i)));
     labels.push_back(db.label(i));
   }
 }
@@ -168,7 +170,7 @@ LiveDatabase::Snapshot::locate(std::size_t id) const {
   return {(*it)->db.get(), id - (*it)->first_id};
 }
 
-const std::string& LiveDatabase::Snapshot::label(std::size_t id) const {
+std::string LiveDatabase::Snapshot::label(std::size_t id) const {
   const auto [db, local] = locate(id);
   return db->label(local);
 }
@@ -741,10 +743,10 @@ LiveStats LiveDatabase::stats() const {
   out.base_docs = epoch->base_docs;
   out.tail_docs = epoch->total_docs - epoch->base_docs;
   out.segments = epoch->segments.size();
-  out.base_shards = epoch->base->index().shard_stats();
-  out.memory_bytes = epoch->base->index().memory_bytes();
+  out.base_shards = epoch->base->index()->shard_stats();
+  out.memory_bytes = epoch->base->index()->memory_bytes();
   for (const auto& segment : epoch->segments) {
-    out.memory_bytes += segment->db->index().memory_bytes();
+    out.memory_bytes += segment->db->index()->memory_bytes();
     out.tail_segments.push_back({segment->first_id, segment->db->size(),
                                  segment->batches.size()});
   }

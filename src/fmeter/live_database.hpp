@@ -5,9 +5,11 @@
 //
 // The paper's whole point is *continuous* monitoring, but SignatureDatabase
 // ingest is batch-oriented: every index build copies and extends the
-// posting arena of each shard it touches, an O(archive) step under the
-// store lock. LiveDatabase makes ingest and query concurrent without
-// either blocking the other for longer than a pointer swap:
+// posting arena of each shard it touches, O(archive) per batch, under
+// the store's writer lock, which new queries wait on to pin the index.
+// LiveDatabase keeps ingest builds O(tail) and off every lock, so ingest
+// and query run concurrently without either blocking the other for longer
+// than a pointer swap:
 //
 //   * Readers pin an immutable *published epoch* — a shared_ptr to a
 //     frozen base database plus a short list of frozen tail segments —
@@ -162,7 +164,7 @@ class LiveDatabase {
     std::size_t size() const noexcept;
     bool empty() const noexcept { return size() == 0; }
 
-    const std::string& label(std::size_t id) const;
+    std::string label(std::size_t id) const;
     vsm::SparseVector signature(std::size_t id) const;
 
     /// Top-k over every document in this epoch (base + segments), merged

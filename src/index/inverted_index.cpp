@@ -173,13 +173,10 @@ InvertedIndex::TermId dominant_term(const vsm::SparseView& run) noexcept {
 
 }  // namespace
 
-void InvertedIndex::add_batch(std::span<const vsm::SparseVector> docs) {
+InvertedIndex InvertedIndex::appended(
+    std::span<const vsm::SparseVector> docs) const {
   const std::vector<vsm::SparseView> views(docs.begin(), docs.end());
-  add_batch(std::span<const vsm::SparseView>(views));
-}
-
-void InvertedIndex::add_batch(std::span<const vsm::SparseView> docs) {
-  *this = appended(docs);
+  return appended(std::span<const vsm::SparseView>(views));
 }
 
 InvertedIndex InvertedIndex::appended(

@@ -54,8 +54,9 @@
 //    an old → new internal id map. Its cost is a sequential pass over the
 //    old arena plus a scatter of the batch, not a scatter of everything.
 //
-// add_batch() is `*this = appended(docs)`. A snapshot save hands the store
-// to the snapshot writer as it stands.
+// There is no in-place ingest: an owner that grows an archive swaps in
+// the appended index. A snapshot save hands the store to the snapshot
+// writer as it stands.
 //
 // Two query paths with two distinct equivalence contracts:
 //
@@ -256,11 +257,7 @@ class InvertedIndex {
   /// carries a non-finite weight (it would poison the cached norms and
   /// bounds, and make a saved snapshot unloadable).
   InvertedIndex appended(std::span<const vsm::SparseView> docs) const;
-
-  /// `*this = appended(docs)`: strong exception guarantee, since the
-  /// result is built aside and moved in.
-  void add_batch(std::span<const vsm::SparseView> docs);
-  void add_batch(std::span<const vsm::SparseVector> docs);
+  InvertedIndex appended(std::span<const vsm::SparseVector> docs) const;
 
   /// Member-wise equality over every array (values, not capacities): the
   /// property appended() guarantees against a bulk build.
@@ -396,7 +393,7 @@ class InvertedIndex {
   /// offsets / term-id / weight sections (see snapshot.hpp for the format).
   /// The store is in *public* id order, so the emitted bytes depend only on
   /// the documents — the arena permutation never leaks into the file. The
-  /// writer borrows the store: no add_batch() until it has finished.
+  /// writer borrows the store: keep this index alive until it has finished.
   void save(snapshot::Writer& writer, std::uint32_t shard) const;
 
   /// Restores one shard from its snapshot sections: validates them, moves

@@ -2,7 +2,7 @@
 // persistence so a rebuilt server does not re-index the archive).
 //
 // Design: the *forward store* is the serialization substrate. A build
-// (InvertedIndex::add_batch) derives every other structure — posting
+// (InvertedIndex::appended) derives every other structure — posting
 // arena, block-max metadata, doc-reordering permutation, per-term bounds —
 // deterministically from the documents, so a snapshot only has to persist
 // what cannot be recomputed: each shard's per-document (term, weight) pairs
@@ -11,7 +11,7 @@
 // the forward store: a save hands the Writer borrowed views of it, and a
 // load moves the Reader's typed sections in as the new index's forward
 // store and builds only the arena. The loaded index is byte-for-byte the
-// index a fresh bulk build (add_batch) would produce — every query contract
+// index a fresh bulk build (appended) would produce — every query contract
 // (exact bit-identity, pruned 1e-9, any mode, any shard count) transfers to
 // snapshots with no new equivalence proofs.
 //

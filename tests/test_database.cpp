@@ -132,12 +132,12 @@ TEST(SignatureDatabase, BruteForcePolicyMatchesIndexedDefault) {
 
 TEST(SignatureDatabase, IndexTracksAdds) {
   SignatureDatabase db;
-  EXPECT_EQ(db.index().size(), 0u);
+  EXPECT_EQ(db.index()->size(), 0u);
   db.add(vec({{0, 1.0}, {3, 0.5}}), "x");
   db.add(vec({{3, 1.0}}), "y");
-  EXPECT_EQ(db.index().size(), 2u);
-  EXPECT_EQ(db.index().num_terms(), 2u);
-  EXPECT_EQ(db.index().num_postings(), 3u);
+  EXPECT_EQ(db.index()->size(), 2u);
+  EXPECT_EQ(db.index()->num_terms(), 2u);
+  EXPECT_EQ(db.index()->num_postings(), 3u);
 }
 
 TEST(SignatureDatabase, SyndromeCacheInvalidatedByAdd) {
@@ -291,14 +291,14 @@ TEST(SignatureDatabase, ScalarAddsAndBruteForceScansBuildNoIndex) {
   }
   (void)db.search(query, 5);
   db.publish_gauges();
-  EXPECT_EQ(db.index().size(), 200u);
+  EXPECT_EQ(db.index()->size(), 200u);
   EXPECT_EQ(index_builds(), before + 1) << "a current index was rebuilt";
 
   // add_batch indexes the scalar adds before it in the same build.
   db.add(random_doc(rng), "tail");
   db.add_batch({random_doc(rng), random_doc(rng)}, {"x", "y"});
   EXPECT_EQ(index_builds(), before + 2);
-  EXPECT_EQ(db.index().size(), 203u);
+  EXPECT_EQ(db.index()->size(), 203u);
 }
 
 void expect_same_hits(const std::vector<SearchHit>& got,
@@ -380,13 +380,91 @@ TEST(SignatureDatabase, IndexedPlusPendingDocumentsReadLikeABulkBuild) {
             reference.classify_by_syndrome(queries[0]));
 }
 
+TEST(SignatureDatabase, CopySharesItsIndex) {
+  SignatureDatabase db = three_class_db();
+  (void)db.index();  // index the scalar adds, so the copy has none pending
+  const SignatureDatabase copy = db;
+  const auto shared = copy.index();
+  EXPECT_EQ(shared, db.index());
+  // Ingest into the original swaps its index and leaves the copy's alone.
+  db.add_batch({vec({{3, 1.0}})}, {"d"});
+  EXPECT_NE(db.index(), shared);
+  EXPECT_EQ(copy.index(), shared);
+  EXPECT_EQ(shared->size(), 6u);
+  EXPECT_EQ(db.index()->size(), 7u);
+}
+
+std::string saved_bytes(const exec::ShardedIndex& index) {
+  std::stringstream out;
+  index.save(out);
+  return out.str();
+}
+
+TEST(SignatureDatabase, PinnedIndexIsUnchangedByLaterIngest) {
+  // index() pins the current index. Ingest swaps a new one in and leaves
+  // the pinned one as it was: same size, shard stats and snapshot bytes,
+  // and an engine over it answers bit-identically to before the add.
+  util::Rng rng(0x9e1);
+  std::vector<vsm::SparseVector> docs;
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < 120; ++i) {
+    docs.push_back(random_doc(rng));
+    labels.push_back("l" + std::to_string(i % 3));
+  }
+  SignatureDatabase db(3);
+  db.add_batch({docs.begin(), docs.begin() + 80},
+               {labels.begin(), labels.begin() + 80});
+  const auto pinned = db.index();
+  const auto stats = pinned->shard_stats();
+  const std::string bytes = saved_bytes(*pinned);
+  const std::vector<vsm::SparseVector> queries = {docs[3], docs[100],
+                                                  random_doc(rng)};
+  const exec::QueryEngine engine(*pinned);
+  const auto exact = engine.run_batch(queries, 10, index::Metric::kCosine,
+                                      PruningMode::kExact);
+  const auto pruned = engine.run_batch(queries, 10, index::Metric::kCosine,
+                                       PruningMode::kMaxScore);
+
+  db.add_batch({docs.begin() + 80, docs.end()},
+               {labels.begin() + 80, labels.end()});
+  db.add(random_doc(rng), "pending");
+  (void)db.search(queries[0], 5);  // indexes the scalar add
+  EXPECT_NE(db.index(), pinned);
+  EXPECT_EQ(db.index()->size(), 121u);
+
+  EXPECT_EQ(pinned->size(), 80u);
+  const auto stats_after = pinned->shard_stats();
+  ASSERT_EQ(stats_after.size(), stats.size());
+  for (std::size_t s = 0; s < stats.size(); ++s) {
+    EXPECT_EQ(stats_after[s].docs, stats[s].docs) << "shard " << s;
+    EXPECT_EQ(stats_after[s].terms, stats[s].terms) << "shard " << s;
+    EXPECT_EQ(stats_after[s].postings, stats[s].postings) << "shard " << s;
+    EXPECT_EQ(stats_after[s].memory_bytes, stats[s].memory_bytes)
+        << "shard " << s;
+  }
+  EXPECT_EQ(saved_bytes(*pinned), bytes);
+  for (const auto mode : {PruningMode::kExact, PruningMode::kMaxScore}) {
+    const auto& want = mode == PruningMode::kExact ? exact : pruned;
+    const auto got =
+        engine.run_batch(queries, 10, index::Metric::kCosine, mode);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      ASSERT_EQ(got[q].size(), want[q].size()) << "query " << q;
+      for (std::size_t r = 0; r < want[q].size(); ++r) {
+        EXPECT_EQ(got[q][r].doc, want[q][r].doc) << "query " << q;
+        EXPECT_EQ(got[q][r].score, want[q][r].score) << "query " << q;
+      }
+    }
+  }
+}
+
 TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
-  // Writers append without indexing; every index reader below moves the
-  // pending adds into the index under the store lock, rebuilding the
-  // forward store that signature() and the brute-force scan read views
-  // of. Under TSan/ASan this pins the catch-up hand-off and the lifetime of
-  // those views, and every result must be a consistent prefix of the
-  // database.
+  // Writers append without indexing; every index reader below indexes the
+  // pending adds by swapping in a new index under the store lock, which
+  // replaces the forward store that signature() and the brute-force scan
+  // read views of. Under TSan/ASan this pins the catch-up hand-off, the
+  // lifetime of those views and of the returned labels, and every result
+  // must be a consistent prefix of the database.
   constexpr int kDocs = 300;
   util::Rng rng(0x7ace);
   std::vector<vsm::SparseVector> docs;
@@ -421,7 +499,7 @@ TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
   std::thread scraper([&] {
     for (int i = 0; i < 60; ++i) {
       db.publish_gauges();
-      EXPECT_LE(db.index().size(), static_cast<std::size_t>(kDocs));
+      EXPECT_LE(db.index()->size(), static_cast<std::size_t>(kDocs));
     }
   });
   std::thread document_reader([&] {
@@ -429,6 +507,7 @@ TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
       const std::size_t size = db.size();
       for (std::size_t id = i % 7; id < size; id += 7) {
         ASSERT_TRUE(db.signature(id) == docs[id]) << "id " << id;
+        EXPECT_EQ(db.label(id), "l" + std::to_string(id % 4)) << "id " << id;
       }
       const auto hits = db.search(docs[i % kDocs], 5,
                                   SimilarityMetric::kCosine,
@@ -451,7 +530,7 @@ TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].score, db.search(docs[7], 1, SimilarityMetric::kCosine,
                                      ScanPolicy::kBruteForce)[0].score);
-  EXPECT_EQ(db.index().size(), static_cast<std::size_t>(kDocs));
+  EXPECT_EQ(db.index()->size(), static_cast<std::size_t>(kDocs));
 }
 
 }  // namespace

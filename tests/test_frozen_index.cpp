@@ -1,6 +1,6 @@
 // Property suite for the posting arena and parallel bulk ingest.
 //
-// The build contract: how documents are split into add_batch() calls
+// The build contract: how documents are split into appended() calls
 // changes nothing but build cost — the exact path stays *bit-identical*
 // across any interleaving of builds and queries, the pruned path keeps its
 // same-set/same-order/1e-9 contract, parallel per-shard builds on a
@@ -79,13 +79,13 @@ TEST(FrozenIndex, BatchSplitNeverMovesExactResults) {
       docs.push_back(random_sparse(rng, 48, 10, /*allow_negative=*/true));
     }
     index::InvertedIndex whole;
-    whole.add_batch(docs);
+    whole = whole.appended(docs);
     // The same documents in random-sized batches.
     index::InvertedIndex split;
     const std::span<const vsm::SparseVector> all(docs);
     for (std::size_t at = 0; at < n;) {
       const std::size_t len = std::min(n - at, 1 + rng.below(30));
-      split.add_batch(all.subspan(at, len));
+      split = split.appended(all.subspan(at, len));
       at += len;
     }
     ASSERT_EQ(split.size(), n);
@@ -194,8 +194,8 @@ TEST(FrozenIndex, ScalarAddsThenSearchMatchAddBatchBuildInEveryMode) {
         }
       }
     }
-    const auto scalar_stats = scalar.index().shard_stats();
-    const auto bulk_stats = bulk.index().shard_stats();
+    const auto scalar_stats = scalar.index()->shard_stats();
+    const auto bulk_stats = bulk.index()->shard_stats();
     ASSERT_EQ(scalar_stats.size(), bulk_stats.size());
     for (std::size_t s = 0; s < bulk_stats.size(); ++s) {
       EXPECT_EQ(scalar_stats[s].docs, bulk_stats[s].docs) << context;
@@ -230,15 +230,15 @@ TEST(FrozenIndex, BoundsStayFreshAcrossAddBatchQueryInterleavings) {
     for (int i = 0; i < batch; ++i) {
       docs.push_back(random_sparse(rng, 32, 8, /*allow_negative=*/true));
     }
-    idx.add_batch(docs);
+    idx = idx.appended(docs);
     check("round " + std::to_string(round));
   }
-  idx.add_batch(std::span<const vsm::SparseVector>());  // empty: a no-op
+  idx = idx.appended(std::span<const vsm::SparseVector>());  // empty: a no-op
   check("after empty batch");
 }
 
 TEST(FrozenIndex, ParallelBulkBuildIsDeterministic) {
-  // add_batch fans per-shard builds onto the pool; the result must be
+  // appended() fans per-shard builds onto the pool; the result must be
   // byte-for-byte the inline build on a one-worker pool (same shard
   // contents, same stats, bit-identical queries) on every run. This is the
   // configuration the TSan CI job exercises for the parallel ingest path.
@@ -246,14 +246,14 @@ TEST(FrozenIndex, ParallelBulkBuildIsDeterministic) {
   std::vector<vsm::SparseVector> docs;
   for (int i = 0; i < 6000; ++i) docs.push_back(random_sparse(rng, 64, 10));
 
-  exec::ShardedIndex sequential(4);
   exec::TaskPool one_worker(1);
-  sequential.add_batch(std::span<const vsm::SparseVector>(docs), &one_worker);
+  const auto sequential = exec::ShardedIndex(4).appended(
+      std::span<const vsm::SparseVector>(docs), &one_worker);
 
   exec::TaskPool pool(3);
   for (int run = 0; run < 2; ++run) {
-    exec::ShardedIndex parallel(4);
-    parallel.add_batch(std::span<const vsm::SparseVector>(docs), &pool);
+    const auto parallel = exec::ShardedIndex(4).appended(
+        std::span<const vsm::SparseVector>(docs), &pool);
     ASSERT_EQ(parallel.size(), sequential.size()) << "run " << run;
     EXPECT_EQ(parallel.num_terms(), sequential.num_terms()) << "run " << run;
     EXPECT_EQ(parallel.num_postings(), sequential.num_postings())
@@ -328,7 +328,7 @@ TEST(FrozenIndex, MemoryBreakdownComponentsSum) {
   EXPECT_EQ(idx.memory_breakdown().total(), idx.memory_bytes());
   std::vector<vsm::SparseVector> docs;
   for (int i = 0; i < 200; ++i) docs.push_back(random_sparse(rng, 48, 10));
-  idx.add_batch(docs);
+  idx = idx.appended(docs);
   const auto mem = idx.memory_breakdown();
   EXPECT_EQ(mem.total(), idx.memory_bytes());
   EXPECT_GT(mem.blocks, 0u);
@@ -341,7 +341,7 @@ TEST(FrozenIndex, MemoryBreakdownComponentsSum) {
   exec::ShardedIndex sharded(3);
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 150; ++i) corpus.push_back(random_sparse(rng, 48, 10));
-  sharded.add_batch(std::span<const vsm::SparseVector>(corpus));
+  sharded = sharded.appended(std::span<const vsm::SparseVector>(corpus));
   const auto global = sharded.memory_breakdown();
   EXPECT_EQ(global.total(), sharded.memory_bytes());
   index::MemoryBreakdown summed;
@@ -418,7 +418,7 @@ TEST(FrozenIndex, AutoModeResolvesByShardSizeAndMatchesGolden) {
         vsm::SparseVector::from_entries(std::move(entries)).l2_normalized());
   }
   exec::ShardedIndex sharded(1);
-  sharded.add_batch(std::span<const vsm::SparseVector>(docs));
+  sharded = sharded.appended(std::span<const vsm::SparseVector>(docs));
   const exec::QueryEngine engine(sharded);
   for (int q = 0; q < 5; ++q) {
     const auto& query = docs[rng.below(docs.size())];
@@ -471,7 +471,7 @@ TEST(FrozenIndex, BlockSkippingReducesPostingsVisited) {
         vsm::SparseVector::from_entries(std::move(entries)).l2_normalized());
   }
   index::InvertedIndex idx;
-  idx.add_batch(docs);
+  idx = idx.appended(docs);
 
   index::TopKScratch scratch;
   index::PruneStats exact_stats, pruned_stats;
@@ -502,14 +502,14 @@ TEST(FrozenIndex, BlockSkippingReducesPostingsVisited) {
 
 TEST(FrozenIndex, DegenerateStatesStayDefined) {
   index::InvertedIndex idx;
-  idx.add_batch(std::span<const vsm::SparseVector>());  // empty batch: no-op
+  idx = idx.appended(std::span<const vsm::SparseVector>());  // empty: no-op
   EXPECT_TRUE(idx.empty());
   EXPECT_EQ(idx.top_k(vsm::SparseVector::from_entries({{1, 1.0}}), 3).size(),
             0u);
   EXPECT_EQ(
       idx.top_k_pruned(vsm::SparseVector::from_entries({{1, 1.0}}), 3).size(),
       0u);
-  idx.add_batch(std::vector<vsm::SparseVector>{
+  idx = idx.appended(std::vector<vsm::SparseVector>{
       vsm::SparseVector::from_entries({{2, 0.5}})});
   const auto query = vsm::SparseVector::from_entries({{2, 1.0}});
   EXPECT_EQ(idx.top_k(query, 0).size(), 0u);          // k == 0
@@ -519,7 +519,7 @@ TEST(FrozenIndex, DegenerateStatesStayDefined) {
 
   // Empty documents build too (no postings, still ranked by the scan rule).
   index::InvertedIndex with_empty;
-  with_empty.add_batch(std::vector<vsm::SparseVector>{
+  with_empty = with_empty.appended(std::vector<vsm::SparseVector>{
       vsm::SparseVector(), vsm::SparseVector::from_entries({{0, 1.0}})});
   const auto hits = with_empty.top_k(vsm::SparseVector::from_entries({{0, 1.0}}),
                                      2);
@@ -529,7 +529,7 @@ TEST(FrozenIndex, DegenerateStatesStayDefined) {
 
   // An index of only empty documents has no term space at all.
   index::InvertedIndex all_empty;
-  all_empty.add_batch(std::vector<vsm::SparseVector>(3));
+  all_empty = all_empty.appended(std::vector<vsm::SparseVector>(3));
   for (const auto metric :
        {index::Metric::kCosine, index::Metric::kEuclidean}) {
     expect_hits_identical(all_empty.top_k_pruned(query, 2, metric),
@@ -636,19 +636,19 @@ TEST(FrozenIndex, AppendedEqualsBulkBuildAtEverySplit) {
     const auto views = corpus.views();
     const std::span<const vsm::SparseView> docs(views);
     index::InvertedIndex bulk;
-    bulk.add_batch(docs);
+    bulk = bulk.appended(docs);
     const std::uint32_t term_bound = 8 + static_cast<std::uint32_t>(n / 3);
     for (const std::size_t split : {std::size_t{0}, std::size_t{1},
                                     1 + rng.below(n), n - 1, n}) {
       index::InvertedIndex head;
-      head.add_batch(docs.first(split));
+      head = head.appended(docs.first(split));
       const std::string context =
           "n " + std::to_string(n) + " split " + std::to_string(split);
       expect_same_index(head.appended(docs.subspan(split)), bulk, term_bound,
                         context);
       // The old index is untouched by appended().
       index::InvertedIndex head_again;
-      head_again.add_batch(docs.first(split));
+      head_again = head_again.appended(docs.first(split));
       EXPECT_TRUE(head == head_again) << context;
     }
   }
@@ -670,11 +670,11 @@ TEST(FrozenIndex, AppendChainsEqualBulkBuild) {
       if (link % 2 == 0) {
         chain = chain.appended(docs.subspan(at, len));
       } else {
-        chain.add_batch(docs.subspan(at, len));
+        chain = chain.appended(docs.subspan(at, len));
       }
       at += len;
       index::InvertedIndex prefix;
-      prefix.add_batch(docs.first(at));
+      prefix = prefix.appended(docs.first(at));
       expect_same_index(chain, prefix, term_bound,
                         "trial " + std::to_string(trial) + " link " +
                             std::to_string(link++));
@@ -703,11 +703,11 @@ void expect_same_database(const SignatureDatabase& got,
   EXPECT_EQ(saved_bytes(got), saved_bytes(want)) << context;
   ASSERT_EQ(got.num_shards(), want.num_shards()) << context;
   for (std::size_t s = 0; s < got.num_shards(); ++s) {
-    EXPECT_TRUE(got.index().shard(s) == want.index().shard(s))
+    EXPECT_TRUE(got.index()->shard(s) == want.index()->shard(s))
         << context << " shard " << s;
   }
-  expect_same_memory(got.index().memory_breakdown(),
-                     want.index().memory_breakdown(), context);
+  expect_same_memory(got.index()->memory_breakdown(),
+                     want.index()->memory_breakdown(), context);
   for (const auto metric :
        {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
     for (const auto mode :
@@ -770,7 +770,7 @@ TEST(FrozenIndex, ShardedAndDatabaseAppendedMatchBulkBuild) {
         pending.appended(docs.subspan(157), {labels.begin() + 157, labels.end()}),
         bulk, queries, std::to_string(shards) + " shards, pending head");
 
-    // Chains of appends and add_batches on the pool, index layer alone.
+    // Chains of appends on the pool, index layer alone.
     exec::ShardedIndex chain(shards);
     std::size_t at = 0;
     for (int link = 0; at < n; ++link) {
@@ -778,17 +778,17 @@ TEST(FrozenIndex, ShardedAndDatabaseAppendedMatchBulkBuild) {
       if (link % 2 == 0) {
         chain = chain.appended(docs.subspan(at, len), &pool);
       } else {
-        chain.add_batch(docs.subspan(at, len), &pool);
+        chain = chain.appended(docs.subspan(at, len), &pool);
       }
       at += len;
     }
     const std::string context = std::to_string(shards) + " shards, chain";
-    EXPECT_EQ(saved_bytes(chain), saved_bytes(bulk.index())) << context;
-    EXPECT_EQ(chain.num_terms(), bulk.index().num_terms()) << context;
+    EXPECT_EQ(saved_bytes(chain), saved_bytes(*bulk.index())) << context;
+    EXPECT_EQ(chain.num_terms(), bulk.index()->num_terms()) << context;
     expect_same_memory(chain.memory_breakdown(),
-                       bulk.index().memory_breakdown(), context);
+                       bulk.index()->memory_breakdown(), context);
     for (std::size_t s = 0; s < shards; ++s) {
-      EXPECT_TRUE(chain.shard(s) == bulk.index().shard(s)) << context;
+      EXPECT_TRUE(chain.shard(s) == bulk.index()->shard(s)) << context;
     }
   }
 }

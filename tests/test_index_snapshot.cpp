@@ -116,9 +116,9 @@ void expect_databases_equivalent(const SignatureDatabase& loaded,
                                  const std::string& context) {
   ASSERT_EQ(loaded.size(), reference.size()) << context;
   ASSERT_EQ(loaded.num_shards(), reference.num_shards()) << context;
-  EXPECT_EQ(loaded.index().num_terms(), reference.index().num_terms())
+  EXPECT_EQ(loaded.index()->num_terms(), reference.index()->num_terms())
       << context;
-  EXPECT_EQ(loaded.index().num_postings(), reference.index().num_postings())
+  EXPECT_EQ(loaded.index()->num_postings(), reference.index()->num_postings())
       << context;
   for (std::size_t id = 0; id < reference.size(); ++id) {
     ASSERT_EQ(loaded.label(id), reference.label(id)) << context << " id " << id;
@@ -278,7 +278,7 @@ TEST(IndexSnapshot, ShardedIndexRoundTripWithoutLabels) {
     for (int i = 0; i < 150; ++i) {
       docs.push_back(random_sparse(rng, 64, 10, /*allow_negative=*/true));
     }
-    original.add_batch(std::span<const vsm::SparseVector>(docs));
+    original = original.appended(std::span<const vsm::SparseVector>(docs));
 
     std::ostringstream out;
     original.save(out);
@@ -316,12 +316,12 @@ TEST(IndexSnapshot, InvertedIndexSectionsRoundTrip) {
   for (int i = 0; i < 80; ++i) {
     docs.push_back(random_sparse(rng, 48, 8, /*allow_negative=*/true));
   }
-  original.add_batch(docs);
+  original = original.appended(docs);
   docs.clear();
   for (int i = 0; i < 10; ++i) {  // built in two batches
     docs.push_back(random_sparse(rng, 48, 8, true));
   }
-  original.add_batch(docs);
+  original = original.appended(docs);
 
   snap::Writer writer(1, original.size(), original.num_terms());
   original.save(writer, 0);
@@ -357,7 +357,7 @@ TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
   for (int i = 0; i < 6000; ++i) docs.push_back(random_sparse(rng, 64, 10));
 
   exec::ShardedIndex original(4);
-  original.add_batch(std::span<const vsm::SparseVector>(docs));
+  original = original.appended(std::span<const vsm::SparseVector>(docs));
   std::ostringstream out;
   original.save(out);
   const std::string bytes = out.str();
@@ -648,7 +648,7 @@ TEST_F(SnapshotCorruption, IndexOnlySnapshotRejectedByDatabaseLoad) {
   // A ShardedIndex snapshot has no labels section; SignatureDatabase::load
   // must say so instead of inventing labels.
   std::ostringstream out;
-  source_.index().save(out);
+  source_.index()->save(out);
   expect_clean_failure(out.str(), "index-only snapshot into a database");
 }
 
@@ -940,11 +940,11 @@ TEST(IndexSnapshot, LoadedShardEqualsAFreshBuildIncludingMemory) {
   }
   index::InvertedIndex fresh;
   const std::span<const vsm::SparseVector> all(docs);
-  fresh.add_batch(all.first(100));
-  fresh.add_batch(all.subspan(100, 50));
-  fresh.add_batch(all.subspan(150));
+  fresh = fresh.appended(all.first(100));
+  fresh = fresh.appended(all.subspan(100, 50));
+  fresh = fresh.appended(all.subspan(150));
   index::InvertedIndex bulk;
-  bulk.add_batch(all);
+  bulk = bulk.appended(all);
 
   snap::Writer writer(1, fresh.size(), fresh.num_terms());
   fresh.save(writer, 0);
@@ -1012,8 +1012,8 @@ TEST(IndexSnapshot, ShardedIndexLoadAcceptsDatabaseSnapshots) {
   std::istringstream in(save_to_string(db));
   const exec::ShardedIndex loaded = exec::ShardedIndex::load(in);
   EXPECT_EQ(loaded.size(), db.size());
-  EXPECT_EQ(loaded.num_terms(), db.index().num_terms());
-  EXPECT_EQ(loaded.num_postings(), db.index().num_postings());
+  EXPECT_EQ(loaded.num_terms(), db.index()->num_terms());
+  EXPECT_EQ(loaded.num_postings(), db.index()->num_postings());
 }
 
 }  // namespace

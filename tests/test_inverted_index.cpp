@@ -74,7 +74,7 @@ void expect_golden_equivalence(const SignatureDatabase& db,
 TEST(InvertedIndex, AddBatchTracksStats) {
   index::InvertedIndex idx;
   EXPECT_TRUE(idx.empty());
-  idx.add_batch(std::vector<vsm::SparseVector>{
+  idx = idx.appended(std::vector<vsm::SparseVector>{
       vsm::SparseVector::from_entries({{0, 1.0}, {4, 2.0}}),
       vsm::SparseVector::from_entries({{4, 1.0}}),
       vsm::SparseVector()});  // empty doc is still a doc
@@ -88,7 +88,7 @@ TEST(InvertedIndex, AddBatchTracksStats) {
 
   // A second batch continues the id space; norms stay addressed by public
   // id through the rebuilt permutation.
-  idx.add_batch(std::vector<vsm::SparseVector>{
+  idx = idx.appended(std::vector<vsm::SparseVector>{
       vsm::SparseVector::from_entries({{9, -3.0}})});
   EXPECT_EQ(idx.size(), 4u);
   EXPECT_EQ(idx.num_terms(), 3u);
@@ -99,7 +99,7 @@ TEST(InvertedIndex, AddBatchTracksStats) {
   EXPECT_DOUBLE_EQ(idx.max_weight(9), -3.0);
 
   // A non-finite weight anywhere rejects the whole batch, index unchanged.
-  EXPECT_THROW(idx.add_batch(std::vector<vsm::SparseVector>{
+  EXPECT_THROW(idx.appended(std::vector<vsm::SparseVector>{
                    vsm::SparseVector::from_entries({{1, 1.0}}),
                    vsm::SparseVector::from_entries(
                        {{2, std::numeric_limits<double>::infinity()}})}),

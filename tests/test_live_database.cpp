@@ -212,7 +212,7 @@ void expect_parts_are_bulk_builds(const LiveDatabase::Snapshot& snapshot,
     SignatureDatabase bulk(part.num_shards());
     bulk.add_batch(std::move(signatures), std::move(labels));
     for (std::size_t s = 0; s < part.num_shards(); ++s) {
-      EXPECT_TRUE(part.index().shard(s) == bulk.index().shard(s))
+      EXPECT_TRUE(part.index()->shard(s) == bulk.index()->shard(s))
           << context << " " << name << " shard " << s;
     }
     EXPECT_EQ(saved_bytes(part), saved_bytes(bulk)) << context << " " << name;
@@ -670,13 +670,13 @@ TEST(LiveDatabase, StatsScrapeDuringParallelIngestIsSafe) {
   });
   std::thread scraper([&] {
     for (int i = 0; i < 200; ++i) {
-      const auto shard_stats = db.index().shard_stats();
+      const auto shard_stats = db.index()->shard_stats();
       std::size_t docs = 0;
       for (const auto& s : shard_stats) docs += s.docs;
       EXPECT_LE(docs, 256u);
-      (void)db.index().memory_bytes();
-      (void)db.index().memory_breakdown();
-      (void)db.index().num_postings();
+      (void)db.index()->memory_bytes();
+      (void)db.index()->memory_breakdown();
+      (void)db.index()->num_postings();
       db.publish_gauges();
     }
   });

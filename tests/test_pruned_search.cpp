@@ -204,7 +204,7 @@ index::InvertedIndex clustered_index(util::Rng& rng, std::size_t docs,
                         .l2_normalized());
   }
   index::InvertedIndex idx;
-  idx.add_batch(built);
+  idx = idx.appended(built);
   if (out != nullptr) *out = std::move(built);
   return idx;
 }
@@ -240,8 +240,8 @@ TEST(PrunedSearch, ClusteredCorpusActuallyPrunesAndStaysEquivalent) {
   EXPECT_GT(total.docs_pruned, total.docs_scored);
 }
 
-TEST(PrunedSearch, PerTermBoundsStayFreshUnderRepeatedAddBatch) {
-  // Every add_batch must leave the per-term max/min weights current even
+TEST(PrunedSearch, PerTermBoundsStayFreshUnderRepeatedAppends) {
+  // Every appended() must leave the per-term max/min weights current even
   // when builds interleave with queries — a stale bound would make the
   // pruned path silently drop documents whose new weights beat the cached
   // maximum.
@@ -252,7 +252,7 @@ TEST(PrunedSearch, PerTermBoundsStayFreshUnderRepeatedAddBatch) {
   for (int i = 0; i < 120; ++i) {
     const auto doc = random_sparse(rng, 24, 8, /*allow_negative=*/true);
     docs.push_back(doc);
-    idx.add_batch(std::span(&doc, 1));
+    idx = idx.appended(std::span(&doc, 1));
 
     // Reference bounds recomputed from scratch over every stored doc.
     std::vector<double> max_ref(24, 0.0), min_ref(24, 0.0);
@@ -302,7 +302,7 @@ TEST(PrunedSearch, CrossShardSeedingNeverChangesResults) {
   exec::ShardedIndex index(3);
   std::vector<vsm::SparseVector> docs;
   for (int i = 0; i < 400; ++i) docs.push_back(random_sparse(rng, 40, 9));
-  index.add_batch(std::span<const vsm::SparseVector>(docs));
+  index = index.appended(std::span<const vsm::SparseVector>(docs));
   index::TopKScratch scratch;
   for (int q = 0; q < 15; ++q) {
     const auto query = random_sparse(rng, 40, 9);
@@ -358,7 +358,7 @@ TEST(PrunedSearch, EngineDispatchPathMatchesExactUnderThreads) {
   exec::ShardedIndex index(4);
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 24; ++q) queries.push_back(random_sparse(rng, 32, 8));
@@ -453,7 +453,8 @@ TEST(PrunedSearch, ExactModeStatsReportFullScan) {
                   PruningMode::kExact, &stats);
   EXPECT_EQ(stats.docs_scored, db.size());
   EXPECT_EQ(stats.docs_pruned, 0u);
-  EXPECT_EQ(stats.postings_visited, db.index().shard(0).num_postings_for(query));
+  EXPECT_EQ(stats.postings_visited,
+            db.index()->shard(0).num_postings_for(query));
 }
 
 }  // namespace

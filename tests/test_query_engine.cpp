@@ -152,7 +152,7 @@ TEST(QueryEngine, AllShardCountsAndBatchingMatchBruteForce) {
   exec::TaskPool duo(2);
   for (const std::size_t shards : {1, 2, 3, 8}) {
     exec::ShardedIndex index(shards);
-    index.add_batch(std::span<const vsm::SparseVector>(corpus));
+    index = index.appended(std::span<const vsm::SparseVector>(corpus));
     const exec::QueryEngine inline_engine(index, &solo);
     const exec::QueryEngine pooled_engine(index, &duo);
     for (const std::size_t k : {std::size_t{1}, std::size_t{10},
@@ -203,7 +203,7 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 16000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
   exec::ShardedIndex sharded(4);
-  sharded.add_batch(std::span<const vsm::SparseVector>(corpus));
+  sharded = sharded.appended(std::span<const vsm::SparseVector>(corpus));
   ASSERT_EQ(index::InvertedIndex::resolve_auto(sharded.shard(0).size(), k),
             PruningMode::kExact);
   SignatureDatabase scan_db(1);
@@ -247,7 +247,7 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
   // At the crossover the shard really prunes, and is priced below exact.
   while (corpus.size() < 32768) corpus.push_back(random_sparse(rng, 32, 8));
   exec::ShardedIndex large(1);
-  large.add_batch(std::span<const vsm::SparseVector>(corpus));
+  large = large.appended(std::span<const vsm::SparseVector>(corpus));
   ASSERT_EQ(index::InvertedIndex::resolve_auto(large.size(), k),
             PruningMode::kMaxScore);
   const double large_exact = exec::QueryEngine::estimated_query_cost(
@@ -288,7 +288,7 @@ TEST(QueryEngine, KZeroAndEmptyQueriesShortCircuitWithoutDispatch) {
   // would hold vacuously via the small-index inline path.
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
 
   exec::TaskPool pool(2);
   const exec::QueryEngine engine(index, &pool);
@@ -441,7 +441,7 @@ TEST(QueryEngine, SearchesIssuedFromInsidePoolTasksDoNotDeadlock) {
   // must reach the dispatch path, or the re-entry guard goes unexercised.
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 4; ++q) queries.push_back(random_sparse(rng, 32, 8));
@@ -492,7 +492,7 @@ TEST(QueryEngine, DedicatedPoolProducesSameResultsAsSharedPool) {
   // Above the small-index inline cutoff so both engines actually dispatch.
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 5000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 16; ++q) queries.push_back(random_sparse(rng, 32, 8));
@@ -525,7 +525,7 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
   exec::ShardedIndex index(5);
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 6000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 24; ++q) {
@@ -606,7 +606,7 @@ TEST(QueryEngine, SteadyStateDispatchAllocationsStabilize) {
   exec::ShardedIndex index(4);
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 6000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
 
   std::vector<vsm::SparseVector> queries;
   for (int q = 0; q < 16; ++q) queries.push_back(random_sparse(rng, 32, 8));

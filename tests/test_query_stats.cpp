@@ -72,7 +72,7 @@ TEST(QueryStats, ExactPathCountersAreExactlyDetermined) {
   InvertedIndex idx;
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 300; ++i) corpus.push_back(random_sparse(rng, 64, 10));
-  idx.add_batch(std::span<const vsm::SparseVector>(corpus));
+  idx = idx.appended(std::span<const vsm::SparseVector>(corpus));
   for (int q = 0; q < 6; ++q) {
     const auto query = random_sparse(rng, 64, 10);
     PruneStats stats;
@@ -92,7 +92,7 @@ TEST(QueryStats, CountersAccumulateAndFreshStructsSumToShared) {
   // stats reuse cannot leak or reset each other's counts.
   const auto docs = clustered_corpus(0xacc, 800);
   InvertedIndex idx;
-  idx.add_batch(docs);
+  idx = idx.appended(docs);
 
   util::Rng rng(0x5);
   std::vector<vsm::SparseVector> queries;
@@ -161,7 +161,7 @@ TEST(QueryStats, SkippedBlocksNeverContributeVisitedPostings) {
                        .l2_normalized());
   }
   InvertedIndex idx;
-  idx.add_batch(docs);
+  idx = idx.appended(docs);
 
   std::vector<vsm::SparseVector::Entry> q_entries;
   for (std::uint32_t t = 0; t < kClusterTerms; ++t) {
@@ -196,7 +196,7 @@ TEST(QueryStats, EngineSumsAcrossShardsAndBatchedTasks) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{5}}) {
     exec::ShardedIndex index(shards);
-    index.add_batch(std::span<const vsm::SparseVector>(docs));
+    index = index.appended(std::span<const vsm::SparseVector>(docs));
 
     // Expected totals from direct per-shard exact runs.
     PruneStats expected;
@@ -242,7 +242,7 @@ TEST(QueryStats, ForwardGathersFireInCandidateModeOnly) {
   // and exactly zero on the exact path over the same index.
   const auto docs = clustered_corpus(0xf0a4, 4000);
   InvertedIndex idx;
-  idx.add_batch(docs);
+  idx = idx.appended(docs);
 
   util::Rng rng(0x21);
   std::size_t gathers_seen = 0;

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "exec/sharded_index.hpp"
@@ -41,7 +40,7 @@ TEST(ShardedIndex, GlobalLocalMappingRoundTrips) {
   }
 }
 
-TEST(ShardedIndex, AddBatchAssignsSequentialGlobalIdsAndBalancesShards) {
+TEST(ShardedIndex, AppendedAssignsSequentialGlobalIdsAndBalancesShards) {
   util::Rng rng(0x51a2);
   ShardedIndex index(3);
   // Batches of uneven sizes: each one continues the round-robin where the
@@ -49,9 +48,9 @@ TEST(ShardedIndex, AddBatchAssignsSequentialGlobalIdsAndBalancesShards) {
   std::vector<vsm::SparseVector> docs;
   for (int i = 0; i < 20; ++i) docs.push_back(random_sparse(rng, 32, 6));
   const std::span<const vsm::SparseVector> all(docs);
-  index.add_batch(all.subspan(0, 7));
-  index.add_batch(all.subspan(7, 1));
-  index.add_batch(all.subspan(8));
+  index = index.appended(all.subspan(0, 7));
+  index = index.appended(all.subspan(7, 1));
+  index = index.appended(all.subspan(8));
   EXPECT_EQ(index.size(), 20u);
   for (ShardedIndex::DocId global = 0; global < 20; ++global) {
     const auto& shard = index.shard(index.shard_of(global));
@@ -77,7 +76,7 @@ TEST(ShardedIndex, ZeroShardRequestClampsToOne) {
   EXPECT_EQ(index.num_shards(), 1u);
   const std::vector<vsm::SparseVector> docs{
       vsm::SparseVector::from_entries({{0, 1.0}})};
-  index.add_batch(std::span<const vsm::SparseVector>(docs));
+  index = index.appended(std::span<const vsm::SparseVector>(docs));
   EXPECT_EQ(index.size(), 1u);
 }
 
@@ -89,7 +88,7 @@ TEST(ShardedIndex, NumTermsCountsDistinctTermsAcrossShards) {
       vsm::SparseVector::from_entries({{7, 1.0}, {3, 0.5}}),  // shard 0
       vsm::SparseVector::from_entries({{7, 2.0}}),            // shard 1
       vsm::SparseVector::from_entries({{11, 1.0}})};          // shard 0
-  index.add_batch(std::span<const vsm::SparseVector>(docs));
+  index = index.appended(std::span<const vsm::SparseVector>(docs));
   EXPECT_EQ(index.num_terms(), 3u);  // terms 3, 7, 11
   EXPECT_EQ(index.num_postings(), 4u);
   std::size_t per_shard_term_sum = 0;
@@ -104,7 +103,7 @@ TEST(ShardedIndex, ShardStatsSumToAggregates) {
   ShardedIndex index(4);
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 40; ++i) corpus.push_back(random_sparse(rng, 64, 10));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
 
   const auto stats = index.shard_stats();
   ASSERT_EQ(stats.size(), 4u);
@@ -129,7 +128,7 @@ TEST(ShardedIndex, MemoryBytesTracksContent) {
   util::Rng rng(0x3e3);
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 30; ++i) corpus.push_back(random_sparse(rng, 48, 8));
-  index.add_batch(std::span<const vsm::SparseVector>(corpus));
+  index = index.appended(std::span<const vsm::SparseVector>(corpus));
   // Postings dominate the footprint: at least one (doc, weight) pair per
   // posting must be accounted for.
   EXPECT_GE(index.memory_bytes(),
@@ -138,72 +137,37 @@ TEST(ShardedIndex, MemoryBytesTracksContent) {
 }
 
 TEST(ShardedIndex, RejectedBatchLeavesIndexUnchangedAndUsable) {
-  // A non-finite weight in a later shard's slice must reject the batch
-  // before any shard takes its part: with 2 shards and [ok, ok, NaN],
-  // shard 0 would otherwise keep doc 0 while the id counter stays put, and
-  // every later batch would land at the wrong local ids.
+  // A non-finite weight in a later shard's slice must reject the whole
+  // batch before any shard builds its part: with 2 shards and
+  // [ok, ok, NaN], shard 0's slice alone is clean. The index appended to
+  // is untouched and keeps taking batches.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  ShardedIndex index(2);
-  const std::vector<vsm::SparseVector> bad{
-      vsm::SparseVector::from_entries({{0, 1.0}}),
-      vsm::SparseVector::from_entries({{1, 1.0}}),
-      vsm::SparseVector::from_entries({{2, nan}})};
-  EXPECT_THROW(index.add_batch(std::span<const vsm::SparseVector>(bad)),
-               std::invalid_argument);
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.num_terms(), 0u);
-  for (std::size_t s = 0; s < index.num_shards(); ++s) {
-    EXPECT_EQ(index.shard(s).size(), 0u) << "shard " << s;
-  }
-
   const std::vector<vsm::SparseVector> good{
       vsm::SparseVector::from_entries({{0, 1.0}}),
       vsm::SparseVector::from_entries({{1, 1.0}}),
       vsm::SparseVector::from_entries({{2, 1.0}})};
-  index.add_batch(std::span<const vsm::SparseVector>(good));
-  index.add_batch(std::span<const vsm::SparseVector>(good));
-  EXPECT_EQ(index.size(), 6u);
-  EXPECT_EQ(index.shard(0).size(), 3u);
-  EXPECT_EQ(index.shard(1).size(), 3u);
+  const std::vector<vsm::SparseVector> bad{
+      vsm::SparseVector::from_entries({{0, 1.0}}),
+      vsm::SparseVector::from_entries({{1, 1.0}}),
+      vsm::SparseVector::from_entries({{2, nan}})};
+  const ShardedIndex index =
+      ShardedIndex(2).appended(std::span<const vsm::SparseVector>(good));
+  const ShardedIndex before = index;
+  EXPECT_THROW((void)index.appended(std::span<const vsm::SparseVector>(bad)),
+               std::invalid_argument);
+  EXPECT_EQ(index.size(), 3u);
   EXPECT_EQ(index.num_terms(), 3u);
-  EXPECT_EQ(index.num_postings(), 6u);
-}
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    EXPECT_TRUE(index.shard(s) == before.shard(s)) << "shard " << s;
+  }
 
-TEST(ShardedIndex, ConcurrentAddBatchesLoseNoBatch) {
-  // Every add_batch builds its shards aside from the index it read, then
-  // swaps them in: the writer lock spans read and swap, so two writers
-  // serialize and neither overwrites the other's batch. appended() and
-  // stats readers run beside them on the reader side.
-  util::Rng rng(0xc0c0);
-  std::vector<vsm::SparseVector> docs;
-  for (int i = 0; i < 40; ++i) docs.push_back(random_sparse(rng, 32, 6));
-  ShardedIndex index(3);
-  const auto writer = [&index, &docs] {
-    for (std::size_t b = 0; b < docs.size(); b += 4) {
-      index.add_batch(std::span<const vsm::SparseVector>(docs).subspan(b, 4));
-    }
-  };
-  std::thread first(writer);
-  std::thread second(writer);
-  std::thread reader([&index] {
-    for (int i = 0; i < 20; ++i) {
-      // A copy holds whole batches only, and its shards agree with it.
-      const ShardedIndex copy = index.appended({});
-      EXPECT_EQ(copy.size() % 4, 0u);
-      std::size_t shard_docs = 0;
-      for (const ShardStats& shard : index.shard_stats()) {
-        shard_docs += shard.docs;
-      }
-      EXPECT_EQ(shard_docs % 4, 0u);
-    }
-  });
-  first.join();
-  second.join();
-  reader.join();
-  std::size_t postings = 0;
-  for (const auto& doc : docs) postings += doc.nnz();
-  EXPECT_EQ(index.size(), 2 * docs.size());
-  EXPECT_EQ(index.num_postings(), 2 * postings);
+  const ShardedIndex grown =
+      index.appended(std::span<const vsm::SparseVector>(good));
+  EXPECT_EQ(grown.size(), 6u);
+  EXPECT_EQ(grown.shard(0).size(), 3u);
+  EXPECT_EQ(grown.shard(1).size(), 3u);
+  EXPECT_EQ(grown.num_terms(), 3u);
+  EXPECT_EQ(grown.num_postings(), 6u);
 }
 
 }  // namespace

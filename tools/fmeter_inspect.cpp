@@ -312,11 +312,11 @@ int cmd_collect(int argc, char** argv) {
 void print_database_stats(const core::SignatureDatabase& db) {
   const auto syndromes = db.syndromes();
 
-  const auto& index = db.index();
+  const auto index = db.index();
   std::printf("index: %zu shards, %zu distinct terms, %zu postings, %s\n",
-              index.num_shards(), index.num_terms(), index.num_postings(),
-              format_bytes(index.memory_bytes()).c_str());
-  print_shard_table(index);
+              index->num_shards(), index->num_terms(), index->num_postings(),
+              format_bytes(index->memory_bytes()).c_str());
+  print_shard_table(*index);
   db.publish_gauges();
   print_registry_table();
   std::printf("\n");
@@ -344,16 +344,16 @@ void print_database_stats(const core::SignatureDatabase& db) {
 /// Machine-readable `stats`: index shape, per-shard table, per-label
 /// support, and the full registry dump nested under "metrics".
 void print_stats_json(const core::SignatureDatabase& db, const char* source) {
-  const auto& index = db.index();
+  const auto index = db.index();
   std::printf("{\n  \"source\": \"%s\",\n  \"documents\": %zu,\n", source,
               db.size());
   std::printf(
       "  \"index\": {\"shards\": %zu, \"terms\": %zu, \"postings\": %zu, "
       "\"memory_bytes\": %zu},\n",
-      index.num_shards(), index.num_terms(), index.num_postings(),
-      index.memory_bytes());
+      index->num_shards(), index->num_terms(), index->num_postings(),
+      index->memory_bytes());
   std::printf("  \"shards\": [");
-  const auto shard_stats = index.shard_stats();
+  const auto shard_stats = index->shard_stats();
   for (std::size_t s = 0; s < shard_stats.size(); ++s) {
     std::printf(
         "%s\n    {\"docs\": %zu, \"terms\": %zu, "
@@ -455,7 +455,7 @@ int cmd_snapshot(int argc, char** argv) {
   db.save(argv[3]);
   std::printf("wrote snapshot of %zu signatures (%zu shards, %zu terms) "
               "to %s\n",
-              db.size(), db.num_shards(), db.index().num_terms(), argv[3]);
+              db.size(), db.num_shards(), db.index()->num_terms(), argv[3]);
   return 0;
 }
 
@@ -651,11 +651,11 @@ int cmd_search(int argc, char** argv) {
       "query: doc %zu ('%s')   archive: %zu signatures   policy: %s   "
       "outcome: %s\n",
       query_doc, query_label.c_str(), db.size(), policy_name, outcome);
-  const auto& index = db.index();
+  const auto index = db.index();
   std::printf("index: %zu shards, %zu terms, %zu postings, %s\n\n",
-              index.num_shards(), index.num_terms(), index.num_postings(),
-              format_bytes(index.memory_bytes()).c_str());
-  print_shard_table(index);
+              index->num_shards(), index->num_terms(), index->num_postings(),
+              format_bytes(index->memory_bytes()).c_str());
+  print_shard_table(*index);
   std::printf("\n%5s %6s %-28s %10s\n", "rank", "doc", "label", "cosine");
   for (std::size_t rank = 0; rank < hits.size(); ++rank) {
     std::printf("%5zu %6zu %-28s %10.4f\n", rank + 1,
