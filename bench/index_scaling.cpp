@@ -21,14 +21,19 @@
 // core-function space with log-normal weight magnitudes (Figure 1).
 //
 // Usage: bench_index_scaling [max_corpus]   (e.g. 1000 as a CI smoke)
-// Writes machine-readable results to BENCH_index_scaling.json.
+// Writes machine-readable results to BENCH_index_scaling.json. Every row
+// carries the host facts the numbers depend on: its hardware thread count
+// (`cores`) and the exact path's scoring kernel (`simd`).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "fmeter/database.hpp"
+#include "index/inverted_index.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 #include "vsm/sparse_vector.hpp"
@@ -107,6 +112,10 @@ int main(int argc, char** argv) {
       "index_scaling: scan vs. block-max indexed arena",
       "§1/§2.2 — signatures are indexable like text documents");
 
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
+  std::printf("hardware threads: %u, scoring kernel: %s\n\n", cores, simd);
+
   std::printf("%8s %7s %14s %8s %8s %10s %8s\n", "corpus", "metric",
               "policy", "q/s", "pruned%", "visited/q", "blkskip");
 
@@ -128,7 +137,9 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("prune_rate", cell.prune_rate),
          fmeter::bench::jnum("postings_visited", cell.visited_per_query),
          fmeter::bench::jnum("blocks_skipped",
-                             cell.blocks_skipped_per_query)});
+                             cell.blocks_skipped_per_query),
+         fmeter::bench::jnum("cores", static_cast<double>(cores)),
+         fmeter::bench::jstr("simd", simd)});
   };
 
   const int reps = 5;

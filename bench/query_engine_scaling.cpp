@@ -38,7 +38,9 @@
 //   ladder is 10k/100k signatures.
 // Writes machine-readable results to BENCH_query_engine.json. Every row
 // carries the host's hardware thread count (`cores`): dispatch_pooled and
-// the multi-shard speedups only mean parallelism when it is above 1.
+// the multi-shard speedups only mean parallelism when it is above 1. It
+// also carries the exact path's scoring kernel (`simd`), which sets the
+// exact rows' cost per posting.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -54,6 +56,7 @@
 #include "bench_common.hpp"
 #include "exec/query_engine.hpp"
 #include "exec/sharded_index.hpp"
+#include "index/inverted_index.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/zipf.hpp"
@@ -272,7 +275,8 @@ int main(int argc, char** argv) {
       "§1/§2.2 — indexable signatures, served shard-parallel with max-score");
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("hardware threads: %u\n\n", cores);
+  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
+  std::printf("hardware threads: %u, scoring kernel: %s\n\n", cores, simd);
 
   // The query stream is its own RNG, drawn before anything else: corpus
   // growth or bench restructuring can never shift which queries run.
@@ -366,7 +370,8 @@ int main(int argc, char** argv) {
                fmeter::bench::jnum(
                    "tasks_executed",
                    static_cast<double>(cell.stats.tasks_executed)),
-               fmeter::bench::jnum("cores", static_cast<double>(cores))});
+               fmeter::bench::jnum("cores", static_cast<double>(cores)),
+             fmeter::bench::jstr("simd", simd)});
         }
       }
 
@@ -404,7 +409,8 @@ int main(int argc, char** argv) {
                  static_cast<double>(cmp.independent.postings_visited)),
              fmeter::bench::jnum("work_ratio",
                                  seeded_work / independent_work),
-             fmeter::bench::jnum("cores", static_cast<double>(cores))});
+             fmeter::bench::jnum("cores", static_cast<double>(cores)),
+             fmeter::bench::jstr("simd", simd)});
         checks.push_back(
             {"seeded and independent pruning agree on results at " +
                  std::to_string(corpus),

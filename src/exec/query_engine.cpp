@@ -31,7 +31,11 @@ namespace {
 /// ~100 documents per µs (a 10k-document shard in ~100 µs), so the
 /// overhead is ~2k documents. At 8192 the gate kept a 10k-document archive
 /// split into 2-8 shards inline for a single query, although pooling it
-/// measured 1.1-1.9x faster than one shard (1.1x with two cores).
+/// measured 1.1-1.9x faster than one shard (1.1x with two cores). On an
+/// AVX-512F host the exact pass scores ~120-160 documents per µs at 25k
+/// (scalar: ~85-130 in the same runs), which would put the overhead near
+/// 3k documents; the pooled overhead itself has not been re-measured, so
+/// the price stays.
 constexpr double kDispatchOverheadDocs = 2048.0;
 
 /// Marginal price per grid span: the reservation fetch_add plus the cache

@@ -7,6 +7,7 @@
 #include <queue>
 #include <stdexcept>
 
+#include "index/kernels.hpp"
 #include "obs/trace.hpp"
 
 namespace fmeter::index {
@@ -100,12 +101,17 @@ void heap_offer(BoundedHeap& heap, std::size_t capacity, IndexHit hit) {
 /// strictly below that can never displace a retained hit. So even an
 /// unseeded shard — every shard of a pooled batch starts unseeded — turns
 /// most of its scoring loop into one multiply-compare per doc. Only
-/// positive thresholds arm it (the margin shrinks toward zero).
+/// positive thresholds arm it (the margin shrinks toward zero). With
+/// kStride == 1 the pre-test runs through `pretest_scan`, which skips to the
+/// next survivor (8 documents per compare in the AVX-512F form); the factor
+/// only rises, so a document it skipped would fail any later test too.
 template <std::size_t kStride>
 void score_dense(const double* acc, std::span<const double> norms,
                  std::span<const InvertedIndex::DocId> public_of,
                  double q_norm, Metric metric, double seed_score,
-                 std::size_t top, BoundedHeap& heap, CheckpointGuard& guard) {
+                 std::size_t top, BoundedHeap& heap, CheckpointGuard& guard,
+                 kernels::PretestScanFn pretest_scan =
+                     kernels::pretest_scan_scalar) {
   const std::size_t n = norms.size();
   const std::size_t stride = guard.stride();
   const double* snorms = norms.data();
@@ -118,8 +124,15 @@ void score_dense(const double* acc, std::span<const double> norms,
     const std::size_t doc_stop = n - doc > stride ? doc + stride : n;
     const std::size_t chunk = doc_stop - doc;
     for (; doc < doc_stop; ++doc) {
+      if constexpr (kStride == 1) {
+        if (pretest) {
+          doc = pretest_scan(acc, snorms, doc, doc_stop, pretest_factor);
+          if (doc == doc_stop) break;
+        }
+      } else if (pretest && acc[doc * kStride] < pretest_factor * snorms[doc]) {
+        continue;
+      }
       const double dot = acc[doc * kStride];
-      if (pretest && dot < pretest_factor * snorms[doc]) continue;
       IndexHit hit;
       hit.doc = public_of[doc];
       if (metric == Metric::kCosine) {
@@ -182,15 +195,23 @@ InvertedIndex InvertedIndex::appended(
 InvertedIndex InvertedIndex::appended(
     std::span<const vsm::SparseView> docs) const {
   // A non-finite weight would poison its document's cached norm, its terms'
-  // max/min bounds and every score computed against them — and produce a
-  // forward store the snapshot loader rightly rejects. Refuse the whole
-  // batch here, before any build, so every ingest path enforces one
-  // invariant.
+  // max/min bounds and every score computed against them. A term id that
+  // does not strictly increase would list the document twice in one span
+  // (the accumulate's scatter needs distinct ids). Both produce a forward
+  // store the snapshot loader rightly rejects. Refuse the whole batch
+  // here, before any build, so every ingest path enforces one invariant.
   for (const vsm::SparseView& doc : docs) {
     for (const double value : doc.values) {
       if (!std::isfinite(value)) {
         throw std::invalid_argument(
             "InvertedIndex::appended: document carries a non-finite weight");
+      }
+    }
+    for (std::size_t f = 1; f < doc.indices.size(); ++f) {
+      if (doc.indices[f] <= doc.indices[f - 1]) {
+        throw std::invalid_argument(
+            "InvertedIndex::appended: document term ids are not strictly "
+            "increasing");
       }
     }
   }
@@ -515,6 +536,10 @@ void InvertedIndex::fill_blocks(std::size_t term) {
   }
 }
 
+const char* InvertedIndex::scoring_kernel() noexcept {
+  return kernels::avx512_supported() ? "avx512f" : "scalar";
+}
+
 std::size_t InvertedIndex::num_postings_for(
     const vsm::SparseVector& query) const noexcept {
   std::size_t total = 0;
@@ -614,22 +639,23 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
     }
   }
 #endif
+  // Hot kernel: two contiguous streams (4-byte ids, 8-byte weights), on
+  // AVX-512F hosts 8 postings per step (kernels.hpp).
+  const bool simd = kernels::use_avx512(n);
+  const kernels::AccumulateFn accumulate =
+      simd ? kernels::accumulate_avx512 : kernels::accumulate_scalar;
+  const DocId* ids = arena_ids_.data();
+  const double* ws = arena_weights_.data();
   for (std::size_t i = 0; i < q_indices.size(); ++i) {
     const std::size_t term = q_indices[i];
     const double q_weight = q_values[i];
     if (term < arena_terms()) {
-      // Hot kernel: two contiguous streams (4-byte ids, 8-byte weights).
       const std::size_t begin = arena_offsets_[term];
       const std::size_t end = arena_offsets_[term + 1];
-      const DocId* ids = arena_ids_.data();
-      const double* ws = arena_weights_.data();
-      std::size_t i2 = begin;
-      while (i2 < end) {
-        const std::size_t stop = end - i2 > stride ? i2 + stride : end;
-        const std::size_t chunk = stop - i2;
-        for (; i2 < stop; ++i2) {
-          acc[ids[i2]] += q_weight * ws[i2];
-        }
+      for (std::size_t i2 = begin; i2 < end;) {
+        const std::size_t chunk = std::min(end - i2, stride);
+        accumulate(acc, ids + i2, ws + i2, chunk, q_weight);
+        i2 += chunk;
         guard.charge(chunk);
       }
       visited += end - begin;
@@ -640,7 +666,9 @@ std::vector<IndexHit> InvertedIndex::top_k(const vsm::SparseVector& query,
   // too).
   BoundedHeap heap;
   score_dense<1>(acc, norms_, public_of_, query.norm_l2(), metric, seed_score,
-                 top, heap, guard);
+                 top, heap, guard,
+                 simd ? kernels::pretest_scan_avx512
+                      : kernels::pretest_scan_scalar);
   if (stats != nullptr) {
     stats->docs_scored += n;
     stats->postings_visited += visited;

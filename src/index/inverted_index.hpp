@@ -15,7 +15,12 @@
 // build: all postings are compacted into three contiguous parallel
 // arrays (term-major doc-id and weight streams plus a per-term offset
 // table). The scoring loops read two separate dense streams (4-byte ids,
-// 8-byte weights) — a shape autovectorizers like. Each term's span is
+// 8-byte weights). The exact path's accumulate is a scatter through those
+// ids, which GCC does not vectorize on its own; on an AVX-512F host it runs
+// a hand-written gather/multiply/add/scatter loop, 8 postings a step, and
+// its score pass pre-tests 8 documents per compare, both bit-identical to
+// the scalar loops (kernels.hpp). A stream of at least 2 MiB sits on
+// transparent huge pages (arena_allocator.hpp). Each term's span is
 // additionally partitioned into fixed-size blocks (kBlockSize postings)
 // carrying the block's last doc id and max/min posting weight, the
 // block-max metadata the pruned path skips whole blocks with.
@@ -121,6 +126,7 @@
 #include <span>
 #include <vector>
 
+#include "index/arena_allocator.hpp"
 #include "index/cancel.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -253,9 +259,11 @@ class InvertedIndex {
   /// included) to a bulk build of the same documents, however they were
   /// split into batches. This index is untouched. Costs a copy of the
   /// forward store plus the merge described in the header; an empty or
-  /// tiny index runs the full scatter instead. Throws std::invalid_argument if any document
-  /// carries a non-finite weight (it would poison the cached norms and
-  /// bounds, and make a saved snapshot unloadable).
+  /// tiny index runs the full scatter instead. Throws std::invalid_argument,
+  /// leaving nothing built, if any document carries a non-finite weight (it
+  /// would poison the cached norms and bounds) or term ids that are not
+  /// strictly increasing (a repeated term would list the document twice in
+  /// one span); either would also make a saved snapshot unloadable.
   InvertedIndex appended(std::span<const vsm::SparseView> docs) const;
   InvertedIndex appended(std::span<const vsm::SparseVector> docs) const;
 
@@ -302,6 +310,10 @@ class InvertedIndex {
     return term < min_weight_.size() ? min_weight_[term] : 0.0;
   }
 
+  /// The exact path's kernel on this host: "avx512f" where the CPU runs
+  /// AVX-512F, "scalar" elsewhere (the benches record it as `simd`).
+  static const char* scoring_kernel() noexcept;
+
   /// Posting-list entries a query for `query` would touch (the exact
   /// path's postings_visited).
   std::size_t num_postings_for(const vsm::SparseVector& query) const noexcept;
@@ -317,17 +329,17 @@ class InvertedIndex {
   /// Resolves PruningMode::kAuto for a shard of `docs` documents answering
   /// a top-`k` query: kMaxScore once the shard is large enough that bound
   /// bookkeeping pays for itself, kExact below. The cutoffs come from
-  /// measured crossovers, not from theory. Re-measured after the exact
-  /// cosine pass gained its running pre-test and the pruned path's
-  /// candidate switch was retuned (one unseeded shard, top-10, the bench
-  /// corpus, minimum of 9 alternating exact/pruned sweeps of 64 queries,
-  /// 3 runs per size on a 4-vCPU Xeon VM): exact/pruned time is 0.6 at
-  /// 10k, 1.0 at 25k, 1.1–1.2 at 50k and 1.2–1.3 at 100k docs for cosine,
-  /// and 0.8, 1.3, 1.5 and 1.7 for Euclidean. The running pre-test alone
-  /// had pushed the cosine crossover to ~100k (0.7, 0.8, 0.8, 0.9–1.0);
-  /// the retune brings it back to ~25k, so the 32768 cutoff stands.
-  /// bench_index_scaling 100000 agrees (row medians over 15 runs: 1.24 for
-  /// cosine, 1.80 for Euclidean at 100k).
+  /// measured crossovers, not from theory. Last measured with the AVX-512F
+  /// exact kernels and the huge-page arena (one unseeded shard, top-10, the
+  /// bench corpus, minimum of 9 alternating exact/pruned sweeps of 64
+  /// queries, 3 runs per size on a 4-vCPU AVX-512 Xeon VM): exact/pruned
+  /// time is 0.4 at 10k, 0.6–0.7 at 25k, 0.7–0.8 at 32768, 0.7 at 50k and
+  /// 0.9–1.1 at 100k docs for cosine, and 0.7–0.8, 1.1, 1.2–1.3, 1.4 and
+  /// 1.7–1.8 for Euclidean. The scalar kernels read 0.5, 0.8, 0.9–1.0,
+  /// 0.9–1.0 and 1.2–1.3 for cosine in the same runs. The cosine crossover
+  /// has moved to ~100k, but Euclidean still crosses near 20k and the
+  /// cutoff is one for both metrics, so it stays at 32768: exact does not
+  /// beat pruned there for Euclidean.
   static PruningMode resolve_auto(std::size_t docs, std::size_t k) noexcept {
     constexpr std::size_t kAutoPrunedMinDocs = 32768;
     // Near-full retrieval gives bounds nothing to discard.
@@ -435,8 +447,8 @@ class InvertedIndex {
 
   // --- posting arena (term-major struct-of-arrays) ---
   // All doc ids below are *internal* ids (see internal_of_/public_of_).
-  std::vector<DocId> arena_ids_;        // doc-id stream, all terms
-  std::vector<double> arena_weights_;   // parallel weight stream
+  std::vector<DocId, ArenaAllocator<DocId>> arena_ids_;  // doc-id stream
+  std::vector<double, ArenaAllocator<double>> arena_weights_;  // weights
   std::vector<std::size_t> arena_offsets_;  // term t's span: [t], [t+1])
   // Term t's blocks are [arena_block_begin_[t], arena_block_begin_[t+1]);
   // block b of term t covers postings

@@ -12,8 +12,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -23,7 +25,9 @@
 #include "exec/sharded_index.hpp"
 #include "exec/task_pool.hpp"
 #include "fmeter/database.hpp"
+#include "index/arena_allocator.hpp"
 #include "index/inverted_index.hpp"
+#include "index/kernels.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -791,6 +795,233 @@ TEST(FrozenIndex, ShardedAndDatabaseAppendedMatchBulkBuild) {
       EXPECT_TRUE(chain.shard(s) == bulk.index()->shard(s)) << context;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Exact-path kernels (index/kernels.hpp): the AVX-512F loops against the
+// scalar ones, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Equal raw bits (so +0.0 and -0.0 differ); reports the first mismatch.
+void expect_bitwise_equal(const std::vector<double>& got,
+                          const std::vector<double>& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  std::size_t mismatches = 0;
+  std::size_t first = got.size();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      if (mismatches++ == 0) first = i;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u)
+      << context << ": first at " << first << ", got "
+      << (first < got.size() ? got[first] : 0.0) << " want "
+      << (first < want.size() ? want[first] : 0.0);
+}
+
+/// A value chosen to stress rounding: either sign over a wide exponent
+/// range, subnormals, tiny values whose products go subnormal, and signed
+/// zeros.
+double awkward_value(util::Rng& rng) {
+  const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+  switch (rng.below(6)) {
+    case 0:
+      return sign * 0.0;
+    case 1:
+      return sign * std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.below(1u << 20));
+    case 2:
+      return sign * rng.uniform(0.5, 1.0) * 1e-160;
+    default:
+      return sign * std::ldexp(rng.uniform(0.5, 1.0),
+                               static_cast<int>(rng.below(60)) - 30);
+  }
+}
+
+/// `len` distinct ascending ids below `docs`, holding docs - 1 once
+/// len >= 1 and 0 once len >= 2: one term's arena span.
+std::vector<std::uint32_t> span_ids(util::Rng& rng, std::size_t docs,
+                                    std::size_t len) {
+  std::vector<std::uint32_t> inner(docs - 2);
+  for (std::size_t d = 0; d < inner.size(); ++d) {
+    inner[d] = static_cast<std::uint32_t>(d + 1);
+  }
+  rng.shuffle(std::span<std::uint32_t>(inner));
+  std::vector<std::uint32_t> ids;
+  if (len >= 1) ids.push_back(static_cast<std::uint32_t>(docs - 1));
+  if (len >= 2) ids.push_back(0);
+  ids.insert(ids.end(), inner.begin(),
+             inner.begin() + static_cast<std::ptrdiff_t>(len - ids.size()));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(ExactKernels, Avx512AccumulateMatchesScalarBitwise) {
+  if (!index::kernels::avx512_supported()) {
+    GTEST_SKIP() << "host has no AVX-512F: the scalar accumulate is the "
+                    "only path";
+  }
+  util::Rng rng(0x5e1d);
+  constexpr std::size_t kDocs = 1003;  // not a multiple of 8
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 17; ++len) lengths.push_back(len);
+  for (const std::size_t groups : {3u, 40u, 124u}) {
+    for (std::size_t r = 0; r < 8; ++r) lengths.push_back(8 * groups + r);
+  }
+  for (const std::size_t len : lengths) {
+    const std::vector<std::uint32_t> ids = span_ids(rng, kDocs, len);
+    std::vector<double> weights(len);
+    for (double& w : weights) w = awkward_value(rng);
+    std::vector<double> start(kDocs);
+    for (double& a : start) a = awkward_value(rng);
+    for (const double q : {0.75, -1.5, -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           awkward_value(rng)}) {
+      const std::string context =
+          "span " + std::to_string(len) + ", q " + std::to_string(q);
+      std::vector<double> want = start;
+      index::kernels::accumulate_scalar(want.data(), ids.data(),
+                                        weights.data(), len, q);
+      std::vector<double> got = start;
+      index::kernels::accumulate_avx512(got.data(), ids.data(), weights.data(),
+                                        len, q);
+      expect_bitwise_equal(got, want, context);
+      // A deadline's checkpoints hand the kernel a span in stride-sized
+      // chunks; strides that are not a multiple of 8 start chunks
+      // mid-group.
+      for (const std::size_t stride : {5u, 13u}) {
+        std::vector<double> chunked = start;
+        for (std::size_t p = 0; p < len; p += stride) {
+          index::kernels::accumulate_avx512(chunked.data(), ids.data() + p,
+                                            weights.data() + p,
+                                            std::min(stride, len - p), q);
+        }
+        expect_bitwise_equal(chunked, want,
+                             context + ", stride " + std::to_string(stride));
+      }
+    }
+  }
+}
+
+TEST(ExactKernels, Avx512PretestScanMatchesScalar) {
+  if (!index::kernels::avx512_supported()) {
+    GTEST_SKIP() << "host has no AVX-512F: the scalar pre-test is the only "
+                    "path";
+  }
+  util::Rng rng(0x9e7e);
+  constexpr std::size_t kDocs = 203;  // not a multiple of 8
+  for (int trial = 0; trial < 24; ++trial) {
+    const double factor =
+        trial % 4 == 0 ? 0.0 : std::abs(awkward_value(rng)) + 0.25 * (trial % 2);
+    std::vector<double> norms(kDocs);
+    std::vector<double> acc(kDocs);
+    for (std::size_t d = 0; d < kDocs; ++d) {
+      norms[d] = rng.bernoulli(0.05) ? 0.0 : std::abs(awkward_value(rng));
+      // Mostly below the bar, some exactly on it (a tie survives), a few
+      // above; signed zeros, subnormals and (trial 5) a NaN, which the
+      // scalar `<` keeps.
+      const double bar = factor * norms[d];
+      switch (rng.below(8)) {
+        case 0: acc[d] = bar; break;
+        case 1: acc[d] = bar + std::abs(awkward_value(rng)); break;
+        case 2: acc[d] = awkward_value(rng); break;
+        default: acc[d] = bar - std::abs(bar) * 0.5 - 1e-300; break;
+      }
+    }
+    if (trial == 5) acc[kDocs / 2] = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t from = 0; from <= kDocs; ++from) {
+      for (std::size_t stop = from; stop <= kDocs;
+           stop += stop < from + 17 ? 1 : 37) {
+        EXPECT_EQ(index::kernels::pretest_scan_avx512(acc.data(), norms.data(),
+                                                      from, stop, factor),
+                  index::kernels::pretest_scan_scalar(acc.data(), norms.data(),
+                                                      from, stop, factor))
+            << "trial " << trial << " [" << from << ", " << stop << ")";
+      }
+    }
+  }
+}
+
+TEST(ExactKernels, ActiveDeadlineKeepsExactHitsBitIdentical) {
+  // Long spans (> one checkpoint interval) split into chunks at arbitrary
+  // arena offsets; hits must not move, whichever kernel this host runs.
+  util::Rng rng(0xdead);
+  std::vector<vsm::SparseVector> docs;
+  for (int i = 0; i < 9001; ++i) docs.push_back(random_sparse(rng, 6, 9, true));
+  const index::InvertedIndex idx = index::InvertedIndex().appended(docs);
+  const index::Deadline deadline =
+      index::Deadline::after(std::chrono::hours(1));
+  for (int q = 0; q < 6; ++q) {
+    const auto query = random_sparse(rng, 6, 9, true);
+    for (const auto metric : {index::Metric::kCosine, index::Metric::kEuclidean}) {
+      for (const std::size_t k : {std::size_t{10}, docs.size()}) {
+        index::PruneStats stats;
+        const auto armed =
+            idx.top_k(query, k, metric, nullptr, index::InvertedIndex::kNoSeed,
+                      &stats, &deadline);
+        expect_hits_identical(armed, idx.top_k(query, k, metric),
+                              "query " + std::to_string(q));
+        if (!query.empty()) {
+          EXPECT_GT(stats.checkpoint_polls, 1u);
+        }
+      }
+    }
+  }
+}
+
+TEST(ArenaAllocator, HugeStreamsStartOnHugePageBoundaries) {
+  using Stream = std::vector<double, index::ArenaAllocator<double>>;
+  const std::size_t huge = index::kHugePageBytes / sizeof(double);
+  const auto aligned = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % index::kHugePageBytes == 0;
+  };
+  // The three ways a build fills a stream: resize (scatter), reserve then
+  // append (merge), and a copy (appended() of no documents).
+  Stream scattered;
+  scattered.resize(huge + 3, 1.5);
+  EXPECT_TRUE(aligned(scattered.data()));
+  Stream merged;
+  merged.reserve(3 * huge + 1);
+  merged.insert(merged.end(), scattered.begin(), scattered.end());
+  EXPECT_TRUE(aligned(merged.data()));
+  EXPECT_EQ(merged.capacity(), 3 * huge + 1);  // no rounding up
+  const Stream copied = scattered;
+  EXPECT_TRUE(aligned(copied.data()));
+  EXPECT_TRUE(copied == scattered);
+  EXPECT_EQ(copied.back(), 1.5);
+  // Exactly one huge page qualifies; below it a stream is an ordinary
+  // heap block.
+  Stream exact(huge);
+  EXPECT_TRUE(aligned(exact.data()));
+  Stream small(huge - 1, 2.0);
+  EXPECT_EQ(small.front(), 2.0);
+}
+
+TEST(ArenaAllocator, HugeArenaBuildsMatchAndReportTheSameMemory) {
+  // Enough postings that the weight stream passes one huge page.
+  util::Rng rng(0xa11c);
+  std::vector<vsm::SparseVector> docs;
+  std::size_t postings = 0;
+  while (postings * sizeof(double) < index::kHugePageBytes + 4096) {
+    docs.push_back(random_sparse(rng, 400, 120));
+    postings += docs.back().nnz();
+  }
+  const index::InvertedIndex bulk = index::InvertedIndex().appended(docs);
+  const std::span<const vsm::SparseVector> all(docs);
+  const std::size_t split = docs.size() * 9 / 10;
+  const index::InvertedIndex folded =
+      index::InvertedIndex().appended(all.first(split)).appended(
+          all.subspan(split));
+  EXPECT_TRUE(folded == bulk);
+  EXPECT_TRUE(bulk.appended(std::span<const vsm::SparseVector>()) == bulk);
+  // The streams report their exact size, as std::allocator's did.
+  const auto mem = bulk.memory_breakdown();
+  EXPECT_EQ(mem.postings,
+            bulk.num_postings() *
+                (sizeof(index::InvertedIndex::DocId) + sizeof(double)));
+  expect_same_memory(folded.memory_breakdown(), mem, "folded");
 }
 
 }  // namespace

@@ -108,6 +108,30 @@ TEST(InvertedIndex, AddBatchTracksStats) {
   EXPECT_EQ(idx.num_postings(), 4u);
 }
 
+TEST(InvertedIndex, AppendedRejectsTermIdsThatDoNotStrictlyIncrease) {
+  // A raw view skips SparseVector's ordering rule, so appended() enforces
+  // it: a repeated term would put one document twice in a posting span.
+  const index::InvertedIndex idx = index::InvertedIndex().appended(
+      std::vector<vsm::SparseVector>{
+          vsm::SparseVector::from_entries({{1, 1.0}, {4, 2.0}})});
+  const std::vector<std::uint32_t> ok_terms = {0, 3};
+  const std::vector<std::uint32_t> duplicate_terms = {2, 2};
+  const std::vector<std::uint32_t> descending_terms = {5, 3};
+  const std::vector<double> weights = {1.0, 0.5};
+  for (const auto* terms : {&duplicate_terms, &descending_terms}) {
+    const std::vector<vsm::SparseView> batch = {{ok_terms, weights},
+                                                {*terms, weights}};
+    EXPECT_THROW(idx.appended(batch), std::invalid_argument);
+  }
+  // The index is a value: a rejected batch leaves it as it was.
+  EXPECT_TRUE(idx == index::InvertedIndex().appended(
+                         std::vector<vsm::SparseVector>{
+                             vsm::SparseVector::from_entries(
+                                 {{1, 1.0}, {4, 2.0}})}));
+  EXPECT_EQ(idx.size(), 1u);
+  EXPECT_EQ(idx.num_postings(), 2u);
+}
+
 TEST(InvertedIndex, TopKOnEmptyIndexIsEmpty) {
   const index::InvertedIndex idx;
   EXPECT_TRUE(idx.top_k(vsm::SparseVector::from_entries({{0, 1.0}}), 5).empty());

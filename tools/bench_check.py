@@ -16,6 +16,12 @@ Caveats, by design:
   the small-row deltas without failing; the enforced gate matters for full
   runs on the baseline machine (and for refreshing the baseline alongside
   any intentional perf change).
+* Rows carry host facts where the bench records them: ``cores`` (hardware
+  threads) and ``simd`` (the exact path's scoring kernel). They are
+  measured fields, not row identity, and when any matched row's host facts
+  differ from its baseline row's, the script prints one ``[host]`` note
+  for the file naming the differences, since its deltas then compare two
+  machines.
 * Rows present in the baseline but missing from the fresh file are warnings
   (smoke runs legitimately truncate the ladder); brand-new fresh rows are
   reported, not failed, so adding a policy to a bench does not break CI.
@@ -33,7 +39,9 @@ import sys
 
 MEASURED_FIELDS = {
     "us_per_query", "queries_per_sec", "prune_rate", "postings_visited",
-    "blocks_skipped", "seconds", "docs_per_sec", "cores",
+    "blocks_skipped", "seconds", "docs_per_sec",
+    # Host facts (see HOST_FIELDS).
+    "cores", "simd",
     "file_mb", "mb_per_sec", "speedup", "forward_gathers",
     # query_engine_scaling: per-cell scheduler measurements...
     "speedup_vs_scalar", "dispatch_inline", "dispatch_pooled",
@@ -60,6 +68,8 @@ MEASURED_FIELDS = {
     # and the restored index's memory_bytes.
     "load_peak_rss_mb", "index_mb",
 }
+# Measured fields that describe the host rather than the run.
+HOST_FIELDS = ("cores", "simd")
 # Lower-is-better metrics, in preference order; each file is gated on the
 # first one its rows actually carry (query benches emit us_per_query, the
 # build bench emits seconds).
@@ -149,6 +159,7 @@ def main():
     failures = 0
     compared = 0
     missing_failures = 0
+    host_changes = set()
     for key, base in sorted(base_by_key.items()):
         fresh = fresh_by_key.get(key)
         ident = ", ".join(f"{f}={v}" for f, v in key)
@@ -163,6 +174,11 @@ def main():
             else:
                 print(f"  [missing] {ident} (fresh run truncated?)")
             continue
+        for field in HOST_FIELDS:
+            if field in fresh and base.get(field) != fresh[field]:
+                host_changes.add(
+                    (field, str(base.get(field, "unrecorded")),
+                     str(fresh[field])))
         if metric not in base or metric not in fresh:
             continue
         compared += 1
@@ -185,6 +201,12 @@ def main():
     for key in sorted(set(fresh_by_key) - set(base_by_key)):
         ident = ", ".join(f"{f}={v}" for f, v in key)
         print(f"  [new] {ident} (no baseline yet)")
+    if host_changes:
+        changes = ", ".join(f"{field} {base} -> {fresh}"
+                            for field, base, fresh in sorted(host_changes))
+        print(f"  [host] {fresh_name}: rows were measured on a different "
+              f"host than the baseline ({changes}); absolute times compare "
+              f"two machines")
 
     floor_failures = 0
     if args.speedup_floor is not None:

@@ -154,6 +154,31 @@ class BenchCheckTest(unittest.TestCase):
         self.assertNotIn("[new]", result.stdout)
         self.assertNotIn("[missing]", result.stdout)
 
+    def test_host_change_prints_one_note_per_file(self):
+        # cores/simd are host facts: they never split a row, and a change
+        # is reported once for the file, not once per row.
+        base = self.write("base.json", bench_file(
+            [row(10000, 10.0, cores=8, simd="scalar"),
+             row(100000, 12.0, cores=8, simd="scalar")]))
+        fresh = self.write("fresh.json", bench_file(
+            [row(10000, 9.0, cores=4, simd="avx512f"),
+             row(100000, 11.0, cores=4, simd="avx512f")]))
+        result = self.run_check(fresh, base)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("2 rows compared", result.stdout)
+        self.assertEqual(result.stdout.count("[host]"), 1, result.stdout)
+        self.assertIn("cores 8 -> 4", result.stdout)
+        self.assertIn("simd scalar -> avx512f", result.stdout)
+        same = self.run_check(base, base)
+        self.assertNotIn("[host]", same.stdout)
+        # A baseline that never recorded the kernel says so.
+        old = self.write("old.json", bench_file([row(10000, 10.0, cores=4)]))
+        newer = self.write("newer.json", bench_file(
+            [row(10000, 10.0, cores=4, simd="avx512f")]))
+        result = self.run_check(newer, old)
+        self.assertIn("simd unrecorded -> avx512f", result.stdout)
+        self.assertNotIn("cores", result.stdout.split("[host]")[1])
+
 
 if __name__ == "__main__":
     unittest.main()
