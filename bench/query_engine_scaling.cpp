@@ -371,7 +371,7 @@ int main(int argc, char** argv) {
                    "tasks_executed",
                    static_cast<double>(cell.stats.tasks_executed)),
                fmeter::bench::jnum("cores", static_cast<double>(cores)),
-             fmeter::bench::jstr("simd", simd)});
+               fmeter::bench::jstr("simd", simd)});
         }
       }
 
