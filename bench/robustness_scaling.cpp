@@ -311,7 +311,8 @@ int main(int argc, char** argv) {
     double honest_cost = 0.0, heavy_cost = 1e300;
     for (std::size_t i = 0; i < shed_stream.size(); ++i) {
       const double cost = QueryEngine::estimated_query_cost(
-          *db.index(), shed_stream[i], kTopK, PruningMode::kMaxScore);
+          *db.index(), shed_stream[i], kTopK, fmeter::exec::Metric::kCosine,
+          PruningMode::kMaxScore);
       if (i % kHeavyEvery == 0) {
         heavy_cost = std::min(heavy_cost, cost);
       } else {

@@ -7,9 +7,14 @@
 //
 //   reindex — load the text corpus, fit tf-idf, bulk-build + freeze the
 //             sharded index (the pre-snapshot cold-start path);
-//   load    — restore the binary snapshot (decode the labels, rebuild
-//             every shard from its sections in parallel through
-//             ShardedIndex::load): tokenize/tf-idf/text parsing gone.
+//   load    — restore the binary snapshot in two phases on the pool: read
+//             and checksum every section (one participant per section),
+//             then decode the labels and rebuild every shard from its
+//             sections (ShardedIndex::load): tokenize/tf-idf/text parsing
+//             gone. The two phases are read back from the registry's stage
+//             histograms (fmeter_stage_snapshot_load_ns for the read,
+//             fmeter_stage_ingest_ns for the builds) as `read_s` and
+//             `build_s`.
 //
 // It verifies the restored database answers bit-identically to the fresh
 // build in every mode, records save/load throughput and snapshot size, and
@@ -39,6 +44,7 @@
 #include "bench_common.hpp"
 #include "fmeter/database.hpp"
 #include "fmeter/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 #include "vsm/corpus_io.hpp"
@@ -122,6 +128,15 @@ bool searches_bit_identical(const fmeter::core::SignatureDatabase& a,
   return true;
 }
 
+/// Seconds recorded so far under the global registry's histogram `name`.
+double stage_seconds(const char* name) {
+  const auto scraped = fmeter::obs::MetricsRegistry::global().scrape();
+  const auto* histogram = scraped.histogram(name);
+  return histogram == nullptr
+             ? 0.0
+             : static_cast<double>(histogram->snapshot.sum) * 1e-9;
+}
+
 /// Peak resident set of this process so far, in kB.
 long peak_rss_kb() {
   rusage usage{};
@@ -182,9 +197,9 @@ int main(int argc, char** argv) {
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   std::printf("hardware threads: %u\n\n", cores);
-  std::printf("%8s %10s %10s %10s %10s %10s %8s %10s %10s\n", "docs",
-              "reindex_s", "save_s", "load_s", "file_MB", "load_MB/s", "ratio",
-              "load_rss", "index_MB");
+  std::printf("%8s %10s %10s %10s %8s %8s %10s %10s %8s %10s %10s\n", "docs",
+              "reindex_s", "save_s", "load_s", "read_s", "build_s", "file_MB",
+              "load_MB/s", "ratio", "load_rss", "index_MB");
 
   std::vector<fmeter::bench::ShapeCheck> checks;
   std::vector<fmeter::bench::JsonRow> json_rows;
@@ -207,9 +222,15 @@ int main(int argc, char** argv) {
 
     // Cold-start path B: binary snapshot -> parallel per-shard rebuild.
     fmeter::core::SignatureDatabase loaded;
+    const double read_before = stage_seconds("fmeter_stage_snapshot_load_ns");
+    const double build_before = stage_seconds("fmeter_stage_ingest_ns");
     const auto t_load = std::chrono::steady_clock::now();
     loaded.load(snapshot_path);
     const double load_s = seconds_since(t_load);
+    const double read_s =
+        stage_seconds("fmeter_stage_snapshot_load_ns") - read_before;
+    const double build_s = stage_seconds("fmeter_stage_ingest_ns") -
+                           build_before;
 
     const bool identical = searches_bit_identical(db, loaded);
     checks.push_back({"restored archive bit-identical to fresh build at " +
@@ -218,9 +239,11 @@ int main(int argc, char** argv) {
 
     const double ratio = load_s > 0.0 ? reindex_s / load_s : 0.0;
     const FreshLoad fresh = load_in_fresh_process(snapshot_path);
-    std::printf("%8zu %10.2f %10.2f %10.2f %10.1f %10.1f %7.2fx %10.1f %10.1f\n",
-                docs, reindex_s, save_s, load_s, file_mb, file_mb / load_s,
-                ratio, fresh.peak_rss_mb, fresh.index_mb);
+    std::printf(
+        "%8zu %10.2f %10.2f %10.3f %8.3f %8.3f %10.1f %10.1f %7.2fx %10.1f "
+        "%10.1f\n",
+        docs, reindex_s, save_s, load_s, read_s, build_s, file_mb,
+        file_mb / load_s, ratio, fresh.peak_rss_mb, fresh.index_mb);
 
     for (const auto& [phase, secs] :
          {std::pair<const char*, double>{"reindex", reindex_s},
@@ -235,6 +258,10 @@ int main(int argc, char** argv) {
            fmeter::bench::jnum("mb_per_sec", secs > 0.0 ? file_mb / secs : 0.0),
            fmeter::bench::jnum("speedup",
                                std::string(phase) == "load" ? ratio : 0.0),
+           fmeter::bench::jnum("read_s",
+                               std::string(phase) == "load" ? read_s : 0.0),
+           fmeter::bench::jnum("build_s",
+                               std::string(phase) == "load" ? build_s : 0.0),
            fmeter::bench::jnum("load_peak_rss_mb", fresh.peak_rss_mb),
            fmeter::bench::jnum("index_mb", fresh.index_mb),
            fmeter::bench::jnum("cores", static_cast<double>(cores))});

@@ -50,9 +50,10 @@ constexpr double kSpanOverheadDocs = 64.0;
 /// shards to it changes nothing but the speed. Forced pruning stays
 /// available at the index layer (InvertedIndex::top_k_pruned directly).
 PruningMode resolve_mode(const ShardedIndex& index, std::size_t shard,
-                         std::size_t k, PruningMode mode) {
+                         std::size_t k, Metric metric, PruningMode mode) {
   if (mode == PruningMode::kExact) return mode;
-  return index::InvertedIndex::resolve_auto(index.shard(shard).size(), k);
+  return index::InvertedIndex::resolve_auto(index.shard(shard).size(), k,
+                                            metric);
 }
 
 /// Estimated scoring work for one query across every shard, each shard
@@ -62,11 +63,11 @@ PruningMode resolve_mode(const ShardedIndex& index, std::size_t shard,
 /// verification) plus a small fraction of the shard it still streams
 /// through.
 double estimated_query_docs(const ShardedIndex& index, std::size_t k,
-                            PruningMode mode) {
+                            Metric metric, PruningMode mode) {
   double docs = 0.0;
   for (std::size_t s = 0; s < index.num_shards(); ++s) {
     const auto shard_docs = static_cast<double>(index.shard(s).size());
-    docs += resolve_mode(index, s, k, mode) == PruningMode::kExact
+    docs += resolve_mode(index, s, k, metric, mode) == PruningMode::kExact
                 ? shard_docs
                 : std::min(shard_docs,
                            32.0 * static_cast<double>(k) + shard_docs / 8.0);
@@ -93,7 +94,7 @@ std::vector<IndexHit> shard_hits(const ShardedIndex& index, std::size_t shard,
                                  const index::Deadline* deadline) {
   const obs::StageSpan probe_span(obs::Stage::kShardProbe);
   std::vector<IndexHit> hits;
-  mode = resolve_mode(index, shard, k, mode);
+  mode = resolve_mode(index, shard, k, metric, mode);
   const double seed =
       floor != nullptr
           ? std::atomic_ref<double>(*floor).load(std::memory_order_relaxed)
@@ -320,7 +321,8 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
 
 double QueryEngine::estimated_query_cost(const ShardedIndex& index,
                                          const vsm::SparseVector& query,
-                                         std::size_t k, PruningMode mode) {
+                                         std::size_t k, Metric metric,
+                                         PruningMode mode) {
   const std::size_t shards = index.num_shards();
   if (shards == 0 || index.size() == 0 || query.empty()) return 0.0;
   // The grid term the dispatch decision already uses, plus this query's own
@@ -330,7 +332,7 @@ double QueryEngine::estimated_query_cost(const ShardedIndex& index,
   for (std::size_t s = 0; s < shards; ++s) {
     postings += static_cast<double>(index.shard(s).num_postings_for(query));
   }
-  return estimated_query_docs(index, k, mode) + postings;
+  return estimated_query_docs(index, k, metric, mode) + postings;
 }
 
 std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
@@ -538,7 +540,7 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   // first so inline-only workloads never materialize the shared pool (a
   // pooled win needs total_work > overhead / (1 - 1/participants), i.e.
   // at least twice the dispatch overhead).
-  const double total_work = estimated_query_docs(*index_, k, mode) *
+  const double total_work = estimated_query_docs(*index_, k, metric, mode) *
                             static_cast<double>(n_eligible);
   if (total_work <= 2.0 * kDispatchOverheadDocs) return run_inline();
   TaskPool& pool = this->pool();

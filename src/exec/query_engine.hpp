@@ -191,7 +191,8 @@ class QueryEngine {
   /// numbers the scheduler already trusts.
   static double estimated_query_cost(const ShardedIndex& index,
                                      const vsm::SparseVector& query,
-                                     std::size_t k, PruningMode mode);
+                                     std::size_t k, Metric metric,
+                                     PruningMode mode);
 
   /// Lifetime totals of the dispatch decision: batches the cost model kept
   /// on the caller vs. fanned out over the pool.

@@ -154,6 +154,17 @@ ShardedIndex ShardedIndex::load(std::istream& in, TaskPool* pool) {
   return load(reader, pool);
 }
 
+index::snapshot::Reader ShardedIndex::read_snapshot(const io::Env& env,
+                                                    const std::string& path,
+                                                    TaskPool* pool) {
+  TaskPool& workers = pool != nullptr ? *pool : TaskPool::shared();
+  return index::snapshot::Reader(
+      env, path,
+      [&workers](std::size_t n, const std::function<void(std::size_t)>& task) {
+        workers.run_spans(n, [&task](std::size_t i, std::size_t) { task(i); });
+      });
+}
+
 std::size_t ShardedIndex::num_postings() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard.num_postings();

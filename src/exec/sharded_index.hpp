@@ -35,11 +35,13 @@
 #include <cstddef>
 #include <iosfwd>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "exec/task_pool.hpp"
 #include "index/inverted_index.hpp"
 #include "index/snapshot.hpp"
+#include "io/env.hpp"
 #include "vsm/sparse_vector.hpp"
 
 namespace fmeter::exec {
@@ -104,6 +106,15 @@ class ShardedIndex {
   static ShardedIndex load(index::snapshot::Reader& reader,
                            TaskPool* pool = nullptr);
   static ShardedIndex load(std::istream& in, TaskPool* pool = nullptr);
+
+  /// Opens the snapshot at `path` through `env` and reads and verifies it
+  /// on `pool` (TaskPool::shared() when null): every section is allocated,
+  /// read and checksummed by one participant, the caller among them, and
+  /// the first failure in directory order throws SnapshotError once all
+  /// have finished. The restore's first phase; load() is the second.
+  static index::snapshot::Reader read_snapshot(const io::Env& env,
+                                               const std::string& path,
+                                               TaskPool* pool = nullptr);
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
   const index::InvertedIndex& shard(std::size_t s) const {

@@ -18,18 +18,29 @@ namespace {
 thread_local const TaskPool* tls_owning_pool = nullptr;
 thread_local std::size_t tls_worker_index = 0;
 
-/// CPUs this process may run on: its affinity mask where the platform
-/// exposes one (taskset, a container's cpuset), else the hardware thread
-/// count. Sizing by the mask keeps a pool restricted to 2 of 64 cores from
-/// spawning 64 workers that only contend for the 2.
-std::size_t usable_cpus() {
+/// The CPUs in the calling thread's affinity mask (taskset, a container's
+/// cpuset), in ascending order; empty where the platform exposes none.
+std::vector<int> affinity_cpus() {
+  std::vector<int> out;
 #if defined(__linux__)
   cpu_set_t cpus;
   CPU_ZERO(&cpus);
   if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
-    return std::max(1, CPU_COUNT(&cpus));
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &cpus)) out.push_back(cpu);
+    }
   }
 #endif
+  return out;
+}
+
+/// CPUs this process may run on: its affinity mask where the platform
+/// exposes one, else the hardware thread count. Sizing by the mask keeps a
+/// pool restricted to 2 of 64 cores from spawning 64 workers that only
+/// contend for the 2.
+std::size_t usable_cpus() {
+  const std::size_t masked = affinity_cpus().size();
+  if (masked > 0) return masked;
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
@@ -44,7 +55,11 @@ TaskPool::TaskPool(std::size_t num_threads)
     // Options form reserves 0 for "size to the hardware").
     : TaskPool(Options{std::max<std::size_t>(1, num_threads), false}) {}
 
-TaskPool::TaskPool(const Options& options) : pin_threads_(options.pin_threads) {
+TaskPool::TaskPool(const Options& options) {
+  // Pinning targets the creating thread's mask: under taskset -c 2,3 a
+  // worker pinned by its index alone would ask for CPU 0 or 1, and either
+  // leave the mask or, where a cpuset forbids those CPUs, run unpinned.
+  if (options.pin_threads) pin_cpus_ = affinity_cpus();
   const std::size_t requested =
       options.num_threads > 0 ? options.num_threads : usable_cpus();
   const std::size_t count = std::max<std::size_t>(1, requested);
@@ -175,13 +190,12 @@ void TaskPool::worker_loop(std::size_t worker_index) {
   tls_owning_pool = this;
   tls_worker_index = worker_index;
 #if defined(__linux__)
-  if (pin_threads_) {
+  if (!pin_cpus_.empty()) {
     cpu_set_t cpus;
     CPU_ZERO(&cpus);
-    CPU_SET(worker_index % std::max(1u, std::thread::hardware_concurrency()),
-            &cpus);
-    // Best-effort: a restricted affinity mask (container, taskset) can
-    // reject the target core; the worker then just runs unpinned.
+    CPU_SET(pin_cpus_[worker_index % pin_cpus_.size()], &cpus);
+    // Best-effort: should the mask have changed since, the worker just
+    // runs unpinned.
     (void)pthread_setaffinity_np(pthread_self(), sizeof(cpus), &cpus);
   }
 #endif

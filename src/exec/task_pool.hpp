@@ -21,10 +21,11 @@
 // simply claims fewer spans). Workers are spawned once at construction and
 // joined at destruction.
 //
-// Options.pin_threads (off by default) pins worker i to core i modulo the
-// hardware concurrency via pthread_setaffinity_np — for dedicated serving
-// processes where the OS migrating workers between cores costs more than
-// it balances; meaningless under oversubscription, hence opt-in.
+// Options.pin_threads (off by default) pins worker i to the (i mod n)-th
+// of the n CPUs in the creating thread's affinity mask via
+// pthread_setaffinity_np — for dedicated serving processes where the OS
+// migrating workers between cores costs more than it balances;
+// meaningless under oversubscription, hence opt-in.
 #pragma once
 
 #include <atomic>
@@ -52,7 +53,7 @@ class TaskPool {
  public:
   struct Options {
     std::size_t num_threads = 0;  ///< 0 → CPUs in the affinity mask
-    bool pin_threads = false;     ///< pthread_setaffinity_np worker i → core i
+    bool pin_threads = false;  ///< worker i → CPU i mod n of the caller's mask
   };
 
   /// Spawns `num_threads` workers (clamped to at least 1).
@@ -199,7 +200,7 @@ class TaskPool {
   obs::MetricsRegistry* metrics_registry_ = nullptr;
   std::size_t metrics_token_ = 0;
   bool stopping_ = false;
-  bool pin_threads_ = false;
+  std::vector<int> pin_cpus_;  // the mask pinned workers spread over
 };
 
 }  // namespace fmeter::exec

@@ -406,7 +406,7 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
   if (admission_.max_query_cost_docs > 0.0) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const double cost = exec::QueryEngine::estimated_query_cost(
-          *pinned, *queries[i], k, mode);
+          *pinned, *queries[i], k, to_index_metric(metric), mode);
       if (cost <= admission_.max_query_cost_docs) continue;
       if (admitted.empty()) {
         admitted.assign(queries.begin(), queries.end());
@@ -694,7 +694,10 @@ void SignatureDatabase::load(const std::string& path) {
 }
 
 void SignatureDatabase::load(io::Env& env, const std::string& path) {
-  index::snapshot::Reader reader(env, path);
+  // Two phases on the shared pool: read and verify every section, then
+  // build the shards from them.
+  index::snapshot::Reader reader =
+      exec::ShardedIndex::read_snapshot(env, path);
   load(reader);
 }
 

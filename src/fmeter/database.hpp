@@ -319,9 +319,11 @@ class SignatureDatabase {
   /// guarantee: the snapshot is validated (header, version, endianness,
   /// per-section checksums) and loaded into a temporary which replaces
   /// *this only on success; any index::snapshot::SnapshotError leaves the
-  /// current contents untouched and usable. The path overloads stream the
+  /// current contents untouched and usable. The path overloads read the
   /// file through the Env's positioned reads (the path-only form through
-  /// Env::posix()), with no whole-file buffer.
+  /// Env::posix()), with no whole-file buffer: every section is read and
+  /// checksummed on the shared pool (ShardedIndex::read_snapshot) before
+  /// the shard builds start.
   void load(std::istream& in);
   void load(const std::string& path);
   void load(io::Env& env, const std::string& path);

@@ -16,7 +16,7 @@ std::size_t page_rounded(std::size_t bytes) noexcept {
 
 }  // namespace
 
-void* allocate_arena_bytes(std::size_t bytes) {
+void* allocate_arena_bytes(std::size_t bytes, bool huge_pages) {
   if (bytes < kHugePageBytes) return ::operator new(bytes);
   // Over-map by one huge page, then unmap the slack on both sides of the
   // first 2 MiB boundary: the mapping that remains is the stream's own
@@ -34,10 +34,15 @@ void* allocate_arena_bytes(std::size_t bytes) {
     ::munmap(reinterpret_cast<void*>(start + length), end - (start + length));
   }
   void* block = reinterpret_cast<void*>(start);
+  if (huge_pages) advise_huge_pages(block, bytes);
+  return block;
+}
+
+void advise_huge_pages(void* block, std::size_t bytes) noexcept {
+  if (bytes < kHugePageBytes) return;
 #ifdef MADV_HUGEPAGE
   ::madvise(block, bytes, MADV_HUGEPAGE);  // advice only: failure is harmless
 #endif
-  return block;
 }
 
 void deallocate_arena_bytes(void* block, std::size_t bytes) noexcept {

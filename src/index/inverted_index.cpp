@@ -260,15 +260,16 @@ void InvertedIndex::build_arena() {
     }
   }
 
-  // 1. One pass in public order: doc-reorder keys, per-term posting counts,
-  //    and the per-term max/min bounds (first posting sets them, later ones
-  //    widen them). Reorder keys cluster documents by their dominant term
-  //    so one behavior's signatures become neighbors in internal id space
-  //    (see the header — this is what makes per-block id ranges selective).
-  //    Deterministic: public id breaks key ties, so every build of the same
-  //    documents produces an identical arena.
+  // 1. One pass in public order: doc-reorder keys, norms, per-term posting
+  //    counts, and the per-term max/min bounds (first posting sets them,
+  //    later ones widen them). Reorder keys cluster documents by their
+  //    dominant term so one behavior's signatures become neighbors in
+  //    internal id space (see the header — this is what makes per-block id
+  //    ranges selective). Deterministic: public id breaks key ties, so
+  //    every build of the same documents produces an identical arena.
   std::vector<DocId> order(n);
   std::vector<TermId> key(n);
+  std::vector<double> norm(n);
   std::vector<std::size_t> offsets(terms + 1, 0);
   std::vector<double> max_w(terms, 0.0);
   std::vector<double> min_w(terms, 0.0);
@@ -288,6 +289,7 @@ void InvertedIndex::build_arena() {
       }
     }
     key[g] = dominant_term(run);
+    norm[g] = vsm::norm_l2(run);
     order[g] = static_cast<DocId>(g);
   }
   std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
@@ -306,14 +308,14 @@ void InvertedIndex::build_arena() {
     internal_of_[g] = static_cast<DocId>(r);
     public_of_[r] = g;
     keys_[r] = key[g];
-    const double norm = vsm::norm_l2(forward_run(g));
-    norms_[r] = norm;
-    norms_sq_[r] = norm * norm;
+    norms_[r] = norm[g];
+    norms_sq_[r] = norm[g] * norm[g];
   }
 
   // 3. Posting arena by counting sort over terms: docs visited in internal
   //    order with per-doc terms ascending, so every term's span comes out
-  //    sorted by internal id with no comparison sort.
+  //    sorted by internal id with no comparison sort. The scatter writes
+  //    every slot once, so the streams are sized without a zero fill.
   for (std::size_t t = 0; t < terms; ++t) offsets[t + 1] += offsets[t];
   arena_ids_.resize(postings);
   arena_weights_.resize(postings);

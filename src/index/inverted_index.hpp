@@ -19,11 +19,12 @@
 // ids, which GCC does not vectorize on its own; on an AVX-512F host it runs
 // a hand-written gather/multiply/add/scatter loop, 8 postings a step, and
 // its score pass pre-tests 8 documents per compare, both bit-identical to
-// the scalar loops (kernels.hpp). A stream of at least 2 MiB sits on
-// transparent huge pages (arena_allocator.hpp). Each term's span is
-// additionally partitioned into fixed-size blocks (kBlockSize postings)
-// carrying the block's last doc id and max/min posting weight, the
-// block-max metadata the pruned path skips whole blocks with.
+// the scalar loops (kernels.hpp). A posting stream of at least 2 MiB sits
+// on transparent huge pages (arena_allocator.hpp). Each term's span is
+// additionally partitioned into fixed-size blocks
+// (kBlockSize postings) carrying the block's last doc id and max/min
+// posting weight, the block-max metadata the pruned path skips whole
+// blocks with.
 //
 // A build also *reorders documents*: arena postings are stored under an
 // internal doc-id permutation that clusters documents by their dominant
@@ -327,25 +328,30 @@ class InvertedIndex {
   MemoryBreakdown memory_breakdown() const noexcept;
 
   /// Resolves PruningMode::kAuto for a shard of `docs` documents answering
-  /// a top-`k` query: kMaxScore once the shard is large enough that bound
-  /// bookkeeping pays for itself, kExact below. The cutoffs come from
-  /// measured crossovers, not from theory. Last measured with the AVX-512F
-  /// exact kernels and the huge-page arena (one unseeded shard, top-10, the
-  /// bench corpus, minimum of 9 alternating exact/pruned sweeps of 64
-  /// queries, 3 runs per size on a 4-vCPU AVX-512 Xeon VM): exact/pruned
-  /// time is 0.4 at 10k, 0.6–0.7 at 25k, 0.7–0.8 at 32768, 0.7 at 50k and
-  /// 0.9–1.1 at 100k docs for cosine, and 0.7–0.8, 1.1, 1.2–1.3, 1.4 and
-  /// 1.7–1.8 for Euclidean. The scalar kernels read 0.5, 0.8, 0.9–1.0,
-  /// 0.9–1.0 and 1.2–1.3 for cosine in the same runs. The cosine crossover
-  /// has moved to ~100k, but Euclidean still crosses near 20k and the
-  /// cutoff is one for both metrics, so it stays at 32768: exact does not
-  /// beat pruned there for Euclidean.
-  static PruningMode resolve_auto(std::size_t docs, std::size_t k) noexcept {
-    constexpr std::size_t kAutoPrunedMinDocs = 32768;
+  /// a top-`k` query under `metric`: kMaxScore once the shard is large
+  /// enough that bound bookkeeping pays for itself, kExact below. The
+  /// cutoffs come from measured crossovers, not from theory, and differ by
+  /// metric: the cosine exact pass skips most of its divides with a cheap
+  /// pre-test, the Euclidean one takes a sqrt per document. Last measured
+  /// with the AVX-512F exact kernels and the huge-page arena (one unseeded
+  /// shard, top-10, the bench corpus, minimum of 9 alternating
+  /// exact/pruned sweeps of 64 queries, 3 runs per size on a 4-vCPU
+  /// AVX-512 Xeon VM). Exact/pruned time for cosine: 0.41–0.45 at 10k,
+  /// 0.55–0.64 at 20k, 0.72–0.81 at 32768, 0.72–0.85 at 40k, 0.97–1.12 at
+  /// 50k, 1.01–1.02 at 60k, 0.92–1.08 at 65536, 1.10–1.12 at 75k and
+  /// 1.06–1.18 at 100k docs. For Euclidean: 0.62–0.74 at 10k, 0.86–0.96 at
+  /// 16384, 0.91–0.93 at 18k, 0.95–1.26 at 20k, 1.00–1.05 at 22k,
+  /// 1.10–1.17 at 25k, 1.23–1.28 at 32768 and 1.80–1.84 at 100k.
+  static PruningMode resolve_auto(std::size_t docs, std::size_t k,
+                                  Metric metric) noexcept {
+    constexpr std::size_t kCosinePrunedMinDocs = 60000;
+    constexpr std::size_t kEuclideanPrunedMinDocs = 20000;
+    const std::size_t min_docs = metric == Metric::kCosine
+                                     ? kCosinePrunedMinDocs
+                                     : kEuclideanPrunedMinDocs;
     // Near-full retrieval gives bounds nothing to discard.
-    return (docs >= kAutoPrunedMinDocs && k * 16 <= docs)
-               ? PruningMode::kMaxScore
-               : PruningMode::kExact;
+    return (docs >= min_docs && k * 16 <= docs) ? PruningMode::kMaxScore
+                                                : PruningMode::kExact;
   }
 
   /// Top-k most similar documents, ranked by descending score; equal scores
@@ -447,8 +453,8 @@ class InvertedIndex {
 
   // --- posting arena (term-major struct-of-arrays) ---
   // All doc ids below are *internal* ids (see internal_of_/public_of_).
-  std::vector<DocId, ArenaAllocator<DocId>> arena_ids_;  // doc-id stream
-  std::vector<double, ArenaAllocator<double>> arena_weights_;  // weights
+  ArenaVector<DocId> arena_ids_;      // doc-id stream
+  ArenaVector<double> arena_weights_;  // weight stream
   std::vector<std::size_t> arena_offsets_;  // term t's span: [t], [t+1])
   // Term t's blocks are [arena_block_begin_[t], arena_block_begin_[t+1]);
   // block b of term t covers postings
@@ -478,10 +484,11 @@ class InvertedIndex {
   // reaches an internal id's run through public_of_), the per-doc extents
   // behind its candidate-switch cost model, the source every build reads
   // the stored documents from, and the snapshot sections verbatim.
-  // A build copies it; a snapshot load adopts the file's sections.
-  std::vector<std::uint64_t> forward_offsets_{0};
-  std::vector<TermId> forward_terms_;
-  std::vector<double> forward_weights_;
+  // A build copies it; a snapshot load adopts the file's sections, which
+  // the Reader allocates on the same allocator.
+  ForwardVector<std::uint64_t> forward_offsets_{0};
+  ForwardVector<TermId> forward_terms_;
+  ForwardVector<double> forward_weights_;
   std::size_t num_postings_ = 0;
   std::size_t nonempty_terms_ = 0;
 };

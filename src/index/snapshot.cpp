@@ -1,8 +1,10 @@
 #include "index/snapshot.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <istream>
 #include <ostream>
 
@@ -18,6 +20,12 @@ using io::fnv1a_extend;
 /// Format limits guarding header-count allocations (see Reader below).
 constexpr std::uint32_t kMaxShards = 1u << 16;
 constexpr std::uint32_t kExtraSectionSlack = 16;
+
+/// Payloads are read and checksummed this many bytes at a time, so each
+/// chunk is hashed while it is still in cache. A multiple of 8: the chunked
+/// FNV folds 8 bytes per step, so a split at a non-multiple boundary would
+/// hash different chunks than the writer's one-shot pass.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 
 /// Fixed-size header prefix (before the directory), kept as a POD so the
 /// byte layout is the documented one. Packed by construction: every field
@@ -115,8 +123,10 @@ class StreamSource final : public ByteSource {
 
 class FileSource final : public ByteSource {
  public:
-  FileSource(const io::RandomAccessFile& file, std::uint64_t size)
-      : file_(file), size_(size) {}
+  /// Reads `file` (of `size` bytes) from offset `at` on.
+  FileSource(const io::RandomAccessFile& file, std::uint64_t size,
+             std::uint64_t at = 0)
+      : file_(file), size_(size), at_(at) {}
 
   std::size_t read(std::span<std::byte> into) override {
     // RandomAccessFile::read may come back short without being at EOF.
@@ -137,7 +147,7 @@ class FileSource final : public ByteSource {
  private:
   const io::RandomAccessFile& file_;
   std::uint64_t size_;
-  std::uint64_t at_ = 0;
+  std::uint64_t at_;
 };
 
 void read_exact(ByteSource& in, void* into, std::size_t bytes,
@@ -335,52 +345,16 @@ void Writer::finish(io::Env& env, const std::string& path) {
   }
 }
 
-Reader::Reader(std::istream& in) {
-  const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
-  StreamSource source(in);
-  read_all(source);
-}
-
-Reader::Reader(const io::Env& env, const std::string& path) {
-  const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
-  try {
-    const auto file = env.new_random_access_file(path);
-    FileSource source(*file, env.file_size(path));
-    read_all(source);
-  } catch (const io::IoError& e) {
-    // One exception type per layer, as for the write side.
-    throw SnapshotError(std::string("snapshot: ") + e.what());
-  }
-}
-
 namespace {
 
-/// Reads `bytes` of payload straight into `data` as a vector of T and
-/// returns the bytes read, for the checksum.
-template <typename T, typename Data>
-std::span<const std::byte> read_section(ByteSource& in, std::uint64_t bytes,
-                                        Data& data) {
-  auto& out = data.template emplace<std::vector<T>>(
-      static_cast<std::size_t>(bytes / sizeof(T)));
-  read_exact(in, out.data(), static_cast<std::size_t>(bytes),
-             "section payload");
-  return std::as_bytes(std::span<const T>(out));
-}
-
-}  // namespace
-
-void Reader::read_all(ByteSource& in) {
-  const ParsedHeader header = read_header(in);
-
-  shard_count_ = header.prefix.shard_count;
-  doc_count_ = header.prefix.doc_count;
-  term_count_ = header.prefix.term_count;
-
-  // Every length is checked before any of them sizes an allocation: a
-  // forged entry must fail as a SnapshotError, not as bad_alloc.
-  const std::uint64_t present = in.remaining();
+/// Checks every directory length before any of them sizes an allocation —
+/// a forged entry must fail as a SnapshotError, not as bad_alloc — against
+/// the `present` payload bytes, which the sections must fill exactly
+/// (kUnknownSize, an unseekable stream, skips both checks).
+void check_lengths(const std::vector<DirectoryEntry>& directory,
+                   std::uint64_t present) {
   std::uint64_t declared = 0;
-  for (const DirectoryEntry& entry : header.directory) {
+  for (const DirectoryEntry& entry : directory) {
     const auto kind = static_cast<SectionKind>(entry.kind);
     if (entry.bytes % element_size(kind) != 0) {
       throw SnapshotError(std::string("snapshot: section ") +
@@ -396,36 +370,134 @@ void Reader::read_all(ByteSource& in) {
     }
     declared += entry.bytes;
   }
+  if (present != ByteSource::kUnknownSize && declared != present) {
+    throw SnapshotError("snapshot: trailing bytes after the last section");
+  }
+}
+
+/// Reads `entry`'s payload from `in` straight into `data` as a vector of T
+/// and verifies its checksum. The storage is advised onto huge pages before
+/// the read faults it in (see arena_allocator.hpp).
+template <typename T, typename Data>
+void read_typed(ByteSource& in, const DirectoryEntry& entry, Data& data) {
+  auto& out = data.template emplace<ForwardVector<T>>(
+      static_cast<std::size_t>(entry.bytes / sizeof(T)));
+  const std::span<std::byte> bytes = std::as_writable_bytes(std::span<T>(out));
+  advise_huge_pages(bytes.data(), bytes.size());
+  std::uint64_t hash = io::kFnvOffset;
+  for (std::size_t at = 0; at < bytes.size(); at += kChunkBytes) {
+    const std::span<std::byte> chunk =
+        bytes.subspan(at, std::min(kChunkBytes, bytes.size() - at));
+    read_exact(in, chunk.data(), chunk.size(), "section payload");
+    hash = fnv1a_extend(hash, chunk);
+  }
+  if (hash != entry.checksum) {
+    throw SnapshotError(std::string("snapshot: section ") +
+                        section_kind_name(static_cast<SectionKind>(
+                            entry.kind)) +
+                        "/" + std::to_string(entry.shard) +
+                        " checksum mismatch");
+  }
+}
+
+template <typename Data>
+void read_section(ByteSource& in, const DirectoryEntry& entry, Data& data) {
+  switch (static_cast<SectionKind>(entry.kind)) {
+    case SectionKind::kForwardOffsets:
+      return read_typed<std::uint64_t>(in, entry, data);
+    case SectionKind::kTermIds:
+      return read_typed<std::uint32_t>(in, entry, data);
+    case SectionKind::kWeights:
+      return read_typed<double>(in, entry, data);
+    case SectionKind::kLabels:
+      return read_typed<std::byte>(in, entry, data);
+  }
+}
+
+}  // namespace
+
+Reader::Reader(std::istream& in) {
+  const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
+  StreamSource source(in);
+  read_all(source);
+}
+
+void Reader::read_all(ByteSource& in) {
+  const ParsedHeader header = read_header(in);
+  shard_count_ = header.prefix.shard_count;
+  doc_count_ = header.prefix.doc_count;
+  term_count_ = header.prefix.term_count;
+  check_lengths(header.directory, in.remaining());
 
   sections_.reserve(header.directory.size());
   for (const DirectoryEntry& entry : header.directory) {
-    const auto kind = static_cast<SectionKind>(entry.kind);
-    Section section{kind, entry.shard, {}};
-    std::span<const std::byte> bytes;
-    switch (kind) {
-      case SectionKind::kForwardOffsets:
-        bytes = read_section<std::uint64_t>(in, entry.bytes, section.data);
-        break;
-      case SectionKind::kTermIds:
-        bytes = read_section<std::uint32_t>(in, entry.bytes, section.data);
-        break;
-      case SectionKind::kWeights:
-        bytes = read_section<double>(in, entry.bytes, section.data);
-        break;
-      case SectionKind::kLabels:
-        bytes = read_section<std::byte>(in, entry.bytes, section.data);
-        break;
-    }
-    if (fnv1a(bytes) != entry.checksum) {
-      throw SnapshotError(std::string("snapshot: section ") +
-                          section_kind_name(kind) + "/" +
-                          std::to_string(entry.shard) + " checksum mismatch");
-    }
+    Section section{static_cast<SectionKind>(entry.kind), entry.shard, {}};
+    read_section(in, entry, section.data);
     sections_.push_back(std::move(section));
   }
-  // Anything after the last declared section is not this snapshot's data.
+  // Anything after the last declared section is not this snapshot's data
+  // (checked up front already where the source knows its size).
   if (!at_end(in)) {
     throw SnapshotError("snapshot: trailing bytes after the last section");
+  }
+}
+
+Reader::Reader(const io::Env& env, const std::string& path,
+               const ParallelFor& parallel_for) {
+  const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
+  try {
+    const auto file = env.new_random_access_file(path);
+    const std::uint64_t size = env.file_size(path);
+    FileSource source(*file, size);
+    const ParsedHeader header = read_header(source);
+    shard_count_ = header.prefix.shard_count;
+    doc_count_ = header.prefix.doc_count;
+    term_count_ = header.prefix.term_count;
+    check_lengths(header.directory, source.remaining());
+
+    // One task per section, largest first, so a big section never starts
+    // last while the other participants sit idle. Each task reads from its
+    // own cursor into its own slot; a failure is kept, not thrown, so every
+    // task finishes before the first failure in directory order surfaces.
+    const std::size_t count = header.directory.size();
+    std::vector<std::uint64_t> offset(count);
+    std::vector<std::size_t> order(count);
+    std::uint64_t at = header.bytes_read;
+    sections_.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const DirectoryEntry& entry = header.directory[i];
+      sections_.push_back({static_cast<SectionKind>(entry.kind), entry.shard,
+                           {}});
+      offset[i] = at;
+      at += entry.bytes;
+      order[i] = i;
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&header](std::size_t a, std::size_t b) {
+                       return header.directory[a].bytes >
+                              header.directory[b].bytes;
+                     });
+    std::vector<std::exception_ptr> failures(count);
+    const auto read_one = [&](std::size_t task) {
+      const std::size_t i = order[task];
+      try {
+        FileSource cursor(*file, size, offset[i]);
+        read_section(cursor, header.directory[i], sections_[i].data);
+      } catch (...) {
+        failures[i] = std::current_exception();
+      }
+    };
+    if (parallel_for) {
+      parallel_for(count, read_one);
+    } else {
+      for (std::size_t task = 0; task < count; ++task) read_one(task);
+    }
+    for (const std::exception_ptr& failure : failures) {
+      if (failure) std::rethrow_exception(failure);
+    }
+  } catch (const io::IoError& e) {
+    // One exception type per layer, as for the write side.
+    throw SnapshotError(std::string("snapshot: ") + e.what());
   }
 }
 
@@ -508,11 +580,7 @@ VerifyResult verify_stream(std::istream& stream) {
   result.term_count = header.prefix.term_count;
   result.total_bytes = header.bytes_read;
 
-  // Chunk size must be a multiple of 8: the chunked FNV folds 8 bytes per
-  // step, so a split at a non-multiple boundary would hash different
-  // chunks than the writer's one-shot pass and "verify" nothing.
-  constexpr std::size_t kChunk = 1u << 20;
-  std::vector<std::byte> chunk(kChunk);
+  std::vector<std::byte> chunk(kChunkBytes);
 
   bool all_ok = true;
   for (const DirectoryEntry& entry : header.directory) {
@@ -524,8 +592,9 @@ VerifyResult verify_stream(std::istream& stream) {
     std::uint64_t remaining = entry.bytes;
     bool truncated = false;
     while (remaining > 0) {
-      const std::size_t want =
-          remaining < kChunk ? static_cast<std::size_t>(remaining) : kChunk;
+      const std::size_t want = remaining < kChunkBytes
+                                   ? static_cast<std::size_t>(remaining)
+                                   : kChunkBytes;
       const std::size_t got = in.read({chunk.data(), want});
       hash = fnv1a_extend(hash, std::span<const std::byte>(chunk).first(got));
       result.total_bytes += got;

@@ -49,6 +49,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <stdexcept>
@@ -58,6 +59,7 @@
 #include <variant>
 #include <vector>
 
+#include "index/arena_allocator.hpp"
 #include "io/env.hpp"
 
 namespace fmeter::index::snapshot {
@@ -139,6 +141,13 @@ class Writer {
 
 class ByteSource;
 
+/// Runs task(i) once for every i in [0, n) and returns once all have
+/// returned; calls may run on several threads at once. The index layer
+/// owns no threads, so the layer above hands its pool in as one of these
+/// (exec::ShardedIndex::read_snapshot).
+using ParallelFor = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)>& task)>;
+
 /// Parses and fully validates a snapshot up front: magic, version,
 /// endianness, header checksum, section lengths against the bytes the
 /// file holds, and every per-section checksum. Each section is read from
@@ -155,9 +164,17 @@ class ByteSource;
 class Reader {
  public:
   explicit Reader(std::istream& in);
-  /// Streams `path` through `env`'s positioned reads, looping over short
-  /// reads. An io::IoError on the way surfaces as SnapshotError.
-  Reader(const io::Env& env, const std::string& path);
+  /// Reads `path` through `env`'s positioned reads, looping over short
+  /// reads. The header, the directory, every length against the file size
+  /// and the trailing-bytes rule are checked first, on the calling thread,
+  /// before any section is allocated. Then each section is allocated, read
+  /// and checksummed by one task of `parallel_for` (largest first; inline
+  /// when it is empty), and a failure anywhere throws once every task has
+  /// finished — the first failing section in directory order, with the
+  /// message the istream form gives. An io::IoError on the way surfaces as
+  /// SnapshotError.
+  Reader(const io::Env& env, const std::string& path,
+         const ParallelFor& parallel_for = {});
 
   std::uint32_t shard_count() const noexcept { return shard_count_; }
   std::uint64_t doc_count() const noexcept { return doc_count_; }
@@ -171,25 +188,27 @@ class Reader {
   /// or already taken.
   template <typename T>
   std::span<const T> section(SectionKind kind, std::uint32_t shard) const {
-    return std::get<std::vector<T>>(find(kind, shard).data);
+    return std::get<ForwardVector<T>>(find(kind, shard).data);
   }
 
   /// Moves a section's storage out — how a load adopts it without a copy.
   /// The section counts as absent afterwards. Distinct sections may be
   /// taken from different threads at once.
   template <typename T>
-  std::vector<T> take_section(SectionKind kind, std::uint32_t shard) {
+  ForwardVector<T> take_section(SectionKind kind, std::uint32_t shard) {
     Section& section = find(kind, shard);
     section.taken = true;
-    return std::move(std::get<std::vector<T>>(section.data));
+    return std::move(std::get<ForwardVector<T>>(section.data));
   }
 
  private:
   struct Section {
     SectionKind kind;
     std::uint32_t shard;
-    std::variant<std::vector<std::uint64_t>, std::vector<std::uint32_t>,
-                 std::vector<double>, std::vector<std::byte>>
+    // Forward-store storage, so a section moves into an index as it is,
+    // and a large one is freed to the OS by whichever thread drops it.
+    std::variant<ForwardVector<std::uint64_t>, ForwardVector<std::uint32_t>,
+                 ForwardVector<double>, ForwardVector<std::byte>>
         data;
     bool taken = false;
   };

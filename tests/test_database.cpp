@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "index/arena_allocator.hpp"
+#include "io/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
@@ -531,6 +536,73 @@ TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
   EXPECT_EQ(hits[0].score, db.search(docs[7], 1, SimilarityMetric::kCosine,
                                      ScanPolicy::kBruteForce)[0].score);
   EXPECT_EQ(db.index()->size(), static_cast<std::size_t>(kDocs));
+}
+
+/// This process's resident set now, in bytes.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  std::size_t resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(SignatureDatabase, RepeatedRestoresDoNotRatchetMemory) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators keep freed memory resident";
+#endif
+  // Every shard's term-id and weight streams pass 2 MiB, so the restore
+  // reads them into mappings of their own on pool threads, as at archive
+  // scale. Dropping the restored database must hand that memory back, or
+  // each restart of the same archive in one process would hold one more
+  // copy of it (malloc's per-thread arenas keep blocks freed from another
+  // thread resident).
+  constexpr std::size_t kShards = 4;
+  constexpr int kDocs = 24000;
+  const std::string path = ::testing::TempDir() + "fmeter_restore_ratchet.fms";
+  io::Env& env = io::Env::posix();
+  std::size_t index_bytes = 0;
+  {
+    util::Rng rng(0x7a7c);
+    std::vector<vsm::SparseVector> docs;
+    std::vector<std::string> labels;
+    for (int d = 0; d < kDocs; ++d) {
+      std::vector<vsm::SparseVector::Entry> entries;
+      for (std::uint32_t t = 0; t < 100; ++t) {
+        entries.emplace_back(t * 40 + static_cast<std::uint32_t>(rng.below(40)),
+                             rng.uniform(0.05, 1.0));
+      }
+      docs.push_back(vsm::SparseVector::from_entries(std::move(entries)));
+      labels.push_back("l" + std::to_string(d % 5));
+    }
+    SignatureDatabase source(kShards);
+    source.add_batch(std::move(docs), std::move(labels));
+    ASSERT_GE(source.index()->shard(kShards - 1).num_postings() *
+                  sizeof(std::uint32_t),
+              index::kHugePageBytes);
+    source.save(env, path);
+    index_bytes = source.index()->memory_bytes();
+  }
+
+  std::size_t loaded[2] = {0, 0};
+  std::size_t dropped[2] = {0, 0};
+  for (int round = 0; round < 2; ++round) {
+    {
+      SignatureDatabase restored;
+      restored.load(env, path);
+      ASSERT_EQ(restored.size(), static_cast<std::size_t>(kDocs));
+      loaded[round] = resident_bytes();
+    }
+    dropped[round] = resident_bytes();
+  }
+  env.remove_file(path);
+  const std::size_t slack = index_bytes / 10;
+  EXPECT_LE(loaded[1], loaded[0] + slack)
+      << "restored: " << loaded[0] << " then " << loaded[1] << " bytes";
+  EXPECT_LE(dropped[1], dropped[0] + slack)
+      << "after drop: " << dropped[0] << " then " << dropped[1] << " bytes";
+  // The restored index itself is gone once dropped.
+  EXPECT_LE(dropped[1] + index_bytes / 2, loaded[1]);
 }
 
 }  // namespace

@@ -359,18 +359,55 @@ TEST(FrozenIndex, MemoryBreakdownComponentsSum) {
   EXPECT_GE(global.offsets, summed.offsets);  // + term bitmap
 }
 
+TEST(FrozenIndex, AutoCosineCutoffIs60000Docs) {
+  using index::InvertedIndex;
+  using index::PruningMode;
+  constexpr auto kCosine = index::Metric::kCosine;
+  EXPECT_EQ(InvertedIndex::resolve_auto(32768, 10, kCosine),
+            PruningMode::kExact);
+  EXPECT_EQ(InvertedIndex::resolve_auto(59999, 10, kCosine),
+            PruningMode::kExact);
+  EXPECT_EQ(InvertedIndex::resolve_auto(60000, 10, kCosine),
+            PruningMode::kMaxScore);
+  // The k rule still holds at the cutoff: 60000 / 16 = 3750.
+  EXPECT_EQ(InvertedIndex::resolve_auto(60000, 3750, kCosine),
+            PruningMode::kMaxScore);
+  EXPECT_EQ(InvertedIndex::resolve_auto(60000, 3751, kCosine),
+            PruningMode::kExact);
+}
+
+TEST(FrozenIndex, AutoEuclideanCutoffIs20000Docs) {
+  using index::InvertedIndex;
+  using index::PruningMode;
+  constexpr auto kEuclidean = index::Metric::kEuclidean;
+  EXPECT_EQ(InvertedIndex::resolve_auto(19999, 10, kEuclidean),
+            PruningMode::kExact);
+  EXPECT_EQ(InvertedIndex::resolve_auto(20000, 10, kEuclidean),
+            PruningMode::kMaxScore);
+  EXPECT_EQ(InvertedIndex::resolve_auto(32768, 10, kEuclidean),
+            PruningMode::kMaxScore);
+  // The k rule still holds at the cutoff: 20000 / 16 = 1250.
+  EXPECT_EQ(InvertedIndex::resolve_auto(20000, 1250, kEuclidean),
+            PruningMode::kMaxScore);
+  EXPECT_EQ(InvertedIndex::resolve_auto(20000, 1251, kEuclidean),
+            PruningMode::kExact);
+}
+
 TEST(FrozenIndex, AutoModeResolvesByShardSizeAndMatchesGolden) {
   using index::InvertedIndex;
   using index::PruningMode;
-  // The measured crossover: the arena's exact kernel still beats pruning
-  // at 10k docs, so kAuto prunes only from 32k (see resolve_auto).
-  EXPECT_EQ(InvertedIndex::resolve_auto(1000, 10), PruningMode::kExact);
-  EXPECT_EQ(InvertedIndex::resolve_auto(10000, 10), PruningMode::kExact);
-  EXPECT_EQ(InvertedIndex::resolve_auto(32767, 10), PruningMode::kExact);
-  EXPECT_EQ(InvertedIndex::resolve_auto(32768, 10), PruningMode::kMaxScore);
-  EXPECT_EQ(InvertedIndex::resolve_auto(100000, 10), PruningMode::kMaxScore);
-  // Near-full retrieval gives the bounds nothing to discard.
-  EXPECT_EQ(InvertedIndex::resolve_auto(100000, 8000), PruningMode::kExact);
+  // The measured crossovers (see resolve_auto): the exact kernel beats
+  // pruning below 60000 docs for cosine and below 20000 for Euclidean.
+  const auto resolve = [](std::size_t docs, std::size_t k, index::Metric m) {
+    return InvertedIndex::resolve_auto(docs, k, m);
+  };
+  for (const auto metric : {index::Metric::kCosine, index::Metric::kEuclidean}) {
+    EXPECT_EQ(resolve(1000, 10, metric), PruningMode::kExact);
+    EXPECT_EQ(resolve(10000, 10, metric), PruningMode::kExact);
+    EXPECT_EQ(resolve(100000, 10, metric), PruningMode::kMaxScore);
+    // Near-full retrieval gives the bounds nothing to discard.
+    EXPECT_EQ(resolve(100000, 8000, metric), PruningMode::kExact);
+  }
 
   util::Rng rng(0xa070);
   // Small database: kAuto must take the exact path — bit-identical hits.

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/query_engine.hpp"
@@ -400,6 +401,46 @@ TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
   }
 }
 
+TEST(IndexSnapshot, ParallelEnvRestoreEqualsAFreshBuildAndTheStreamLoad) {
+  // 6000 docs on 4 shards: the restore reads the sections on the pool,
+  // then builds the shards on it. Through a file on disk and an in-memory
+  // one, by the database (shared pool) and by the exec layer (a pool of
+  // its own), each restored shard equals the fresh build's and the
+  // istream load's.
+  const TestCorpus corpus = make_corpus(0x9a11, 6000);
+  const SignatureDatabase fresh = build_bulk(corpus, 4);
+  const std::string bytes = save_to_string(fresh);
+  const SignatureDatabase streamed = load_from_string(bytes);
+
+  io::InMemoryEnv memory;
+  memory.create_dir("d");
+  memory.new_writable_file("d/snap")->append(bytes);
+  io::Env& posix = io::Env::posix();
+  const std::string posix_path = ::testing::TempDir() + "fmeter_restore.fms";
+  fresh.save(posix, posix_path);
+  EXPECT_EQ(posix.read_file(posix_path), bytes);
+
+  exec::TaskPool pool(3);
+  const std::pair<io::Env*, std::string> sources[] = {{&memory, "d/snap"},
+                                                      {&posix, posix_path}};
+  for (const auto& [env, path] : sources) {
+    SignatureDatabase loaded(1);
+    loaded.load(*env, path);
+    snap::Reader reader = exec::ShardedIndex::read_snapshot(*env, path, &pool);
+    const exec::ShardedIndex index = exec::ShardedIndex::load(reader, &pool);
+    ASSERT_EQ(loaded.num_shards(), 4u) << path;
+    ASSERT_EQ(index.num_shards(), 4u) << path;
+    for (std::size_t s = 0; s < 4; ++s) {
+      const index::InvertedIndex& want = fresh.index()->shard(s);
+      EXPECT_TRUE(loaded.index()->shard(s) == want) << path << " shard " << s;
+      EXPECT_TRUE(streamed.index()->shard(s) == want) << "shard " << s;
+      EXPECT_TRUE(index.shard(s) == want) << path << " shard " << s;
+    }
+    expect_databases_equivalent(loaded, fresh, 0x9a12, path);
+  }
+  posix.remove_file(posix_path);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption and durability
 // ---------------------------------------------------------------------------
@@ -466,6 +507,20 @@ class SnapshotCorruption : public ::testing::Test {
                << " (chunk limit " << limit << ")";
       }
     }
+    // The same file on disk, read by pread.
+    io::Env& posix = io::Env::posix();
+    const std::string path = ::testing::TempDir() + "fmeter_corrupt.fms";
+    posix.new_writable_file(path)->append(bytes);
+    try {
+      target_.load(posix, path);
+      FAIL() << context << ": posix load of corrupt snapshot succeeded";
+    } catch (const snap::SnapshotError& error) {
+      EXPECT_EQ(error.what(), stream_error) << context << " (posix)";
+    } catch (const std::exception& error) {
+      FAIL() << context << ": wrong exception type: " << error.what()
+             << " (posix)";
+    }
+    posix.remove_file(path);
     // Strong guarantee: contents, labels and query results unchanged...
     ASSERT_EQ(target_.size(), 10u) << context;
     for (std::size_t id = 0; id < target_.size(); ++id) {
@@ -726,6 +781,52 @@ TEST_F(SnapshotCorruption, ForgedSectionLengthsFailBeforeAllocating) {
               std::string::npos)
         << error.what();
   }
+}
+
+TEST_F(SnapshotCorruption, ParallelRestoreOfAShardedArchiveRejectsDamage) {
+  // A 4-shard archive large enough that both restore phases fan out onto
+  // the pool. Each damaged copy fails the same way through the istream,
+  // the in-memory and the posix path, and leaves the target untouched.
+  source_ = build_bulk(make_corpus(0x4ad, 6000), 4);
+  bytes_ = save_to_string(source_);
+  const auto spans = section_spans();
+  ASSERT_EQ(spans.size(), 4 * 3 + 1) << "4 shards x 3 sections + labels";
+  std::uint32_t last_weights = 0;
+  std::uint32_t labels = 0;
+  for (std::uint32_t i = 0; i < spans.size(); ++i) {
+    const auto kind = static_cast<snap::SectionKind>(spans[i].kind);
+    if (kind == snap::SectionKind::kWeights && spans[i].shard == 3) {
+      last_weights = i;
+    }
+    if (kind == snap::SectionKind::kLabels) labels = i;
+  }
+  ASSERT_EQ(spans[last_weights].shard, 3u);
+  ASSERT_GT(spans[last_weights].length, 0u);
+  ASSERT_GT(spans[labels].length, 0u);
+
+  const auto flipped = [this](const SectionSpan& span) {
+    std::string corrupt = bytes_;
+    const std::size_t at = span.begin + span.length / 2;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
+    return corrupt;
+  };
+  const std::uint64_t length = spans[last_weights].length;
+  expect_clean_failure(flipped(spans[last_weights]),
+                       "flip in the last shard's weights");
+  expect_clean_failure(flipped(spans[labels]), "flip in the labels");
+  expect_clean_failure(bytes_.substr(0, bytes_.size() - 9), "truncated");
+  expect_clean_failure(bytes_ + std::string(16, '\0'), "trailing bytes");
+  expect_clean_failure(forge_section_length(bytes_, last_weights, length + 8),
+                       "last weights length forged up");
+  expect_clean_failure(forge_section_length(bytes_, last_weights, length - 8),
+                       "last weights length forged down");
+
+  // The undamaged file restores to the source through the same paths.
+  io::InMemoryEnv env;
+  env.create_dir("d");
+  env.new_writable_file("d/snap")->append(bytes_);
+  target_.load(env, "d/snap");
+  expect_databases_equivalent(target_, source_, 0x4ae, "undamaged");
 }
 
 TEST_F(SnapshotCorruption, StreamedLoadMapsIoErrorsToSnapshotError) {

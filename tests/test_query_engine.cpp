@@ -204,8 +204,11 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
   for (int i = 0; i < 16000; ++i) corpus.push_back(random_sparse(rng, 32, 8));
   exec::ShardedIndex sharded(4);
   sharded = sharded.appended(std::span<const vsm::SparseVector>(corpus));
-  ASSERT_EQ(index::InvertedIndex::resolve_auto(sharded.shard(0).size(), k),
-            PruningMode::kExact);
+  for (const auto metric : {exec::Metric::kCosine, exec::Metric::kEuclidean}) {
+    ASSERT_EQ(index::InvertedIndex::resolve_auto(sharded.shard(0).size(), k,
+                                                 metric),
+              PruningMode::kExact);
+  }
   SignatureDatabase scan_db(1);
   scan_db.add_batch(corpus, std::vector<std::string>(corpus.size(), "doc"));
 
@@ -235,29 +238,41 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
   }
 
   // Admission control prices through the same model.
-  const double exact_cost = exec::QueryEngine::estimated_query_cost(
-      sharded, query, k, PruningMode::kExact);
-  EXPECT_EQ(exec::QueryEngine::estimated_query_cost(sharded, query, k,
-                                                    PruningMode::kAuto),
-            exact_cost);
-  EXPECT_EQ(exec::QueryEngine::estimated_query_cost(sharded, query, k,
-                                                    PruningMode::kMaxScore),
-            exact_cost);
+  const auto cost = [&query, k](const exec::ShardedIndex& index,
+                                exec::Metric metric, PruningMode mode) {
+    return exec::QueryEngine::estimated_query_cost(index, query, k, metric,
+                                                   mode);
+  };
+  for (const auto metric : {exec::Metric::kCosine, exec::Metric::kEuclidean}) {
+    const double exact_cost = cost(sharded, metric, PruningMode::kExact);
+    EXPECT_EQ(cost(sharded, metric, PruningMode::kAuto), exact_cost);
+    EXPECT_EQ(cost(sharded, metric, PruningMode::kMaxScore), exact_cost);
+  }
 
-  // At the crossover the shard really prunes, and is priced below exact.
-  while (corpus.size() < 32768) corpus.push_back(random_sparse(rng, 32, 8));
+  // At the Euclidean crossover the shard really prunes under that metric,
+  // and is priced below exact; cosine's crossover lies further out, so the
+  // same shard still runs, and is priced as, the exact kernel for it.
+  while (corpus.size() < 20000) corpus.push_back(random_sparse(rng, 32, 8));
   exec::ShardedIndex large(1);
   large = large.appended(std::span<const vsm::SparseVector>(corpus));
-  ASSERT_EQ(index::InvertedIndex::resolve_auto(large.size(), k),
+  ASSERT_EQ(index::InvertedIndex::resolve_auto(large.size(), k,
+                                               exec::Metric::kEuclidean),
             PruningMode::kMaxScore);
-  const double large_exact = exec::QueryEngine::estimated_query_cost(
-      large, query, k, PruningMode::kExact);
-  EXPECT_LT(exec::QueryEngine::estimated_query_cost(large, query, k,
-                                                    PruningMode::kAuto),
-            large_exact);
-  EXPECT_LT(exec::QueryEngine::estimated_query_cost(large, query, k,
-                                                    PruningMode::kMaxScore),
-            large_exact);
+  ASSERT_EQ(index::InvertedIndex::resolve_auto(large.size(), k,
+                                               exec::Metric::kCosine),
+            PruningMode::kExact);
+  const double euclid_exact =
+      cost(large, exec::Metric::kEuclidean, PruningMode::kExact);
+  EXPECT_LT(cost(large, exec::Metric::kEuclidean, PruningMode::kAuto),
+            euclid_exact);
+  EXPECT_LT(cost(large, exec::Metric::kEuclidean, PruningMode::kMaxScore),
+            euclid_exact);
+  const double cosine_exact =
+      cost(large, exec::Metric::kCosine, PruningMode::kExact);
+  EXPECT_EQ(cost(large, exec::Metric::kCosine, PruningMode::kAuto),
+            cosine_exact);
+  EXPECT_EQ(cost(large, exec::Metric::kCosine, PruningMode::kMaxScore),
+            cosine_exact);
 }
 
 TEST(QueryEngine, IncrementalAddsKeepAllShardCountsEquivalent) {

@@ -372,9 +372,9 @@ TEST(QueryRobustness, CostCapRejectsExpensiveQueriesIndividually) {
   const auto cheap = random_sparse(rng, 64, 1);
   const auto dense = random_sparse(rng, 64, 40);
   const double cheap_cost = exec::QueryEngine::estimated_query_cost(
-      *db.index(), cheap, k, PruningMode::kExact);
+      *db.index(), cheap, k, index::Metric::kCosine, PruningMode::kExact);
   const double dense_cost = exec::QueryEngine::estimated_query_cost(
-      *db.index(), dense, k, PruningMode::kExact);
+      *db.index(), dense, k, index::Metric::kCosine, PruningMode::kExact);
   ASSERT_LT(cheap_cost, dense_cost);
 
   const std::vector<vsm::SparseVector> queries = {cheap, dense};

@@ -64,9 +64,10 @@ MEASURED_FIELDS = {
     # query p99 against the idle-ingest p99 (machine-relative, like
     # speedup_vs_scalar, so it gates off the baseline machine).
     "sigs_per_sec", "p99_vs_idle", "refreezes", "queries_served",
-    # snapshot_scaling: a restore's peak RSS (measured in a fresh process)
-    # and the restored index's memory_bytes.
-    "load_peak_rss_mb", "index_mb",
+    # snapshot_scaling: a restore's peak RSS (measured in a fresh process),
+    # the restored index's memory_bytes, and the restore's read/verify and
+    # shard-build phases.
+    "load_peak_rss_mb", "index_mb", "read_s", "build_s",
 }
 # Measured fields that describe the host rather than the run.
 HOST_FIELDS = ("cores", "simd")
