@@ -145,10 +145,10 @@ enum class Metric { kCosine, kEuclidean };
 /// How a top-k query executes. kExact runs the dense scoring pass whose
 /// results are bit-identical to the brute-force scan; kMaxScore prunes with
 /// per-term/per-doc/per-block upper bounds — same documents, same order,
-/// scores equal within 1e-9. kAuto picks per shard from the measured
-/// crossover (InvertedIndex::resolve_auto): pruning's bound bookkeeping
-/// costs more than it saves on small shards, so kAuto runs those exactly
-/// and prunes the rest.
+/// scores equal within 1e-9. kAuto picks per shard and metric from the
+/// measured crossovers (InvertedIndex::resolve_auto): pruning's bound
+/// bookkeeping costs more than it saves on small shards, so kAuto runs
+/// those exactly and prunes the rest.
 enum class PruningMode { kExact, kMaxScore, kAuto };
 
 /// One scored result. `score` is the cosine similarity or the negative
