@@ -9,32 +9,41 @@
 //             sharded index (the pre-snapshot cold-start path);
 //   load    — restore the binary snapshot in two phases on the pool: read
 //             and checksum every section (one participant per section),
-//             then decode the labels and rebuild every shard from its
-//             sections (ShardedIndex::load): tokenize/tf-idf/text parsing
+//             then decode the labels and restore every shard from its
+//             sections (ShardedIndex::load: a v2 file's arena is adopted
+//             and validated, not built): tokenize/tf-idf/text parsing
 //             gone. The two phases are read back from the registry's stage
 //             histograms (fmeter_stage_snapshot_load_ns for the read,
-//             fmeter_stage_ingest_ns for the builds) as `read_s` and
-//             `build_s`.
+//             fmeter_stage_ingest_ns for the shard restores) as `read_s`
+//             and `build_s`.
 //
-// It verifies the restored database answers bit-identically to the fresh
-// build in every mode, records save/load throughput and snapshot size, and
-// emits BENCH_snapshot.json. Restore memory is measured where a restarted
-// daemon pays it: the bench re-executes itself to load the snapshot in a
-// fresh process and reports that process's peak RSS (`load_peak_rss_mb`)
-// next to the loaded index's memory_bytes() (`index_mb`). Every row carries
-// the host's hardware thread count (`cores`). Shape gates at the 100k-doc
-// rung: load ≥ 3× faster than re-index, and the restore's peak RSS ≤ 1.3×
-// the index it restores (a restore that holds the file's sections twice
-// reads ~1.55×).
+// The restore is measured where a restarted daemon pays it: the bench
+// re-executes itself to load the snapshot in a fresh process, which times
+// the load and reports its peak RSS (`load_peak_rss_mb`) next to the
+// loaded index's memory_bytes() (`index_mb`). Timed in the process that
+// just built and re-indexed the corpus, the same load swung 0.15–0.70 s at
+// 100k with that corpus and database still resident. The bench also
+// restores in process, to verify the restored database answers
+// bit-identically to the fresh build in every mode. It records save/load
+// throughput and the snapshot's bytes per document, in the version-2
+// file it writes (`bytes_per_doc`) and in the version-1 file of the same
+// documents (`v1_bytes_per_doc`: the same file without its arena
+// sections), and emits BENCH_snapshot.json. Every row carries the host's
+// hardware thread count (`cores`) and the exact path's scoring kernel
+// (`simd`). Shape gates at the 100k-doc rung: load ≥ 3× faster than
+// re-index, and the restore's peak RSS ≤ 1.3× the index it restores (a
+// restore that holds the file's sections twice reads ~1.55×).
 //
 // Usage: bench_snapshot_scaling [max_corpus]   (e.g. 10000 as a CI smoke)
 //        bench_snapshot_scaling --load-child <snapshot>   (internal: the
-//        fresh-process restore; prints "<peak RSS kB> <index bytes>")
+//        fresh-process restore; prints "<peak RSS kB> <index bytes>
+//        <load s> <read s> <build s>")
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +53,8 @@
 #include "bench_common.hpp"
 #include "fmeter/database.hpp"
 #include "fmeter/pipeline.hpp"
+#include "index/inverted_index.hpp"
+#include "index/snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -145,18 +156,46 @@ long peak_rss_kb() {
 }
 
 /// The --load-child side: restore `snapshot` and report this process's
-/// peak RSS and the restored index's footprint.
+/// peak RSS, the restored index's footprint and the restore's wall time
+/// with its read and shard-restore phases.
 int load_child(const char* snapshot) {
   fmeter::core::SignatureDatabase db;
+  const double read_before = stage_seconds("fmeter_stage_snapshot_load_ns");
+  const double build_before = stage_seconds("fmeter_stage_ingest_ns");
+  const auto start = std::chrono::steady_clock::now();
   db.load(snapshot);
-  std::printf("%ld %zu\n", peak_rss_kb(), db.index()->memory_bytes());
+  const double load_s = seconds_since(start);
+  std::printf("%ld %zu %.9f %.9f %.9f\n", peak_rss_kb(),
+              db.index()->memory_bytes(), load_s,
+              stage_seconds("fmeter_stage_snapshot_load_ns") - read_before,
+              stage_seconds("fmeter_stage_ingest_ns") - build_before);
   return 0;
 }
 
 struct FreshLoad {
   double peak_rss_mb = 0.0;
   double index_mb = 0.0;
+  double load_s = 0.0;
+  double read_s = 0.0;
+  double build_s = 0.0;
 };
+
+/// Bytes of the version-1 file holding the same documents as the snapshot
+/// at `path`: its header with only the forward-store and labels entries in
+/// the directory, and those sections' payloads (snapshot.hpp's layout).
+std::uint64_t v1_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const auto report = fmeter::index::snapshot::verify_stream(in);
+  constexpr std::uint64_t kPrefix = 40;
+  constexpr std::uint64_t kEntry = 24;
+  std::uint64_t bytes = kPrefix + sizeof(std::uint64_t);
+  for (const auto& section : report.sections) {
+    if (section.kind <= fmeter::index::snapshot::SectionKind::kLabels) {
+      bytes += kEntry + section.bytes;
+    }
+  }
+  return bytes;
+}
 
 /// Restores `snapshot` in a new process running this binary (exec'd, not
 /// forked, so none of this process's heap or threads is inherited).
@@ -169,11 +208,18 @@ FreshLoad load_in_fresh_process(const std::string& snapshot) {
   if (child == nullptr) return out;
   long rss_kb = 0;
   std::size_t index_bytes = 0;
-  const bool parsed =
-      std::fscanf(child, "%ld %zu", &rss_kb, &index_bytes) == 2;
+  double load_s = 0.0;
+  double read_s = 0.0;
+  double build_s = 0.0;
+  const bool parsed = std::fscanf(child, "%ld %zu %lf %lf %lf", &rss_kb,
+                                  &index_bytes, &load_s, &read_s,
+                                  &build_s) == 5;
   if (pclose(child) != 0 || !parsed) return out;
   out.peak_rss_mb = static_cast<double>(rss_kb) / 1024.0;
   out.index_mb = static_cast<double>(index_bytes) / (1024.0 * 1024.0);
+  out.load_s = load_s;
+  out.read_s = read_s;
+  out.build_s = build_s;
   return out;
 }
 
@@ -196,10 +242,12 @@ int main(int argc, char** argv) {
   const std::string snapshot_path = (tmp / "fmeter_snapshot_bench.fms").string();
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("hardware threads: %u\n\n", cores);
-  std::printf("%8s %10s %10s %10s %8s %8s %10s %10s %8s %10s %10s\n", "docs",
-              "reindex_s", "save_s", "load_s", "read_s", "build_s", "file_MB",
-              "load_MB/s", "ratio", "load_rss", "index_MB");
+  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
+  std::printf("hardware threads: %u, scoring kernel: %s\n\n", cores, simd);
+  std::printf("%8s %10s %10s %10s %8s %8s %10s %8s %8s %10s %8s %10s %10s\n",
+              "docs", "reindex_s", "save_s", "load_s", "read_s", "build_s",
+              "file_MB", "B/doc", "v1_B/doc", "load_MB/s", "ratio",
+              "load_rss", "index_MB");
 
   std::vector<fmeter::bench::ShapeCheck> checks;
   std::vector<fmeter::bench::JsonRow> json_rows;
@@ -216,34 +264,32 @@ int main(int argc, char** argv) {
     const auto t_save = std::chrono::steady_clock::now();
     db.save(snapshot_path);
     const double save_s = seconds_since(t_save);
-    const double file_mb =
-        static_cast<double>(std::filesystem::file_size(snapshot_path)) /
-        (1024.0 * 1024.0);
+    const auto file_bytes = std::filesystem::file_size(snapshot_path);
+    const double file_mb = static_cast<double>(file_bytes) / (1024.0 * 1024.0);
+    const double bytes_per_doc =
+        static_cast<double>(file_bytes) / static_cast<double>(docs);
+    const double v1_bytes_per_doc =
+        static_cast<double>(v1_file_bytes(snapshot_path)) /
+        static_cast<double>(docs);
 
-    // Cold-start path B: binary snapshot -> parallel per-shard rebuild.
+    // Cold-start path B: binary snapshot -> parallel per-shard restore,
+    // timed in a fresh process; the in-process restore is only checked.
+    const FreshLoad fresh = load_in_fresh_process(snapshot_path);
+    const double load_s = fresh.load_s;
     fmeter::core::SignatureDatabase loaded;
-    const double read_before = stage_seconds("fmeter_stage_snapshot_load_ns");
-    const double build_before = stage_seconds("fmeter_stage_ingest_ns");
-    const auto t_load = std::chrono::steady_clock::now();
     loaded.load(snapshot_path);
-    const double load_s = seconds_since(t_load);
-    const double read_s =
-        stage_seconds("fmeter_stage_snapshot_load_ns") - read_before;
-    const double build_s = stage_seconds("fmeter_stage_ingest_ns") -
-                           build_before;
-
     const bool identical = searches_bit_identical(db, loaded);
     checks.push_back({"restored archive bit-identical to fresh build at " +
                           std::to_string(docs),
                       identical});
 
     const double ratio = load_s > 0.0 ? reindex_s / load_s : 0.0;
-    const FreshLoad fresh = load_in_fresh_process(snapshot_path);
     std::printf(
-        "%8zu %10.2f %10.2f %10.3f %8.3f %8.3f %10.1f %10.1f %7.2fx %10.1f "
-        "%10.1f\n",
-        docs, reindex_s, save_s, load_s, read_s, build_s, file_mb,
-        file_mb / load_s, ratio, fresh.peak_rss_mb, fresh.index_mb);
+        "%8zu %10.2f %10.2f %10.3f %8.3f %8.3f %10.1f %8.0f %8.0f %10.1f "
+        "%7.2fx %10.1f %10.1f\n",
+        docs, reindex_s, save_s, load_s, fresh.read_s, fresh.build_s, file_mb,
+        bytes_per_doc, v1_bytes_per_doc, load_s > 0.0 ? file_mb / load_s : 0.0,
+        ratio, fresh.peak_rss_mb, fresh.index_mb);
 
     for (const auto& [phase, secs] :
          {std::pair<const char*, double>{"reindex", reindex_s},
@@ -259,12 +305,17 @@ int main(int argc, char** argv) {
            fmeter::bench::jnum("speedup",
                                std::string(phase) == "load" ? ratio : 0.0),
            fmeter::bench::jnum("read_s",
-                               std::string(phase) == "load" ? read_s : 0.0),
+                               std::string(phase) == "load" ? fresh.read_s
+                                                            : 0.0),
            fmeter::bench::jnum("build_s",
-                               std::string(phase) == "load" ? build_s : 0.0),
+                               std::string(phase) == "load" ? fresh.build_s
+                                                            : 0.0),
+           fmeter::bench::jnum("bytes_per_doc", bytes_per_doc),
+           fmeter::bench::jnum("v1_bytes_per_doc", v1_bytes_per_doc),
            fmeter::bench::jnum("load_peak_rss_mb", fresh.peak_rss_mb),
            fmeter::bench::jnum("index_mb", fresh.index_mb),
-           fmeter::bench::jnum("cores", static_cast<double>(cores))});
+           fmeter::bench::jnum("cores", static_cast<double>(cores)),
+           fmeter::bench::jstr("simd", simd)});
     }
     // The persistence payoff must be structural, not marginal: restoring
     // skips text parsing and tf-idf entirely, so anything under 3x means
@@ -273,9 +324,9 @@ int main(int argc, char** argv) {
       checks.push_back({"snapshot load >= 3x faster than corpus re-index at " +
                             std::to_string(docs) + " docs",
                         ratio >= 3.0});
-      // Restore must not hold the file's bytes beside the index it builds:
-      // the sections become the forward store, so the peak is the index
-      // plus the arena build's temporaries.
+      // Restore must not hold the file's bytes beside the index it
+      // restores: the sections become the index's arrays, so the peak is
+      // the index plus the restore's per-shard temporaries.
       checks.push_back({"fresh-process load peak RSS <= 1.3x the loaded "
                         "index's memory_bytes at " +
                             std::to_string(docs) + " docs",

@@ -17,24 +17,22 @@ struct Times {
 };
 
 /// Compiles `units` translation units, accounting user and sys time
-/// separately, the way /usr/bin/time attributes them.
+/// separately, the way /usr/bin/time attributes them. Both phases are
+/// timed on this thread's CPU clock, so a core stolen by another process
+/// mid-phase does not count against the configuration that was running.
 Times compile(workloads::Workload& workload, simkern::CpuContext& cpu,
               int units) {
   Times times;
   for (int u = 0; u < units; ++u) {
     // The compiler's user-mode burn: untraced, identical in every kernel
     // configuration.
-    const auto user_start = std::chrono::steady_clock::now();
+    const double user_start = util::thread_cpu_seconds();
     cpu.consume_work(workload.user_work_per_unit());
-    times.user_s += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - user_start)
-                        .count();
+    times.user_s += util::thread_cpu_seconds() - user_start;
     // The kernel half: syscalls, faults, I/O — instrumented.
-    const auto sys_start = std::chrono::steady_clock::now();
+    const double sys_start = util::thread_cpu_seconds();
     workload.run_unit(cpu);
-    times.sys_s += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - sys_start)
-                       .count();
+    times.sys_s += util::thread_cpu_seconds() - sys_start;
   }
   times.real_s = times.user_s + times.sys_s;
   return times;

@@ -105,9 +105,10 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
   ShardedIndex out(shards);
   const std::uint64_t docs = reader.doc_count();
 
-  // Per-shard restore (adopt the sections, build the arena), fanned out
-  // exactly like appended(). Shards take disjoint sections, so the only
-  // cross-thread hand-off is the batch's completion.
+  // Per-shard restore (adopt the sections; validate and complete a v2
+  // arena, build a v1 one), fanned out exactly like appended(). Shards
+  // take disjoint sections, so the only cross-thread hand-off is the
+  // batch's completion.
   const auto load_shard = [&reader, &out, shards, docs](std::size_t s) {
     out.shards_[s] =
         index::InvertedIndex::load(reader, static_cast<std::uint32_t>(s));
@@ -121,27 +122,26 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
   };
   build_shards(shards, docs, pool, load_shard);
 
-  // Term-occupancy bitmap from the adopted forward stores, sized like a
-  // build's (see terms_seen_with).
+  // Term-occupancy bitmap from the shards' arena offset tables, sized like
+  // a build's: a term is seen when any shard holds a posting of it.
   std::size_t terms = 0;
   for (const auto& shard : out.shards_) {
     terms = std::max(terms, shard.term_range());
   }
   out.term_seen_ = std::vector<bool>(terms, false);
-  for (const auto& shard : out.shards_) {
-    shard.for_each_document([&out](index::InvertedIndex::DocId,
-                                   vsm::SparseView doc) {
-      for (const auto term : doc.indices) {
-        if (!out.term_seen_[term]) {
-          out.term_seen_[term] = true;
-          ++out.nonempty_terms_;
-        }
+  for (std::size_t t = 0; t < terms; ++t) {
+    const auto term = static_cast<index::InvertedIndex::TermId>(t);
+    for (const auto& shard : out.shards_) {
+      if (shard.postings_of(term) > 0) {
+        out.term_seen_[t] = true;
+        ++out.nonempty_terms_;
+        break;
       }
-    });
+    }
   }
   out.size_ = docs;
   if (out.nonempty_terms_ != reader.term_count()) {
-    throw SnapshotError("snapshot: rebuilt " +
+    throw SnapshotError("snapshot: shards hold " +
                         std::to_string(out.nonempty_terms_) +
                         " distinct terms, header declares " +
                         std::to_string(reader.term_count()));

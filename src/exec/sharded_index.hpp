@@ -82,23 +82,24 @@ class ShardedIndex {
   ShardedIndex appended(std::span<const vsm::SparseVector> docs,
                         TaskPool* pool = nullptr) const;
 
-  /// Appends every shard's forward-store sections to `writer` (the caller
-  /// owns the writer so it can add layers of its own — SignatureDatabase
-  /// adds a labels section — before finish()). The emitted bytes depend
-  /// only on the documents. The writer borrows each shard's forward store,
-  /// so the index must not change until finish() returns.
+  /// Appends every shard's sections to `writer` (the caller owns the
+  /// writer so it can add layers of its own — SignatureDatabase adds a
+  /// labels section — before finish()). The emitted bytes depend only on
+  /// the documents. The writer borrows each shard's arrays, so the index
+  /// must not change until finish() returns.
   void save(index::snapshot::Writer& writer) const;
   /// Convenience: a complete index-only snapshot on `out` (binary stream).
   void save(std::ostream& out) const;
 
   /// Restores an index from snapshot sections without touching the corpus:
-  /// each shard takes its sections out of `reader` as its forward store
-  /// and builds its arena; the shards fan out onto `pool` exactly like
-  /// appended() — TaskPool::shared() when null, inline when the pool has no
-  /// parallelism to offer or the archive is small — and the term-occupancy
-  /// bitmap is rebuilt from the adopted stores on the calling
-  /// thread. The loaded index is byte-for-byte the index appended() would
-  /// build from the same documents. Throws
+  /// each shard takes its sections out of `reader` (InvertedIndex::load:
+  /// a v2 shard adopts its arena, a v1 shard builds it); the shards fan
+  /// out onto `pool` exactly like appended() — TaskPool::shared() when
+  /// null, inline when the pool has no parallelism to offer or the archive
+  /// is small — and the term-occupancy bitmap is derived from the shards'
+  /// arena offset tables on the calling thread, in O(terms × shards). The
+  /// loaded index is byte-for-byte the index appended() would build from
+  /// the same documents. Throws
   /// index::snapshot::SnapshotError on corruption, truncation, version or
   /// endianness mismatch, or when the sections disagree with the header's
   /// shard/doc/term counts; nothing partial escapes (the result is built

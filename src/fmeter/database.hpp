@@ -294,10 +294,10 @@ class SignatureDatabase {
   std::vector<std::size_t> meta_cluster(std::size_t k,
                                         std::uint64_t seed = 0x5eedULL) const;
 
-  /// Persists the whole database — every shard's forward store plus the
-  /// labels — as one versioned, checksummed binary snapshot (format:
-  /// index/snapshot.hpp). The forward store is the only copy of the
-  /// signatures, in RAM and on disk. The emitted bytes depend only on the
+  /// Persists the whole database — every shard's forward store and
+  /// posting arena plus the labels — as one versioned, checksummed binary
+  /// snapshot (format: index/snapshot.hpp). The forward store is the only
+  /// copy of the signatures, in RAM and on disk. The emitted bytes depend only on the
   /// stored signatures and labels. Throws index::snapshot::SnapshotError on
   /// I/O failure (carrying the errno text when the OS supplied one).
   ///
@@ -311,11 +311,12 @@ class SignatureDatabase {
 
   /// Restores a database from a snapshot without re-indexing the corpus:
   /// the sections stream into typed storage, the labels are decoded, then
-  /// ShardedIndex::load adopts each shard's sections as its forward store
-  /// and builds the arenas in parallel, so the loaded database is
-  /// byte-for-byte the database a fresh bulk build of the same documents
-  /// would produce — searches in every mode (kExact/kMaxScore/kAuto), at
-  /// the snapshot's shard count, return bit-identical results. Strong
+  /// ShardedIndex::load adopts each shard's sections as its arrays in
+  /// parallel (a version-1 file's arenas are built), so the loaded
+  /// database is byte-for-byte the database a fresh bulk build of the
+  /// same documents would produce — searches in every mode
+  /// (kExact/kMaxScore/kAuto), at the snapshot's shard count, return
+  /// bit-identical results. Strong
   /// guarantee: the snapshot is validated (header, version, endianness,
   /// per-section checksums) and loaded into a temporary which replaces
   /// *this only on success; any index::snapshot::SnapshotError leaves the

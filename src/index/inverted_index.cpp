@@ -6,8 +6,10 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "index/kernels.hpp"
+#include "index/snapshot.hpp"
 #include "obs/trace.hpp"
 
 namespace fmeter::index {
@@ -167,21 +169,42 @@ void score_dense(const double* acc, std::span<const double> norms,
   }
 }
 
-/// A document's doc-reorder key: its dominant (highest-|weight|) term.
-/// Strict > keeps the lowest such term under weight ties, and an empty
-/// document sorts after every other.
-InvertedIndex::TermId dominant_term(const vsm::SparseView& run) noexcept {
+/// A document's doc-reorder key and its L2 norm, from one walk of its run.
+struct DocKey {
+  InvertedIndex::TermId term;  ///< the dominant (highest-|weight|) term
+  double norm;
+};
+
+/// Strict > keeps the lowest dominant term under weight ties, and an empty
+/// document sorts after every other. The norm sums the squares in
+/// vsm::norm_l2's order, so it equals that function's to the bit.
+DocKey doc_key(const vsm::SparseView& run) noexcept {
   InvertedIndex::TermId dominant =
       std::numeric_limits<InvertedIndex::TermId>::max();
   double best = -1.0;
+  double sum = 0.0;
   for (std::size_t f = 0; f < run.indices.size(); ++f) {
-    const double magnitude = std::abs(run.values[f]);
+    const double weight = run.values[f];
+    const double magnitude = std::abs(weight);
     if (magnitude > best) {
       best = magnitude;
       dominant = run.indices[f];
     }
+    sum += weight * weight;
   }
-  return dominant;
+  return {dominant, std::sqrt(sum)};
+}
+
+/// The weights an index stores: finite and non-zero. Branch-free, so a
+/// validation loop over a span compiles to straight-line code.
+bool is_stored_weight(double weight) noexcept {
+  const double magnitude = std::abs(weight);
+  return (magnitude > 0.0) & (magnitude <= std::numeric_limits<double>::max());
+}
+
+/// The prefix of a restore's diagnostics.
+std::string shard_where(std::uint32_t shard) {
+  return "snapshot: shard " + std::to_string(shard);
 }
 
 }  // namespace
@@ -270,7 +293,7 @@ void InvertedIndex::build_arena() {
   std::vector<DocId> order(n);
   std::vector<TermId> key(n);
   std::vector<double> norm(n);
-  std::vector<std::size_t> offsets(terms + 1, 0);
+  ForwardVector<std::uint64_t> offsets(terms + 1, 0);
   std::vector<double> max_w(terms, 0.0);
   std::vector<double> min_w(terms, 0.0);
   std::size_t nonempty = 0;
@@ -288,8 +311,9 @@ void InvertedIndex::build_arena() {
         min_w[term] = std::min(min_w[term], weight);
       }
     }
-    key[g] = dominant_term(run);
-    norm[g] = vsm::norm_l2(run);
+    const DocKey doc = doc_key(run);
+    key[g] = doc.term;
+    norm[g] = doc.norm;
     order[g] = static_cast<DocId>(g);
   }
   std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
@@ -339,6 +363,221 @@ void InvertedIndex::build_arena() {
   for (std::size_t t = 0; t < terms; ++t) fill_blocks(t);
 }
 
+std::size_t InvertedIndex::check_forward_offsets(std::uint32_t shard) const {
+  using snapshot::SnapshotError;
+  const auto& offsets = forward_offsets_;
+  if (offsets.empty() || offsets.front() != 0) {
+    throw SnapshotError(shard_where(shard) +
+                        " offsets section must start at 0");
+  }
+  for (std::size_t d = 1; d < offsets.size(); ++d) {
+    if (offsets[d] < offsets[d - 1]) {
+      throw SnapshotError(shard_where(shard) + " offsets decrease at doc " +
+                          std::to_string(d - 1));
+    }
+  }
+  if (offsets.back() != forward_terms_.size() ||
+      forward_terms_.size() != forward_weights_.size()) {
+    throw SnapshotError(shard_where(shard) +
+                        " posting streams disagree with the offset table");
+  }
+  std::size_t terms = 0;
+  for (std::size_t d = 1; d < offsets.size(); ++d) {
+    if (offsets[d] > offsets[d - 1]) {
+      const TermId last = forward_terms_[offsets[d] - 1];
+      terms = std::max(terms, static_cast<std::size_t>(last) + 1);
+    }
+  }
+  return terms;
+}
+
+void InvertedIndex::check_forward_run(std::size_t doc,
+                                      std::uint32_t shard) const {
+  using snapshot::SnapshotError;
+  const vsm::SparseView run = forward_run(doc);
+  bool unordered = false;
+  for (std::size_t f = 1; f < run.indices.size(); ++f) {
+    unordered |= run.indices[f] <= run.indices[f - 1];
+  }
+  if (unordered) {
+    throw SnapshotError(shard_where(shard) + " doc " + std::to_string(doc) +
+                        " term ids are not strictly increasing");
+  }
+  // Zero weights never reach a forward store (SparseVector drops them at
+  // construction), so one here means a damaged or crafted file.
+  bool stored = true;
+  for (const double weight : run.values) stored &= is_stored_weight(weight);
+  if (!stored) {
+    throw SnapshotError(shard_where(shard) + " doc " + std::to_string(doc) +
+                        " carries a non-finite or zero weight");
+  }
+}
+
+void InvertedIndex::adopt_arena(std::uint32_t shard) {
+  using snapshot::SnapshotError;
+  const std::string where = shard_where(shard);
+  const std::size_t terms = check_forward_offsets(shard);
+  const std::size_t n = forward_offsets_.size() - 1;
+  const std::size_t postings = forward_terms_.size();
+  // A shard without documents is the empty index, which has no arena.
+  if (arena_offsets_.size() != (n == 0 ? 0 : terms + 1) ||
+      arena_ids_.size() != postings || arena_weights_.size() != postings ||
+      public_of_.size() != n) {
+    throw SnapshotError(where + " arena sections disagree in size with the "
+                                "forward store");
+  }
+  if (n == 0) return;
+
+  // 1. public_of_ must name every document once; internal_of_ inverts it.
+  constexpr DocId kUnset = std::numeric_limits<DocId>::max();
+  internal_of_.assign(n, kUnset);
+  for (std::size_t r = 0; r < n; ++r) {
+    const DocId g = public_of_[r];
+    if (g >= n || internal_of_[g] != kUnset) {
+      throw SnapshotError(where + " public-of is not a permutation");
+    }
+    internal_of_[g] = static_cast<DocId>(r);
+  }
+
+  // 2. One public-order pass over the forward store, as a build's: each
+  //    run is checked, then its document's reorder key and norm (stored at
+  //    its internal id) and its terms' posting counts are taken. The keys
+  //    must then ascend along internal order, ties by public id: the order
+  //    a build sorts documents into.
+  keys_.resize(n);
+  norms_.resize(n);
+  norms_sq_.resize(n);
+  std::vector<std::size_t> counts(terms, 0);
+  for (std::size_t g = 0; g < n; ++g) {
+    check_forward_run(g, shard);
+    const vsm::SparseView run = forward_run(g);
+    const DocId r = internal_of_[g];
+    const DocKey doc = doc_key(run);
+    keys_[r] = doc.term;
+    norms_[r] = doc.norm;
+    norms_sq_[r] = doc.norm * doc.norm;
+    for (const TermId term : run.indices) ++counts[term];
+  }
+  for (std::size_t r = 1; r < n; ++r) {
+    if (keys_[r] < keys_[r - 1] ||
+        (keys_[r] == keys_[r - 1] && public_of_[r] < public_of_[r - 1])) {
+      throw SnapshotError(where + " public-of is not in build order");
+    }
+  }
+
+  // 3. The offset table starts at 0 and gives each term a span of exactly
+  //    its forward postings, so it never decreases and ends at their count.
+  if (arena_offsets_[0] != 0) {
+    throw SnapshotError(where + " arena offsets must start at 0");
+  }
+  for (std::size_t t = 0; t < terms; ++t) {
+    if (arena_offsets_[t + 1] < arena_offsets_[t] ||
+        arena_offsets_[t + 1] - arena_offsets_[t] != counts[t]) {
+      throw SnapshotError(where + " arena offsets disagree with the forward "
+                                  "store at term " + std::to_string(t));
+    }
+  }
+
+  // 4. One pass over the arena: every span's ids are in range and strictly
+  //    increasing (so its last is its largest) and its weights finite and
+  //    non-zero, like the forward store's. Its blocks follow while the span
+  //    is in cache, and the term's bounds are its blocks' bounds.
+  max_weight_.assign(terms, 0.0);
+  min_weight_.assign(terms, 0.0);
+  layout_blocks();
+  std::size_t nonempty = 0;
+  for (std::size_t t = 0; t < terms; ++t) {
+    const std::size_t begin = arena_offsets_[t];
+    const std::size_t end = arena_offsets_[t + 1];
+    if (begin == end) continue;
+    ++nonempty;
+    bool disordered = arena_ids_[end - 1] >= n;
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      disordered |= arena_ids_[i] <= arena_ids_[i - 1];
+    }
+    if (disordered) {
+      throw SnapshotError(where + " arena ids of term " + std::to_string(t) +
+                          " are out of range or not strictly increasing");
+    }
+    bool stored = true;
+    for (std::size_t i = begin; i < end; ++i) {
+      stored &= is_stored_weight(arena_weights_[i]);
+    }
+    if (!stored) {
+      throw SnapshotError(where + " arena weights of term " +
+                          std::to_string(t) +
+                          " carry a non-finite or zero weight");
+    }
+    fill_blocks(t);
+    const std::size_t first = arena_block_begin_[t];
+    double max_w = block_max_w_[first];
+    double min_w = block_min_w_[first];
+    for (std::size_t b = first + 1; b < arena_block_begin_[t + 1]; ++b) {
+      max_w = std::max(max_w, block_max_w_[b]);
+      min_w = std::min(min_w, block_min_w_[b]);
+    }
+    max_weight_[t] = max_w;
+    min_weight_[t] = min_w;
+  }
+  num_postings_ = postings;
+  nonempty_terms_ = nonempty;
+}
+
+void InvertedIndex::save(snapshot::Writer& writer, std::uint32_t shard) const {
+  // The writer borrows every array as it stands: the forward store in
+  // public id order, then the arena a build sorted and scattered.
+  using snapshot::SectionKind;
+  writer.add_section(SectionKind::kForwardOffsets, shard,
+                     std::span<const std::uint64_t>(forward_offsets_));
+  writer.add_section(SectionKind::kTermIds, shard,
+                     std::span<const TermId>(forward_terms_));
+  writer.add_section(SectionKind::kWeights, shard,
+                     std::span<const double>(forward_weights_));
+  writer.add_section(SectionKind::kArenaOffsets, shard,
+                     std::span<const std::uint64_t>(arena_offsets_));
+  writer.add_section(SectionKind::kArenaIds, shard,
+                     std::span<const DocId>(arena_ids_));
+  writer.add_section(SectionKind::kArenaWeights, shard,
+                     std::span<const double>(arena_weights_));
+  writer.add_section(SectionKind::kPublicOf, shard,
+                     std::span<const DocId>(public_of_));
+}
+
+InvertedIndex InvertedIndex::load(snapshot::Reader& reader,
+                                  std::uint32_t shard) {
+  // The sections become the index's arrays as they are. A v2 file carries
+  // the arena, which is checked and completed; a v1 file only the forward
+  // store, over which the arena is built. Either way the result is
+  // byte-for-byte a fresh build, so every query contract of a fresh index
+  // holds for a loaded one.
+  using snapshot::SectionKind;
+  InvertedIndex index;
+  index.forward_offsets_ = reader.take_section<ForwardVector<std::uint64_t>>(
+      SectionKind::kForwardOffsets, shard);
+  index.forward_terms_ =
+      reader.take_section<ForwardVector<TermId>>(SectionKind::kTermIds, shard);
+  index.forward_weights_ =
+      reader.take_section<ForwardVector<double>>(SectionKind::kWeights, shard);
+  if (reader.version() == 1) {
+    index.check_forward_offsets(shard);
+    const std::size_t n = index.forward_offsets_.size() - 1;
+    for (std::size_t d = 0; d < n; ++d) index.check_forward_run(d, shard);
+    // A shard without documents is the empty index, which has no arena.
+    if (n > 0) index.build_arena();
+    return index;
+  }
+  index.arena_offsets_ = reader.take_section<ForwardVector<std::uint64_t>>(
+      SectionKind::kArenaOffsets, shard);
+  index.arena_ids_ =
+      reader.take_section<ArenaVector<DocId>>(SectionKind::kArenaIds, shard);
+  index.arena_weights_ = reader.take_section<ArenaVector<double>>(
+      SectionKind::kArenaWeights, shard);
+  index.public_of_ =
+      reader.take_section<ForwardVector<DocId>>(SectionKind::kPublicOf, shard);
+  index.adopt_arena(shard);
+  return index;
+}
+
 void InvertedIndex::merge_arena(const InvertedIndex& old) {
   // `old` holds documents [0, stored) of this forward store. Its internal
   // order is a subsequence of the one a full build would pick: new
@@ -363,8 +602,11 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   const std::size_t fresh = n - stored;
   std::vector<DocId> order(fresh);
   std::vector<TermId> key(fresh);
+  std::vector<double> fresh_norm(fresh);
   for (std::size_t q = 0; q < fresh; ++q) {
-    key[q] = dominant_term(forward_run(stored + q));
+    const DocKey doc = doc_key(forward_run(stored + q));
+    key[q] = doc.term;
+    fresh_norm[q] = doc.norm;
     order[q] = static_cast<DocId>(stored + q);
   }
   std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
@@ -402,7 +644,7 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
     fresh_bound[q] = static_cast<DocId>(old_r);
     public_of_[r] = g;
     keys_[r] = k;
-    const double norm = vsm::norm_l2(forward_run(g));
+    const double norm = fresh_norm[g - stored];
     norms_[r] = norm;
     norms_sq_[r] = norm * norm;
     ++r;

@@ -38,18 +38,18 @@
 // returned hit, and all tie-breaks are unchanged.)
 //
 // The forward store — each document's (term, weight) run — is kept in
-// *public* id order, which is also the snapshot's section layout; the
-// arena, norms and block metadata are in internal order. The build
-// contract: an index is immutable once built, and appended(docs) returns a
-// new one holding its documents followed by `docs` — byte-for-byte the
-// index a bulk build of all of them produces. Two builds do that:
+// *public* id order; the arena, norms and block metadata are in internal
+// order. The build contract: an index is immutable once built, and
+// appended(docs) returns a new one holding its documents followed by
+// `docs` — byte-for-byte the index a bulk build of all of them produces.
+// Two builds do that:
 //
-//  * the scatter, on an empty index (and on a snapshot load, which adopts
-//    the file's sections as the forward store) or one holding fewer
-//    postings than its term range, where the merge's passes over the
-//    term range would cost more than re-scattering the old postings: one
-//    public-order pass for keys, counts and bounds, a sort by doc-reorder
-//    key, a counting sort of every posting into the arena;
+//  * the scatter, on an empty index (and on the load of a version-1
+//    snapshot, which adopts the file's sections as the forward store) or
+//    one holding fewer postings than its term range, where the merge's
+//    passes over the term range would cost more than re-scattering the old
+//    postings: one public-order pass for keys, counts and bounds, a sort
+//    by doc-reorder key, a counting sort of every posting into the arena;
 //  * the merge, otherwise. The reorder key is (dominant term,
 //    public id) and new ids are larger, so a new document never moves an
 //    old one: the old internal order is a subsequence of the new, and
@@ -61,8 +61,11 @@
 //    old arena plus a scatter of the batch, not a scatter of everything.
 //
 // There is no in-place ingest: an owner that grows an archive swaps in
-// the appended index. A snapshot save hands the store to the snapshot
-// writer as it stands.
+// the appended index. A snapshot save hands the forward store, the arena
+// streams and offsets and the permutation to the snapshot writer as they
+// stand, and a version-2 load adopts them and builds nothing: it derives
+// the rest (inverse permutation, keys, norms, bounds, blocks) in streaming
+// passes that also validate what it adopted.
 //
 // Two query paths with two distinct equivalence contracts:
 //
@@ -281,6 +284,12 @@ class InvertedIndex {
   std::size_t num_postings() const noexcept { return num_postings_; }
   /// One past the largest term id stored (0 when there is none).
   std::size_t term_range() const noexcept { return arena_terms(); }
+  /// Postings of `term` (0 for a term outside term_range()).
+  std::size_t postings_of(TermId term) const noexcept {
+    return term < arena_terms()
+               ? arena_offsets_[term + 1] - arena_offsets_[term]
+               : 0;
+  }
 
   /// Cached L2 norm of a stored document.
   double norm(DocId doc) const { return norms_.at(internal_of_.at(doc)); }
@@ -407,23 +416,26 @@ class InvertedIndex {
                                      PruneStats* stats = nullptr,
                                      const Deadline* deadline = nullptr) const;
 
-  /// Appends this index's forward store to a snapshot as the per-shard
-  /// offsets / term-id / weight sections (see snapshot.hpp for the format).
-  /// The store is in *public* id order, so the emitted bytes depend only on
-  /// the documents — the arena permutation never leaks into the file. The
-  /// writer borrows the store: keep this index alive until it has finished.
+  /// Appends this index to a snapshot as the per-shard sections of
+  /// snapshot.hpp: the forward store (offsets / term ids / weights, public
+  /// id order), then the arena's offsets, id and weight streams and the
+  /// permutation. Every build of the same documents produces the same
+  /// arrays, so the emitted bytes depend only on the documents. The writer
+  /// borrows the arrays: keep this index alive until it has finished.
   void save(snapshot::Writer& writer, std::uint32_t shard) const;
 
-  /// Restores one shard from its snapshot sections: validates them, moves
-  /// them out of `reader` as the forward store (no copy) and builds the
-  /// arena over it — byte-for-byte the index a fresh build of the same
-  /// documents would produce, so all query contracts transfer. Throws
-  /// snapshot::SnapshotError on any corruption or validation failure.
+  /// Restores one shard from its snapshot sections, moving them out of
+  /// `reader` as this index's arrays (no copy). A version-2 shard's arena
+  /// is validated and completed (adopt_arena); a version-1 shard's is
+  /// built over the forward store. Either way the result is byte-for-byte
+  /// the index a fresh build of the same documents would produce, so all
+  /// query contracts transfer. Throws snapshot::SnapshotError on any
+  /// corruption or validation failure.
   static InvertedIndex load(snapshot::Reader& reader, std::uint32_t shard);
 
  private:
-  // The three build steps below fill a freshly constructed index whose
-  // forward store is already in place.
+  // The build steps below fill a freshly constructed index whose forward
+  // store is already in place.
 
   /// The scatter: derives the arena, bounds, permutation and norms from the
   /// forward store alone.
@@ -432,6 +444,22 @@ class InvertedIndex {
   /// The merge: the forward store holds `old`'s documents followed by new
   /// ones; reuses old's norms, bounds and arena spans.
   void merge_arena(const InvertedIndex& old);
+
+  /// The restore: the forward store, the arena streams and offsets and
+  /// public_of_ are in place, read from shard `shard` of a snapshot.
+  /// Checks them, and against each other as a build would have laid them
+  /// out, and derives internal_of_, keys, norms, bounds and blocks on the
+  /// way. Throws snapshot::SnapshotError.
+  void adopt_arena(std::uint32_t shard);
+
+  /// Checks an adopted forward store's offsets: they start at 0, never
+  /// decrease and end at both streams' length. Returns the term range its
+  /// documents' last terms give (the store's, once every run is checked).
+  /// Throws snapshot::SnapshotError naming shard `shard`.
+  std::size_t check_forward_offsets(std::uint32_t shard) const;
+  /// Checks document `doc`'s run: term ids strictly increase, weights are
+  /// finite and non-zero. Throws snapshot::SnapshotError.
+  void check_forward_run(std::size_t doc, std::uint32_t shard) const;
 
   /// Sizes the block metadata from the arena's offset table.
   void layout_blocks();
@@ -455,7 +483,7 @@ class InvertedIndex {
   // All doc ids below are *internal* ids (see internal_of_/public_of_).
   ArenaVector<DocId> arena_ids_;      // doc-id stream
   ArenaVector<double> arena_weights_;  // weight stream
-  std::vector<std::size_t> arena_offsets_;  // term t's span: [t], [t+1])
+  ForwardVector<std::uint64_t> arena_offsets_;  // term t's span: [t], [t+1])
   // Term t's blocks are [arena_block_begin_[t], arena_block_begin_[t+1]);
   // block b of term t covers postings
   // [offsets[t] + (b - begin[t]) * kBlockSize, ...) — blocks never straddle
@@ -469,7 +497,7 @@ class InvertedIndex {
   // Doc-reorder permutation. Every per-doc array below is indexed by
   // internal id, so the hot loops run gather-free in internal space.
   std::vector<DocId> internal_of_;  // public id -> internal id
-  std::vector<DocId> public_of_;    // internal id -> public id
+  ForwardVector<DocId> public_of_;  // internal id -> public id
   // Each document's reorder key (its dominant term; empty documents sort
   // last), ascending along internal order — where a merge places new ones.
   std::vector<TermId> keys_;
@@ -485,7 +513,8 @@ class InvertedIndex {
   // behind its candidate-switch cost model, the source every build reads
   // the stored documents from, and the snapshot sections verbatim.
   // A build copies it; a snapshot load adopts the file's sections, which
-  // the Reader allocates on the same allocator.
+  // the Reader allocates on the same allocator (as it does the arena
+  // streams, the arena offsets and public_of_).
   ForwardVector<std::uint64_t> forward_offsets_{0};
   ForwardVector<TermId> forward_terms_;
   ForwardVector<double> forward_weights_;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <exception>
 #include <istream>
 #include <ostream>
 
-#include "index/inverted_index.hpp"
 #include "io/checksum.hpp"
 #include "obs/trace.hpp"
 
@@ -20,6 +18,15 @@ using io::fnv1a_extend;
 /// Format limits guarding header-count allocations (see Reader below).
 constexpr std::uint32_t kMaxShards = 1u << 16;
 constexpr std::uint32_t kExtraSectionSlack = 16;
+
+/// Sections a writer emits per shard, and the last section kind, in each
+/// format version.
+constexpr std::uint32_t sections_per_shard(std::uint32_t version) noexcept {
+  return version == 1 ? 3 : 7;
+}
+constexpr SectionKind last_kind(std::uint32_t version) noexcept {
+  return version == 1 ? SectionKind::kLabels : SectionKind::kPublicOf;
+}
 
 /// Payloads are read and checksummed this many bytes at a time, so each
 /// chunk is hashed while it is still in cache. A multiple of 8: the chunked
@@ -167,9 +174,13 @@ bool at_end(ByteSource& in) {
 /// Bytes per element of a section kind's typed storage.
 std::size_t element_size(SectionKind kind) noexcept {
   switch (kind) {
-    case SectionKind::kForwardOffsets: return sizeof(std::uint64_t);
-    case SectionKind::kTermIds: return sizeof(std::uint32_t);
-    case SectionKind::kWeights: return sizeof(double);
+    case SectionKind::kForwardOffsets:
+    case SectionKind::kArenaOffsets: return sizeof(std::uint64_t);
+    case SectionKind::kTermIds:
+    case SectionKind::kArenaIds:
+    case SectionKind::kPublicOf: return sizeof(std::uint32_t);
+    case SectionKind::kWeights:
+    case SectionKind::kArenaWeights: return sizeof(double);
     case SectionKind::kLabels: return 1;
   }
   return 1;
@@ -206,22 +217,25 @@ ParsedHeader read_header(ByteSource& in) {
     }
     throw SnapshotError("snapshot: corrupt endianness tag");
   }
-  if (prefix.version != kFormatVersion) {
+  if (prefix.version < 1 || prefix.version > kFormatVersion) {
     throw SnapshotError("snapshot: unsupported format version " +
-                        std::to_string(prefix.version) + " (this build reads " +
+                        std::to_string(prefix.version) +
+                        " (this build reads 1 to " +
                         std::to_string(kFormatVersion) + ")");
   }
   // The counts are not covered by any checksum until the directory has
   // been read, so cap them *before* they size an allocation — a bit-rotted
   // count must surface as a SnapshotError, not a std::bad_alloc. The caps
-  // are format limits, far above anything a writer emits (three sections
-  // per shard plus one labels blob).
+  // are format limits, far above anything a writer emits (three or seven
+  // sections per shard plus one labels blob).
   if (prefix.shard_count > kMaxShards) {
     throw SnapshotError("snapshot: implausible shard count " +
                         std::to_string(prefix.shard_count) +
                         " (corrupt header?)");
   }
-  if (prefix.section_count > 3 * prefix.shard_count + kExtraSectionSlack) {
+  if (prefix.section_count >
+      sections_per_shard(prefix.version) * prefix.shard_count +
+          kExtraSectionSlack) {
     throw SnapshotError("snapshot: implausible section count " +
                         std::to_string(prefix.section_count) + " for " +
                         std::to_string(prefix.shard_count) +
@@ -246,7 +260,7 @@ ParsedHeader read_header(ByteSource& in) {
   for (std::size_t a = 0; a < out.directory.size(); ++a) {
     const DirectoryEntry& entry = out.directory[a];
     if (entry.kind < static_cast<std::uint32_t>(SectionKind::kForwardOffsets) ||
-        entry.kind > static_cast<std::uint32_t>(SectionKind::kLabels)) {
+        entry.kind > static_cast<std::uint32_t>(last_kind(prefix.version))) {
       throw SnapshotError("snapshot: unknown section kind " +
                           std::to_string(entry.kind));
     }
@@ -274,6 +288,10 @@ const char* section_kind_name(SectionKind kind) noexcept {
     case SectionKind::kTermIds: return "ids";
     case SectionKind::kWeights: return "weights";
     case SectionKind::kLabels: return "labels";
+    case SectionKind::kArenaOffsets: return "arena-offsets";
+    case SectionKind::kArenaIds: return "arena-ids";
+    case SectionKind::kArenaWeights: return "arena-weights";
+    case SectionKind::kPublicOf: return "public-of";
   }
   return "unknown";
 }
@@ -375,15 +393,48 @@ void check_lengths(const std::vector<DirectoryEntry>& directory,
   }
 }
 
-/// Reads `entry`'s payload from `in` straight into `data` as a vector of T
-/// and verifies its checksum. The storage is advised onto huge pages before
-/// the read faults it in (see arena_allocator.hpp).
-template <typename T, typename Data>
-void read_typed(ByteSource& in, const DirectoryEntry& entry, Data& data) {
-  auto& out = data.template emplace<ForwardVector<T>>(
+/// Allocates `entry`'s storage in `data` as a `Vector` and returns its
+/// bytes, advised onto huge pages before a read faults them in (see
+/// arena_allocator.hpp). The elements are left unset for the read.
+template <typename Vector, typename Data>
+std::span<std::byte> allocate_as(const DirectoryEntry& entry, Data& data) {
+  using T = typename Vector::value_type;
+  auto& out = data.template emplace<Vector>(
       static_cast<std::size_t>(entry.bytes / sizeof(T)));
   const std::span<std::byte> bytes = std::as_writable_bytes(std::span<T>(out));
   advise_huge_pages(bytes.data(), bytes.size());
+  return bytes;
+}
+
+/// Allocates `entry`'s storage in `data` as its kind's vector type: the
+/// arena streams on ArenaVector, so an index adopts them on the storage it
+/// builds them on, everything else on ForwardVector.
+template <typename Data>
+std::span<std::byte> allocate_section(const DirectoryEntry& entry,
+                                      Data& data) {
+  switch (static_cast<SectionKind>(entry.kind)) {
+    case SectionKind::kForwardOffsets:
+    case SectionKind::kArenaOffsets:
+      return allocate_as<ForwardVector<std::uint64_t>>(entry, data);
+    case SectionKind::kTermIds:
+    case SectionKind::kPublicOf:
+      return allocate_as<ForwardVector<std::uint32_t>>(entry, data);
+    case SectionKind::kWeights:
+      return allocate_as<ForwardVector<double>>(entry, data);
+    case SectionKind::kLabels:
+      return allocate_as<ForwardVector<std::byte>>(entry, data);
+    case SectionKind::kArenaIds:
+      return allocate_as<ArenaVector<std::uint32_t>>(entry, data);
+    case SectionKind::kArenaWeights:
+      return allocate_as<ArenaVector<double>>(entry, data);
+  }
+  return {};
+}
+
+/// Reads `entry`'s payload from `in` into `bytes` (its allocated storage)
+/// and verifies its checksum.
+void read_payload(ByteSource& in, const DirectoryEntry& entry,
+                  std::span<std::byte> bytes) {
   std::uint64_t hash = io::kFnvOffset;
   for (std::size_t at = 0; at < bytes.size(); at += kChunkBytes) {
     const std::span<std::byte> chunk =
@@ -400,20 +451,6 @@ void read_typed(ByteSource& in, const DirectoryEntry& entry, Data& data) {
   }
 }
 
-template <typename Data>
-void read_section(ByteSource& in, const DirectoryEntry& entry, Data& data) {
-  switch (static_cast<SectionKind>(entry.kind)) {
-    case SectionKind::kForwardOffsets:
-      return read_typed<std::uint64_t>(in, entry, data);
-    case SectionKind::kTermIds:
-      return read_typed<std::uint32_t>(in, entry, data);
-    case SectionKind::kWeights:
-      return read_typed<double>(in, entry, data);
-    case SectionKind::kLabels:
-      return read_typed<std::byte>(in, entry, data);
-  }
-}
-
 }  // namespace
 
 Reader::Reader(std::istream& in) {
@@ -424,6 +461,7 @@ Reader::Reader(std::istream& in) {
 
 void Reader::read_all(ByteSource& in) {
   const ParsedHeader header = read_header(in);
+  version_ = header.prefix.version;
   shard_count_ = header.prefix.shard_count;
   doc_count_ = header.prefix.doc_count;
   term_count_ = header.prefix.term_count;
@@ -432,7 +470,7 @@ void Reader::read_all(ByteSource& in) {
   sections_.reserve(header.directory.size());
   for (const DirectoryEntry& entry : header.directory) {
     Section section{static_cast<SectionKind>(entry.kind), entry.shard, {}};
-    read_section(in, entry, section.data);
+    read_payload(in, entry, allocate_section(entry, section.data));
     sections_.push_back(std::move(section));
   }
   // Anything after the last declared section is not this snapshot's data
@@ -450,17 +488,23 @@ Reader::Reader(const io::Env& env, const std::string& path,
     const std::uint64_t size = env.file_size(path);
     FileSource source(*file, size);
     const ParsedHeader header = read_header(source);
+    version_ = header.prefix.version;
     shard_count_ = header.prefix.shard_count;
     doc_count_ = header.prefix.doc_count;
     term_count_ = header.prefix.term_count;
     check_lengths(header.directory, source.remaining());
 
-    // One task per section, largest first, so a big section never starts
-    // last while the other participants sit idle. Each task reads from its
-    // own cursor into its own slot; a failure is kept, not thrown, so every
-    // task finishes before the first failure in directory order surfaces.
+    // Every section's storage is allocated here, on the calling thread:
+    // a section under the mapping cutoff then comes from this thread's
+    // malloc arena, and a restore that lands on other workers next time
+    // reuses it instead of growing theirs. One task per section, largest
+    // first, so a big section never starts last while the other
+    // participants sit idle. Each task reads from its own cursor into its
+    // own slot; a failure is kept, not thrown, so every task finishes
+    // before the first failure in directory order surfaces.
     const std::size_t count = header.directory.size();
     std::vector<std::uint64_t> offset(count);
+    std::vector<std::span<std::byte>> storage(count);
     std::vector<std::size_t> order(count);
     std::uint64_t at = header.bytes_read;
     sections_.reserve(count);
@@ -468,6 +512,7 @@ Reader::Reader(const io::Env& env, const std::string& path,
       const DirectoryEntry& entry = header.directory[i];
       sections_.push_back({static_cast<SectionKind>(entry.kind), entry.shard,
                            {}});
+      storage[i] = allocate_section(entry, sections_[i].data);
       offset[i] = at;
       at += entry.bytes;
       order[i] = i;
@@ -482,7 +527,7 @@ Reader::Reader(const io::Env& env, const std::string& path,
       const std::size_t i = order[task];
       try {
         FileSource cursor(*file, size, offset[i]);
-        read_section(cursor, header.directory[i], sections_[i].data);
+        read_payload(cursor, header.directory[i], storage[i]);
       } catch (...) {
         failures[i] = std::current_exception();
       }
@@ -523,48 +568,6 @@ const Reader::Section& Reader::find(SectionKind kind,
                       section_kind_name(kind) + "/" + std::to_string(shard));
 }
 
-namespace {
-
-/// Validates one shard's sections before an index adopts them as its
-/// forward store: offsets start at 0 and never decrease, both streams
-/// match the final offset, term ids are strictly increasing within a
-/// document, and every weight is finite and non-zero.
-void validate_forward_store(std::span<const std::uint64_t> offsets,
-                            std::span<const std::uint32_t> terms,
-                            std::span<const double> weights,
-                            std::uint32_t shard) {
-  const std::string where = "snapshot: shard " + std::to_string(shard);
-  if (offsets.empty() || offsets.front() != 0) {
-    throw SnapshotError(where + " offsets section must start at 0");
-  }
-  for (std::size_t d = 1; d < offsets.size(); ++d) {
-    if (offsets[d] < offsets[d - 1]) {
-      throw SnapshotError(where + " offsets decrease at doc " +
-                          std::to_string(d - 1));
-    }
-  }
-  if (offsets.back() != terms.size() || terms.size() != weights.size()) {
-    throw SnapshotError(where +
-                        " posting streams disagree with the offset table");
-  }
-  for (std::size_t d = 0; d + 1 < offsets.size(); ++d) {
-    for (std::size_t f = offsets[d]; f < offsets[d + 1]; ++f) {
-      if (f > offsets[d] && terms[f] <= terms[f - 1]) {
-        throw SnapshotError(where + " doc " + std::to_string(d) +
-                            " term ids are not strictly increasing");
-      }
-      // Zero weights never reach a forward store (SparseVector drops them
-      // at construction), so one here means a damaged or crafted file.
-      if (!std::isfinite(weights[f]) || weights[f] == 0.0) {
-        throw SnapshotError(where + " doc " + std::to_string(d) +
-                            " carries a non-finite or zero weight");
-      }
-    }
-  }
-}
-
-}  // namespace
-
 VerifyResult verify_stream(std::istream& stream) {
   VerifyResult result;
   StreamSource in(stream);
@@ -575,6 +578,7 @@ VerifyResult verify_stream(std::istream& stream) {
     result.error = e.what();
     return result;
   }
+  result.version = header.prefix.version;
   result.shard_count = header.prefix.shard_count;
   result.doc_count = header.prefix.doc_count;
   result.term_count = header.prefix.term_count;
@@ -629,38 +633,3 @@ VerifyResult verify_stream(std::istream& stream) {
 }
 
 }  // namespace fmeter::index::snapshot
-
-namespace fmeter::index {
-
-void InvertedIndex::save(snapshot::Writer& writer, std::uint32_t shard) const {
-  // The forward store is already in public id order — the sections' layout
-  // — so the writer borrows it as it stands.
-  writer.add_section(snapshot::SectionKind::kForwardOffsets, shard,
-                     std::span<const std::uint64_t>(forward_offsets_));
-  writer.add_section(snapshot::SectionKind::kTermIds, shard,
-                     std::span<const TermId>(forward_terms_));
-  writer.add_section(snapshot::SectionKind::kWeights, shard,
-                     std::span<const double>(forward_weights_));
-}
-
-InvertedIndex InvertedIndex::load(snapshot::Reader& reader,
-                                  std::uint32_t shard) {
-  // The validated sections become the forward store as they are; only the
-  // arena is built. Same documents, same build: byte-for-byte a fresh
-  // build, so every query contract of a fresh index holds for a loaded one.
-  using snapshot::SectionKind;
-  InvertedIndex index;
-  index.forward_offsets_ =
-      reader.take_section<std::uint64_t>(SectionKind::kForwardOffsets, shard);
-  index.forward_terms_ =
-      reader.take_section<TermId>(SectionKind::kTermIds, shard);
-  index.forward_weights_ =
-      reader.take_section<double>(SectionKind::kWeights, shard);
-  snapshot::validate_forward_store(index.forward_offsets_,
-                                   index.forward_terms_,
-                                   index.forward_weights_, shard);
-  index.build_arena();
-  return index;
-}
-
-}  // namespace fmeter::index

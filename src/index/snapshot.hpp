@@ -1,26 +1,28 @@
 // Versioned binary snapshot container for the index layer (ROADMAP:
 // persistence so a rebuilt server does not re-index the archive).
 //
-// Design: the *forward store* is the serialization substrate. A build
-// (InvertedIndex::appended) derives every other structure — posting
-// arena, block-max metadata, doc-reordering permutation, per-term bounds —
-// deterministically from the documents, so a snapshot only has to persist
-// what cannot be recomputed: each shard's per-document (term, weight) pairs
-// in public id order, plus (for a database snapshot) the labels. The index
-// keeps its forward store in that same public order, so the sections *are*
-// the forward store: a save hands the Writer borrowed views of it, and a
-// load moves the Reader's typed sections in as the new index's forward
-// store and builds only the arena. The loaded index is byte-for-byte the
-// index a fresh bulk build (appended) would produce — every query contract
-// (exact bit-identity, pruned 1e-9, any mode, any shard count) transfers to
-// snapshots with no new equivalence proofs.
+// Design: a snapshot is the index's own arrays on disk. Each shard writes
+// its forward store (every document's (term, weight) pairs in public id
+// order) and the parts of its posting arena that a build pays a scatter
+// and a sort for: the term-major doc-id and weight streams, their per-term
+// offset table and the doc-reorder permutation (public_of). A restore
+// reads each section straight into the storage the index keeps it in —
+// the arena streams onto huge-page-advised mappings — and the index adopts
+// them without a copy. What one streaming pass derives is not stored: the
+// inverse permutation, the per-doc norms and reorder keys, the per-term
+// bounds and the block-max metadata are recomputed on the shard's own task
+// while it validates the adopted arrays. A save hands the Writer borrowed
+// views of the same arrays. The restored index is byte-for-byte the index
+// a fresh bulk build (appended) would produce, so every query contract
+// (exact bit-identity, pruned 1e-9, any mode, any shard count) transfers
+// to snapshots with no new equivalence proofs.
 //
-// File layout (version 1, all integers in the writing host's byte order —
-// the endianness tag below makes a foreign-endian file a clean error, not
+// File layout (all integers in the writing host's byte order — the
+// endianness tag below makes a foreign-endian file a clean error, not
 // silent garbage):
 //
 //   magic            8 bytes  "FMETSNAP"
-//   version          u32      kFormatVersion (readers reject others)
+//   version          u32      1 or 2; writers always emit kFormatVersion
 //   endianness tag   u32      kEndianTag as written by the producing host
 //   shard count      u32
 //   section count    u32
@@ -31,20 +33,33 @@
 //   header checksum  u64      FNV-1a over everything above
 //   section payloads, back to back, in directory order
 //
-// Sections (one offsets/terms/weights triple per shard, labels once):
+// Sections, per shard in this order, then the labels once:
 //   kForwardOffsets  u64 × (shard docs + 1): doc d's pairs live at
 //                    [offsets[d], offsets[d+1]) in the two streams below
 //   kTermIds         u32 × postings, strictly increasing within a doc
 //   kWeights         f64 × postings, parallel to kTermIds
+//   kArenaOffsets    u64 × (term range + 1), v2: term t's postings live at
+//                    [offsets[t], offsets[t+1]) in the two streams below
+//                    (empty for a shard with no documents)
+//   kArenaIds        u32 × postings, v2: internal doc ids, strictly
+//                    increasing within each term's span
+//   kArenaWeights    f64 × postings, v2: parallel to kArenaIds
+//   kPublicOf        u32 × shard docs, v2: internal id -> public id, in
+//                    ascending (dominant term, public id) order
 //   kLabels          u64 label count, then per label { u32 length, bytes }
+//
+// Version 1 files hold only the forward store and the labels; a restore
+// builds their arenas from the forward store, as appended() does.
 //
 // Corruption behavior: every failure mode — truncation, flipped bytes in
 // any section, wrong version, foreign endianness, zero-length file, forged
-// section lengths — throws SnapshotError with a diagnostic message. The
-// header checksum covers the directory, so a corrupted length/checksum
-// entry cannot misdirect section parsing; per-section checksums catch
-// payload damage. Writers copy nothing: checksums are computed over the
-// caller's in-memory arrays before the single sequential write pass.
+// section lengths, arrays that checksum but break an index invariant —
+// throws SnapshotError with a diagnostic message. The header checksum
+// covers the directory, so a corrupted length/checksum entry cannot
+// misdirect section parsing; per-section checksums catch payload damage,
+// and the restore validates every adopted array before the index answers
+// a query. Writers copy nothing: checksums are computed over the caller's
+// in-memory arrays before the single sequential write pass.
 #pragma once
 
 #include <cstddef>
@@ -74,7 +89,9 @@ class SnapshotError : public std::runtime_error {
 };
 
 inline constexpr char kMagic[8] = {'F', 'M', 'E', 'T', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// The version every writer emits. Readers accept 1 (forward store only)
+/// and 2 (forward store and posting arena).
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Written in native order; a foreign-endian reader sees the byte-swapped
 /// value and reports an endianness mismatch instead of misparsing counts.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
@@ -84,6 +101,10 @@ enum class SectionKind : std::uint32_t {
   kTermIds = 2,
   kWeights = 3,
   kLabels = 4,
+  kArenaOffsets = 5,
+  kArenaIds = 6,
+  kArenaWeights = 7,
+  kPublicOf = 8,
 };
 
 const char* section_kind_name(SectionKind kind) noexcept;
@@ -151,10 +172,12 @@ using ParallelFor = std::function<void(
 /// Parses and fully validates a snapshot up front: magic, version,
 /// endianness, header checksum, section lengths against the bytes the
 /// file holds, and every per-section checksum. Each section is read from
-/// the source straight into typed storage — u64 offsets, u32 term ids,
-/// f64 weights, bytes for labels — with no whole-file buffer and no second
-/// copy. After construction corruption can no longer surface mid-load,
-/// which is what lets callers build into a temporary and swap on success.
+/// the source straight into the typed storage an index keeps it in — u64
+/// offsets, u32 ids, f64 weights, bytes for labels; the arena's id and
+/// weight streams on ArenaVector, the rest on ForwardVector — with no
+/// whole-file buffer and no second copy. After construction corruption can
+/// no longer surface mid-load, which is what lets callers build into a
+/// temporary and swap on success.
 ///
 /// Forged lengths fail before they size an allocation: a directory whose
 /// sections overrun the bytes present, or a length that is not a whole
@@ -167,15 +190,19 @@ class Reader {
   /// Reads `path` through `env`'s positioned reads, looping over short
   /// reads. The header, the directory, every length against the file size
   /// and the trailing-bytes rule are checked first, on the calling thread,
-  /// before any section is allocated. Then each section is allocated, read
-  /// and checksummed by one task of `parallel_for` (largest first; inline
-  /// when it is empty), and a failure anywhere throws once every task has
-  /// finished — the first failing section in directory order, with the
-  /// message the istream form gives. An io::IoError on the way surfaces as
-  /// SnapshotError.
+  /// before any section is allocated. Then every section's storage is
+  /// allocated on the calling thread — so a small section comes from that
+  /// thread's malloc arena, not from whichever worker reads it — and each
+  /// section is read and checksummed by one task of `parallel_for`
+  /// (largest first; inline when it is empty). A failure anywhere throws
+  /// once every task has finished — the first failing section in directory
+  /// order, with the message the istream form gives. An io::IoError on the
+  /// way surfaces as SnapshotError.
   Reader(const io::Env& env, const std::string& path,
          const ParallelFor& parallel_for = {});
 
+  /// The file's format version (1 or 2).
+  std::uint32_t version() const noexcept { return version_; }
   std::uint32_t shard_count() const noexcept { return shard_count_; }
   std::uint64_t doc_count() const noexcept { return doc_count_; }
   std::uint64_t term_count() const noexcept { return term_count_; }
@@ -192,23 +219,26 @@ class Reader {
   }
 
   /// Moves a section's storage out — how a load adopts it without a copy.
-  /// The section counts as absent afterwards. Distinct sections may be
-  /// taken from different threads at once.
-  template <typename T>
-  ForwardVector<T> take_section(SectionKind kind, std::uint32_t shard) {
+  /// `Vector` is the kind's storage: ArenaVector<std::uint32_t> (arena
+  /// ids), ArenaVector<double> (arena weights), otherwise the ForwardVector
+  /// of the kind's element type. The section counts as absent afterwards.
+  /// Distinct sections may be taken from different threads at once.
+  template <typename Vector>
+  Vector take_section(SectionKind kind, std::uint32_t shard) {
     Section& section = find(kind, shard);
     section.taken = true;
-    return std::move(std::get<ForwardVector<T>>(section.data));
+    return std::move(std::get<Vector>(section.data));
   }
 
  private:
   struct Section {
     SectionKind kind;
     std::uint32_t shard;
-    // Forward-store storage, so a section moves into an index as it is,
+    // The index's own storage, so a section moves into an index as it is,
     // and a large one is freed to the OS by whichever thread drops it.
     std::variant<ForwardVector<std::uint64_t>, ForwardVector<std::uint32_t>,
-                 ForwardVector<double>, ForwardVector<std::byte>>
+                 ForwardVector<double>, ForwardVector<std::byte>,
+                 ArenaVector<std::uint32_t>, ArenaVector<double>>
         data;
     bool taken = false;
   };
@@ -218,6 +248,7 @@ class Reader {
     return const_cast<Section&>(std::as_const(*this).find(kind, shard));
   }
 
+  std::uint32_t version_ = 0;
   std::uint32_t shard_count_ = 0;
   std::uint64_t doc_count_ = 0;
   std::uint64_t term_count_ = 0;
@@ -236,6 +267,7 @@ struct SectionVerify {
 struct VerifyResult {
   bool ok = false;            ///< header + every section + clean EOF
   std::string error;          ///< first failure, empty when ok
+  std::uint32_t version = 0;  ///< format version, 0 when the header failed
   std::uint32_t shard_count = 0;
   std::uint64_t doc_count = 0;
   std::uint64_t term_count = 0;

@@ -29,4 +29,14 @@ inline double cpu_seconds() noexcept {
 /// Same clock in microseconds (the benches' reporting unit).
 inline double cpu_micros() noexcept { return cpu_seconds() * 1e6; }
 
+/// CPU seconds of the calling thread alone (CLOCK_THREAD_CPUTIME_ID): the
+/// cost of a single-threaded phase, whatever other threads of the process
+/// do meanwhile.
+inline double thread_cpu_seconds() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 }  // namespace fmeter::util

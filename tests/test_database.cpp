@@ -17,6 +17,7 @@
 #include "io/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "snapshot_files.hpp"
 #include "util/rng.hpp"
 
 namespace fmeter::core {
@@ -556,7 +557,8 @@ TEST(SignatureDatabase, RepeatedRestoresDoNotRatchetMemory) {
   // scale. Dropping the restored database must hand that memory back, or
   // each restart of the same archive in one process would hold one more
   // copy of it (malloc's per-thread arenas keep blocks freed from another
-  // thread resident).
+  // thread resident). Both formats: a v2 archive adopts its arena streams
+  // as read, a v1 archive builds them on the pool.
   constexpr std::size_t kShards = 4;
   constexpr int kDocs = 24000;
   const std::string path = ::testing::TempDir() + "fmeter_restore_ratchet.fms";
@@ -583,26 +585,34 @@ TEST(SignatureDatabase, RepeatedRestoresDoNotRatchetMemory) {
     source.save(env, path);
     index_bytes = source.index()->memory_bytes();
   }
+  const std::string v1_path = path + ".v1";
+  env.new_writable_file(v1_path)->append(
+      fmeter::testing::downgrade_snapshot_to_v1(env.read_file(path)));
 
-  std::size_t loaded[2] = {0, 0};
-  std::size_t dropped[2] = {0, 0};
-  for (int round = 0; round < 2; ++round) {
-    {
-      SignatureDatabase restored;
-      restored.load(env, path);
-      ASSERT_EQ(restored.size(), static_cast<std::size_t>(kDocs));
-      loaded[round] = resident_bytes();
+  for (const std::string& archive : {path, v1_path}) {
+    std::size_t loaded[2] = {0, 0};
+    std::size_t dropped[2] = {0, 0};
+    for (int round = 0; round < 2; ++round) {
+      {
+        SignatureDatabase restored;
+        restored.load(env, archive);
+        ASSERT_EQ(restored.size(), static_cast<std::size_t>(kDocs));
+        loaded[round] = resident_bytes();
+      }
+      dropped[round] = resident_bytes();
     }
-    dropped[round] = resident_bytes();
+    const std::size_t slack = index_bytes / 10;
+    EXPECT_LE(loaded[1], loaded[0] + slack)
+        << archive << " restored: " << loaded[0] << " then " << loaded[1]
+        << " bytes";
+    EXPECT_LE(dropped[1], dropped[0] + slack)
+        << archive << " after drop: " << dropped[0] << " then " << dropped[1]
+        << " bytes";
+    // The restored index itself is gone once dropped.
+    EXPECT_LE(dropped[1] + index_bytes / 2, loaded[1]) << archive;
   }
   env.remove_file(path);
-  const std::size_t slack = index_bytes / 10;
-  EXPECT_LE(loaded[1], loaded[0] + slack)
-      << "restored: " << loaded[0] << " then " << loaded[1] << " bytes";
-  EXPECT_LE(dropped[1], dropped[0] + slack)
-      << "after drop: " << dropped[0] << " then " << dropped[1] << " bytes";
-  // The restored index itself is gone once dropped.
-  EXPECT_LE(dropped[1] + index_bytes / 2, loaded[1]);
+  env.remove_file(v1_path);
 }
 
 }  // namespace

@@ -8,14 +8,19 @@
 // bulk batches, or both), return bit-identical results — and every
 // corrupted input (truncated files,
 // flipped bytes in each region, wrong version, foreign endianness,
-// zero-length files) fails with a diagnostic SnapshotError that leaves the
-// load target untouched and usable (strong guarantee). The parallel-load
-// test runs under the TSan CI job (per-shard build fan-out).
+// zero-length files, and arena sections that checksum but break an index
+// invariant) fails with a diagnostic SnapshotError that leaves the load
+// target untouched and usable (strong guarantee). Version-1 files (forward
+// store only), the committed one under tests/data among them, still load
+// through the build path. The parallel-load test runs under the TSan CI
+// job (per-shard build fan-out).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,6 +35,7 @@
 #include "index/snapshot.hpp"
 #include "io/env.hpp"
 #include "io/journal.hpp"
+#include "snapshot_files.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -39,6 +45,8 @@ namespace {
 namespace snap = index::snapshot;
 
 constexpr std::size_t kShardCounts[] = {1, 2, 5};
+/// Sections a version-2 writer emits per shard.
+constexpr std::size_t kSectionsPerShard = 7;
 
 vsm::SparseVector random_sparse(util::Rng& rng, std::uint32_t dimension,
                                 std::size_t max_nnz,
@@ -441,6 +449,94 @@ TEST(IndexSnapshot, ParallelEnvRestoreEqualsAFreshBuildAndTheStreamLoad) {
   posix.remove_file(posix_path);
 }
 
+/// Every shard of `got` equals `want`'s, operator== (every array of the
+/// index), and so do the sharded aggregates.
+void expect_indexes_equal(const exec::ShardedIndex& got,
+                          const exec::ShardedIndex& want,
+                          const std::string& context) {
+  ASSERT_EQ(got.num_shards(), want.num_shards()) << context;
+  EXPECT_EQ(got.size(), want.size()) << context;
+  EXPECT_EQ(got.num_terms(), want.num_terms()) << context;
+  EXPECT_EQ(got.memory_bytes(), want.memory_bytes()) << context;
+  for (std::size_t s = 0; s < want.num_shards(); ++s) {
+    EXPECT_TRUE(got.shard(s) == want.shard(s)) << context << " shard " << s;
+  }
+}
+
+TEST(IndexSnapshot, VersionTwoRoundTripEqualsABulkBuildAtEveryShardCount) {
+  // A v2 restore adopts the saved arena and builds nothing; what it adopts
+  // and what it derives must equal a bulk build, for shard counts that
+  // split 200 documents evenly and unevenly, and for 8 shards over 5
+  // documents, where three shards are empty.
+  const TestCorpus corpus = make_corpus(0x5a1, 200);
+  const TestCorpus tiny = make_corpus(0x71, 5);
+  const std::pair<const TestCorpus*, std::size_t> cases[] = {
+      {&corpus, 1}, {&corpus, 2}, {&corpus, 3},
+      {&corpus, 4}, {&corpus, 8}, {&tiny, 8}};
+  for (const auto& [source, shards] : cases) {
+    const SignatureDatabase bulk = build_bulk(*source, shards);
+    const std::string bytes = save_to_string(bulk);
+    const std::string context = std::to_string(source->signatures.size()) +
+                                " docs, " + std::to_string(shards) + " shards";
+    std::istringstream in(bytes);
+    snap::Reader reader(in);
+    EXPECT_EQ(reader.version(), snap::kFormatVersion) << context;
+    expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
+                         context);
+
+    io::InMemoryEnv env;
+    env.create_dir("d");
+    env.new_writable_file("d/snap")->append(bytes);
+    SignatureDatabase loaded;
+    loaded.load(env, "d/snap");
+    expect_indexes_equal(*loaded.index(), *bulk.index(), context + " (env)");
+    expect_databases_equivalent(loaded, bulk, 0x2a + shards, context);
+    EXPECT_EQ(save_to_string(loaded), bytes) << context;
+  }
+}
+
+TEST(IndexSnapshot, VersionOneFileLoadsThroughTheBuildPath) {
+  // tests/data/snapshot_v1_200docs_2shards.fms was written by the version-1
+  // writer from make_corpus(0x5a1, 200) on 2 shards. It loads by building
+  // the arena over its forward store, into the index a bulk build makes;
+  // a save of it writes the version-2 file of that build. The v2 file
+  // without its arena sections is that v1 file byte for byte, which is
+  // what lets the other tests make v1 files by dropping them.
+  const std::string v1 = io::Env::posix().read_file(
+      std::string(FMETER_TEST_DATA_DIR) + "/snapshot_v1_200docs_2shards.fms");
+  const SignatureDatabase bulk = build_bulk(make_corpus(0x5a1, 200), 2);
+  const std::string v2 = save_to_string(bulk);
+  EXPECT_EQ(fmeter::testing::downgrade_snapshot_to_v1(v2), v1);
+
+  std::istringstream in(v1);
+  snap::Reader reader(in);
+  EXPECT_EQ(reader.version(), 1u);
+  EXPECT_FALSE(reader.has_section(snap::SectionKind::kArenaIds, 0));
+  expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
+                       "committed v1");
+  const SignatureDatabase loaded = load_from_string(v1);
+  expect_indexes_equal(*loaded.index(), *bulk.index(), "committed v1 db");
+  expect_databases_equivalent(loaded, bulk, 0x5a2, "committed v1");
+  EXPECT_EQ(save_to_string(loaded), v2);
+
+  // Every shard count, through the pooled Env path as well.
+  const TestCorpus corpus = make_corpus(0x1f1, 6000);
+  exec::TaskPool pool(3);
+  for (const std::size_t shards : {1, 2, 3, 4, 8}) {
+    const SignatureDatabase source = build_bulk(corpus, shards);
+    io::InMemoryEnv env;
+    env.create_dir("d");
+    env.new_writable_file("d/snap")->append(
+        fmeter::testing::downgrade_snapshot_to_v1(save_to_string(source)));
+    snap::Reader pooled =
+        exec::ShardedIndex::read_snapshot(env, "d/snap", &pool);
+    EXPECT_EQ(pooled.version(), 1u);
+    expect_indexes_equal(exec::ShardedIndex::load(pooled, &pool),
+                         *source.index(),
+                         "v1, " + std::to_string(shards) + " shards");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Corruption and durability
 // ---------------------------------------------------------------------------
@@ -609,15 +705,15 @@ TEST_F(SnapshotCorruption, TruncationAtEveryRegion) {
 }
 
 TEST_F(SnapshotCorruption, WrongVersionAndForeignEndianness) {
-  // Version bumped to 2: rejected as unsupported *before* any checksum
-  // math, so future formats get a version message, not "corrupt".
+  // Version bumped past the newest: rejected as unsupported *before* any
+  // checksum math, so future formats get a version message, not "corrupt".
   std::string versioned = bytes_;
-  const std::uint32_t two = 2;
-  std::memcpy(versioned.data() + 8, &two, sizeof(two));
+  const std::uint32_t next = snap::kFormatVersion + 1;
+  std::memcpy(versioned.data() + 8, &next, sizeof(next));
   std::istringstream vin(versioned);
   try {
     target_.load(vin);
-    FAIL() << "version-2 snapshot accepted";
+    FAIL() << "future-version snapshot accepted";
   } catch (const snap::SnapshotError& error) {
     EXPECT_NE(std::string(error.what()).find("version"), std::string::npos)
         << error.what();
@@ -656,10 +752,11 @@ TEST_F(SnapshotCorruption, FlippedByteInHeaderAndDirectory) {
 
 TEST_F(SnapshotCorruption, FlippedByteInEverySection) {
   // One flip in the middle (and at both edges) of every section payload —
-  // offsets, term ids, weights of each shard, and the labels blob. The
-  // per-section checksums must catch each one.
+  // the forward store and the arena sections of each shard, and the labels
+  // blob. The per-section checksums must catch each one.
   const auto spans = section_spans();
-  ASSERT_EQ(spans.size(), 2 * 3 + 1) << "2 shards x 3 sections + labels";
+  ASSERT_EQ(spans.size(), 2 * kSectionsPerShard + 1)
+      << "2 shards x 7 sections + labels";
   bool saw_labels = false;
   for (const auto& span : spans) {
     if (span.kind == static_cast<std::uint32_t>(snap::SectionKind::kLabels)) {
@@ -732,16 +829,10 @@ TEST_F(SnapshotCorruption, SuccessfulLoadReplacesTargetEntirely) {
 /// checksum, so only the length check itself can reject the file.
 std::string forge_section_length(std::string bytes, std::uint32_t entry,
                                  std::uint64_t length) {
-  constexpr std::size_t kPrefix = 40;
-  constexpr std::size_t kEntry = 24;
-  std::uint32_t sections = 0;
-  std::memcpy(&sections, bytes.data() + 20, sizeof(sections));
-  std::memcpy(bytes.data() + kPrefix + entry * kEntry + 8, &length,
-              sizeof(length));
-  const std::size_t header = kPrefix + sections * kEntry;
-  const std::uint64_t checksum = snap::fnv1a(std::as_bytes(
-      std::span<const char>(bytes.data(), header)));
-  std::memcpy(bytes.data() + header, &checksum, sizeof(checksum));
+  std::memcpy(bytes.data() + fmeter::testing::kSnapshotPrefixBytes +
+                  entry * fmeter::testing::kSnapshotEntryBytes + 8,
+              &length, sizeof(length));
+  fmeter::testing::reseal_snapshot_header(bytes);
   return bytes;
 }
 
@@ -790,7 +881,8 @@ TEST_F(SnapshotCorruption, ParallelRestoreOfAShardedArchiveRejectsDamage) {
   source_ = build_bulk(make_corpus(0x4ad, 6000), 4);
   bytes_ = save_to_string(source_);
   const auto spans = section_spans();
-  ASSERT_EQ(spans.size(), 4 * 3 + 1) << "4 shards x 3 sections + labels";
+  ASSERT_EQ(spans.size(), 4 * kSectionsPerShard + 1)
+      << "4 shards x 7 sections + labels";
   std::uint32_t last_weights = 0;
   std::uint32_t labels = 0;
   for (std::uint32_t i = 0; i < spans.size(); ++i) {
@@ -829,6 +921,124 @@ TEST_F(SnapshotCorruption, ParallelRestoreOfAShardedArchiveRejectsDamage) {
   expect_databases_equivalent(target_, source_, 0x4ae, "undamaged");
 }
 
+/// `bytes` with section (kind, shard)'s payload, read as an array of T,
+/// changed by `mutate`, and its checksum and the header checksum
+/// recomputed: a forgery only the restore's validation can reject.
+template <typename T>
+std::string forge_section(std::string bytes, snap::SectionKind kind,
+                          std::uint32_t shard,
+                          const std::function<void(std::vector<T>&)>& mutate) {
+  const std::uint32_t sections = fmeter::testing::snapshot_section_count(bytes);
+  std::size_t at = fmeter::testing::kSnapshotPrefixBytes +
+                   sections * fmeter::testing::kSnapshotEntryBytes +
+                   sizeof(std::uint64_t);
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    char* entry = bytes.data() + fmeter::testing::kSnapshotPrefixBytes +
+                  i * fmeter::testing::kSnapshotEntryBytes;
+    std::uint32_t entry_kind = 0;
+    std::uint32_t entry_shard = 0;
+    std::uint64_t length = 0;
+    std::memcpy(&entry_kind, entry, 4);
+    std::memcpy(&entry_shard, entry + 4, 4);
+    std::memcpy(&length, entry + 8, 8);
+    if (entry_kind == static_cast<std::uint32_t>(kind) &&
+        entry_shard == shard) {
+      std::vector<T> values(length / sizeof(T));
+      std::memcpy(values.data(), bytes.data() + at, length);
+      mutate(values);
+      std::memcpy(bytes.data() + at, values.data(), length);
+      const std::uint64_t checksum = snap::fnv1a(
+          std::as_bytes(std::span<const char>(bytes.data() + at, length)));
+      std::memcpy(entry + 16, &checksum, sizeof(checksum));
+      fmeter::testing::reseal_snapshot_header(bytes);
+      return bytes;
+    }
+    at += length;
+  }
+  ADD_FAILURE() << "no section " << static_cast<int>(kind) << "/" << shard;
+  return bytes;
+}
+
+TEST_F(SnapshotCorruption, ResealedArenaForgeriesFailValidation) {
+  // Arena sections whose checksums were recomputed after the change pass
+  // the read; the restore's validation pass must reject each of them
+  // before the index can answer a query. Shard 1 of the fixture holds 30
+  // documents.
+  using Kind = snap::SectionKind;
+  const std::size_t docs = source_.index()->shard(1).size();
+  ASSERT_EQ(docs, 30u);
+  // The unchanged payload re-seals to the writer's bytes, or the forgeries
+  // below prove nothing.
+  ASSERT_EQ(forge_section<std::uint32_t>(bytes_, Kind::kArenaIds, 1,
+                                         [](std::vector<std::uint32_t>&) {}),
+            bytes_);
+  const auto ids =
+      [&](const std::function<void(std::vector<std::uint32_t>&)>& mutate) {
+        return forge_section<std::uint32_t>(bytes_, Kind::kArenaIds, 1,
+                                            mutate);
+      };
+  // The last posting is the largest id of the last term's span, so raising
+  // it to the shard's document count keeps the span increasing.
+  expect_clean_failure(
+      ids([&](auto& v) { v.back() = static_cast<std::uint32_t>(docs); }),
+      "arena id equal to the shard's document count");
+  expect_clean_failure(ids([](auto& v) { v.back() = ~std::uint32_t{0}; }),
+                       "arena id far out of range");
+  // A span whose second id repeats the first (term 0's span, which holds
+  // more than one posting here).
+  expect_clean_failure(ids([](auto& v) { v[1] = v[0]; }),
+                       "arena span not strictly increasing");
+  expect_clean_failure(
+      forge_section<double>(bytes_, Kind::kArenaWeights, 1,
+                            [](auto& v) {
+                              v[2] = std::numeric_limits<double>::quiet_NaN();
+                            }),
+      "non-finite arena weight");
+  const auto offsets =
+      [&](const std::function<void(std::vector<std::uint64_t>&)>& mutate) {
+        return forge_section<std::uint64_t>(bytes_, Kind::kArenaOffsets, 1,
+                                            mutate);
+      };
+  expect_clean_failure(offsets([](auto& v) { --v.back(); }),
+                       "arena offsets end short of the posting count");
+  expect_clean_failure(offsets([](auto& v) { ++v.back(); }),
+                       "arena offsets end past the posting count");
+  expect_clean_failure(offsets([](auto& v) { ++v[1]; }),
+                       "arena offsets move a posting between terms");
+  expect_clean_failure(offsets([](auto& v) { v.front() = 1; }),
+                       "arena offsets start past 0");
+  const auto public_of =
+      [&](const std::function<void(std::vector<std::uint32_t>&)>& mutate) {
+        return forge_section<std::uint32_t>(bytes_, Kind::kPublicOf, 1,
+                                            mutate);
+      };
+  expect_clean_failure(public_of([](auto& v) { v[1] = v[0]; }),
+                       "public-of names a document twice");
+  expect_clean_failure(
+      public_of([&](auto& v) { v[0] = static_cast<std::uint32_t>(docs); }),
+      "public-of names a document past the shard");
+  expect_clean_failure(
+      public_of([](auto& v) { std::swap(v.front(), v.back()); }),
+      "public-of permutes out of build order");
+
+  // A version-2 header over version-1 sections: the arena is missing.
+  std::string no_arena = fmeter::testing::downgrade_snapshot_to_v1(bytes_);
+  const std::uint32_t two = 2;
+  std::memcpy(no_arena.data() + 8, &two, sizeof(two));
+  fmeter::testing::reseal_snapshot_header(no_arena);
+  expect_clean_failure(no_arena, "version 2 without arena sections");
+
+  // The header's distinct-term count is cross-checked against the terms
+  // the shards' offset tables hold.
+  std::string terms = bytes_;
+  std::uint64_t count = 0;
+  std::memcpy(&count, terms.data() + 32, sizeof(count));
+  ++count;
+  std::memcpy(terms.data() + 32, &count, sizeof(count));
+  fmeter::testing::reseal_snapshot_header(terms);
+  expect_clean_failure(terms, "header term count off by one");
+}
+
 TEST_F(SnapshotCorruption, StreamedLoadMapsIoErrorsToSnapshotError) {
   // A missing file is an IoError underneath; callers see one error type.
   io::InMemoryEnv env;
@@ -844,7 +1054,9 @@ TEST_F(SnapshotCorruption, VerifyStreamAcceptsCleanArchiveAndReportsLayout) {
   EXPECT_EQ(result.shard_count, 2u);
   EXPECT_EQ(result.doc_count, 60u);
   EXPECT_EQ(result.total_bytes, bytes_.size());
-  ASSERT_EQ(result.sections.size(), 2 * 3 + 1) << "2 shards x 3 + labels";
+  EXPECT_EQ(result.version, snap::kFormatVersion);
+  ASSERT_EQ(result.sections.size(), 2 * kSectionsPerShard + 1)
+      << "2 shards x 7 + labels";
   for (const auto& section : result.sections) {
     EXPECT_TRUE(section.checksum_ok)
         << "kind " << static_cast<int>(section.kind) << " shard "
@@ -877,7 +1089,8 @@ TEST_F(SnapshotCorruption, VerifyStreamPinpointsTheDamagedSection) {
       }
     }
     EXPECT_EQ(flagged, 1u) << context;
-    EXPECT_EQ(result.sections.size(), 7u) << context << ": scan stopped early";
+    EXPECT_EQ(result.sections.size(), 2 * kSectionsPerShard + 1)
+        << context << ": scan stopped early";
   }
 }
 

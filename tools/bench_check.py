@@ -65,9 +65,11 @@ MEASURED_FIELDS = {
     # speedup_vs_scalar, so it gates off the baseline machine).
     "sigs_per_sec", "p99_vs_idle", "refreezes", "queries_served",
     # snapshot_scaling: a restore's peak RSS (measured in a fresh process),
-    # the restored index's memory_bytes, and the restore's read/verify and
-    # shard-build phases.
+    # the restored index's memory_bytes, the restore's read/verify and
+    # shard-restore phases, and the file's bytes per document in both
+    # formats.
     "load_peak_rss_mb", "index_mb", "read_s", "build_s",
+    "bytes_per_doc", "v1_bytes_per_doc",
 }
 # Measured fields that describe the host rather than the run.
 HOST_FIELDS = ("cores", "simd")

@@ -776,10 +776,10 @@ int cmd_verify(int argc, char** argv) {
   if (json) {
     std::printf(
         "{\n  \"file\": \"%s\",\n  \"ok\": %s,\n  \"error\": \"%s\",\n"
-        "  \"shards\": %u,\n  \"documents\": %llu,\n  \"terms\": %llu,\n"
+        "  \"version\": %u,\n  \"shards\": %u,\n  \"documents\": %llu,\n  \"terms\": %llu,\n"
         "  \"bytes\": %llu,\n  \"sections\": [",
         json_escape(argv[2]).c_str(), result.ok ? "true" : "false",
-        json_escape(result.error).c_str(), result.shard_count,
+        json_escape(result.error).c_str(), result.version, result.shard_count,
         static_cast<unsigned long long>(result.doc_count),
         static_cast<unsigned long long>(result.term_count),
         static_cast<unsigned long long>(result.total_bytes));
@@ -795,8 +795,8 @@ int cmd_verify(int argc, char** argv) {
     std::printf("\n  ]\n}\n");
     return result.ok ? 0 : 1;
   }
-  std::printf("%s: %u shards, %llu documents, %llu terms, %s\n", argv[2],
-              result.shard_count,
+  std::printf("%s: format v%u, %u shards, %llu documents, %llu terms, %s\n",
+              argv[2], result.version, result.shard_count,
               static_cast<unsigned long long>(result.doc_count),
               static_cast<unsigned long long>(result.term_count),
               format_bytes(result.total_bytes).c_str());
