@@ -43,7 +43,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +54,7 @@
 #include "fmeter/pipeline.hpp"
 #include "index/inverted_index.hpp"
 #include "index/snapshot.hpp"
+#include "io/env.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -184,8 +184,8 @@ struct FreshLoad {
 /// at `path`: its header with only the forward-store and labels entries in
 /// the directory, and those sections' payloads (snapshot.hpp's layout).
 std::uint64_t v1_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  const auto report = fmeter::index::snapshot::verify_stream(in);
+  const auto report =
+      fmeter::index::snapshot::verify(fmeter::io::Env::posix(), path);
   constexpr std::uint64_t kPrefix = 40;
   constexpr std::uint64_t kEntry = 24;
   std::uint64_t bytes = kPrefix + sizeof(std::uint64_t);

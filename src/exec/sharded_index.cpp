@@ -88,13 +88,6 @@ void ShardedIndex::save(index::snapshot::Writer& writer) const {
   }
 }
 
-void ShardedIndex::save(std::ostream& out) const {
-  index::snapshot::Writer writer(static_cast<std::uint32_t>(shards_.size()),
-                                 size(), num_terms());
-  save(writer);
-  writer.finish(out);
-}
-
 ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
                                 TaskPool* pool) {
   using index::snapshot::SnapshotError;
@@ -147,11 +140,6 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
                         std::to_string(reader.term_count()));
   }
   return out;
-}
-
-ShardedIndex ShardedIndex::load(std::istream& in, TaskPool* pool) {
-  index::snapshot::Reader reader(in);
-  return load(reader, pool);
 }
 
 index::snapshot::Reader ShardedIndex::read_snapshot(const io::Env& env,

@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,12 +83,12 @@ class ShardedIndex {
 
   /// Appends every shard's sections to `writer` (the caller owns the
   /// writer so it can add layers of its own — SignatureDatabase adds a
-  /// labels section — before finish()). The emitted bytes depend only on
-  /// the documents. The writer borrows each shard's arrays, so the index
-  /// must not change until finish() returns.
+  /// labels section — before finish(env, path)). An index-only snapshot is
+  /// a Writer(num_shards(), size(), num_terms()), this call and finish().
+  /// The emitted bytes depend only on the documents. The writer borrows
+  /// each shard's arrays, so the index must not change until finish()
+  /// returns.
   void save(index::snapshot::Writer& writer) const;
-  /// Convenience: a complete index-only snapshot on `out` (binary stream).
-  void save(std::ostream& out) const;
 
   /// Restores an index from snapshot sections without touching the corpus:
   /// each shard takes its sections out of `reader` (InvertedIndex::load:
@@ -106,7 +105,6 @@ class ShardedIndex {
   /// locally and returned by value only on success).
   static ShardedIndex load(index::snapshot::Reader& reader,
                            TaskPool* pool = nullptr);
-  static ShardedIndex load(std::istream& in, TaskPool* pool = nullptr);
 
   /// Opens the snapshot at `path` through `env` and reads and verifies it
   /// on `pool` (TaskPool::shared() when null): every section is allocated,

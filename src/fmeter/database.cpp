@@ -582,7 +582,7 @@ std::string SignatureDatabase::classify_by_syndrome(
   return hits.empty() ? std::string() : cache->syndromes[hits[0].doc].label;
 }
 
-void SignatureDatabase::save(std::ostream& out) const {
+void SignatureDatabase::save(io::Env& env, const std::string& path) const {
   // The image is the pinned index plus its labels: a scalar add landing
   // after the sync is not in that index's forward store, so it is not in
   // the file either. The store's reader side covers only the label
@@ -619,26 +619,11 @@ void SignatureDatabase::save(std::ostream& out) const {
   store.unlock();
   writer.add_section(index::snapshot::SectionKind::kLabels, 0,
                      std::span<const std::byte>(payload));
-  writer.finish(out);
+  writer.finish(env, path);
 }
 
 void SignatureDatabase::save(const std::string& path) const {
   save(io::Env::posix(), path);
-}
-
-void SignatureDatabase::save(io::Env& env, const std::string& path) const {
-  try {
-    io::AtomicFileWriter file(env, path);
-    save(file.stream());
-    file.commit();
-  } catch (const io::IoError& e) {
-    throw index::snapshot::SnapshotError(std::string("snapshot: ") + e.what());
-  }
-}
-
-void SignatureDatabase::load(std::istream& in) {
-  index::snapshot::Reader reader(in);
-  load(reader);
 }
 
 void SignatureDatabase::load(index::snapshot::Reader& reader) {
@@ -646,8 +631,9 @@ void SignatureDatabase::load(index::snapshot::Reader& reader) {
 
   // Labels first: their count must agree with the header before any heavy
   // decoding starts.
-  const auto label_bytes = reader.section<std::byte>(
-      index::snapshot::SectionKind::kLabels, 0);
+  const auto label_bytes =
+      reader.take_section<index::ForwardVector<std::byte>>(
+          index::snapshot::SectionKind::kLabels, 0);
   std::size_t at = 0;
   const auto take = [&label_bytes, &at](void* into, std::size_t size) {
     if (at + size > label_bytes.size()) {

@@ -34,7 +34,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -296,36 +295,31 @@ class SignatureDatabase {
 
   /// Persists the whole database — every shard's forward store and
   /// posting arena plus the labels — as one versioned, checksummed binary
-  /// snapshot (format: index/snapshot.hpp). The forward store is the only
-  /// copy of the signatures, in RAM and on disk. The emitted bytes depend only on the
-  /// stored signatures and labels. Throws index::snapshot::SnapshotError on
-  /// I/O failure (carrying the errno text when the OS supplied one).
-  ///
-  /// The path overloads commit *atomically* through an io::Env —
-  /// write-temp → fsync → rename → fsync-dir — so a crash or I/O failure
-  /// at any point leaves the previous file contents intact, never a torn
-  /// snapshot. The path-only form uses Env::posix().
-  void save(std::ostream& out) const;
+  /// snapshot (format: index/snapshot.hpp), committed *atomically* to
+  /// `path` through an io::Env: write-temp → fsync → rename → fsync-dir,
+  /// so a crash or I/O failure at any point leaves the previous file
+  /// contents intact, never a torn snapshot. The forward store is the only
+  /// copy of the signatures, in RAM and on disk. The emitted bytes depend
+  /// only on the stored signatures and labels. Throws
+  /// index::snapshot::SnapshotError on I/O failure (carrying the errno
+  /// text when the OS supplied one). The path-only form uses Env::posix().
   void save(const std::string& path) const;
   void save(io::Env& env, const std::string& path) const;
 
-  /// Restores a database from a snapshot without re-indexing the corpus:
-  /// the sections stream into typed storage, the labels are decoded, then
-  /// ShardedIndex::load adopts each shard's sections as its arrays in
-  /// parallel (a version-1 file's arenas are built), so the loaded
-  /// database is byte-for-byte the database a fresh bulk build of the
-  /// same documents would produce — searches in every mode
-  /// (kExact/kMaxScore/kAuto), at the snapshot's shard count, return
-  /// bit-identical results. Strong
-  /// guarantee: the snapshot is validated (header, version, endianness,
-  /// per-section checksums) and loaded into a temporary which replaces
-  /// *this only on success; any index::snapshot::SnapshotError leaves the
-  /// current contents untouched and usable. The path overloads read the
-  /// file through the Env's positioned reads (the path-only form through
-  /// Env::posix()), with no whole-file buffer: every section is read and
-  /// checksummed on the shared pool (ShardedIndex::read_snapshot) before
-  /// the shard builds start.
-  void load(std::istream& in);
+  /// Restores a database from the snapshot at `path` without re-indexing
+  /// the corpus, in two phases on the shared pool: every section is read
+  /// through the Env's positioned reads straight into typed storage and
+  /// checksummed (ShardedIndex::read_snapshot), with no whole-file buffer;
+  /// then the labels are decoded and ShardedIndex::load adopts each
+  /// shard's sections as its arrays in parallel (a version-1 file's arenas
+  /// are built). The loaded database is byte-for-byte the database a fresh
+  /// bulk build of the same documents would produce — searches in every
+  /// mode (kExact/kMaxScore/kAuto), at the snapshot's shard count, return
+  /// bit-identical results. Strong guarantee: the snapshot is validated
+  /// (header, version, endianness, per-section checksums) and loaded into
+  /// a temporary which replaces *this only on success; any
+  /// index::snapshot::SnapshotError leaves the current contents untouched
+  /// and usable. The path-only form uses Env::posix().
   void load(const std::string& path);
   void load(io::Env& env, const std::string& path);
 

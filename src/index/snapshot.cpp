@@ -1,11 +1,8 @@
 #include "index/snapshot.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <exception>
-#include <istream>
-#include <ostream>
 
 #include "io/checksum.hpp"
 #include "obs/trace.hpp"
@@ -61,82 +58,16 @@ std::span<const std::byte> as_bytes_of(const T& value) noexcept {
   return {reinterpret_cast<const std::byte*>(&value), sizeof(T)};
 }
 
-void write_bytes(std::ostream& out, std::span<const std::byte> bytes) {
-  errno = 0;
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) {
-    // An ofstream that hit ENOSPC/EIO leaves the reason in errno; surface
-    // it — "write failure" alone is undebuggable on a full disk.
-    std::string message = "snapshot: write failure";
-    if (errno != 0) {
-      message += " (";
-      message += std::strerror(errno);
-      message += ")";
-    }
-    throw SnapshotError(message);
-  }
-}
-
-}  // namespace
-
-/// Sequential reads over an istream or an Env file, with the total size
-/// when the source can tell it. read() fills as much of `into` as the
-/// source holds — short only at EOF — looping over short reads.
-class ByteSource {
+/// Sequential reads over an Env file of known size, from offset `at` on.
+/// read() fills as much of `into` as the file holds — short only at its
+/// end — looping over the short reads a RandomAccessFile may return.
+class FileSource {
  public:
-  static constexpr std::uint64_t kUnknownSize = ~std::uint64_t{0};
-
-  virtual std::size_t read(std::span<std::byte> into) = 0;
-  /// Bytes from the current position to the end, or kUnknownSize.
-  virtual std::uint64_t remaining() const = 0;
-};
-
-namespace {
-
-class StreamSource final : public ByteSource {
- public:
-  explicit StreamSource(std::istream& in) : in_(in) {
-    // A seekable stream (files, stringstreams) reveals its size; a pipe
-    // does not, and reads it as it comes.
-    const auto at = in.tellg();
-    if (at == std::istream::pos_type(-1)) return;
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    in.seekg(at);
-    if (end != std::istream::pos_type(-1) && in) {
-      size_ = static_cast<std::uint64_t>(end - at);
-    }
-    in.clear();
-  }
-
-  std::size_t read(std::span<std::byte> into) override {
-    in_.read(reinterpret_cast<char*>(into.data()),
-             static_cast<std::streamsize>(into.size()));
-    const auto got = static_cast<std::size_t>(in_.gcount());
-    consumed_ += got;
-    return got;
-  }
-
-  std::uint64_t remaining() const override {
-    return size_ == kUnknownSize ? kUnknownSize : size_ - consumed_;
-  }
-
- private:
-  std::istream& in_;
-  std::uint64_t size_ = kUnknownSize;
-  std::uint64_t consumed_ = 0;
-};
-
-class FileSource final : public ByteSource {
- public:
-  /// Reads `file` (of `size` bytes) from offset `at` on.
   FileSource(const io::RandomAccessFile& file, std::uint64_t size,
              std::uint64_t at = 0)
       : file_(file), size_(size), at_(at) {}
 
-  std::size_t read(std::span<std::byte> into) override {
-    // RandomAccessFile::read may come back short without being at EOF.
+  std::size_t read(std::span<std::byte> into) {
     std::size_t got = 0;
     while (got < into.size()) {
       const std::size_t n = file_.read(at_ + got, into.subspan(got));
@@ -147,9 +78,8 @@ class FileSource final : public ByteSource {
     return got;
   }
 
-  std::uint64_t remaining() const override {
-    return at_ < size_ ? size_ - at_ : 0;
-  }
+  /// Bytes from the current position to the end of the file.
+  std::uint64_t remaining() const { return at_ < size_ ? size_ - at_ : 0; }
 
  private:
   const io::RandomAccessFile& file_;
@@ -157,18 +87,12 @@ class FileSource final : public ByteSource {
   std::uint64_t at_;
 };
 
-void read_exact(ByteSource& in, void* into, std::size_t bytes,
+void read_exact(FileSource& in, void* into, std::size_t bytes,
                 const char* what) {
   if (in.read({static_cast<std::byte*>(into), bytes}) != bytes) {
     throw SnapshotError(std::string("snapshot: truncated file (short read in ") +
                         what + ")");
   }
-}
-
-/// True when the source holds no byte past the last section.
-bool at_end(ByteSource& in) {
-  std::byte extra;
-  return in.read({&extra, 1}) == 0;
 }
 
 /// Bytes per element of a section kind's typed storage.
@@ -188,7 +112,7 @@ std::size_t element_size(SectionKind kind) noexcept {
 
 /// Header prefix + directory, parsed and fully validated (magic, version,
 /// endianness, count caps, header checksum). Shared by Reader — which goes
-/// on to materialize sections — and verify_stream, which only streams them
+/// on to materialize sections — and verify, which only streams them
 /// through the checksum.
 struct ParsedHeader {
   HeaderPrefix prefix;
@@ -196,7 +120,7 @@ struct ParsedHeader {
   std::uint64_t bytes_read = 0;
 };
 
-ParsedHeader read_header(ByteSource& in) {
+ParsedHeader read_header(FileSource& in) {
   ParsedHeader out;
   HeaderPrefix& prefix = out.prefix;
   read_exact(in, &prefix, sizeof(prefix), "header");
@@ -224,10 +148,11 @@ ParsedHeader read_header(ByteSource& in) {
                         std::to_string(kFormatVersion) + ")");
   }
   // The counts are not covered by any checksum until the directory has
-  // been read, so cap them *before* they size an allocation — a bit-rotted
-  // count must surface as a SnapshotError, not a std::bad_alloc. The caps
-  // are format limits, far above anything a writer emits (three or seven
-  // sections per shard plus one labels blob).
+  // been read, so bound them *before* they size an allocation — a
+  // bit-rotted count must surface as a SnapshotError, not a std::bad_alloc.
+  // The caps are format limits, far above anything a writer emits (three
+  // or seven sections per shard plus one labels blob); the directory and
+  // the header checksum behind it must also fit in the file.
   if (prefix.shard_count > kMaxShards) {
     throw SnapshotError("snapshot: implausible shard count " +
                         std::to_string(prefix.shard_count) +
@@ -241,18 +166,22 @@ ParsedHeader read_header(ByteSource& in) {
                         std::to_string(prefix.shard_count) +
                         " shards (corrupt header?)");
   }
+  const std::uint64_t directory_bytes =
+      std::uint64_t{prefix.section_count} * sizeof(DirectoryEntry);
+  std::uint64_t stored_header_checksum = 0;
+  if (directory_bytes + sizeof(stored_header_checksum) > in.remaining()) {
+    throw SnapshotError("snapshot: truncated file (section directory of " +
+                        std::to_string(prefix.section_count) +
+                        " entries does not fit in the file)");
+  }
 
   out.directory.resize(prefix.section_count);
-  for (DirectoryEntry& entry : out.directory) {
-    read_exact(in, &entry, sizeof(entry), "section directory");
-  }
-  std::uint64_t stored_header_checksum = 0;
+  read_exact(in, out.directory.data(), directory_bytes, "section directory");
   read_exact(in, &stored_header_checksum, sizeof(stored_header_checksum),
              "header checksum");
-  std::uint64_t header_checksum = fnv1a(as_bytes_of(prefix));
-  for (const DirectoryEntry& entry : out.directory) {
-    header_checksum = fnv1a_extend(header_checksum, as_bytes_of(entry));
-  }
+  const std::uint64_t header_checksum =
+      fnv1a_extend(fnv1a(as_bytes_of(prefix)),
+                   std::as_bytes(std::span(out.directory)));
   if (header_checksum != stored_header_checksum) {
     throw SnapshotError("snapshot: header checksum mismatch (corrupt header "
                         "or section directory)");
@@ -274,9 +203,8 @@ ParsedHeader read_header(ByteSource& in) {
       }
     }
   }
-  out.bytes_read = sizeof(prefix) +
-                   out.directory.size() * sizeof(DirectoryEntry) +
-                   sizeof(stored_header_checksum);
+  out.bytes_read =
+      sizeof(prefix) + directory_bytes + sizeof(stored_header_checksum);
   return out;
 }
 
@@ -311,7 +239,7 @@ void Writer::add_bytes(SectionKind kind, std::uint32_t shard,
   sections_.push_back({kind, shard, payload, fnv1a(payload)});
 }
 
-void Writer::finish(std::ostream& out) {
+void Writer::finish(io::Env& env, const std::string& path) {
   const obs::StageSpan save_span(obs::Stage::kSnapshotSave);
   HeaderPrefix prefix{};
   std::memcpy(prefix.magic, kMagic, sizeof(kMagic));
@@ -322,6 +250,10 @@ void Writer::finish(std::ostream& out) {
   prefix.doc_count = doc_count_;
   prefix.term_count = term_count_;
 
+  // Prefix, directory and header checksum go out as one append; the
+  // checksum covers the prefix *and* the directory, so a flipped byte in a
+  // section length or checksum entry fails the header check instead of
+  // misdirecting the payload parse.
   std::vector<DirectoryEntry> directory;
   directory.reserve(sections_.size());
   for (const Section& section : sections_) {
@@ -330,31 +262,22 @@ void Writer::finish(std::ostream& out) {
                          static_cast<std::uint64_t>(section.payload.size()),
                          section.checksum});
   }
-
-  // The header checksum covers the prefix *and* the directory, so a flipped
-  // byte in a section length or checksum entry fails here instead of
-  // misdirecting the payload parse.
-  std::uint64_t header_checksum = fnv1a(as_bytes_of(prefix));
-  for (const DirectoryEntry& entry : directory) {
-    header_checksum = fnv1a_extend(header_checksum, as_bytes_of(entry));
+  const std::span<const std::byte> entries = std::as_bytes(std::span(directory));
+  const std::uint64_t header_checksum =
+      fnv1a_extend(fnv1a(as_bytes_of(prefix)), entries);
+  std::vector<std::byte> header;
+  header.reserve(sizeof(prefix) + entries.size() + sizeof(header_checksum));
+  for (const auto part :
+       {as_bytes_of(prefix), entries, as_bytes_of(header_checksum)}) {
+    header.insert(header.end(), part.begin(), part.end());
   }
 
-  write_bytes(out, as_bytes_of(prefix));
-  for (const DirectoryEntry& entry : directory) {
-    write_bytes(out, as_bytes_of(entry));
-  }
-  write_bytes(out, as_bytes_of(header_checksum));
-  for (const Section& section : sections_) {
-    write_bytes(out, section.payload);
-  }
-  out.flush();
-  if (!out) throw SnapshotError("snapshot: write failure");
-}
-
-void Writer::finish(io::Env& env, const std::string& path) {
   try {
     io::AtomicFileWriter file(env, path);
-    finish(file.stream());
+    file.file().append(header);
+    for (const Section& section : sections_) {
+      if (!section.payload.empty()) file.file().append(section.payload);
+    }
     file.commit();
   } catch (const io::IoError& e) {
     // One exception type per layer: callers of the snapshot API catch
@@ -367,8 +290,7 @@ namespace {
 
 /// Checks every directory length before any of them sizes an allocation —
 /// a forged entry must fail as a SnapshotError, not as bad_alloc — against
-/// the `present` payload bytes, which the sections must fill exactly
-/// (kUnknownSize, an unseekable stream, skips both checks).
+/// the `present` payload bytes, which the sections must fill exactly.
 void check_lengths(const std::vector<DirectoryEntry>& directory,
                    std::uint64_t present) {
   std::uint64_t declared = 0;
@@ -380,15 +302,14 @@ void check_lengths(const std::vector<DirectoryEntry>& directory,
                           std::to_string(entry.shard) +
                           " byte length is not a whole number of elements");
     }
-    if (present != ByteSource::kUnknownSize &&
-        entry.bytes > present - declared) {
+    if (entry.bytes > present - declared) {
       throw SnapshotError(
           "snapshot: truncated file (section directory declares more "
           "payload than the file holds)");
     }
     declared += entry.bytes;
   }
-  if (present != ByteSource::kUnknownSize && declared != present) {
+  if (declared != present) {
     throw SnapshotError("snapshot: trailing bytes after the last section");
   }
 }
@@ -431,54 +352,41 @@ std::span<std::byte> allocate_section(const DirectoryEntry& entry,
   return {};
 }
 
+/// Reads `bytes` bytes from `in` in kChunkBytes chunks — each into the
+/// span `chunk(offset, size)` returns — and returns their checksum, each
+/// chunk hashed while it is still in cache.
+template <typename ChunkAt>
+std::uint64_t read_checksummed(FileSource& in, std::uint64_t bytes,
+                               const ChunkAt& chunk) {
+  std::uint64_t hash = io::kFnvOffset;
+  for (std::uint64_t at = 0; at < bytes; at += kChunkBytes) {
+    const std::span<std::byte> into = chunk(
+        at, static_cast<std::size_t>(std::min<std::uint64_t>(kChunkBytes,
+                                                             bytes - at)));
+    read_exact(in, into.data(), into.size(), "section payload");
+    hash = fnv1a_extend(hash, into);
+  }
+  return hash;
+}
+
+std::string checksum_mismatch(const DirectoryEntry& entry) {
+  return std::string("snapshot: section ") +
+         section_kind_name(static_cast<SectionKind>(entry.kind)) + "/" +
+         std::to_string(entry.shard) + " checksum mismatch";
+}
+
 /// Reads `entry`'s payload from `in` into `bytes` (its allocated storage)
 /// and verifies its checksum.
-void read_payload(ByteSource& in, const DirectoryEntry& entry,
+void read_payload(FileSource& in, const DirectoryEntry& entry,
                   std::span<std::byte> bytes) {
-  std::uint64_t hash = io::kFnvOffset;
-  for (std::size_t at = 0; at < bytes.size(); at += kChunkBytes) {
-    const std::span<std::byte> chunk =
-        bytes.subspan(at, std::min(kChunkBytes, bytes.size() - at));
-    read_exact(in, chunk.data(), chunk.size(), "section payload");
-    hash = fnv1a_extend(hash, chunk);
-  }
-  if (hash != entry.checksum) {
-    throw SnapshotError(std::string("snapshot: section ") +
-                        section_kind_name(static_cast<SectionKind>(
-                            entry.kind)) +
-                        "/" + std::to_string(entry.shard) +
-                        " checksum mismatch");
-  }
+  const std::uint64_t hash = read_checksummed(
+      in, bytes.size(), [bytes](std::uint64_t at, std::size_t n) {
+        return bytes.subspan(static_cast<std::size_t>(at), n);
+      });
+  if (hash != entry.checksum) throw SnapshotError(checksum_mismatch(entry));
 }
 
 }  // namespace
-
-Reader::Reader(std::istream& in) {
-  const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
-  StreamSource source(in);
-  read_all(source);
-}
-
-void Reader::read_all(ByteSource& in) {
-  const ParsedHeader header = read_header(in);
-  version_ = header.prefix.version;
-  shard_count_ = header.prefix.shard_count;
-  doc_count_ = header.prefix.doc_count;
-  term_count_ = header.prefix.term_count;
-  check_lengths(header.directory, in.remaining());
-
-  sections_.reserve(header.directory.size());
-  for (const DirectoryEntry& entry : header.directory) {
-    Section section{static_cast<SectionKind>(entry.kind), entry.shard, {}};
-    read_payload(in, entry, allocate_section(entry, section.data));
-    sections_.push_back(std::move(section));
-  }
-  // Anything after the last declared section is not this snapshot's data
-  // (checked up front already where the source knows its size).
-  if (!at_end(in)) {
-    throw SnapshotError("snapshot: trailing bytes after the last section");
-  }
-}
 
 Reader::Reader(const io::Env& env, const std::string& path,
                const ParallelFor& parallel_for) {
@@ -554,11 +462,10 @@ bool Reader::has_section(SectionKind kind,
   return false;
 }
 
-const Reader::Section& Reader::find(SectionKind kind,
-                                    std::uint32_t shard) const {
+Reader::Section& Reader::find(SectionKind kind, std::uint32_t shard) {
   // Compares only kind and shard of other sections, so threads taking
   // distinct sections never touch each other's state.
-  for (const Section& section : sections_) {
+  for (Section& section : sections_) {
     if (section.kind == kind && section.shard == shard) {
       if (section.taken) break;
       return section;
@@ -568,67 +475,51 @@ const Reader::Section& Reader::find(SectionKind kind,
                       section_kind_name(kind) + "/" + std::to_string(shard));
 }
 
-VerifyResult verify_stream(std::istream& stream) {
+VerifyResult verify(const io::Env& env, const std::string& path) {
   VerifyResult result;
-  StreamSource in(stream);
-  ParsedHeader header;
   try {
-    header = read_header(in);
-  } catch (const SnapshotError& e) {
-    result.error = e.what();
-    return result;
-  }
-  result.version = header.prefix.version;
-  result.shard_count = header.prefix.shard_count;
-  result.doc_count = header.prefix.doc_count;
-  result.term_count = header.prefix.term_count;
-  result.total_bytes = header.bytes_read;
+    const auto file = env.new_random_access_file(path);
+    const std::uint64_t size = env.file_size(path);
+    result.total_bytes = size;
+    FileSource in(*file, size);
+    const ParsedHeader header = read_header(in);
+    result.version = header.prefix.version;
+    result.shard_count = header.prefix.shard_count;
+    result.doc_count = header.prefix.doc_count;
+    result.term_count = header.prefix.term_count;
 
-  std::vector<std::byte> chunk(kChunkBytes);
-
-  bool all_ok = true;
-  for (const DirectoryEntry& entry : header.directory) {
-    SectionVerify section;
-    section.kind = static_cast<SectionKind>(entry.kind);
-    section.shard = entry.shard;
-    section.bytes = entry.bytes;
-    std::uint64_t hash = io::kFnvOffset;
-    std::uint64_t remaining = entry.bytes;
-    bool truncated = false;
-    while (remaining > 0) {
-      const std::size_t want = remaining < kChunkBytes
-                                   ? static_cast<std::size_t>(remaining)
-                                   : kChunkBytes;
-      const std::size_t got = in.read({chunk.data(), want});
-      hash = fnv1a_extend(hash, std::span<const std::byte>(chunk).first(got));
-      result.total_bytes += got;
-      remaining -= got;
-      if (got != want) {
-        truncated = true;
-        break;
+    // A length failure is the diagnosis a load gives, but every section
+    // the file holds whole is still checksummed and reported; one that
+    // runs past the end, and every one after it, reads as not ok.
+    try {
+      check_lengths(header.directory, in.remaining());
+    } catch (const SnapshotError& e) {
+      result.error = e.what();
+    }
+    std::vector<std::byte> buffer(kChunkBytes);
+    const auto into_buffer = [&buffer](std::uint64_t, std::size_t n) {
+      return std::span(buffer).first(n);
+    };
+    bool fits = true;
+    for (const DirectoryEntry& entry : header.directory) {
+      SectionVerify& section = result.sections.emplace_back();
+      section.kind = static_cast<SectionKind>(entry.kind);
+      section.shard = entry.shard;
+      section.bytes = entry.bytes;
+      fits = fits && entry.bytes <= in.remaining();
+      if (!fits) continue;
+      section.checksum_ok =
+          read_checksummed(in, entry.bytes, into_buffer) == entry.checksum;
+      if (!section.checksum_ok && result.error.empty()) {
+        result.error = checksum_mismatch(entry);
       }
     }
-    section.checksum_ok = !truncated && hash == entry.checksum;
-    result.sections.push_back(section);
-    if (truncated) {
-      result.error = std::string("snapshot: truncated file (short read in "
-                                 "section ") +
-                     section_kind_name(section.kind) + "/" +
-                     std::to_string(section.shard) + ")";
-      return result;
-    }
-    if (!section.checksum_ok && all_ok) {
-      all_ok = false;
-      result.error = std::string("snapshot: section ") +
-                     section_kind_name(section.kind) + "/" +
-                     std::to_string(section.shard) + " checksum mismatch";
-    }
+  } catch (const SnapshotError& e) {
+    result.error = e.what();
+  } catch (const io::IoError& e) {
+    result.error = std::string("snapshot: ") + e.what();
   }
-  if (all_ok && !at_end(in)) {
-    result.error = "snapshot: trailing bytes after the last section";
-    return result;
-  }
-  result.ok = all_ok;
+  result.ok = result.error.empty();
   return result;
 }
 

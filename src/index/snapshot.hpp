@@ -65,7 +65,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -113,10 +112,9 @@ const char* section_kind_name(SectionKind kind) noexcept;
 /// its job is detecting truncation and bit rot, which it does per byte.
 std::uint64_t fnv1a(std::span<const std::byte> bytes) noexcept;
 
-/// Collects sections, then emits the whole file in one sequential pass —
-/// no seeking, so any std::ostream works (files, stringstreams in tests).
-/// Sections are *borrowed*, not copied: the caller keeps the arrays alive
-/// and unchanged until finish() returns.
+/// Collects sections, then commits the whole file through an io::Env in
+/// one sequential pass. Sections are *borrowed*, not copied: the caller
+/// keeps the arrays alive and unchanged until finish() returns.
 class Writer {
  public:
   Writer(std::uint32_t shard_count, std::uint64_t doc_count,
@@ -132,16 +130,13 @@ class Writer {
     add_bytes(kind, shard, std::as_bytes(data));
   }
 
-  /// Writes header + directory + payloads. Throws SnapshotError on stream
-  /// failure (with errno text when the stream exposes one). The writer is
+  /// Commits the snapshot to `path` through `env` as write-temp → fsync →
+  /// rename → fsync-dir: the header, directory and header checksum as one
+  /// append, then one append per non-empty section, straight from the
+  /// borrowed arrays. A crash (or I/O failure) at any point leaves the
+  /// previous `path` contents intact — never a torn file; I/O failures
+  /// surface as SnapshotError carrying the env's errno text. The writer is
   /// spent afterwards.
-  void finish(std::ostream& out);
-
-  /// Atomic variant: the whole snapshot is committed to `path` through
-  /// `env` as write-temp → fsync → rename → fsync-dir. A crash (or I/O
-  /// failure) at any point leaves the previous `path` contents intact —
-  /// never a torn file; I/O failures surface as SnapshotError carrying the
-  /// env's errno text.
   void finish(io::Env& env, const std::string& path);
 
  private:
@@ -160,8 +155,6 @@ class Writer {
   std::vector<Section> sections_;
 };
 
-class ByteSource;
-
 /// Runs task(i) once for every i in [0, n) and returns once all have
 /// returned; calls may run on several threads at once. The index layer
 /// owns no threads, so the layer above hands its pool in as one of these
@@ -169,24 +162,22 @@ class ByteSource;
 using ParallelFor = std::function<void(
     std::size_t n, const std::function<void(std::size_t)>& task)>;
 
-/// Parses and fully validates a snapshot up front: magic, version,
+/// Parses and fully validates a snapshot file up front: magic, version,
 /// endianness, header checksum, section lengths against the bytes the
 /// file holds, and every per-section checksum. Each section is read from
-/// the source straight into the typed storage an index keeps it in — u64
+/// the file straight into the typed storage an index keeps it in — u64
 /// offsets, u32 ids, f64 weights, bytes for labels; the arena's id and
 /// weight streams on ArenaVector, the rest on ForwardVector — with no
 /// whole-file buffer and no second copy. After construction corruption can
 /// no longer surface mid-load, which is what lets callers build into a
 /// temporary and swap on success.
 ///
-/// Forged lengths fail before they size an allocation: a directory whose
-/// sections overrun the bytes present, or a length that is not a whole
-/// number of the kind's elements, throws SnapshotError, never bad_alloc.
-/// (An istream that cannot seek does not reveal its size; only the
-/// element-size check applies to it.)
+/// Forged counts and lengths fail before they size an allocation: a
+/// directory that does not fit in the file, sections that overrun the
+/// bytes present, or a length that is not a whole number of the kind's
+/// elements throws SnapshotError, never bad_alloc.
 class Reader {
  public:
-  explicit Reader(std::istream& in);
   /// Reads `path` through `env`'s positioned reads, looping over short
   /// reads. The header, the directory, every length against the file size
   /// and the trailing-bytes rule are checked first, on the calling thread,
@@ -196,8 +187,7 @@ class Reader {
   /// section is read and checksummed by one task of `parallel_for`
   /// (largest first; inline when it is empty). A failure anywhere throws
   /// once every task has finished — the first failing section in directory
-  /// order, with the message the istream form gives. An io::IoError on the
-  /// way surfaces as SnapshotError.
+  /// order. An io::IoError on the way surfaces as SnapshotError.
   Reader(const io::Env& env, const std::string& path,
          const ParallelFor& parallel_for = {});
 
@@ -209,20 +199,14 @@ class Reader {
 
   bool has_section(SectionKind kind, std::uint32_t shard) const noexcept;
 
-  /// Typed view of a section. T must be the kind's element type:
-  /// std::uint64_t (offsets), std::uint32_t (term ids), double (weights),
-  /// std::byte (labels). Throws SnapshotError when the section is absent
-  /// or already taken.
-  template <typename T>
-  std::span<const T> section(SectionKind kind, std::uint32_t shard) const {
-    return std::get<ForwardVector<T>>(find(kind, shard).data);
-  }
-
   /// Moves a section's storage out — how a load adopts it without a copy.
   /// `Vector` is the kind's storage: ArenaVector<std::uint32_t> (arena
   /// ids), ArenaVector<double> (arena weights), otherwise the ForwardVector
-  /// of the kind's element type. The section counts as absent afterwards.
-  /// Distinct sections may be taken from different threads at once.
+  /// of the kind's element type — std::uint64_t (offsets), std::uint32_t
+  /// (term ids, public ids), double (weights), std::byte (labels). Throws
+  /// SnapshotError when the section is absent or already taken; it counts
+  /// as absent afterwards. Distinct sections may be taken from different
+  /// threads at once.
   template <typename Vector>
   Vector take_section(SectionKind kind, std::uint32_t shard) {
     Section& section = find(kind, shard);
@@ -242,11 +226,9 @@ class Reader {
         data;
     bool taken = false;
   };
-  void read_all(ByteSource& source);
-  const Section& find(SectionKind kind, std::uint32_t shard) const;
-  Section& find(SectionKind kind, std::uint32_t shard) {
-    return const_cast<Section&>(std::as_const(*this).find(kind, shard));
-  }
+  /// The untaken section (kind, shard); throws SnapshotError when it is
+  /// absent or already taken.
+  Section& find(SectionKind kind, std::uint32_t shard);
 
   std::uint32_t version_ = 0;
   std::uint32_t shard_count_ = 0;
@@ -255,7 +237,7 @@ class Reader {
   std::vector<Section> sections_;
 };
 
-/// One section's verification outcome (see verify_stream).
+/// One section's verification outcome (see verify).
 struct SectionVerify {
   SectionKind kind = SectionKind::kForwardOffsets;
   std::uint32_t shard = 0;
@@ -265,21 +247,25 @@ struct SectionVerify {
 
 /// Deep-checksum report for `fmeter_inspect verify`.
 struct VerifyResult {
-  bool ok = false;            ///< header + every section + clean EOF
-  std::string error;          ///< first failure, empty when ok
+  bool ok = false;            ///< header, lengths and every checksum good
+  std::string error;          ///< the message a load throws, empty when ok
   std::uint32_t version = 0;  ///< format version, 0 when the header failed
   std::uint32_t shard_count = 0;
   std::uint64_t doc_count = 0;
   std::uint64_t term_count = 0;
-  std::uint64_t total_bytes = 0;  ///< bytes consumed from the stream
+  std::uint64_t total_bytes = 0;  ///< the file's size
   std::vector<SectionVerify> sections;
 };
 
-/// Validates a snapshot stream end to end — magic, version, endianness,
-/// header checksum, every section checksum, trailing bytes — *without*
-/// materializing sections: payloads stream through the checksum in fixed
-/// 1 MiB chunks, so a 100 GB archive verifies in constant memory. Never
-/// throws for corruption; the result carries the diagnosis.
-VerifyResult verify_stream(std::istream& in);
+/// Validates the snapshot at `path` end to end, through the Reader's own
+/// header and length checks — magic, version, endianness, header
+/// checksum, section lengths, trailing bytes — and every section checksum,
+/// *without* materializing sections: payloads stream through the checksum
+/// in fixed 1 MiB chunks, so a 100 GB archive verifies in constant memory.
+/// Every section is listed; each one the file holds whole is checksummed,
+/// so one bad section does not end the scan. Never throws for corruption
+/// or I/O failure: `error` carries the SnapshotError message a load of the
+/// same file throws (up to the semantic checks a restore adds).
+VerifyResult verify(const io::Env& env, const std::string& path);
 
 }  // namespace fmeter::index::snapshot

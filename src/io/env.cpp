@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <ostream>
 #include <utility>
 
 #include <dirent.h>
@@ -213,52 +212,6 @@ std::string parent_dir(const std::string& path) {
 // AtomicFileWriter
 // ---------------------------------------------------------------------------
 
-/// Buffers stream output into 64 KiB appends so serialization code paying
-/// per-`<<` virtual-call costs stays fast through the Env seam.
-class AtomicFileWriter::Buf final : public std::streambuf {
- public:
-  explicit Buf(WritableFile& file) : file_(file) {
-    setp(buffer_, buffer_ + sizeof(buffer_));
-  }
-
-  void flush_all() {
-    const std::ptrdiff_t n = pptr() - pbase();
-    if (n > 0) {
-      file_.append(pbase(), static_cast<std::size_t>(n));
-      setp(buffer_, buffer_ + sizeof(buffer_));
-    }
-  }
-
- protected:
-  int overflow(int ch) override {
-    flush_all();
-    if (ch != traits_type::eof()) {
-      buffer_[0] = static_cast<char>(ch);
-      pbump(1);
-    }
-    return ch;
-  }
-
-  std::streamsize xsputn(const char* data, std::streamsize count) override {
-    // Large payloads (snapshot sections) skip the copy entirely.
-    if (count >= static_cast<std::streamsize>(sizeof(buffer_))) {
-      flush_all();
-      file_.append(data, static_cast<std::size_t>(count));
-      return count;
-    }
-    return std::streambuf::xsputn(data, count);
-  }
-
-  int sync() override {
-    flush_all();
-    return 0;
-  }
-
- private:
-  WritableFile& file_;
-  char buffer_[64 * 1024];
-};
-
 AtomicFileWriter::AtomicFileWriter(Env& env, std::string path)
     : env_(env),
       path_(std::move(path)),
@@ -279,17 +232,7 @@ AtomicFileWriter::~AtomicFileWriter() {
   }
 }
 
-std::ostream& AtomicFileWriter::stream() {
-  if (!stream_) {
-    buf_ = std::make_unique<Buf>(*file_);
-    stream_ = std::make_unique<std::ostream>(buf_.get());
-    stream_->exceptions(std::ios::badbit);  // streambuf throws surface as-is
-  }
-  return *stream_;
-}
-
 void AtomicFileWriter::commit() {
-  if (buf_) buf_->flush_all();
   // Order is the whole point: data durable before the name flips, the name
   // flip durable before callers may depend on it.
   file_->sync();

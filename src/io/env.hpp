@@ -35,13 +35,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
-#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -144,36 +142,33 @@ std::string parent_dir(const std::string& path);
 /// Write-temp → fsync → rename → fsync-dir as an RAII scope:
 ///
 ///   AtomicFileWriter writer(env, "archive/snapshot.fms");
-///   writer.stream() << ...;        // or writer.file().append(...)
+///   writer.file().append(bytes);   // as many appends as the format needs
 ///   writer.commit();               // the only point `path` changes
 ///
 /// A crash (or exception unwind) at any point before commit() returns
 /// leaves the previous `path` contents byte-identical; the temp file is
-/// removed best-effort on abandonment. The std::ostream view buffers
-/// through a streambuf into the WritableFile so existing serialization
-/// code (snapshot::Writer::finish) routes through Env unchanged.
+/// removed best-effort on abandonment. Appends go straight to the
+/// WritableFile, unbuffered: a caller hands over whole records or
+/// payloads (snapshot::Writer::finish issues one per section).
 class AtomicFileWriter {
  public:
   AtomicFileWriter(Env& env, std::string path);
   ~AtomicFileWriter();
 
   WritableFile& file() { return *file_; }
-  std::ostream& stream();
 
-  /// Flush + fsync temp, close, rename over `path`, fsync the directory.
+  /// Fsync the temp file, close it, rename it over `path`, fsync the
+  /// directory.
   void commit();
 
   AtomicFileWriter(const AtomicFileWriter&) = delete;
   AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
 
  private:
-  class Buf;
   Env& env_;
   std::string path_;
   std::string temp_path_;
   std::unique_ptr<WritableFile> file_;
-  std::unique_ptr<Buf> buf_;
-  std::unique_ptr<std::ostream> stream_;
   bool committed_ = false;
 };
 

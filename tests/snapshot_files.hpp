@@ -1,9 +1,11 @@
-// Shared test helpers that rewrite snapshot files at the byte level, using
-// the layout documented in src/index/snapshot.hpp: a 40-byte prefix
-// (version at byte 8, section count at byte 20, term count at byte 32), a
-// directory of 24-byte entries { kind u32, shard u32, bytes u64,
-// checksum u64 }, the header checksum, then the payloads in directory
-// order.
+// Shared snapshot test helpers. saved_bytes / load_bytes move a snapshot
+// between a database or index and a string through an io::InMemoryEnv —
+// the one transport snapshots have. The rest rewrite snapshot files at the
+// byte level, using the layout documented in src/index/snapshot.hpp: a
+// 40-byte prefix (version at byte 8, section count at byte 20, term count
+// at byte 32), a directory of 24-byte entries { kind u32, shard u32,
+// bytes u64, checksum u64 }, the header checksum, then the payloads in
+// directory order.
 #pragma once
 
 #include <cstddef>
@@ -12,9 +14,57 @@
 #include <span>
 #include <string>
 
+#include "exec/sharded_index.hpp"
+#include "fmeter/database.hpp"
 #include "index/snapshot.hpp"
+#include "io/env.hpp"
 
 namespace fmeter::testing {
+
+/// Where put_snapshot stores a snapshot in an InMemoryEnv.
+inline constexpr const char* kSnapshotPath = "d/snap";
+
+/// Stores `bytes` as a file in `env` and returns its path.
+inline std::string put_snapshot(io::InMemoryEnv& env,
+                                const std::string& bytes) {
+  env.create_dir("d");
+  env.new_writable_file(kSnapshotPath)->append(bytes);
+  return kSnapshotPath;
+}
+
+/// The snapshot SignatureDatabase::save commits for `db`.
+inline std::string saved_bytes(const core::SignatureDatabase& db) {
+  io::InMemoryEnv env;
+  env.create_dir("d");
+  db.save(env, kSnapshotPath);
+  return env.read_file(kSnapshotPath);
+}
+
+/// The index-only snapshot of `sharded`: its shards' sections, no labels.
+inline std::string saved_bytes(const exec::ShardedIndex& sharded) {
+  index::snapshot::Writer writer(
+      static_cast<std::uint32_t>(sharded.num_shards()), sharded.size(),
+      sharded.num_terms());
+  sharded.save(writer);
+  io::InMemoryEnv env;
+  env.create_dir("d");
+  writer.finish(env, kSnapshotPath);
+  return env.read_file(kSnapshotPath);
+}
+
+/// A Reader over snapshot `bytes`, its sections read inline.
+inline index::snapshot::Reader read_bytes(const std::string& bytes) {
+  io::InMemoryEnv env;
+  return index::snapshot::Reader(env, put_snapshot(env, bytes));
+}
+
+/// The database SignatureDatabase::load restores from snapshot `bytes`.
+inline core::SignatureDatabase load_bytes(const std::string& bytes) {
+  io::InMemoryEnv env;
+  core::SignatureDatabase db;
+  db.load(env, put_snapshot(env, bytes));
+  return db;
+}
 
 inline constexpr std::size_t kSnapshotPrefixBytes = 40;
 inline constexpr std::size_t kSnapshotEntryBytes = 24;

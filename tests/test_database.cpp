@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -400,11 +399,7 @@ TEST(SignatureDatabase, CopySharesItsIndex) {
   EXPECT_EQ(db.index()->size(), 7u);
 }
 
-std::string saved_bytes(const exec::ShardedIndex& index) {
-  std::stringstream out;
-  index.save(out);
-  return out.str();
-}
+using fmeter::testing::saved_bytes;
 
 TEST(SignatureDatabase, PinnedIndexIsUnchangedByLaterIngest) {
   // index() pins the current index. Ingest swaps a new one in and leaves
@@ -492,10 +487,8 @@ TEST(SignatureDatabase, ScalarAddsRaceIndexedSearchesSaveAndGauges) {
   });
   std::thread saver([&] {
     for (int i = 0; i < 10; ++i) {
-      std::stringstream bytes;
-      db.save(bytes);
-      SignatureDatabase loaded;
-      loaded.load(bytes);
+      const SignatureDatabase loaded =
+          fmeter::testing::load_bytes(saved_bytes(db));
       ASSERT_LE(loaded.size(), static_cast<std::size_t>(kDocs));
       for (std::size_t id = 0; id < loaded.size(); ++id) {
         ASSERT_TRUE(loaded.signature(id) == docs[id]) << "id " << id;

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "index/arena_allocator.hpp"
 #include "index/inverted_index.hpp"
 #include "index/kernels.hpp"
+#include "snapshot_files.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -723,17 +723,7 @@ TEST(FrozenIndex, AppendChainsEqualBulkBuild) {
   }
 }
 
-std::string saved_bytes(const SignatureDatabase& db) {
-  std::ostringstream out;
-  db.save(out);
-  return out.str();
-}
-
-std::string saved_bytes(const exec::ShardedIndex& index) {
-  std::ostringstream out;
-  index.save(out);
-  return out.str();
-}
+using fmeter::testing::saved_bytes;
 
 /// `got` is the database `want` is: same snapshot bytes, same shards,
 /// same footprint, and bit-identical hits in both kernels.

@@ -21,7 +21,6 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,19 +91,10 @@ SignatureDatabase build_bulk(const TestCorpus& corpus, std::size_t shards) {
   return db;
 }
 
-std::string save_to_string(const SignatureDatabase& db) {
-  std::ostringstream out;
-  db.save(out);
-  return out.str();
-}
-
-SignatureDatabase load_from_string(const std::string& bytes,
-                                   std::size_t shards_hint = 1) {
-  SignatureDatabase db(shards_hint);
-  std::istringstream in(bytes);
-  db.load(in);
-  return db;
-}
+using fmeter::testing::load_bytes;
+using fmeter::testing::put_snapshot;
+using fmeter::testing::read_bytes;
+using fmeter::testing::saved_bytes;
 
 /// Bit-identical hits: same ids, same labels, scores equal to the last bit.
 void expect_hits_identical(const std::vector<SearchHit>& got,
@@ -159,8 +149,8 @@ TEST(IndexSnapshot, RoundTripBitIdenticalAcrossShardCountsAndModes) {
   const TestCorpus corpus = make_corpus(0x5a41, 120);
   for (const std::size_t shards : kShardCounts) {
     const SignatureDatabase original = build_bulk(corpus, shards);
-    const std::string bytes = save_to_string(original);
-    const SignatureDatabase loaded = load_from_string(bytes);
+    const std::string bytes = saved_bytes(original);
+    const SignatureDatabase loaded = load_bytes(bytes);
     expect_databases_equivalent(loaded, original, 0x9e1 + shards,
                                 std::to_string(shards) + " shards");
     // And against the brute-force golden reference, closing the loop all
@@ -198,12 +188,12 @@ TEST(IndexSnapshot, SavedBytesIndependentOfHowTheSourceWasBuilt) {
     }
     const SignatureDatabase reference = build_bulk(corpus, shards);
 
-    const std::string bytes = save_to_string(reference);
-    EXPECT_EQ(save_to_string(scalar), bytes)
+    const std::string bytes = saved_bytes(reference);
+    EXPECT_EQ(saved_bytes(scalar), bytes)
         << shards << " shards: scalar vs bulk bytes";
-    EXPECT_EQ(save_to_string(mixed), bytes)
+    EXPECT_EQ(saved_bytes(mixed), bytes)
         << shards << " shards: bulk+scalar vs bulk bytes";
-    expect_databases_equivalent(load_from_string(bytes), reference,
+    expect_databases_equivalent(load_bytes(bytes), reference,
                                 0xabc + shards,
                                 std::to_string(shards) + " shards, any build");
   }
@@ -220,7 +210,7 @@ TEST(IndexSnapshot, SaveRightAfterScalarAddsRoundTripsEveryDocument) {
     for (std::size_t i = 10; i < corpus.signatures.size(); ++i) {
       db.add(corpus.signatures[i], corpus.labels[i]);
     }
-    const SignatureDatabase loaded = load_from_string(save_to_string(db));
+    const SignatureDatabase loaded = load_bytes(saved_bytes(db));
     ASSERT_EQ(loaded.size(), corpus.signatures.size()) << shards << " shards";
     for (std::size_t id = 0; id < corpus.signatures.size(); ++id) {
       EXPECT_EQ(loaded.label(id), corpus.labels[id]) << "id " << id;
@@ -236,7 +226,7 @@ TEST(IndexSnapshot, DegenerateCorporaRoundTrip) {
   // Empty database.
   for (const std::size_t shards : kShardCounts) {
     SignatureDatabase empty(shards);
-    const SignatureDatabase loaded = load_from_string(save_to_string(empty));
+    const SignatureDatabase loaded = load_bytes(saved_bytes(empty));
     EXPECT_EQ(loaded.size(), 0u);
     EXPECT_EQ(loaded.num_shards(), shards);
     util::Rng rng(1);
@@ -251,7 +241,7 @@ TEST(IndexSnapshot, DegenerateCorporaRoundTrip) {
   SignatureDatabase one(2);
   util::Rng rng(0xd0c);
   one.add(random_sparse(rng, 32, 6), "label with spaces\nand a newline");
-  const SignatureDatabase loaded_one = load_from_string(save_to_string(one));
+  const SignatureDatabase loaded_one = load_bytes(saved_bytes(one));
   ASSERT_EQ(loaded_one.size(), 1u);
   EXPECT_EQ(loaded_one.label(0), "label with spaces\nand a newline");
   EXPECT_TRUE(loaded_one.signature(0) == one.signature(0));
@@ -265,7 +255,7 @@ TEST(IndexSnapshot, DegenerateCorporaRoundTrip) {
   }
   for (const std::size_t shards : kShardCounts) {
     const SignatureDatabase reference = build_bulk(dup, shards);
-    expect_databases_equivalent(load_from_string(save_to_string(reference)),
+    expect_databases_equivalent(load_bytes(saved_bytes(reference)),
                                 reference, 0x11 + shards,
                                 "duplicates, " + std::to_string(shards));
   }
@@ -274,7 +264,7 @@ TEST(IndexSnapshot, DegenerateCorporaRoundTrip) {
   TestCorpus with_empty = make_corpus(0xe0, 10);
   with_empty.signatures[4] = vsm::SparseVector();
   const SignatureDatabase reference = build_bulk(with_empty, 2);
-  expect_databases_equivalent(load_from_string(save_to_string(reference)),
+  expect_databases_equivalent(load_bytes(saved_bytes(reference)),
                               reference, 0x2222, "empty doc");
 }
 
@@ -289,10 +279,8 @@ TEST(IndexSnapshot, ShardedIndexRoundTripWithoutLabels) {
     }
     original = original.appended(std::span<const vsm::SparseVector>(docs));
 
-    std::ostringstream out;
-    original.save(out);
-    std::istringstream in(out.str());
-    const exec::ShardedIndex loaded = exec::ShardedIndex::load(in);
+    snap::Reader reader = read_bytes(saved_bytes(original));
+    const exec::ShardedIndex loaded = exec::ShardedIndex::load(reader);
 
     ASSERT_EQ(loaded.size(), original.size());
     EXPECT_EQ(loaded.num_shards(), original.num_shards());
@@ -334,11 +322,11 @@ TEST(IndexSnapshot, InvertedIndexSectionsRoundTrip) {
 
   snap::Writer writer(1, original.size(), original.num_terms());
   original.save(writer, 0);
-  std::ostringstream out;
-  writer.finish(out);
+  io::InMemoryEnv env;
+  env.create_dir("d");
+  writer.finish(env, "d/snap");
 
-  std::istringstream in(out.str());
-  snap::Reader reader(in);
+  snap::Reader reader(env, "d/snap");
   const index::InvertedIndex loaded = index::InvertedIndex::load(reader, 0);
 
   ASSERT_EQ(loaded.size(), original.size());
@@ -367,17 +355,16 @@ TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
 
   exec::ShardedIndex original(4);
   original = original.appended(std::span<const vsm::SparseVector>(docs));
-  std::ostringstream out;
-  original.save(out);
-  const std::string bytes = out.str();
+  const std::string bytes = saved_bytes(original);
 
-  std::istringstream inline_in(bytes);
-  const exec::ShardedIndex inline_loaded = exec::ShardedIndex::load(inline_in);
+  snap::Reader inline_reader = read_bytes(bytes);
+  const exec::ShardedIndex inline_loaded =
+      exec::ShardedIndex::load(inline_reader);
 
   exec::TaskPool pool(3);
   for (int run = 0; run < 2; ++run) {
-    std::istringstream in(bytes);
-    const exec::ShardedIndex parallel = exec::ShardedIndex::load(in, &pool);
+    snap::Reader reader = read_bytes(bytes);
+    const exec::ShardedIndex parallel = exec::ShardedIndex::load(reader, &pool);
     ASSERT_EQ(parallel.size(), inline_loaded.size()) << "run " << run;
     EXPECT_EQ(parallel.num_terms(), inline_loaded.num_terms()) << "run " << run;
     EXPECT_EQ(parallel.num_postings(), inline_loaded.num_postings())
@@ -409,27 +396,28 @@ TEST(IndexSnapshot, ParallelLoadMatchesInlineLoadDeterministically) {
   }
 }
 
-TEST(IndexSnapshot, ParallelEnvRestoreEqualsAFreshBuildAndTheStreamLoad) {
+TEST(IndexSnapshot, ParallelEnvRestoreEqualsAFreshBuildAndAnInlineRead) {
   // 6000 docs on 4 shards: the restore reads the sections on the pool,
   // then builds the shards on it. Through a file on disk and an in-memory
   // one, by the database (shared pool) and by the exec layer (a pool of
-  // its own), each restored shard equals the fresh build's and the
-  // istream load's.
+  // its own), each restored shard equals the fresh build's and that of a
+  // restore whose sections were read inline, one after another.
   const TestCorpus corpus = make_corpus(0x9a11, 6000);
   const SignatureDatabase fresh = build_bulk(corpus, 4);
-  const std::string bytes = save_to_string(fresh);
-  const SignatureDatabase streamed = load_from_string(bytes);
+  const std::string bytes = saved_bytes(fresh);
+  snap::Reader inline_reader = read_bytes(bytes);
+  const exec::ShardedIndex inline_read =
+      exec::ShardedIndex::load(inline_reader);
 
   io::InMemoryEnv memory;
-  memory.create_dir("d");
-  memory.new_writable_file("d/snap")->append(bytes);
+  const std::string memory_path = put_snapshot(memory, bytes);
   io::Env& posix = io::Env::posix();
   const std::string posix_path = ::testing::TempDir() + "fmeter_restore.fms";
   fresh.save(posix, posix_path);
   EXPECT_EQ(posix.read_file(posix_path), bytes);
 
   exec::TaskPool pool(3);
-  const std::pair<io::Env*, std::string> sources[] = {{&memory, "d/snap"},
+  const std::pair<io::Env*, std::string> sources[] = {{&memory, memory_path},
                                                       {&posix, posix_path}};
   for (const auto& [env, path] : sources) {
     SignatureDatabase loaded(1);
@@ -441,7 +429,7 @@ TEST(IndexSnapshot, ParallelEnvRestoreEqualsAFreshBuildAndTheStreamLoad) {
     for (std::size_t s = 0; s < 4; ++s) {
       const index::InvertedIndex& want = fresh.index()->shard(s);
       EXPECT_TRUE(loaded.index()->shard(s) == want) << path << " shard " << s;
-      EXPECT_TRUE(streamed.index()->shard(s) == want) << "shard " << s;
+      EXPECT_TRUE(inline_read.shard(s) == want) << "shard " << s;
       EXPECT_TRUE(index.shard(s) == want) << path << " shard " << s;
     }
     expect_databases_equivalent(loaded, fresh, 0x9a12, path);
@@ -475,23 +463,18 @@ TEST(IndexSnapshot, VersionTwoRoundTripEqualsABulkBuildAtEveryShardCount) {
       {&corpus, 4}, {&corpus, 8}, {&tiny, 8}};
   for (const auto& [source, shards] : cases) {
     const SignatureDatabase bulk = build_bulk(*source, shards);
-    const std::string bytes = save_to_string(bulk);
+    const std::string bytes = saved_bytes(bulk);
     const std::string context = std::to_string(source->signatures.size()) +
                                 " docs, " + std::to_string(shards) + " shards";
-    std::istringstream in(bytes);
-    snap::Reader reader(in);
+    snap::Reader reader = read_bytes(bytes);
     EXPECT_EQ(reader.version(), snap::kFormatVersion) << context;
     expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
                          context);
 
-    io::InMemoryEnv env;
-    env.create_dir("d");
-    env.new_writable_file("d/snap")->append(bytes);
-    SignatureDatabase loaded;
-    loaded.load(env, "d/snap");
-    expect_indexes_equal(*loaded.index(), *bulk.index(), context + " (env)");
+    const SignatureDatabase loaded = load_bytes(bytes);
+    expect_indexes_equal(*loaded.index(), *bulk.index(), context + " (db)");
     expect_databases_equivalent(loaded, bulk, 0x2a + shards, context);
-    EXPECT_EQ(save_to_string(loaded), bytes) << context;
+    EXPECT_EQ(saved_bytes(loaded), bytes) << context;
   }
 }
 
@@ -505,19 +488,18 @@ TEST(IndexSnapshot, VersionOneFileLoadsThroughTheBuildPath) {
   const std::string v1 = io::Env::posix().read_file(
       std::string(FMETER_TEST_DATA_DIR) + "/snapshot_v1_200docs_2shards.fms");
   const SignatureDatabase bulk = build_bulk(make_corpus(0x5a1, 200), 2);
-  const std::string v2 = save_to_string(bulk);
+  const std::string v2 = saved_bytes(bulk);
   EXPECT_EQ(fmeter::testing::downgrade_snapshot_to_v1(v2), v1);
 
-  std::istringstream in(v1);
-  snap::Reader reader(in);
+  snap::Reader reader = read_bytes(v1);
   EXPECT_EQ(reader.version(), 1u);
   EXPECT_FALSE(reader.has_section(snap::SectionKind::kArenaIds, 0));
   expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
                        "committed v1");
-  const SignatureDatabase loaded = load_from_string(v1);
+  const SignatureDatabase loaded = load_bytes(v1);
   expect_indexes_equal(*loaded.index(), *bulk.index(), "committed v1 db");
   expect_databases_equivalent(loaded, bulk, 0x5a2, "committed v1");
-  EXPECT_EQ(save_to_string(loaded), v2);
+  EXPECT_EQ(saved_bytes(loaded), v2);
 
   // Every shard count, through the pooled Env path as well.
   const TestCorpus corpus = make_corpus(0x1f1, 6000);
@@ -525,11 +507,9 @@ TEST(IndexSnapshot, VersionOneFileLoadsThroughTheBuildPath) {
   for (const std::size_t shards : {1, 2, 3, 4, 8}) {
     const SignatureDatabase source = build_bulk(corpus, shards);
     io::InMemoryEnv env;
-    env.create_dir("d");
-    env.new_writable_file("d/snap")->append(
-        fmeter::testing::downgrade_snapshot_to_v1(save_to_string(source)));
-    snap::Reader pooled =
-        exec::ShardedIndex::read_snapshot(env, "d/snap", &pool);
+    const std::string path = put_snapshot(
+        env, fmeter::testing::downgrade_snapshot_to_v1(saved_bytes(source)));
+    snap::Reader pooled = exec::ShardedIndex::read_snapshot(env, path, &pool);
     EXPECT_EQ(pooled.version(), 1u);
     expect_indexes_equal(exec::ShardedIndex::load(pooled, &pool),
                          *source.index(),
@@ -549,7 +529,7 @@ class SnapshotCorruption : public ::testing::Test {
   void SetUp() override {
     corpus_ = make_corpus(0xbad, 60);
     source_ = build_bulk(corpus_, 2);
-    bytes_ = save_to_string(source_);
+    bytes_ = saved_bytes(source_);
 
     target_ = SignatureDatabase(3);
     util::Rng rng(0x7a6);
@@ -561,80 +541,86 @@ class SnapshotCorruption : public ::testing::Test {
     before_ = target_.search(probe_, 5, SimilarityMetric::kCosine);
   }
 
-  /// Read chunk limits the streamed load runs under: pathological 7-byte
-  /// reads, and chunks just over 1 MiB.
+  /// Read chunk limits every load runs under besides the unlimited one:
+  /// pathological 7-byte reads, and chunks just over 1 MiB.
   static constexpr std::size_t kChunkLimits[] = {7, (std::size_t{1} << 20) + 1};
 
   /// Asserts that loading `bytes` fails with a SnapshotError whose message
-  /// is a real diagnostic — through the istream path and, with the same
-  /// message, through load(Env&, path) under every read chunk limit — and
-  /// that the target database is untouched and still fully usable
-  /// afterwards.
-  void expect_clean_failure(const std::string& bytes,
-                            const std::string& context) {
-    std::string stream_error;
-    {
-      std::istringstream in(bytes);
-      try {
-        target_.load(in);
-        FAIL() << context << ": load of corrupt snapshot succeeded";
-      } catch (const snap::SnapshotError& error) {
-        stream_error = error.what();
-        EXPECT_GT(stream_error.size(), 10u)
-            << context << ": diagnostic too short";
-      } catch (const std::exception& error) {
-        FAIL() << context << ": wrong exception type: " << error.what();
-      }
-    }
+  /// is a real diagnostic — the same message from an in-memory file read
+  /// whole, under every read chunk limit and from a file on disk read by
+  /// pread — and that the target database is untouched and still fully
+  /// usable afterwards. Returns the message.
+  std::string expect_clean_failure(const std::string& bytes,
+                                   const std::string& context) {
     io::InMemoryEnv env;
-    env.create_dir("d");
-    env.new_writable_file("d/snap")->append(bytes);
+    const std::string path = put_snapshot(env, bytes);
+    const auto load_error = [this, &context](io::Env& from,
+                                             const std::string& file,
+                                             const std::string& leg) {
+      try {
+        target_.load(from, file);
+        ADD_FAILURE() << context << ": load of corrupt snapshot succeeded ("
+                      << leg << ")";
+      } catch (const snap::SnapshotError& error) {
+        return std::string(error.what());
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << context << ": wrong exception type: " << error.what()
+                      << " (" << leg << ")";
+      }
+      return std::string();
+    };
+    const std::string error = load_error(env, path, "unlimited reads");
+    EXPECT_GT(error.size(), 10u) << context << ": diagnostic too short";
     for (const std::size_t limit : kChunkLimits) {
       env.set_read_chunk_limit(limit);
-      try {
-        target_.load(env, "d/snap");
-        FAIL() << context << ": streamed load of corrupt snapshot succeeded"
-               << " (chunk limit " << limit << ")";
-      } catch (const snap::SnapshotError& error) {
-        EXPECT_EQ(error.what(), stream_error)
-            << context << " (chunk limit " << limit << ")";
-      } catch (const std::exception& error) {
-        FAIL() << context << ": wrong exception type: " << error.what()
-               << " (chunk limit " << limit << ")";
-      }
+      EXPECT_EQ(load_error(env, path,
+                           "chunk limit " + std::to_string(limit)),
+                error)
+          << context << " (chunk limit " << limit << ")";
     }
-    // The same file on disk, read by pread.
     io::Env& posix = io::Env::posix();
-    const std::string path = ::testing::TempDir() + "fmeter_corrupt.fms";
-    posix.new_writable_file(path)->append(bytes);
-    try {
-      target_.load(posix, path);
-      FAIL() << context << ": posix load of corrupt snapshot succeeded";
-    } catch (const snap::SnapshotError& error) {
-      EXPECT_EQ(error.what(), stream_error) << context << " (posix)";
-    } catch (const std::exception& error) {
-      FAIL() << context << ": wrong exception type: " << error.what()
-             << " (posix)";
-    }
-    posix.remove_file(path);
-    // Strong guarantee: contents, labels and query results unchanged...
+    const std::string posix_path = ::testing::TempDir() + "fmeter_corrupt.fms";
+    posix.new_writable_file(posix_path)->append(bytes);
+    EXPECT_EQ(load_error(posix, posix_path, "posix"), error)
+        << context << " (posix)";
+    posix.remove_file(posix_path);
+    expect_target_untouched(context);
+    return error;
+  }
+
+  /// The strong guarantee after a failed load: contents, labels and query
+  /// results unchanged, and the database still accepts new work.
+  void expect_target_untouched(const std::string& context) {
     ASSERT_EQ(target_.size(), 10u) << context;
     for (std::size_t id = 0; id < target_.size(); ++id) {
       ASSERT_EQ(target_.label(id), "pre-existing") << context;
     }
     expect_hits_identical(target_.search(probe_, 5, SimilarityMetric::kCosine),
                           before_, context);
-    // ...and the database still accepts new work. Rebuild the 10-doc
-    // state afterwards (same seed, same docs) so `before_` stays the
-    // reference for the next corrupt input.
     util::Rng rng(0x99);
     target_.add(random_sparse(rng, 40, 6), "post-failure");
     ASSERT_EQ(target_.size(), 11u) << context;
+    // Rebuild the 10-doc state (same seed, same docs) so `before_` stays
+    // the reference for the next corrupt input.
     target_ = SignatureDatabase(3);
     util::Rng rebuild(0x7a6);
     for (int i = 0; i < 10; ++i) {
       target_.add(random_sparse(rebuild, 40, 6), "pre-existing");
     }
+  }
+
+  /// A byte-level corruption: expect_clean_failure, and verify() reports
+  /// the file as not ok with the message the load threw. Returns verify's
+  /// report.
+  snap::VerifyResult expect_damage_found(const std::string& bytes,
+                                         const std::string& context) {
+    const std::string error = expect_clean_failure(bytes, context);
+    io::InMemoryEnv env;
+    const snap::VerifyResult result = snap::verify(env, put_snapshot(env, bytes));
+    EXPECT_FALSE(result.ok) << context << " (verify)";
+    EXPECT_EQ(result.error, error) << context << " (verify)";
+    EXPECT_EQ(result.total_bytes, bytes.size()) << context << " (verify)";
+    return result;
   }
 
   /// Header layout constants mirrored from snapshot.hpp's documentation.
@@ -684,9 +670,9 @@ class SnapshotCorruption : public ::testing::Test {
 };
 
 TEST_F(SnapshotCorruption, ZeroLengthAndTinyFiles) {
-  expect_clean_failure("", "zero-length file");
-  expect_clean_failure("FM", "two-byte file");
-  expect_clean_failure(std::string(39, '\0'), "short header of zeroes");
+  expect_damage_found("", "zero-length file");
+  expect_damage_found("FM", "two-byte file");
+  expect_damage_found(std::string(39, '\0'), "short header of zeroes");
 }
 
 TEST_F(SnapshotCorruption, TruncationAtEveryRegion) {
@@ -699,8 +685,10 @@ TEST_F(SnapshotCorruption, TruncationAtEveryRegion) {
   };
   for (const std::size_t cut : cuts) {
     ASSERT_LT(cut, bytes_.size());
-    expect_clean_failure(bytes_.substr(0, cut),
-                         "truncated at byte " + std::to_string(cut));
+    const snap::VerifyResult result = expect_damage_found(
+        bytes_.substr(0, cut), "truncated at byte " + std::to_string(cut));
+    EXPECT_NE(result.error.find("truncated"), std::string::npos)
+        << result.error;
   }
 }
 
@@ -710,29 +698,18 @@ TEST_F(SnapshotCorruption, WrongVersionAndForeignEndianness) {
   std::string versioned = bytes_;
   const std::uint32_t next = snap::kFormatVersion + 1;
   std::memcpy(versioned.data() + 8, &next, sizeof(next));
-  std::istringstream vin(versioned);
-  try {
-    target_.load(vin);
-    FAIL() << "future-version snapshot accepted";
-  } catch (const snap::SnapshotError& error) {
-    EXPECT_NE(std::string(error.what()).find("version"), std::string::npos)
-        << error.what();
-  }
-  expect_clean_failure(versioned, "wrong version");
+  const std::string version_error =
+      expect_damage_found(versioned, "wrong version").error;
+  EXPECT_NE(version_error.find("version"), std::string::npos)
+      << version_error;
 
   // Byte-swapped endianness tag: the message names the real problem.
   std::string swapped = bytes_;
   std::swap(swapped[12], swapped[15]);
   std::swap(swapped[13], swapped[14]);
-  std::istringstream ein(swapped);
-  try {
-    target_.load(ein);
-    FAIL() << "foreign-endian snapshot accepted";
-  } catch (const snap::SnapshotError& error) {
-    EXPECT_NE(std::string(error.what()).find("endian"), std::string::npos)
-        << error.what();
-  }
-  expect_clean_failure(swapped, "foreign endianness");
+  const std::string endian_error =
+      expect_damage_found(swapped, "foreign endianness").error;
+  EXPECT_NE(endian_error.find("endian"), std::string::npos) << endian_error;
 }
 
 TEST_F(SnapshotCorruption, FlippedByteInHeaderAndDirectory) {
@@ -746,14 +723,16 @@ TEST_F(SnapshotCorruption, FlippedByteInHeaderAndDirectory) {
                                kPrefixBytes + 9, kPrefixBytes + 17}) {
     std::string corrupt = bytes_;
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0x20);
-    expect_clean_failure(corrupt, "flipped byte at " + std::to_string(at));
+    expect_damage_found(corrupt, "flipped byte at " + std::to_string(at));
   }
 }
 
 TEST_F(SnapshotCorruption, FlippedByteInEverySection) {
   // One flip in the middle (and at both edges) of every section payload —
   // the forward store and the arena sections of each shard, and the labels
-  // blob. The per-section checksums must catch each one.
+  // blob. The per-section checksums must catch each one, and verify must
+  // flag exactly that section while still listing every section: it is a
+  // whole-file report, not a first-error bail-out.
   const auto spans = section_spans();
   ASSERT_EQ(spans.size(), 2 * kSectionsPerShard + 1)
       << "2 shards x 7 sections + labels";
@@ -768,10 +747,21 @@ TEST_F(SnapshotCorruption, FlippedByteInEverySection) {
       std::string corrupt = bytes_;
       corrupt[span.begin + offset] =
           static_cast<char>(corrupt[span.begin + offset] ^ 0x01);
-      expect_clean_failure(corrupt, "flip in section kind " +
-                                        std::to_string(span.kind) + "/" +
-                                        std::to_string(span.shard) +
-                                        " offset " + std::to_string(offset));
+      const std::string context = "flip in section kind " +
+                                  std::to_string(span.kind) + "/" +
+                                  std::to_string(span.shard) + " offset " +
+                                  std::to_string(offset);
+      const snap::VerifyResult result = expect_damage_found(corrupt, context);
+      ASSERT_EQ(result.sections.size(), spans.size()) << context;
+      std::size_t flagged = 0;
+      for (const auto& section : result.sections) {
+        if (section.checksum_ok) continue;
+        ++flagged;
+        EXPECT_EQ(static_cast<std::uint32_t>(section.kind), span.kind)
+            << context;
+        EXPECT_EQ(section.shard, span.shard) << context;
+      }
+      EXPECT_EQ(flagged, 1u) << context;
     }
   }
   EXPECT_TRUE(saw_labels);
@@ -786,42 +776,59 @@ TEST_F(SnapshotCorruption, ImplausibleHeaderCountsRejectedBeforeAllocation) {
     std::string corrupt = bytes_;
     const std::uint32_t huge = 0x40000000u;
     std::memcpy(corrupt.data() + field_at, &huge, sizeof(huge));
-    expect_clean_failure(corrupt, "huge count at byte " +
-                                      std::to_string(field_at));
+    expect_damage_found(corrupt, "huge count at byte " +
+                                     std::to_string(field_at));
   }
+  // A section count at the cap for the largest shard count passes both
+  // caps, yet its directory alone (~11 MB) cannot fit in a 100-byte file:
+  // the file size rejects it before the count sizes the directory. The
+  // header checksum would sit past the end of the file, so nothing vouches
+  // for the count; only the size check stands between it and the resize.
+  std::string forged = bytes_.substr(0, 100);
+  const std::uint32_t max_shards = 1u << 16;
+  const std::uint32_t at_cap = 7 * max_shards + 16;
+  std::memcpy(forged.data() + 16, &max_shards, sizeof(max_shards));
+  std::memcpy(forged.data() + 20, &at_cap, sizeof(at_cap));
+  EXPECT_EQ(expect_damage_found(forged, "section count at the cap").error,
+            "snapshot: truncated file (section directory of 458768 entries "
+            "does not fit in the file)");
 }
 
 TEST_F(SnapshotCorruption, TrailingGarbageRejected) {
-  expect_clean_failure(bytes_ + "x", "one trailing byte");
-  expect_clean_failure(bytes_ + std::string(1024, '\7'), "trailing blob");
+  for (const std::string& longer : {bytes_ + "x", bytes_ + std::string(1024, '\7')}) {
+    const snap::VerifyResult result = expect_damage_found(
+        longer, std::to_string(longer.size() - bytes_.size()) +
+                    " trailing bytes");
+    // Every section is whole and intact; only the tail is wrong.
+    ASSERT_EQ(result.sections.size(), 2 * kSectionsPerShard + 1);
+    for (const auto& section : result.sections) {
+      EXPECT_TRUE(section.checksum_ok);
+    }
+  }
 }
 
 TEST_F(SnapshotCorruption, IndexOnlySnapshotRejectedByDatabaseLoad) {
   // A ShardedIndex snapshot has no labels section; SignatureDatabase::load
   // must say so instead of inventing labels.
-  std::ostringstream out;
-  source_.index()->save(out);
-  expect_clean_failure(out.str(), "index-only snapshot into a database");
+  expect_clean_failure(saved_bytes(*source_.index()),
+                       "index-only snapshot into a database");
 }
 
 TEST_F(SnapshotCorruption, SuccessfulLoadReplacesTargetEntirely) {
   // The durability flip side: on *success* the old contents are gone and
   // the loaded archive answers exactly like the source.
-  std::istringstream in(bytes_);
-  target_.load(in);
+  io::InMemoryEnv env;
+  const std::string path = put_snapshot(env, bytes_);
+  target_.load(env, path);
   expect_databases_equivalent(target_, source_, 0xfeed, "post-load");
 
-  // The streamed load under short reads restores the same database.
-  io::InMemoryEnv env;
-  env.create_dir("d");
-  env.new_writable_file("d/snap")->append(bytes_);
+  // Loads under short reads restore the same database.
   for (const std::size_t limit : kChunkLimits) {
     env.set_read_chunk_limit(limit);
-    SignatureDatabase streamed(3);
-    streamed.load(env, "d/snap");
-    expect_databases_equivalent(streamed, source_, 0xfeed,
-                                "streamed, chunk limit " +
-                                    std::to_string(limit));
+    SignatureDatabase loaded(3);
+    loaded.load(env, path);
+    expect_databases_equivalent(loaded, source_, 0xfeed,
+                                "chunk limit " + std::to_string(limit));
   }
 }
 
@@ -848,38 +855,30 @@ TEST_F(SnapshotCorruption, ForgedSectionLengthsFailBeforeAllocating) {
   for (const std::uint64_t length :
        {std::uint64_t{1} << 60, std::uint64_t{1} << 40,
         static_cast<std::uint64_t>(bytes_.size()) * 8}) {
-    const std::string forged = forge_section_length(bytes_, 0, length);
-    expect_clean_failure(forged, "offsets length forged to " +
-                                     std::to_string(length));
-    std::istringstream in(forged);
-    try {
-      target_.load(in);
-    } catch (const snap::SnapshotError& error) {
-      EXPECT_NE(std::string(error.what()).find("truncated"),
-                std::string::npos)
-          << error.what();
-    }
+    const std::string error =
+        expect_damage_found(forge_section_length(bytes_, 0, length),
+                            "offsets length forged to " +
+                                std::to_string(length))
+            .error;
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
   }
   // A length that is not a whole number of u64 offsets is rejected by its
   // element size, before anything is read.
-  const std::string ragged = forge_section_length(bytes_, 0, 12);
-  expect_clean_failure(ragged, "offsets length of 12 bytes");
-  std::istringstream in(ragged);
-  try {
-    target_.load(in);
-  } catch (const snap::SnapshotError& error) {
-    EXPECT_NE(std::string(error.what()).find("whole number of elements"),
-              std::string::npos)
-        << error.what();
-  }
+  const std::string ragged_error =
+      expect_damage_found(forge_section_length(bytes_, 0, 12),
+                          "offsets length of 12 bytes")
+          .error;
+  EXPECT_NE(ragged_error.find("whole number of elements"), std::string::npos)
+      << ragged_error;
 }
 
 TEST_F(SnapshotCorruption, ParallelRestoreOfAShardedArchiveRejectsDamage) {
   // A 4-shard archive large enough that both restore phases fan out onto
-  // the pool. Each damaged copy fails the same way through the istream,
-  // the in-memory and the posix path, and leaves the target untouched.
+  // the pool. Each damaged copy fails the same way under every read chunk
+  // limit and through the posix path, verify gives the same diagnosis,
+  // and the target is left untouched.
   source_ = build_bulk(make_corpus(0x4ad, 6000), 4);
-  bytes_ = save_to_string(source_);
+  bytes_ = saved_bytes(source_);
   const auto spans = section_spans();
   ASSERT_EQ(spans.size(), 4 * kSectionsPerShard + 1)
       << "4 shards x 7 sections + labels";
@@ -903,21 +902,19 @@ TEST_F(SnapshotCorruption, ParallelRestoreOfAShardedArchiveRejectsDamage) {
     return corrupt;
   };
   const std::uint64_t length = spans[last_weights].length;
-  expect_clean_failure(flipped(spans[last_weights]),
-                       "flip in the last shard's weights");
-  expect_clean_failure(flipped(spans[labels]), "flip in the labels");
-  expect_clean_failure(bytes_.substr(0, bytes_.size() - 9), "truncated");
-  expect_clean_failure(bytes_ + std::string(16, '\0'), "trailing bytes");
-  expect_clean_failure(forge_section_length(bytes_, last_weights, length + 8),
-                       "last weights length forged up");
-  expect_clean_failure(forge_section_length(bytes_, last_weights, length - 8),
-                       "last weights length forged down");
+  expect_damage_found(flipped(spans[last_weights]),
+                      "flip in the last shard's weights");
+  expect_damage_found(flipped(spans[labels]), "flip in the labels");
+  expect_damage_found(bytes_.substr(0, bytes_.size() - 9), "truncated");
+  expect_damage_found(bytes_ + std::string(16, '\0'), "trailing bytes");
+  expect_damage_found(forge_section_length(bytes_, last_weights, length + 8),
+                      "last weights length forged up");
+  expect_damage_found(forge_section_length(bytes_, last_weights, length - 8),
+                      "last weights length forged down");
 
-  // The undamaged file restores to the source through the same paths.
+  // The undamaged file restores to the source.
   io::InMemoryEnv env;
-  env.create_dir("d");
-  env.new_writable_file("d/snap")->append(bytes_);
-  target_.load(env, "d/snap");
+  target_.load(env, put_snapshot(env, bytes_));
   expect_databases_equivalent(target_, source_, 0x4ae, "undamaged");
 }
 
@@ -1039,16 +1036,26 @@ TEST_F(SnapshotCorruption, ResealedArenaForgeriesFailValidation) {
   expect_clean_failure(terms, "header term count off by one");
 }
 
-TEST_F(SnapshotCorruption, StreamedLoadMapsIoErrorsToSnapshotError) {
-  // A missing file is an IoError underneath; callers see one error type.
+TEST_F(SnapshotCorruption, EnvLoadMapsIoErrorsToSnapshotError) {
+  // A missing file is an IoError underneath; callers see one error type,
+  // and verify reports the same message.
   io::InMemoryEnv env;
-  EXPECT_THROW(target_.load(env, "absent/snap"), snap::SnapshotError);
+  std::string error;
+  try {
+    target_.load(env, "absent/snap");
+    FAIL() << "load of a missing file succeeded";
+  } catch (const snap::SnapshotError& e) {
+    error = e.what();
+  }
   ASSERT_EQ(target_.size(), 10u);
+  const snap::VerifyResult result = snap::verify(env, "absent/snap");
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, error);
 }
 
-TEST_F(SnapshotCorruption, VerifyStreamAcceptsCleanArchiveAndReportsLayout) {
-  std::istringstream in(bytes_);
-  const snap::VerifyResult result = snap::verify_stream(in);
+TEST_F(SnapshotCorruption, VerifyAcceptsCleanArchivesAndReportsLayout) {
+  io::InMemoryEnv env;
+  const snap::VerifyResult result = snap::verify(env, put_snapshot(env, bytes_));
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(result.error.empty());
   EXPECT_EQ(result.shard_count, 2u);
@@ -1062,59 +1069,17 @@ TEST_F(SnapshotCorruption, VerifyStreamAcceptsCleanArchiveAndReportsLayout) {
         << "kind " << static_cast<int>(section.kind) << " shard "
         << section.shard;
   }
-}
 
-TEST_F(SnapshotCorruption, VerifyStreamPinpointsTheDamagedSection) {
-  // A flip in any section payload must flag exactly that section while the
-  // scan keeps going — verify is a whole-file report, not a first-error
-  // bail-out.
-  for (const auto& span : section_spans()) {
-    if (span.length == 0) continue;
-    std::string corrupt = bytes_;
-    const std::size_t at = span.begin + span.length / 2;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x04);
-    std::istringstream in(corrupt);
-    const snap::VerifyResult result = snap::verify_stream(in);
-    const std::string context =
-        "kind " + std::to_string(span.kind) + "/" + std::to_string(span.shard);
-    EXPECT_FALSE(result.ok) << context;
-    EXPECT_FALSE(result.error.empty()) << context;
-    std::size_t flagged = 0;
-    for (const auto& section : result.sections) {
-      if (!section.checksum_ok) {
-        ++flagged;
-        EXPECT_EQ(static_cast<std::uint32_t>(section.kind), span.kind)
-            << context;
-        EXPECT_EQ(section.shard, span.shard) << context;
-      }
-    }
-    EXPECT_EQ(flagged, 1u) << context;
-    EXPECT_EQ(result.sections.size(), 2 * kSectionsPerShard + 1)
-        << context << ": scan stopped early";
-  }
-}
-
-TEST_F(SnapshotCorruption, VerifyStreamReportsTruncationAndHeaderDamage) {
-  {
-    std::istringstream in(bytes_.substr(0, bytes_.size() - 5));
-    const snap::VerifyResult result = snap::verify_stream(in);
-    EXPECT_FALSE(result.ok);
-    EXPECT_NE(result.error.find("truncated"), std::string::npos)
-        << result.error;
-  }
-  {
-    std::string corrupt = bytes_;
-    corrupt[3] = static_cast<char>(corrupt[3] ^ 0x01);  // inside the magic
-    std::istringstream in(corrupt);
-    const snap::VerifyResult result = snap::verify_stream(in);
-    EXPECT_FALSE(result.ok);
-    EXPECT_FALSE(result.error.empty());
-  }
-  {
-    std::istringstream in(bytes_ + "x");
-    const snap::VerifyResult result = snap::verify_stream(in);
-    EXPECT_FALSE(result.ok);
-  }
+  // The committed version-1 file verifies as version 1: two shards of
+  // three forward-store sections, and the labels.
+  const std::string v1_path =
+      std::string(FMETER_TEST_DATA_DIR) + "/snapshot_v1_200docs_2shards.fms";
+  const snap::VerifyResult v1 = snap::verify(io::Env::posix(), v1_path);
+  EXPECT_TRUE(v1.ok) << v1.error;
+  EXPECT_EQ(v1.version, 1u);
+  EXPECT_EQ(v1.doc_count, 200u);
+  EXPECT_EQ(v1.sections.size(), 2 * 3 + 1u);
+  EXPECT_EQ(v1.total_bytes, io::Env::posix().file_size(v1_path));
 }
 
 TEST(IndexSnapshot, EnvSaveIsAtomicAtEveryFaultPoint) {
@@ -1123,7 +1088,7 @@ TEST(IndexSnapshot, EnvSaveIsAtomicAtEveryFaultPoint) {
   // or half-replaced file.
   const TestCorpus old_corpus = make_corpus(0x11, 8);
   const SignatureDatabase old_db = build_bulk(old_corpus, 1);
-  const std::string old_bytes = save_to_string(old_db);
+  const std::string old_bytes = saved_bytes(old_db);
   const TestCorpus new_corpus = make_corpus(0x5a, 30);
   const SignatureDatabase new_db = build_bulk(new_corpus, 2);
 
@@ -1262,10 +1227,10 @@ TEST(IndexSnapshot, LoadedShardEqualsAFreshBuildIncludingMemory) {
 
   snap::Writer writer(1, fresh.size(), fresh.num_terms());
   fresh.save(writer, 0);
-  std::ostringstream out;
-  writer.finish(out);
-  std::istringstream in(out.str());
-  snap::Reader reader(in);
+  io::InMemoryEnv env;
+  env.create_dir("d");
+  writer.finish(env, "d/snap");
+  snap::Reader reader(env, "d/snap");
   const index::InvertedIndex loaded = index::InvertedIndex::load(reader, 0);
   EXPECT_FALSE(reader.has_section(snap::SectionKind::kTermIds, 0));
 
@@ -1301,20 +1266,12 @@ TEST(IndexSnapshot, LoadedShardEqualsAFreshBuildIncludingMemory) {
 
 TEST(IndexSnapshot, SavingALoadedDatabaseReproducesTheFile) {
   // save hands the writer the adopted forward stores as they are, so a
-  // load-save cycle is byte-for-byte, through both load paths.
+  // load-save cycle is byte-for-byte.
   const TestCorpus corpus = make_corpus(0x5a7e, 200);
   for (const std::size_t shards : kShardCounts) {
-    const std::string original = save_to_string(build_bulk(corpus, shards));
-    EXPECT_EQ(save_to_string(load_from_string(original)), original)
+    const std::string original = saved_bytes(build_bulk(corpus, shards));
+    EXPECT_EQ(saved_bytes(load_bytes(original)), original)
         << shards << " shards";
-
-    io::InMemoryEnv env;
-    env.create_dir("d");
-    env.new_writable_file("d/snap")->append(original);
-    SignatureDatabase streamed;
-    streamed.load(env, "d/snap");
-    streamed.save(env, "d/again");
-    EXPECT_EQ(env.read_file("d/again"), original) << shards << " shards";
   }
 }
 
@@ -1323,8 +1280,8 @@ TEST(IndexSnapshot, ShardedIndexLoadAcceptsDatabaseSnapshots) {
   // index loader at a full database snapshot.
   const TestCorpus corpus = make_corpus(0xcc, 50);
   const SignatureDatabase db = build_bulk(corpus, 2);
-  std::istringstream in(save_to_string(db));
-  const exec::ShardedIndex loaded = exec::ShardedIndex::load(in);
+  snap::Reader reader = read_bytes(saved_bytes(db));
+  const exec::ShardedIndex loaded = exec::ShardedIndex::load(reader);
   EXPECT_EQ(loaded.size(), db.size());
   EXPECT_EQ(loaded.num_terms(), db.index()->num_terms());
   EXPECT_EQ(loaded.num_postings(), db.index()->num_postings());

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/env.hpp"
@@ -111,7 +112,7 @@ TEST_F(PosixEnvTest, AtomicFileWriterCommitsAndAbandons) {
   const std::string path = dir_ + "/target";
   {
     AtomicFileWriter writer(env, path);
-    writer.stream() << "version 1";
+    writer.file().append(std::string_view("version 1"));
     writer.commit();
   }
   EXPECT_EQ(env.read_file(path), "version 1");
@@ -119,7 +120,7 @@ TEST_F(PosixEnvTest, AtomicFileWriterCommitsAndAbandons) {
   // Abandoned writer: old contents untouched, temp file removed.
   {
     AtomicFileWriter writer(env, path);
-    writer.stream() << "version 2, never committed";
+    writer.file().append(std::string_view("version 2, never committed"));
   }
   EXPECT_EQ(env.read_file(path), "version 1");
   EXPECT_EQ(env.list_dir(dir_), (std::vector<std::string>{"target"}));

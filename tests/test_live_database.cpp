@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "io/env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "snapshot_files.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -189,11 +189,7 @@ void expect_ladder_shape(const LiveStats& stats, const std::string& context) {
   EXPECT_EQ(next_id, stats.total_docs) << context;
 }
 
-std::string saved_bytes(const SignatureDatabase& db) {
-  std::ostringstream out;
-  db.save(out);
-  return out.str();
-}
+using fmeter::testing::saved_bytes;
 
 /// Every frozen part of a pinned epoch — the base at its shard count, each
 /// segment at one shard — equals a bulk build of exactly its documents:

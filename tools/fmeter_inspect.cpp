@@ -84,7 +84,6 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "fmeter/fmeter.hpp"
@@ -746,10 +745,11 @@ int cmd_metrics(int argc, char** argv) {
 
   // In-memory snapshot round-trip: stamps kSnapshotSave and kSnapshotLoad
   // even when the input was a plain corpus.
-  std::stringstream buffer;
-  db.save(buffer);
+  io::InMemoryEnv memory;
+  memory.create_dir("m");
+  db.save(memory, "m/snapshot.fms");
   core::SignatureDatabase reloaded;
-  reloaded.load(buffer);
+  reloaded.load(memory, "m/snapshot.fms");
 
   db.publish_gauges();
   exec::TaskPool::shared();  // ensure the pool's gauges are registered
@@ -766,13 +766,13 @@ using index::snapshot::section_kind_name;
 int cmd_verify(int argc, char** argv) {
   const bool json = take_json_flag(argc, argv);
   if (argc != 3) return usage(json);
-  std::ifstream in(argv[2], std::ios::binary);
-  if (!in.is_open()) {
+  io::Env& env = io::Env::posix();
+  if (!env.file_exists(argv[2])) {
     return fail(json, kExitRuntime, "io",
                 std::string("cannot open ") + argv[2]);
   }
   const index::snapshot::VerifyResult result =
-      index::snapshot::verify_stream(in);
+      index::snapshot::verify(env, argv[2]);
   if (json) {
     std::printf(
         "{\n  \"file\": \"%s\",\n  \"ok\": %s,\n  \"error\": \"%s\",\n"
