@@ -7,15 +7,16 @@
 //
 //   reindex — load the text corpus, fit tf-idf, bulk-build + freeze the
 //             sharded index (the pre-snapshot cold-start path);
-//   load    — restore the binary snapshot in two phases on the pool: read
-//             and checksum every section (one participant per section),
-//             then decode the labels and restore every shard from its
-//             sections (ShardedIndex::load: a v2 file's arena is adopted
-//             and validated, not built): tokenize/tf-idf/text parsing
-//             gone. The two phases are read back from the registry's stage
-//             histograms (fmeter_stage_snapshot_load_ns for the read,
-//             fmeter_stage_ingest_ns for the shard restores) as `read_s`
-//             and `build_s`.
+//   load    — restore the binary snapshot in two phases on the pool: map
+//             the file and checksum every section over the mapping (one
+//             participant per section), then decode the labels and
+//             restore every shard from its sections (ShardedIndex::load:
+//             a v3 file's arena is adopted where the mapping holds it and
+//             validated, not built): tokenize/tf-idf/text parsing gone.
+//             The two phases are read back from the registry's stage
+//             histograms (fmeter_stage_snapshot_load_ns for the mapping
+//             and checksums, fmeter_stage_ingest_ns for the shard
+//             restores) as `read_s` and `build_s`.
 //
 // The restore is measured where a restarted daemon pays it: the bench
 // re-executes itself to load the snapshot in a fresh process, which times
@@ -25,7 +26,7 @@
 // 100k with that corpus and database still resident. The bench also
 // restores in process, to verify the restored database answers
 // bit-identically to the fresh build in every mode. It records save/load
-// throughput and the snapshot's bytes per document, in the version-2
+// throughput and the snapshot's bytes per document, in the version-3
 // file it writes (`bytes_per_doc`) and in the version-1 file of the same
 // documents (`v1_bytes_per_doc`: the same file without its arena
 // sections), and emits BENCH_snapshot.json. Every row carries the host's

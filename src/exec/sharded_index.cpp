@@ -98,13 +98,18 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
   ShardedIndex out(shards);
   const std::uint64_t docs = reader.doc_count();
 
-  // Per-shard restore (adopt the sections; validate and complete a v2
-  // arena, build a v1 one), fanned out exactly like appended(). Shards
-  // take disjoint sections, so the only cross-thread hand-off is the
-  // batch's completion.
-  const auto load_shard = [&reader, &out, shards, docs](std::size_t s) {
-    out.shards_[s] =
-        index::InvertedIndex::load(reader, static_cast<std::uint32_t>(s));
+  // Per-shard restore (adopt the sections; validate and complete a v2 or
+  // v3 arena, build a v1 one), fanned out exactly like appended(). Each
+  // shard's sections are taken and its derived arrays sized here, on the
+  // calling thread, so the workers only fill them. The only cross-thread
+  // hand-off is the batch's completion.
+  std::vector<index::InvertedIndex::Restore> restores;
+  restores.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    restores.emplace_back(reader, static_cast<std::uint32_t>(s));
+  }
+  const auto load_shard = [&restores, &out, shards, docs](std::size_t s) {
+    out.shards_[s] = restores[s].finish();
     // Round-robin invariant: shard s holds ceil((docs - s) / shards) docs.
     const std::uint64_t expected = docs / shards + (s < docs % shards ? 1 : 0);
     if (out.shards_[s].size() != expected) {

@@ -91,8 +91,9 @@ class ShardedIndex {
   void save(index::snapshot::Writer& writer) const;
 
   /// Restores an index from snapshot sections without touching the corpus:
-  /// each shard takes its sections out of `reader` (InvertedIndex::load:
-  /// a v2 shard adopts its arena, a v1 shard builds it); the shards fan
+  /// each shard takes its sections out of `reader` and has its derived
+  /// arrays sized on the calling thread (InvertedIndex::Restore: a v2 or
+  /// v3 shard adopts its arena, a v1 shard builds it); the shards fan
   /// out onto `pool` exactly like appended() — TaskPool::shared() when
   /// null, inline when the pool has no parallelism to offer or the archive
   /// is small — and the term-occupancy bitmap is derived from the shards'
@@ -106,11 +107,11 @@ class ShardedIndex {
   static ShardedIndex load(index::snapshot::Reader& reader,
                            TaskPool* pool = nullptr);
 
-  /// Opens the snapshot at `path` through `env` and reads and verifies it
-  /// on `pool` (TaskPool::shared() when null): every section is allocated,
-  /// read and checksummed by one participant, the caller among them, and
-  /// the first failure in directory order throws SnapshotError once all
-  /// have finished. The restore's first phase; load() is the second.
+  /// Maps the snapshot at `path` through `env` and verifies it on `pool`
+  /// (TaskPool::shared() when null): every section is checksummed over the
+  /// mapping by one participant, the caller among them, and the first
+  /// failure in directory order throws SnapshotError once all have
+  /// finished. The restore's first phase; load() is the second.
   static index::snapshot::Reader read_snapshot(const io::Env& env,
                                                const std::string& path,
                                                TaskPool* pool = nullptr);

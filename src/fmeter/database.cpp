@@ -10,6 +10,8 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -510,20 +512,25 @@ SignatureDatabase::syndrome_cache() const {
     // Writers take the store lock without the cache mutex, so the order
     // cannot invert.
     const std::shared_lock<std::shared_mutex> store(store_mutex_);
-    for (const auto& label : distinct_labels_locked()) {
-      Syndrome syndrome;
-      syndrome.label = label;
-      vsm::SparseVector sum;
-      for (std::size_t id = 0; id < labels_.size(); ++id) {
-        if (labels_[id] != label) continue;
-        sum = sum.plus(document_locked(id));
-        ++syndrome.support;
+    // One pass over the documents in id order, each folded into its
+    // label's running sum: per label, the same sums in the same order as
+    // a scan per label. Labels keep their first-appearance order.
+    std::unordered_map<std::string_view, std::size_t> slot_of;
+    std::vector<vsm::SparseVector> sums;
+    for (std::size_t id = 0; id < labels_.size(); ++id) {
+      const auto [it, added] =
+          slot_of.try_emplace(labels_[id], cache->syndromes.size());
+      if (added) {
+        cache->syndromes.push_back(Syndrome{labels_[id], {}, 0});
+        sums.emplace_back();
       }
-      if (syndrome.support > 0) {
-        syndrome.centroid =
-            sum.scaled(1.0 / static_cast<double>(syndrome.support));
-      }
-      cache->syndromes.push_back(std::move(syndrome));
+      sums[it->second] = sums[it->second].plus(document_locked(id));
+      ++cache->syndromes[it->second].support;
+    }
+    for (std::size_t s = 0; s < sums.size(); ++s) {
+      Syndrome& syndrome = cache->syndromes[s];
+      syndrome.centroid =
+          sums[s].scaled(1.0 / static_cast<double>(syndrome.support));
     }
   }
   std::vector<vsm::SparseView> centroids;
@@ -632,8 +639,8 @@ void SignatureDatabase::load(index::snapshot::Reader& reader) {
   // Labels first: their count must agree with the header before any heavy
   // decoding starts.
   const auto label_bytes =
-      reader.take_section<index::ForwardVector<std::byte>>(
-          index::snapshot::SectionKind::kLabels, 0);
+      reader.take_section<std::byte>(index::snapshot::SectionKind::kLabels,
+                                     0);
   std::size_t at = 0;
   const auto take = [&label_bytes, &at](void* into, std::size_t size) {
     if (at + size > label_bytes.size()) {

@@ -307,17 +307,20 @@ class SignatureDatabase {
   void save(io::Env& env, const std::string& path) const;
 
   /// Restores a database from the snapshot at `path` without re-indexing
-  /// the corpus, in two phases on the shared pool: every section is read
-  /// through the Env's positioned reads straight into typed storage and
-  /// checksummed (ShardedIndex::read_snapshot), with no whole-file buffer;
-  /// then the labels are decoded and ShardedIndex::load adopts each
-  /// shard's sections as its arrays in parallel (a version-1 file's arenas
-  /// are built). The loaded database is byte-for-byte the database a fresh
-  /// bulk build of the same documents would produce — searches in every
-  /// mode (kExact/kMaxScore/kAuto), at the snapshot's shard count, return
-  /// bit-identical results. Strong guarantee: the snapshot is validated
-  /// (header, version, endianness, per-section checksums) and loaded into
-  /// a temporary which replaces *this only on success; any
+  /// the corpus, in two phases on the shared pool: the file is mapped
+  /// through the Env and every section checksummed over the mapping
+  /// (ShardedIndex::read_snapshot); then the labels are decoded and
+  /// ShardedIndex::load adopts each shard's sections, views into the
+  /// mapping, as its arrays in parallel (a version-1 file's arenas are
+  /// built). The database holds the mapping until its index is dropped:
+  /// the file must not be truncated or rewritten in place meanwhile
+  /// (unlinking it is fine). The loaded database is byte-for-byte the
+  /// database a fresh bulk build of the same documents would produce —
+  /// searches in every mode (kExact/kMaxScore/kAuto), at the snapshot's
+  /// shard count, return bit-identical results. Strong guarantee: the
+  /// snapshot is validated (header, version, endianness, per-section
+  /// checksums) and loaded into a temporary which replaces *this only on
+  /// success; any
   /// index::snapshot::SnapshotError leaves the current contents untouched
   /// and usable. The path-only form uses Env::posix().
   void load(const std::string& path);

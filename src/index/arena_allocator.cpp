@@ -34,15 +34,12 @@ void* allocate_arena_bytes(std::size_t bytes, bool huge_pages) {
     ::munmap(reinterpret_cast<void*>(start + length), end - (start + length));
   }
   void* block = reinterpret_cast<void*>(start);
-  if (huge_pages) advise_huge_pages(block, bytes);
-  return block;
-}
-
-void advise_huge_pages(void* block, std::size_t bytes) noexcept {
-  if (bytes < kHugePageBytes) return;
 #ifdef MADV_HUGEPAGE
-  ::madvise(block, bytes, MADV_HUGEPAGE);  // advice only: failure is harmless
+  if (huge_pages) {
+    ::madvise(block, bytes, MADV_HUGEPAGE);  // advice only: failure is harmless
+  }
 #endif
+  return block;
 }
 
 void deallocate_arena_bytes(void* block, std::size_t bytes) noexcept {

@@ -1,12 +1,13 @@
-// Allocator of the index's large streams: the posting arena's doc-id and
-// weight streams, the forward store, and the snapshot sections a restore
-// reads into (they become the forward store as they are).
+// Allocator of the index's large streams as a build lays them out: the
+// posting arena's doc-id and weight streams and the forward store. A
+// snapshot restore does not come through here: its arrays are views into
+// the mapped file (snapshot.hpp), except a legacy section misaligned for
+// its element type, which the Reader copies into a ForwardVector.
 //
 // A stream of at least one huge page (kHugePageBytes) gets a mapping of its
 // own that starts on a 2 MiB boundary; smaller streams come from the global
 // operator new like any vector. A mapping of its own returns its memory to
-// the OS when it is freed, whichever thread frees it: a restore allocates
-// its sections on the pool threads that read them, where malloc's
+// the OS when it is freed, whichever thread frees it, where malloc's
 // per-thread arenas would keep the freed blocks of a replaced index
 // resident.
 //
@@ -17,18 +18,17 @@
 // whole 2 MiB extent can become one transparent huge page, and the tail
 // stays on 4 KiB pages, so resident memory is the stream's own size (a
 // size rounded up to 2 MiB would fault in up to 2 MiB more per stream).
-// Forward stores (ForwardVector) are not advised by default: faulting in a
-// huge page can mean compacting memory first, and a fold copies the whole
-// forward store into fresh streams (with them advised, the fold of
-// bench_build_scaling 100000 read 0.28-0.45 s against 0.25-0.28 s at the
-// parent, 4-vCPU VM). A restore advises its sections itself
-// (advise_huge_pages): its parallel read of a 128 MB snapshot took 20-28 ms
-// on huge pages and 35-43 ms on 4 KiB pages. Where the kernel's THP mode
-// is "never" the advice is a no-op.
+// Forward stores (ForwardVector) are not advised: faulting in a huge page
+// can mean compacting memory first, and a fold copies the whole forward
+// store into fresh streams (with them advised, the fold of
+// bench_build_scaling 100000 read 0.28-0.45 s against 0.25-0.28 s, 4-vCPU
+// VM). A restored index reads its posting streams through the file
+// mapping, on the page cache's pages. Where the kernel's THP mode is
+// "never" the advice is a no-op.
 //
 // Elements are default-initialized: vector(n) and resize(n) leave a trivial
 // type's new elements unset instead of zero-filling streams that are about
-// to be overwritten (the build's scatter, a section read). Every such
+// to be overwritten (the build's scatter, a section copy). Every such
 // resize must write each new element before it is read.
 #pragma once
 
@@ -48,9 +48,6 @@ inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 void* allocate_arena_bytes(std::size_t bytes, bool huge_pages);
 /// Releases a block from allocate_arena_bytes(bytes, ...) (same `bytes`).
 void deallocate_arena_bytes(void* block, std::size_t bytes) noexcept;
-/// Advises MADV_HUGEPAGE over a block from allocate_arena_bytes(bytes, ...)
-/// that has a mapping of its own; a smaller (heap) block is left alone.
-void advise_huge_pages(void* block, std::size_t bytes) noexcept;
 
 /// Stateless std::allocator replacement over allocate_arena_bytes.
 template <typename T, bool kHugePages = true>
@@ -93,8 +90,8 @@ struct ArenaAllocator {
 /// A posting stream: on huge pages once it spans one.
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
-/// A forward-store stream (and a snapshot section): a mapping of its own
-/// once it spans a huge page, on 4 KiB pages unless advised.
+/// A forward-store stream (and a legacy section's aligned copy): a mapping
+/// of its own once it spans a huge page, on 4 KiB pages.
 template <typename T>
 using ForwardVector = std::vector<T, ArenaAllocator<T, false>>;
 

@@ -177,22 +177,31 @@ struct DocKey {
 
 /// Strict > keeps the lowest dominant term under weight ties, and an empty
 /// document sorts after every other. The norm sums the squares in
-/// vsm::norm_l2's order, so it equals that function's to the bit.
-DocKey doc_key(const vsm::SparseView& run) noexcept {
+/// vsm::norm_l2's order, so it equals that function's to the bit. `visit`
+/// sees every posting (its position in the run, term and weight) in the
+/// same walk, so a restore checks and counts a run while it reads it.
+template <typename Visit>
+DocKey doc_key(const vsm::SparseView& run, Visit&& visit) noexcept {
   InvertedIndex::TermId dominant =
       std::numeric_limits<InvertedIndex::TermId>::max();
   double best = -1.0;
   double sum = 0.0;
   for (std::size_t f = 0; f < run.indices.size(); ++f) {
+    const InvertedIndex::TermId term = run.indices[f];
     const double weight = run.values[f];
     const double magnitude = std::abs(weight);
     if (magnitude > best) {
       best = magnitude;
-      dominant = run.indices[f];
+      dominant = term;
     }
     sum += weight * weight;
+    visit(f, term, weight);
   }
   return {dominant, std::sqrt(sum)};
+}
+
+DocKey doc_key(const vsm::SparseView& run) noexcept {
+  return doc_key(run, [](std::size_t, InvertedIndex::TermId, double) {});
 }
 
 /// The weights an index stores: finite and non-zero. Branch-free, so a
@@ -244,23 +253,26 @@ InvertedIndex InvertedIndex::appended(
   for (const vsm::SparseView& doc : docs) postings += doc.indices.size();
 
   // This index's forward store followed by the batch's runs, copied once.
-  // The reservations are exact, so capacity equals size however the store
-  // was assembled — and so does memory_breakdown().
-  InvertedIndex out;
-  out.forward_offsets_.reserve(stored + docs.size() + 1);
-  out.forward_terms_.reserve(postings);
-  out.forward_weights_.reserve(postings);
-  out.forward_offsets_.assign(forward_offsets_.begin(), forward_offsets_.end());
-  out.forward_terms_.assign(forward_terms_.begin(), forward_terms_.end());
-  out.forward_weights_.assign(forward_weights_.begin(),
-                              forward_weights_.end());
+  // The reservations are exact, so no stream carries spare capacity however
+  // the store was assembled.
+  ForwardVector<std::uint64_t> offsets;
+  ForwardVector<TermId> terms;
+  ForwardVector<double> weights;
+  offsets.reserve(stored + docs.size() + 1);
+  terms.reserve(postings);
+  weights.reserve(postings);
+  offsets.assign(forward_offsets_.begin(), forward_offsets_.end());
+  terms.assign(forward_terms_.begin(), forward_terms_.end());
+  weights.assign(forward_weights_.begin(), forward_weights_.end());
   for (const vsm::SparseView& doc : docs) {
-    out.forward_terms_.insert(out.forward_terms_.end(), doc.indices.begin(),
-                              doc.indices.end());
-    out.forward_weights_.insert(out.forward_weights_.end(),
-                                doc.values.begin(), doc.values.end());
-    out.forward_offsets_.push_back(out.forward_terms_.size());
+    terms.insert(terms.end(), doc.indices.begin(), doc.indices.end());
+    weights.insert(weights.end(), doc.values.begin(), doc.values.end());
+    offsets.push_back(terms.size());
   }
+  InvertedIndex out;
+  out.forward_offsets_ = SharedSpan<std::uint64_t>(std::move(offsets));
+  out.forward_terms_ = SharedSpan<TermId>(std::move(terms));
+  out.forward_weights_ = SharedSpan<double>(std::move(weights));
   // The merge pays a few passes over the term range to save re-scattering
   // the old postings, so it only wins once there are more of those.
   if (num_postings_ < arena_terms() + 1) {
@@ -272,16 +284,44 @@ InvertedIndex InvertedIndex::appended(
 }
 
 void InvertedIndex::build_arena() {
-  // Derives every structure from the forward store by a full scatter.
-  const std::size_t n = forward_offsets_.size() - 1;
-  const std::size_t postings = forward_terms_.size();
   std::size_t terms = 0;
-  for (std::size_t g = 0; g < n; ++g) {
+  for (std::size_t g = 0; g + 1 < forward_offsets_.size(); ++g) {
     const vsm::SparseView run = forward_run(g);
     if (!run.indices.empty()) {
       terms = std::max(terms, static_cast<std::size_t>(run.indices.back()) + 1);
     }
   }
+  build_arena(size_scatter(terms, 0), terms);
+}
+
+InvertedIndex::Scatter InvertedIndex::size_scatter(std::size_t terms,
+                                                   std::size_t blocks) {
+  const std::size_t n = forward_offsets_.size() - 1;
+  const std::size_t postings = forward_terms_.size();
+  internal_of_.resize(n);
+  keys_.resize(n);
+  norms_.resize(n);
+  norms_sq_.resize(n);
+  arena_block_begin_.reserve(terms + 1);
+  block_last_doc_.reserve(blocks);
+  block_max_w_.reserve(blocks);
+  block_min_w_.reserve(blocks);
+  return {std::vector<DocId>(n),
+          std::vector<TermId>(n),
+          std::vector<double>(n),
+          ForwardVector<std::uint64_t>(terms + 1, 0),
+          std::vector<double>(terms, 0.0),
+          std::vector<double>(terms, 0.0),
+          std::vector<std::size_t>(terms),
+          ForwardVector<DocId>(n),
+          ArenaVector<DocId>(postings),
+          ArenaVector<double>(postings)};
+}
+
+void InvertedIndex::build_arena(Scatter scatter, std::size_t terms) {
+  // Derives every structure from the forward store by a full scatter.
+  const std::size_t n = forward_offsets_.size() - 1;
+  const std::size_t postings = forward_terms_.size();
 
   // 1. One pass in public order: doc-reorder keys, norms, per-term posting
   //    counts, and the per-term max/min bounds (first posting sets them,
@@ -290,12 +330,12 @@ void InvertedIndex::build_arena() {
   //    internal id space (see the header — this is what makes per-block id
   //    ranges selective). Deterministic: public id breaks key ties, so
   //    every build of the same documents produces an identical arena.
-  std::vector<DocId> order(n);
-  std::vector<TermId> key(n);
-  std::vector<double> norm(n);
-  ForwardVector<std::uint64_t> offsets(terms + 1, 0);
-  std::vector<double> max_w(terms, 0.0);
-  std::vector<double> min_w(terms, 0.0);
+  std::vector<DocId>& order = scatter.order;
+  std::vector<TermId>& key = scatter.key;
+  std::vector<double>& norm = scatter.norm;
+  ForwardVector<std::uint64_t>& offsets = scatter.offsets;
+  std::vector<double>& max_w = scatter.max_w;
+  std::vector<double>& min_w = scatter.min_w;
   std::size_t nonempty = 0;
   for (std::size_t g = 0; g < n; ++g) {
     const vsm::SparseView run = forward_run(g);
@@ -322,15 +362,11 @@ void InvertedIndex::build_arena() {
   });
 
   // 2. Permutation tables and internal-ordered norms.
-  internal_of_.resize(n);
-  public_of_.resize(n);
-  keys_.resize(n);
-  norms_.resize(n);
-  norms_sq_.resize(n);
+  ForwardVector<DocId>& public_of = scatter.public_of;
   for (std::size_t r = 0; r < n; ++r) {
     const DocId g = order[r];
     internal_of_[g] = static_cast<DocId>(r);
-    public_of_[r] = g;
+    public_of[r] = g;
     keys_[r] = key[g];
     norms_[r] = norm[g];
     norms_sq_[r] = norm[g] * norm[g];
@@ -341,26 +377,32 @@ void InvertedIndex::build_arena() {
   //    sorted by internal id with no comparison sort. The scatter writes
   //    every slot once, so the streams are sized without a zero fill.
   for (std::size_t t = 0; t < terms; ++t) offsets[t + 1] += offsets[t];
-  arena_ids_.resize(postings);
-  arena_weights_.resize(postings);
+  ArenaVector<DocId>& ids = scatter.ids;
+  ArenaVector<double>& weights = scatter.weights;
   {
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    std::vector<std::size_t>& cursor = scatter.cursor;
+    std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
     for (std::size_t r = 0; r < n; ++r) {
-      const vsm::SparseView run = forward_run(public_of_[r]);
+      const vsm::SparseView run = forward_run(public_of[r]);
       for (std::size_t f = 0; f < run.indices.size(); ++f) {
         const std::size_t slot = cursor[run.indices[f]]++;
-        arena_ids_[slot] = static_cast<DocId>(r);
-        arena_weights_[slot] = run.values[f];
+        ids[slot] = static_cast<DocId>(r);
+        weights[slot] = run.values[f];
       }
     }
   }
-  arena_offsets_ = std::move(offsets);
+  layout_blocks(offsets);
+  for (std::size_t t = 0; t < terms; ++t) {
+    fill_blocks(t, offsets, ids, weights);
+  }
+  arena_offsets_ = SharedSpan<std::uint64_t>(std::move(offsets));
+  arena_ids_ = SharedSpan<DocId>(std::move(ids));
+  arena_weights_ = SharedSpan<double>(std::move(weights));
+  public_of_ = SharedSpan<DocId>(std::move(public_of));
   max_weight_ = std::move(max_w);
   min_weight_ = std::move(min_w);
   num_postings_ = postings;
   nonempty_terms_ = nonempty;
-  layout_blocks();
-  for (std::size_t t = 0; t < terms; ++t) fill_blocks(t);
 }
 
 std::size_t InvertedIndex::check_forward_offsets(std::uint32_t shard) const {
@@ -393,36 +435,82 @@ std::size_t InvertedIndex::check_forward_offsets(std::uint32_t shard) const {
 
 void InvertedIndex::check_forward_run(std::size_t doc,
                                       std::uint32_t shard) const {
-  using snapshot::SnapshotError;
   const vsm::SparseView run = forward_run(doc);
   bool unordered = false;
   for (std::size_t f = 1; f < run.indices.size(); ++f) {
     unordered |= run.indices[f] <= run.indices[f - 1];
   }
+  bool stored = true;
+  for (const double weight : run.values) stored &= is_stored_weight(weight);
+  check_run_flags(doc, shard, unordered, stored);
+}
+
+void InvertedIndex::check_run_flags(std::size_t doc, std::uint32_t shard,
+                                    bool unordered, bool stored) {
+  using snapshot::SnapshotError;
   if (unordered) {
     throw SnapshotError(shard_where(shard) + " doc " + std::to_string(doc) +
                         " term ids are not strictly increasing");
   }
   // Zero weights never reach a forward store (SparseVector drops them at
   // construction), so one here means a damaged or crafted file.
-  bool stored = true;
-  for (const double weight : run.values) stored &= is_stored_weight(weight);
   if (!stored) {
     throw SnapshotError(shard_where(shard) + " doc " + std::to_string(doc) +
                         " carries a non-finite or zero weight");
   }
 }
 
-void InvertedIndex::adopt_arena(std::uint32_t shard) {
+std::size_t InvertedIndex::size_adopted_arena(std::uint32_t shard) {
+  using snapshot::SnapshotError;
+  const std::string where = shard_where(shard);
+  // A forward store without an offset table fails in adopt_arena; until
+  // then it counts as no documents.
+  const std::size_t n =
+      forward_offsets_.empty() ? 0 : forward_offsets_.size() - 1;
+  const std::size_t postings = forward_terms_.size();
+  if (arena_ids_.size() != postings || arena_weights_.size() != postings ||
+      public_of_.size() != n) {
+    throw SnapshotError(where + " arena sections disagree in size with the "
+                                "forward store");
+  }
+  // The offset table sizes the block metadata, so it must describe the
+  // streams before it sizes anything.
+  const std::size_t terms = arena_terms();
+  if (terms > 0) {
+    if (arena_offsets_[0] != 0) {
+      throw SnapshotError(where + " arena offsets must start at 0");
+    }
+    for (std::size_t t = 0; t < terms; ++t) {
+      if (arena_offsets_[t + 1] < arena_offsets_[t]) {
+        throw SnapshotError(where + " arena offsets decrease at term " +
+                            std::to_string(t));
+      }
+    }
+    if (arena_offsets_[terms] != postings) {
+      throw SnapshotError(where + " arena offsets end short of or past the " +
+                          std::to_string(postings) + " postings");
+    }
+  }
+  // A shard without documents is the empty index, which has no arena.
+  if (n == 0) return terms;
+  internal_of_.resize(n);
+  keys_.resize(n);
+  norms_.resize(n);
+  norms_sq_.resize(n);
+  max_weight_.resize(terms);
+  min_weight_.resize(terms);
+  layout_blocks(arena_offsets_);
+  return terms;
+}
+
+void InvertedIndex::adopt_arena(std::uint32_t shard,
+                                std::span<std::size_t> counts) {
   using snapshot::SnapshotError;
   const std::string where = shard_where(shard);
   const std::size_t terms = check_forward_offsets(shard);
   const std::size_t n = forward_offsets_.size() - 1;
-  const std::size_t postings = forward_terms_.size();
   // A shard without documents is the empty index, which has no arena.
-  if (arena_offsets_.size() != (n == 0 ? 0 : terms + 1) ||
-      arena_ids_.size() != postings || arena_weights_.size() != postings ||
-      public_of_.size() != n) {
+  if (arena_offsets_.size() != (n == 0 ? 0 : terms + 1)) {
     throw SnapshotError(where + " arena sections disagree in size with the "
                                 "forward store");
   }
@@ -430,7 +518,7 @@ void InvertedIndex::adopt_arena(std::uint32_t shard) {
 
   // 1. public_of_ must name every document once; internal_of_ inverts it.
   constexpr DocId kUnset = std::numeric_limits<DocId>::max();
-  internal_of_.assign(n, kUnset);
+  std::fill(internal_of_.begin(), internal_of_.end(), kUnset);
   for (std::size_t r = 0; r < n; ++r) {
     const DocId g = public_of_[r];
     if (g >= n || internal_of_[g] != kUnset) {
@@ -444,19 +532,27 @@ void InvertedIndex::adopt_arena(std::uint32_t shard) {
   //    its internal id) and its terms' posting counts are taken. The keys
   //    must then ascend along internal order, ties by public id: the order
   //    a build sorts documents into.
-  keys_.resize(n);
-  norms_.resize(n);
-  norms_sq_.resize(n);
-  std::vector<std::size_t> counts(terms, 0);
+  //    The run is checked, keyed and counted in one walk. Only a strictly
+  //    increasing run keeps every term below its last, so until the check
+  //    has passed a count is clamped into range (a run that fails it
+  //    throws before its counts are read).
+  std::fill(counts.begin(), counts.end(), 0);
+  const std::size_t last_term = terms == 0 ? 0 : terms - 1;
   for (std::size_t g = 0; g < n; ++g) {
-    check_forward_run(g, shard);
     const vsm::SparseView run = forward_run(g);
+    bool unordered = false;
+    bool stored = true;
+    const DocKey doc = doc_key(run, [&](std::size_t f, TermId term,
+                                        double weight) {
+      unordered |= f > 0 && term <= run.indices[f - 1];
+      stored &= is_stored_weight(weight);
+      ++counts[std::min<std::size_t>(term, last_term)];
+    });
+    check_run_flags(g, shard, unordered, stored);
     const DocId r = internal_of_[g];
-    const DocKey doc = doc_key(run);
     keys_[r] = doc.term;
     norms_[r] = doc.norm;
     norms_sq_[r] = doc.norm * doc.norm;
-    for (const TermId term : run.indices) ++counts[term];
   }
   for (std::size_t r = 1; r < n; ++r) {
     if (keys_[r] < keys_[r - 1] ||
@@ -465,50 +561,49 @@ void InvertedIndex::adopt_arena(std::uint32_t shard) {
     }
   }
 
-  // 3. The offset table starts at 0 and gives each term a span of exactly
-  //    its forward postings, so it never decreases and ends at their count.
-  if (arena_offsets_[0] != 0) {
-    throw SnapshotError(where + " arena offsets must start at 0");
-  }
+  // 3. The offset table (which size_adopted_arena checked runs from 0 to
+  //    the posting count) gives each term a span of exactly its forward
+  //    postings.
   for (std::size_t t = 0; t < terms; ++t) {
-    if (arena_offsets_[t + 1] < arena_offsets_[t] ||
-        arena_offsets_[t + 1] - arena_offsets_[t] != counts[t]) {
+    if (arena_offsets_[t + 1] - arena_offsets_[t] != counts[t]) {
       throw SnapshotError(where + " arena offsets disagree with the forward "
                                   "store at term " + std::to_string(t));
     }
   }
 
-  // 4. One pass over the arena: every span's ids are in range and strictly
-  //    increasing (so its last is its largest) and its weights finite and
-  //    non-zero, like the forward store's. Its blocks follow while the span
-  //    is in cache, and the term's bounds are its blocks' bounds.
-  max_weight_.assign(terms, 0.0);
-  min_weight_.assign(terms, 0.0);
-  layout_blocks();
+  // 4. One pass over the arena, a block at a time: every span's ids are in
+  //    range and strictly increasing (so its last is its largest) and its
+  //    weights finite and non-zero, like the forward store's. Each block's
+  //    metadata is taken while the block is in cache, and the term's bounds
+  //    are its blocks' bounds.
   std::size_t nonempty = 0;
   for (std::size_t t = 0; t < terms; ++t) {
     const std::size_t begin = arena_offsets_[t];
     const std::size_t end = arena_offsets_[t + 1];
+    max_weight_[t] = 0.0;
+    min_weight_[t] = 0.0;
     if (begin == end) continue;
     ++nonempty;
     bool disordered = arena_ids_[end - 1] >= n;
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      disordered |= arena_ids_[i] <= arena_ids_[i - 1];
+    bool stored = true;
+    for (std::size_t b = arena_block_begin_[t], at = begin; at < end;
+         ++b, at += kBlockSize) {
+      const std::size_t block_end = std::min(at + kBlockSize, end);
+      for (std::size_t i = at; i < block_end; ++i) {
+        disordered |= i > begin && arena_ids_[i] <= arena_ids_[i - 1];
+        stored &= is_stored_weight(arena_weights_[i]);
+      }
+      fill_block(b, at, block_end, arena_ids_, arena_weights_);
     }
     if (disordered) {
       throw SnapshotError(where + " arena ids of term " + std::to_string(t) +
                           " are out of range or not strictly increasing");
-    }
-    bool stored = true;
-    for (std::size_t i = begin; i < end; ++i) {
-      stored &= is_stored_weight(arena_weights_[i]);
     }
     if (!stored) {
       throw SnapshotError(where + " arena weights of term " +
                           std::to_string(t) +
                           " carry a non-finite or zero weight");
     }
-    fill_blocks(t);
     const std::size_t first = arena_block_begin_[t];
     double max_w = block_max_w_[first];
     double min_w = block_min_w_[first];
@@ -519,7 +614,7 @@ void InvertedIndex::adopt_arena(std::uint32_t shard) {
     max_weight_[t] = max_w;
     min_weight_[t] = min_w;
   }
-  num_postings_ = postings;
+  num_postings_ = forward_terms_.size();
   nonempty_terms_ = nonempty;
 }
 
@@ -545,37 +640,60 @@ void InvertedIndex::save(snapshot::Writer& writer, std::uint32_t shard) const {
 
 InvertedIndex InvertedIndex::load(snapshot::Reader& reader,
                                   std::uint32_t shard) {
-  // The sections become the index's arrays as they are. A v2 file carries
-  // the arena, which is checked and completed; a v1 file only the forward
-  // store, over which the arena is built. Either way the result is
+  return Restore(reader, shard).finish();
+}
+
+InvertedIndex::Restore::Restore(snapshot::Reader& reader, std::uint32_t shard)
+    : shard_(shard), build_(reader.version() == 1) {
+  // The sections become the index's arrays as they are. A v2 or v3 file
+  // carries the arena, which is checked and completed; a v1 file only the
+  // forward store, over which the arena is built. Either way the result is
   // byte-for-byte a fresh build, so every query contract of a fresh index
   // holds for a loaded one.
   using snapshot::SectionKind;
-  InvertedIndex index;
-  index.forward_offsets_ = reader.take_section<ForwardVector<std::uint64_t>>(
-      SectionKind::kForwardOffsets, shard);
-  index.forward_terms_ =
-      reader.take_section<ForwardVector<TermId>>(SectionKind::kTermIds, shard);
-  index.forward_weights_ =
-      reader.take_section<ForwardVector<double>>(SectionKind::kWeights, shard);
-  if (reader.version() == 1) {
-    index.check_forward_offsets(shard);
-    const std::size_t n = index.forward_offsets_.size() - 1;
-    for (std::size_t d = 0; d < n; ++d) index.check_forward_run(d, shard);
-    // A shard without documents is the empty index, which has no arena.
-    if (n > 0) index.build_arena();
-    return index;
+  index_.forward_offsets_ =
+      reader.take_section<std::uint64_t>(SectionKind::kForwardOffsets, shard);
+  index_.forward_terms_ =
+      reader.take_section<TermId>(SectionKind::kTermIds, shard);
+  index_.forward_weights_ =
+      reader.take_section<double>(SectionKind::kWeights, shard);
+  if (build_) {
+    // The arena build is sized here too. Its block metadata needs each
+    // term's posting count: one pass over the term ids, clamped into
+    // range until finish() has checked every run.
+    terms_ = index_.check_forward_offsets(shard);
+    if (index_.forward_offsets_.size() == 1) return;
+    counts_.assign(terms_, 0);
+    for (const TermId term : index_.forward_terms_) {
+      ++counts_[std::min<std::size_t>(term, terms_ - 1)];
+    }
+    std::size_t blocks = 0;
+    for (const std::size_t count : counts_) {
+      blocks += (count + kBlockSize - 1) / kBlockSize;
+    }
+    scatter_ = index_.size_scatter(terms_, blocks);
+    return;
   }
-  index.arena_offsets_ = reader.take_section<ForwardVector<std::uint64_t>>(
-      SectionKind::kArenaOffsets, shard);
-  index.arena_ids_ =
-      reader.take_section<ArenaVector<DocId>>(SectionKind::kArenaIds, shard);
-  index.arena_weights_ = reader.take_section<ArenaVector<double>>(
-      SectionKind::kArenaWeights, shard);
-  index.public_of_ =
-      reader.take_section<ForwardVector<DocId>>(SectionKind::kPublicOf, shard);
-  index.adopt_arena(shard);
-  return index;
+  index_.arena_offsets_ =
+      reader.take_section<std::uint64_t>(SectionKind::kArenaOffsets, shard);
+  index_.arena_ids_ = reader.take_section<DocId>(SectionKind::kArenaIds, shard);
+  index_.arena_weights_ =
+      reader.take_section<double>(SectionKind::kArenaWeights, shard);
+  index_.public_of_ =
+      reader.take_section<DocId>(SectionKind::kPublicOf, shard);
+  counts_.resize(index_.size_adopted_arena(shard));
+}
+
+InvertedIndex InvertedIndex::Restore::finish() {
+  if (!build_) {
+    index_.adopt_arena(shard_, counts_);
+    return std::move(index_);
+  }
+  const std::size_t n = index_.forward_offsets_.size() - 1;
+  for (std::size_t d = 0; d < n; ++d) index_.check_forward_run(d, shard_);
+  // A shard without documents is the empty index, which has no arena.
+  if (n > 0) index_.build_arena(std::move(scatter_), terms_);
+  return std::move(index_);
 }
 
 void InvertedIndex::merge_arena(const InvertedIndex& old) {
@@ -618,8 +736,8 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   std::vector<DocId> remap(stored);  // old internal id -> new internal id
   std::vector<DocId> fresh_internal(fresh);
   std::vector<DocId> fresh_bound(fresh);
+  ForwardVector<DocId> public_of(n);
   internal_of_.resize(n);
-  public_of_.resize(n);
   keys_.resize(n);
   norms_.resize(n);
   norms_sq_.resize(n);
@@ -628,7 +746,7 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   const auto take_old = [&](std::size_t end) {
     for (; old_r < end; ++old_r, ++r) {
       remap[old_r] = static_cast<DocId>(r);
-      public_of_[r] = old.public_of_[old_r];
+      public_of[r] = old.public_of_[old_r];
       keys_[r] = old.keys_[old_r];
       norms_[r] = old.norms_[old_r];
       norms_sq_[r] = old.norms_sq_[old_r];
@@ -642,7 +760,7 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
         old.keys_.begin()));
     fresh_internal[q] = static_cast<DocId>(r);
     fresh_bound[q] = static_cast<DocId>(old_r);
-    public_of_[r] = g;
+    public_of[r] = g;
     keys_[r] = k;
     const double norm = fresh_norm[g - stored];
     norms_[r] = norm;
@@ -651,7 +769,7 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   }
   take_old(stored);
   for (std::size_t i = 0; i < n; ++i) {
-    internal_of_[public_of_[i]] = static_cast<DocId>(i);
+    internal_of_[public_of[i]] = static_cast<DocId>(i);
   }
 
   // 2. Bounds: old's, widened by the new postings in public order — the
@@ -711,20 +829,21 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   //    blocks follow while the span is still in cache.
   //    The streams are written front to back, so they are appended to,
   //    never zero-filled first.
-  arena_offsets_.resize(terms + 1);
+  ForwardVector<std::uint64_t> offsets(terms + 1);
   for (std::size_t t = 0; t <= terms; ++t) {
-    arena_offsets_[t] = old_begin(t) + fresh_offsets[t];
+    offsets[t] = old_begin(t) + fresh_offsets[t];
   }
-  layout_blocks();
-  arena_ids_.reserve(postings);
-  arena_weights_.reserve(postings);
+  layout_blocks(offsets);
+  ArenaVector<DocId> ids;
+  ArenaVector<double> weights;
+  ids.reserve(postings);
+  weights.reserve(postings);
   const DocId* old_ids = old.arena_ids_.data();
   const double* old_weights = old.arena_weights_.data();
   const auto copy_old = [&](std::size_t begin, std::size_t end) {
-    arena_weights_.insert(arena_weights_.end(), old_weights + begin,
-                          old_weights + end);
+    weights.insert(weights.end(), old_weights + begin, old_weights + end);
     for (std::size_t a = begin; a < end; ++a) {
-      arena_ids_.push_back(remap[old_ids[a]]);
+      ids.push_back(remap[old_ids[a]]);
     }
   };
   for (std::size_t t = 0; t < terms; ++t) {
@@ -736,23 +855,27 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
       while (run_end < a_end && old_ids[run_end] < fresh_bound[q]) ++run_end;
       copy_old(a, run_end);
       a = run_end;
-      arena_ids_.push_back(fresh_internal[q]);
-      arena_weights_.push_back(fresh_weights[b]);
+      ids.push_back(fresh_internal[q]);
+      weights.push_back(fresh_weights[b]);
     }
     copy_old(a, a_end);
-    fill_blocks(t);
+    fill_blocks(t, offsets, ids, weights);
   }
+  arena_offsets_ = SharedSpan<std::uint64_t>(std::move(offsets));
+  arena_ids_ = SharedSpan<DocId>(std::move(ids));
+  arena_weights_ = SharedSpan<double>(std::move(weights));
+  public_of_ = SharedSpan<DocId>(std::move(public_of));
   max_weight_ = std::move(max_w);
   min_weight_ = std::move(min_w);
   num_postings_ = postings;
   nonempty_terms_ = nonempty;
 }
 
-void InvertedIndex::layout_blocks() {
-  const std::size_t terms = arena_terms();
+void InvertedIndex::layout_blocks(std::span<const std::uint64_t> offsets) {
+  const std::size_t terms = offsets.empty() ? 0 : offsets.size() - 1;
   arena_block_begin_.assign(terms + 1, 0);
   for (std::size_t t = 0; t < terms; ++t) {
-    const std::size_t len = arena_offsets_[t + 1] - arena_offsets_[t];
+    const std::size_t len = offsets[t + 1] - offsets[t];
     arena_block_begin_[t + 1] =
         arena_block_begin_[t] + (len + kBlockSize - 1) / kBlockSize;
   }
@@ -762,22 +885,31 @@ void InvertedIndex::layout_blocks() {
   block_min_w_.resize(blocks);
 }
 
-void InvertedIndex::fill_blocks(std::size_t term) {
+void InvertedIndex::fill_blocks(std::size_t term,
+                                std::span<const std::uint64_t> offsets,
+                                std::span<const DocId> ids,
+                                std::span<const double> weights) {
   const std::size_t first = arena_block_begin_[term];
   for (std::size_t b = first; b < arena_block_begin_[term + 1]; ++b) {
-    const std::size_t begin = arena_offsets_[term] + (b - first) * kBlockSize;
-    const std::size_t end =
-        std::min(begin + kBlockSize, arena_offsets_[term + 1]);
-    block_last_doc_[b] = arena_ids_[end - 1];
-    double block_max_w = arena_weights_[begin];
-    double block_min_w = arena_weights_[begin];
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      block_max_w = std::max(block_max_w, arena_weights_[i]);
-      block_min_w = std::min(block_min_w, arena_weights_[i]);
-    }
-    block_max_w_[b] = block_max_w;
-    block_min_w_[b] = block_min_w;
+    const std::size_t begin = offsets[term] + (b - first) * kBlockSize;
+    fill_block(b, begin,
+               std::min<std::size_t>(begin + kBlockSize, offsets[term + 1]),
+               ids, weights);
   }
+}
+
+void InvertedIndex::fill_block(std::size_t block, std::size_t begin,
+                               std::size_t end, std::span<const DocId> ids,
+                               std::span<const double> weights) {
+  block_last_doc_[block] = ids[end - 1];
+  double block_max_w = weights[begin];
+  double block_min_w = weights[begin];
+  for (std::size_t i = begin + 1; i < end; ++i) {
+    block_max_w = std::max(block_max_w, weights[i]);
+    block_min_w = std::min(block_min_w, weights[i]);
+  }
+  block_max_w_[block] = block_max_w;
+  block_min_w_[block] = block_min_w;
 }
 
 const char* InvertedIndex::scoring_kernel() noexcept {
@@ -797,21 +929,21 @@ std::size_t InvertedIndex::num_postings_for(
 
 MemoryBreakdown InvertedIndex::memory_breakdown() const noexcept {
   MemoryBreakdown mem;
-  mem.postings = arena_ids_.capacity() * sizeof(DocId) +
-                 arena_weights_.capacity() * sizeof(double);
-  mem.offsets = arena_offsets_.capacity() * sizeof(std::size_t) +
+  mem.postings = arena_ids_.size() * sizeof(DocId) +
+                 arena_weights_.size() * sizeof(double);
+  mem.offsets = arena_offsets_.size() * sizeof(std::uint64_t) +
                 arena_block_begin_.capacity() * sizeof(std::size_t) +
                 max_weight_.capacity() * sizeof(double) +
                 min_weight_.capacity() * sizeof(double) +
                 internal_of_.capacity() * sizeof(DocId) +
-                public_of_.capacity() * sizeof(DocId) +
+                public_of_.size() * sizeof(DocId) +
                 keys_.capacity() * sizeof(TermId);
   mem.blocks = block_last_doc_.capacity() * sizeof(DocId) +
                block_max_w_.capacity() * sizeof(double) +
                block_min_w_.capacity() * sizeof(double);
-  mem.forward = forward_offsets_.capacity() * sizeof(std::uint64_t) +
-                forward_terms_.capacity() * sizeof(TermId) +
-                forward_weights_.capacity() * sizeof(double) +
+  mem.forward = forward_offsets_.size() * sizeof(std::uint64_t) +
+                forward_terms_.size() * sizeof(TermId) +
+                forward_weights_.size() * sizeof(double) +
                 norms_.capacity() * sizeof(double) +
                 norms_sq_.capacity() * sizeof(double);
   return mem;

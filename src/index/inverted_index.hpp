@@ -63,7 +63,7 @@
 // There is no in-place ingest: an owner that grows an archive swaps in
 // the appended index. A snapshot save hands the forward store, the arena
 // streams and offsets and the permutation to the snapshot writer as they
-// stand, and a version-2 load adopts them and builds nothing: it derives
+// stand, and a version-2 or 3 load adopts them and builds nothing: it derives
 // the rest (inverse permutation, keys, norms, bounds, blocks) in streaming
 // passes that also validate what it adopted.
 //
@@ -132,6 +132,7 @@
 
 #include "index/arena_allocator.hpp"
 #include "index/cancel.hpp"
+#include "index/shared_span.hpp"
 #include "vsm/sparse_vector.hpp"
 
 namespace fmeter::index {
@@ -204,8 +205,9 @@ struct PruneStats {
   }
 };
 
-/// Heap footprint of one index, split by role (all byte counts include
-/// unused vector capacity). total() is what memory_bytes() reports.
+/// Footprint of one index, split by role: its arrays' bytes, unused vector
+/// capacity included, whether a build's vectors or a snapshot's mapping
+/// holds them. total() is what memory_bytes() reports.
 struct MemoryBreakdown {
   std::size_t postings = 0;  ///< arena id/weight streams
   std::size_t offsets = 0;   ///< per-term offsets and bounds, permutation, keys
@@ -328,7 +330,7 @@ class InvertedIndex {
   /// path's postings_visited).
   std::size_t num_postings_for(const vsm::SparseVector& query) const noexcept;
 
-  /// Heap-allocated footprint; == memory_breakdown().total().
+  /// Footprint of the index's arrays; == memory_breakdown().total().
   std::size_t memory_bytes() const noexcept {
     return memory_breakdown().total();
   }
@@ -424,33 +426,77 @@ class InvertedIndex {
   /// borrows the arrays: keep this index alive until it has finished.
   void save(snapshot::Writer& writer, std::uint32_t shard) const;
 
-  /// Restores one shard from its snapshot sections, moving them out of
-  /// `reader` as this index's arrays (no copy). A version-2 shard's arena
-  /// is validated and completed (adopt_arena); a version-1 shard's is
-  /// built over the forward store. Either way the result is byte-for-byte
-  /// the index a fresh build of the same documents would produce, so all
-  /// query contracts transfer. Throws snapshot::SnapshotError on any
-  /// corruption or validation failure.
+  /// Restores one shard from its snapshot sections, taking them out of
+  /// `reader` as this index's arrays: views that share the file mapping,
+  /// no copy. A version-2 or 3 shard's arena is validated and completed
+  /// (adopt_arena); a version-1 shard's is built over the forward store.
+  /// Either way the result is byte-for-byte the index a fresh build of the
+  /// same documents would produce, so all query contracts transfer. Throws
+  /// snapshot::SnapshotError on any corruption or validation failure.
+  /// Restore(reader, shard).finish() in one step.
   static InvertedIndex load(snapshot::Reader& reader, std::uint32_t shard);
+
+  /// load() in two steps, so a restore fanned out over a pool allocates on
+  /// the thread that fans it out, not on the workers (whose malloc arenas
+  /// would keep a dropped index's small arrays resident). The constructor
+  /// takes the shard's sections and sizes every array the restore derives
+  /// or builds: for a version-2 or 3 shard, after checking the sections'
+  /// sizes and the arena offset table, the inverse permutation, keys,
+  /// norms, bounds and block metadata; for a version-1 shard, after
+  /// checking the forward offsets and counting each term's postings, the
+  /// whole arena build. finish() validates and fills them, on any thread.
+  /// Both steps throw snapshot::SnapshotError.
+  class Restore;
 
  private:
   // The build steps below fill a freshly constructed index whose forward
   // store is already in place.
 
+  /// What the scatter writes: its temporaries and the arrays it hands to
+  /// the index.
+  struct Scatter {
+    std::vector<DocId> order;
+    std::vector<TermId> key;
+    std::vector<double> norm;
+    ForwardVector<std::uint64_t> offsets;
+    std::vector<double> max_w;
+    std::vector<double> min_w;
+    std::vector<std::size_t> cursor;
+    ForwardVector<DocId> public_of;
+    ArenaVector<DocId> ids;
+    ArenaVector<double> weights;
+  };
+
   /// The scatter: derives the arena, bounds, permutation and norms from the
   /// forward store alone.
   void build_arena();
+  /// Sizes a scatter over the forward store, whose terms lie below
+  /// `terms`, with this index's derived arrays, and reserves `blocks`
+  /// entries of block metadata — so a restore sizes the build on one
+  /// thread and runs it on another.
+  Scatter size_scatter(std::size_t terms, std::size_t blocks);
+  /// The scatter over storage from size_scatter(terms, ...).
+  void build_arena(Scatter scatter, std::size_t terms);
 
   /// The merge: the forward store holds `old`'s documents followed by new
   /// ones; reuses old's norms, bounds and arena spans.
   void merge_arena(const InvertedIndex& old);
 
+  /// The restore's first step (Restore's constructor): the adopted arena
+  /// sections of shard `shard` must agree in size with the forward store
+  /// and the offset table must run from 0 to the posting count without
+  /// decreasing; sizes the derived arrays and the block layout from them.
+  /// Returns the term range. Throws snapshot::SnapshotError.
+  std::size_t size_adopted_arena(std::uint32_t shard);
+
   /// The restore: the forward store, the arena streams and offsets and
-  /// public_of_ are in place, read from shard `shard` of a snapshot.
-  /// Checks them, and against each other as a build would have laid them
-  /// out, and derives internal_of_, keys, norms, bounds and blocks on the
-  /// way. Throws snapshot::SnapshotError.
-  void adopt_arena(std::uint32_t shard);
+  /// public_of_ are in place, read from shard `shard` of a snapshot, and
+  /// size_adopted_arena sized the rest. Checks them, and against each
+  /// other as a build would have laid them out, and derives internal_of_,
+  /// keys, norms, bounds and blocks on the way, counting each term's
+  /// postings into `counts` (one slot per term). Throws
+  /// snapshot::SnapshotError.
+  void adopt_arena(std::uint32_t shard, std::span<std::size_t> counts);
 
   /// Checks an adopted forward store's offsets: they start at 0, never
   /// decrease and end at both streams' length. Returns the term range its
@@ -460,11 +506,21 @@ class InvertedIndex {
   /// Checks document `doc`'s run: term ids strictly increase, weights are
   /// finite and non-zero. Throws snapshot::SnapshotError.
   void check_forward_run(std::size_t doc, std::uint32_t shard) const;
+  /// Throws check_forward_run's error for document `doc` when its run was
+  /// found `unordered` or not all `stored` weights.
+  static void check_run_flags(std::size_t doc, std::uint32_t shard,
+                              bool unordered, bool stored);
 
-  /// Sizes the block metadata from the arena's offset table.
-  void layout_blocks();
-  /// Fills term `term`'s block metadata from its finished span.
-  void fill_blocks(std::size_t term);
+  /// Sizes the block metadata from the arena offset table `offsets`.
+  void layout_blocks(std::span<const std::uint64_t> offsets);
+  /// Fills term `term`'s block metadata from its finished span in the
+  /// arena streams `ids` and `weights` laid out by `offsets`.
+  void fill_blocks(std::size_t term, std::span<const std::uint64_t> offsets,
+                   std::span<const DocId> ids, std::span<const double> weights);
+  /// Fills block `block`'s metadata from postings [begin, end) of `ids`
+  /// and `weights`.
+  void fill_block(std::size_t block, std::size_t begin, std::size_t end,
+                  std::span<const DocId> ids, std::span<const double> weights);
 
   /// Forward-store run of the document at public id `doc`.
   vsm::SparseView forward_run(std::size_t doc) const noexcept {
@@ -479,11 +535,17 @@ class InvertedIndex {
     return arena_offsets_.empty() ? 0 : arena_offsets_.size() - 1;
   }
 
+  // The offsets of a forward store without documents.
+  static constexpr std::uint64_t kNoDocuments[1] = {0};
+
   // --- posting arena (term-major struct-of-arrays) ---
   // All doc ids below are *internal* ids (see internal_of_/public_of_).
-  ArenaVector<DocId> arena_ids_;      // doc-id stream
-  ArenaVector<double> arena_weights_;  // weight stream
-  ForwardVector<std::uint64_t> arena_offsets_;  // term t's span: [t], [t+1])
+  // The arena streams, the offset tables, the permutation and the forward
+  // store are SharedSpans: a build's vectors (the streams on ArenaVector,
+  // the rest on ForwardVector) or a snapshot's mapping, shared by copies.
+  SharedSpan<DocId> arena_ids_;         // doc-id stream
+  SharedSpan<double> arena_weights_;    // weight stream
+  SharedSpan<std::uint64_t> arena_offsets_;  // term t's span: [t], [t+1])
   // Term t's blocks are [arena_block_begin_[t], arena_block_begin_[t+1]);
   // block b of term t covers postings
   // [offsets[t] + (b - begin[t]) * kBlockSize, ...) — blocks never straddle
@@ -497,7 +559,7 @@ class InvertedIndex {
   // Doc-reorder permutation. Every per-doc array below is indexed by
   // internal id, so the hot loops run gather-free in internal space.
   std::vector<DocId> internal_of_;  // public id -> internal id
-  ForwardVector<DocId> public_of_;  // internal id -> public id
+  SharedSpan<DocId> public_of_;     // internal id -> public id
   // Each document's reorder key (its dominant term; empty documents sort
   // last), ascending along internal order — where a merge places new ones.
   std::vector<TermId> keys_;
@@ -512,14 +574,29 @@ class InvertedIndex {
   // reaches an internal id's run through public_of_), the per-doc extents
   // behind its candidate-switch cost model, the source every build reads
   // the stored documents from, and the snapshot sections verbatim.
-  // A build copies it; a snapshot load adopts the file's sections, which
-  // the Reader allocates on the same allocator (as it does the arena
-  // streams, the arena offsets and public_of_).
-  ForwardVector<std::uint64_t> forward_offsets_{0};
-  ForwardVector<TermId> forward_terms_;
-  ForwardVector<double> forward_weights_;
+  // A build copies it; a snapshot load adopts the file's sections where
+  // the mapping holds them (as it does the arena streams, the arena
+  // offsets and public_of_).
+  SharedSpan<std::uint64_t> forward_offsets_{nullptr, kNoDocuments};
+  SharedSpan<TermId> forward_terms_;
+  SharedSpan<double> forward_weights_;
   std::size_t num_postings_ = 0;
   std::size_t nonempty_terms_ = 0;
+};
+
+class InvertedIndex::Restore {
+ public:
+  Restore(snapshot::Reader& reader, std::uint32_t shard);
+  /// The restored index; call once.
+  InvertedIndex finish();
+
+ private:
+  InvertedIndex index_;
+  std::uint32_t shard_;
+  bool build_ = false;               ///< version 1: build the arena
+  std::vector<std::size_t> counts_;  ///< per-term posting counts
+  std::size_t terms_ = 0;            ///< version 1: the build's term range
+  Scatter scatter_;                  ///< version 1: the build's storage
 };
 
 }  // namespace fmeter::index

@@ -1,9 +1,12 @@
 #include "index/snapshot.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <exception>
+#include <memory>
 
+#include "index/arena_allocator.hpp"
 #include "io/checksum.hpp"
 #include "obs/trace.hpp"
 
@@ -24,12 +27,6 @@ constexpr std::uint32_t sections_per_shard(std::uint32_t version) noexcept {
 constexpr SectionKind last_kind(std::uint32_t version) noexcept {
   return version == 1 ? SectionKind::kLabels : SectionKind::kPublicOf;
 }
-
-/// Payloads are read and checksummed this many bytes at a time, so each
-/// chunk is hashed while it is still in cache. A multiple of 8: the chunked
-/// FNV folds 8 bytes per step, so a split at a non-multiple boundary would
-/// hash different chunks than the writer's one-shot pass.
-constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 
 /// Fixed-size header prefix (before the directory), kept as a POD so the
 /// byte layout is the documented one. Packed by construction: every field
@@ -58,41 +55,9 @@ std::span<const std::byte> as_bytes_of(const T& value) noexcept {
   return {reinterpret_cast<const std::byte*>(&value), sizeof(T)};
 }
 
-/// Sequential reads over an Env file of known size, from offset `at` on.
-/// read() fills as much of `into` as the file holds — short only at its
-/// end — looping over the short reads a RandomAccessFile may return.
-class FileSource {
- public:
-  FileSource(const io::RandomAccessFile& file, std::uint64_t size,
-             std::uint64_t at = 0)
-      : file_(file), size_(size), at_(at) {}
-
-  std::size_t read(std::span<std::byte> into) {
-    std::size_t got = 0;
-    while (got < into.size()) {
-      const std::size_t n = file_.read(at_ + got, into.subspan(got));
-      if (n == 0) break;
-      got += n;
-    }
-    at_ += got;
-    return got;
-  }
-
-  /// Bytes from the current position to the end of the file.
-  std::uint64_t remaining() const { return at_ < size_ ? size_ - at_ : 0; }
-
- private:
-  const io::RandomAccessFile& file_;
-  std::uint64_t size_;
-  std::uint64_t at_;
-};
-
-void read_exact(FileSource& in, void* into, std::size_t bytes,
-                const char* what) {
-  if (in.read({static_cast<std::byte*>(into), bytes}) != bytes) {
-    throw SnapshotError(std::string("snapshot: truncated file (short read in ") +
-                        what + ")");
-  }
+/// `at` rounded up to version 3's section alignment.
+constexpr std::uint64_t aligned(std::uint64_t at) noexcept {
+  return (at + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
 }
 
 /// Bytes per element of a section kind's typed storage.
@@ -111,19 +76,20 @@ std::size_t element_size(SectionKind kind) noexcept {
 }
 
 /// Header prefix + directory, parsed and fully validated (magic, version,
-/// endianness, count caps, header checksum). Shared by Reader — which goes
-/// on to materialize sections — and verify, which only streams them
-/// through the checksum.
+/// endianness, count caps, header checksum). Shared by Reader and verify.
 struct ParsedHeader {
   HeaderPrefix prefix;
   std::vector<DirectoryEntry> directory;
-  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes = 0;  ///< prefix, directory and header checksum
 };
 
-ParsedHeader read_header(FileSource& in) {
+ParsedHeader read_header(std::span<const std::byte> file) {
   ParsedHeader out;
   HeaderPrefix& prefix = out.prefix;
-  read_exact(in, &prefix, sizeof(prefix), "header");
+  if (file.size() < sizeof(prefix)) {
+    throw SnapshotError("snapshot: truncated file (short read in header)");
+  }
+  std::memcpy(&prefix, file.data(), sizeof(prefix));
   if (std::memcmp(prefix.magic, kMagic, sizeof(kMagic)) != 0) {
     throw SnapshotError("snapshot: bad magic (not a snapshot file)");
   }
@@ -169,16 +135,19 @@ ParsedHeader read_header(FileSource& in) {
   const std::uint64_t directory_bytes =
       std::uint64_t{prefix.section_count} * sizeof(DirectoryEntry);
   std::uint64_t stored_header_checksum = 0;
-  if (directory_bytes + sizeof(stored_header_checksum) > in.remaining()) {
+  if (directory_bytes + sizeof(stored_header_checksum) >
+      file.size() - sizeof(prefix)) {
     throw SnapshotError("snapshot: truncated file (section directory of " +
                         std::to_string(prefix.section_count) +
                         " entries does not fit in the file)");
   }
 
   out.directory.resize(prefix.section_count);
-  read_exact(in, out.directory.data(), directory_bytes, "section directory");
-  read_exact(in, &stored_header_checksum, sizeof(stored_header_checksum),
-             "header checksum");
+  std::memcpy(out.directory.data(), file.data() + sizeof(prefix),
+              directory_bytes);
+  std::memcpy(&stored_header_checksum,
+              file.data() + sizeof(prefix) + directory_bytes,
+              sizeof(stored_header_checksum));
   const std::uint64_t header_checksum =
       fnv1a_extend(fnv1a(as_bytes_of(prefix)),
                    std::as_bytes(std::span(out.directory)));
@@ -203,7 +172,7 @@ ParsedHeader read_header(FileSource& in) {
       }
     }
   }
-  out.bytes_read =
+  out.bytes =
       sizeof(prefix) + directory_bytes + sizeof(stored_header_checksum);
   return out;
 }
@@ -275,8 +244,16 @@ void Writer::finish(io::Env& env, const std::string& path) {
   try {
     io::AtomicFileWriter file(env, path);
     file.file().append(header);
+    std::uint64_t at = header.size();
+    const std::byte zeros[kSectionAlign] = {};
     for (const Section& section : sections_) {
-      if (!section.payload.empty()) file.file().append(section.payload);
+      if (section.payload.empty()) continue;
+      if (const std::uint64_t gap = aligned(at) - at; gap > 0) {
+        file.file().append(zeros, gap);
+        at += gap;
+      }
+      file.file().append(section.payload);
+      at += section.payload.size();
     }
     file.commit();
   } catch (const io::IoError& e) {
@@ -288,85 +265,59 @@ void Writer::finish(io::Env& env, const std::string& path) {
 
 namespace {
 
-/// Checks every directory length before any of them sizes an allocation —
-/// a forged entry must fail as a SnapshotError, not as bad_alloc — against
-/// the `present` payload bytes, which the sections must fill exactly.
-void check_lengths(const std::vector<DirectoryEntry>& directory,
-                   std::uint64_t present) {
-  std::uint64_t declared = 0;
-  for (const DirectoryEntry& entry : directory) {
+/// Where each section's payload lies in a file of `size` bytes, and the
+/// first thing wrong with that layout. Every length is checked before
+/// anything could be sized by it — a forged entry must fail as a
+/// SnapshotError, not as bad_alloc — and the sections must fill the file
+/// exactly, version 3's padding gaps holding only zero bytes.
+struct Layout {
+  std::vector<std::uint64_t> offset;  ///< per section, in directory order
+  std::size_t whole = 0;  ///< leading sections that lie whole in the file
+  std::string error;      ///< the load's diagnosis; empty when sound
+};
+
+Layout layout_sections(const ParsedHeader& header,
+                       std::span<const std::byte> file) {
+  Layout out;
+  const auto fail = [&out](std::string message) {
+    if (out.error.empty()) out.error = std::move(message);
+  };
+  const bool padded = header.prefix.version >= 3;
+  const std::uint64_t size = file.size();
+  std::uint64_t at = header.bytes;
+  bool fits = true;
+  for (const DirectoryEntry& entry : header.directory) {
     const auto kind = static_cast<SectionKind>(entry.kind);
+    const auto name = [&] {
+      return std::string(section_kind_name(kind)) + "/" +
+             std::to_string(entry.shard);
+    };
     if (entry.bytes % element_size(kind) != 0) {
-      throw SnapshotError(std::string("snapshot: section ") +
-                          section_kind_name(kind) + "/" +
-                          std::to_string(entry.shard) +
-                          " byte length is not a whole number of elements");
+      fail("snapshot: section " + name() +
+           " byte length is not a whole number of elements");
     }
-    if (entry.bytes > present - declared) {
-      throw SnapshotError(
-          "snapshot: truncated file (section directory declares more "
-          "payload than the file holds)");
+    // An empty section occupies no bytes, so it needs no padding either.
+    const std::uint64_t begin = padded && entry.bytes > 0 ? aligned(at) : at;
+    fits = fits && begin <= size && entry.bytes <= size - begin;
+    if (!fits) {
+      fail("snapshot: truncated file (section directory declares more "
+           "payload than the file holds)");
+      out.offset.push_back(begin);
+      continue;
     }
-    declared += entry.bytes;
+    const std::span<const std::byte> gap = file.subspan(at, begin - at);
+    if (std::any_of(gap.begin(), gap.end(),
+                    [](std::byte b) { return b != std::byte{0}; })) {
+      fail("snapshot: nonzero padding before section " + name());
+    }
+    out.offset.push_back(begin);
+    ++out.whole;
+    at = begin + entry.bytes;
   }
-  if (declared != present) {
-    throw SnapshotError("snapshot: trailing bytes after the last section");
+  if (fits && at != size) {
+    fail("snapshot: trailing bytes after the last section");
   }
-}
-
-/// Allocates `entry`'s storage in `data` as a `Vector` and returns its
-/// bytes, advised onto huge pages before a read faults them in (see
-/// arena_allocator.hpp). The elements are left unset for the read.
-template <typename Vector, typename Data>
-std::span<std::byte> allocate_as(const DirectoryEntry& entry, Data& data) {
-  using T = typename Vector::value_type;
-  auto& out = data.template emplace<Vector>(
-      static_cast<std::size_t>(entry.bytes / sizeof(T)));
-  const std::span<std::byte> bytes = std::as_writable_bytes(std::span<T>(out));
-  advise_huge_pages(bytes.data(), bytes.size());
-  return bytes;
-}
-
-/// Allocates `entry`'s storage in `data` as its kind's vector type: the
-/// arena streams on ArenaVector, so an index adopts them on the storage it
-/// builds them on, everything else on ForwardVector.
-template <typename Data>
-std::span<std::byte> allocate_section(const DirectoryEntry& entry,
-                                      Data& data) {
-  switch (static_cast<SectionKind>(entry.kind)) {
-    case SectionKind::kForwardOffsets:
-    case SectionKind::kArenaOffsets:
-      return allocate_as<ForwardVector<std::uint64_t>>(entry, data);
-    case SectionKind::kTermIds:
-    case SectionKind::kPublicOf:
-      return allocate_as<ForwardVector<std::uint32_t>>(entry, data);
-    case SectionKind::kWeights:
-      return allocate_as<ForwardVector<double>>(entry, data);
-    case SectionKind::kLabels:
-      return allocate_as<ForwardVector<std::byte>>(entry, data);
-    case SectionKind::kArenaIds:
-      return allocate_as<ArenaVector<std::uint32_t>>(entry, data);
-    case SectionKind::kArenaWeights:
-      return allocate_as<ArenaVector<double>>(entry, data);
-  }
-  return {};
-}
-
-/// Reads `bytes` bytes from `in` in kChunkBytes chunks — each into the
-/// span `chunk(offset, size)` returns — and returns their checksum, each
-/// chunk hashed while it is still in cache.
-template <typename ChunkAt>
-std::uint64_t read_checksummed(FileSource& in, std::uint64_t bytes,
-                               const ChunkAt& chunk) {
-  std::uint64_t hash = io::kFnvOffset;
-  for (std::uint64_t at = 0; at < bytes; at += kChunkBytes) {
-    const std::span<std::byte> into = chunk(
-        at, static_cast<std::size_t>(std::min<std::uint64_t>(kChunkBytes,
-                                                             bytes - at)));
-    read_exact(in, into.data(), into.size(), "section payload");
-    hash = fnv1a_extend(hash, into);
-  }
-  return hash;
+  return out;
 }
 
 std::string checksum_mismatch(const DirectoryEntry& entry) {
@@ -375,15 +326,12 @@ std::string checksum_mismatch(const DirectoryEntry& entry) {
          std::to_string(entry.shard) + " checksum mismatch";
 }
 
-/// Reads `entry`'s payload from `in` into `bytes` (its allocated storage)
-/// and verifies its checksum.
-void read_payload(FileSource& in, const DirectoryEntry& entry,
-                  std::span<std::byte> bytes) {
-  const std::uint64_t hash = read_checksummed(
-      in, bytes.size(), [bytes](std::uint64_t at, std::size_t n) {
-        return bytes.subspan(static_cast<std::size_t>(at), n);
-      });
-  if (hash != entry.checksum) throw SnapshotError(checksum_mismatch(entry));
+/// The section is adopted where it lies only if the mapping places it on
+/// its element type's alignment (always so in version 3).
+bool misaligned(std::span<const std::byte> bytes, SectionKind kind) noexcept {
+  return reinterpret_cast<std::uintptr_t>(bytes.data()) %
+             element_size(kind) !=
+         0;
 }
 
 }  // namespace
@@ -392,37 +340,47 @@ Reader::Reader(const io::Env& env, const std::string& path,
                const ParallelFor& parallel_for) {
   const obs::StageSpan load_span(obs::Stage::kSnapshotLoad);
   try {
-    const auto file = env.new_random_access_file(path);
-    const std::uint64_t size = env.file_size(path);
-    FileSource source(*file, size);
-    const ParsedHeader header = read_header(source);
+    const std::shared_ptr<const io::MappedFile> mapping = env.map_file(path);
+    const std::span<const std::byte> file = mapping->bytes();
+    const ParsedHeader header = read_header(file);
     version_ = header.prefix.version;
     shard_count_ = header.prefix.shard_count;
     doc_count_ = header.prefix.doc_count;
     term_count_ = header.prefix.term_count;
-    check_lengths(header.directory, source.remaining());
+    const Layout layout = layout_sections(header, file);
+    if (!layout.error.empty()) throw SnapshotError(layout.error);
 
-    // Every section's storage is allocated here, on the calling thread:
-    // a section under the mapping cutoff then comes from this thread's
-    // malloc arena, and a restore that lands on other workers next time
-    // reuses it instead of growing theirs. One task per section, largest
-    // first, so a big section never starts last while the other
-    // participants sit idle. Each task reads from its own cursor into its
-    // own slot; a failure is kept, not thrown, so every task finishes
-    // before the first failure in directory order surfaces.
+    // Every section is a view into the mapping, except a legacy one
+    // misaligned for its element type: that one gets aligned storage of
+    // its own, allocated here on the calling thread so it comes from this
+    // thread's malloc arena, not from whichever worker fills it. One task
+    // per section, largest first, so a big section never starts last while
+    // the other participants sit idle. Each task checksums its section
+    // over the mapping (and copies it when it has storage of its own); a
+    // failure is kept, not thrown, so every task finishes before the first
+    // failure in directory order surfaces.
     const std::size_t count = header.directory.size();
-    std::vector<std::uint64_t> offset(count);
-    std::vector<std::span<std::byte>> storage(count);
+    std::vector<std::span<const std::byte>> source(count);
+    std::vector<std::byte*> copy(count, nullptr);
     std::vector<std::size_t> order(count);
-    std::uint64_t at = header.bytes_read;
     sections_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       const DirectoryEntry& entry = header.directory[i];
-      sections_.push_back({static_cast<SectionKind>(entry.kind), entry.shard,
-                           {}});
-      storage[i] = allocate_section(entry, sections_[i].data);
-      offset[i] = at;
-      at += entry.bytes;
+      const auto kind = static_cast<SectionKind>(entry.kind);
+      source[i] = file.subspan(static_cast<std::size_t>(layout.offset[i]),
+                               static_cast<std::size_t>(entry.bytes));
+      Section& section =
+          sections_.emplace_back(Section{kind, entry.shard, mapping,
+                                         source[i]});
+      if (!source[i].empty() && misaligned(source[i], kind)) {
+        // Byte storage aligned for every element type: operator new's
+        // 16 bytes below a huge page, a mapping of its own above.
+        auto storage =
+            std::make_shared<ForwardVector<std::byte>>(source[i].size());
+        copy[i] = storage->data();
+        section.bytes = {copy[i], source[i].size()};
+        section.owner = std::move(storage);
+      }
       order[i] = i;
     }
     std::stable_sort(order.begin(), order.end(),
@@ -431,19 +389,23 @@ Reader::Reader(const io::Env& env, const std::string& path,
                               header.directory[b].bytes;
                      });
     std::vector<std::exception_ptr> failures(count);
-    const auto read_one = [&](std::size_t task) {
+    const auto check_one = [&](std::size_t task) {
       const std::size_t i = order[task];
       try {
-        FileSource cursor(*file, size, offset[i]);
-        read_payload(cursor, header.directory[i], storage[i]);
+        if (fnv1a(source[i]) != header.directory[i].checksum) {
+          throw SnapshotError(checksum_mismatch(header.directory[i]));
+        }
+        if (copy[i] != nullptr) {
+          std::memcpy(copy[i], source[i].data(), source[i].size());
+        }
       } catch (...) {
         failures[i] = std::current_exception();
       }
     };
     if (parallel_for) {
-      parallel_for(count, read_one);
+      parallel_for(count, check_one);
     } else {
-      for (std::size_t task = 0; task < count; ++task) read_one(task);
+      for (std::size_t task = 0; task < count; ++task) check_one(task);
     }
     for (const std::exception_ptr& failure : failures) {
       if (failure) std::rethrow_exception(failure);
@@ -478,38 +440,31 @@ Reader::Section& Reader::find(SectionKind kind, std::uint32_t shard) {
 VerifyResult verify(const io::Env& env, const std::string& path) {
   VerifyResult result;
   try {
-    const auto file = env.new_random_access_file(path);
-    const std::uint64_t size = env.file_size(path);
-    result.total_bytes = size;
-    FileSource in(*file, size);
-    const ParsedHeader header = read_header(in);
+    const std::shared_ptr<const io::MappedFile> mapping = env.map_file(path);
+    const std::span<const std::byte> file = mapping->bytes();
+    result.total_bytes = file.size();
+    const ParsedHeader header = read_header(file);
     result.version = header.prefix.version;
     result.shard_count = header.prefix.shard_count;
     result.doc_count = header.prefix.doc_count;
     result.term_count = header.prefix.term_count;
 
-    // A length failure is the diagnosis a load gives, but every section
+    // A layout failure is the diagnosis a load gives, but every section
     // the file holds whole is still checksummed and reported; one that
     // runs past the end, and every one after it, reads as not ok.
-    try {
-      check_lengths(header.directory, in.remaining());
-    } catch (const SnapshotError& e) {
-      result.error = e.what();
-    }
-    std::vector<std::byte> buffer(kChunkBytes);
-    const auto into_buffer = [&buffer](std::uint64_t, std::size_t n) {
-      return std::span(buffer).first(n);
-    };
-    bool fits = true;
-    for (const DirectoryEntry& entry : header.directory) {
+    const Layout layout = layout_sections(header, file);
+    result.error = layout.error;
+    for (std::size_t i = 0; i < header.directory.size(); ++i) {
+      const DirectoryEntry& entry = header.directory[i];
       SectionVerify& section = result.sections.emplace_back();
       section.kind = static_cast<SectionKind>(entry.kind);
       section.shard = entry.shard;
       section.bytes = entry.bytes;
-      fits = fits && entry.bytes <= in.remaining();
-      if (!fits) continue;
+      if (i >= layout.whole) continue;
       section.checksum_ok =
-          read_checksummed(in, entry.bytes, into_buffer) == entry.checksum;
+          fnv1a(file.subspan(static_cast<std::size_t>(layout.offset[i]),
+                             static_cast<std::size_t>(entry.bytes))) ==
+          entry.checksum;
       if (!section.checksum_ok && result.error.empty()) {
         result.error = checksum_mismatch(entry);
       }

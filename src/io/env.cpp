@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <new>
 #include <utility>
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -97,6 +99,19 @@ class PosixRandomAccessFile final : public RandomAccessFile {
   std::string path_;
 };
 
+/// A file mapped whole; unmapped with the last handle. An empty file maps
+/// nothing (mmap refuses a zero length).
+class PosixMappedFile final : public MappedFile {
+ public:
+  PosixMappedFile(const void* at, std::size_t size)
+      : MappedFile({static_cast<const std::byte*>(at), size}) {}
+  ~PosixMappedFile() override {
+    if (!bytes().empty()) {
+      ::munmap(const_cast<std::byte*>(bytes().data()), bytes().size());
+    }
+  }
+};
+
 class PosixEnv final : public Env {
  public:
   std::unique_ptr<WritableFile> new_writable_file(const std::string& path,
@@ -113,6 +128,34 @@ class PosixEnv final : public Env {
     const int fd = open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) throw_errno("open for read", path);
     return std::make_unique<PosixRandomAccessFile>(fd, path);
+  }
+
+  std::shared_ptr<const MappedFile> map_file(
+      const std::string& path) const override {
+    const int fd = open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) throw_errno("open for read", path);
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      const int err = errno;
+      ::close(fd);
+      errno = err;
+      throw_errno("stat", path);
+    }
+    const auto size = static_cast<std::size_t>(st.st_size);
+    void* at = nullptr;
+    if (size > 0) {
+      // Populated up front: the restore's checksum pass touches every page
+      // anyway, and one populating call costs far less than a fault per
+      // page spread over the pool's threads.
+      at = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE, fd, 0);
+    }
+    const int err = errno;
+    ::close(fd);  // the mapping keeps the file open
+    if (at == MAP_FAILED) {
+      errno = err;
+      throw_errno("mmap", path);
+    }
+    return std::make_shared<PosixMappedFile>(at, size);
   }
 
   bool file_exists(const std::string& path) const override {
@@ -266,6 +309,27 @@ class MemWritableFile final : public WritableFile {
   std::string path_;
 };
 
+/// An immutable copy of a file's bytes, on a 64-byte boundary like a
+/// mapping's page-aligned start.
+class MemMappedFile final : public MappedFile {
+ public:
+  explicit MemMappedFile(const std::string& bytes)
+      : MappedFile({copy(bytes), bytes.size()}) {}
+  ~MemMappedFile() override {
+    ::operator delete(const_cast<std::byte*>(bytes().data()),
+                      std::align_val_t{kAlign});
+  }
+
+ private:
+  static constexpr std::size_t kAlign = 64;
+  static std::byte* copy(const std::string& bytes) {
+    auto* at = static_cast<std::byte*>(
+        ::operator new(bytes.size() + 1, std::align_val_t{kAlign}));
+    std::memcpy(at, bytes.data(), bytes.size());
+    return at;
+  }
+};
+
 class MemRandomAccessFile final : public RandomAccessFile {
  public:
   MemRandomAccessFile(const InMemoryEnv& env, InMemoryEnv::InodeRef inode)
@@ -314,6 +378,16 @@ std::unique_ptr<RandomAccessFile> InMemoryEnv::new_random_access_file(
     throw IoError("open for read " + path + ": no such file", ENOENT);
   }
   return std::make_unique<MemRandomAccessFile>(*this, std::move(inode));
+}
+
+std::shared_ptr<const MappedFile> InMemoryEnv::map_file(
+    const std::string& path) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const InodeRef inode = find_locked(path);
+  if (inode == nullptr) {
+    throw IoError("open for read " + path + ": no such file", ENOENT);
+  }
+  return std::make_shared<MemMappedFile>(inode->volatile_bytes);
 }
 
 bool InMemoryEnv::file_exists(const std::string& path) const {

@@ -80,6 +80,24 @@ class WritableFile {
   void append(std::string_view text) { append(text.data(), text.size()); }
 };
 
+/// A whole file's bytes, read-only, at a stable address for as long as any
+/// copy of the handle lives (Env::map_file). Dropping the last copy
+/// releases the view. The bytes start on a 64-byte boundary.
+class MappedFile {
+ public:
+  virtual ~MappedFile() = default;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+
+  std::span<const std::byte> bytes() const noexcept { return bytes_; }
+
+ protected:
+  explicit MappedFile(std::span<const std::byte> bytes) : bytes_(bytes) {}
+
+ private:
+  std::span<const std::byte> bytes_;
+};
+
 /// Positioned reads (pread) — no shared cursor, safe to share across
 /// threads. read() returns the bytes actually read; 0 means EOF. A read
 /// may be *short* of the requested span without being at EOF (PosixEnv
@@ -121,9 +139,17 @@ class Env {
   /// Truncates to `size` bytes (journal recovery chops torn tails).
   virtual void truncate_file(const std::string& path, std::uint64_t size) = 0;
 
-  /// Whole file into a string (manifest and journal loads). Snapshots do
-  /// not come through here: the snapshot Reader streams each section from
-  /// new_random_access_file() straight into its typed storage.
+  /// A shared read-only view of the whole file as it is now (snapshot
+  /// restores and verify). PosixEnv maps it (mmap PROT_READ, MAP_PRIVATE |
+  /// MAP_POPULATE), so the view reads the page cache with no copy; the
+  /// file must then not be truncated or rewritten in place while a view
+  /// lives (renaming or unlinking it is fine: the view keeps the inode).
+  /// InMemoryEnv hands out an immutable copy. Fails like a read: a
+  /// missing file throws IoError.
+  virtual std::shared_ptr<const MappedFile> map_file(
+      const std::string& path) const = 0;
+
+  /// Whole file into a string (manifest and journal loads).
   std::string read_file(const std::string& path) const;
 
   /// The process-wide PosixEnv. Leaked like the metrics registry so
@@ -187,6 +213,8 @@ class InMemoryEnv : public Env {
   std::unique_ptr<WritableFile> new_writable_file(const std::string& path,
                                                   bool truncate = true) override;
   std::unique_ptr<RandomAccessFile> new_random_access_file(
+      const std::string& path) const override;
+  std::shared_ptr<const MappedFile> map_file(
       const std::string& path) const override;
   bool file_exists(const std::string& path) const override;
   std::uint64_t file_size(const std::string& path) const override;

@@ -1,5 +1,6 @@
 #include "trace/fmeter_tracer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace fmeter::trace {
@@ -94,16 +95,25 @@ std::uint64_t FmeterTracer::count(simkern::FunctionId fn) const {
 }
 
 CounterSnapshot FmeterTracer::snapshot() const {
+  // Function fn's boot-time slot is slot fn % slots_per_page of page
+  // fn / slots_per_page, so each CPU's pages are summed front to back as
+  // they lie. A hot function's page slot stays 0 (its stub counts in the
+  // hot array instead), so its total is the hot counters alone.
   CounterSnapshot snap;
   snap.counts.assign(slot_index_.size(), 0);
+  std::uint64_t* total = snap.counts.data();
+  const std::size_t functions = slot_index_.size();
   for (const auto& cpu : per_cpu_) {
-    for (std::size_t fn = 0; fn < slot_index_.size(); ++fn) {
-      const SlotIndex where = slot_index_[fn];
-      snap.counts[fn] +=
-          where.page == kHotPage
-              ? cpu.hot[where.slot].load(std::memory_order_relaxed)
-              : cpu.pages[where.page]->counters[where.slot].load(
-                    std::memory_order_relaxed);
+    std::size_t fn = 0;
+    for (const auto& page : cpu.pages) {
+      const std::size_t slots =
+          std::min<std::size_t>(page->counters.size(), functions - fn);
+      for (std::size_t slot = 0; slot < slots; ++slot, ++fn) {
+        total[fn] += page->counters[slot].load(std::memory_order_relaxed);
+      }
+    }
+    for (std::size_t h = 0; h < hot_functions_.size(); ++h) {
+      total[hot_functions_[h]] += cpu.hot[h].load(std::memory_order_relaxed);
     }
   }
   return snap;

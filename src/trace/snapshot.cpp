@@ -1,6 +1,8 @@
 #include "trace/snapshot.hpp"
 
 #include <charconv>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 
 namespace fmeter::trace {
@@ -31,28 +33,39 @@ CounterSnapshot CounterSnapshot::diff(const CounterSnapshot& before) const {
 
 vsm::CountDocument CounterSnapshot::to_document(std::string label,
                                                 double duration_s) const {
-  std::vector<std::pair<vsm::CountDocument::TermId, vsm::CountDocument::Count>> raw;
-  raw.reserve(nonzero());
+  // The function ids ascend already, so the document is filled in order
+  // with no sort (what CountDocument::from_counts would do to them).
+  vsm::CountDocument doc;
+  doc.label = std::move(label);
+  doc.duration_s = duration_s;
+  doc.counts.reserve(nonzero());
   for (std::size_t i = 0; i < counts.size(); ++i) {
     if (counts[i] != 0) {
-      raw.emplace_back(static_cast<vsm::CountDocument::TermId>(i), counts[i]);
+      doc.counts.emplace_back(static_cast<vsm::CountDocument::TermId>(i),
+                              counts[i]);
     }
   }
-  return vsm::CountDocument::from_counts(std::move(raw), std::move(label),
-                                         duration_s);
+  return doc;
 }
 
 std::string CounterSnapshot::serialize() const {
+  // Each line is formatted into one stack buffer and appended whole: no
+  // temporary string per number.
   std::string out;
   out.reserve(counts.size() * 8);
-  out += std::to_string(counts.size());
-  out += '\n';
+  // Two 20-digit numbers, the space between them and the newline.
+  char line[2 * (std::numeric_limits<std::uint64_t>::digits10 + 1) + 2];
+  char* const digits_end = std::end(line) - 1;  // the newline's byte stays
+  const auto put = [&out, &line](char* at) {
+    *at++ = '\n';
+    out.append(line, static_cast<std::size_t>(at - line));
+  };
+  put(std::to_chars(line, digits_end, counts.size()).ptr);
   for (std::size_t i = 0; i < counts.size(); ++i) {
     if (counts[i] == 0) continue;  // sparse wire format
-    out += std::to_string(i);
-    out += ' ';
-    out += std::to_string(counts[i]);
-    out += '\n';
+    char* at = std::to_chars(line, digits_end, i).ptr;
+    *at++ = ' ';
+    put(std::to_chars(at, digits_end, counts[i]).ptr);
   }
   return out;
 }

@@ -127,15 +127,36 @@ SparseVector SparseVector::l2_normalized() const {
 }
 
 SparseVector SparseVector::plus(SparseView other) const {
-  std::vector<Entry> entries;
-  entries.reserve(nnz() + other.indices.size());
-  for (std::size_t i = 0; i < indices_.size(); ++i) {
-    entries.emplace_back(indices_[i], values_[i]);
+  // A merge join of the two ascending runs. An index both hold is the one
+  // two-term sum from_entries would have formed, so the bits agree with
+  // summing the concatenated entries; exact zeros drop as there.
+  SparseVector v;
+  v.indices_.reserve(nnz() + other.indices.size());
+  v.values_.reserve(nnz() + other.indices.size());
+  const auto put = [&v](Index index, double value) {
+    if (value != 0.0) {
+      v.indices_.push_back(index);
+      v.values_.push_back(value);
+    }
+  };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < indices_.size() && j < other.indices.size()) {
+    if (indices_[i] < other.indices[j]) {
+      put(indices_[i], values_[i]);
+      ++i;
+    } else if (other.indices[j] < indices_[i]) {
+      put(other.indices[j], other.values[j]);
+      ++j;
+    } else {
+      put(indices_[i], values_[i] + other.values[j]);
+      ++i;
+      ++j;
+    }
   }
-  for (std::size_t i = 0; i < other.indices.size(); ++i) {
-    entries.emplace_back(other.indices[i], other.values[i]);
-  }
-  return from_entries(std::move(entries));
+  for (; i < indices_.size(); ++i) put(indices_[i], values_[i]);
+  for (; j < other.indices.size(); ++j) put(other.indices[j], other.values[j]);
+  return v;
 }
 
 SparseVector SparseVector::minus(const SparseVector& other) const {

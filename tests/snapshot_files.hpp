@@ -5,14 +5,17 @@
 // 40-byte prefix (version at byte 8, section count at byte 20, term count
 // at byte 32), a directory of 24-byte entries { kind u32, shard u32,
 // bytes u64, checksum u64 }, the header checksum, then the payloads in
-// directory order.
+// directory order — back to back in versions 1 and 2, each non-empty one
+// on a 64-byte file offset behind zero padding from version 3 on.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "exec/sharded_index.hpp"
 #include "fmeter/database.hpp"
@@ -85,39 +88,90 @@ inline void reseal_snapshot_header(std::string& bytes) {
   std::memcpy(bytes.data() + header, &checksum, sizeof(checksum));
 }
 
-/// The version-1 file a version-2 snapshot's writer would have produced
-/// before version 2 existed: the same header and forward-store and labels
-/// sections, without the arena sections, its version set to 1 and its
-/// header checksum recomputed.
-inline std::string downgrade_snapshot_to_v1(const std::string& v2) {
-  const std::uint32_t sections = snapshot_section_count(v2);
-  std::string directory;
-  std::string payloads;
+inline std::uint32_t snapshot_version(const std::string& bytes) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  return version;
+}
+
+/// One directory entry of a snapshot file and where its payload lies.
+struct SnapshotSection {
+  std::uint32_t kind = 0;
+  std::uint32_t shard = 0;
+  std::size_t entry_at = 0;  ///< file offset of the directory entry
+  std::size_t begin = 0;     ///< file offset of the payload
+  std::size_t length = 0;    ///< payload bytes
+};
+
+/// Every section of the well-formed snapshot `bytes`, in directory order.
+inline std::vector<SnapshotSection> snapshot_sections(
+    const std::string& bytes) {
+  const std::uint32_t sections = snapshot_section_count(bytes);
+  const bool padded = snapshot_version(bytes) >= 3;
+  std::vector<SnapshotSection> out;
   std::size_t at = kSnapshotPrefixBytes + sections * kSnapshotEntryBytes +
                    sizeof(std::uint64_t);
-  std::uint32_t kept = 0;
   for (std::uint32_t i = 0; i < sections; ++i) {
-    const char* entry =
-        v2.data() + kSnapshotPrefixBytes + i * kSnapshotEntryBytes;
-    std::uint32_t kind = 0;
+    SnapshotSection section;
+    section.entry_at = kSnapshotPrefixBytes + i * kSnapshotEntryBytes;
     std::uint64_t length = 0;
-    std::memcpy(&kind, entry, sizeof(kind));
-    std::memcpy(&length, entry + 8, sizeof(length));
-    if (kind <= static_cast<std::uint32_t>(
-                    index::snapshot::SectionKind::kLabels)) {
-      directory.append(entry, kSnapshotEntryBytes);
-      payloads.append(v2, at, length);
-      ++kept;
+    std::memcpy(&section.kind, bytes.data() + section.entry_at, 4);
+    std::memcpy(&section.shard, bytes.data() + section.entry_at + 4, 4);
+    std::memcpy(&length, bytes.data() + section.entry_at + 8, 8);
+    section.length = static_cast<std::size_t>(length);
+    if (padded && section.length > 0) {
+      const std::size_t align = index::snapshot::kSectionAlign;
+      at = (at + align - 1) / align * align;
     }
-    at += length;
+    section.begin = at;
+    at += section.length;
+    out.push_back(section);
   }
-  std::string v1 = v2.substr(0, kSnapshotPrefixBytes) + directory +
-                   std::string(sizeof(std::uint64_t), '\0');
-  const std::uint32_t version = 1;
-  std::memcpy(v1.data() + 8, &version, sizeof(version));
-  std::memcpy(v1.data() + 20, &kept, sizeof(kept));
-  reseal_snapshot_header(v1);
-  return v1 + payloads;
+  return out;
+}
+
+/// The snapshot a writer of format `version` would have produced from the
+/// sections of `bytes` that `keep` accepts: the same header and payloads,
+/// the payloads laid out as `version` lays them out, its version and
+/// section count set and its header checksum recomputed.
+inline std::string rewrite_snapshot(
+    const std::string& bytes, std::uint32_t version,
+    const std::function<bool(std::uint32_t kind)>& keep) {
+  std::string directory;
+  std::vector<std::string> payloads;
+  for (const SnapshotSection& section : snapshot_sections(bytes)) {
+    if (!keep(section.kind)) continue;
+    directory.append(bytes, section.entry_at, kSnapshotEntryBytes);
+    payloads.push_back(bytes.substr(section.begin, section.length));
+  }
+  const auto kept = static_cast<std::uint32_t>(payloads.size());
+  std::string out = bytes.substr(0, kSnapshotPrefixBytes) + directory +
+                    std::string(sizeof(std::uint64_t), '\0');
+  std::memcpy(out.data() + 8, &version, sizeof(version));
+  std::memcpy(out.data() + 20, &kept, sizeof(kept));
+  reseal_snapshot_header(out);
+  for (const std::string& payload : payloads) {
+    if (version >= 3 && !payload.empty()) {
+      const std::size_t align = index::snapshot::kSectionAlign;
+      out.resize((out.size() + align - 1) / align * align, '\0');
+    }
+    out += payload;
+  }
+  return out;
+}
+
+/// The version-1 file of a newer snapshot: the forward-store and labels
+/// sections only, back to back.
+inline std::string downgrade_snapshot_to_v1(const std::string& bytes) {
+  return rewrite_snapshot(bytes, 1, [](std::uint32_t kind) {
+    return kind <= static_cast<std::uint32_t>(
+                       index::snapshot::SectionKind::kLabels);
+  });
+}
+
+/// The version-2 file of a version-3 snapshot: every section, back to back.
+inline std::string downgrade_snapshot_to_v2(const std::string& bytes) {
+  return rewrite_snapshot(bytes, 2, [](std::uint32_t) { return true; });
 }
 
 }  // namespace fmeter::testing

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -90,6 +91,57 @@ TEST(SignatureDatabase, SyndromesArePerLabelCentroids) {
   }
   // Centroid of "a" must point mostly along axis 0.
   EXPECT_GT(syndromes[0].centroid.at(0), 0.9);
+}
+
+TEST(SignatureDatabase, SyndromeCentroidsMatchAFoldPerLabelToTheBit) {
+  // The centroids come from one pass over the documents. They must equal,
+  // bit for bit, the fold the definition gives: per label in first-seen
+  // order, its documents in id order summed through from_entries over the
+  // concatenated entries, then scaled by 1/support.
+  util::Rng rng(0x5d7);
+  SignatureDatabase db(2);
+  std::vector<vsm::SparseVector> docs;
+  std::vector<std::string> labels;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<vsm::SparseVector::Entry> entries;
+    for (std::uint32_t t = 0; t < 40; ++t) {
+      if (rng.bernoulli(0.3)) entries.emplace_back(t, rng.uniform(-1.0, 1.0));
+    }
+    docs.push_back(vsm::SparseVector::from_entries(std::move(entries)));
+    labels.push_back("label-" + std::to_string(rng.below(7)));
+  }
+  db.add_batch(docs, labels);
+  const auto syndromes = db.syndromes();
+  const auto distinct = db.distinct_labels();
+  ASSERT_EQ(syndromes.size(), distinct.size());
+  for (std::size_t s = 0; s < distinct.size(); ++s) {
+    vsm::SparseVector sum;
+    std::size_t support = 0;
+    for (std::size_t id = 0; id < docs.size(); ++id) {
+      if (labels[id] != distinct[s]) continue;
+      std::vector<vsm::SparseVector::Entry> entries;
+      for (std::size_t k = 0; k < sum.nnz(); ++k) {
+        entries.emplace_back(sum.indices()[k], sum.values()[k]);
+      }
+      for (std::size_t k = 0; k < docs[id].nnz(); ++k) {
+        entries.emplace_back(docs[id].indices()[k], docs[id].values()[k]);
+      }
+      sum = vsm::SparseVector::from_entries(std::move(entries));
+      ++support;
+    }
+    const vsm::SparseVector want =
+        sum.scaled(1.0 / static_cast<double>(support));
+    EXPECT_EQ(syndromes[s].label, distinct[s]);
+    EXPECT_EQ(syndromes[s].support, support);
+    const vsm::SparseVector& got = syndromes[s].centroid;
+    ASSERT_EQ(got.nnz(), want.nnz()) << distinct[s];
+    for (std::size_t k = 0; k < want.nnz(); ++k) {
+      EXPECT_EQ(got.indices()[k], want.indices()[k]) << distinct[s];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.values()[k]),
+                std::bit_cast<std::uint64_t>(want.values()[k]))
+          << distinct[s] << " entry " << k;
+    }
+  }
 }
 
 TEST(SignatureDatabase, ClassifyBySyndrome) {
@@ -545,13 +597,13 @@ TEST(SignatureDatabase, RepeatedRestoresDoNotRatchetMemory) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "sanitizer allocators keep freed memory resident";
 #endif
-  // Every shard's term-id and weight streams pass 2 MiB, so the restore
-  // reads them into mappings of their own on pool threads, as at archive
-  // scale. Dropping the restored database must hand that memory back, or
+  // Every shard's term-id and weight streams pass 2 MiB, as at archive
+  // scale. Dropping the restored database must hand their memory back, or
   // each restart of the same archive in one process would hold one more
   // copy of it (malloc's per-thread arenas keep blocks freed from another
-  // thread resident). Both formats: a v2 archive adopts its arena streams
-  // as read, a v1 archive builds them on the pool.
+  // thread resident). Both formats: a v3 archive's streams are views into
+  // the file mapping, which must go with the database; a v1 archive
+  // builds them on the pool.
   constexpr std::size_t kShards = 4;
   constexpr int kDocs = 24000;
   const std::string path = ::testing::TempDir() + "fmeter_restore_ratchet.fms";

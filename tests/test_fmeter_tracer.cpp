@@ -75,6 +75,32 @@ TEST_F(FmeterTracerTest, SnapshotSumsAllCpus) {
   EXPECT_EQ(snap.counts[fn], kernel_.num_cpus());
 }
 
+TEST(FmeterTracer, SnapshotWalkingThePagesEqualsEveryFunctionsCount) {
+  // snapshot() sums each CPU's pages in order; count() looks every
+  // function's (page, slot) up. With hot functions redirected and a page
+  // size that leaves the last page part-full, both must agree everywhere.
+  simkern::Kernel kernel(small_config());
+  FmeterTracerConfig config;
+  config.slots_per_page = 7;
+  config.hot_functions = {3, 10, 3, 899};
+  FmeterTracer tracer(kernel.symbols(), kernel.num_cpus(), config);
+  kernel.install_tracer(&tracer);
+  util::Rng rng(0x5a9);
+  for (int i = 0; i < 20000; ++i) {
+    const auto cpu = static_cast<simkern::CpuId>(rng.below(kernel.num_cpus()));
+    const auto fn = static_cast<simkern::FunctionId>(
+        rng.bernoulli(0.3) ? config.hot_functions[rng.below(4)]
+                           : rng.below(kernel.symbols().size()));
+    kernel.invoke(kernel.cpu(cpu), fn);
+  }
+  const CounterSnapshot snap = tracer.snapshot();
+  ASSERT_EQ(snap.counts.size(), kernel.symbols().size());
+  for (simkern::FunctionId fn = 0; fn < snap.counts.size(); ++fn) {
+    EXPECT_EQ(snap.counts[fn], tracer.count(fn)) << "function " << fn;
+  }
+  EXPECT_GT(snap.counts[899], 0u);
+}
+
 TEST_F(FmeterTracerTest, SlotMappingCoversAllFunctionsUniquely) {
   std::map<std::pair<std::uint32_t, std::uint32_t>, int> seen;
   for (std::size_t fn = 0; fn < tracer_.num_functions(); ++fn) {

@@ -11,9 +11,12 @@
 // zero-length files, and arena sections that checksum but break an index
 // invariant) fails with a diagnostic SnapshotError that leaves the load
 // target untouched and usable (strong guarantee). Version-1 files (forward
-// store only), the committed one under tests/data among them, still load
-// through the build path. The parallel-load test runs under the TSan CI
-// job (per-shard build fan-out).
+// store only) still load through the build path and version-2 files (whose
+// sections may sit misaligned) through the adopt path; the committed ones
+// under tests/data are both. A restored index reads the file mapping, so
+// it keeps answering after the file is unlinked, and the mapping goes with
+// the last index that shares it. The parallel-load test runs under the
+// TSan CI job (per-shard build fan-out).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -21,6 +24,8 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,7 +49,7 @@ namespace {
 namespace snap = index::snapshot;
 
 constexpr std::size_t kShardCounts[] = {1, 2, 5};
-/// Sections a version-2 writer emits per shard.
+/// Sections a version-2 or 3 writer emits per shard.
 constexpr std::size_t kSectionsPerShard = 7;
 
 vsm::SparseVector random_sparse(util::Rng& rng, std::uint32_t dimension,
@@ -451,11 +456,14 @@ void expect_indexes_equal(const exec::ShardedIndex& got,
   }
 }
 
-TEST(IndexSnapshot, VersionTwoRoundTripEqualsABulkBuildAtEveryShardCount) {
-  // A v2 restore adopts the saved arena and builds nothing; what it adopts
-  // and what it derives must equal a bulk build, for shard counts that
-  // split 200 documents evenly and unevenly, and for 8 shards over 5
-  // documents, where three shards are empty.
+TEST(IndexSnapshot, EveryVersionRoundTripsToABulkBuildAtEveryShardCount) {
+  // A v3 restore adopts the saved arena where the mapping holds it and
+  // builds nothing; what it adopts and what it derives must equal a bulk
+  // build, for shard counts that split 200 documents evenly and unevenly,
+  // and for 8 shards over 5 documents, where three shards are empty. The
+  // same file rewritten as v2 (sections back to back, some misaligned and
+  // copied) and as v1 (forward store only, the arena built) restores to
+  // the same index, and a save of any of them writes the v3 file again.
   const TestCorpus corpus = make_corpus(0x5a1, 200);
   const TestCorpus tiny = make_corpus(0x71, 5);
   const std::pair<const TestCorpus*, std::size_t> cases[] = {
@@ -463,58 +471,155 @@ TEST(IndexSnapshot, VersionTwoRoundTripEqualsABulkBuildAtEveryShardCount) {
       {&corpus, 4}, {&corpus, 8}, {&tiny, 8}};
   for (const auto& [source, shards] : cases) {
     const SignatureDatabase bulk = build_bulk(*source, shards);
-    const std::string bytes = saved_bytes(bulk);
-    const std::string context = std::to_string(source->signatures.size()) +
-                                " docs, " + std::to_string(shards) + " shards";
-    snap::Reader reader = read_bytes(bytes);
-    EXPECT_EQ(reader.version(), snap::kFormatVersion) << context;
-    expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
-                         context);
+    const std::string v3 = saved_bytes(bulk);
+    const std::pair<std::uint32_t, std::string> files[] = {
+        {3, v3},
+        {2, fmeter::testing::downgrade_snapshot_to_v2(v3)},
+        {1, fmeter::testing::downgrade_snapshot_to_v1(v3)}};
+    for (const auto& [version, bytes] : files) {
+      const std::string context =
+          std::to_string(source->signatures.size()) + " docs, " +
+          std::to_string(shards) + " shards, v" + std::to_string(version);
+      snap::Reader reader = read_bytes(bytes);
+      EXPECT_EQ(reader.version(), version) << context;
+      expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
+                           context);
 
-    const SignatureDatabase loaded = load_bytes(bytes);
-    expect_indexes_equal(*loaded.index(), *bulk.index(), context + " (db)");
-    expect_databases_equivalent(loaded, bulk, 0x2a + shards, context);
-    EXPECT_EQ(saved_bytes(loaded), bytes) << context;
+      const SignatureDatabase loaded = load_bytes(bytes);
+      expect_indexes_equal(*loaded.index(), *bulk.index(), context + " (db)");
+      expect_databases_equivalent(loaded, bulk, 0x2a + shards, context);
+      EXPECT_EQ(saved_bytes(loaded), v3) << context;
+    }
   }
 }
 
-TEST(IndexSnapshot, VersionOneFileLoadsThroughTheBuildPath) {
-  // tests/data/snapshot_v1_200docs_2shards.fms was written by the version-1
-  // writer from make_corpus(0x5a1, 200) on 2 shards. It loads by building
-  // the arena over its forward store, into the index a bulk build makes;
-  // a save of it writes the version-2 file of that build. The v2 file
-  // without its arena sections is that v1 file byte for byte, which is
-  // what lets the other tests make v1 files by dropping them.
-  const std::string v1 = io::Env::posix().read_file(
-      std::string(FMETER_TEST_DATA_DIR) + "/snapshot_v1_200docs_2shards.fms");
+TEST(IndexSnapshot, CommittedLegacyFilesLoadAsTheBulkBuild) {
+  // tests/data holds the files the version-1 and version-2 writers made of
+  // make_corpus(0x5a1, 200) on 2 shards. Each is the current file of that
+  // build rewritten in its version, byte for byte — which is what lets the
+  // other tests make legacy files by rewriting current ones — verifies
+  // clean, and restores into the index a bulk build makes. Some sections
+  // of the v2 file start 4 bytes off an 8-byte boundary (behind a u32
+  // section of odd length), so its restore copies them.
   const SignatureDatabase bulk = build_bulk(make_corpus(0x5a1, 200), 2);
-  const std::string v2 = saved_bytes(bulk);
-  EXPECT_EQ(fmeter::testing::downgrade_snapshot_to_v1(v2), v1);
+  const std::string v3 = saved_bytes(bulk);
+  io::Env& posix = io::Env::posix();
+  const std::pair<std::uint32_t, std::string> files[] = {
+      {1, fmeter::testing::downgrade_snapshot_to_v1(v3)},
+      {2, fmeter::testing::downgrade_snapshot_to_v2(v3)}};
+  for (const auto& [version, rewritten] : files) {
+    const std::string name =
+        "snapshot_v" + std::to_string(version) + "_200docs_2shards.fms";
+    const std::string path = std::string(FMETER_TEST_DATA_DIR) + "/" + name;
+    const std::string committed = posix.read_file(path);
+    EXPECT_EQ(committed, rewritten) << name;
 
-  snap::Reader reader = read_bytes(v1);
-  EXPECT_EQ(reader.version(), 1u);
-  EXPECT_FALSE(reader.has_section(snap::SectionKind::kArenaIds, 0));
-  expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
-                       "committed v1");
-  const SignatureDatabase loaded = load_bytes(v1);
-  expect_indexes_equal(*loaded.index(), *bulk.index(), "committed v1 db");
-  expect_databases_equivalent(loaded, bulk, 0x5a2, "committed v1");
-  EXPECT_EQ(saved_bytes(loaded), v2);
+    const snap::VerifyResult result = snap::verify(posix, path);
+    EXPECT_TRUE(result.ok) << name << ": " << result.error;
+    EXPECT_EQ(result.version, version) << name;
+    EXPECT_EQ(result.doc_count, 200u) << name;
+    EXPECT_EQ(result.sections.size(),
+              2 * (version == 1 ? 3 : kSectionsPerShard) + 1)
+        << name;
+    EXPECT_EQ(result.total_bytes, committed.size()) << name;
+
+    snap::Reader reader(posix, path);
+    EXPECT_EQ(reader.version(), version) << name;
+    EXPECT_EQ(reader.has_section(snap::SectionKind::kArenaIds, 0),
+              version == 2)
+        << name;
+    expect_indexes_equal(exec::ShardedIndex::load(reader), *bulk.index(),
+                         name);
+    SignatureDatabase loaded;
+    loaded.load(posix, path);
+    expect_indexes_equal(*loaded.index(), *bulk.index(), name + " db");
+    expect_databases_equivalent(loaded, bulk, 0x5a2, name);
+    EXPECT_EQ(saved_bytes(loaded), v3) << name;
+  }
+  std::size_t misaligned = 0;
+  for (const auto& section : fmeter::testing::snapshot_sections(
+           fmeter::testing::downgrade_snapshot_to_v2(v3))) {
+    const auto kind = static_cast<snap::SectionKind>(section.kind);
+    const bool eight_byte = kind == snap::SectionKind::kForwardOffsets ||
+                            kind == snap::SectionKind::kWeights ||
+                            kind == snap::SectionKind::kArenaOffsets ||
+                            kind == snap::SectionKind::kArenaWeights;
+    misaligned += eight_byte && section.begin % 8 != 0;
+  }
+  EXPECT_GT(misaligned, 0u);
 
   // Every shard count, through the pooled Env path as well.
   const TestCorpus corpus = make_corpus(0x1f1, 6000);
   exec::TaskPool pool(3);
   for (const std::size_t shards : {1, 2, 3, 4, 8}) {
     const SignatureDatabase source = build_bulk(corpus, shards);
-    io::InMemoryEnv env;
-    const std::string path = put_snapshot(
-        env, fmeter::testing::downgrade_snapshot_to_v1(saved_bytes(source)));
-    snap::Reader pooled = exec::ShardedIndex::read_snapshot(env, path, &pool);
-    EXPECT_EQ(pooled.version(), 1u);
-    expect_indexes_equal(exec::ShardedIndex::load(pooled, &pool),
-                         *source.index(),
-                         "v1, " + std::to_string(shards) + " shards");
+    const std::string current = saved_bytes(source);
+    for (const std::string& legacy :
+         {fmeter::testing::downgrade_snapshot_to_v1(current),
+          fmeter::testing::downgrade_snapshot_to_v2(current)}) {
+      io::InMemoryEnv env;
+      const std::string path = put_snapshot(env, legacy);
+      snap::Reader pooled = exec::ShardedIndex::read_snapshot(env, path, &pool);
+      const std::string context = "v" + std::to_string(pooled.version()) +
+                                  ", " + std::to_string(shards) + " shards";
+      expect_indexes_equal(exec::ShardedIndex::load(pooled, &pool),
+                           *source.index(), context);
+    }
   }
+}
+
+TEST(IndexSnapshot, LoadedIndexAnswersAfterItsFileIsUnlinked) {
+  // A restore maps the file and the index reads its arrays through the
+  // mapping. Unlinking the file — what LiveDatabase does to a superseded
+  // snapshot — leaves the loaded index answering exactly as before.
+  const SignatureDatabase source = build_bulk(make_corpus(0x0f1e, 6000), 4);
+  io::Env& posix = io::Env::posix();
+  const std::string path = ::testing::TempDir() + "fmeter_unlinked.fms";
+  source.save(posix, path);
+  SignatureDatabase loaded;
+  loaded.load(posix, path);
+  posix.remove_file(path);
+  ASSERT_FALSE(posix.file_exists(path));
+  expect_indexes_equal(*loaded.index(), *source.index(), "after unlink");
+  expect_databases_equivalent(loaded, source, 0x0f1f, "after unlink");
+}
+
+/// An InMemoryEnv that remembers the last view map_file handed out.
+class MapRecordingEnv : public io::InMemoryEnv {
+ public:
+  std::shared_ptr<const io::MappedFile> map_file(
+      const std::string& path) const override {
+    std::shared_ptr<const io::MappedFile> mapped = InMemoryEnv::map_file(path);
+    last_ = mapped;
+    return mapped;
+  }
+  bool mapping_alive() const { return !last_.expired(); }
+
+ private:
+  mutable std::weak_ptr<const io::MappedFile> last_;
+};
+
+TEST(IndexSnapshot, MappingIsReleasedWithTheLastIndexThatSharesIt) {
+  // The Reader, the restored index, its copies and its shards all share
+  // one mapping; it lives exactly as long as the last of them.
+  const SignatureDatabase source = build_bulk(make_corpus(0x3a9, 300), 2);
+  MapRecordingEnv env;
+  const std::string path = put_snapshot(env, saved_bytes(source));
+  std::optional<exec::ShardedIndex> loaded;
+  {
+    snap::Reader reader(env, path);
+    loaded.emplace(exec::ShardedIndex::load(reader));
+  }
+  EXPECT_TRUE(env.mapping_alive()) << "the index holds it, not the reader";
+  std::optional<exec::ShardedIndex> copy = loaded;
+  std::optional<index::InvertedIndex> shard = loaded->shard(1);
+  loaded.reset();
+  EXPECT_TRUE(env.mapping_alive());
+  copy.reset();
+  EXPECT_TRUE(env.mapping_alive());
+  EXPECT_TRUE(*shard == source.index()->shard(1));
+  shard.reset();
+  EXPECT_FALSE(env.mapping_alive());
 }
 
 // ---------------------------------------------------------------------------
@@ -541,15 +646,10 @@ class SnapshotCorruption : public ::testing::Test {
     before_ = target_.search(probe_, 5, SimilarityMetric::kCosine);
   }
 
-  /// Read chunk limits every load runs under besides the unlimited one:
-  /// pathological 7-byte reads, and chunks just over 1 MiB.
-  static constexpr std::size_t kChunkLimits[] = {7, (std::size_t{1} << 20) + 1};
-
   /// Asserts that loading `bytes` fails with a SnapshotError whose message
-  /// is a real diagnostic — the same message from an in-memory file read
-  /// whole, under every read chunk limit and from a file on disk read by
-  /// pread — and that the target database is untouched and still fully
-  /// usable afterwards. Returns the message.
+  /// is a real diagnostic — the same message from an in-memory file and
+  /// from a file on disk mapped by PosixEnv — and that the target database
+  /// is untouched and still fully usable afterwards. Returns the message.
   std::string expect_clean_failure(const std::string& bytes,
                                    const std::string& context) {
     io::InMemoryEnv env;
@@ -569,15 +669,8 @@ class SnapshotCorruption : public ::testing::Test {
       }
       return std::string();
     };
-    const std::string error = load_error(env, path, "unlimited reads");
+    const std::string error = load_error(env, path, "in memory");
     EXPECT_GT(error.size(), 10u) << context << ": diagnostic too short";
-    for (const std::size_t limit : kChunkLimits) {
-      env.set_read_chunk_limit(limit);
-      EXPECT_EQ(load_error(env, path,
-                           "chunk limit " + std::to_string(limit)),
-                error)
-          << context << " (chunk limit " << limit << ")";
-    }
     io::Env& posix = io::Env::posix();
     const std::string posix_path = ::testing::TempDir() + "fmeter_corrupt.fms";
     posix.new_writable_file(posix_path)->append(bytes);
@@ -623,42 +716,13 @@ class SnapshotCorruption : public ::testing::Test {
     return result;
   }
 
-  /// Header layout constants mirrored from snapshot.hpp's documentation.
+  /// Header layout constant mirrored from snapshot.hpp's documentation.
   static constexpr std::size_t kPrefixBytes = 40;
-  static constexpr std::size_t kDirEntryBytes = 24;
 
-  std::uint32_t section_count() const {
-    std::uint32_t sections = 0;
-    std::memcpy(&sections, bytes_.data() + 20, sizeof(sections));
-    return sections;
-  }
-
-  /// Payload byte range of directory entry `i`, computed from the file
+  /// Payload byte ranges of the directory entries, computed from the file
   /// itself (kind/shard are returned for targeting specific sections).
-  struct SectionSpan {
-    std::uint32_t kind;
-    std::uint32_t shard;
-    std::size_t begin;
-    std::size_t length;
-  };
-  std::vector<SectionSpan> section_spans() const {
-    const std::uint32_t sections = section_count();
-    std::vector<SectionSpan> spans;
-    std::size_t payload_at =
-        kPrefixBytes + sections * kDirEntryBytes + sizeof(std::uint64_t);
-    for (std::uint32_t i = 0; i < sections; ++i) {
-      const std::size_t entry = kPrefixBytes + i * kDirEntryBytes;
-      SectionSpan span{};
-      std::memcpy(&span.kind, bytes_.data() + entry, 4);
-      std::memcpy(&span.shard, bytes_.data() + entry + 4, 4);
-      std::uint64_t length = 0;
-      std::memcpy(&length, bytes_.data() + entry + 8, 8);
-      span.begin = payload_at;
-      span.length = static_cast<std::size_t>(length);
-      payload_at += span.length;
-      spans.push_back(span);
-    }
-    return spans;
+  std::vector<fmeter::testing::SnapshotSection> section_spans() const {
+    return fmeter::testing::snapshot_sections(bytes_);
   }
 
   TestCorpus corpus_;
@@ -767,6 +831,43 @@ TEST_F(SnapshotCorruption, FlippedByteInEverySection) {
   EXPECT_TRUE(saw_labels);
 }
 
+TEST_F(SnapshotCorruption, FlippedPaddingByteFailsLoadAndVerifyAlike) {
+  // Version 3 fills the gap before each section with zero bytes. A flip at
+  // either end of every gap fails the load and verify with one message,
+  // naming the section behind the gap, while every section still
+  // checksums.
+  const auto spans = section_spans();
+  std::size_t at = kPrefixBytes +
+                   spans.size() * fmeter::testing::kSnapshotEntryBytes +
+                   sizeof(std::uint64_t);
+  std::size_t gaps = 0;
+  for (const auto& span : spans) {
+    if (span.begin > at) {
+      ++gaps;
+      const std::string name =
+          std::string(snap::section_kind_name(
+              static_cast<snap::SectionKind>(span.kind))) +
+          "/" + std::to_string(span.shard);
+      for (const std::size_t pad : {at, span.begin - 1}) {
+        std::string corrupt = bytes_;
+        corrupt[pad] = static_cast<char>(corrupt[pad] ^ 0x40);
+        const std::string context = "flip at byte " + std::to_string(pad) +
+                                    " of the padding before " + name;
+        const snap::VerifyResult result = expect_damage_found(corrupt, context);
+        EXPECT_EQ(result.error,
+                  "snapshot: nonzero padding before section " + name)
+            << context;
+        ASSERT_EQ(result.sections.size(), spans.size()) << context;
+        for (const auto& section : result.sections) {
+          EXPECT_TRUE(section.checksum_ok) << context;
+        }
+      }
+    }
+    at = span.begin + span.length;
+  }
+  EXPECT_GE(gaps, 2 * kSectionsPerShard);
+}
+
 TEST_F(SnapshotCorruption, ImplausibleHeaderCountsRejectedBeforeAllocation) {
   // Bit-rotted shard/section counts sit *before* any checksum can vouch
   // for them, so the reader must bound them sanity-first — a corrupt count
@@ -821,15 +922,6 @@ TEST_F(SnapshotCorruption, SuccessfulLoadReplacesTargetEntirely) {
   const std::string path = put_snapshot(env, bytes_);
   target_.load(env, path);
   expect_databases_equivalent(target_, source_, 0xfeed, "post-load");
-
-  // Loads under short reads restore the same database.
-  for (const std::size_t limit : kChunkLimits) {
-    env.set_read_chunk_limit(limit);
-    SignatureDatabase loaded(3);
-    loaded.load(env, path);
-    expect_databases_equivalent(loaded, source_, 0xfeed,
-                                "chunk limit " + std::to_string(limit));
-  }
 }
 
 /// Rewrites directory entry `entry`'s byte length and re-seals the header
@@ -874,9 +966,9 @@ TEST_F(SnapshotCorruption, ForgedSectionLengthsFailBeforeAllocating) {
 
 TEST_F(SnapshotCorruption, ParallelRestoreOfAShardedArchiveRejectsDamage) {
   // A 4-shard archive large enough that both restore phases fan out onto
-  // the pool. Each damaged copy fails the same way under every read chunk
-  // limit and through the posix path, verify gives the same diagnosis,
-  // and the target is left untouched.
+  // the pool. Each damaged copy fails the same way in memory and through
+  // the posix path, verify gives the same diagnosis, and the target is
+  // left untouched.
   source_ = build_bulk(make_corpus(0x4ad, 6000), 4);
   bytes_ = saved_bytes(source_);
   const auto spans = section_spans();
@@ -895,7 +987,7 @@ TEST_F(SnapshotCorruption, ParallelRestoreOfAShardedArchiveRejectsDamage) {
   ASSERT_GT(spans[last_weights].length, 0u);
   ASSERT_GT(spans[labels].length, 0u);
 
-  const auto flipped = [this](const SectionSpan& span) {
+  const auto flipped = [this](const fmeter::testing::SnapshotSection& span) {
     std::string corrupt = bytes_;
     const std::size_t at = span.begin + span.length / 2;
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0x10);
@@ -925,32 +1017,20 @@ template <typename T>
 std::string forge_section(std::string bytes, snap::SectionKind kind,
                           std::uint32_t shard,
                           const std::function<void(std::vector<T>&)>& mutate) {
-  const std::uint32_t sections = fmeter::testing::snapshot_section_count(bytes);
-  std::size_t at = fmeter::testing::kSnapshotPrefixBytes +
-                   sections * fmeter::testing::kSnapshotEntryBytes +
-                   sizeof(std::uint64_t);
-  for (std::uint32_t i = 0; i < sections; ++i) {
-    char* entry = bytes.data() + fmeter::testing::kSnapshotPrefixBytes +
-                  i * fmeter::testing::kSnapshotEntryBytes;
-    std::uint32_t entry_kind = 0;
-    std::uint32_t entry_shard = 0;
-    std::uint64_t length = 0;
-    std::memcpy(&entry_kind, entry, 4);
-    std::memcpy(&entry_shard, entry + 4, 4);
-    std::memcpy(&length, entry + 8, 8);
-    if (entry_kind == static_cast<std::uint32_t>(kind) &&
-        entry_shard == shard) {
-      std::vector<T> values(length / sizeof(T));
-      std::memcpy(values.data(), bytes.data() + at, length);
+  for (const auto& section : fmeter::testing::snapshot_sections(bytes)) {
+    if (section.kind == static_cast<std::uint32_t>(kind) &&
+        section.shard == shard) {
+      std::vector<T> values(section.length / sizeof(T));
+      std::memcpy(values.data(), bytes.data() + section.begin, section.length);
       mutate(values);
-      std::memcpy(bytes.data() + at, values.data(), length);
-      const std::uint64_t checksum = snap::fnv1a(
-          std::as_bytes(std::span<const char>(bytes.data() + at, length)));
-      std::memcpy(entry + 16, &checksum, sizeof(checksum));
+      std::memcpy(bytes.data() + section.begin, values.data(), section.length);
+      const std::uint64_t checksum = snap::fnv1a(std::as_bytes(
+          std::span<const char>(bytes.data() + section.begin, section.length)));
+      std::memcpy(bytes.data() + section.entry_at + 16, &checksum,
+                  sizeof(checksum));
       fmeter::testing::reseal_snapshot_header(bytes);
       return bytes;
     }
-    at += length;
   }
   ADD_FAILURE() << "no section " << static_cast<int>(kind) << "/" << shard;
   return bytes;
@@ -1069,17 +1149,12 @@ TEST_F(SnapshotCorruption, VerifyAcceptsCleanArchivesAndReportsLayout) {
         << "kind " << static_cast<int>(section.kind) << " shard "
         << section.shard;
   }
-
-  // The committed version-1 file verifies as version 1: two shards of
-  // three forward-store sections, and the labels.
-  const std::string v1_path =
-      std::string(FMETER_TEST_DATA_DIR) + "/snapshot_v1_200docs_2shards.fms";
-  const snap::VerifyResult v1 = snap::verify(io::Env::posix(), v1_path);
-  EXPECT_TRUE(v1.ok) << v1.error;
-  EXPECT_EQ(v1.version, 1u);
-  EXPECT_EQ(v1.doc_count, 200u);
-  EXPECT_EQ(v1.sections.size(), 2 * 3 + 1u);
-  EXPECT_EQ(v1.total_bytes, io::Env::posix().file_size(v1_path));
+  // Every non-empty payload starts on a 64-byte file offset.
+  for (const auto& span : section_spans()) {
+    if (span.length > 0) {
+      EXPECT_EQ(span.begin % snap::kSectionAlign, 0u);
+    }
+  }
 }
 
 TEST(IndexSnapshot, EnvSaveIsAtomicAtEveryFaultPoint) {

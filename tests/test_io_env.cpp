@@ -1,12 +1,14 @@
 // Env layer battery (io/env.hpp): PosixEnv against a real temp directory,
 // InMemoryEnv's crash model (volatile vs durable bytes and namespace),
 // FaultInjectingEnv's deterministic fault points and torn writes, and the
-// AtomicFileWriter commit protocol that snapshot and manifest writes ride.
+// AtomicFileWriter commit protocol that snapshot and manifest writes ride,
+// and the read-only whole-file views (map_file) snapshot restores read.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,6 +95,33 @@ TEST_F(PosixEnvTest, ErrorsCarryErrnoText) {
   EXPECT_THROW(env.file_size(dir_ + "/absent"), IoError);
   EXPECT_THROW(env.remove_file(dir_ + "/absent"), IoError);
   EXPECT_THROW(env.truncate_file(dir_ + "/absent", 0), IoError);
+}
+
+std::string text_of(const MappedFile& file) {
+  return {reinterpret_cast<const char*>(file.bytes().data()),
+          file.bytes().size()};
+}
+
+TEST_F(PosixEnvTest, MapFileViewsTheWholeFileAndOutlivesItsName) {
+  Env& env = Env::posix();
+  const std::string path = dir_ + "/mapped.bin";
+  env.new_writable_file(path)->append(std::string_view("mapped bytes"));
+  const std::shared_ptr<const MappedFile> mapped = env.map_file(path);
+  EXPECT_EQ(text_of(*mapped), "mapped bytes");
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mapped->bytes().data()) % 64, 0u);
+  // The view holds the inode: unlinking the name leaves it readable.
+  env.remove_file(path);
+  EXPECT_EQ(text_of(*mapped), "mapped bytes");
+
+  env.new_writable_file(path);
+  EXPECT_TRUE(env.map_file(path)->bytes().empty());
+  try {
+    env.map_file(dir_ + "/absent");
+    FAIL() << "map of a missing file succeeded";
+  } catch (const IoError& error) {
+    EXPECT_EQ(error.error_code(), ENOENT);
+    EXPECT_NE(std::string(error.what()).find("absent"), std::string::npos);
+  }
 }
 
 TEST_F(PosixEnvTest, RenameListTruncate) {
@@ -232,6 +261,32 @@ TEST(InMemoryEnv, ShortReadsNeverTruncateReadFile) {
   EXPECT_EQ(file->read(0, into), 7u);
   env.set_read_chunk_limit(0);
   EXPECT_EQ(file->read(0, into), 64u);
+}
+
+TEST(InMemoryEnv, MapFileIsAnImmutableAlignedCopy) {
+  InMemoryEnv env;
+  env.create_dir("d");
+  auto file = env.new_writable_file("d/f");
+  file->append(std::string_view("first"));
+  const std::shared_ptr<const MappedFile> mapped = env.map_file("d/f");
+  file->append(std::string_view(" second"));
+  env.remove_file("d/f");
+  EXPECT_EQ(text_of(*mapped), "first");
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mapped->bytes().data()) % 64, 0u);
+  // A missing file fails the way a read of it does.
+  std::string read_error;
+  try {
+    env.read_file("d/f");
+  } catch (const IoError& error) {
+    read_error = error.what();
+  }
+  try {
+    env.map_file("d/f");
+    FAIL() << "map of a missing file succeeded";
+  } catch (const IoError& error) {
+    EXPECT_EQ(error.error_code(), ENOENT);
+    EXPECT_EQ(error.what(), read_error);
+  }
 }
 
 TEST(InMemoryEnv, TruncateIsJournaledMetadata) {

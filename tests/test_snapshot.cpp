@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace fmeter::trace {
 namespace {
 
@@ -72,6 +80,52 @@ TEST(CounterSnapshot, RoundTripLargeValues) {
   const auto original = snap({0, 0xffffffffffffffffULL});
   const auto parsed = CounterSnapshot::deserialize(original.serialize());
   EXPECT_EQ(parsed.counts[1], 0xffffffffffffffffULL);
+}
+
+/// The wire format as it was first written: two std::to_string
+/// temporaries per line.
+std::string serialize_with_to_string(const CounterSnapshot& snapshot) {
+  std::string out = std::to_string(snapshot.counts.size()) + '\n';
+  for (std::size_t i = 0; i < snapshot.counts.size(); ++i) {
+    if (snapshot.counts[i] == 0) continue;
+    out += std::to_string(i) + ' ' + std::to_string(snapshot.counts[i]) + '\n';
+  }
+  return out;
+}
+
+TEST(CounterSnapshot, WireTextAndDocumentMatchTheirDefinitionsOnRandom) {
+  // serialize() formats into one buffer, to_document() fills in id order
+  // without a sort; the text must stay byte-identical to the to_string
+  // formatter's, the document equal to from_counts', and the text must
+  // parse back to the counts.
+  util::Rng rng(0x5e71);
+  for (int round = 0; round < 200; ++round) {
+    CounterSnapshot original;
+    original.counts.resize(rng.below(5000));
+    for (auto& count : original.counts) {
+      const double draw = rng.uniform(0.0, 1.0);
+      count = draw < 0.5   ? 0
+              : draw < 0.9 ? rng.below(100000)
+              : draw < 0.99
+                  ? rng()
+                  : std::numeric_limits<std::uint64_t>::max();
+    }
+    const std::string text = original.serialize();
+    ASSERT_EQ(text, serialize_with_to_string(original)) << "round " << round;
+    EXPECT_EQ(CounterSnapshot::deserialize(text).counts, original.counts)
+        << "round " << round;
+
+    std::vector<std::pair<vsm::CountDocument::TermId,
+                          vsm::CountDocument::Count>>
+        raw;
+    for (std::size_t i = 0; i < original.counts.size(); ++i) {
+      raw.emplace_back(static_cast<vsm::CountDocument::TermId>(i),
+                       original.counts[i]);
+    }
+    EXPECT_EQ(original.to_document("l", 1.5),
+              vsm::CountDocument::from_counts(std::move(raw), "l", 1.5))
+        << "round " << round;
+  }
 }
 
 }  // namespace

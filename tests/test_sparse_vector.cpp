@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -160,6 +164,42 @@ TEST(SparseVector, CosineOpposite) {
 TEST(SparseVector, CosineWithZeroVectorIsZero) {
   const auto a = make({{0, 1.0}});
   EXPECT_EQ(cosine_similarity(a, SparseVector()), 0.0);
+}
+
+TEST(SparseVector, PlusEqualsSummingTheConcatenatedEntries) {
+  // plus is a merge join; summing the concatenation through from_entries
+  // is its definition. Random runs over a small index range collide
+  // often, and exact cancellations must drop like from_entries drops
+  // them, so the two agree to the bit.
+  util::Rng rng(0x9105);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<SparseVector::Entry> a_entries;
+    std::vector<SparseVector::Entry> b_entries;
+    for (SparseVector::Index i = 0; i < 24; ++i) {
+      if (rng.bernoulli(0.5)) a_entries.emplace_back(i, rng.uniform(-2.0, 2.0));
+      if (rng.bernoulli(0.5)) {
+        // Every fifth shared index cancels exactly.
+        const bool shared = !a_entries.empty() && a_entries.back().first == i;
+        const double value = shared && rng.bernoulli(0.2)
+                                 ? -a_entries.back().second
+                                 : rng.uniform(-2.0, 2.0);
+        b_entries.emplace_back(i, value);
+      }
+    }
+    const SparseVector a = make(a_entries);
+    const SparseVector b = make(b_entries);
+    std::vector<SparseVector::Entry> all = a_entries;
+    all.insert(all.end(), b_entries.begin(), b_entries.end());
+    const SparseVector want = make(std::move(all));
+    const SparseVector got = a.plus(b);
+    ASSERT_TRUE(std::ranges::equal(got.indices(), want.indices()))
+        << "round " << round;
+    for (std::size_t k = 0; k < want.nnz(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.values()[k]),
+                std::bit_cast<std::uint64_t>(want.values()[k]))
+          << "round " << round << " entry " << k;
+    }
+  }
 }
 
 // --- property-style sweeps ---------------------------------------------------
