@@ -34,6 +34,9 @@
 // noise while keeping everything the archive actually contributes:
 // segment-count growth, fold interference, epoch-pin overhead.
 //
+// Every row carries the host's hardware thread count (`cores`) and the
+// exact path's scoring kernel (`simd`).
+//
 // Usage: bench_live_ingest_scaling [max_docs]   (e.g. 10000 as a CI smoke)
 #include <atomic>
 #include <bit>
@@ -49,6 +52,7 @@
 #include "bench_common.hpp"
 #include "exec/task_pool.hpp"
 #include "fmeter/live_database.hpp"
+#include "index/inverted_index.hpp"
 #include "io/env.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -167,10 +171,11 @@ int main(int argc, char** argv) {
   const auto tmp = std::filesystem::temp_directory_path();
   fmeter::io::Env& env = fmeter::io::Env::posix();
   const auto queries = synthetic_queries(64);
-  // Every row records the host's hardware threads: ingest and fold rates
-  // mean little without them.
+  // Every row records the host's hardware threads and scoring kernel:
+  // ingest, fold and query rates mean little without them.
   const double cores = static_cast<double>(std::thread::hardware_concurrency());
-  std::printf("hardware threads: %.0f\n\n", cores);
+  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
+  std::printf("hardware threads: %.0f, scoring kernel: %s\n\n", cores, simd);
 
   std::printf("%8s %-14s %10s %12s %9s %9s %9s\n", "docs", "mode", "seconds",
               "sigs_per_s", "p50us", "p99us", "p99/idle");
@@ -220,7 +225,8 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("sigs_per_sec", ingest_rate),
          fmeter::bench::jnum("refreezes",
                              static_cast<double>(ingest_refreezes)),
-         fmeter::bench::jnum("cores", cores)});
+         fmeter::bench::jnum("cores", cores),
+         fmeter::bench::jstr("simd", simd)});
 
     // -- Phase 2: idle query baseline on the finished archive --------------
     std::vector<double> idle_us;
@@ -243,7 +249,8 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("us_p50", idle.p50),
          fmeter::bench::jnum("us_p95", idle.p95),
          fmeter::bench::jnum("us_p99", idle.p99),
-         fmeter::bench::jnum("cores", cores)});
+         fmeter::bench::jnum("cores", cores),
+         fmeter::bench::jstr("simd", simd)});
     db.reset();
 
     // -- Phase 3: full-speed ingest while serving the paced query load ----
@@ -300,7 +307,8 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("us_p95", served.p95),
          fmeter::bench::jnum("us_p99", served.p99),
          fmeter::bench::jnum("p99_vs_idle", p99_vs_idle),
-         fmeter::bench::jnum("cores", cores)});
+         fmeter::bench::jnum("cores", cores),
+         fmeter::bench::jstr("simd", simd)});
 
     checks.push_back(
         {"every signature archived under concurrent load at " +
@@ -375,7 +383,8 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("segments", static_cast<double>(stats.segments)),
          fmeter::bench::jnum("us_p50", idle.p50),
          fmeter::bench::jnum("us_p99", idle.p99),
-         fmeter::bench::jnum("cores", cores)});
+         fmeter::bench::jnum("cores", cores),
+         fmeter::bench::jstr("simd", simd)});
     checks.push_back(
         {"one-doc batches keep segments <= log2(tail)+1 at " +
              std::to_string(stats.tail_docs),

@@ -1,6 +1,7 @@
 #include "exec/query_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -49,33 +50,27 @@ constexpr double kSpanOverheadDocs = 64.0;
 /// documents in the same order (bit-identical, even), so routing small
 /// shards to it changes nothing but the speed. Forced pruning stays
 /// available at the index layer (InvertedIndex::top_k_pruned directly).
-PruningMode resolve_mode(const ShardedIndex& index, std::size_t shard,
-                         std::size_t k, Metric metric, PruningMode mode) {
+PruningMode resolve_mode(const index::InvertedIndex& shard, std::size_t k,
+                         Metric metric, PruningMode mode) {
   if (mode == PruningMode::kExact) return mode;
-  return index::InvertedIndex::resolve_auto(index.shard(shard).size(), k,
-                                            metric);
+  return index::InvertedIndex::resolve_auto(shard.size(), k, metric);
 }
 
-/// Estimated scoring work for one query across every shard, each shard
-/// priced at the kernel resolve_mode() will actually run on it. The exact
-/// pass touches every document in the shard. The pruned pass bounds its
-/// probes by the threshold: its cost scales with k (bootstrap + candidate
-/// verification) plus a small fraction of the shard it still streams
-/// through.
-double estimated_query_docs(const ShardedIndex& index, std::size_t k,
+/// Estimated scoring work for one query on one shard, priced at the kernel
+/// resolve_mode() will actually run on it. The exact pass touches every
+/// document in the shard. The pruned pass bounds its probes by the
+/// threshold: its cost scales with k (bootstrap + candidate verification)
+/// plus a small fraction of the shard it still streams through. A query's
+/// estimate is the sum over every shard it runs on.
+double estimated_shard_docs(const index::InvertedIndex& shard, std::size_t k,
                             Metric metric, PruningMode mode) {
-  double docs = 0.0;
-  for (std::size_t s = 0; s < index.num_shards(); ++s) {
-    const auto shard_docs = static_cast<double>(index.shard(s).size());
-    docs += resolve_mode(index, s, k, metric, mode) == PruningMode::kExact
-                ? shard_docs
-                : std::min(shard_docs,
-                           32.0 * static_cast<double>(k) + shard_docs / 8.0);
-  }
-  return docs;
+  const auto docs = static_cast<double>(shard.size());
+  return resolve_mode(shard, k, metric, mode) == PruningMode::kExact
+             ? docs
+             : std::min(docs, 32.0 * static_cast<double>(k) + docs / 8.0);
 }
 
-/// Scores one query against one shard, mapping hits to global doc ids.
+/// Scores one query against one shard, mapping hits to the run's ids.
 /// `floor` points at the query's cross-shard score floor — a known lower
 /// bound on the query's global k-th best score (kNoSeed until some shard
 /// produced a full k). Concurrent participants touch it through
@@ -86,7 +81,9 @@ double estimated_query_docs(const ShardedIndex& index, std::size_t k,
 /// the heap (results unchanged — see InvertedIndex::top_k). Afterwards a
 /// full top-k raises the floor to its k-th score: the global k-th best can
 /// only rank at or above any shard's k-th best.
-std::vector<IndexHit> shard_hits(const ShardedIndex& index, std::size_t shard,
+std::vector<IndexHit> shard_hits(const index::InvertedIndex& shard,
+                                 ShardedIndex::DocId offset,
+                                 ShardedIndex::DocId stride,
                                  const vsm::SparseVector& query, std::size_t k,
                                  Metric metric, PruningMode mode,
                                  index::TopKScratch& scratch, double* floor,
@@ -94,17 +91,16 @@ std::vector<IndexHit> shard_hits(const ShardedIndex& index, std::size_t shard,
                                  const index::Deadline* deadline) {
   const obs::StageSpan probe_span(obs::Stage::kShardProbe);
   std::vector<IndexHit> hits;
-  mode = resolve_mode(index, shard, k, metric, mode);
+  mode = resolve_mode(shard, k, metric, mode);
   const double seed =
       floor != nullptr
           ? std::atomic_ref<double>(*floor).load(std::memory_order_relaxed)
           : index::InvertedIndex::kNoSeed;
   if (mode == PruningMode::kMaxScore) {
-    hits = index.shard(shard).top_k_pruned(query, k, metric, &scratch, seed,
-                                           stats, deadline);
+    hits = shard.top_k_pruned(query, k, metric, &scratch, seed, stats,
+                              deadline);
   } else {
-    hits = index.shard(shard).top_k(query, k, metric, &scratch, seed, stats,
-                                    deadline);
+    hits = shard.top_k(query, k, metric, &scratch, seed, stats, deadline);
   }
   // A full top-k's k-th score is a valid floor for every other shard
   // whichever path produced it — under kAuto, exact shards feed the
@@ -118,7 +114,7 @@ std::vector<IndexHit> shard_hits(const ShardedIndex& index, std::size_t shard,
                                       std::memory_order_relaxed)) {
     }
   }
-  for (auto& hit : hits) hit.doc = index.global_of(shard, hit.doc);
+  for (auto& hit : hits) hit.doc = offset + hit.doc * stride;
   return hits;
 }
 
@@ -290,7 +286,19 @@ void publish_batch(const QueryStats& stats, std::uint64_t batch_ns,
 }  // namespace
 
 QueryEngine::QueryEngine(const ShardedIndex& index, TaskPool* pool)
-    : index_(&index), pool_(pool) {}
+    : QueryEngine(std::array{IndexPart{&index, 0}}, pool) {}
+
+QueryEngine::QueryEngine(std::span<const IndexPart> parts, TaskPool* pool)
+    : pool_(pool) {
+  for (const IndexPart& part : parts) {
+    if (part.index->empty()) continue;
+    const auto n = static_cast<ShardedIndex::DocId>(part.index->num_shards());
+    const auto first = static_cast<ShardedIndex::DocId>(part.first_id);
+    for (ShardedIndex::DocId s = 0; s < n; ++s) {
+      shards_.push_back({&part.index->shard(s), first + s, n});
+    }
+  }
+}
 
 std::vector<QueryEngine::WorkerArena>& QueryEngine::arenas(
     TaskPool& pool) const {
@@ -323,16 +331,17 @@ double QueryEngine::estimated_query_cost(const ShardedIndex& index,
                                          const vsm::SparseVector& query,
                                          std::size_t k, Metric metric,
                                          PruningMode mode) {
-  const std::size_t shards = index.num_shards();
-  if (shards == 0 || index.size() == 0 || query.empty()) return 0.0;
+  if (index.empty() || query.empty()) return 0.0;
   // The grid term the dispatch decision already uses, plus this query's own
   // posting footprint — the part a shape-blind estimate misses, and exactly
   // what makes an adversarially dense query expensive.
-  double postings = 0.0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    postings += static_cast<double>(index.shard(s).num_postings_for(query));
+  double cost = 0.0;
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    const index::InvertedIndex& shard = index.shard(s);
+    cost += estimated_shard_docs(shard, k, metric, mode) +
+            static_cast<double>(shard.num_postings_for(query));
   }
-  return estimated_query_docs(index, k, metric, mode) + postings;
+  return cost;
 }
 
 std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
@@ -343,7 +352,7 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   if (options.outcomes != nullptr) {
     options.outcomes->assign(queries.size(), QueryOutcome::kOk);
   }
-  if (k == 0 || index_->empty()) return results;
+  if (k == 0 || shards_.empty()) return results;
 
   const auto batch_start = std::chrono::steady_clock::now();
   // Collected whether or not the caller asked: the registry is always on.
@@ -366,7 +375,7 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
     return results;
   }
 
-  const std::size_t shards = index_->num_shards();
+  const std::size_t shards = shards_.size();
   const std::size_t cells = n_eligible * shards;
 
   // One score floor per eligible query, shared across its shards (all
@@ -415,9 +424,10 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
       if (options.inject_cell_fault) {
         options.inject_cell_fault(arena.eligible[e], s);
       }
-      arena.partial[slot] =
-          shard_hits(*index_, s, *queries[arena.eligible[e]], k, metric, mode,
-                     scratch, &arena.floors[e], st, deadline);
+      const Shard& shard = shards_[s];
+      arena.partial[slot] = shard_hits(
+          *shard.index, shard.offset, shard.stride, *queries[arena.eligible[e]],
+          k, metric, mode, scratch, &arena.floors[e], st, deadline);
       arena.cell_state[slot] = kCellDone;
     } catch (const index::QueryInterrupted& interrupted) {
       arena.partial[slot].clear();
@@ -540,8 +550,11 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   // first so inline-only workloads never materialize the shared pool (a
   // pooled win needs total_work > overhead / (1 - 1/participants), i.e.
   // at least twice the dispatch overhead).
-  const double total_work = estimated_query_docs(*index_, k, metric, mode) *
-                            static_cast<double>(n_eligible);
+  double query_docs = 0.0;
+  for (const Shard& shard : shards_) {
+    query_docs += estimated_shard_docs(*shard.index, k, metric, mode);
+  }
+  const double total_work = query_docs * static_cast<double>(n_eligible);
   if (total_work <= 2.0 * kDispatchOverheadDocs) return run_inline();
   TaskPool& pool = this->pool();
   if (pool.size() <= 1 || pool.current_thread_is_worker()) {

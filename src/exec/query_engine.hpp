@@ -1,4 +1,8 @@
-// Shard-parallel, batch-aware query execution over a ShardedIndex.
+// Shard-parallel, batch-aware query execution over the shards of one or
+// more *parts*: ShardedIndexes side by side in one id space (IndexPart,
+// ids must not overlap). Every shard of every non-empty part is a column
+// of the grid below, so a part boundary is just a shard boundary to the
+// cost model, the floors and the merge. LiveDatabase's search runs so.
 //
 // The engine flattens a batch of queries into one (shard × query-span)
 // work grid and executes it by batch reservation on the TaskPool: every
@@ -130,9 +134,17 @@ struct RunOptions {
   /// spirit of io::FaultInjectingEnv: when set, called at the top of every
   /// (query, shard) cell with the *input* query index and the shard; any
   /// exception it throws is handled exactly like that shard throwing —
-  /// per-cell isolation, kShardFailed, flagged partial. Null in production.
+  /// per-cell isolation, kShardFailed, flagged partial. Shards count over
+  /// the non-empty parts in order (LiveDatabase: the base's, then one per
+  /// segment, oldest first). Null in production.
   std::function<void(std::size_t query, std::size_t shard)>
       inject_cell_fault{};
+};
+
+/// Part document global_of(s, l) is run document first_id + global_of(s, l).
+struct IndexPart {
+  const ShardedIndex* index = nullptr;
+  std::size_t first_id = 0;
 };
 
 class QueryEngine {
@@ -141,10 +153,12 @@ class QueryEngine {
   /// process-wide TaskPool::shared() is used — resolved lazily at the first
   /// dispatch that actually needs workers, so inline-only workloads (small
   /// indexes, single-shard scalar lookups) never spawn a thread. The engine
-  /// is a cheap view — it owns neither; both must outlive it.
+  /// is a view — it owns neither; both must outlive it.
   explicit QueryEngine(const ShardedIndex& index, TaskPool* pool = nullptr);
-
-  const ShardedIndex& index() const noexcept { return *index_; }
+  /// Binds the engine to several parts; empty ones contribute no shards.
+  /// The parts' indexes must outlive the engine, the span need not.
+  explicit QueryEngine(std::span<const IndexPart> parts,
+                       TaskPool* pool = nullptr);
   /// The bound pool; materializes TaskPool::shared() if none was given.
   TaskPool& pool() const { return pool_ ? *pool_ : TaskPool::shared(); }
 
@@ -225,7 +239,14 @@ class QueryEngine {
   /// to the bound pool).
   std::vector<WorkerArena>& arenas(TaskPool& pool) const;
 
-  const ShardedIndex* index_;
+  /// One grid column: a part's shard; its local id l is run id offset+l·stride.
+  struct Shard {
+    const index::InvertedIndex* index;
+    ShardedIndex::DocId offset;
+    ShardedIndex::DocId stride;
+  };
+
+  std::vector<Shard> shards_;  ///< every shard of every non-empty part
   TaskPool* pool_;
   mutable std::vector<WorkerArena> worker_arenas_;
   mutable std::once_flag arenas_once_;

@@ -20,11 +20,6 @@
 namespace fmeter::core {
 namespace {
 
-index::Metric to_index_metric(SimilarityMetric metric) noexcept {
-  return metric == SimilarityMetric::kCosine ? index::Metric::kCosine
-                                             : index::Metric::kEuclidean;
-}
-
 /// Database-level metric handles, resolved once. Search/classify latency is
 /// recorded here at call granularity; the engine beneath adds per-stage
 /// spans and per-batch counters of its own.
@@ -450,12 +445,8 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
   const std::shared_lock<std::shared_mutex> store(store_mutex_);
   for (std::size_t q = 0; q < batch.size(); ++q) {
     results[q].reserve(batch[q].size());
-    for (const auto& index_hit : batch[q]) {
-      SearchHit hit;
-      hit.id = index_hit.doc;
-      hit.label = labels_[index_hit.doc];
-      hit.score = index_hit.score;
-      results[q].push_back(std::move(hit));
+    for (const auto& hit : batch[q]) {
+      results[q].push_back({hit.doc, labels_[hit.doc], hit.score});
     }
   }
   return results;

@@ -55,6 +55,11 @@ namespace fmeter::core {
 
 enum class SimilarityMetric { kCosine, kEuclidean };
 
+inline index::Metric to_index_metric(SimilarityMetric metric) noexcept {
+  return metric == SimilarityMetric::kCosine ? index::Metric::kCosine
+                                             : index::Metric::kEuclidean;
+}
+
 /// How a query is executed. kIndexed runs the sharded inverted index through
 /// the query engine (default); kBruteForce runs the original linear scan
 /// over every stored signature.
@@ -111,15 +116,6 @@ struct SearchHit {
   std::string label;
   double score = 0.0;      ///< cosine similarity or negative L2 distance
 };
-
-/// "a ranks strictly better than b": delegates to the one tie-break rule
-/// (index::ranks_better — score descending, then ascending id), so the
-/// scan, the engine and every merge of per-part top-k lists agree.
-inline bool hit_ranks_better(const SearchHit& a, const SearchHit& b) noexcept {
-  return index::ranks_better(
-      {static_cast<index::InvertedIndex::DocId>(a.id), a.score},
-      {static_cast<index::InvertedIndex::DocId>(b.id), b.score});
-}
 
 struct Syndrome {
   std::string label;

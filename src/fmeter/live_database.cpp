@@ -60,12 +60,6 @@ std::uint64_t elapsed_ns(const std::chrono::steady_clock::time_point& start) {
   return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
 }
 
-/// Folds one probe's outcome into a query's running outcome. The enum's
-/// declaration order ranks severity, so the most severe non-ok wins.
-QueryOutcome worse_outcome(QueryOutcome a, QueryOutcome b) {
-  return static_cast<std::uint8_t>(b) > static_cast<std::uint8_t>(a) ? b : a;
-}
-
 /// The ladder rule. Segment doc counts (oldest first) stay superincreasing:
 /// each segment holds more documents than all newer ones together. A new
 /// batch of `docs` absorbs every trailing segment from the oldest one it
@@ -191,43 +185,27 @@ std::vector<std::vector<SearchHit>> LiveDatabase::Snapshot::search_batch(
     std::span<const vsm::SparseVector> queries, std::size_t k,
     SimilarityMetric metric, PruningMode mode, QueryStats* stats,
     const SearchOptions& options) const {
+  // The base and every segment are parts of one engine run, each at its
+  // first id; the pins keep every part's index alive for the run.
   const LiveEpoch& epoch = *epoch_;
-  auto results = epoch.base->search_batch(queries, k, metric,
-                                          ScanPolicy::kIndexed, mode, stats,
-                                          options);
-  if (epoch.segments.empty() || k == 0) return results;
-
-  // Segment probes share the caller's deadline; their outcomes fold into
-  // the caller's sink so an interrupted or failing segment is reported,
-  // not silently dropped.
-  std::vector<QueryOutcome> segment_outcomes;
-  SearchOptions segment_options;
-  segment_options.deadline = options.deadline;
-  if (options.outcomes != nullptr) segment_options.outcomes = &segment_outcomes;
+  std::vector<std::shared_ptr<const exec::ShardedIndex>> pinned;
+  std::vector<exec::IndexPart> parts;
+  pinned.push_back(epoch.base->index());
+  parts.push_back({pinned.back().get(), 0});
   for (const auto& segment : epoch.segments) {
-    auto partial = segment->db->search_batch(queries, k, metric,
-                                             ScanPolicy::kIndexed, mode, stats,
-                                             segment_options);
-    for (std::size_t q = 0; q < partial.size(); ++q) {
-      for (SearchHit& hit : partial[q]) {
-        hit.id += segment->first_id;
-        results[q].push_back(std::move(hit));
-      }
-    }
-    if (options.outcomes != nullptr) {
-      for (std::size_t q = 0; q < segment_outcomes.size(); ++q) {
-        (*options.outcomes)[q] =
-            worse_outcome((*options.outcomes)[q], segment_outcomes[q]);
-      }
-    }
+    pinned.push_back(segment->db->index());
+    parts.push_back({pinned.back().get(), segment->first_id});
   }
-  // Each part contributed its own full top-k, so the global top-k is a
-  // subset of the union; one sort by the shared ordering recovers it —
-  // exactly, because per-document scores do not depend on which part
-  // holds the document.
-  for (auto& merged : results) {
-    std::sort(merged.begin(), merged.end(), hit_ranks_better);
-    if (merged.size() > k) merged.resize(k);
+  const exec::QueryEngine engine(parts);
+  const auto batch = engine.run_batch(queries, k, to_index_metric(metric),
+                                      mode, stats, options);
+
+  std::vector<std::vector<SearchHit>> results(batch.size());
+  for (std::size_t q = 0; q < batch.size(); ++q) {
+    results[q].reserve(batch[q].size());
+    for (const auto& hit : batch[q]) {
+      results[q].push_back({hit.doc, label(hit.doc), hit.score});
+    }
   }
   return results;
 }

@@ -64,11 +64,11 @@
 //     a database whose search results are bit-identical to a fresh bulk
 //     build of exactly the recovered documents.
 //
-// Search equivalence: per-document scores are pure functions of
-// (query, document), so probing the base and each segment independently
-// and merging by the one shared ordering (index::ranks_better — score
-// desc, global id asc) returns bit-identical hits to a monolithic index
-// over the same documents, in every pruning mode.
+// Search: one exec::QueryEngine batch whose parts are the base (ids from 0)
+// and every segment (ids from its first id), merged once by the shared
+// ordering (score desc, id asc). Scores are pure functions of (query,
+// document), so the hits equal a monolithic index's over the same
+// documents: bit-identical under kExact, within 1e-9 when pruned.
 #pragma once
 
 #include <atomic>
@@ -167,13 +167,12 @@ class LiveDatabase {
     std::string label(std::size_t id) const;
     vsm::SparseVector signature(std::size_t id) const;
 
-    /// Top-k over every document in this epoch (base + segments), merged
-    /// by the shared ordering — bit-identical to SignatureDatabase::search
-    /// over the same documents. `options.deadline` bounds the base and
-    /// every segment probe cooperatively; `options.outcomes` reports one
-    /// outcome per query folded over all probes, the most severe non-ok
-    /// outcome winning, and with it a failing segment degrades the query
-    /// to a flagged partial result instead of throwing.
+    /// Top-k over every document in this epoch: one engine batch over the
+    /// base and the segments, with SignatureDatabase::search's hits over
+    /// the same documents. `options` acts as on any engine run (a failing
+    /// segment shard degrades its queries to flagged partials). A live
+    /// query counts once in QueryStats and fmeter_query_*, never in
+    /// fmeter_db_*.
     std::vector<SearchHit> search(const vsm::SparseVector& query,
                                   std::size_t k,
                                   SimilarityMetric metric =

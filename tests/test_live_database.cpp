@@ -10,7 +10,8 @@
 //     splitting one whose merge straddles the capture;
 //   * the tail is a segment ladder: at most floor(log2(tail)) + 1
 //     segments over contiguous id ranges, each doc rewritten at most
-//     log2 times, and segment probe outcomes reach the caller;
+//     log2 times, and segment probe outcomes and injected faults reach
+//     the caller;
 //   * reopening a directory replays snapshot + journal back to the same
 //     archive, in the same ladder shape.
 //
@@ -28,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -569,7 +571,9 @@ TEST(LiveDatabase, LadderShapeSurvivesReopen) {
 
 // Segment probes report their outcomes: on a tail-only archive an expired
 // deadline stops every segment probe, and the caller's outcome says so
-// instead of kOk.
+// instead of kOk. A live search is one engine batch, so each query counts
+// once in the dispatch and outcome tallies however many segments it
+// probed.
 TEST(LiveDatabase, SegmentProbeOutcomesReachTheCaller) {
   InMemoryEnv env;
   const auto batches = make_sized_batches({8, 4}, 0xdead);
@@ -585,18 +589,26 @@ TEST(LiveDatabase, SegmentProbeOutcomesReachTheCaller) {
   options.outcomes = &outcomes;
   options.deadline =
       Deadline::at(Deadline::Clock::now() - std::chrono::seconds(1));
+  const auto db_searches = counter_value("fmeter_db_searches_total");
+  const auto engine_batches = counter_value("fmeter_query_batches_total");
   QueryStats stats;
   for (const auto mode :
        {index::PruningMode::kExact, index::PruningMode::kAuto}) {
+    QueryStats batch_stats;
     const auto hits = db.search_batch(queries, 5, SimilarityMetric::kCosine,
-                                      mode, &stats, options);
+                                      mode, &batch_stats, options);
+    EXPECT_EQ(batch_stats.dispatch_inline + batch_stats.dispatch_pooled,
+              queries.size());
+    stats += batch_stats;
     ASSERT_EQ(outcomes.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       EXPECT_EQ(outcomes[q], QueryOutcome::kDeadlineExceeded) << q;
       EXPECT_TRUE(hits[q].empty()) << q;
     }
   }
-  EXPECT_EQ(stats.deadline_exceeded, 8u);  // 2 modes x 2 queries x 2 segments
+  EXPECT_EQ(stats.deadline_exceeded, 4u);  // 2 modes x 2 queries
+  EXPECT_EQ(counter_value("fmeter_query_batches_total") - engine_batches, 2u);
+  EXPECT_EQ(counter_value("fmeter_db_searches_total"), db_searches);
 
   // Without a deadline the same batch is whole and ok.
   options.deadline = {};
@@ -606,6 +618,63 @@ TEST(LiveDatabase, SegmentProbeOutcomesReachTheCaller) {
   for (std::size_t q = 0; q < queries.size(); ++q) {
     EXPECT_EQ(outcomes[q], QueryOutcome::kOk) << q;
     EXPECT_EQ(hits[q].size(), 5u) << q;
+  }
+}
+
+// The cell fault injector reaches segment probes: it sees the base's
+// shards first, then one shard per segment, oldest first. Faulting the
+// older segment's shard fails every query with a flagged partial that
+// holds exactly the other parts' hits.
+TEST(LiveDatabase, FaultedSegmentShardDegradesToThePartialOfTheRest) {
+  InMemoryEnv env;
+  const auto batches = make_sized_batches({20, 12, 8, 4}, 0xfa17);
+  LiveDatabase db(env, "live", foreground_options(2));
+  for (std::size_t b = 0; b < 2; ++b) {
+    db.add_batch(batches[b].signatures, batches[b].labels);
+  }
+  ASSERT_TRUE(db.refreeze_now());
+  for (std::size_t b = 2; b < 4; ++b) {
+    db.add_batch(batches[b].signatures, batches[b].labels);
+  }
+  const auto live = db.stats();
+  ASSERT_EQ(live.base_docs, 32u);
+  ASSERT_EQ(live.segments, 2u);
+  const std::size_t faulted_begin = live.tail_segments[0].first_id;
+  const std::size_t faulted_end = faulted_begin + live.tail_segments[0].docs;
+
+  const std::vector<vsm::SparseVector> queries = {batches[0].signatures[0],
+                                                  batches[2].signatures[1],
+                                                  batches[3].signatures[2]};
+  constexpr std::size_t k = 10;
+  const auto reference = build_reference(batches, batches.size(), 2);
+  std::vector<QueryOutcome> outcomes;
+  SearchOptions options;
+  options.outcomes = &outcomes;
+  options.inject_cell_fault = [](std::size_t, std::size_t shard) {
+    if (shard == 2) throw std::runtime_error("injected segment fault");
+  };
+  QueryStats stats;
+  const auto hits = db.search_batch(queries, k, SimilarityMetric::kCosine,
+                                    index::PruningMode::kExact, &stats,
+                                    options);
+  EXPECT_EQ(stats.shard_failed, queries.size());
+  EXPECT_EQ(stats.partial_results, queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(outcomes[q], QueryOutcome::kShardFailed) << q;
+    // The bulk build's ranking with the faulted segment's ids left out.
+    std::vector<SearchHit> want;
+    for (const SearchHit& hit :
+         reference.search(queries[q], reference.size(),
+                          SimilarityMetric::kCosine)) {
+      if (hit.id >= faulted_begin && hit.id < faulted_end) continue;
+      if (want.size() < k) want.push_back(hit);
+    }
+    ASSERT_EQ(hits[q].size(), want.size()) << q;
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(hits[q][r].id, want[r].id) << q << " rank " << r;
+      EXPECT_EQ(hits[q][r].label, want[r].label) << q << " rank " << r;
+      EXPECT_EQ(hits[q][r].score, want[r].score) << q << " rank " << r;
+    }
   }
 }
 

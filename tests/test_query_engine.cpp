@@ -3,8 +3,9 @@
 // configuration and the batched API must return bit-identical results —
 // same ids, same labels, same ordering, same scores. Plus the defined
 // degenerate behavior (k == 0 / empty query => no hits, no dispatch),
-// Euclidean classification through the engine, and the dispatch cost
-// model pricing each shard at the kernel it runs.
+// Euclidean classification through the engine, the dispatch cost model
+// pricing each shard at the kernel it runs, and a run over several parts
+// placed side by side in one id space.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -273,6 +274,83 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
             cosine_exact);
   EXPECT_EQ(cost(large, exec::Metric::kCosine, PruningMode::kMaxScore),
             cosine_exact);
+}
+
+// A multi-part run — a 4-shard index, two 1-shard ones and an empty one,
+// each placed at its first id — answers like one bulk-built index of the
+// same documents: bit-identical under kExact, within 1e-9 under the pruned
+// modes, inline and pooled alike. Every 97th document is one duplicated
+// vector, so the id tie-break runs across part boundaries.
+TEST(QueryEngine, PartsAnswerLikeOneBulkBuiltIndex) {
+  util::Rng rng(0x9a27);
+  const auto tied = vsm::SparseVector::from_entries({{4, 0.5}, {9, 0.7}});
+  std::vector<vsm::SparseVector> corpus;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    corpus.push_back(i % 97 == 0 ? tied : random_sparse(rng, 48, 10));
+  }
+  const auto slice = [&corpus](std::size_t begin, std::size_t end) {
+    return std::span<const vsm::SparseVector>(corpus).subspan(begin,
+                                                              end - begin);
+  };
+  const exec::ShardedIndex first =
+      exec::ShardedIndex(4).appended(slice(0, 2000));
+  const exec::ShardedIndex empty(2);
+  const exec::ShardedIndex second =
+      exec::ShardedIndex(1).appended(slice(2000, 2700));
+  const exec::ShardedIndex third =
+      exec::ShardedIndex(1).appended(slice(2700, 3000));
+  const exec::IndexPart parts[] = {
+      {&first, 0}, {&empty, 2000}, {&second, 2000}, {&third, 2700}};
+  const exec::ShardedIndex bulk =
+      exec::ShardedIndex(3).appended(slice(0, corpus.size()));
+
+  std::vector<vsm::SparseVector> queries = {tied};
+  while (queries.size() < 8) queries.push_back(random_sparse(rng, 48, 10));
+  exec::TaskPool solo(1);
+  exec::TaskPool duo(2);
+  const exec::QueryEngine reference(bulk, &solo);
+  const exec::QueryEngine inline_engine(parts, &solo);
+  const exec::QueryEngine pooled_engine(parts, &duo);
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{10}, std::size_t{60}}) {
+    for (const auto metric :
+         {exec::Metric::kCosine, exec::Metric::kEuclidean}) {
+      for (const auto mode : {PruningMode::kExact, PruningMode::kMaxScore,
+                              PruningMode::kAuto}) {
+        const std::string context =
+            "k " + std::to_string(k) +
+            (metric == exec::Metric::kCosine ? " cosine" : " l2") + " mode " +
+            std::to_string(static_cast<int>(mode));
+        const auto want = reference.run_batch(queries, k, metric, mode);
+        exec::QueryStats inline_stats;
+        exec::QueryStats pooled_stats;
+        const auto got_inline =
+            inline_engine.run_batch(queries, k, metric, mode, &inline_stats);
+        const auto got_pooled =
+            pooled_engine.run_batch(queries, k, metric, mode, &pooled_stats);
+        EXPECT_EQ(inline_stats.dispatch_pooled, 0u) << context;
+        EXPECT_GT(pooled_stats.dispatch_pooled, 0u) << context;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          for (const auto* got : {&got_inline[q], &got_pooled[q]}) {
+            const std::string where = context + " query " + std::to_string(q) +
+                                      (got == &got_inline[q] ? " inline"
+                                                             : " pooled");
+            if (mode == PruningMode::kExact) {
+              expect_hits_identical(*got, want[q], where);
+              continue;
+            }
+            ASSERT_EQ(got->size(), want[q].size()) << where;
+            for (std::size_t r = 0; r < got->size(); ++r) {
+              EXPECT_EQ((*got)[r].doc, want[q][r].doc)
+                  << where << " rank " << r;
+              EXPECT_NEAR((*got)[r].score, want[q][r].score, 1e-9)
+                  << where << " rank " << r;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(QueryEngine, IncrementalAddsKeepAllShardCountsEquivalent) {
