@@ -97,6 +97,7 @@ BENCHMARK(BM_SharedCountersContended)->Threads(1)->Threads(4)->Threads(8);
 
 void BM_FtraceRingBufferAppend(benchmark::State& state) {
   core::MonitoredSystem system(bench_system());
+  system.select_tracer(core::TracerKind::kFtrace);  // allocates the rings
   auto& tracer = system.ftrace();
   auto& cpu = system.kernel().cpu(0);
   simkern::FunctionId fn = 0;

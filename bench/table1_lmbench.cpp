@@ -39,9 +39,12 @@ int main() {
   for (const auto& op : catalog) {
     Row row;
     row.name = op.name;
+    // The three cells of a row are compared with each other, so they are
+    // timed on process CPU time: wall-clock noise between cells on a
+    // shared host is larger than some rows' Ftrace/Fmeter gap.
     auto measure = [&](core::TracerKind kind, double& mean_out, double& sem_out) {
       system.select_tracer(kind);
-      const auto samples = bench::time_op_us(
+      const auto samples = bench::time_op_cpu_us(
           [&] { op.run(system.ops(), cpu); }, kIterations, kRepetitions);
       mean_out = util::mean(samples);
       sem_out = util::sem(samples);

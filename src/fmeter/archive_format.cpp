@@ -173,26 +173,35 @@ Manifest read_manifest(io::Env& env, const std::string& dir) {
 }
 
 std::vector<std::byte> encode_batch(
-    const std::vector<vsm::SparseVector>& signatures,
-    const std::vector<std::string>& labels) {
+    std::span<const vsm::SparseView> signatures,
+    std::span<const std::string> labels) {
   std::size_t bytes = sizeof(std::uint64_t);
   for (std::size_t i = 0; i < signatures.size(); ++i) {
     bytes += 2 * sizeof(std::uint32_t) + labels[i].size() +
-             signatures[i].nnz() * (sizeof(std::uint32_t) + sizeof(double));
+             signatures[i].indices.size() *
+                 (sizeof(std::uint32_t) + sizeof(double));
   }
   ByteWriter out(bytes);
   out.write_scalar(static_cast<std::uint64_t>(signatures.size()));
   for (std::size_t i = 0; i < signatures.size(); ++i) {
     out.write_scalar(static_cast<std::uint32_t>(labels[i].size()));
     out.write(labels[i].data(), labels[i].size());
-    const auto& sig = signatures[i];
-    out.write_scalar(static_cast<std::uint32_t>(sig.nnz()));
-    for (std::size_t f = 0; f < sig.nnz(); ++f) {
-      out.write_scalar(sig.indices()[f]);
-      out.write_scalar(sig.values()[f]);
+    const vsm::SparseView sig = signatures[i];
+    out.write_scalar(static_cast<std::uint32_t>(sig.indices.size()));
+    for (std::size_t f = 0; f < sig.indices.size(); ++f) {
+      out.write_scalar(sig.indices[f]);
+      out.write_scalar(sig.values[f]);
     }
   }
   return std::move(out).take();
+}
+
+std::vector<std::byte> encode_batch(
+    const std::vector<vsm::SparseVector>& signatures,
+    const std::vector<std::string>& labels) {
+  const std::vector<vsm::SparseView> views(signatures.begin(),
+                                           signatures.end());
+  return encode_batch(views, labels);
 }
 
 void decode_batch(std::span<const std::byte> payload,

@@ -78,6 +78,11 @@ void write_manifest(io::Env& env, const std::string& dir, const Manifest& m);
 /// nnz × { u32 term, f64 weight } }. decode_batch throws DurabilityError
 /// on a truncated payload, trailing bytes, or a document that violates
 /// the sparse-vector invariant (unsorted/duplicate terms, zero weights).
+/// The view form encodes documents read in place (a segment's forward
+/// store) into the same bytes as the vectors they were built from.
+std::vector<std::byte> encode_batch(
+    std::span<const vsm::SparseView> signatures,
+    std::span<const std::string> labels);
 std::vector<std::byte> encode_batch(
     const std::vector<vsm::SparseVector>& signatures,
     const std::vector<std::string>& labels);

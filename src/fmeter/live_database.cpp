@@ -82,18 +82,36 @@ std::size_t ladder_absorbs(const std::vector<std::size_t>& segment_docs,
   return absorbed;
 }
 
-/// Appends views of documents [from, db.size()) of a sealed database —
-/// into its forward store, valid while `db` lives (a sealed database never
-/// swaps its index) — and their labels.
+/// Appends views of documents [from, to) of a sealed database — into its
+/// forward store, valid while `db` lives (a sealed database never swaps
+/// its index) — and their labels.
 void append_views(const SignatureDatabase& db, std::size_t from,
-                  std::vector<vsm::SparseView>& views,
+                  std::size_t to, std::vector<vsm::SparseView>& views,
                   std::vector<std::string>& labels) {
   const auto index = db.index();
-  const std::size_t size = db.size();
-  for (std::size_t i = from; i < size; ++i) {
+  for (std::size_t i = from; i < to; ++i) {
     views.push_back(
         index->document(static_cast<exec::ShardedIndex::DocId>(i)));
     labels.push_back(db.label(i));
+  }
+}
+
+/// Appends one journal record per batch of a sealed segment, re-encoded
+/// from its forward store and labels. The store holds each signature's
+/// terms and weights as add_batch received them, so every record is
+/// byte-identical to the one add_batch appended.
+void rejournal(const SignatureDatabase& db,
+               std::span<const std::size_t> batch_docs,
+               io::journal::Writer& journal) {
+  std::vector<vsm::SparseView> views;
+  std::vector<std::string> labels;
+  std::size_t id = 0;
+  for (const std::size_t docs : batch_docs) {
+    views.clear();
+    labels.clear();
+    append_views(db, id, id + docs, views, labels);
+    journal.append(encode_batch(views, labels));
+    id += docs;
   }
 }
 
@@ -259,7 +277,6 @@ void LiveDatabase::open() {
     // so the recovered epoch searches bit-identically to a fresh bulk
     // build of the same docs.
     struct Replayed {
-      SealedBatch sealed;
       std::vector<vsm::SparseVector> signatures;
       std::vector<std::string> labels;
     };
@@ -271,10 +288,6 @@ void LiveDatabase::open() {
           Replayed record;
           decode_batch(payload, record.signatures, record.labels);
           if (record.signatures.empty()) return;
-          record.sealed.docs = record.signatures.size();
-          record.sealed.journal_payload =
-              std::make_shared<const std::vector<std::byte>>(payload.begin(),
-                                                             payload.end());
           records.push_back(std::move(record));
         },
         /*repair=*/true);
@@ -292,7 +305,7 @@ void LiveDatabase::open() {
     std::vector<std::size_t> ladder_docs;
     std::vector<std::size_t> ladder_first;
     for (std::size_t r = 0; r < records.size(); ++r) {
-      std::size_t docs = records[r].sealed.docs;
+      std::size_t docs = records[r].signatures.size();
       std::size_t first = r;
       for (std::size_t n = ladder_absorbs(ladder_docs, docs, max_run()); n > 0;
            --n) {
@@ -320,7 +333,7 @@ void LiveDatabase::open() {
                           records[r].signatures.end());
         std::move(records[r].labels.begin(), records[r].labels.end(),
                   std::back_inserter(labels));
-        segment->batches.push_back(std::move(records[r].sealed));
+        segment->batch_docs.push_back(records[r].signatures.size());
       }
       segment->db = seal(nullptr, signatures, std::move(labels));
       // The segment's forward store now holds these documents; release the
@@ -345,6 +358,7 @@ void LiveDatabase::open() {
   epoch->base_docs = base->size();
   epoch->total_docs += epoch->base_docs;
   epoch->base = std::move(base);
+  epoch->journal_bytes = journal_ ? journal_->bytes() : 0;
   publish(std::move(epoch));
 
   // Sweep crash leftovers: everything the manifest does not name is
@@ -392,12 +406,11 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
   SignatureDatabase::validate_batch(signatures, labels);
   if (signatures.empty()) return acquire()->total_docs;
 
-  SealedBatch sealed;
-  sealed.docs = signatures.size();
-  if (options_.journaled) {
-    sealed.journal_payload = std::make_shared<const std::vector<std::byte>>(
-        encode_batch(signatures, labels));
-  }
+  const std::size_t docs = signatures.size();
+  // The record lives only for this call: once it is appended, the
+  // segment's forward store is the batch's one in-RAM copy.
+  std::vector<std::byte> record;
+  if (options_.journaled) record = encode_batch(signatures, labels);
 
   // Plan and build the merge outside the writer lock, from a pinned epoch:
   // concurrent ingests build concurrently; only the journal append and
@@ -409,7 +422,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     ladder_docs.push_back(segment->db->size());
   }
   const std::size_t absorbed =
-      ladder_absorbs(ladder_docs, sealed.docs, max_run());
+      ladder_absorbs(ladder_docs, docs, max_run());
   const std::span<const std::shared_ptr<const LiveSegment>> victims =
       std::span(pinned->segments).last(absorbed);
 
@@ -424,18 +437,19 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     std::vector<vsm::SparseView> run;
     std::vector<std::string> run_labels;
     for (const auto& victim : victims.subspan(1)) {
-      append_views(*victim->db, 0, run, run_labels);
+      append_views(*victim->db, 0, victim->db->size(), run, run_labels);
     }
     for (const auto& victim : victims) {
-      segment->batches.insert(segment->batches.end(), victim->batches.begin(),
-                              victim->batches.end());
+      segment->batch_docs.insert(segment->batch_docs.end(),
+                                 victim->batch_docs.begin(),
+                                 victim->batch_docs.end());
     }
     run.insert(run.end(), batch.begin(), batch.end());
     std::move(labels.begin(), labels.end(), std::back_inserter(run_labels));
     segment->db =
         seal(victims.front()->db.get(), run, std::move(run_labels));
   }
-  segment->batches.push_back(sealed);
+  segment->batch_docs.push_back(docs);
 
   std::size_t first = 0;
   std::size_t merged_docs = 0;
@@ -454,12 +468,12 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
       lock.unlock();
       auto lone = std::make_shared<LiveSegment>();
       std::vector<std::string> batch_labels;
-      for (std::size_t i = segment->db->size() - sealed.docs;
+      for (std::size_t i = segment->db->size() - docs;
            i < segment->db->size(); ++i) {
         batch_labels.push_back(segment->db->label(i));
       }
       lone->db = seal(nullptr, batch, std::move(batch_labels));
-      lone->batches.push_back(sealed);
+      lone->batch_docs.push_back(docs);
       segment = std::move(lone);
       lock.lock();
     }
@@ -467,7 +481,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     check_not_poisoned();
     const auto start = std::chrono::steady_clock::now();
     if (journal_) {
-      journal_->append(*sealed.journal_payload);
+      journal_->append(record);
       if (options_.sync_each_epoch &&
           options_.sync_policy == io::journal::SyncPolicy::kNone) {
         // Group commit: one fsync per published epoch, the contract that
@@ -479,9 +493,10 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     auto next = std::make_shared<LiveEpoch>(*current);
     next->sequence = current->sequence + 1;
     first = current->total_docs;
-    next->total_docs = current->total_docs + sealed.docs;
+    next->total_docs = current->total_docs + docs;
+    if (journal_) next->journal_bytes = journal_->bytes();
     segment->first_id = next->total_docs - segment->db->size();
-    merged_docs = segment->db->size() - sealed.docs;
+    merged_docs = segment->db->size() - docs;
     next->segments.resize(next->segments.size() - replaced);
     next->segments.push_back(std::move(segment));
     publish(std::move(next));
@@ -489,7 +504,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
   }
 
   live_metrics().batches->inc();
-  live_metrics().docs->inc(sealed.docs);
+  live_metrics().docs->inc(docs);
   if (merged_docs > 0) {
     live_metrics().seal_merges->inc();
     live_metrics().seal_merge_docs->inc(merged_docs);
@@ -576,7 +591,7 @@ bool LiveDatabase::do_refreeze() {
   tail.reserve(capture->total_docs - capture->base_docs);
   labels.reserve(capture->total_docs - capture->base_docs);
   for (const auto& segment : capture->segments) {
-    append_views(*segment->db, 0, tail, labels);
+    append_views(*segment->db, 0, segment->db->size(), tail, labels);
   }
   const auto fresh = std::make_shared<const SignatureDatabase>(
       capture->base->appended(tail, std::move(labels)));
@@ -599,9 +614,10 @@ bool LiveDatabase::do_refreeze() {
     // Every segment whose id range extends past the capture survives the
     // fold. One sealed after the capture may have merged with captured
     // segments; it is split, its post-capture batches sealed alone. The
-    // survivors' journal records move to the fresh journal *before* the
-    // manifest swap — the old journal dies with the old epoch, and a
-    // synced batch must not lose its durable copy in the swap.
+    // survivors' journal records, re-encoded from their forward stores,
+    // go to the fresh journal *before* the manifest swap — the old journal
+    // dies with the old epoch, and a synced batch must not lose its
+    // durable copy in the swap.
     const std::size_t boundary = capture->total_docs;
     std::vector<std::shared_ptr<const LiveSegment>> survivors;
     for (const auto& segment : current->segments) {
@@ -613,14 +629,14 @@ bool LiveDatabase::do_refreeze() {
       auto split = std::make_shared<LiveSegment>();
       split->first_id = boundary;
       std::size_t id = segment->first_id;
-      for (const SealedBatch& batch : segment->batches) {
-        if (id >= boundary) split->batches.push_back(batch);
-        id += batch.docs;
+      for (const std::size_t docs : segment->batch_docs) {
+        if (id >= boundary) split->batch_docs.push_back(docs);
+        id += docs;
       }
       std::vector<vsm::SparseView> kept;
       std::vector<std::string> kept_labels;
-      append_views(*segment->db, boundary - segment->first_id, kept,
-                   kept_labels);
+      append_views(*segment->db, boundary - segment->first_id,
+                   segment->db->size(), kept, kept_labels);
       split->db = seal(nullptr, kept, std::move(kept_labels));
       survivors.push_back(std::move(split));
     }
@@ -630,9 +646,7 @@ bool LiveDatabase::do_refreeze() {
       fresh_journal = std::make_unique<io::journal::Writer>(
           env_, dir_ + "/" + journal_file, options_.sync_policy);
       for (const auto& segment : survivors) {
-        for (const SealedBatch& batch : segment->batches) {
-          fresh_journal->append(*batch.journal_payload);
-        }
+        rejournal(*segment->db, segment->batch_docs, *fresh_journal);
       }
       fresh_journal->sync();
     }
@@ -661,6 +675,7 @@ bool LiveDatabase::do_refreeze() {
     published->base_docs = boundary;
     published->segments = std::move(survivors);
     published->total_docs = current->total_docs;
+    published->journal_bytes = journal_ ? journal_->bytes() : 0;
     publish(std::move(published));
     commit_poisoned_ = false;
 
@@ -721,12 +736,13 @@ LiveStats LiveDatabase::stats() const {
   out.base_docs = epoch->base_docs;
   out.tail_docs = epoch->total_docs - epoch->base_docs;
   out.segments = epoch->segments.size();
+  out.journal_bytes = epoch->journal_bytes;
   out.base_shards = epoch->base->index()->shard_stats();
   out.memory_bytes = epoch->base->index()->memory_bytes();
   for (const auto& segment : epoch->segments) {
     out.memory_bytes += segment->db->index()->memory_bytes();
     out.tail_segments.push_back({segment->first_id, segment->db->size(),
-                                 segment->batches.size()});
+                                 segment->batch_docs.size()});
   }
   return out;
 }
@@ -749,6 +765,10 @@ void LiveDatabase::publish_gauges() const {
       .set(static_cast<double>(s.segments));
   r.gauge("fmeter_live_memory_bytes", "Index footprint of the epoch")
       .set(static_cast<double>(s.memory_bytes));
+  r.gauge("fmeter_live_journal_bytes",
+          "Length of the current journal: the tail's durable footprint "
+          "since the last re-freeze commit")
+      .set(static_cast<double>(s.journal_bytes));
 }
 
 }  // namespace fmeter::core

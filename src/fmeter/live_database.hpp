@@ -43,12 +43,13 @@
 //     not a rebuild. Concurrent ingest keeps sealing meanwhile. The fold
 //     writes the new base as a snapshot and commits the swap through the
 //     directory's MANIFEST — snapshot file + fresh journal carrying every
-//     batch sealed after the capture, then the atomic manifest swap as
-//     the one commit point. A segment whose merge straddles the capture
-//     is split: its post-capture documents are sealed into one survivor
-//     segment by the same builder. A crash at any instant recovers to
-//     either the old epoch's files or the new ones, never a torn mix
-//     (enforced by the crash-matrix test).
+//     batch sealed after the capture (each record re-encoded from its
+//     segment's forward store, which is the batch's only in-RAM copy),
+//     then the atomic manifest swap as the one commit point. A segment
+//     whose merge straddles the capture is split: its post-capture
+//     documents are sealed into one survivor segment by the same builder.
+//     A crash at any instant recovers to either the old epoch's files or
+//     the new ones, never a torn mix (enforced by the crash-matrix test).
 //
 // Durability contract (enforced by the crash matrix in
 // tests/test_durability.cpp):
@@ -145,6 +146,9 @@ struct LiveStats {
   std::size_t tail_docs = 0;             ///< docs in sealed tail segments
   std::size_t segments = 0;
   std::size_t memory_bytes = 0;          ///< base + segment index footprint
+  /// Length of the current journal (header and framing included; 0 when
+  /// not journaled): the tail's durable footprint since the last commit.
+  std::uint64_t journal_bytes = 0;
   std::vector<exec::ShardStats> base_shards;
   std::vector<LiveSegmentStats> tail_segments;  ///< the ladder, oldest first
 };
@@ -281,21 +285,16 @@ class LiveDatabase {
   }
 
  private:
-  /// One add_batch() as sealed: its doc count and its encoded journal
-  /// record (null when not journaled), kept so a re-freeze can re-journal
-  /// batches sealed after its capture without re-encoding (byte-identical
-  /// records by construction).
-  struct SealedBatch {
-    std::size_t docs = 0;
-    std::shared_ptr<const std::vector<std::byte>> journal_payload;
-  };
-
   /// One immutable tail segment: a run of consecutive batches as a frozen
-  /// single-shard database.
+  /// single-shard database. Its forward store and labels are the only
+  /// in-RAM copy of its documents: a re-freeze re-encodes the journal
+  /// records of the batches it keeps from them, batch by batch.
   struct LiveSegment {
     std::size_t first_id = 0;
     std::shared_ptr<const SignatureDatabase> db;
-    std::vector<SealedBatch> batches;  ///< in id order, docs sum to db size
+    /// Doc count of each add_batch() sealed into it, in id order; they sum
+    /// to the db's size.
+    std::vector<std::size_t> batch_docs;
   };
 
   struct LiveEpoch {
@@ -305,6 +304,7 @@ class LiveDatabase {
     std::size_t base_docs = 0;
     std::vector<std::shared_ptr<const LiveSegment>> segments;  ///< the ladder
     std::size_t total_docs = 0;
+    std::uint64_t journal_bytes = 0;  ///< the journal's length at publish
   };
 
   void open();

@@ -22,8 +22,7 @@ MonitoredSystem::MonitoredSystem(const SystemConfig& config)
   select_tracer(config.tracer);
 }
 
-void MonitoredSystem::select_tracer(TracerKind kind) noexcept {
-  active_ = kind;
+void MonitoredSystem::select_tracer(TracerKind kind) {
   switch (kind) {
     case TracerKind::kVanilla:
       kernel_.install_tracer(nullptr);
@@ -35,6 +34,7 @@ void MonitoredSystem::select_tracer(TracerKind kind) noexcept {
       kernel_.install_tracer(fmeter_.get());
       break;
   }
+  active_ = kind;
 }
 
 }  // namespace fmeter::core

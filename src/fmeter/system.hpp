@@ -40,11 +40,15 @@ class MonitoredSystem {
   trace::DebugFs& debugfs() noexcept { return debugfs_; }
 
   trace::FmeterTracer& fmeter() noexcept { return *fmeter_; }
+  /// Holds no ring storage until ftrace is first selected (see
+  /// FtraceTracer::ring_bytes).
   trace::FtraceTracer& ftrace() noexcept { return *ftrace_; }
 
   /// Arms the requested tracer (vanilla = none). Like flipping
   /// /sys/kernel/debug/tracing/current_tracer, only between quiescent runs.
-  void select_tracer(TracerKind kind) noexcept;
+  /// The first switch to ftrace allocates and zeroes its per-CPU rings, so
+  /// a timed run after the switch faults no ring page in.
+  void select_tracer(TracerKind kind);
   TracerKind active_tracer() const noexcept { return active_; }
 
  private:

@@ -52,10 +52,12 @@ class Kernel {
   }
   CpuContext& cpu(CpuId id) { return *cpus_.at(id); }
 
-  /// Installs (or with nullptr removes) the tracer. Not thread-safe with
-  /// respect to concurrent invoke(); callers switch tracers only while the
-  /// simulated machine is quiescent, as the real system does.
-  void install_tracer(TraceHook* hook) noexcept {
+  /// Installs (or with nullptr removes) the tracer, arming it first
+  /// (TraceHook::on_arm). Not thread-safe with respect to concurrent
+  /// invoke(); callers switch tracers only while the simulated machine is
+  /// quiescent, as the real system does.
+  void install_tracer(TraceHook* hook) {
+    if (hook != nullptr) hook->on_arm();
     tracer_ = hook;
     trace_exits_ = hook != nullptr && hook->wants_exit_events();
   }

@@ -36,6 +36,13 @@ class TraceHook {
   /// Opt-in for exit events; checked once at install time.
   virtual bool wants_exit_events() const noexcept { return false; }
 
+  /// Called at install time, before the first event — a tracer's init on
+  /// a write to current_tracer. A tracer allocates what recording needs
+  /// here rather than at construction, as Linux keeps Ftrace's ring
+  /// buffers minimal until a tracer is first set. May throw (allocation);
+  /// the kernel then keeps its previous hook.
+  virtual void on_arm() {}
+
   /// Identifies the tracer in logs and bench output ("vanilla" is spelled by
   /// the absence of a hook, so implementations return "fmeter", "ftrace", ...).
   virtual const char* name() const noexcept = 0;

@@ -1,19 +1,35 @@
 #include "trace/ftrace_tracer.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace fmeter::trace {
 
 FtraceTracer::FtraceTracer(const simkern::SymbolTable& symbols,
                            std::uint32_t num_cpus,
                            const FtraceTracerConfig& config)
-    : symbols_(symbols) {
+    : symbols_(symbols),
+      num_cpus_(num_cpus),
+      events_per_cpu_(config.buffer_events_per_cpu) {
   if (num_cpus == 0) throw std::invalid_argument("FtraceTracer: no CPUs");
-  buffers_.reserve(num_cpus);
-  for (std::uint32_t i = 0; i < num_cpus; ++i) {
-    buffers_.push_back(
-        std::make_unique<TraceRingBuffer>(config.buffer_events_per_cpu));
+}
+
+void FtraceTracer::on_arm() {
+  if (!buffers_.empty()) return;
+  std::vector<std::unique_ptr<TraceRingBuffer>> buffers;
+  buffers.reserve(num_cpus_);
+  for (std::uint32_t i = 0; i < num_cpus_; ++i) {
+    buffers.push_back(std::make_unique<TraceRingBuffer>(events_per_cpu_));
   }
+  buffers_ = std::move(buffers);
+}
+
+std::size_t FtraceTracer::ring_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& buffer : buffers_) {
+    total += buffer->capacity() * sizeof(TraceEvent);
+  }
+  return total;
 }
 
 void FtraceTracer::on_function_entry(simkern::CpuContext& cpu,

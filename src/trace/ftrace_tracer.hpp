@@ -38,11 +38,17 @@ class FtraceTracer final : public simkern::TraceHook {
   void on_function_entry(simkern::CpuContext& cpu, simkern::FunctionId fn,
                          simkern::FunctionId parent) noexcept override;
   const char* name() const noexcept override { return "ftrace"; }
+  /// Allocates and zeroes the per-CPU rings on the first arm; later arms
+  /// keep them (and what they hold).
+  void on_arm() override;
 
-  std::uint32_t num_cpus() const noexcept {
-    return static_cast<std::uint32_t>(buffers_.size());
-  }
+  std::uint32_t num_cpus() const noexcept { return num_cpus_; }
 
+  /// Bytes of ring storage held: 0 until the first arm, then num_cpus ×
+  /// capacity × sizeof(TraceEvent).
+  std::size_t ring_bytes() const noexcept;
+
+  /// A CPU's ring; std::out_of_range before the first arm.
   TraceRingBuffer& buffer(simkern::CpuId cpu) { return *buffers_.at(cpu); }
   const TraceRingBuffer& buffer(simkern::CpuId cpu) const {
     return *buffers_.at(cpu);
@@ -74,6 +80,9 @@ class FtraceTracer final : public simkern::TraceHook {
   }
 
   const simkern::SymbolTable& symbols_;
+  std::uint32_t num_cpus_;
+  std::size_t events_per_cpu_;
+  /// One ring per CPU; empty until the first arm.
   std::vector<std::unique_ptr<TraceRingBuffer>> buffers_;
 };
 

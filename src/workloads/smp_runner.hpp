@@ -20,6 +20,12 @@ struct SmpRunResult {
   std::uint64_t total_calls = 0;  ///< core-kernel dispatches across CPUs
   double wall_seconds = 0.0;
   double units_per_second = 0.0;
+  /// Placement of the run's threads on the host: the distinct host CPUs
+  /// they were seen on (sched_getcpu at each thread's start and end), and
+  /// their summed thread CPU time. On a multi-CPU run, thread_cpu_seconds
+  /// / wall_seconds near 1 means the threads ran one after another.
+  std::size_t host_cpus = 0;
+  double thread_cpu_seconds = 0.0;
 };
 
 /// Runs `units_per_cpu` units of a fresh `kind` workload instance on each of

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -38,6 +39,7 @@
 #include "fmeter/database.hpp"
 #include "fmeter/live_database.hpp"
 #include "io/env.hpp"
+#include "io/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "snapshot_files.hpp"
@@ -459,6 +461,102 @@ TEST(LiveDatabase, SegmentsSealedDuringRefreezeSurviveTheSwap) {
   EXPECT_EQ(reopened.recovery().journal_records_replayed, 1u);
   expect_live_equivalent(reopened.snapshot(), build_reference(batches, 3, 2),
                          "survivor reopen");
+}
+
+/// Every record payload of a journal file, in order (read-only replay).
+std::vector<std::vector<std::byte>> journal_records(io::Env& env,
+                                                    const std::string& path) {
+  std::vector<std::vector<std::byte>> records;
+  io::journal::replay(
+      env, path,
+      [&records](std::span<const std::byte> payload) {
+        records.emplace_back(payload.begin(), payload.end());
+      },
+      /*repair=*/false);
+  return records;
+}
+
+// A segment holds no journal record in RAM: a fold re-encodes the records
+// of the batches sealed after its capture from their segments' forward
+// stores and labels. The fresh journal must carry exactly the records the
+// old one held for them, byte for byte — the batch split off a segment
+// whose merge straddles the capture included.
+TEST(LiveDatabase, FoldRejournalsSurvivorsByteForByte) {
+  InMemoryEnv env;
+  // Captured ladder [12, 4]. Mid-fold, 2 + 3 docs merge with the captured
+  // 4 (a segment straddling the capture, split into a two-batch survivor)
+  // and 2 more docs seal alone (a wholly post-capture segment).
+  const auto batches = make_sized_batches({12, 4, 2, 3, 2}, 0x5eed);
+  auto options = foreground_options();
+  LiveDatabase* handle = nullptr;
+  std::vector<std::vector<std::byte>> original;
+  options.after_refreeze_capture = [&] {
+    for (std::size_t b = 2; b < batches.size(); ++b) {
+      handle->add_batch(batches[b].signatures, batches[b].labels);
+    }
+    const auto mid_fold = handle->stats();
+    ASSERT_EQ(mid_fold.tail_segments.size(), 3u);
+    EXPECT_EQ(mid_fold.tail_segments[1].docs, 9u);
+    EXPECT_EQ(mid_fold.tail_segments[1].batches, 3u);
+    EXPECT_EQ(mid_fold.tail_segments[2].batches, 1u);
+    original = journal_records(env, "live/" + journal_name(0));
+  };
+  LiveDatabase db(env, "live", options);
+  handle = &db;
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  db.add_batch(batches[1].signatures, batches[1].labels);
+  ASSERT_TRUE(db.refreeze_now());
+
+  ASSERT_EQ(original.size(), batches.size());
+  const auto fresh = journal_records(env, "live/" + journal_name(1));
+  ASSERT_EQ(fresh.size(), batches.size() - 2);
+  for (std::size_t r = 0; r < fresh.size(); ++r) {
+    EXPECT_EQ(fresh[r], original[r + 2]) << "record " << r;
+    EXPECT_EQ(fresh[r], encode_batch(batches[r + 2].signatures,
+                                     batches[r + 2].labels))
+        << "record " << r;
+  }
+  const auto stats = db.stats();
+  EXPECT_EQ(stats.base_docs, 16u);
+  EXPECT_EQ(stats.tail_docs, 7u);
+  EXPECT_EQ(stats.journal_bytes, env.file_size("live/" + journal_name(1)));
+}
+
+// fmeter_live_journal_bytes follows the current journal's length through
+// appends, a fold's rotation and a reopen, read from the published epoch.
+TEST(LiveDatabase, JournalBytesGaugeTracksTheCurrentJournal) {
+  InMemoryEnv env;
+  const auto batches = make_sized_batches({5, 3}, 0xb17e5);
+  const std::string wal0 = "live/" + journal_name(0);
+  {
+    LiveDatabase db(env, "live", foreground_options());
+    EXPECT_EQ(db.stats().journal_bytes, io::journal::kHeaderBytes);
+    db.add_batch(batches[0].signatures, batches[0].labels);
+    db.add_batch(batches[1].signatures, batches[1].labels);
+    std::uint64_t expected = io::journal::kHeaderBytes;
+    for (const Batch& batch : batches) {
+      expected += io::journal::kRecordHeaderBytes +
+                  encode_batch(batch.signatures, batch.labels).size();
+    }
+    EXPECT_EQ(db.stats().journal_bytes, expected);
+    EXPECT_EQ(env.file_size(wal0), expected);
+    db.publish_gauges();
+    EXPECT_EQ(obs::MetricsRegistry::global()
+                  .gauge("fmeter_live_journal_bytes")
+                  .value(),
+              static_cast<double>(expected));
+  }
+  {
+    LiveDatabase reopened(env, "live", foreground_options());
+    EXPECT_EQ(reopened.stats().journal_bytes, env.file_size(wal0));
+    ASSERT_TRUE(reopened.refreeze_now());
+    EXPECT_EQ(reopened.stats().journal_bytes, io::journal::kHeaderBytes);
+  }
+  auto unjournaled = foreground_options();
+  unjournaled.journaled = false;
+  LiveDatabase db(env, "plain", unjournaled);
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  EXPECT_EQ(db.stats().journal_bytes, 0u);
 }
 
 // The ladder bounds fan-out: after every seal the tail holds at most

@@ -16,6 +16,11 @@ TEST(SmpRunner, RunsOnMultipleCpusConcurrently) {
   EXPECT_EQ(result.total_units, 40u);
   EXPECT_GT(result.total_calls, 0u);
   EXPECT_GT(result.units_per_second, 0.0);
+  // The placement probe saw each thread start and end on some host CPU
+  // (at most two per thread) and summed their CPU time.
+  EXPECT_GE(result.host_cpus, 1u);
+  EXPECT_LE(result.host_cpus, 8u);
+  EXPECT_GT(result.thread_cpu_seconds, 0.0);
 }
 
 TEST(SmpRunner, FmeterCountsExactUnderConcurrency) {

@@ -44,6 +44,36 @@ TEST(MonitoredSystem, TracerSwitchRoutesEvents) {
   EXPECT_EQ(system.fmeter().snapshot().total(), 1u);  // unchanged
 }
 
+// Ftrace's rings cost nothing until ftrace is armed: a system that only
+// ever runs Fmeter holds none, and the first switch to ftrace allocates
+// exactly one ring per CPU, kept (with its events) across later switches.
+TEST(MonitoredSystem, FtraceRingsAllocatedOnFirstArm) {
+  MonitoredSystem system(small_system(TracerKind::kFmeter));
+  EXPECT_EQ(system.ftrace().ring_bytes(), 0u);
+  system.select_tracer(TracerKind::kVanilla);
+  EXPECT_EQ(system.ftrace().ring_bytes(), 0u);
+
+  system.select_tracer(TracerKind::kFtrace);
+  const trace::FtraceTracerConfig defaults;
+  const std::size_t armed = system.kernel().num_cpus() *
+                            defaults.buffer_events_per_cpu *
+                            sizeof(trace::TraceEvent);
+  EXPECT_EQ(system.ftrace().ring_bytes(), armed);
+  for (std::uint32_t c = 0; c < system.kernel().num_cpus(); ++c) {
+    EXPECT_EQ(system.ftrace().buffer(c).capacity(),
+              defaults.buffer_events_per_cpu);
+  }
+
+  system.kernel().invoke(system.kernel().cpu(0), 1);
+  system.select_tracer(TracerKind::kFmeter);
+  system.select_tracer(TracerKind::kFtrace);
+  EXPECT_EQ(system.ftrace().ring_bytes(), armed);
+  EXPECT_EQ(system.ftrace().buffer(0).size(), 1u);
+
+  MonitoredSystem booted(small_system(TracerKind::kFtrace));
+  EXPECT_EQ(booted.ftrace().ring_bytes(), armed);
+}
+
 TEST(MonitoredSystem, DebugfsFilesRegistered) {
   MonitoredSystem system(small_system());
   EXPECT_TRUE(system.debugfs().exists("fmeter/counters"));
