@@ -7,13 +7,16 @@
 // 2009-era Nehalem testbed; orderings, rough factors and crossovers are.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <ctime>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fmeter/fmeter.hpp"
@@ -52,13 +55,38 @@ inline JsonField jstr(std::string key, std::string value) {
 
 using JsonRow = std::vector<JsonField>;
 
+/// Hardware threads of the host (at least 1).
+inline unsigned host_cores() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// The CPU's model name from /proc/cpuinfo; "unknown" where there is none.
+inline std::string host_cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t value = line.find_first_not_of(" \t:", line.find(':'));
+    if (value != std::string::npos) return line.substr(value);
+  }
+  return "unknown";
+}
+
 /// Writes `{"bench": <name>, "rows": [...]}` to `path` ("-" for stdout) so
 /// the perf trajectory of every bench run is machine-trackable (CI uploads
-/// the BENCH_*.json files as artifacts). Returns false (with a message on
-/// stderr) if the file cannot be written — benches report but do not fail
-/// on that.
+/// the BENCH_*.json files as artifacts). Every row is stamped with the
+/// host facts tools/bench_check.py reads: `cores` (host_cores()), `simd`
+/// (the exact path's scoring kernel) and `cpu_model`. Returns false (with
+/// a message on stderr) if the file cannot be written — benches report but
+/// do not fail on that.
 inline bool emit_json(const std::string& path, const std::string& bench_name,
-                      const std::vector<JsonRow>& rows) {
+                      std::vector<JsonRow> rows) {
+  const std::string cpu_model = host_cpu_model();
+  for (JsonRow& row : rows) {
+    row.push_back(jnum("cores", host_cores()));
+    row.push_back(jstr("simd", index::InvertedIndex::scoring_kernel()));
+    row.push_back(jstr("cpu_model", cpu_model));
+  }
   const auto escape = [](const std::string& raw) {
     std::string out;
     out.reserve(raw.size());

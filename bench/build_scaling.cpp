@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
       "build_scaling: inline vs. parallel bulk ingest (appended)",
       "archive (re)builds must not serialize on one core");
 
-  const std::size_t cores = std::thread::hardware_concurrency();
+  const std::size_t cores = fmeter::bench::host_cores();
   std::printf("hardware threads: %zu, shards: %zu\n\n", cores, kShards);
   std::printf("%8s %12s %10s %12s %8s\n", "corpus", "mode", "seconds",
               "docs/sec", "ratio");
@@ -87,7 +86,7 @@ int main(int argc, char** argv) {
         std::span<const fmeter::vsm::SparseVector>(docs), &one_worker);
     const double seq_s = seconds_since(t_seq);
 
-    fmeter::exec::TaskPool pool(cores > 0 ? cores : 1);
+    fmeter::exec::TaskPool pool(cores);
     const auto t_par = std::chrono::steady_clock::now();
     const auto parallel = fmeter::exec::ShardedIndex(kShards).appended(
         std::span<const fmeter::vsm::SparseVector>(docs), &pool);
@@ -150,8 +149,7 @@ int main(int argc, char** argv) {
            fmeter::bench::jstr("mode", mode),
            fmeter::bench::jnum("seconds", secs),
            fmeter::bench::jnum("docs_per_sec",
-                               static_cast<double>(corpus) / secs),
-           fmeter::bench::jnum("cores", static_cast<double>(cores))});
+                               static_cast<double>(corpus) / secs)});
     }
     json_rows.push_back(
         {fmeter::bench::jnum("docs", static_cast<double>(corpus)),
@@ -160,8 +158,7 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("seconds", fold_s),
          fmeter::bench::jnum("docs_per_sec",
                              static_cast<double>(corpus) / fold_s),
-         fmeter::bench::jnum("speedup", fold_s > 0.0 ? seq_s / fold_s : 0.0),
-         fmeter::bench::jnum("cores", static_cast<double>(cores))});
+         fmeter::bench::jnum("speedup", fold_s > 0.0 ? seq_s / fold_s : 0.0)});
     // The parallelism gate arms only where parallelism exists to measure.
     if (cores >= 4 && corpus >= 100000) {
       checks.push_back({"parallel bulk ingest >= 2x sequential at " +

@@ -2,15 +2,17 @@
 //
 // The write-ahead journal turns LiveDatabase::add_batch into validate →
 // seal → journal → publish, so every batch is one sequential append (plus
-// an fsync under the strict policy). This bench ingests the same synthetic
-// signature stream into a LiveDatabase under the three sync modes —
+// an fsync under kEachBatch). This bench ingests the same synthetic
+// signature stream into a LiveDatabase under the three LiveOptions::
+// durability modes —
 //
-//   off   — journaled=false: RAM only, durability solely from re-freezes;
-//           the no-journal baseline the overhead gate compares against;
-//   async — SyncPolicy::kNone with sync_each_epoch=false: append without
-//           fsync, one sync() at the end (group-commit shape: a crash
-//           loses only the un-synced tail);
-//   fsync — SyncPolicy::kEachRecord: fsync per batch, the strict
+//   off   — Durability::kRefreezeOnly: RAM only, durability solely from
+//           re-freezes; the no-journal baseline the overhead gate
+//           compares against;
+//   async — Durability::kAsync: append without fsync, one sync() at the
+//           end (group-commit shape: a crash loses only the un-synced
+//           tail);
+//   fsync — Durability::kEachBatch (the default): fsync per batch, the
 //           commit-on-return contract the crash-matrix test enforces
 //
 // — with background re-freezes off, so the timed ingest is seal + journal
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
     if (docs > max_docs) break;
     const auto batches = synthetic_batches(docs);
 
-    using fmeter::io::journal::SyncPolicy;
+    using fmeter::core::Durability;
     struct Mode {
       const char* name;
       fmeter::core::LiveOptions options;
@@ -135,16 +137,15 @@ int main(int argc, char** argv) {
     const std::vector<Mode> modes = {
         {"off",
          {.num_shards = kShards,
-          .journaled = false,
+          .durability = Durability::kRefreezeOnly,
           .background_refreeze = false}},
         {"async",
          {.num_shards = kShards,
-          .sync_policy = SyncPolicy::kNone,
-          .sync_each_epoch = false,
+          .durability = Durability::kAsync,
           .background_refreeze = false}},
         {"fsync",
          {.num_shards = kShards,
-          .sync_policy = SyncPolicy::kEachRecord,
+          .durability = Durability::kEachBatch,
           .background_refreeze = false}},
     };
     const auto mode_dir = [&tmp](const Mode& mode) {
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
         for (const Batch& batch : batches) {
           db.add_batch(batch.signatures, batch.labels);
         }
-        if (mode.options.journaled && !mode.options.sync_each_epoch) {
+        if (mode.options.durability == Durability::kAsync) {
           db.sync();  // group commit: the async mode's single commit point
         }
         samples[m].push_back(seconds_since(t_start));

@@ -24,11 +24,9 @@
 // Writes machine-readable results to BENCH_index_scaling.json. Every row
 // carries the host facts the numbers depend on: its hardware thread count
 // (`cores`) and the exact path's scoring kernel (`simd`).
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -112,9 +110,9 @@ int main(int argc, char** argv) {
       "index_scaling: scan vs. block-max indexed arena",
       "§1/§2.2 — signatures are indexable like text documents");
 
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
-  std::printf("hardware threads: %u, scoring kernel: %s\n\n", cores, simd);
+  std::printf("hardware threads: %u, scoring kernel: %s\n\n",
+              fmeter::bench::host_cores(),
+              fmeter::index::InvertedIndex::scoring_kernel());
 
   std::printf("%8s %7s %14s %8s %8s %10s %8s\n", "corpus", "metric",
               "policy", "q/s", "pruned%", "visited/q", "blkskip");
@@ -137,9 +135,7 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("prune_rate", cell.prune_rate),
          fmeter::bench::jnum("postings_visited", cell.visited_per_query),
          fmeter::bench::jnum("blocks_skipped",
-                             cell.blocks_skipped_per_query),
-         fmeter::bench::jnum("cores", static_cast<double>(cores)),
-         fmeter::bench::jstr("simd", simd)});
+                             cell.blocks_skipped_per_query)});
   };
 
   const int reps = 5;

@@ -10,8 +10,8 @@
 // time. This bench measures the three-way contract:
 //
 //   ingest        — pure streaming ingest, no queries: the sigs/sec the
-//                   epoch design sustains (journaled, group commit per
-//                   epoch, background re-freezes folding the tail);
+//                   epoch design sustains (journaled with an fsync per
+//                   batch, background re-freezes folding the tail);
 //   idle          — query latency against the finished archive with no
 //                   ingest running: the p99 reference;
 //   ingest+query  — a fresh archive ingested at full speed while a paced
@@ -173,9 +173,9 @@ int main(int argc, char** argv) {
   const auto queries = synthetic_queries(64);
   // Every row records the host's hardware threads and scoring kernel:
   // ingest, fold and query rates mean little without them.
-  const double cores = static_cast<double>(std::thread::hardware_concurrency());
-  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
-  std::printf("hardware threads: %.0f, scoring kernel: %s\n\n", cores, simd);
+  std::printf("hardware threads: %u, scoring kernel: %s\n\n",
+              fmeter::bench::host_cores(),
+              fmeter::index::InvertedIndex::scoring_kernel());
 
   std::printf("%8s %-14s %10s %12s %9s %9s %9s\n", "docs", "mode", "seconds",
               "sigs_per_s", "p50us", "p99us", "p99/idle");
@@ -224,9 +224,7 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("seconds", ingest_seconds),
          fmeter::bench::jnum("sigs_per_sec", ingest_rate),
          fmeter::bench::jnum("refreezes",
-                             static_cast<double>(ingest_refreezes)),
-         fmeter::bench::jnum("cores", cores),
-         fmeter::bench::jstr("simd", simd)});
+                             static_cast<double>(ingest_refreezes))});
 
     // -- Phase 2: idle query baseline on the finished archive --------------
     std::vector<double> idle_us;
@@ -248,9 +246,7 @@ int main(int argc, char** argv) {
                              static_cast<double>(idle_us.size() * 3)),
          fmeter::bench::jnum("us_p50", idle.p50),
          fmeter::bench::jnum("us_p95", idle.p95),
-         fmeter::bench::jnum("us_p99", idle.p99),
-         fmeter::bench::jnum("cores", cores),
-         fmeter::bench::jstr("simd", simd)});
+         fmeter::bench::jnum("us_p99", idle.p99)});
     db.reset();
 
     // -- Phase 3: full-speed ingest while serving the paced query load ----
@@ -306,9 +302,7 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("us_p50", served.p50),
          fmeter::bench::jnum("us_p95", served.p95),
          fmeter::bench::jnum("us_p99", served.p99),
-         fmeter::bench::jnum("p99_vs_idle", p99_vs_idle),
-         fmeter::bench::jnum("cores", cores),
-         fmeter::bench::jstr("simd", simd)});
+         fmeter::bench::jnum("p99_vs_idle", p99_vs_idle)});
 
     checks.push_back(
         {"every signature archived under concurrent load at " +
@@ -355,7 +349,8 @@ int main(int argc, char** argv) {
     remove_tree(dir);
     fmeter::core::LiveOptions options;
     options.background_refreeze = false;
-    options.sync_each_epoch = false;  // the row measures shape, not fsync
+    // The row measures shape, not fsync.
+    options.durability = fmeter::core::Durability::kAsync;
     fmeter::core::LiveDatabase db(env, dir, options);
     const auto t_start = std::chrono::steady_clock::now();
     for (const Batch& batch : batches) {
@@ -382,9 +377,7 @@ int main(int argc, char** argv) {
          fmeter::bench::jnum("seconds", seconds),
          fmeter::bench::jnum("segments", static_cast<double>(stats.segments)),
          fmeter::bench::jnum("us_p50", idle.p50),
-         fmeter::bench::jnum("us_p99", idle.p99),
-         fmeter::bench::jnum("cores", cores),
-         fmeter::bench::jstr("simd", simd)});
+         fmeter::bench::jnum("us_p99", idle.p99)});
     checks.push_back(
         {"one-doc batches keep segments <= log2(tail)+1 at " +
              std::to_string(stats.tail_docs),

@@ -50,7 +50,6 @@
 #include <numeric>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -274,9 +273,9 @@ int main(int argc, char** argv) {
       "query_engine_scaling: sharded + batched + pruned execution vs. scalar",
       "§1/§2.2 — indexable signatures, served shard-parallel with max-score");
 
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
-  std::printf("hardware threads: %u, scoring kernel: %s\n\n", cores, simd);
+  const unsigned cores = fmeter::bench::host_cores();
+  std::printf("hardware threads: %u, scoring kernel: %s\n\n", cores,
+              fmeter::index::InvertedIndex::scoring_kernel());
 
   // The query stream is its own RNG, drawn before anything else: corpus
   // growth or bench restructuring can never shift which queries run.
@@ -369,9 +368,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(cell.stats.spans_reserved)),
                fmeter::bench::jnum(
                    "tasks_executed",
-                   static_cast<double>(cell.stats.tasks_executed)),
-               fmeter::bench::jnum("cores", static_cast<double>(cores)),
-               fmeter::bench::jstr("simd", simd)});
+                   static_cast<double>(cell.stats.tasks_executed))});
         }
       }
 
@@ -408,9 +405,7 @@ int main(int argc, char** argv) {
                  "independent_postings_visited",
                  static_cast<double>(cmp.independent.postings_visited)),
              fmeter::bench::jnum("work_ratio",
-                                 seeded_work / independent_work),
-             fmeter::bench::jnum("cores", static_cast<double>(cores)),
-             fmeter::bench::jstr("simd", simd)});
+                                 seeded_work / independent_work)});
         checks.push_back(
             {"seeded and independent pruning agree on results at " +
                  std::to_string(corpus),

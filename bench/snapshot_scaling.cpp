@@ -39,13 +39,11 @@
 //        bench_snapshot_scaling --load-child <snapshot>   (internal: the
 //        fresh-process restore; prints "<peak RSS kB> <index bytes>
 //        <load s> <read s> <build s>")
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -242,9 +240,9 @@ int main(int argc, char** argv) {
   const std::string corpus_path = (tmp / "fmeter_snapshot_bench.fmc").string();
   const std::string snapshot_path = (tmp / "fmeter_snapshot_bench.fms").string();
 
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const char* simd = fmeter::index::InvertedIndex::scoring_kernel();
-  std::printf("hardware threads: %u, scoring kernel: %s\n\n", cores, simd);
+  std::printf("hardware threads: %u, scoring kernel: %s\n\n",
+              fmeter::bench::host_cores(),
+              fmeter::index::InvertedIndex::scoring_kernel());
   std::printf("%8s %10s %10s %10s %8s %8s %10s %8s %8s %10s %8s %10s %10s\n",
               "docs", "reindex_s", "save_s", "load_s", "read_s", "build_s",
               "file_MB", "B/doc", "v1_B/doc", "load_MB/s", "ratio",
@@ -314,9 +312,7 @@ int main(int argc, char** argv) {
            fmeter::bench::jnum("bytes_per_doc", bytes_per_doc),
            fmeter::bench::jnum("v1_bytes_per_doc", v1_bytes_per_doc),
            fmeter::bench::jnum("load_peak_rss_mb", fresh.peak_rss_mb),
-           fmeter::bench::jnum("index_mb", fresh.index_mb),
-           fmeter::bench::jnum("cores", static_cast<double>(cores)),
-           fmeter::bench::jstr("simd", simd)});
+           fmeter::bench::jnum("index_mb", fresh.index_mb)});
     }
     // The persistence payoff must be structural, not marginal: restoring
     // skips text parsing and tf-idf entirely, so anything under 3x means

@@ -241,7 +241,7 @@ LiveDatabase::~LiveDatabase() {
   try {
     if (journal_) journal_->close();
   } catch (...) {
-    // Destructors do not throw; an unsynced tail under kNone was already
+    // Destructors do not throw; an unsynced tail under kAsync was already
     // lost by contract, and synced bytes survive a failed close.
   }
 }
@@ -261,9 +261,9 @@ void LiveDatabase::open() {
     recovery_.created = true;
     manifest.epoch = 0;
     manifest.journal = journal_name(0);
-    if (options_.journaled) {
+    if (journaled()) {
       journal_ = std::make_unique<io::journal::Writer>(
-          env_, dir_ + "/" + manifest.journal, options_.sync_policy);
+          env_, dir_ + "/" + manifest.journal);
     }
     write_manifest(env_, dir_, manifest);
   } else {
@@ -295,9 +295,8 @@ void LiveDatabase::open() {
     recovery_.journal_truncated = replayed.truncated_tail;
     recovery_.journal_bytes_dropped = replayed.dropped_bytes;
     recovery_.truncate_reason = replayed.truncate_reason;
-    if (options_.journaled) {
-      journal_ = std::make_unique<io::journal::Writer>(
-          env_, journal_path, options_.sync_policy);
+    if (journaled()) {
+      journal_ = std::make_unique<io::journal::Writer>(env_, journal_path);
     }
 
     // Plan the ladder over the record sizes: docs and first record of
@@ -410,7 +409,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
   // The record lives only for this call: once it is appended, the
   // segment's forward store is the batch's one in-RAM copy.
   std::vector<std::byte> record;
-  if (options_.journaled) record = encode_batch(signatures, labels);
+  if (journaled()) record = encode_batch(signatures, labels);
 
   // Plan and build the merge outside the writer lock, from a pinned epoch:
   // concurrent ingests build concurrently; only the journal append and
@@ -482,12 +481,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     const auto start = std::chrono::steady_clock::now();
     if (journal_) {
       journal_->append(record);
-      if (options_.sync_each_epoch &&
-          options_.sync_policy == io::journal::SyncPolicy::kNone) {
-        // Group commit: one fsync per published epoch, the contract that
-        // bounds a crash to losing at most the current epoch.
-        journal_->sync();
-      }
+      if (options_.durability == Durability::kEachBatch) journal_->sync();
     }
     const auto current = acquire();
     auto next = std::make_shared<LiveEpoch>(*current);
@@ -642,9 +636,9 @@ bool LiveDatabase::do_refreeze() {
     }
     const std::string journal_file = journal_name(next_epoch);
     std::unique_ptr<io::journal::Writer> fresh_journal;
-    if (options_.journaled) {
-      fresh_journal = std::make_unique<io::journal::Writer>(
-          env_, dir_ + "/" + journal_file, options_.sync_policy);
+    if (journaled()) {
+      fresh_journal =
+          std::make_unique<io::journal::Writer>(env_, dir_ + "/" + journal_file);
       for (const auto& segment : survivors) {
         rejournal(*segment->db, segment->batch_docs, *fresh_journal);
       }

@@ -52,13 +52,13 @@
 //     the new ones, never a torn mix (enforced by the crash-matrix test).
 //
 // Durability contract (enforced by the crash matrix in
-// tests/test_durability.cpp):
-//   * under SyncPolicy::kEachRecord, or kNone with sync_each_epoch (the
-//     default), a batch is durable when add_batch() returns;
-//   * under kNone with sync_each_epoch off ("async" ingest), a crash loses
-//     at most the epochs published since the last sync()/re-freeze — the
-//     journal's group-commit contract, chosen per LiveOptions;
-//   * with the journal off, durability comes solely from re-freezes;
+// tests/test_durability.cpp, run once per Durability value):
+//   * under kEachBatch (the default), a batch is durable when add_batch()
+//     returns: one journal write and one fsync per batch;
+//   * under kAsync, a crash loses at most the batches published since the
+//     last sync()/re-freeze returned;
+//   * under kRefreezeOnly there is no journal, and durability comes solely
+//     from re-freezes;
 //   * a batch interrupted mid-append vanishes atomically, and the
 //     directory is always openable after a crash;
 //   * recovery replays the manifest's snapshot + journal and always yields
@@ -92,19 +92,23 @@
 
 namespace fmeter::core {
 
+/// When an acknowledged batch becomes durable.
+enum class Durability {
+  /// No journal: ingest mutates only RAM and a batch is durable once a
+  /// re-freeze commits it. The bench's no-durability baseline.
+  kRefreezeOnly,
+  /// Journal append without fsync: a batch is durable once a later
+  /// sync() or re-freeze returns.
+  kAsync,
+  /// Journal append and fsync before add_batch returns.
+  kEachBatch,
+};
+
 struct LiveOptions {
   /// Shard count of the *base* database (0 = SignatureDatabase default).
   /// Opening an existing directory adopts the snapshot's shard count.
   std::size_t num_shards = 0;
-  /// false = no journal: ingest mutates only RAM and durability comes
-  /// solely from re-freeze snapshots. The bench's no-durability baseline.
-  bool journaled = true;
-  /// Journal sync policy (see io/journal.hpp).
-  io::journal::SyncPolicy sync_policy = io::journal::SyncPolicy::kNone;
-  /// Under kNone, fsync the journal once per published epoch (i.e. per
-  /// add_batch — group commit). Off = pure async: sync only at re-freeze
-  /// commits and explicit sync() calls.
-  bool sync_each_epoch = true;
+  Durability durability = Durability::kEachBatch;
   /// Re-freeze triggers when tail docs exceed both this fraction of the
   /// base and refreeze_min_docs. The ladder already bounds the segment
   /// count, so the two knobs trade fold CPU (each fold copies the whole
@@ -146,8 +150,8 @@ struct LiveStats {
   std::size_t tail_docs = 0;             ///< docs in sealed tail segments
   std::size_t segments = 0;
   std::size_t memory_bytes = 0;          ///< base + segment index footprint
-  /// Length of the current journal (header and framing included; 0 when
-  /// not journaled): the tail's durable footprint since the last commit.
+  /// Length of the current journal (header and framing included; 0 under
+  /// kRefreezeOnly): the tail's durable footprint since the last commit.
   std::uint64_t journal_bytes = 0;
   std::vector<exec::ShardStats> base_shards;
   std::vector<LiveSegmentStats> tail_segments;  ///< the ladder, oldest first
@@ -230,7 +234,7 @@ class LiveDatabase {
   /// Streaming ingest: validate → seal the batch, merged with the trailing
   /// segments the ladder absorbs, into a frozen segment (outside the
   /// writer lock — concurrent ingests build concurrently) → journal
-  /// append (+ per-epoch sync) → publish the new epoch. Returns
+  /// append (+ sync under kEachBatch) → publish the new epoch. Returns
   /// the id of the first inserted signature. Thread-safe against
   /// concurrent add_batch/sync/refreeze/readers. May schedule a background
   /// re-freeze; throws std::invalid_argument on malformed input with the
@@ -238,7 +242,7 @@ class LiveDatabase {
   std::size_t add_batch(std::vector<vsm::SparseVector> signatures,
                         std::vector<std::string> labels);
 
-  /// Explicit journal fsync — the pure-async caller's commit point.
+  /// Explicit journal fsync — the commit point under kAsync.
   void sync();
 
   /// Pins the currently published epoch.
@@ -260,8 +264,8 @@ class LiveDatabase {
   /// Synchronous re-freeze — the archive's checkpoint: folds the pinned
   /// epoch's segments into a fresh sharded base, writes it as the next
   /// epoch's snapshot and commits the swap durably. Once it returns true,
-  /// every batch published before the call is durable whatever the sync
-  /// policy, journaled or not. Returns false when there was nothing to
+  /// every batch published before the call is durable under every
+  /// Durability. Returns false when there was nothing to
   /// fold or another re-freeze was already in flight (the call then waits
   /// for it). Throws on I/O failure — the published epoch is unchanged and
   /// the directory recovers to old-or-new on reopen.
@@ -312,6 +316,9 @@ class LiveDatabase {
   /// is the fold's to merge (merging it on seal would repeat the fold's
   /// work for a probe saving that is small next to scoring that many docs).
   std::size_t max_run() const noexcept { return options_.refreeze_min_docs; }
+  bool journaled() const noexcept {
+    return options_.durability != Durability::kRefreezeOnly;
+  }
   exec::TaskPool& pool() const {
     return options_.pool != nullptr ? *options_.pool : exec::TaskPool::shared();
   }

@@ -34,8 +34,7 @@ const JournalMetrics& metrics() {
                            "Bytes appended to write-ahead journals "
                            "(framing included)");
     out.syncs = &r.counter("fmeter_journal_syncs_total",
-                           "Journal fsync calls (per-record policy + "
-                           "explicit sync)");
+                           "Journal fsync calls");
     out.append_ns = &r.histogram("fmeter_journal_append_ns",
                                  "Wall time of one journal append "
                                  "(excluding sync)");
@@ -74,8 +73,8 @@ std::uint64_t record_checksum(std::uint32_t length,
 
 }  // namespace
 
-Writer::Writer(Env& env, std::string path, SyncPolicy policy)
-    : env_(env), path_(std::move(path)), policy_(policy) {
+Writer::Writer(Env& env, std::string path)
+    : env_(env), path_(std::move(path)) {
   const std::uint64_t existing =
       env_.file_exists(path_) ? env_.file_size(path_) : 0;
   if (existing < kHeaderBytes) {
@@ -119,7 +118,6 @@ void Writer::append(std::span<const std::byte> payload) {
   m.appends->inc();
   m.bytes->inc(frame.size());
   m.append_ns->record(elapsed_ns(start));
-  if (policy_ == SyncPolicy::kEachRecord) sync();
 }
 
 void Writer::sync() {

@@ -28,12 +28,11 @@
 //     not a crash artifact; it is corruption or a foreign file, and
 //     silently discarding it would throw away committed data.
 //
-// Sync policy decides the commit point:
-//   kNone        append() never syncs — "async" ingest. Records become
-//                durable at the next explicit sync()/rotation or not at
-//                all; a crash may lose every record since the last sync.
-//   kEachRecord  append() fsyncs before returning — the record is
-//                committed when append() returns ("fsync per batch").
+// sync() is the commit point: append() only writes, so a record is
+// durable once a later sync() returns, and a crash may lose every record
+// appended since the last one. The caller (LiveDatabase) decides when to
+// sync — after each batch, or only at re-freeze commits and explicit
+// LiveDatabase::sync() calls.
 #pragma once
 
 #include <cstddef>
@@ -64,11 +63,6 @@ inline constexpr std::uint64_t kRecordHeaderBytes =
 /// allocation during replay.
 inline constexpr std::uint32_t kMaxRecordBytes = 1u << 30;
 
-enum class SyncPolicy {
-  kNone,        ///< async: durability deferred to explicit sync()/rotation
-  kEachRecord,  ///< fsync before append() returns: the batch commit point
-};
-
 /// Appends records to a journal file through an Env. Creates the file
 /// (with its magic header) when absent or shorter than the header —
 /// i.e. when a crash killed it before the first sync; otherwise opens at
@@ -77,19 +71,18 @@ enum class SyncPolicy {
 /// Not thread-safe; callers (LiveDatabase) serialize appends.
 class Writer {
  public:
-  Writer(Env& env, std::string path, SyncPolicy policy);
+  Writer(Env& env, std::string path);
 
   /// Appends one record (framing + payload in a single Env write, so a
-  /// fault tears at most one record) and, under kEachRecord, syncs.
+  /// fault tears at most one record). Never syncs.
   void append(std::span<const std::byte> payload);
 
-  /// Explicit fsync — the kNone caller's commit point.
+  /// fsync — the commit point of every record appended so far.
   void sync();
 
   void close();
 
   const std::string& path() const noexcept { return path_; }
-  SyncPolicy policy() const noexcept { return policy_; }
   /// Records appended through this writer (not lifetime file records).
   std::uint64_t records_appended() const noexcept { return records_; }
   /// Current file length including header and framing.
@@ -98,7 +91,6 @@ class Writer {
  private:
   Env& env_;
   std::string path_;
-  SyncPolicy policy_;
   std::unique_ptr<WritableFile> file_;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;

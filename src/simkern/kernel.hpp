@@ -59,14 +59,11 @@ class Kernel {
   void install_tracer(TraceHook* hook) {
     if (hook != nullptr) hook->on_arm();
     tracer_ = hook;
-    trace_exits_ = hook != nullptr && hook->wants_exit_events();
   }
   TraceHook* tracer() const noexcept { return tracer_; }
 
   /// The mcount seam: dispatches the trace hook (if armed), then burns the
-  /// function's simulated body cost. Graph-style tracers additionally get
-  /// the exit event the return trampoline would deliver. Hot path — kept
-  /// header-inline.
+  /// function's simulated body cost. Hot path — kept header-inline.
   void invoke(CpuContext& cpu, FunctionId fn,
               FunctionId parent = kNoFunction) noexcept {
     if (tracer_ != nullptr) {
@@ -75,12 +72,6 @@ class Kernel {
     }
     cpu.count_dispatch();
     cpu.consume_work(symbols_.functions()[fn].body_cost * config_.body_work_scale);
-    if (trace_exits_) {
-      // The return trampoline costs another dispatch (hijacked return
-      // address, register save/restore) before the exit handler runs.
-      cpu.consume_work(config_.mcount_dispatch_units);
-      tracer_->on_function_exit(cpu, fn);
-    }
   }
 
   /// Resolves a core-kernel symbol name to its id (throws for unknown names).
@@ -115,7 +106,6 @@ class Kernel {
   std::vector<std::unique_ptr<CpuContext>> cpus_;
   std::vector<std::unique_ptr<Module>> modules_;
   TraceHook* tracer_ = nullptr;
-  bool trace_exits_ = false;  // cached wants_exit_events() of tracer_
   util::Rng module_rng_;
 };
 

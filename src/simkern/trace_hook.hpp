@@ -26,16 +26,6 @@ class TraceHook {
   virtual void on_function_entry(CpuContext& cpu, FunctionId fn,
                                  FunctionId parent) noexcept = 0;
 
-  /// Called after the function's body, but only when wants_exit_events() is
-  /// true — the graph tracer's return trampoline. Plain function tracers
-  /// never see exits (their call sites are entry-only), so the default is a
-  /// no-op and the kernel skips the dispatch entirely.
-  virtual void on_function_exit(CpuContext& /*cpu*/,
-                                FunctionId /*fn*/) noexcept {}
-
-  /// Opt-in for exit events; checked once at install time.
-  virtual bool wants_exit_events() const noexcept { return false; }
-
   /// Called at install time, before the first event — a tracer's init on
   /// a write to current_tracer. A tracer allocates what recording needs
   /// here rather than at construction, as Linux keeps Ftrace's ring

@@ -3,8 +3,8 @@
 // contract under test:
 //
 //   * a batch whose commit point passed (add_batch returning under
-//     kEachRecord or kNone + sync_each_epoch, sync() under pure async,
-//     refreeze_now() in every mode) survives ANY later crash;
+//     kEachBatch, sync() under kAsync, refreeze_now() in every mode)
+//     survives ANY later crash;
 //   * a batch interrupted mid-append vanishes atomically;
 //   * the directory is always openable after a crash;
 //   * the recovered archive answers bit-identically to a fresh bulk build
@@ -13,7 +13,7 @@
 // The crash matrices enforce this by killing a FaultInjectingEnv at EVERY
 // mutating operation of a full lifecycle (open, batches, re-freezes raced
 // by a mid-fold seal, more batches) with torn writes enabled, under both
-// crash models and both per-batch commit policies, then reopening and
+// crash models and both journaled Durability modes, then reopening and
 // checking the contract. The journal record codec is pinned byte for byte
 // and its decoder's rejections are tested directly. The concurrent
 // add_batch/sync/refreeze test runs under the TSan CI job, and the whole
@@ -34,6 +34,7 @@
 #include "fmeter/archive_format.hpp"
 #include "fmeter/live_database.hpp"
 #include "io/env.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "vsm/sparse_vector.hpp"
 
@@ -43,7 +44,6 @@ namespace {
 using io::FaultInjectingEnv;
 using io::InMemoryEnv;
 using io::IoError;
-using io::journal::SyncPolicy;
 
 vsm::SparseVector random_sparse(util::Rng& rng, std::uint32_t dimension,
                                 std::size_t max_nnz) {
@@ -89,8 +89,8 @@ SignatureDatabase build_reference(const std::vector<Batch>& batches,
 
 /// Two shards, explicit re-freezes only: the tests decide when the
 /// archive checkpoints.
-LiveOptions archive_options(SyncPolicy policy = SyncPolicy::kNone) {
-  return {.num_shards = 2, .sync_policy = policy,
+LiveOptions archive_options(Durability durability = Durability::kEachBatch) {
+  return {.num_shards = 2, .durability = durability,
           .background_refreeze = false};
 }
 
@@ -277,11 +277,10 @@ TEST(LiveDurability, RefreezeRotatesAndReopensFromSnapshot) {
                     "post-second-refreeze");
 }
 
-TEST(LiveDurability, SyncIsTheCommitPointUnderAsyncPolicy) {
+TEST(LiveDurability, SyncIsTheCommitPointUnderAsync) {
   InMemoryEnv env;
   const auto batches = make_batches(3, 2);
-  LiveOptions options = archive_options(SyncPolicy::kNone);
-  options.sync_each_epoch = false;
+  const LiveOptions options = archive_options(Durability::kAsync);
   LiveDatabase db(env, "arch", options);
   db.add_batch(batches[0].signatures, batches[0].labels);
   db.sync();  // commit point for batch 0
@@ -297,8 +296,7 @@ TEST(LiveDurability, SyncIsTheCommitPointUnderAsyncPolicy) {
 TEST(LiveDurability, UnjournaledModeDependsEntirelyOnRefreeze) {
   InMemoryEnv env;
   const auto batches = make_batches(2, 3);
-  LiveOptions off = archive_options();
-  off.journaled = false;
+  const LiveOptions off = archive_options(Durability::kRefreezeOnly);
   LiveDatabase db(env, "arch", off);
   db.add_batch(batches[0].signatures, batches[0].labels);
   ASSERT_TRUE(db.refreeze_now());
@@ -372,41 +370,51 @@ TEST(LiveDurability, CorruptManifestRefusedLoudly) {
 // ---------------------------------------------------------------------------
 
 /// The lifecycle whose every fault point the matrix kills: open fresh,
-/// two committed batches, a re-freeze whose capture is raced by a batch
+/// two batches and a sync(), a re-freeze whose capture is raced by a batch
 /// sealed mid-fold (the survivor re-journal path), one more batch, and a
-/// second re-freeze. `committed` is updated as each add_batch returns —
-/// under kEachRecord and under kNone + sync_each_epoch that return IS the
-/// commit point — so the caller knows the durability floor even when a
+/// second re-freeze. `committed` is raised at each commit point as it
+/// returns — add_batch under kEachBatch, sync() and refreeze_now() under
+/// both modes — so the caller knows the durability floor even when a
 /// fault unwinds the lifecycle.
 void run_lifecycle(io::Env& env, const std::vector<Batch>& batches,
-                   SyncPolicy policy, std::size_t& committed) {
-  LiveOptions options = archive_options(policy);
+                   Durability durability, std::size_t& committed) {
+  LiveOptions options = archive_options(durability);
+  std::size_t acknowledged = 0;
+  const auto commit = [&] { committed = acknowledged; };
+  const auto acknowledge = [&] {
+    ++acknowledged;
+    if (durability == Durability::kEachBatch) commit();
+  };
   LiveDatabase* handle = nullptr;
   bool sealed_mid_fold = false;
   options.after_refreeze_capture = [&] {
     if (sealed_mid_fold) return;
     sealed_mid_fold = true;
     handle->add_batch(batches[2].signatures, batches[2].labels);
-    ++committed;
+    acknowledge();
   };
   LiveDatabase db(env, "live", options);
   handle = &db;
   for (std::size_t b = 0; b < 2; ++b) {
     db.add_batch(batches[b].signatures, batches[b].labels);
-    ++committed;
+    acknowledge();
   }
-  db.refreeze_now();  // folds 0+1, re-journals the mid-fold batch 2
+  db.sync();
+  commit();
+  // Folds 0+1 and re-journals the mid-fold batch 2 into the fresh journal,
+  // which the commit syncs: all three are durable once it returns.
+  if (db.refreeze_now()) commit();
   db.add_batch(batches[3].signatures, batches[3].labels);
-  ++committed;
-  db.refreeze_now();  // folds 2+3
+  acknowledge();
+  if (db.refreeze_now()) commit();  // folds 2+3
 }
 
-void run_crash_matrix(SyncPolicy policy) {
+void run_crash_matrix(Durability durability) {
   const auto batches = make_batches(4, 3);
 
   FaultInjectingEnv counter;
   std::size_t clean_committed = 0;
-  run_lifecycle(counter, batches, policy, clean_committed);
+  run_lifecycle(counter, batches, durability, clean_committed);
   ASSERT_EQ(clean_committed, 4u);
   const std::uint64_t total_ops = counter.ops_seen();
   ASSERT_GT(total_ops, 20u) << "lifecycle too small to be a real matrix";
@@ -425,7 +433,7 @@ void run_crash_matrix(SyncPolicy policy) {
       env.fail_at_op(n);
       std::size_t committed = 0;
       try {
-        run_lifecycle(env, batches, policy, committed);
+        run_lifecycle(env, batches, durability, committed);
         // A fault in the post-commit retirement section (deleting the old
         // epoch's files) is deliberately tolerated: the swap has already
         // committed, so ingest must not fail over a leftover file the
@@ -444,7 +452,7 @@ void run_crash_matrix(SyncPolicy policy) {
 
       // ALWAYS openable: recovery lands on whatever epoch the manifest
       // names — the old one or the new one, never a torn mix.
-      LiveDatabase recovered(env, "live", archive_options(policy));
+      LiveDatabase recovered(env, "live", archive_options(durability));
       EXPECT_LE(recovered.recovery().epoch, 2u) << context;
 
       // Committed batches survive, contents are a whole-batch prefix, and
@@ -466,12 +474,53 @@ void run_crash_matrix(SyncPolicy policy) {
       << "most fault points must be pre-commit";
 }
 
-TEST(LiveDurability, CrashMatrixEveryFaultPointUnderEachRecordSync) {
-  run_crash_matrix(SyncPolicy::kEachRecord);
+TEST(LiveDurability, CrashMatrixEveryFaultPointUnderEachBatch) {
+  run_crash_matrix(Durability::kEachBatch);
 }
 
-TEST(LiveDurability, CrashMatrixEveryFaultPointUnderPerEpochGroupCommit) {
-  run_crash_matrix(SyncPolicy::kNone);  // sync_each_epoch is the default
+TEST(LiveDurability, CrashMatrixEveryFaultPointUnderAsync) {
+  run_crash_matrix(Durability::kAsync);
+}
+
+/// Mutating ops of one fold under kEachBatch, counted from its capture,
+/// with `survivors` batches sealed mid-fold for it to re-journal. Sets
+/// `syncs` to the journal fsyncs (Writer::sync) over the same span.
+std::uint64_t fold_ops(std::size_t survivors, std::uint64_t& syncs) {
+  const auto batches = make_batches(1 + survivors, 2);
+  const auto journal_syncs = [] {
+    return obs::MetricsRegistry::global()
+        .counter("fmeter_journal_syncs_total")
+        .value();
+  };
+  FaultInjectingEnv env;
+  LiveOptions options = archive_options(Durability::kEachBatch);
+  LiveDatabase* handle = nullptr;
+  std::uint64_t syncs_before = 0;
+  options.after_refreeze_capture = [&] {
+    for (std::size_t b = 1; b <= survivors; ++b) {
+      handle->add_batch(batches[b].signatures, batches[b].labels);
+    }
+    env.reset_ops();
+    syncs_before = journal_syncs();
+  };
+  LiveDatabase db(env, "arch", options);
+  handle = &db;
+  db.add_batch(batches[0].signatures, batches[0].labels);
+  EXPECT_TRUE(db.refreeze_now());
+  syncs = journal_syncs() - syncs_before;
+  return env.ops_seen();
+}
+
+TEST(LiveDurability, FoldSyncsItsFreshJournalOnceUnderEachBatch) {
+  // Each survivor record costs the fold one append and no fsync: the fresh
+  // journal is synced once, right before the manifest swap commits it.
+  std::uint64_t syncs = 0;
+  const std::uint64_t one = fold_ops(1, syncs);
+  EXPECT_EQ(syncs, 1u);
+  EXPECT_EQ(fold_ops(3, syncs), one + 2);
+  EXPECT_EQ(syncs, 1u);
+  EXPECT_EQ(fold_ops(6, syncs), one + 5);
+  EXPECT_EQ(syncs, 1u);
 }
 
 TEST(LiveDurability, RecoveryItselfSurvivesCrashes) {

@@ -1,5 +1,5 @@
-// Write-ahead journal battery (io/journal.hpp): append/replay round trips
-// under both sync policies, every torn-tail shape recovery must truncate
+// Write-ahead journal battery (io/journal.hpp): append/replay round trips,
+// sync() as the commit point, every torn-tail shape recovery must truncate
 // (header cut inside the length prefix, payload cut, checksum flip in
 // header vs payload, trailing garbage), repair durability, and the
 // bad-magic refusal that protects committed data from silent discard.
@@ -43,10 +43,11 @@ std::vector<std::string> replay_strings(Env& env, const std::string& path,
 /// corruption test can damage its own copy.
 std::string three_record_journal(InMemoryEnv& env) {
   env.create_dir("d");
-  Writer writer(env, "d/j.wal", SyncPolicy::kEachRecord);
+  Writer writer(env, "d/j.wal");
   writer.append(payload_of("first record"));
   writer.append(payload_of(""));  // empty payloads are legal records
   writer.append(payload_of("third, somewhat longer record payload"));
+  writer.sync();
   writer.close();
   env.sync_dir("d");
   return env.read_file("d/j.wal");
@@ -62,7 +63,7 @@ void write_raw(Env& env, const std::string& path, const std::string& bytes) {
 TEST(Journal, RoundTripAndWriterAccounting) {
   InMemoryEnv env;
   env.create_dir("d");
-  Writer writer(env, "d/j.wal", SyncPolicy::kEachRecord);
+  Writer writer(env, "d/j.wal");
   EXPECT_EQ(writer.bytes(), kHeaderBytes);
   writer.append(payload_of("alpha"));
   writer.append(payload_of("beta"));
@@ -83,11 +84,11 @@ TEST(Journal, ReopenExtendsExistingJournal) {
   InMemoryEnv env;
   env.create_dir("d");
   {
-    Writer writer(env, "d/j.wal", SyncPolicy::kEachRecord);
+    Writer writer(env, "d/j.wal");
     writer.append(payload_of("one"));
   }
   {
-    Writer writer(env, "d/j.wal", SyncPolicy::kEachRecord);
+    Writer writer(env, "d/j.wal");
     EXPECT_EQ(writer.records_appended(), 0u);  // per-writer, not lifetime
     writer.append(payload_of("two"));
   }
@@ -95,29 +96,12 @@ TEST(Journal, ReopenExtendsExistingJournal) {
             (std::vector<std::string>{"one", "two"}));
 }
 
-TEST(Journal, SyncPolicyDecidesTheCommitPoint) {
-  // kEachRecord: the record survives a strict crash as soon as append()
-  // returns. kNone: it survives only once sync() was called.
-  for (const bool each_record : {true, false}) {
-    InMemoryEnv env;
-    env.create_dir("d");
-    Writer writer(env, "d/j.wal",
-                  each_record ? SyncPolicy::kEachRecord : SyncPolicy::kNone);
-    env.sync_dir("d");
-    writer.append(payload_of("committed?"));
-    env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
-    const auto records = replay_strings(env, "d/j.wal");
-    if (each_record) {
-      EXPECT_EQ(records, (std::vector<std::string>{"committed?"}));
-    } else {
-      EXPECT_TRUE(records.empty());
-    }
-  }
-
-  // The kNone writer's explicit sync() is its commit point.
+TEST(Journal, SyncIsTheCommitPoint) {
+  // append() never syncs: a record survives a strict crash only once a
+  // later sync() returned.
   InMemoryEnv env;
   env.create_dir("d");
-  Writer writer(env, "d/j.wal", SyncPolicy::kNone);
+  Writer writer(env, "d/j.wal");
   env.sync_dir("d");
   writer.append(payload_of("now committed"));
   writer.sync();
@@ -224,7 +208,7 @@ TEST(Journal, EveryTornTailShapeTruncatesToTheLastGoodRecord) {
     // crash, a re-replay and a fresh append all see a valid journal.
     env.crash(InMemoryEnv::CrashMode::kDropUnsynced);
     EXPECT_EQ(env.file_size("d/j.wal"), second_end) << c.name;
-    Writer writer(env, "d/j.wal", SyncPolicy::kEachRecord);
+    Writer writer(env, "d/j.wal");
     writer.append(payload_of("appended after repair"));
     writer.close();
     EXPECT_EQ(replay_strings(env, "d/j.wal"),
@@ -262,7 +246,7 @@ TEST(Journal, ScanIsReadOnly) {
 TEST(Journal, OversizedRecordRejectedAtAppend) {
   InMemoryEnv env;
   env.create_dir("d");
-  Writer writer(env, "d/j.wal", SyncPolicy::kNone);
+  Writer writer(env, "d/j.wal");
   std::vector<std::byte> huge(static_cast<std::size_t>(kMaxRecordBytes) + 1);
   EXPECT_THROW(writer.append(huge), JournalError);
   // The reject happened before any bytes were written.

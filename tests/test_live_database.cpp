@@ -553,7 +553,7 @@ TEST(LiveDatabase, JournalBytesGaugeTracksTheCurrentJournal) {
     EXPECT_EQ(reopened.stats().journal_bytes, io::journal::kHeaderBytes);
   }
   auto unjournaled = foreground_options();
-  unjournaled.journaled = false;
+  unjournaled.durability = Durability::kRefreezeOnly;
   LiveDatabase db(env, "plain", unjournaled);
   db.add_batch(batches[0].signatures, batches[0].labels);
   EXPECT_EQ(db.stats().journal_bytes, 0u);

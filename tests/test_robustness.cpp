@@ -7,7 +7,6 @@
 
 #include "fmeter/fmeter.hpp"
 #include "util/rng.hpp"
-#include "ml/decision_tree.hpp"
 #include "vsm/corpus_io.hpp"
 
 namespace fmeter {
@@ -105,18 +104,6 @@ TEST(Robustness, HierarchicalWithDuplicatePoints) {
   const auto tree = ml::agglomerate(points);
   EXPECT_EQ(tree.merges.size(), 4u);
   for (const auto& merge : tree.merges) EXPECT_EQ(merge.height, 0.0);
-}
-
-TEST(Robustness, DecisionTreeAllSameFeatureValues) {
-  // No candidate threshold exists: must produce a single majority leaf.
-  ml::Dataset data;
-  for (int i = 0; i < 8; ++i) {
-    data.push_back({vsm::SparseVector::from_entries({{0, 1.0}}),
-                    i < 5 ? +1 : -1});
-  }
-  const auto tree = ml::train_decision_tree(data);
-  EXPECT_EQ(tree.node_count(), 1u);
-  EXPECT_EQ(tree.predict(data[0].x), +1);
 }
 
 TEST(Robustness, TfIdfSingleDocumentCorpus) {

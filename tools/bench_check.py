@@ -16,9 +16,9 @@ Caveats, by design:
   the small-row deltas without failing; the enforced gate matters for full
   runs on the baseline machine (and for refreshing the baseline alongside
   any intentional perf change).
-* Rows carry host facts where the bench records them: ``cores`` (hardware
-  threads) and ``simd`` (the exact path's scoring kernel). They are
-  measured fields, not row identity, and when any matched row's host facts
+* Every row carries host facts (emit_json stamps them): ``cores`` (hardware
+  threads), ``simd`` (the exact path's scoring kernel) and ``cpu_model``
+  (the CPU's model name). They are measured fields, not row identity, and when any matched row's host facts
   differ from its baseline row's, the script prints one ``[host]`` note
   for the file naming the differences, since its deltas then compare two
   machines.
@@ -41,7 +41,7 @@ MEASURED_FIELDS = {
     "us_per_query", "queries_per_sec", "prune_rate", "postings_visited",
     "blocks_skipped", "seconds", "docs_per_sec",
     # Host facts (see HOST_FIELDS).
-    "cores", "simd",
+    "cores", "simd", "cpu_model",
     "file_mb", "mb_per_sec", "speedup", "forward_gathers",
     # query_engine_scaling: per-cell scheduler measurements...
     "speedup_vs_scalar", "dispatch_inline", "dispatch_pooled",
@@ -72,7 +72,7 @@ MEASURED_FIELDS = {
     "bytes_per_doc", "v1_bytes_per_doc",
 }
 # Measured fields that describe the host rather than the run.
-HOST_FIELDS = ("cores", "simd")
+HOST_FIELDS = ("cores", "simd", "cpu_model")
 # Lower-is-better metrics, in preference order; each file is gated on the
 # first one its rows actually carry (query benches emit us_per_query, the
 # build bench emits seconds).

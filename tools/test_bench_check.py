@@ -179,6 +179,28 @@ class BenchCheckTest(unittest.TestCase):
         self.assertIn("simd unrecorded -> avx512f", result.stdout)
         self.assertNotIn("cores", result.stdout.split("[host]")[1])
 
+    def test_cpu_model_is_a_host_fact(self):
+        # The CPU model never splits a row, even against a baseline that
+        # predates it, and a change is one [host] note for the file.
+        base = self.write("base.json", bench_file(
+            [row(100000, 10.0, cores=4, simd="avx512f",
+                 cpu_model="Intel(R) Xeon(R) Platinum 8375C"),
+             row(10000, 9.0, cores=4)]))
+        fresh = self.write("fresh.json", bench_file(
+            [row(100000, 10.5, cores=4, simd="avx512f",
+                 cpu_model="AMD EPYC 7R13 Processor"),
+             row(10000, 9.5, cores=4, cpu_model="AMD EPYC 7R13 Processor")]))
+        result = self.run_check(fresh, base)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("2 rows compared", result.stdout)
+        self.assertNotIn("[new]", result.stdout)
+        self.assertNotIn("[missing]", result.stdout)
+        self.assertEqual(result.stdout.count("[host]"), 1, result.stdout)
+        self.assertIn("cpu_model Intel(R) Xeon(R) Platinum 8375C -> "
+                      "AMD EPYC 7R13 Processor", result.stdout)
+        self.assertIn("cpu_model unrecorded -> AMD EPYC 7R13 Processor",
+                      result.stdout)
+
 
 if __name__ == "__main__":
     unittest.main()
