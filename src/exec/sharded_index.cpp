@@ -27,6 +27,26 @@ void build_shards(std::size_t shards, std::size_t docs, TaskPool* pool,
   workers.run_spans(shards, [&build](std::size_t s, std::size_t) { build(s); });
 }
 
+/// Distinct terms with a posting in any of `shards`, from their arena
+/// offset tables in O(terms × shards).
+std::size_t count_terms(std::span<const index::InvertedIndex> shards) {
+  std::size_t terms = 0;
+  for (const auto& shard : shards) {
+    terms = std::max(terms, shard.term_range());
+  }
+  std::size_t nonempty = 0;
+  for (std::size_t t = 0; t < terms; ++t) {
+    const auto term = static_cast<index::InvertedIndex::TermId>(t);
+    for (const auto& shard : shards) {
+      if (shard.postings_of(term) > 0) {
+        ++nonempty;
+        break;
+      }
+    }
+  }
+  return nonempty;
+}
+
 }  // namespace
 
 ShardedIndex::ShardedIndex(std::size_t num_shards)
@@ -44,27 +64,6 @@ ShardedIndex ShardedIndex::appended(std::span<const vsm::SparseView> docs,
   ShardedIndex out(shards);
   out.size_ = size_ + docs.size();
 
-  // Term-occupancy bitmap, sized once, exactly, so its capacity — part of
-  // memory_breakdown() — depends only on the documents, not on how they
-  // were batched.
-  std::size_t terms = term_seen_.size();
-  for (const vsm::SparseView& doc : docs) {
-    if (!doc.indices.empty()) {
-      terms = std::max(terms, static_cast<std::size_t>(doc.indices.back()) + 1);
-    }
-  }
-  out.term_seen_ = std::vector<bool>(terms, false);
-  std::copy(term_seen_.begin(), term_seen_.end(), out.term_seen_.begin());
-  out.nonempty_terms_ = nonempty_terms_;
-  for (const vsm::SparseView& doc : docs) {
-    for (const auto term : doc.indices) {
-      if (!out.term_seen_[term]) {
-        out.term_seen_[term] = true;
-        ++out.nonempty_terms_;
-      }
-    }
-  }
-
   // Batch index i becomes global id size() + i, so shard s receives the
   // ascending run i ≡ (s - size()) mod N; a shard the batch misses appends
   // nothing, which copies it. A non-finite weight throws from the build of
@@ -79,6 +78,7 @@ ShardedIndex ShardedIndex::appended(std::span<const vsm::SparseView> docs,
     out.shards_[s] = shards_[s].appended(slice);
   };
   build_shards(shards, docs.size(), pool, build_shard);
+  out.nonempty_terms_ = count_terms(out.shards_);
   return out;
 }
 
@@ -99,10 +99,11 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
   const std::uint64_t docs = reader.doc_count();
 
   // Per-shard restore (adopt the sections; validate and complete a v2 or
-  // v3 arena, build a v1 one), fanned out exactly like appended(). Each
-  // shard's sections are taken and its derived arrays sized here, on the
-  // calling thread, so the workers only fill them. The only cross-thread
-  // hand-off is the batch's completion.
+  // v3 arena, merge a v1 forward store onto the empty index), fanned out
+  // exactly like appended(). Each shard's sections are taken here, on the
+  // calling thread, and a v2 or v3 shard's derived arrays sized, so the
+  // workers only fill them. The only cross-thread hand-off is the batch's
+  // completion.
   std::vector<index::InvertedIndex::Restore> restores;
   restores.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -119,24 +120,7 @@ ShardedIndex ShardedIndex::load(index::snapshot::Reader& reader,
     }
   };
   build_shards(shards, docs, pool, load_shard);
-
-  // Term-occupancy bitmap from the shards' arena offset tables, sized like
-  // a build's: a term is seen when any shard holds a posting of it.
-  std::size_t terms = 0;
-  for (const auto& shard : out.shards_) {
-    terms = std::max(terms, shard.term_range());
-  }
-  out.term_seen_ = std::vector<bool>(terms, false);
-  for (std::size_t t = 0; t < terms; ++t) {
-    const auto term = static_cast<index::InvertedIndex::TermId>(t);
-    for (const auto& shard : out.shards_) {
-      if (shard.postings_of(term) > 0) {
-        out.term_seen_[t] = true;
-        ++out.nonempty_terms_;
-        break;
-      }
-    }
-  }
+  out.nonempty_terms_ = count_terms(out.shards_);
   out.size_ = docs;
   if (out.nonempty_terms_ != reader.term_count()) {
     throw SnapshotError("snapshot: shards hold " +
@@ -170,7 +154,6 @@ std::size_t ShardedIndex::memory_bytes() const {
 
 MemoryBreakdown ShardedIndex::memory_breakdown() const {
   MemoryBreakdown total;
-  total.offsets += term_seen_.capacity() / 8;
   for (const auto& shard : shards_) total += shard.memory_breakdown();
   return total;
 }

@@ -13,15 +13,15 @@
 // A ShardedIndex is an immutable value once built: appended() returns a
 // new index holding this one's documents followed by a batch. The batch is
 // partitioned round-robin by global id, then each shard it reaches
-// appends its slice to its old documents (index::InvertedIndex::appended —
-// a merge into the old posting arena, or the full scatter on an empty
-// shard) as one span of a TaskPool::run_spans batch. Shards are disjoint,
-// each shard receives its documents in ascending global order regardless
-// of scheduling, and the term-occupancy bitmap is built on the calling
-// thread — so the built index is deterministic, byte-for-byte a bulk
-// build of the same documents however they were batched, and the only
-// cross-thread hand-off is the batch's completion. A bulk build is
-// ShardedIndex(n).appended(docs).
+// appends its slice to its old documents (index::InvertedIndex::appended,
+// a merge into the old posting arena) as one span of a
+// TaskPool::run_spans batch. Shards are disjoint, and each shard receives
+// its documents in ascending global order regardless of scheduling — so
+// the built index is deterministic, byte-for-byte a bulk build of the same
+// documents however they were batched, and the only cross-thread hand-off
+// is the batch's completion. The distinct-term count is then read off the
+// built shards' offset tables on the calling thread, as a load reads it.
+// A bulk build is ShardedIndex(n).appended(docs).
 //
 // Concurrency contract: nothing here locks. Every const member may run on
 // any number of threads at once, because nothing mutates a built index;
@@ -91,13 +91,14 @@ class ShardedIndex {
   void save(index::snapshot::Writer& writer) const;
 
   /// Restores an index from snapshot sections without touching the corpus:
-  /// each shard takes its sections out of `reader` and has its derived
-  /// arrays sized on the calling thread (InvertedIndex::Restore: a v2 or
-  /// v3 shard adopts its arena, a v1 shard builds it); the shards fan
+  /// each shard takes its sections out of `reader` on the calling thread
+  /// (InvertedIndex::Restore: a v2 or v3 shard adopts its arena and has its
+  /// derived arrays sized there, a v1 shard builds its arena); the shards fan
   /// out onto `pool` exactly like appended() — TaskPool::shared() when
   /// null, inline when the pool has no parallelism to offer or the archive
-  /// is small — and the term-occupancy bitmap is derived from the shards'
-  /// arena offset tables on the calling thread, in O(terms × shards). The
+  /// is small — and the distinct terms are counted from the shards' arena
+  /// offset tables on the calling thread, in O(terms × shards), as
+  /// appended() counts them. The
   /// loaded index is byte-for-byte the index appended() would build from
   /// the same documents. Throws
   /// index::snapshot::SnapshotError on corruption, truncation, version or
@@ -135,11 +136,10 @@ class ShardedIndex {
   std::size_t num_terms() const noexcept { return nonempty_terms_; }
   /// Total postings across all shards (== sum of nnz over documents).
   std::size_t num_postings() const;
-  /// Aggregate heap footprint: every shard's accounting plus this layer's
-  /// term-occupancy bitmap.
+  /// Aggregate heap footprint: the sum of every shard's accounting.
   std::size_t memory_bytes() const;
   /// The same footprint split into postings / offsets / block-metadata /
-  /// forward components, summed over shards (the bitmap counts as offsets).
+  /// forward components, summed over shards.
   MemoryBreakdown memory_breakdown() const;
 
   std::vector<ShardStats> shard_stats() const;
@@ -158,7 +158,6 @@ class ShardedIndex {
 
  private:
   std::vector<index::InvertedIndex> shards_;
-  std::vector<bool> term_seen_;  // global term occupancy, for num_terms()
   std::size_t nonempty_terms_ = 0;
   std::size_t size_ = 0;
 };

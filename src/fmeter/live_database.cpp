@@ -264,6 +264,7 @@ void LiveDatabase::open() {
     if (journaled()) {
       journal_ = std::make_unique<io::journal::Writer>(
           env_, dir_ + "/" + manifest.journal);
+      journal_->sync();  // its header is durable before the manifest names it
     }
     write_manifest(env_, dir_, manifest);
   } else {

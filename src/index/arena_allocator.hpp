@@ -28,8 +28,8 @@
 //
 // Elements are default-initialized: vector(n) and resize(n) leave a trivial
 // type's new elements unset instead of zero-filling streams that are about
-// to be overwritten (the build's scatter, a section copy). Every such
-// resize must write each new element before it is read.
+// to be overwritten (the merge's scatter of new postings, a section copy).
+// Every such resize must write each new element before it is read.
 #pragma once
 
 #include <cstddef>

@@ -273,136 +273,8 @@ InvertedIndex InvertedIndex::appended(
   out.forward_offsets_ = SharedSpan<std::uint64_t>(std::move(offsets));
   out.forward_terms_ = SharedSpan<TermId>(std::move(terms));
   out.forward_weights_ = SharedSpan<double>(std::move(weights));
-  // The merge pays a few passes over the term range to save re-scattering
-  // the old postings, so it only wins once there are more of those.
-  if (num_postings_ < arena_terms() + 1) {
-    out.build_arena();
-  } else {
-    out.merge_arena(*this);
-  }
+  out.merge_arena(*this);
   return out;
-}
-
-void InvertedIndex::build_arena() {
-  std::size_t terms = 0;
-  for (std::size_t g = 0; g + 1 < forward_offsets_.size(); ++g) {
-    const vsm::SparseView run = forward_run(g);
-    if (!run.indices.empty()) {
-      terms = std::max(terms, static_cast<std::size_t>(run.indices.back()) + 1);
-    }
-  }
-  build_arena(size_scatter(terms, 0), terms);
-}
-
-InvertedIndex::Scatter InvertedIndex::size_scatter(std::size_t terms,
-                                                   std::size_t blocks) {
-  const std::size_t n = forward_offsets_.size() - 1;
-  const std::size_t postings = forward_terms_.size();
-  internal_of_.resize(n);
-  keys_.resize(n);
-  norms_.resize(n);
-  norms_sq_.resize(n);
-  arena_block_begin_.reserve(terms + 1);
-  block_last_doc_.reserve(blocks);
-  block_max_w_.reserve(blocks);
-  block_min_w_.reserve(blocks);
-  return {std::vector<DocId>(n),
-          std::vector<TermId>(n),
-          std::vector<double>(n),
-          ForwardVector<std::uint64_t>(terms + 1, 0),
-          std::vector<double>(terms, 0.0),
-          std::vector<double>(terms, 0.0),
-          std::vector<std::size_t>(terms),
-          ForwardVector<DocId>(n),
-          ArenaVector<DocId>(postings),
-          ArenaVector<double>(postings)};
-}
-
-void InvertedIndex::build_arena(Scatter scatter, std::size_t terms) {
-  // Derives every structure from the forward store by a full scatter.
-  const std::size_t n = forward_offsets_.size() - 1;
-  const std::size_t postings = forward_terms_.size();
-
-  // 1. One pass in public order: doc-reorder keys, norms, per-term posting
-  //    counts, and the per-term max/min bounds (first posting sets them,
-  //    later ones widen them). Reorder keys cluster documents by their
-  //    dominant term so one behavior's signatures become neighbors in
-  //    internal id space (see the header — this is what makes per-block id
-  //    ranges selective). Deterministic: public id breaks key ties, so
-  //    every build of the same documents produces an identical arena.
-  std::vector<DocId>& order = scatter.order;
-  std::vector<TermId>& key = scatter.key;
-  std::vector<double>& norm = scatter.norm;
-  ForwardVector<std::uint64_t>& offsets = scatter.offsets;
-  std::vector<double>& max_w = scatter.max_w;
-  std::vector<double>& min_w = scatter.min_w;
-  std::size_t nonempty = 0;
-  for (std::size_t g = 0; g < n; ++g) {
-    const vsm::SparseView run = forward_run(g);
-    for (std::size_t f = 0; f < run.indices.size(); ++f) {
-      const TermId term = run.indices[f];
-      const double weight = run.values[f];
-      if (offsets[term + 1]++ == 0) {
-        ++nonempty;
-        max_w[term] = weight;
-        min_w[term] = weight;
-      } else {
-        max_w[term] = std::max(max_w[term], weight);
-        min_w[term] = std::min(min_w[term], weight);
-      }
-    }
-    const DocKey doc = doc_key(run);
-    key[g] = doc.term;
-    norm[g] = doc.norm;
-    order[g] = static_cast<DocId>(g);
-  }
-  std::sort(order.begin(), order.end(), [&](DocId a, DocId b) {
-    if (key[a] != key[b]) return key[a] < key[b];
-    return a < b;
-  });
-
-  // 2. Permutation tables and internal-ordered norms.
-  ForwardVector<DocId>& public_of = scatter.public_of;
-  for (std::size_t r = 0; r < n; ++r) {
-    const DocId g = order[r];
-    internal_of_[g] = static_cast<DocId>(r);
-    public_of[r] = g;
-    keys_[r] = key[g];
-    norms_[r] = norm[g];
-    norms_sq_[r] = norm[g] * norm[g];
-  }
-
-  // 3. Posting arena by counting sort over terms: docs visited in internal
-  //    order with per-doc terms ascending, so every term's span comes out
-  //    sorted by internal id with no comparison sort. The scatter writes
-  //    every slot once, so the streams are sized without a zero fill.
-  for (std::size_t t = 0; t < terms; ++t) offsets[t + 1] += offsets[t];
-  ArenaVector<DocId>& ids = scatter.ids;
-  ArenaVector<double>& weights = scatter.weights;
-  {
-    std::vector<std::size_t>& cursor = scatter.cursor;
-    std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
-    for (std::size_t r = 0; r < n; ++r) {
-      const vsm::SparseView run = forward_run(public_of[r]);
-      for (std::size_t f = 0; f < run.indices.size(); ++f) {
-        const std::size_t slot = cursor[run.indices[f]]++;
-        ids[slot] = static_cast<DocId>(r);
-        weights[slot] = run.values[f];
-      }
-    }
-  }
-  layout_blocks(offsets);
-  for (std::size_t t = 0; t < terms; ++t) {
-    fill_blocks(t, offsets, ids, weights);
-  }
-  arena_offsets_ = SharedSpan<std::uint64_t>(std::move(offsets));
-  arena_ids_ = SharedSpan<DocId>(std::move(ids));
-  arena_weights_ = SharedSpan<double>(std::move(weights));
-  public_of_ = SharedSpan<DocId>(std::move(public_of));
-  max_weight_ = std::move(max_w);
-  min_weight_ = std::move(min_w);
-  num_postings_ = postings;
-  nonempty_terms_ = nonempty;
 }
 
 std::size_t InvertedIndex::check_forward_offsets(std::uint32_t shard) const {
@@ -647,9 +519,9 @@ InvertedIndex::Restore::Restore(snapshot::Reader& reader, std::uint32_t shard)
     : shard_(shard), build_(reader.version() == 1) {
   // The sections become the index's arrays as they are. A v2 or v3 file
   // carries the arena, which is checked and completed; a v1 file only the
-  // forward store, over which the arena is built. Either way the result is
-  // byte-for-byte a fresh build, so every query contract of a fresh index
-  // holds for a loaded one.
+  // forward store, which finish() checks and merges onto the empty index.
+  // Either way the result is byte-for-byte a fresh build, so every query
+  // contract of a fresh index holds for a loaded one.
   using snapshot::SectionKind;
   index_.forward_offsets_ =
       reader.take_section<std::uint64_t>(SectionKind::kForwardOffsets, shard);
@@ -658,20 +530,7 @@ InvertedIndex::Restore::Restore(snapshot::Reader& reader, std::uint32_t shard)
   index_.forward_weights_ =
       reader.take_section<double>(SectionKind::kWeights, shard);
   if (build_) {
-    // The arena build is sized here too. Its block metadata needs each
-    // term's posting count: one pass over the term ids, clamped into
-    // range until finish() has checked every run.
-    terms_ = index_.check_forward_offsets(shard);
-    if (index_.forward_offsets_.size() == 1) return;
-    counts_.assign(terms_, 0);
-    for (const TermId term : index_.forward_terms_) {
-      ++counts_[std::min<std::size_t>(term, terms_ - 1)];
-    }
-    std::size_t blocks = 0;
-    for (const std::size_t count : counts_) {
-      blocks += (count + kBlockSize - 1) / kBlockSize;
-    }
-    scatter_ = index_.size_scatter(terms_, blocks);
+    index_.check_forward_offsets(shard);
     return;
   }
   index_.arena_offsets_ =
@@ -692,16 +551,19 @@ InvertedIndex InvertedIndex::Restore::finish() {
   const std::size_t n = index_.forward_offsets_.size() - 1;
   for (std::size_t d = 0; d < n; ++d) index_.check_forward_run(d, shard_);
   // A shard without documents is the empty index, which has no arena.
-  if (n > 0) index_.build_arena(std::move(scatter_), terms_);
+  if (n > 0) index_.merge_arena(InvertedIndex());
   return std::move(index_);
 }
 
 void InvertedIndex::merge_arena(const InvertedIndex& old) {
-  // `old` holds documents [0, stored) of this forward store. Its internal
-  // order is a subsequence of the one a full build would pick: new
-  // documents have larger public ids, so within one dominant-term key they
-  // sort after every old one. Each term's span is therefore old's span,
-  // renumbered, merged with the new postings — no full scatter.
+  // `old` holds documents [0, stored) of this forward store. Documents are
+  // ordered by reorder key (dominant term), ties by public id, so one
+  // behavior's signatures become neighbors in internal id space (see the
+  // header: this is what makes per-block id ranges selective). Old's
+  // internal order is a subsequence of the new one: new documents have
+  // larger public ids, so within one key they sort after every old one.
+  // Each term's span is therefore old's span, renumbered, merged with the
+  // new postings — only the new postings are scattered.
   const std::size_t stored = old.size();
   const std::size_t n = forward_offsets_.size() - 1;
   const std::size_t postings = forward_terms_.size();
@@ -773,8 +635,8 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   }
 
   // 2. Bounds: old's, widened by the new postings in public order — the
-  //    same fold a full build's public-order pass computes. New-posting
-  //    counts per term ride along.
+  //    same fold one public-order pass over every document computes.
+  //    New-posting counts per term ride along.
   const std::size_t old_terms = old.arena_terms();
   const auto old_begin = [&](std::size_t t) {
     return t < old_terms ? old.arena_offsets_[t] : old.num_postings_;
@@ -783,7 +645,7 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   std::vector<double> min_w(terms, 0.0);
   std::copy(old.max_weight_.begin(), old.max_weight_.end(), max_w.begin());
   std::copy(old.min_weight_.begin(), old.min_weight_.end(), min_w.begin());
-  std::vector<std::size_t> fresh_offsets(terms + 1, 0);
+  ForwardVector<std::uint64_t> fresh_offsets(terms + 1, 0);
   std::size_t nonempty = old.nonempty_terms_;
   for (std::size_t g = stored; g < n; ++g) {
     const vsm::SparseView run = forward_run(g);
@@ -802,14 +664,15 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
     }
   }
 
-  // 3. Scatter only the new postings — each as its document's key-order
-  //    rank q — visiting the new documents in key order, so each term's
-  //    fresh span is sorted.
+  // 3. A counting sort of only the new postings — each as its document's
+  //    key-order rank q — visiting the new documents in key order, so each
+  //    term's fresh span is sorted. It writes every slot once, so the
+  //    streams are sized without a zero fill.
   for (std::size_t t = 0; t < terms; ++t) {
     fresh_offsets[t + 1] += fresh_offsets[t];
   }
-  std::vector<DocId> fresh_rank(fresh_offsets[terms]);
-  std::vector<double> fresh_weights(fresh_offsets[terms]);
+  ArenaVector<DocId> fresh_rank(fresh_offsets[terms]);
+  ArenaVector<double> fresh_weights(fresh_offsets[terms]);
   {
     std::vector<std::size_t> cursor(fresh_offsets.begin(),
                                     fresh_offsets.end() - 1);
@@ -826,40 +689,53 @@ void InvertedIndex::merge_arena(const InvertedIndex& old) {
   // 4. Each term's span: runs of old's postings, renumbered through
   //    `remap` (monotone, so they stay sorted), with each fresh posting
   //    placed behind the old postings whose documents precede it. Its
-  //    blocks follow while the span is still in cache.
+  //    blocks follow while the span is still in cache. Without old
+  //    postings the fresh rank is the internal id, so the scatter is the
+  //    arena and only its blocks are filled.
   //    The streams are written front to back, so they are appended to,
   //    never zero-filled first.
-  ForwardVector<std::uint64_t> offsets(terms + 1);
-  for (std::size_t t = 0; t <= terms; ++t) {
-    offsets[t] = old_begin(t) + fresh_offsets[t];
-  }
-  layout_blocks(offsets);
+  ForwardVector<std::uint64_t> offsets;
   ArenaVector<DocId> ids;
   ArenaVector<double> weights;
-  ids.reserve(postings);
-  weights.reserve(postings);
-  const DocId* old_ids = old.arena_ids_.data();
-  const double* old_weights = old.arena_weights_.data();
-  const auto copy_old = [&](std::size_t begin, std::size_t end) {
-    weights.insert(weights.end(), old_weights + begin, old_weights + end);
-    for (std::size_t a = begin; a < end; ++a) {
-      ids.push_back(remap[old_ids[a]]);
+  if (stored == 0) {
+    offsets = std::move(fresh_offsets);
+    ids = std::move(fresh_rank);
+    weights = std::move(fresh_weights);
+    layout_blocks(offsets);
+    for (std::size_t t = 0; t < terms; ++t) {
+      fill_blocks(t, offsets, ids, weights);
     }
-  };
-  for (std::size_t t = 0; t < terms; ++t) {
-    std::size_t a = old_begin(t);
-    const std::size_t a_end = old_begin(t + 1);
-    for (std::size_t b = fresh_offsets[t]; b < fresh_offsets[t + 1]; ++b) {
-      const DocId q = fresh_rank[b];
-      std::size_t run_end = a;
-      while (run_end < a_end && old_ids[run_end] < fresh_bound[q]) ++run_end;
-      copy_old(a, run_end);
-      a = run_end;
-      ids.push_back(fresh_internal[q]);
-      weights.push_back(fresh_weights[b]);
+  } else {
+    offsets.resize(terms + 1);
+    for (std::size_t t = 0; t <= terms; ++t) {
+      offsets[t] = old_begin(t) + fresh_offsets[t];
     }
-    copy_old(a, a_end);
-    fill_blocks(t, offsets, ids, weights);
+    layout_blocks(offsets);
+    ids.reserve(postings);
+    weights.reserve(postings);
+    const DocId* old_ids = old.arena_ids_.data();
+    const double* old_weights = old.arena_weights_.data();
+    const auto copy_old = [&](std::size_t begin, std::size_t end) {
+      weights.insert(weights.end(), old_weights + begin, old_weights + end);
+      for (std::size_t a = begin; a < end; ++a) {
+        ids.push_back(remap[old_ids[a]]);
+      }
+    };
+    for (std::size_t t = 0; t < terms; ++t) {
+      std::size_t a = old_begin(t);
+      const std::size_t a_end = old_begin(t + 1);
+      for (std::size_t b = fresh_offsets[t]; b < fresh_offsets[t + 1]; ++b) {
+        const DocId q = fresh_rank[b];
+        std::size_t run_end = a;
+        while (run_end < a_end && old_ids[run_end] < fresh_bound[q]) ++run_end;
+        copy_old(a, run_end);
+        a = run_end;
+        ids.push_back(fresh_internal[q]);
+        weights.push_back(fresh_weights[b]);
+      }
+      copy_old(a, a_end);
+      fill_blocks(t, offsets, ids, weights);
+    }
   }
   arena_offsets_ = SharedSpan<std::uint64_t>(std::move(offsets));
   arena_ids_ = SharedSpan<DocId>(std::move(ids));

@@ -42,23 +42,19 @@
 // order. The build contract: an index is immutable once built, and
 // appended(docs) returns a new one holding its documents followed by
 // `docs` — byte-for-byte the index a bulk build of all of them produces.
-// Two builds do that:
-//
-//  * the scatter, on an empty index (and on the load of a version-1
-//    snapshot, which adopts the file's sections as the forward store) or
-//    one holding fewer postings than its term range, where the merge's
-//    passes over the term range would cost more than re-scattering the old
-//    postings: one public-order pass for keys, counts and bounds, a sort
-//    by doc-reorder key, a counting sort of every posting into the arena;
-//  * the merge, otherwise. The reorder key is (dominant term,
-//    public id) and new ids are larger, so a new document never moves an
-//    old one: the old internal order is a subsequence of the new, and
-//    within one key the old documents come first. The merge copies the
-//    forward store once, keeps the old cached norms, widens the old
-//    per-term bounds by the new postings in public order, scatters only
-//    the new postings, and merges them into each term's old span through
-//    an old → new internal id map. Its cost is a sequential pass over the
-//    old arena plus a scatter of the batch, not a scatter of everything.
+// One build, the merge, does that. The reorder key is (dominant term,
+// public id) and new ids are larger, so a new document never moves an old
+// one: the old internal order is a subsequence of the new, and within one
+// key the old documents come first. The merge copies the forward store
+// once, keeps the old cached norms, widens the old per-term bounds by the
+// new postings in public order, counting-sorts only the new postings (in
+// key order, so each term's new span comes out sorted), and merges them
+// into each term's old span through an old → new internal id map. Its
+// cost is a sequential pass over the old arena plus a scatter of the
+// batch, not a scatter of everything. A bulk build is the merge onto the
+// empty index, whose scatter already is the arena; so is the load of a
+// version-1 snapshot, which adopts the file's sections as the forward
+// store.
 //
 // There is no in-place ingest: an owner that grows an archive swaps in
 // the appended index. A snapshot save hands the forward store, the arena
@@ -264,8 +260,8 @@ class InvertedIndex {
   /// by `docs` (ids continuing densely) — equal (operator==, capacities
   /// included) to a bulk build of the same documents, however they were
   /// split into batches. This index is untouched. Costs a copy of the
-  /// forward store plus the merge described in the header; an empty or
-  /// tiny index runs the full scatter instead. Throws std::invalid_argument,
+  /// forward store plus the merge described in the header (on an empty
+  /// index, a scatter of `docs`). Throws std::invalid_argument,
   /// leaving nothing built, if any document carries a non-finite weight (it
   /// would poison the cached norms and bounds) or term ids that are not
   /// strictly increasing (a repeated term would list the document twice in
@@ -429,7 +425,8 @@ class InvertedIndex {
   /// Restores one shard from its snapshot sections, taking them out of
   /// `reader` as this index's arrays: views that share the file mapping,
   /// no copy. A version-2 or 3 shard's arena is validated and completed
-  /// (adopt_arena); a version-1 shard's is built over the forward store.
+  /// (adopt_arena); a version-1 shard's forward store is checked and
+  /// merged onto the empty index.
   /// Either way the result is byte-for-byte the index a fresh build of the
   /// same documents would produce, so all query contracts transfer. Throws
   /// snapshot::SnapshotError on any corruption or validation failure.
@@ -439,47 +436,21 @@ class InvertedIndex {
   /// load() in two steps, so a restore fanned out over a pool allocates on
   /// the thread that fans it out, not on the workers (whose malloc arenas
   /// would keep a dropped index's small arrays resident). The constructor
-  /// takes the shard's sections and sizes every array the restore derives
-  /// or builds: for a version-2 or 3 shard, after checking the sections'
-  /// sizes and the arena offset table, the inverse permutation, keys,
-  /// norms, bounds and block metadata; for a version-1 shard, after
-  /// checking the forward offsets and counting each term's postings, the
-  /// whole arena build. finish() validates and fills them, on any thread.
-  /// Both steps throw snapshot::SnapshotError.
+  /// takes the shard's sections. For a version-2 or 3 shard it checks the
+  /// sections' sizes and the arena offset table and sizes every array the
+  /// restore derives (inverse permutation, keys, norms, bounds, block
+  /// metadata); finish() validates and fills them, on any thread. For a
+  /// version-1 shard it checks the forward offsets; finish() checks every
+  /// run and builds the arena by the merge, allocating where it runs (a
+  /// legacy format, not worth a second build). Both steps throw
+  /// snapshot::SnapshotError.
   class Restore;
 
  private:
-  // The build steps below fill a freshly constructed index whose forward
-  // store is already in place.
-
-  /// What the scatter writes: its temporaries and the arrays it hands to
-  /// the index.
-  struct Scatter {
-    std::vector<DocId> order;
-    std::vector<TermId> key;
-    std::vector<double> norm;
-    ForwardVector<std::uint64_t> offsets;
-    std::vector<double> max_w;
-    std::vector<double> min_w;
-    std::vector<std::size_t> cursor;
-    ForwardVector<DocId> public_of;
-    ArenaVector<DocId> ids;
-    ArenaVector<double> weights;
-  };
-
-  /// The scatter: derives the arena, bounds, permutation and norms from the
-  /// forward store alone.
-  void build_arena();
-  /// Sizes a scatter over the forward store, whose terms lie below
-  /// `terms`, with this index's derived arrays, and reserves `blocks`
-  /// entries of block metadata — so a restore sizes the build on one
-  /// thread and runs it on another.
-  Scatter size_scatter(std::size_t terms, std::size_t blocks);
-  /// The scatter over storage from size_scatter(terms, ...).
-  void build_arena(Scatter scatter, std::size_t terms);
-
-  /// The merge: the forward store holds `old`'s documents followed by new
-  /// ones; reuses old's norms, bounds and arena spans.
+  /// The build, on a freshly constructed index whose forward store is in
+  /// place: it holds `old`'s documents followed by new ones. Reuses old's
+  /// norms, bounds and arena spans; on an empty `old` the scatter of the
+  /// new postings is the arena.
   void merge_arena(const InvertedIndex& old);
 
   /// The restore's first step (Restore's constructor): the adopted arena
@@ -595,8 +566,6 @@ class InvertedIndex::Restore {
   std::uint32_t shard_;
   bool build_ = false;               ///< version 1: build the arena
   std::vector<std::size_t> counts_;  ///< per-term posting counts
-  std::size_t terms_ = 0;            ///< version 1: the build's term range
-  Scatter scatter_;                  ///< version 1: the build's storage
 };
 
 }  // namespace fmeter::index

@@ -3,8 +3,8 @@
 //
 // Design: a snapshot is the index's own arrays on disk. Each shard writes
 // its forward store (every document's (term, weight) pairs in public id
-// order) and the parts of its posting arena that a build pays a scatter
-// and a sort for: the term-major doc-id and weight streams, their per-term
+// order) and the parts of its posting arena that a build pays a sort and
+// a merge for: the term-major doc-id and weight streams, their per-term
 // offset table and the doc-reorder permutation (public_of). A restore maps
 // the file, checksums every section over the mapping, and the index adopts
 // the sections where they lie: its arrays are views into the mapping, so a
@@ -55,7 +55,8 @@
 //   kLabels          u64 label count, then per label { u32 length, bytes }
 //
 // Version 1 files hold only the forward store and the labels; a restore
-// builds their arenas from the forward store, as appended() does. In a
+// merges each shard's forward store onto the empty index, as a bulk build
+// (appended) does. In a
 // version-1 or 2 file a section can start at an offset misaligned for its
 // element type (after a u32 section of odd length); such a section is
 // copied out of the mapping into aligned storage, and every other one is

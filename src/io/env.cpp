@@ -71,34 +71,6 @@ class PosixWritableFile final : public WritableFile {
   std::string path_;
 };
 
-class PosixRandomAccessFile final : public RandomAccessFile {
- public:
-  PosixRandomAccessFile(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {}
-  ~PosixRandomAccessFile() override { ::close(fd_); }
-
-  std::size_t read(std::uint64_t offset,
-                  std::span<std::byte> into) const override {
-    char* at = reinterpret_cast<char*>(into.data());
-    std::size_t got = 0;
-    while (got < into.size()) {
-      const ssize_t n = ::pread(fd_, at + got, into.size() - got,
-                                static_cast<off_t>(offset + got));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("pread", path_);
-      }
-      if (n == 0) break;  // EOF
-      got += static_cast<std::size_t>(n);
-    }
-    return got;
-  }
-
- private:
-  int fd_;
-  std::string path_;
-};
-
 /// A file mapped whole; unmapped with the last handle. An empty file maps
 /// nothing (mmap refuses a zero length).
 class PosixMappedFile final : public MappedFile {
@@ -121,13 +93,6 @@ class PosixEnv final : public Env {
     const int fd = open_retry(path.c_str(), flags, 0644);
     if (fd < 0) throw_errno("open for write", path);
     return std::make_unique<PosixWritableFile>(fd, path);
-  }
-
-  std::unique_ptr<RandomAccessFile> new_random_access_file(
-      const std::string& path) const override {
-    const int fd = open_retry(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) throw_errno("open for read", path);
-    return std::make_unique<PosixRandomAccessFile>(fd, path);
   }
 
   std::shared_ptr<const MappedFile> map_file(
@@ -220,23 +185,10 @@ class PosixEnv final : public Env {
 }  // namespace
 
 std::string Env::read_file(const std::string& path) const {
-  const auto file = new_random_access_file(path);
-  const std::uint64_t size = file_size(path);
-  std::string bytes(size, '\0');
-  // read() may legally return short of the span without being at EOF
-  // (chunked or interrupted environments), so loop until the file says
-  // EOF — one trusting read here silently truncated under such an Env.
-  std::size_t got = 0;
-  while (got < bytes.size()) {
-    const std::size_t n = file->read(
-        got,
-        std::span<std::byte>(reinterpret_cast<std::byte*>(bytes.data()) + got,
-                             bytes.size() - got));
-    if (n == 0) break;  // true EOF
-    got += n;
-  }
-  bytes.resize(got);  // racing truncation shrinks, never pads with junk
-  return bytes;
+  // The view's bytes live as long as the handle, so hold it while copying.
+  const std::shared_ptr<const MappedFile> file = map_file(path);
+  const std::span<const std::byte> bytes = file->bytes();
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 Env& Env::posix() {
@@ -330,19 +282,6 @@ class MemMappedFile final : public MappedFile {
   }
 };
 
-class MemRandomAccessFile final : public RandomAccessFile {
- public:
-  MemRandomAccessFile(const InMemoryEnv& env, InMemoryEnv::InodeRef inode)
-      : env_(env), inode_(std::move(inode)) {}
-
-  std::size_t read(std::uint64_t offset,
-                  std::span<std::byte> into) const override;
-
- private:
-  const InMemoryEnv& env_;
-  InMemoryEnv::InodeRef inode_;
-};
-
 InMemoryEnv::InodeRef InMemoryEnv::find_locked(const std::string& path) const {
   const auto it = volatile_ns_.find(path);
   return it == volatile_ns_.end() ? nullptr : it->second;
@@ -368,16 +307,6 @@ std::unique_ptr<WritableFile> InMemoryEnv::new_writable_file(
     inode->durable_bytes.clear();
   }
   return std::make_unique<MemWritableFile>(*this, inode, path);
-}
-
-std::unique_ptr<RandomAccessFile> InMemoryEnv::new_random_access_file(
-    const std::string& path) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  InodeRef inode = find_locked(path);
-  if (inode == nullptr) {
-    throw IoError("open for read " + path + ": no such file", ENOENT);
-  }
-  return std::make_unique<MemRandomAccessFile>(*this, std::move(inode));
 }
 
 std::shared_ptr<const MappedFile> InMemoryEnv::map_file(
@@ -519,24 +448,6 @@ void MemWritableFile::sync() {
   const std::lock_guard<std::mutex> lock(env_.mutex_);
   env_.before_mutation("fsync", path_, {}, inode_.get());
   inode_->durable_bytes = inode_->volatile_bytes;
-}
-
-void InMemoryEnv::set_read_chunk_limit(std::size_t limit) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  read_chunk_limit_ = limit;
-}
-
-std::size_t MemRandomAccessFile::read(std::uint64_t offset,
-                                     std::span<std::byte> into) const {
-  const std::lock_guard<std::mutex> lock(env_.mutex_);
-  const std::string& bytes = inode_->volatile_bytes;
-  if (offset >= bytes.size()) return 0;
-  std::size_t n = std::min(into.size(), bytes.size() - offset);
-  // Short-read modeling (set_read_chunk_limit): hand back at most the
-  // configured chunk, never 0 — 0 stays reserved for EOF.
-  if (env_.read_chunk_limit_ > 0) n = std::min(n, env_.read_chunk_limit_);
-  std::memcpy(into.data(), bytes.data() + offset, n);
-  return n;
 }
 
 // ---------------------------------------------------------------------------

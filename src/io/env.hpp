@@ -81,8 +81,9 @@ class WritableFile {
 };
 
 /// A whole file's bytes, read-only, at a stable address for as long as any
-/// copy of the handle lives (Env::map_file). Dropping the last copy
-/// releases the view. The bytes start on a 64-byte boundary.
+/// copy of the handle lives (Env::map_file, the one way to read a file).
+/// Dropping the last copy releases the view, so a span taken from bytes()
+/// must not outlive the handle. The bytes start on a 64-byte boundary.
 class MappedFile {
  public:
   virtual ~MappedFile() = default;
@@ -98,19 +99,6 @@ class MappedFile {
   std::span<const std::byte> bytes_;
 };
 
-/// Positioned reads (pread) — no shared cursor, safe to share across
-/// threads. read() returns the bytes actually read; 0 means EOF. A read
-/// may be *short* of the requested span without being at EOF (PosixEnv
-/// retries EINTR internally, but other environments may hand back partial
-/// chunks), so callers wanting a full span must loop until 0 —
-/// Env::read_file does exactly that.
-class RandomAccessFile {
- public:
-  virtual ~RandomAccessFile() = default;
-  virtual std::size_t read(std::uint64_t offset,
-                          std::span<std::byte> into) const = 0;
-};
-
 class Env {
  public:
   virtual ~Env() = default;
@@ -119,8 +107,6 @@ class Env {
   /// otherwise the file is opened append-at-end (journal reopen).
   virtual std::unique_ptr<WritableFile> new_writable_file(
       const std::string& path, bool truncate = true) = 0;
-  virtual std::unique_ptr<RandomAccessFile> new_random_access_file(
-      const std::string& path) const = 0;
 
   virtual bool file_exists(const std::string& path) const = 0;
   virtual std::uint64_t file_size(const std::string& path) const = 0;
@@ -139,8 +125,9 @@ class Env {
   /// Truncates to `size` bytes (journal recovery chops torn tails).
   virtual void truncate_file(const std::string& path, std::uint64_t size) = 0;
 
-  /// A shared read-only view of the whole file as it is now (snapshot
-  /// restores and verify). PosixEnv maps it (mmap PROT_READ, MAP_PRIVATE |
+  /// A shared read-only view of the whole file as it is now: every read
+  /// goes through here (snapshot restores and verify use the view,
+  /// read_file copies it). PosixEnv maps it (mmap PROT_READ, MAP_PRIVATE |
   /// MAP_POPULATE), so the view reads the page cache with no copy; the
   /// file must then not be truncated or rewritten in place while a view
   /// lives (renaming or unlinking it is fine: the view keeps the inode).
@@ -149,7 +136,8 @@ class Env {
   virtual std::shared_ptr<const MappedFile> map_file(
       const std::string& path) const = 0;
 
-  /// Whole file into a string (manifest and journal loads).
+  /// Whole file into a string (manifest and journal loads): a copy of
+  /// map_file(path)'s bytes, taken while the view is held.
   std::string read_file(const std::string& path) const;
 
   /// The process-wide PosixEnv. Leaked like the metrics registry so
@@ -212,8 +200,6 @@ class InMemoryEnv : public Env {
   // norm in tests) can omit it; it must stay identical to the base's.
   std::unique_ptr<WritableFile> new_writable_file(const std::string& path,
                                                   bool truncate = true) override;
-  std::unique_ptr<RandomAccessFile> new_random_access_file(
-      const std::string& path) const override;
   std::shared_ptr<const MappedFile> map_file(
       const std::string& path) const override;
   bool file_exists(const std::string& path) const override;
@@ -242,13 +228,6 @@ class InMemoryEnv : public Env {
   /// un-synced appends are gone under kDropUnsynced.
   void crash(CrashMode mode = CrashMode::kDropUnsynced);
 
-  /// Caps every subsequent RandomAccessFile::read at `limit` bytes per
-  /// call (0 = unlimited, the default). Models environments that return
-  /// short reads without being at EOF — the case Env::read_file's loop
-  /// exists for; a caller that issues one read and trusts the count would
-  /// silently truncate under this knob.
-  void set_read_chunk_limit(std::size_t limit);
-
  protected:
   struct Inode {
     std::string volatile_bytes;  ///< the page-cache view
@@ -268,11 +247,9 @@ class InMemoryEnv : public Env {
   std::map<std::string, InodeRef> durable_ns_;
   std::map<std::string, bool> dirs_;  ///< dir path -> exists (volatile)
   std::map<std::string, bool> durable_dirs_;
-  std::size_t read_chunk_limit_ = 0;  ///< max bytes per read (0 = unlimited)
 
  private:
   friend class MemWritableFile;
-  friend class MemRandomAccessFile;
   InodeRef find_locked(const std::string& path) const;
 };
 

@@ -79,11 +79,11 @@ Writer::Writer(Env& env, std::string path)
       env_.file_exists(path_) ? env_.file_size(path_) : 0;
   if (existing < kHeaderBytes) {
     // Absent, or a crash got it before the first sync: start fresh. The
-    // magic is written and synced immediately so the file is never again
-    // in the headerless limbo state.
+    // magic is durable from the first sync(), which the caller issues
+    // before any manifest names the file; until then a crash leaves the
+    // headerless file replay reads as empty.
     file_ = env_.new_writable_file(path_, /*truncate=*/true);
     file_->append(kMagic, sizeof(kMagic));
-    file_->sync();
     bytes_ = kHeaderBytes;
   } else {
     // Extending an existing journal: recovery (replay with repair) is

@@ -64,9 +64,11 @@ inline constexpr std::uint64_t kRecordHeaderBytes =
 inline constexpr std::uint32_t kMaxRecordBytes = 1u << 30;
 
 /// Appends records to a journal file through an Env. Creates the file
-/// (with its magic header) when absent or shorter than the header —
-/// i.e. when a crash killed it before the first sync; otherwise opens at
-/// the end, trusting recovery (replay with repair) ran first.
+/// (with its magic header, durable at the first sync()) when absent or
+/// shorter than the header — i.e. when a crash killed it before the first
+/// sync; otherwise opens at the end, trusting recovery (replay with
+/// repair) ran first. Only sync() fsyncs, so every journal fsync is
+/// counted in fmeter_journal_syncs_total.
 ///
 /// Not thread-safe; callers (LiveDatabase) serialize appends.
 class Writer {

@@ -389,7 +389,6 @@ void SymbolTable::add_function(std::string name, Subsystem subsystem,
   fn.subsystem = subsystem;
   fn.body_cost = body_cost;
   by_name_.emplace(fn.name, fn.id);
-  by_address_.emplace(fn.address, fn.id);
   functions_.push_back(std::move(fn));
 }
 
@@ -399,12 +398,6 @@ const KernelFunction& SymbolTable::by_name(std::string_view name) const {
     throw std::out_of_range("SymbolTable: unknown symbol " + std::string(name));
   }
   return functions_[it->second];
-}
-
-std::optional<FunctionId> SymbolTable::by_address(Address address) const noexcept {
-  const auto it = by_address_.find(address);
-  if (it == by_address_.end()) return std::nullopt;
-  return it->second;
 }
 
 bool SymbolTable::contains(std::string_view name) const noexcept {

@@ -11,7 +11,6 @@
 // across reboots). The dense FunctionId doubles as the tf-idf term id.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -56,9 +55,6 @@ class SymbolTable {
   /// path models, not runtime conditions).
   const KernelFunction& by_name(std::string_view name) const;
 
-  /// Looks up by start address; nullopt if no function starts there.
-  std::optional<FunctionId> by_address(Address address) const noexcept;
-
   /// True if the curated vocabulary contains the name.
   bool contains(std::string_view name) const noexcept;
 
@@ -70,7 +66,6 @@ class SymbolTable {
 
   std::vector<KernelFunction> functions_;
   std::unordered_map<std::string, FunctionId> by_name_;
-  std::unordered_map<Address, FunctionId> by_address_;
 };
 
 }  // namespace fmeter::simkern

@@ -25,10 +25,12 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fmeter/archive_format.hpp"
@@ -482,17 +484,54 @@ TEST(LiveDurability, CrashMatrixEveryFaultPointUnderAsync) {
   run_crash_matrix(Durability::kAsync);
 }
 
-/// Mutating ops of one fold under kEachBatch, counted from its capture,
-/// with `survivors` batches sealed mid-fold for it to re-journal. Sets
-/// `syncs` to the journal fsyncs (Writer::sync) over the same span.
-std::uint64_t fold_ops(std::size_t survivors, std::uint64_t& syncs) {
+/// An InMemoryEnv that logs every mutating operation as (op, path).
+class OpLogEnv final : public InMemoryEnv {
+ public:
+  std::size_t ops() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return log_.size();
+  }
+  void clear() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    log_.clear();
+  }
+  /// fsyncs of journal files (*.wal) logged since the last clear().
+  std::uint64_t journal_fsyncs() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::uint64_t count = 0;
+    for (const auto& [op, path] : log_) {
+      count += op == "fsync" && path.ends_with(".wal") ? 1 : 0;
+    }
+    return count;
+  }
+
+ protected:
+  void before_mutation(const char* op, const std::string& path,
+                       std::span<const std::byte>, Inode*) override {
+    log_.emplace_back(op, path);  // the env's mutex is held
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> log_;
+};
+
+std::uint64_t journal_syncs_counted() {
+  return obs::MetricsRegistry::global()
+      .counter("fmeter_journal_syncs_total")
+      .value();
+}
+
+/// One fold under kEachBatch, from its capture, with `survivors` batches
+/// sealed mid-fold for it to re-journal.
+struct FoldOps {
+  std::size_t ops = 0;              ///< mutating Env operations
+  std::uint64_t syncs = 0;          ///< fmeter_journal_syncs_total rise
+  std::uint64_t journal_fsyncs = 0;  ///< raw journal fsyncs in the Env
+};
+
+FoldOps fold_ops(std::size_t survivors) {
   const auto batches = make_batches(1 + survivors, 2);
-  const auto journal_syncs = [] {
-    return obs::MetricsRegistry::global()
-        .counter("fmeter_journal_syncs_total")
-        .value();
-  };
-  FaultInjectingEnv env;
+  OpLogEnv env;
   LiveOptions options = archive_options(Durability::kEachBatch);
   LiveDatabase* handle = nullptr;
   std::uint64_t syncs_before = 0;
@@ -500,27 +539,43 @@ std::uint64_t fold_ops(std::size_t survivors, std::uint64_t& syncs) {
     for (std::size_t b = 1; b <= survivors; ++b) {
       handle->add_batch(batches[b].signatures, batches[b].labels);
     }
-    env.reset_ops();
-    syncs_before = journal_syncs();
+    env.clear();
+    syncs_before = journal_syncs_counted();
   };
   LiveDatabase db(env, "arch", options);
   handle = &db;
   db.add_batch(batches[0].signatures, batches[0].labels);
   EXPECT_TRUE(db.refreeze_now());
-  syncs = journal_syncs() - syncs_before;
-  return env.ops_seen();
+  return {env.ops(), journal_syncs_counted() - syncs_before,
+          env.journal_fsyncs()};
 }
 
 TEST(LiveDurability, FoldSyncsItsFreshJournalOnceUnderEachBatch) {
   // Each survivor record costs the fold one append and no fsync: the fresh
-  // journal is synced once, right before the manifest swap commits it.
-  std::uint64_t syncs = 0;
-  const std::uint64_t one = fold_ops(1, syncs);
-  EXPECT_EQ(syncs, 1u);
-  EXPECT_EQ(fold_ops(3, syncs), one + 2);
-  EXPECT_EQ(syncs, 1u);
-  EXPECT_EQ(fold_ops(6, syncs), one + 5);
-  EXPECT_EQ(syncs, 1u);
+  // journal is fsynced once, by Writer::sync right before the manifest
+  // swap commits it.
+  const FoldOps one = fold_ops(1);
+  EXPECT_EQ(one.syncs, 1u);
+  EXPECT_EQ(one.journal_fsyncs, 1u);
+  for (const std::size_t survivors : {3u, 6u}) {
+    const FoldOps more = fold_ops(survivors);
+    EXPECT_EQ(more.ops, one.ops + survivors - 1) << survivors;
+    EXPECT_EQ(more.syncs, 1u) << survivors;
+    EXPECT_EQ(more.journal_fsyncs, 1u) << survivors;
+  }
+
+  // Every journal fsync is a counted Writer::sync: a fresh open (which
+  // commits the new journal's header), two batches and one fold.
+  const auto batches = make_batches(2, 2);
+  OpLogEnv env;
+  const std::uint64_t before = journal_syncs_counted();
+  {
+    LiveDatabase db(env, "arch", archive_options(Durability::kEachBatch));
+    for (const Batch& b : batches) db.add_batch(b.signatures, b.labels);
+    EXPECT_TRUE(db.refreeze_now());
+  }
+  EXPECT_EQ(env.journal_fsyncs(), 4u);
+  EXPECT_EQ(journal_syncs_counted() - before, env.journal_fsyncs());
 }
 
 TEST(LiveDurability, RecoveryItselfSurvivesCrashes) {

@@ -340,8 +340,8 @@ TEST(FrozenIndex, MemoryBreakdownComponentsSum) {
   EXPECT_GT(mem.postings, 0u);
   EXPECT_GT(mem.forward, 0u);
 
-  // Sharded aggregation: per-shard breakdowns sum to (at most) the global
-  // one, which only adds this layer's term bitmap on top.
+  // Sharded aggregation: per-shard breakdowns sum to the global one; the
+  // sharded layer holds no arrays of its own.
   exec::ShardedIndex sharded(3);
   std::vector<vsm::SparseVector> corpus;
   for (int i = 0; i < 150; ++i) corpus.push_back(random_sparse(rng, 48, 10));
@@ -356,7 +356,7 @@ TEST(FrozenIndex, MemoryBreakdownComponentsSum) {
   EXPECT_EQ(global.postings, summed.postings);
   EXPECT_EQ(global.blocks, summed.blocks);
   EXPECT_EQ(global.forward, summed.forward);
-  EXPECT_GE(global.offsets, summed.offsets);  // + term bitmap
+  EXPECT_EQ(global.offsets, summed.offsets);
 }
 
 TEST(FrozenIndex, AutoCosineCutoffIs60000Docs) {

@@ -2,12 +2,11 @@
 // InMemoryEnv's crash model (volatile vs durable bytes and namespace),
 // FaultInjectingEnv's deterministic fault points and torn writes, and the
 // AtomicFileWriter commit protocol that snapshot and manifest writes ride,
-// and the read-only whole-file views (map_file) snapshot restores read.
+// and the read-only whole-file views (map_file) every read goes through.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -62,13 +61,10 @@ TEST_F(PosixEnvTest, WriteReadRoundTrip) {
   EXPECT_EQ(env.file_size(path), 11u);
   EXPECT_EQ(env.read_file(path), "hello world");
 
-  // Positioned reads, including past EOF.
-  auto reader = env.new_random_access_file(path);
-  std::vector<std::byte> buf(5);
-  EXPECT_EQ(reader->read(6, buf), 5u);
-  EXPECT_EQ(std::memcmp(buf.data(), "world", 5), 0);
-  EXPECT_EQ(reader->read(100, buf), 0u);
-  EXPECT_EQ(reader->read(9, buf), 2u);  // short read at EOF
+  // An empty file maps nothing and reads as empty.
+  const std::string empty = dir_ + "/empty.bin";
+  env.new_writable_file(empty)->close();
+  EXPECT_EQ(env.read_file(empty), "");
 }
 
 TEST_F(PosixEnvTest, AppendModeExtendsTruncateModeReplaces) {
@@ -229,38 +225,6 @@ TEST(InMemoryEnv, PersistEverythingKeepsTheVolatileView) {
   env.new_writable_file("d/f")->append(std::string_view("never synced"));
   env.crash(InMemoryEnv::CrashMode::kPersistEverything);
   EXPECT_EQ(env.read_file("d/f"), "never synced");
-}
-
-TEST(InMemoryEnv, ShortReadsNeverTruncateReadFile) {
-  // Models an Env whose read() legally returns fewer bytes than requested
-  // without being at EOF (a pread interrupted by a signal, a chunked
-  // transport). read_file must loop until EOF — before it did, a single
-  // trusting read silently handed back a truncated file, which a
-  // checksummed snapshot then rejected as corruption it never had.
-  InMemoryEnv env;
-  env.create_dir("d");
-  std::string payload;
-  for (int i = 0; i < 1000; ++i) payload += "0123456789";
-  {
-    auto file = env.new_writable_file("d/f");
-    file->append(payload);
-  }
-  // Sweep chunk sizes, including pathological 1-byte reads and a chunk
-  // that does not divide the file size evenly.
-  for (const std::size_t limit : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{4096}, std::size_t{0}}) {
-    env.set_read_chunk_limit(limit);
-    EXPECT_EQ(env.read_file("d/f"), payload) << "chunk limit " << limit;
-  }
-
-  // The raw handle still reports short reads — the knob constrains the
-  // primitive, the loop in read_file is what restores the full contract.
-  env.set_read_chunk_limit(7);
-  const auto file = env.new_random_access_file("d/f");
-  std::vector<std::byte> into(64);
-  EXPECT_EQ(file->read(0, into), 7u);
-  env.set_read_chunk_limit(0);
-  EXPECT_EQ(file->read(0, into), 64u);
 }
 
 TEST(InMemoryEnv, MapFileIsAnImmutableAlignedCopy) {

@@ -117,8 +117,8 @@ TEST(ShardedIndex, ShardStatsSumToAggregates) {
   }
   EXPECT_EQ(docs, index.size());
   EXPECT_EQ(postings, index.num_postings());
-  // Aggregate = shard footprints + this layer's term bitmap.
-  EXPECT_GE(index.memory_bytes(), memory);
+  // Aggregate = the sum of the shard footprints.
+  EXPECT_EQ(index.memory_bytes(), memory);
 }
 
 TEST(ShardedIndex, MemoryBytesTracksContent) {

@@ -72,15 +72,6 @@ TEST(SymbolTable, ByNameResolvesAndThrows) {
                std::out_of_range);
 }
 
-TEST(SymbolTable, ByAddressRoundTrip) {
-  const SymbolTable table;
-  const auto& fn = table.by_name("vfs_write");
-  const auto id = table.by_address(fn.address);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(*id, fn.id);
-  EXPECT_FALSE(table.by_address(1).has_value());
-}
-
 TEST(SymbolTable, DeterministicAcrossConstructions) {
   const SymbolTable a;
   const SymbolTable b;
