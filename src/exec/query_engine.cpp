@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <utility>
 
@@ -143,13 +143,15 @@ std::vector<IndexHit> merge_shard_hits(std::span<std::vector<IndexHit>> lists,
   return merged;
 }
 
-/// Per-calling-thread dispatch state, reused across batches so the steady
-/// state allocates nothing (growth is reported back to the engine's
-/// counter). One instance per thread keeps concurrent run_batch callers —
-/// and a pool worker re-entering the engine from inside a task — fully
-/// independent. The scoring scratch doubles as this thread's arena for
-/// grid spans it claims itself (TaskPool::kCallerSlot).
-struct CallerArena {
+/// Per-thread engine state, reused across batches and engines so the
+/// steady state allocates nothing (growth is counted in
+/// dispatch_growth). `scratch` scores every span this thread runs, whoever
+/// dispatched it: a pool worker runs one span at a time, so its scratch is
+/// never contended. The rest is the dispatch state of the batches this
+/// thread calls run_batch for; one instance per thread keeps concurrent
+/// callers — and a pool worker re-entering the engine from inside a task —
+/// fully independent.
+struct ThreadArena {
   index::TopKScratch scratch;
   std::vector<std::size_t> eligible;           ///< query indices to execute
   std::vector<double> floors;                  ///< per-eligible score floor
@@ -165,7 +167,11 @@ struct CallerArena {
   }
 };
 
-thread_local CallerArena tls_arena;
+thread_local ThreadArena tls_arena;
+
+/// QueryEngine::dispatch_allocations(): growth of any thread's dispatch
+/// buffers, added once per batch.
+std::atomic<std::uint64_t> dispatch_growth{0};
 
 // Fate of one (query, shard) grid cell. Participants write only the cells
 // they claimed (adjacent bytes are distinct memory locations — no data
@@ -254,13 +260,6 @@ const EngineMetrics& engine_metrics() {
   return metrics;
 }
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
-}
-
 void publish_batch(const QueryStats& stats, std::uint64_t batch_ns,
                    std::size_t n_queries) {
   const EngineMetrics& m = engine_metrics();
@@ -300,13 +299,8 @@ QueryEngine::QueryEngine(std::span<const IndexPart> parts, TaskPool* pool)
   }
 }
 
-std::vector<QueryEngine::WorkerArena>& QueryEngine::arenas(
-    TaskPool& pool) const {
-  std::call_once(arenas_once_, [&] {
-    worker_arenas_.resize(pool.size());
-    dispatch_allocations_.fetch_add(1, std::memory_order_relaxed);
-  });
-  return worker_arenas_;
+std::uint64_t QueryEngine::dispatch_allocations() noexcept {
+  return dispatch_growth.load(std::memory_order_relaxed);
 }
 
 std::vector<IndexHit> QueryEngine::run(const vsm::SparseVector& query,
@@ -354,11 +348,11 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   }
   if (k == 0 || shards_.empty()) return results;
 
-  const auto batch_start = std::chrono::steady_clock::now();
+  const obs::Stopwatch batch_watch;
   // Collected whether or not the caller asked: the registry is always on.
   QueryStats batch_stats;
 
-  CallerArena& arena = tls_arena;
+  ThreadArena& arena = tls_arena;
   std::uint64_t grown = 0;
 
   // k = 0 was handled above; empty/all-zero queries resolve to "no hits"
@@ -371,7 +365,7 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   }
   const std::size_t n_eligible = arena.eligible.size();
   if (n_eligible == 0) {
-    dispatch_allocations_.fetch_add(grown, std::memory_order_relaxed);
+    dispatch_growth.fetch_add(grown, std::memory_order_relaxed);
     return results;
   }
 
@@ -516,7 +510,7 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
     resolve_outcomes();
     merge_into_results();
     if (stats != nullptr) *stats += batch_stats;
-    publish_batch(batch_stats, elapsed_ns(batch_start), n_eligible);
+    publish_batch(batch_stats, batch_watch.elapsed_ns(), n_eligible);
     if (first_error && options.outcomes == nullptr) {
       std::rethrow_exception(first_error);
     }
@@ -532,15 +526,14 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
   // still run in ascending order, so floor hand-off is deterministic.
   const auto run_inline = [&]() -> std::vector<std::vector<IndexHit>> {
     obs::StageTracer::global().record(obs::Stage::kDispatch,
-                                      elapsed_ns(batch_start));
+                                      batch_watch.elapsed_ns());
     for (std::size_t cell = 0; cell < cells; ++cell) {
       const std::size_t s = cell / n_eligible;
       const std::size_t e = cell % n_eligible;
       run_cell(s, e, arena.scratch, &batch_stats);
     }
     batch_stats.dispatch_inline += n_eligible;
-    inline_batches_.fetch_add(1, std::memory_order_relaxed);
-    dispatch_allocations_.fetch_add(grown, std::memory_order_relaxed);
+    dispatch_growth.fetch_add(grown, std::memory_order_relaxed);
     finish_batch();
     return std::move(results);
   };
@@ -584,33 +577,33 @@ std::vector<std::vector<IndexHit>> QueryEngine::run_batch(
 
   // Span s·q_spans+b = shard s × query block b: consecutive span ids share
   // a shard, so a participant claiming contiguous spans off the counter
-  // walks the grid shard-major, same as the inline path.
-  std::vector<WorkerArena>& workers = arenas(pool);
+  // walks the grid shard-major, same as the inline path. Each span scores
+  // in the scratch of the thread running it (tls_arena resolves per
+  // thread), while `arena` stays the caller's.
   // run_cell never lets an exception escape, so TaskPool's first-wins
   // error latch can't trigger and abandon healthy cells — isolation and
   // the cooperative stop below are the only ways a cell goes unexecuted.
-  const auto span_fn = [&](std::size_t span, std::size_t slot) {
+  const auto span_fn = [&](std::size_t span) {
     const std::size_t s = span / q_spans;
     const std::size_t begin = (span % q_spans) * span_len;
     const std::size_t end = std::min(begin + span_len, n_eligible);
-    index::TopKScratch& scratch = slot == TaskPool::kCallerSlot
-                                      ? tls_arena.scratch
-                                      : workers[slot].scratch;
-    PruneStats* slot_stats = &arena.span_stats[span];
+    index::TopKScratch& scratch = tls_arena.scratch;
+    PruneStats* span_stats = &arena.span_stats[span];
     for (std::size_t e = begin; e < end; ++e) {
-      run_cell(s, e, scratch, slot_stats);
+      run_cell(s, e, scratch, span_stats);
     }
   };
   obs::StageTracer::global().record(obs::Stage::kDispatch,
-                                    elapsed_ns(batch_start));
-  const std::size_t joined = pool.run_spans(spans, span_fn, &stop);
+                                    batch_watch.elapsed_ns());
+  // By reference: the closure outgrows std::function's inline buffer, and
+  // a copy would cost a heap allocation per pooled batch.
+  const std::size_t joined = pool.run_spans(spans, std::ref(span_fn), &stop);
 
   for (const auto& span : arena.span_stats) batch_stats += span;
   batch_stats.dispatch_pooled += n_eligible;
   batch_stats.spans_reserved += spans;
   batch_stats.tasks_executed += joined;
-  pooled_batches_.fetch_add(1, std::memory_order_relaxed);
-  dispatch_allocations_.fetch_add(grown, std::memory_order_relaxed);
+  dispatch_growth.fetch_add(grown, std::memory_order_relaxed);
   finish_batch();
   return results;
 }

@@ -27,8 +27,9 @@
 // fan-out is calibrated in the same document units (~2k documents, see
 // query_engine.cpp). Small work inlines on the caller, where the grid runs
 // shard-major (every query against shard 0, then shard 1, …) so a shard's
-// term metadata stays hot across the whole batch. The chosen branch is visible per batch in QueryStats and
-// cumulatively via inline_batches()/pooled_batches().
+// term metadata stays hot across the whole batch. The chosen branch is
+// visible per batch in QueryStats and cumulatively in the
+// fmeter_query_dispatch_inline_total / _pooled_total counters.
 //
 // Cross-shard threshold seeding applies to *both* modes and is the one
 // piece of per-query shared state: a relaxed atomic score floor holding
@@ -45,24 +46,25 @@
 // opportunity, never correctness — so relaxed loads and a CAS-max
 // suffice; the hot path takes no lock.
 //
-// Steady state allocates nothing on the dispatch side: scoring scratch
-// (one arena per pool worker, owned by the engine, plus a thread-local
-// arena for calling threads), the floor array, the partial-results grid
-// and the per-span stats slots are all reused across batches. Buffer
-// growth events are counted in dispatch_allocations() so tests can pin
-// the steady state to zero. (The hit lists handed back to the caller are,
-// necessarily, fresh.)
+// The engine itself is a stateless view: callers build one per search, as
+// every database front-end does. All scratch lives with threads, in one
+// thread_local arena each: a span scores in the scratch of the thread that
+// claimed it (pool worker or caller), and the calling thread's arena also
+// holds the batch's floor array, partial-results grid and per-span stats
+// slots. So the steady state allocates nothing on the dispatch side however
+// many engines come and go. Buffer growth events are counted process-wide
+// in dispatch_allocations() so tests can pin the steady state to zero.
+// (Hit lists are fresh per query: each shard's, and the merged ones handed
+// back to the caller.)
 //
 // Degenerate inputs are handled before any dispatch: k == 0 and
 // empty/all-zero queries return empty hit lists without touching the pool
 // or any shard.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -153,7 +155,8 @@ class QueryEngine {
   /// process-wide TaskPool::shared() is used — resolved lazily at the first
   /// dispatch that actually needs workers, so inline-only workloads (small
   /// indexes, single-shard scalar lookups) never spawn a thread. The engine
-  /// is a view — it owns neither; both must outlive it.
+  /// is a view — it owns neither; both must outlive it. Building one costs
+  /// a list of the shards and nothing else.
   explicit QueryEngine(const ShardedIndex& index, TaskPool* pool = nullptr);
   /// Binds the engine to several parts; empty ones contribute no shards.
   /// The parts' indexes must outlive the engine, the span need not.
@@ -180,7 +183,7 @@ class QueryEngine {
   /// shards still merge); an expired deadline or tripped CancelToken stops
   /// the whole grid cooperatively — completed cells keep their hits,
   /// unfinished queries report kDeadlineExceeded/kCancelled. The engine
-  /// and its scratch arenas remain fully usable after any of these.
+  /// and every thread's scratch remain fully usable after any of these.
   std::vector<std::vector<IndexHit>> run_batch(
       std::span<const vsm::SparseVector> queries, std::size_t k,
       Metric metric = Metric::kCosine,
@@ -208,37 +211,17 @@ class QueryEngine {
                                      std::size_t k, Metric metric,
                                      PruningMode mode);
 
-  /// Lifetime totals of the dispatch decision: batches the cost model kept
-  /// on the caller vs. fanned out over the pool.
-  std::uint64_t inline_batches() const noexcept {
-    return inline_batches_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t pooled_batches() const noexcept {
-    return pooled_batches_.load(std::memory_order_relaxed);
-  }
-  /// Dispatch-side buffer growth events (worker arenas, floor array,
-  /// partial-results grid, span stats slots). Flat across repeated
-  /// same-shape batches — the zero-steady-state-allocation property the
-  /// tests assert.
-  std::uint64_t dispatch_allocations() const noexcept {
-    return dispatch_allocations_.load(std::memory_order_relaxed);
-  }
+  /// Process-wide dispatch-side buffer growth events (floor array,
+  /// partial-results grid, span stats slots, eligible list) over every
+  /// engine and calling thread. Flat across repeated same-shape batches
+  /// from one thread, fresh engines included — the zero-steady-state-
+  /// allocation property the tests assert.
+  static std::uint64_t dispatch_allocations() noexcept;
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
  private:
-  /// Scoring scratch owned by the engine for one pool worker. A worker
-  /// services one span at a time, so its arena is never contended — even
-  /// with concurrent run_batch callers on the same engine.
-  struct WorkerArena {
-    index::TopKScratch scratch;
-  };
-
-  /// Per-worker arenas, created once at the first pooled dispatch (sized
-  /// to the bound pool).
-  std::vector<WorkerArena>& arenas(TaskPool& pool) const;
-
   /// One grid column: a part's shard; its local id l is run id offset+l·stride.
   struct Shard {
     const index::InvertedIndex* index;
@@ -248,11 +231,6 @@ class QueryEngine {
 
   std::vector<Shard> shards_;  ///< every shard of every non-empty part
   TaskPool* pool_;
-  mutable std::vector<WorkerArena> worker_arenas_;
-  mutable std::once_flag arenas_once_;
-  mutable std::atomic<std::uint64_t> inline_batches_{0};
-  mutable std::atomic<std::uint64_t> pooled_batches_{0};
-  mutable std::atomic<std::uint64_t> dispatch_allocations_{0};
 };
 
 }  // namespace fmeter::exec

@@ -24,7 +24,7 @@ void build_shards(std::size_t shards, std::size_t docs, TaskPool* pool,
     return;
   }
   TaskPool& workers = pool != nullptr ? *pool : TaskPool::shared();
-  workers.run_spans(shards, [&build](std::size_t s, std::size_t) { build(s); });
+  workers.run_spans(shards, build);
 }
 
 /// Distinct terms with a posting in any of `shards`, from their arena
@@ -138,7 +138,7 @@ index::snapshot::Reader ShardedIndex::read_snapshot(const io::Env& env,
   return index::snapshot::Reader(
       env, path,
       [&workers](std::size_t n, const std::function<void(std::size_t)>& task) {
-        workers.run_spans(n, [&task](std::size_t i, std::size_t) { task(i); });
+        workers.run_spans(n, task);
       });
 }
 

@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -18,29 +17,19 @@ namespace {
 thread_local const TaskPool* tls_owning_pool = nullptr;
 thread_local std::size_t tls_worker_index = 0;
 
-/// The CPUs in the calling thread's affinity mask (taskset, a container's
-/// cpuset), in ascending order; empty where the platform exposes none.
-std::vector<int> affinity_cpus() {
-  std::vector<int> out;
+/// CPUs this process may run on: its affinity mask (taskset, a
+/// container's cpuset) where the platform exposes one, else the hardware
+/// thread count. Sizing by the mask keeps a pool restricted to 2 of 64
+/// cores from spawning 64 workers that only contend for the 2.
+std::size_t usable_cpus() {
 #if defined(__linux__)
   cpu_set_t cpus;
   CPU_ZERO(&cpus);
   if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &cpus)) out.push_back(cpu);
-    }
+    const int masked = CPU_COUNT(&cpus);
+    if (masked > 0) return static_cast<std::size_t>(masked);
   }
 #endif
-  return out;
-}
-
-/// CPUs this process may run on: its affinity mask where the platform
-/// exposes one, else the hardware thread count. Sizing by the mask keeps a
-/// pool restricted to 2 of 64 cores from spawning 64 workers that only
-/// contend for the 2.
-std::size_t usable_cpus() {
-  const std::size_t masked = affinity_cpus().size();
-  if (masked > 0) return masked;
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
@@ -50,19 +39,8 @@ bool TaskPool::current_thread_is_worker() const noexcept {
   return tls_owning_pool == this;
 }
 
-TaskPool::TaskPool(std::size_t num_threads)
-    // The historical contract: an explicit 0 clamps to one worker (the
-    // Options form reserves 0 for "size to the hardware").
-    : TaskPool(Options{std::max<std::size_t>(1, num_threads), false}) {}
-
-TaskPool::TaskPool(const Options& options) {
-  // Pinning targets the creating thread's mask: under taskset -c 2,3 a
-  // worker pinned by its index alone would ask for CPU 0 or 1, and either
-  // leave the mask or, where a cpuset forbids those CPUs, run unpinned.
-  if (options.pin_threads) pin_cpus_ = affinity_cpus();
-  const std::size_t requested =
-      options.num_threads > 0 ? options.num_threads : usable_cpus();
-  const std::size_t count = std::max<std::size_t>(1, requested);
+TaskPool::TaskPool(std::size_t num_threads) {
+  const std::size_t count = std::max<std::size_t>(1, num_threads);
   worker_spans_ = std::make_unique<std::atomic<std::uint64_t>[]>(count);
   workers_.reserve(count);
   batches_.reserve(4);  // one slot per concurrent run_spans caller, amortized
@@ -99,7 +77,7 @@ TaskPool::~TaskPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-std::uint64_t TaskPool::drain_spans(SpanBatch& batch, std::size_t slot) {
+std::uint64_t TaskPool::drain_spans(SpanBatch& batch) {
   std::uint64_t executed = 0;
   for (;;) {
     // Cooperative abandon: once the batch's stop flag trips, park the
@@ -117,7 +95,7 @@ std::uint64_t TaskPool::drain_spans(SpanBatch& batch, std::size_t slot) {
     const std::size_t span = batch.next.fetch_add(1, std::memory_order_relaxed);
     if (span >= batch.total) break;
     try {
-      (*batch.fn)(span, slot);
+      (*batch.fn)(span);
     } catch (...) {
       {
         const std::lock_guard<std::mutex> lock(batch.done_mutex);
@@ -136,7 +114,7 @@ std::uint64_t TaskPool::drain_spans(SpanBatch& batch, std::size_t slot) {
 
 std::size_t TaskPool::run_spans(
     std::size_t spans,
-    const std::function<void(std::size_t, std::size_t)>& fn,
+    const std::function<void(std::size_t)>& fn,
     const std::atomic<bool>* stop) {
   if (spans == 0) return 0;
   span_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -160,8 +138,7 @@ std::size_t TaskPool::run_spans(
     ready_.notify_all();
   }
 
-  const std::size_t slot = is_worker ? tls_worker_index : kCallerSlot;
-  const std::uint64_t mine = drain_spans(batch, slot);
+  const std::uint64_t mine = drain_spans(batch);
   spans_reserved_.fetch_add(mine, std::memory_order_relaxed);
   if (is_worker) {
     worker_spans_[tls_worker_index].fetch_add(mine, std::memory_order_relaxed);
@@ -189,16 +166,6 @@ std::size_t TaskPool::run_spans(
 void TaskPool::worker_loop(std::size_t worker_index) {
   tls_owning_pool = this;
   tls_worker_index = worker_index;
-#if defined(__linux__)
-  if (!pin_cpus_.empty()) {
-    cpu_set_t cpus;
-    CPU_ZERO(&cpus);
-    CPU_SET(pin_cpus_[worker_index % pin_cpus_.size()], &cpus);
-    // Best-effort: should the mask have changed since, the worker just
-    // runs unpinned.
-    (void)pthread_setaffinity_np(pthread_self(), sizeof(cpus), &cpus);
-  }
-#endif
   for (;;) {
     SpanBatch* batch = nullptr;
     std::function<void()> task;
@@ -233,7 +200,7 @@ void TaskPool::worker_loop(std::size_t worker_index) {
       // A join counts as one executed task whatever its span share turns
       // out to be — the scheduling event is what dispatch assertions count.
       tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t executed = drain_spans(*batch, worker_index);
+      const std::uint64_t executed = drain_spans(*batch);
       worker_spans_[worker_index].fetch_add(executed,
                                             std::memory_order_relaxed);
       spans_reserved_.fetch_add(executed, std::memory_order_relaxed);

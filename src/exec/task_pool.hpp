@@ -19,13 +19,9 @@
 // Deliberately work-stealing-free: spans within a batch are near-uniform
 // and the reservation counter is itself the load balancer (a slow worker
 // simply claims fewer spans). Workers are spawned once at construction and
-// joined at destruction.
-//
-// Options.pin_threads (off by default) pins worker i to the (i mod n)-th
-// of the n CPUs in the creating thread's affinity mask via
-// pthread_setaffinity_np — for dedicated serving processes where the OS
-// migrating workers between cores costs more than it balances;
-// meaningless under oversubscription, hence opt-in.
+// joined at destruction. Workers keep no per-batch state: a span's
+// scratch is whatever its thread owns (the query engine keeps it in a
+// thread_local), so batches on one pool never share scratch.
 #pragma once
 
 #include <atomic>
@@ -51,14 +47,8 @@ namespace fmeter::exec {
 
 class TaskPool {
  public:
-  struct Options {
-    std::size_t num_threads = 0;  ///< 0 → CPUs in the affinity mask
-    bool pin_threads = false;  ///< worker i → CPU i mod n of the caller's mask
-  };
-
   /// Spawns `num_threads` workers (clamped to at least 1).
   explicit TaskPool(std::size_t num_threads);
-  explicit TaskPool(const Options& options);
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
@@ -66,13 +56,7 @@ class TaskPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// The `slot` run_spans() hands to spans executed by the calling thread
-  /// itself (workers get their stable index in [0, size())). Callers keying
-  /// per-participant scratch off the slot must treat this one as "use your
-  /// own thread-local state": concurrent run_spans() callers all see it.
-  static constexpr std::size_t kCallerSlot = static_cast<std::size_t>(-1);
-
-  /// Runs `fn(span, slot)` exactly once for every span in [0, spans) —
+  /// Runs `fn(span)` exactly once for every span in [0, spans) —
   /// unless `stop` trips (below). The calling thread participates and
   /// blocks until the batch completes; idle workers join concurrently.
   /// `fn` must therefore be safe to invoke from multiple threads on
@@ -96,8 +80,7 @@ class TaskPool {
   /// Returns the number of pool workers that joined this batch (0 when the
   /// caller ran it solo) — the batch's share of tasks_executed().
   std::size_t run_spans(std::size_t spans,
-                        const std::function<void(std::size_t span,
-                                                 std::size_t slot)>& fn,
+                        const std::function<void(std::size_t span)>& fn,
                         const std::atomic<bool>* stop = nullptr);
 
   /// Number of submit() tasks picked up by a worker plus the number of
@@ -119,9 +102,9 @@ class TaskPool {
   std::uint64_t caller_spans() const noexcept {
     return caller_spans_.load(std::memory_order_relaxed);
   }
-  /// Per-worker span execution counts, index-aligned with worker slots.
+  /// Per-worker span execution counts, indexed by worker.
   /// A heavily skewed vector on a multi-core host means workers are being
-  /// starved (or pinned badly); on one core it is legitimately lopsided.
+  /// starved; on one core it is legitimately lopsided.
   std::vector<std::uint64_t> worker_span_counts() const;
 
   /// submit() tasks currently waiting for a worker (mutex-guarded read).
@@ -173,7 +156,7 @@ class TaskPool {
   struct SpanBatch {
     std::atomic<std::size_t> next{0};    ///< the reservation counter
     std::size_t total = 0;               ///< spans in [0, total)
-    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    const std::function<void(std::size_t)>* fn = nullptr;
     const std::atomic<bool>* stop = nullptr;  ///< optional abandon flag
     std::atomic<std::size_t> in_flight{0};  ///< workers currently inside
     std::atomic<std::size_t> joined{0};     ///< workers that ever joined
@@ -185,7 +168,7 @@ class TaskPool {
   void worker_loop(std::size_t worker_index);
   /// Claims spans off `batch` until exhausted or a failure is latched;
   /// returns how many spans this participant executed.
-  std::uint64_t drain_spans(SpanBatch& batch, std::size_t slot);
+  static std::uint64_t drain_spans(SpanBatch& batch);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
@@ -200,7 +183,6 @@ class TaskPool {
   obs::MetricsRegistry* metrics_registry_ = nullptr;
   std::size_t metrics_token_ = 0;
   bool stopping_ = false;
-  std::vector<int> pin_cpus_;  // the mask pinned workers spread over
 };
 
 }  // namespace fmeter::exec

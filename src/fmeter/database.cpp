@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -54,25 +53,78 @@ const DbMetrics& db_metrics() {
   return metrics;
 }
 
-/// RAII wall-clock stamp into a histogram (database calls are too coarse
-/// for the stage tracer's fixed enum; they get their own named series).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(obs::Histogram& sink) noexcept
-      : sink_(sink), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    sink_.record(ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
+/// The labels section of a snapshot: u64 count, then { u32 length, bytes }
+/// per label, in id order. Labels are the only state the index's forward
+/// store does not already hold (the signature vectors are its exact
+/// contents).
+std::vector<std::byte> encode_labels(std::span<const std::string> labels) {
+  std::size_t bytes = sizeof(std::uint64_t);
+  for (const auto& label : labels) {
+    bytes += sizeof(std::uint32_t) + label.size();
   }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+  std::vector<std::byte> payload(bytes);
+  std::size_t at = 0;
+  const auto put = [&payload, &at](const void* data, std::size_t size) {
+    std::memcpy(payload.data() + at, data, size);
+    at += size;
+  };
+  const std::uint64_t count = labels.size();
+  put(&count, sizeof(count));
+  for (const auto& label : labels) {
+    const auto length = static_cast<std::uint32_t>(label.size());
+    put(&length, sizeof(length));
+    put(label.data(), label.size());
+  }
+  return payload;
+}
 
- private:
-  obs::Histogram& sink_;
-  std::chrono::steady_clock::time_point start_;
-};
+/// Writes `index` plus an encoded labels section as one snapshot file.
+void write_snapshot(const exec::ShardedIndex& index,
+                    std::span<const std::byte> labels, io::Env& env,
+                    const std::string& path) {
+  index::snapshot::Writer writer(
+      static_cast<std::uint32_t>(index.num_shards()), index.size(),
+      index.num_terms());
+  index.save(writer);
+  writer.add_section(index::snapshot::SectionKind::kLabels, 0, labels);
+  writer.finish(env, path);
+}
+
+/// Decodes the labels section; its count must agree with the header.
+std::vector<std::string> decode_labels(index::snapshot::Reader& reader) {
+  using index::snapshot::SnapshotError;
+  const auto label_bytes =
+      reader.take_section<std::byte>(index::snapshot::SectionKind::kLabels,
+                                     0);
+  std::size_t at = 0;
+  const auto take = [&label_bytes, &at](void* into, std::size_t size) {
+    if (at + size > label_bytes.size()) {
+      throw SnapshotError("snapshot: labels section ends mid-record");
+    }
+    std::memcpy(into, label_bytes.data() + at, size);
+    at += size;
+  };
+  std::uint64_t count = 0;
+  take(&count, sizeof(count));
+  if (count != reader.doc_count()) {
+    throw SnapshotError("snapshot: labels section holds " +
+                        std::to_string(count) + " labels for " +
+                        std::to_string(reader.doc_count()) + " documents");
+  }
+  std::vector<std::string> labels;
+  labels.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint32_t length = 0;
+    take(&length, sizeof(length));
+    std::string label(length, '\0');
+    take(label.data(), length);
+    labels.push_back(std::move(label));
+  }
+  if (at != label_bytes.size()) {
+    throw SnapshotError("snapshot: labels section has trailing bytes");
+  }
+  return labels;
+}
 
 /// The validate_batch rule for one signature: a non-finite weight would
 /// poison norms, per-term bounds and every score they back.
@@ -122,10 +174,47 @@ class InflightGuard {
 
 }  // namespace
 
-std::size_t SignatureDatabase::default_num_shards() noexcept {
+std::size_t default_num_shards() noexcept {
   // One shard per hardware thread pays off until shard bookkeeping starts
   // to rival per-shard work; 8 is plenty for the archive sizes we serve.
   return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 8);
+}
+
+LabeledIndex LabeledIndex::appended(std::span<const vsm::SparseView> docs,
+                                    std::vector<std::string> labels) const {
+  if (docs.size() != labels.size()) {
+    throw std::invalid_argument("appended: signatures and labels must align");
+  }
+  LabeledIndex out;
+  {
+    const obs::StageSpan ingest_span(obs::Stage::kIngest);
+    out.index = index.appended(docs);
+  }
+  out.labels.reserve(this->labels.size() + labels.size());
+  out.labels.insert(out.labels.end(), this->labels.begin(),
+                    this->labels.end());
+  out.labels.insert(out.labels.end(), std::make_move_iterator(labels.begin()),
+                    std::make_move_iterator(labels.end()));
+  return out;
+}
+
+void LabeledIndex::save(io::Env& env, const std::string& path) const {
+  write_snapshot(index, encode_labels(labels), env, path);
+}
+
+LabeledIndex LabeledIndex::load(io::Env& env, const std::string& path) {
+  // Two phases on the shared pool: read and verify every section, then
+  // build the shards from them. The labels come first: their count must
+  // agree with the header before any heavy decoding starts.
+  index::snapshot::Reader reader =
+      exec::ShardedIndex::read_snapshot(env, path);
+  LabeledIndex out;
+  out.labels = decode_labels(reader);
+  // One parallel build per shard straight from its sections — byte-for-
+  // byte the index a bulk build of the same documents produces.
+  const obs::StageSpan ingest_span(obs::Stage::kIngest);
+  out.index = exec::ShardedIndex::load(reader);
+  return out;
 }
 
 SignatureDatabase::SignatureDatabase(const SignatureDatabase& other)
@@ -252,35 +341,6 @@ std::size_t SignatureDatabase::add_batch(
   return first;
 }
 
-SignatureDatabase SignatureDatabase::appended(
-    std::span<const vsm::SparseView> signatures,
-    std::vector<std::string> labels) const {
-  if (signatures.size() != labels.size()) {
-    throw std::invalid_argument("appended: signatures and labels must align");
-  }
-  SignatureDatabase out(num_shards());
-  out.admission_ = admission_;
-  const std::shared_lock<std::shared_mutex> store(store_mutex_);
-  // Scalar adds not indexed yet come first, in id order.
-  std::vector<vsm::SparseView> with_pending;
-  if (!pending_.empty()) {
-    with_pending.assign(pending_.begin(), pending_.end());
-    with_pending.insert(with_pending.end(), signatures.begin(),
-                        signatures.end());
-    signatures = with_pending;
-  }
-  {
-    const obs::StageSpan ingest_span(obs::Stage::kIngest);
-    out.index_ = std::make_shared<const exec::ShardedIndex>(
-        index_->appended(signatures));
-  }
-  out.labels_.reserve(labels_.size() + labels.size());
-  out.labels_.insert(out.labels_.end(), labels_.begin(), labels_.end());
-  out.labels_.insert(out.labels_.end(), std::make_move_iterator(labels.begin()),
-                     std::make_move_iterator(labels.end()));
-  return out;
-}
-
 std::shared_ptr<const exec::ShardedIndex> SignatureDatabase::sync_index()
     const {
   {
@@ -362,7 +422,7 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
     SimilarityMetric metric, ScanPolicy policy, PruningMode mode,
     QueryStats* stats, const SearchOptions& options) const {
   const DbMetrics& metrics = db_metrics();
-  const ScopedTimer timer(*metrics.search_ns);
+  const obs::Stopwatch watch;
   metrics.searches->inc(queries.size());
   if (options.outcomes != nullptr) {
     options.outcomes->assign(queries.size(), QueryOutcome::kOk);
@@ -380,6 +440,7 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
       std::fill(options.outcomes->begin(), options.outcomes->end(),
                 QueryOutcome::kRejected);
     }
+    watch.record(*metrics.search_ns);
     return std::vector<std::vector<SearchHit>>(queries.size());
   }
 
@@ -431,6 +492,7 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
       results.push_back(search_scan(*query, k, metric));
     }
     stamp_rejections();
+    watch.record(*metrics.search_ns);
     return results;
   }
   const exec::QueryEngine engine(*pinned);
@@ -442,13 +504,15 @@ std::vector<std::vector<SearchHit>> SignatureDatabase::search_batch(
   // may be reallocating labels_. Every doc id the engine returned already
   // has its label (labels are appended before any build), so the lookup
   // itself cannot go out of bounds.
-  const std::shared_lock<std::shared_mutex> store(store_mutex_);
+  std::shared_lock<std::shared_mutex> store(store_mutex_);
   for (std::size_t q = 0; q < batch.size(); ++q) {
     results[q].reserve(batch[q].size());
     for (const auto& hit : batch[q]) {
       results[q].push_back({hit.doc, labels_[hit.doc], hit.score});
     }
   }
+  store.unlock();
+  watch.record(*metrics.search_ns);
   return results;
 }
 
@@ -559,25 +623,29 @@ std::string SignatureDatabase::classify_by_syndrome(
     const vsm::SparseVector& query, SimilarityMetric metric, ScanPolicy policy,
     PruningMode mode) const {
   const DbMetrics& metrics = db_metrics();
-  const ScopedTimer timer(*metrics.classify_ns);
+  const obs::Stopwatch watch;
   metrics.classifies->inc();
   // Pinning the shared_ptr keeps this classify's cache alive even if a
   // concurrent ingest invalidates it mid-call.
   const auto cache = syndrome_cache();
+  std::string label;
   // The engine defines the empty query as "no hits", but classification of
   // a zero signature still has an answer (the scan's: score 0 cosine / the
   // smallest-norm centroid), so the empty query takes the scan in both
   // policies — keeping them in agreement.
   if (policy == ScanPolicy::kBruteForce || query.empty()) {
-    return classify_scan(query, metric, *cache);
+    label = classify_scan(query, metric, *cache);
+  } else {
+    // Nearest centroid via the engine (batch of one); the ascending-id
+    // tie-break picks the first-seen label, matching the scan. kMaxScore
+    // is honored for contract uniformity, though a handful of centroids
+    // gives pruning nothing to win.
+    const exec::QueryEngine engine(cache->centroid_index);
+    const auto hits = engine.run(query, 1, to_index_metric(metric), mode);
+    if (!hits.empty()) label = cache->syndromes[hits[0].doc].label;
   }
-  // Nearest centroid via the engine (batch of one); the ascending-id
-  // tie-break picks the first-seen label, matching the scan. kMaxScore is
-  // honored for contract uniformity, though a handful of centroids gives
-  // pruning nothing to win.
-  const exec::QueryEngine engine(cache->centroid_index);
-  const auto hits = engine.run(query, 1, to_index_metric(metric), mode);
-  return hits.empty() ? std::string() : cache->syndromes[hits[0].doc].label;
+  watch.record(*metrics.classify_ns);
+  return label;
 }
 
 void SignatureDatabase::save(io::Env& env, const std::string& path) const {
@@ -586,91 +654,15 @@ void SignatureDatabase::save(io::Env& env, const std::string& path) const {
   // the file either. The store's reader side covers only the label
   // encoding, not the write.
   const auto pinned = sync_index();
-  const std::size_t docs = pinned->size();
-  index::snapshot::Writer writer(
-      static_cast<std::uint32_t>(pinned->num_shards()), docs,
-      pinned->num_terms());
-  pinned->save(writer);
-
-  // Labels section: u64 count, then { u32 length, bytes } per label, in id
-  // order. Labels are the only database state the index's forward store
-  // does not already hold (the signature vectors are its exact contents).
   std::shared_lock<std::shared_mutex> store(store_mutex_);
-  const std::span<const std::string> labels(labels_.data(), docs);
-  std::size_t bytes = sizeof(std::uint64_t);
-  for (const auto& label : labels) {
-    bytes += sizeof(std::uint32_t) + label.size();
-  }
-  std::vector<std::byte> payload(bytes);
-  std::size_t at = 0;
-  const auto put = [&payload, &at](const void* data, std::size_t size) {
-    std::memcpy(payload.data() + at, data, size);
-    at += size;
-  };
-  const std::uint64_t count = labels.size();
-  put(&count, sizeof(count));
-  for (const auto& label : labels) {
-    const auto length = static_cast<std::uint32_t>(label.size());
-    put(&length, sizeof(length));
-    put(label.data(), label.size());
-  }
+  const std::vector<std::byte> labels = encode_labels(
+      std::span<const std::string>(labels_.data(), pinned->size()));
   store.unlock();
-  writer.add_section(index::snapshot::SectionKind::kLabels, 0,
-                     std::span<const std::byte>(payload));
-  writer.finish(env, path);
+  write_snapshot(*pinned, labels, env, path);
 }
 
 void SignatureDatabase::save(const std::string& path) const {
   save(io::Env::posix(), path);
-}
-
-void SignatureDatabase::load(index::snapshot::Reader& reader) {
-  using index::snapshot::SnapshotError;
-
-  // Labels first: their count must agree with the header before any heavy
-  // decoding starts.
-  const auto label_bytes =
-      reader.take_section<std::byte>(index::snapshot::SectionKind::kLabels,
-                                     0);
-  std::size_t at = 0;
-  const auto take = [&label_bytes, &at](void* into, std::size_t size) {
-    if (at + size > label_bytes.size()) {
-      throw SnapshotError("snapshot: labels section ends mid-record");
-    }
-    std::memcpy(into, label_bytes.data() + at, size);
-    at += size;
-  };
-  std::uint64_t count = 0;
-  take(&count, sizeof(count));
-  if (count != reader.doc_count()) {
-    throw SnapshotError("snapshot: labels section holds " +
-                        std::to_string(count) + " labels for " +
-                        std::to_string(reader.doc_count()) + " documents");
-  }
-  std::vector<std::string> labels;
-  labels.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t length = 0;
-    take(&length, sizeof(length));
-    std::string label(length, '\0');
-    take(label.data(), length);
-    labels.push_back(std::move(label));
-  }
-  if (at != label_bytes.size()) {
-    throw SnapshotError("snapshot: labels section has trailing bytes");
-  }
-
-  // One parallel build per shard straight from its sections — byte-for-
-  // byte the index a bulk build of the same documents produces — into a
-  // temporary that replaces *this only on success (the strong guarantee).
-  SignatureDatabase loaded(1);
-  {
-    const obs::StageSpan ingest_span(obs::Stage::kIngest);
-    loaded.index_ = std::make_shared<const exec::ShardedIndex>(
-        exec::ShardedIndex::load(reader));
-  }
-  loaded.labels_ = std::move(labels);
-  *this = std::move(loaded);
 }
 
 void SignatureDatabase::load(const std::string& path) {
@@ -678,11 +670,14 @@ void SignatureDatabase::load(const std::string& path) {
 }
 
 void SignatureDatabase::load(io::Env& env, const std::string& path) {
-  // Two phases on the shared pool: read and verify every section, then
-  // build the shards from them.
-  index::snapshot::Reader reader =
-      exec::ShardedIndex::read_snapshot(env, path);
-  load(reader);
+  // Loaded into a temporary which replaces *this only on success (the
+  // strong guarantee).
+  LabeledIndex loaded = LabeledIndex::load(env, path);
+  SignatureDatabase db(1);
+  db.index_ =
+      std::make_shared<const exec::ShardedIndex>(std::move(loaded.index));
+  db.labels_ = std::move(loaded.labels);
+  *this = std::move(db);
 }
 
 void SignatureDatabase::publish_gauges() const {

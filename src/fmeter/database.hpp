@@ -30,6 +30,11 @@
 //
 // Degenerate queries are defined uniformly across paths: k == 0 or an
 // all-zero/empty query returns no hits, and no shard is dispatched.
+//
+// LabeledIndex is the database's immutable half on its own: an index and
+// its labels, built once, never locked. It is what a snapshot file holds
+// (SignatureDatabase::save/load write and read through it) and what the
+// live archive's base and ladder segments are (fmeter/live_database.hpp).
 #pragma once
 
 #include <atomic>
@@ -46,10 +51,6 @@
 #include "io/env.hpp"
 #include "ml/kmeans.hpp"
 #include "vsm/sparse_vector.hpp"
-
-namespace fmeter::index::snapshot {
-class Reader;
-}  // namespace fmeter::index::snapshot
 
 namespace fmeter::core {
 
@@ -123,9 +124,44 @@ struct Syndrome {
   std::size_t support = 0;      ///< number of member signatures
 };
 
+/// The default shard count of a database or live archive base:
+/// min(hardware threads, 8).
+std::size_t default_num_shards() noexcept;
+
+/// Labeled signatures as one immutable value: document id i is
+/// index.document(i), labelled labels[i]. Never mutated once built, so it
+/// is shared by shared_ptr<const LabeledIndex> and read with no lock.
+struct LabeledIndex {
+  exec::ShardedIndex index;
+  std::vector<std::string> labels;
+
+  /// A new value holding these documents followed by `docs` and `labels`,
+  /// built by exec::ShardedIndex::appended at this index's shard count —
+  /// equal to a bulk build of all of them, byte for byte. Copies the
+  /// forward store and the labels; `docs` are read during the call only.
+  /// The build is one obs::Stage::kIngest span. std::invalid_argument when
+  /// the counts differ or a weight is not finite (nothing built).
+  LabeledIndex appended(std::span<const vsm::SparseView> docs,
+                        std::vector<std::string> labels) const;
+
+  /// Writes the snapshot file (format: index/snapshot.hpp): every shard's
+  /// sections plus the labels section, committed atomically through `env`.
+  /// The bytes depend only on the documents, the labels and the shard
+  /// count. Throws index::snapshot::SnapshotError on I/O failure.
+  void save(io::Env& env, const std::string& path) const;
+
+  /// Restores a snapshot file: the file is mapped and checksummed on the
+  /// shared pool, the labels decoded and checked against the header, then
+  /// the shards adopt their sections in place (ShardedIndex::load; one
+  /// obs::Stage::kIngest span). The result holds the mapping: the file must
+  /// not be truncated or rewritten in place meanwhile (unlinking is fine).
+  /// Throws index::snapshot::SnapshotError on any corruption.
+  static LabeledIndex load(io::Env& env, const std::string& path);
+};
+
 class SignatureDatabase {
  public:
-  /// Shards the index across min(hardware threads, 8) partitions.
+  /// Shards the index across default_num_shards() partitions.
   SignatureDatabase() : SignatureDatabase(default_num_shards()) {}
   /// Explicit shard count (clamped to ≥ 1). Results are independent of the
   /// shard count — only query parallelism changes.
@@ -172,17 +208,6 @@ class SignatureDatabase {
   /// unchanged and fully usable either way.
   std::size_t add_batch(std::vector<vsm::SparseVector> signatures,
                         std::vector<std::string> labels);
-
-  /// A new database holding this one's signatures and labels (pending
-  /// scalar adds included) followed by `signatures` and `labels`, built by
-  /// exec::ShardedIndex::appended at this database's shard count — equal
-  /// to a bulk build of all of them, byte for byte. Copies the forward
-  /// store and the labels, never a signature of its own; `signatures` are
-  /// read during the call only. This database is untouched. The build is
-  /// one obs::Stage::kIngest span. Validated like add_batch
-  /// (std::invalid_argument, nothing built).
-  SignatureDatabase appended(std::span<const vsm::SparseView> signatures,
-                             std::vector<std::string> labels) const;
 
   /// add_batch's validation tier, callable on its own: throws
   /// std::invalid_argument for mismatched counts or any non-finite weight,
@@ -295,30 +320,22 @@ class SignatureDatabase {
   /// `path` through an io::Env: write-temp → fsync → rename → fsync-dir,
   /// so a crash or I/O failure at any point leaves the previous file
   /// contents intact, never a torn snapshot. The forward store is the only
-  /// copy of the signatures, in RAM and on disk. The emitted bytes depend
-  /// only on the stored signatures and labels. Throws
+  /// copy of the signatures, in RAM and on disk. Writes exactly the bytes
+  /// LabeledIndex::save writes for the same documents and labels. Throws
   /// index::snapshot::SnapshotError on I/O failure (carrying the errno
   /// text when the OS supplied one). The path-only form uses Env::posix().
   void save(const std::string& path) const;
   void save(io::Env& env, const std::string& path) const;
 
   /// Restores a database from the snapshot at `path` without re-indexing
-  /// the corpus, in two phases on the shared pool: the file is mapped
-  /// through the Env and every section checksummed over the mapping
-  /// (ShardedIndex::read_snapshot); then the labels are decoded and
-  /// ShardedIndex::load adopts each shard's sections, views into the
-  /// mapping, as its arrays in parallel (a version-1 file's arenas are
-  /// built). The database holds the mapping until its index is dropped:
-  /// the file must not be truncated or rewritten in place meanwhile
-  /// (unlinking it is fine). The loaded database is byte-for-byte the
-  /// database a fresh bulk build of the same documents would produce —
-  /// searches in every mode (kExact/kMaxScore/kAuto), at the snapshot's
-  /// shard count, return bit-identical results. Strong guarantee: the
-  /// snapshot is validated (header, version, endianness, per-section
-  /// checksums) and loaded into a temporary which replaces *this only on
-  /// success; any
-  /// index::snapshot::SnapshotError leaves the current contents untouched
-  /// and usable. The path-only form uses Env::posix().
+  /// the corpus (LabeledIndex::load). The database holds the mapping until
+  /// its index is dropped: the file must not be truncated or rewritten in
+  /// place meanwhile (unlinking it is fine). The loaded database is
+  /// byte-for-byte the database a fresh bulk build of the same documents
+  /// would produce — searches in every mode (kExact/kMaxScore/kAuto), at
+  /// the snapshot's shard count, return bit-identical results. Strong
+  /// guarantee: any index::snapshot::SnapshotError leaves the current
+  /// contents untouched and usable. The path-only form uses Env::posix().
   void load(const std::string& path);
   void load(io::Env& env, const std::string& path);
 
@@ -340,10 +357,6 @@ class SignatureDatabase {
   void publish_gauges() const;
 
  private:
-  void load(index::snapshot::Reader& reader);
-
-  static std::size_t default_num_shards() noexcept;
-
   struct SyndromeCache {
     std::vector<Syndrome> syndromes;
     exec::ShardedIndex centroid_index;  // single shard: a handful of docs

@@ -1,7 +1,6 @@
 #include "fmeter/live_database.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <iterator>
 #include <stdexcept>
@@ -53,13 +52,6 @@ const LiveMetrics& live_metrics() {
   return m;
 }
 
-std::uint64_t elapsed_ns(const std::chrono::steady_clock::time_point& start) {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
-}
-
 /// The ladder rule. Segment doc counts (oldest first) stay superincreasing:
 /// each segment holds more documents than all newer ones together. A new
 /// batch of `docs` absorbs every trailing segment from the oldest one it
@@ -82,17 +74,15 @@ std::size_t ladder_absorbs(const std::vector<std::size_t>& segment_docs,
   return absorbed;
 }
 
-/// Appends views of documents [from, to) of a sealed database — into its
-/// forward store, valid while `db` lives (a sealed database never swaps
-/// its index) — and their labels.
-void append_views(const SignatureDatabase& db, std::size_t from,
-                  std::size_t to, std::vector<vsm::SparseView>& views,
+/// Appends views of documents [from, to) of a part — into its forward
+/// store, valid while `part` lives — and their labels.
+void append_views(const LabeledIndex& part, std::size_t from, std::size_t to,
+                  std::vector<vsm::SparseView>& views,
                   std::vector<std::string>& labels) {
-  const auto index = db.index();
   for (std::size_t i = from; i < to; ++i) {
     views.push_back(
-        index->document(static_cast<exec::ShardedIndex::DocId>(i)));
-    labels.push_back(db.label(i));
+        part.index.document(static_cast<exec::ShardedIndex::DocId>(i)));
+    labels.push_back(part.labels[i]);
   }
 }
 
@@ -100,7 +90,7 @@ void append_views(const SignatureDatabase& db, std::size_t from,
 /// from its forward store and labels. The store holds each signature's
 /// terms and weights as add_batch received them, so every record is
 /// byte-identical to the one add_batch appended.
-void rejournal(const SignatureDatabase& db,
+void rejournal(const LabeledIndex& part,
                std::span<const std::size_t> batch_docs,
                io::journal::Writer& journal) {
   std::vector<vsm::SparseView> views;
@@ -109,24 +99,20 @@ void rejournal(const SignatureDatabase& db,
   for (const std::size_t docs : batch_docs) {
     views.clear();
     labels.clear();
-    append_views(db, id, id + docs, views, labels);
+    append_views(part, id, id + docs, views, labels);
     journal.append(encode_batch(views, labels));
     id += docs;
   }
 }
 
-/// Builds a frozen single-shard segment database: `oldest`'s documents,
-/// when given, followed by `docs` — merged into its posting arena
-/// (SignatureDatabase::appended), which is a bulk build of the run.
-std::shared_ptr<const SignatureDatabase> seal(
-    const SignatureDatabase* oldest, std::span<const vsm::SparseView> docs,
-    std::vector<std::string> labels) {
-  if (oldest == nullptr) {
-    return std::make_shared<SignatureDatabase>(
-        SignatureDatabase(1).appended(docs, std::move(labels)));
-  }
-  return std::make_shared<SignatureDatabase>(
-      oldest->appended(docs, std::move(labels)));
+/// Builds a frozen single-shard segment: `oldest`'s documents followed by
+/// `docs`, merged into its posting arena (LabeledIndex::appended), which
+/// is a bulk build of the run. An empty `oldest` seals `docs` alone.
+std::shared_ptr<const LabeledIndex> seal(const LabeledIndex& oldest,
+                                         std::span<const vsm::SparseView> docs,
+                                         std::vector<std::string> labels) {
+  return std::make_shared<const LabeledIndex>(
+      oldest.appended(docs, std::move(labels)));
 }
 
 }  // namespace
@@ -157,39 +143,40 @@ std::size_t LiveDatabase::Snapshot::num_segments() const noexcept {
   return epoch_->segments.size();
 }
 
-const SignatureDatabase& LiveDatabase::Snapshot::base() const noexcept {
+const LabeledIndex& LiveDatabase::Snapshot::base() const noexcept {
   return *epoch_->base;
 }
 
-const SignatureDatabase& LiveDatabase::Snapshot::segment(std::size_t i) const {
-  return *epoch_->segments.at(i)->db;
+const LabeledIndex& LiveDatabase::Snapshot::segment(std::size_t i) const {
+  return *epoch_->segments.at(i)->part;
 }
 
-std::pair<const SignatureDatabase*, std::size_t>
-LiveDatabase::Snapshot::locate(std::size_t id) const {
+std::pair<const LabeledIndex*, std::size_t> LiveDatabase::Snapshot::locate(
+    std::size_t id) const {
+  if (id >= epoch_->total_docs) {
+    throw std::out_of_range("LiveDatabase: id out of range");
+  }
   if (id < epoch_->base_docs) return {epoch_->base.get(), id};
-  // Segments are ordered by first_id; find the one whose range holds `id`.
+  // Segments are ordered by first_id and tile [base_docs, total_docs);
+  // the last one starting at or before `id` holds it.
   const auto& segments = epoch_->segments;
-  auto it = std::upper_bound(
+  const auto it = std::prev(std::upper_bound(
       segments.begin(), segments.end(), id,
       [](std::size_t value, const std::shared_ptr<const LiveSegment>& seg) {
         return value < seg->first_id;
-      });
-  if (it == segments.begin()) {
-    throw std::out_of_range("LiveDatabase: id out of range");
-  }
-  --it;
-  return {(*it)->db.get(), id - (*it)->first_id};
+      }));
+  return {(*it)->part.get(), id - (*it)->first_id};
 }
 
 std::string LiveDatabase::Snapshot::label(std::size_t id) const {
-  const auto [db, local] = locate(id);
-  return db->label(local);
+  const auto [part, local] = locate(id);
+  return part->labels[local];
 }
 
 vsm::SparseVector LiveDatabase::Snapshot::signature(std::size_t id) const {
-  const auto [db, local] = locate(id);
-  return db->signature(local);
+  const auto [part, local] = locate(id);
+  return vsm::SparseVector(
+      part->index.document(static_cast<exec::ShardedIndex::DocId>(local)));
 }
 
 std::vector<SearchHit> LiveDatabase::Snapshot::search(
@@ -204,15 +191,13 @@ std::vector<std::vector<SearchHit>> LiveDatabase::Snapshot::search_batch(
     SimilarityMetric metric, PruningMode mode, QueryStats* stats,
     const SearchOptions& options) const {
   // The base and every segment are parts of one engine run, each at its
-  // first id; the pins keep every part's index alive for the run.
+  // first id; the pinned epoch keeps every part alive for the run.
   const LiveEpoch& epoch = *epoch_;
-  std::vector<std::shared_ptr<const exec::ShardedIndex>> pinned;
   std::vector<exec::IndexPart> parts;
-  pinned.push_back(epoch.base->index());
-  parts.push_back({pinned.back().get(), 0});
+  parts.reserve(1 + epoch.segments.size());
+  parts.push_back({&epoch.base->index, 0});
   for (const auto& segment : epoch.segments) {
-    pinned.push_back(segment->db->index());
-    parts.push_back({pinned.back().get(), segment->first_id});
+    parts.push_back({&segment->part->index, segment->first_id});
   }
   const exec::QueryEngine engine(parts);
   const auto batch = engine.run_batch(queries, k, to_index_metric(metric),
@@ -249,9 +234,9 @@ LiveDatabase::~LiveDatabase() {
 void LiveDatabase::open() {
   env_.create_dir(dir_);  // idempotent in every Env
 
-  auto base = std::make_shared<SignatureDatabase>(
-      options_.num_shards > 0 ? SignatureDatabase(options_.num_shards)
-                              : SignatureDatabase());
+  auto base = std::make_shared<LabeledIndex>();
+  base->index = exec::ShardedIndex(
+      options_.num_shards > 0 ? options_.num_shards : default_num_shards());
   auto epoch = std::make_shared<LiveEpoch>();
 
   Manifest manifest;
@@ -270,7 +255,7 @@ void LiveDatabase::open() {
   } else {
     manifest = read_manifest(env_, dir_);
     if (!manifest.snapshot.empty()) {
-      base->load(env_, dir_ + "/" + manifest.snapshot);
+      *base = LabeledIndex::load(env_, dir_ + "/" + manifest.snapshot);
       recovery_.snapshot_loaded = true;
     }
     // Replay straight into the ladder a writer sealing the same records
@@ -320,7 +305,7 @@ void LiveDatabase::open() {
     // The segments are independent builds: seal them across the pool (the
     // caller participates), as the shards of one bulk build would be.
     std::vector<std::shared_ptr<LiveSegment>> segments(ladder_first.size());
-    pool().run_spans(segments.size(), [&](std::size_t s, std::size_t) {
+    pool().run_spans(segments.size(), [&](std::size_t s) {
       const std::size_t end =
           s + 1 < ladder_first.size() ? ladder_first[s + 1] : records.size();
       auto segment = std::make_shared<LiveSegment>();
@@ -335,7 +320,7 @@ void LiveDatabase::open() {
                   std::back_inserter(labels));
         segment->batch_docs.push_back(records[r].signatures.size());
       }
-      segment->db = seal(nullptr, signatures, std::move(labels));
+      segment->part = seal(LabeledIndex(), signatures, std::move(labels));
       // The segment's forward store now holds these documents; release the
       // decoded copies here, on this span's thread, not all at the end.
       for (std::size_t r = ladder_first[s]; r < end; ++r) {
@@ -343,19 +328,19 @@ void LiveDatabase::open() {
       }
       segments[s] = std::move(segment);
     });
-    std::size_t next_id = base->size();
+    std::size_t next_id = base->index.size();
     for (auto& segment : segments) {
       segment->first_id = next_id;
-      next_id += segment->db->size();
+      next_id += segment->part->index.size();
       epoch->segments.push_back(std::move(segment));
     }
-    epoch->total_docs = next_id - base->size();  // tail; base added below
+    epoch->total_docs = next_id - base->index.size();  // base added below
   }
 
   manifest_epoch_ = manifest.epoch;
   recovery_.epoch = manifest.epoch;
   epoch->manifest_epoch = manifest.epoch;
-  epoch->base_docs = base->size();
+  epoch->base_docs = base->index.size();
   epoch->total_docs += epoch->base_docs;
   epoch->base = std::move(base);
   epoch->journal_bytes = journal_ ? journal_->bytes() : 0;
@@ -419,7 +404,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
   std::vector<std::size_t> ladder_docs;
   ladder_docs.reserve(pinned->segments.size());
   for (const auto& segment : pinned->segments) {
-    ladder_docs.push_back(segment->db->size());
+    ladder_docs.push_back(segment->part->index.size());
   }
   const std::size_t absorbed =
       ladder_absorbs(ladder_docs, docs, max_run());
@@ -432,12 +417,13 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
                                            signatures.end());
   auto segment = std::make_shared<LiveSegment>();
   if (absorbed == 0) {
-    segment->db = seal(nullptr, batch, std::move(labels));
+    segment->part = seal(LabeledIndex(), batch, std::move(labels));
   } else {
     std::vector<vsm::SparseView> run;
     std::vector<std::string> run_labels;
     for (const auto& victim : victims.subspan(1)) {
-      append_views(*victim->db, 0, victim->db->size(), run, run_labels);
+      append_views(*victim->part, 0, victim->part->index.size(), run,
+                   run_labels);
     }
     for (const auto& victim : victims) {
       segment->batch_docs.insert(segment->batch_docs.end(),
@@ -446,8 +432,7 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     }
     run.insert(run.end(), batch.begin(), batch.end());
     std::move(labels.begin(), labels.end(), std::back_inserter(run_labels));
-    segment->db =
-        seal(victims.front()->db.get(), run, std::move(run_labels));
+    segment->part = seal(*victims.front()->part, run, std::move(run_labels));
   }
   segment->batch_docs.push_back(docs);
 
@@ -467,19 +452,17 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     if (!victims_trailing) {
       lock.unlock();
       auto lone = std::make_shared<LiveSegment>();
-      std::vector<std::string> batch_labels;
-      for (std::size_t i = segment->db->size() - docs;
-           i < segment->db->size(); ++i) {
-        batch_labels.push_back(segment->db->label(i));
-      }
-      lone->db = seal(nullptr, batch, std::move(batch_labels));
+      const std::vector<std::string>& sealed = segment->part->labels;
+      lone->part = seal(LabeledIndex(), batch,
+                        {sealed.end() - static_cast<std::ptrdiff_t>(docs),
+                         sealed.end()});
       lone->batch_docs.push_back(docs);
       segment = std::move(lone);
       lock.lock();
     }
     const std::size_t replaced = victims_trailing ? absorbed : 0;
     check_not_poisoned();
-    const auto start = std::chrono::steady_clock::now();
+    const obs::Stopwatch watch;
     if (journal_) {
       journal_->append(record);
       if (options_.durability == Durability::kEachBatch) journal_->sync();
@@ -490,12 +473,12 @@ std::size_t LiveDatabase::add_batch(std::vector<vsm::SparseVector> signatures,
     first = current->total_docs;
     next->total_docs = current->total_docs + docs;
     if (journal_) next->journal_bytes = journal_->bytes();
-    segment->first_id = next->total_docs - segment->db->size();
-    merged_docs = segment->db->size() - docs;
+    segment->first_id = next->total_docs - segment->part->index.size();
+    merged_docs = segment->part->index.size() - docs;
     next->segments.resize(next->segments.size() - replaced);
     next->segments.push_back(std::move(segment));
     publish(std::move(next));
-    live_metrics().publish_ns->record(elapsed_ns(start));
+    watch.record(*live_metrics().publish_ns);
   }
 
   live_metrics().batches->inc();
@@ -572,7 +555,7 @@ bool LiveDatabase::do_refreeze() {
   const auto capture = acquire();
   if (capture->segments.empty()) return false;
   if (options_.after_refreeze_capture) options_.after_refreeze_capture();
-  const auto start = std::chrono::steady_clock::now();
+  const obs::Stopwatch watch;
   const obs::StageSpan span(obs::Stage::kRefreeze);
 
   // 1. Build the next base from the pinned capture — no locks held, ingest
@@ -586,9 +569,10 @@ bool LiveDatabase::do_refreeze() {
   tail.reserve(capture->total_docs - capture->base_docs);
   labels.reserve(capture->total_docs - capture->base_docs);
   for (const auto& segment : capture->segments) {
-    append_views(*segment->db, 0, segment->db->size(), tail, labels);
+    append_views(*segment->part, 0, segment->part->index.size(), tail,
+                 labels);
   }
-  const auto fresh = std::make_shared<const SignatureDatabase>(
+  const auto fresh = std::make_shared<const LabeledIndex>(
       capture->base->appended(tail, std::move(labels)));
 
   // 2. Write the new base as the next epoch's snapshot — still no locks;
@@ -616,7 +600,8 @@ bool LiveDatabase::do_refreeze() {
     const std::size_t boundary = capture->total_docs;
     std::vector<std::shared_ptr<const LiveSegment>> survivors;
     for (const auto& segment : current->segments) {
-      if (segment->first_id + segment->db->size() <= boundary) continue;
+      const std::size_t docs = segment->part->index.size();
+      if (segment->first_id + docs <= boundary) continue;
       if (segment->first_id >= boundary) {
         survivors.push_back(segment);
         continue;
@@ -630,9 +615,9 @@ bool LiveDatabase::do_refreeze() {
       }
       std::vector<vsm::SparseView> kept;
       std::vector<std::string> kept_labels;
-      append_views(*segment->db, boundary - segment->first_id,
-                   segment->db->size(), kept, kept_labels);
-      split->db = seal(nullptr, kept, std::move(kept_labels));
+      append_views(*segment->part, boundary - segment->first_id, docs, kept,
+                   kept_labels);
+      split->part = seal(LabeledIndex(), kept, std::move(kept_labels));
       survivors.push_back(std::move(split));
     }
     const std::string journal_file = journal_name(next_epoch);
@@ -641,7 +626,7 @@ bool LiveDatabase::do_refreeze() {
       fresh_journal =
           std::make_unique<io::journal::Writer>(env_, dir_ + "/" + journal_file);
       for (const auto& segment : survivors) {
-        rejournal(*segment->db, segment->batch_docs, *fresh_journal);
+        rejournal(*segment->part, segment->batch_docs, *fresh_journal);
       }
       fresh_journal->sync();
     }
@@ -696,7 +681,7 @@ bool LiveDatabase::do_refreeze() {
 
   refreezes_.fetch_add(1, std::memory_order_relaxed);
   live_metrics().refreezes->inc();
-  live_metrics().refreeze_ns->record(elapsed_ns(start));
+  watch.record(*live_metrics().refreeze_ns);
   return true;
 }
 
@@ -732,11 +717,12 @@ LiveStats LiveDatabase::stats() const {
   out.tail_docs = epoch->total_docs - epoch->base_docs;
   out.segments = epoch->segments.size();
   out.journal_bytes = epoch->journal_bytes;
-  out.base_shards = epoch->base->index()->shard_stats();
-  out.memory_bytes = epoch->base->index()->memory_bytes();
+  out.base_shards = epoch->base->index.shard_stats();
+  out.memory_bytes = epoch->base->index.memory_bytes();
   for (const auto& segment : epoch->segments) {
-    out.memory_bytes += segment->db->index()->memory_bytes();
-    out.tail_segments.push_back({segment->first_id, segment->db->size(),
+    out.memory_bytes += segment->part->index.memory_bytes();
+    out.tail_segments.push_back({segment->first_id,
+                                 segment->part->index.size(),
                                  segment->batch_docs.size()});
   }
   return out;

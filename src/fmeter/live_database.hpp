@@ -11,22 +11,23 @@
 // and query run concurrently without either blocking the other for longer
 // than a pointer swap:
 //
-//   * Readers pin an immutable *published epoch* — a shared_ptr to a
-//     frozen base database plus a short list of frozen tail segments —
-//     and serve every query from that pinned state (cf. LevelDB's
-//     version-set swap and Lucene's near-real-time segment refresh).
-//     Nothing a reader can see is ever mutated; a pinned snapshot stays
-//     valid for as long as the caller holds it, across any number of
-//     ingests and re-freezes.
+//   * Readers pin an immutable *published epoch* — a frozen base plus a
+//     short list of frozen tail segments, each a
+//     shared_ptr<const LabeledIndex> (fmeter/database.hpp: an index and
+//     its labels, no lock, no mutable state) — and serve every query from
+//     that pinned state (cf. LevelDB's version-set swap and Lucene's
+//     near-real-time segment refresh). Nothing a reader can see is ever
+//     mutated; a pinned snapshot stays valid for as long as the caller
+//     holds it, across any number of ingests and re-freezes.
 //   * The tail segments form a size-tiered *ladder*: each holds more
 //     documents than all newer segments together. add_batch() absorbs
 //     the trailing segments that would break that and seals them plus
 //     the batch as one frozen single-shard segment — with equal batches
 //     exactly the binary-counter merge of LevelDB and Lucene. The seal
-//     extends the oldest (largest) victim: SignatureDatabase::appended
-//     copies its forward store and merges the other victims' documents
-//     and the batch into its posting arena, reading them in place from
-//     their immutable forward stores. No merged run reaches
+//     extends the oldest (largest) victim: LabeledIndex::appended copies
+//     its forward store and merges the other victims' documents and the
+//     batch into its posting arena, reading them in place from their
+//     immutable forward stores. No merged run reaches
 //     refreeze_min_docs (a run that large is the fold's job), so below
 //     that the tail holds at most floor(log2(tail_docs)) + 1 segments and
 //     each document is merged at most log2(tail_docs) times. The merge is
@@ -105,7 +106,7 @@ enum class Durability {
 };
 
 struct LiveOptions {
-  /// Shard count of the *base* database (0 = SignatureDatabase default).
+  /// Shard count of the *base* (0 = default_num_shards()).
   /// Opening an existing directory adopts the snapshot's shard count.
   std::size_t num_shards = 0;
   Durability durability = Durability::kEachBatch;
@@ -203,18 +204,18 @@ class LiveDatabase {
 
     /// The frozen parts themselves, for introspection: the sharded base
     /// (ids [0, base_docs())) and tail segment `i` (oldest first, <
-    /// num_segments()), each a database of its own ids from 0. Valid while
-    /// this snapshot lives.
-    const SignatureDatabase& base() const noexcept;
-    const SignatureDatabase& segment(std::size_t i) const;
+    /// num_segments()), each with its own ids from 0. Valid while this
+    /// snapshot lives.
+    const LabeledIndex& base() const noexcept;
+    const LabeledIndex& segment(std::size_t i) const;
 
    private:
     friend class LiveDatabase;
     explicit Snapshot(std::shared_ptr<const LiveEpoch> epoch)
         : epoch_(std::move(epoch)) {}
-    /// The part (base or tail segment) holding `id`, and `id` within it.
-    std::pair<const SignatureDatabase*, std::size_t> locate(
-        std::size_t id) const;
+    /// The part (base or tail segment) holding `id`, and `id` within it;
+    /// std::out_of_range past size().
+    std::pair<const LabeledIndex*, std::size_t> locate(std::size_t id) const;
     std::shared_ptr<const LiveEpoch> epoch_;
   };
 
@@ -290,21 +291,21 @@ class LiveDatabase {
 
  private:
   /// One immutable tail segment: a run of consecutive batches as a frozen
-  /// single-shard database. Its forward store and labels are the only
-  /// in-RAM copy of its documents: a re-freeze re-encodes the journal
-  /// records of the batches it keeps from them, batch by batch.
+  /// single-shard part. Its forward store and labels are the only in-RAM
+  /// copy of its documents: a re-freeze re-encodes the journal records of
+  /// the batches it keeps from them, batch by batch.
   struct LiveSegment {
     std::size_t first_id = 0;
-    std::shared_ptr<const SignatureDatabase> db;
+    std::shared_ptr<const LabeledIndex> part;
     /// Doc count of each add_batch() sealed into it, in id order; they sum
-    /// to the db's size.
+    /// to the part's size.
     std::vector<std::size_t> batch_docs;
   };
 
   struct LiveEpoch {
     std::uint64_t sequence = 0;
     std::uint64_t manifest_epoch = 0;
-    std::shared_ptr<const SignatureDatabase> base;
+    std::shared_ptr<const LabeledIndex> base;
     std::size_t base_docs = 0;
     std::vector<std::shared_ptr<const LiveSegment>> segments;  ///< the ladder
     std::size_t total_docs = 0;

@@ -1,6 +1,5 @@
 #include "io/journal.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -54,13 +53,6 @@ const JournalMetrics& metrics() {
   return m;
 }
 
-std::uint64_t elapsed_ns(const std::chrono::steady_clock::time_point& start) {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
-}
-
 std::uint64_t record_checksum(std::uint32_t length,
                               std::span<const std::byte> payload) noexcept {
   // Over the length prefix *and* the payload (one fixed chunking: the
@@ -98,7 +90,7 @@ void Writer::append(std::span<const std::byte> payload) {
     throw JournalError("journal: record of " + std::to_string(payload.size()) +
                        " bytes exceeds the format cap");
   }
-  const auto start = std::chrono::steady_clock::now();
+  const obs::Stopwatch watch;
   const auto length = static_cast<std::uint32_t>(payload.size());
   const std::uint64_t checksum = record_checksum(length, payload);
 
@@ -117,15 +109,15 @@ void Writer::append(std::span<const std::byte> payload) {
   const JournalMetrics& m = metrics();
   m.appends->inc();
   m.bytes->inc(frame.size());
-  m.append_ns->record(elapsed_ns(start));
+  watch.record(*m.append_ns);
 }
 
 void Writer::sync() {
-  const auto start = std::chrono::steady_clock::now();
+  const obs::Stopwatch watch;
   file_->sync();
   const JournalMetrics& m = metrics();
   m.syncs->inc();
-  m.sync_ns->record(elapsed_ns(start));
+  watch.record(*m.sync_ns);
 }
 
 void Writer::close() {

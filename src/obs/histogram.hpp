@@ -32,6 +32,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -146,6 +147,29 @@ class Histogram {
 
   std::unique_ptr<Shard[]> shards_;
   std::size_t shard_mask_ = 0;  ///< shard count − 1 (count is a power of 2)
+};
+
+/// Wall time since construction on the steady clock — the one elapsed-time
+/// helper of the latency histograms: start a Stopwatch, do the work, then
+/// record() it. A call that throws before record() is not timed.
+class Stopwatch {
+ public:
+  Stopwatch() noexcept : start_(std::chrono::steady_clock::now()) {}
+
+  /// Nanoseconds since construction (0 should the clock appear to step
+  /// back).
+  std::uint64_t elapsed_ns() const noexcept {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
+    return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
+  }
+
+  /// Records elapsed_ns() into `sink`.
+  void record(Histogram& sink) const noexcept { sink.record(elapsed_ns()); }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace fmeter::obs

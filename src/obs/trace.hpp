@@ -15,7 +15,6 @@
 //   obs::StageTracer::global().record(obs::Stage::kMerge, elapsed_ns);
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 
 #include "obs/metrics.hpp"
@@ -81,18 +80,12 @@ class StageSpan {
  public:
   explicit StageSpan(Stage stage,
                      StageTracer& tracer = StageTracer::global()) noexcept
-      : tracer_(tracer),
-        stage_(stage),
-        start_(std::chrono::steady_clock::now()) {
+      : tracer_(tracer), stage_(stage) {
     ++depth_ref();
   }
 
   ~StageSpan() {
-    const auto end = std::chrono::steady_clock::now();
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
-            .count();
-    tracer_.record(stage_, ns < 0 ? 0 : static_cast<std::uint64_t>(ns));
+    tracer_.record(stage_, watch_.elapsed_ns());
     --depth_ref();
   }
 
@@ -105,7 +98,7 @@ class StageSpan {
 
   StageTracer& tracer_;
   Stage stage_;
-  std::chrono::steady_clock::time_point start_;
+  Stopwatch watch_;
 };
 
 }  // namespace fmeter::obs

@@ -43,6 +43,14 @@ inline std::string saved_bytes(const core::SignatureDatabase& db) {
   return env.read_file(kSnapshotPath);
 }
 
+/// The snapshot LabeledIndex::save commits for `part`.
+inline std::string saved_bytes(const core::LabeledIndex& part) {
+  io::InMemoryEnv env;
+  env.create_dir("d");
+  part.save(env, kSnapshotPath);
+  return env.read_file(kSnapshotPath);
+}
+
 /// The index-only snapshot of `sharded`: its shards' sections, no labels.
 inline std::string saved_bytes(const exec::ShardedIndex& sharded) {
   index::snapshot::Writer writer(

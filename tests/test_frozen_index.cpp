@@ -725,33 +725,35 @@ TEST(FrozenIndex, AppendChainsEqualBulkBuild) {
 
 using fmeter::testing::saved_bytes;
 
-/// `got` is the database `want` is: same snapshot bytes, same shards,
+/// `got` holds the database `want` is: same snapshot bytes, same shards,
 /// same footprint, and bit-identical hits in both kernels.
-void expect_same_database(const SignatureDatabase& got,
+void expect_same_database(const LabeledIndex& got,
                           const SignatureDatabase& want,
                           std::span<const vsm::SparseVector> queries,
                           const std::string& context) {
   EXPECT_EQ(saved_bytes(got), saved_bytes(want)) << context;
-  ASSERT_EQ(got.num_shards(), want.num_shards()) << context;
-  for (std::size_t s = 0; s < got.num_shards(); ++s) {
-    EXPECT_TRUE(got.index()->shard(s) == want.index()->shard(s))
+  ASSERT_EQ(got.index.num_shards(), want.num_shards()) << context;
+  for (std::size_t s = 0; s < got.index.num_shards(); ++s) {
+    EXPECT_TRUE(got.index.shard(s) == want.index()->shard(s))
         << context << " shard " << s;
   }
-  expect_same_memory(got.index()->memory_breakdown(),
+  expect_same_memory(got.index.memory_breakdown(),
                      want.index()->memory_breakdown(), context);
+  const exec::QueryEngine engine(got.index);
   for (const auto metric :
        {SimilarityMetric::kCosine, SimilarityMetric::kEuclidean}) {
     for (const auto mode :
          {index::PruningMode::kExact, index::PruningMode::kMaxScore}) {
-      const auto got_hits = got.search_batch(queries, 10, metric,
-                                             ScanPolicy::kIndexed, mode);
+      const auto got_hits =
+          engine.run_batch(queries, 10, to_index_metric(metric), mode);
       const auto want_hits = want.search_batch(queries, 10, metric,
                                                ScanPolicy::kIndexed, mode);
       for (std::size_t q = 0; q < queries.size(); ++q) {
         ASSERT_EQ(got_hits[q].size(), want_hits[q].size()) << context;
         for (std::size_t r = 0; r < want_hits[q].size(); ++r) {
-          EXPECT_EQ(got_hits[q][r].id, want_hits[q][r].id) << context;
-          EXPECT_EQ(got_hits[q][r].label, want_hits[q][r].label) << context;
+          EXPECT_EQ(got_hits[q][r].doc, want_hits[q][r].id) << context;
+          EXPECT_EQ(got.labels[got_hits[q][r].doc], want_hits[q][r].label)
+              << context;
           EXPECT_EQ(got_hits[q][r].score, want_hits[q][r].score) << context;
         }
       }
@@ -759,7 +761,7 @@ void expect_same_database(const SignatureDatabase& got,
   }
 }
 
-TEST(FrozenIndex, ShardedAndDatabaseAppendedMatchBulkBuild) {
+TEST(FrozenIndex, ShardedAndLabeledIndexAppendedMatchBulkBuild) {
   util::Rng rng(0x5a9d);
   const std::size_t n = 400;
   std::vector<vsm::SparseVector> corpus;
@@ -782,24 +784,19 @@ TEST(FrozenIndex, ShardedAndDatabaseAppendedMatchBulkBuild) {
   for (const std::size_t shards : {1u, 3u, 4u}) {
     SignatureDatabase bulk(shards);
     bulk.add_batch(corpus, labels);
+    const LabeledIndex empty{exec::ShardedIndex(shards), {}};
     for (const std::size_t split : {std::size_t{0}, std::size_t{1},
                                     std::size_t{157}, n - 1, n}) {
-      SignatureDatabase head(shards);
-      head.add_batch({corpus.begin(), corpus.begin() + split},
-                     {labels.begin(), labels.begin() + split});
-      const SignatureDatabase got = head.appended(
+      const LabeledIndex head = empty.appended(
+          docs.first(split), {labels.begin(), labels.begin() + split});
+      const LabeledIndex got = head.appended(
           docs.subspan(split), {labels.begin() + split, labels.end()});
-      EXPECT_EQ(head.size(), split);
+      EXPECT_EQ(head.index.size(), split);
+      EXPECT_EQ(head.labels.size(), split);
       expect_same_database(got, bulk, queries,
                            std::to_string(shards) + " shards, split " +
                                std::to_string(split));
     }
-    // Scalar adds not indexed yet are part of what appended() extends.
-    SignatureDatabase pending(shards);
-    for (std::size_t d = 0; d < 157; ++d) pending.add(corpus[d], labels[d]);
-    expect_same_database(
-        pending.appended(docs.subspan(157), {labels.begin() + 157, labels.end()}),
-        bulk, queries, std::to_string(shards) + " shards, pending head");
 
     // Chains of appends on the pool, index layer alone.
     exec::ShardedIndex chain(shards);

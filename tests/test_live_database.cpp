@@ -198,21 +198,24 @@ using fmeter::testing::saved_bytes;
 /// Every frozen part of a pinned epoch — the base at its shard count, each
 /// segment at one shard — equals a bulk build of exactly its documents:
 /// the ladder merges and the fold extend posting arenas in place of a
-/// rebuild, and must land on the same bytes.
+/// rebuild, and must land on the same bytes. A part's snapshot is also
+/// byte for byte SignatureDatabase::save of the same documents, so both
+/// front-ends write one format.
 void expect_parts_are_bulk_builds(const LiveDatabase::Snapshot& snapshot,
                                   const std::string& context) {
-  const auto expect_bulk_built = [&context](const SignatureDatabase& part,
+  const auto expect_bulk_built = [&context](const LabeledIndex& part,
                                             const std::string& name) {
+    const std::size_t shards = part.index.num_shards();
     std::vector<vsm::SparseVector> signatures;
-    std::vector<std::string> labels;
-    for (std::size_t id = 0; id < part.size(); ++id) {
-      signatures.push_back(part.signature(id));
-      labels.push_back(part.label(id));
+    for (std::size_t id = 0; id < part.index.size(); ++id) {
+      signatures.emplace_back(
+          part.index.document(static_cast<exec::ShardedIndex::DocId>(id)));
     }
-    SignatureDatabase bulk(part.num_shards());
-    bulk.add_batch(std::move(signatures), std::move(labels));
-    for (std::size_t s = 0; s < part.num_shards(); ++s) {
-      EXPECT_TRUE(part.index()->shard(s) == bulk.index()->shard(s))
+    ASSERT_EQ(part.labels.size(), signatures.size()) << context << " " << name;
+    SignatureDatabase bulk(shards);
+    bulk.add_batch(std::move(signatures), part.labels);
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_TRUE(part.index.shard(s) == bulk.index()->shard(s))
           << context << " " << name << " shard " << s;
     }
     EXPECT_EQ(saved_bytes(part), saved_bytes(bulk)) << context << " " << name;

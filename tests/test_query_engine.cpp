@@ -156,6 +156,7 @@ TEST(QueryEngine, AllShardCountsAndBatchingMatchBruteForce) {
     index = index.appended(std::span<const vsm::SparseVector>(corpus));
     const exec::QueryEngine inline_engine(index, &solo);
     const exec::QueryEngine pooled_engine(index, &duo);
+    exec::QueryStats inline_stats;
     for (const std::size_t k : {std::size_t{1}, std::size_t{10},
                                 kEdgeDocs / 8, kEdgeDocs}) {
       for (const auto metric :
@@ -171,13 +172,13 @@ TEST(QueryEngine, AllShardCountsAndBatchingMatchBruteForce) {
               std::to_string(k) +
               (metric == SimilarityMetric::kCosine ? " cosine" : " l2") +
               (mode == PruningMode::kExact ? " exact" : " auto");
-          const auto pooled_before = pooled_engine.pooled_batches();
-          const auto inlined =
-              inline_engine.run_batch(queries, k, index_metric, mode);
-          const auto pooled =
-              pooled_engine.run_batch(queries, k, index_metric, mode);
-          EXPECT_EQ(pooled_engine.pooled_batches(), pooled_before + 1)
-              << context;
+          exec::QueryStats pooled_stats;
+          const auto inlined = inline_engine.run_batch(queries, k, index_metric,
+                                                       mode, &inline_stats);
+          const auto pooled = pooled_engine.run_batch(queries, k, index_metric,
+                                                      mode, &pooled_stats);
+          EXPECT_GT(pooled_stats.dispatch_pooled, 0u) << context;
+          EXPECT_EQ(pooled_stats.dispatch_inline, 0u) << context;
           for (std::size_t q = 0; q < queries.size(); ++q) {
             expect_hits_identical(
                 inlined[q], golden[q],
@@ -189,7 +190,7 @@ TEST(QueryEngine, AllShardCountsAndBatchingMatchBruteForce) {
         }
       }
     }
-    EXPECT_EQ(inline_engine.pooled_batches(), 0u) << "shards " << shards;
+    EXPECT_EQ(inline_stats.dispatch_pooled, 0u) << "shards " << shards;
   }
 }
 
@@ -217,9 +218,10 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
   if (query.empty()) query = vsm::SparseVector::from_entries({{3, 1.0}});
   exec::TaskPool solo(1);
   const exec::QueryEngine reference(sharded, &solo);
+  exec::QueryStats reference_stats;
   const auto exact = reference.run(query, k, exec::Metric::kCosine,
-                                   PruningMode::kExact);
-  EXPECT_EQ(reference.inline_batches(), 1u);
+                                   PruningMode::kExact, &reference_stats);
+  EXPECT_EQ(reference_stats.dispatch_inline, 1u);
   expect_hits_identical(exact,
                         scan_db.search(query, k, SimilarityMetric::kCosine,
                                        ScanPolicy::kBruteForce),
@@ -232,7 +234,6 @@ TEST(QueryEngine, ShardsArePricedAtTheKernelTheyRun) {
     const exec::QueryEngine engine(sharded, &pool);
     exec::QueryStats stats;
     const auto hits = engine.run(query, k, exec::Metric::kCosine, mode, &stats);
-    EXPECT_EQ(engine.pooled_batches(), 1u) << context;
     EXPECT_EQ(stats.dispatch_pooled, 1u) << context;
     EXPECT_EQ(stats.docs_scored, corpus.size()) << context;  // no pruning ran
     expect_hits_identical(hits, exact, context);
@@ -424,8 +425,7 @@ TEST(QueryEngine, KZeroAndEmptyQueriesShortCircuitWithoutDispatch) {
                                      exec::PruningMode::kExact, &stats);
   ASSERT_EQ(real.size(), queries.size());
   for (const auto& hits : real) EXPECT_EQ(hits.size(), 5u);
-  EXPECT_GT(pool.span_batches(), 0u);
-  EXPECT_EQ(engine.pooled_batches(), 1u);
+  EXPECT_EQ(pool.span_batches(), 1u);
   EXPECT_EQ(stats.dispatch_pooled, queries.size());
   EXPECT_EQ(stats.dispatch_inline, 0u);
   EXPECT_GT(stats.spans_reserved, 0u);
@@ -610,10 +610,12 @@ TEST(QueryEngine, DedicatedPoolProducesSameResultsAsSharedPool) {
 TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
   // The batch-reservation scheduler under everything at once (run under
   // TSan in CI): a pool oversubscribed well past the host's cores, many
-  // threads calling run_batch on the same engine concurrently, nested
-  // re-entry from inside pool tasks, and degenerate empty/one-query
-  // batches interleaved throughout. Every result must stay bit-identical
-  // to a single-threaded reference.
+  // threads running batches over it concurrently, nested re-entry from
+  // inside pool tasks, and degenerate empty/one-query batches interleaved
+  // throughout. Every batch builds a fresh engine, as the database
+  // front-ends do, so engines come and go while pool workers score in
+  // their own thread's scratch. Every result must stay bit-identical to a
+  // single-threaded reference.
   util::Rng rng(0x57e5);
   exec::ShardedIndex index(5);
   std::vector<vsm::SparseVector> corpus;
@@ -632,13 +634,13 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
 
   // Single-threaded reference through a one-worker pool (always inline).
   exec::TaskPool solo(1);
-  const exec::QueryEngine reference_engine(index, &solo);
-  const auto reference = reference_engine.run_batch(queries, 7);
+  const auto reference =
+      exec::QueryEngine(index, &solo).run_batch(queries, 7);
 
-  exec::TaskPool pool(exec::TaskPool::Options{
-      .num_threads = 3 * std::max(1u, std::thread::hardware_concurrency()),
-      .pin_threads = false});
-  const exec::QueryEngine engine(index, &pool);
+  exec::TaskPool pool(3 * std::max(1u, std::thread::hardware_concurrency()));
+  const auto search = [&index, &pool](std::span<const vsm::SparseVector> batch) {
+    return exec::QueryEngine(index, &pool).run_batch(batch, 7);
+  };
 
   const auto check = [&](const std::vector<std::vector<exec::IndexHit>>& got,
                          const char* context) {
@@ -654,11 +656,11 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
   };
 
   // Nested re-entry: searches issued from inside pool tasks while outside
-  // callers hammer the same engine's pooled path.
-  std::vector<std::future<std::vector<exec::IndexHit>>> nested;
+  // callers hammer the pooled path.
+  std::vector<std::future<std::vector<std::vector<exec::IndexHit>>>> nested;
   for (int i = 0; i < 6; ++i) {
     nested.push_back(pool.submit(
-        [&engine, &queries, i] { return engine.run(queries[i % 24], 7); }));
+        [&search, &queries, i] { return search({&queries[i % 24], 1}); }));
   }
 
   constexpr int kCallers = 4;
@@ -670,9 +672,9 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
     callers.emplace_back([&, c] {
       for (int round = 0; round < kRounds; ++round) {
         // Degenerate batches between real ones: must not disturb anything.
-        (void)engine.run_batch(std::span<const vsm::SparseVector>(), 7);
-        (void)engine.run_batch({&queries[static_cast<std::size_t>(c)], 1}, 7);
-        outputs[c] = engine.run_batch(queries, 7);
+        (void)search({});
+        (void)search({&queries[static_cast<std::size_t>(c)], 1});
+        outputs[c] = search(queries);
       }
     });
   }
@@ -681,7 +683,7 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
     check(outputs[c], ("caller " + std::to_string(c)).c_str());
   }
   for (std::size_t i = 0; i < nested.size(); ++i) {
-    const auto hits = nested[i].get();
+    const auto hits = nested[i].get().front();
     ASSERT_EQ(hits.size(), reference[i % 24].size()) << "nested " << i;
     for (std::size_t r = 0; r < hits.size(); ++r) {
       EXPECT_EQ(hits[r].doc, reference[i % 24][r].doc) << "nested " << i;
@@ -691,10 +693,12 @@ TEST(QueryEngine, SchedulerStressOversubscribedConcurrentAndNested) {
 }
 
 TEST(QueryEngine, SteadyStateDispatchAllocationsStabilize) {
-  // The dispatch side reuses every buffer it owns (floors, partial grid,
-  // span stats, scratch arenas): after a warm-up batch has sized them, an
-  // identical batch must grow nothing — the engine's growth counter stays
-  // flat across both the inline and the pooled branch.
+  // The dispatch buffers (floors, partial grid, span stats, eligible list)
+  // and the scoring scratch belong to threads, not to an engine. After a
+  // warm-up batch has sized them, identical batches through fresh engines
+  // — one per batch, as every database front-end builds them — must grow
+  // nothing: the process-wide growth counter stays flat across both the
+  // inline and the pooled branch.
   util::Rng rng(0xa110);
   exec::ShardedIndex index(4);
   std::vector<vsm::SparseVector> corpus;
@@ -705,24 +709,29 @@ TEST(QueryEngine, SteadyStateDispatchAllocationsStabilize) {
   for (int q = 0; q < 16; ++q) queries.push_back(random_sparse(rng, 32, 8));
 
   exec::TaskPool pool(3);
-  const exec::QueryEngine engine(index, &pool);
-  exec::QueryStats stats;
-  (void)engine.run_batch(queries, 5, exec::Metric::kCosine,
-                         exec::PruningMode::kExact, &stats);
-  const auto after_warmup = engine.dispatch_allocations();
-  EXPECT_GT(after_warmup, 0u);  // the warm-up is what sizes the buffers
+  const auto run_batch = [&](exec::PruningMode mode) {
+    exec::QueryStats stats;
+    (void)exec::QueryEngine(index, &pool)
+        .run_batch(queries, 5, exec::Metric::kCosine, mode, &stats);
+    return stats;
+  };
+  EXPECT_GT(run_batch(exec::PruningMode::kExact).dispatch_pooled, 0u);
+  const auto after_warmup = exec::QueryEngine::dispatch_allocations();
+  EXPECT_GT(after_warmup, 0u);  // some batch in this process sized them
   for (int round = 0; round < 5; ++round) {
-    (void)engine.run_batch(queries, 5, exec::Metric::kCosine,
-                           exec::PruningMode::kExact, &stats);
-    (void)engine.run_batch(queries, 5, exec::Metric::kCosine,
-                           exec::PruningMode::kMaxScore, &stats);
+    EXPECT_GT(run_batch(exec::PruningMode::kExact).dispatch_pooled, 0u);
+    EXPECT_GT(run_batch(exec::PruningMode::kMaxScore).dispatch_pooled, 0u);
   }
-  EXPECT_EQ(engine.dispatch_allocations(), after_warmup);
+  EXPECT_EQ(exec::QueryEngine::dispatch_allocations(), after_warmup);
 
-  // Small single queries ride the inline branch on already-sized buffers.
-  const auto before_scalar = engine.dispatch_allocations();
-  for (int q = 0; q < 8; ++q) (void)engine.run(queries[0], 5);
-  EXPECT_EQ(engine.dispatch_allocations(), before_scalar);
+  // Single queries reuse the same, already-sized buffers.
+  exec::QueryStats single;
+  for (int q = 0; q < 8; ++q) {
+    (void)exec::QueryEngine(index, &pool)
+        .run(queries[0], 5, exec::Metric::kCosine, exec::PruningMode::kExact,
+             &single);
+  }
+  EXPECT_EQ(exec::QueryEngine::dispatch_allocations(), after_warmup);
 }
 
 }  // namespace

@@ -5,16 +5,9 @@
 
 #include <atomic>
 #include <future>
-#include <latch>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "exec/task_pool.hpp"
 
@@ -111,60 +104,6 @@ TEST(TaskPool, WorkerThreadsKnowTheirOwningPool) {
   EXPECT_FALSE(
       pool.submit([&other] { return other.current_thread_is_worker(); }).get());
 }
-
-#if defined(__linux__)
-/// The CPUs in the calling thread's affinity mask, ascending.
-std::vector<int> thread_cpus() {
-  cpu_set_t cpus;
-  CPU_ZERO(&cpus);
-  std::vector<int> out;
-  if (pthread_getaffinity_np(pthread_self(), sizeof(cpus), &cpus) != 0) {
-    return out;
-  }
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &cpus)) out.push_back(cpu);
-  }
-  return out;
-}
-
-TEST(TaskPool, PinnedWorkersSpreadOverTheCreatorsAffinityMask) {
-  // The creator's mask leaves out the lowest CPU, so "worker i -> CPU i"
-  // would target CPUs outside it.
-  const std::vector<int> all = thread_cpus();
-  if (all.size() < 3) GTEST_SKIP() << "needs at least 3 CPUs in the mask";
-  const std::vector<int> subset = {all[1], all[2]};
-
-  std::vector<std::vector<int>> pinned;
-  std::thread creator([&subset, &pinned] {
-    cpu_set_t cpus;
-    CPU_ZERO(&cpus);
-    for (const int cpu : subset) CPU_SET(cpu, &cpus);
-    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(cpus), &cpus), 0);
-    TaskPool pool(TaskPool::Options{2 * subset.size(), true});
-    // Each task holds its worker until every worker holds one, so the
-    // tasks land on distinct workers and together see all of them.
-    std::latch all_in(static_cast<std::ptrdiff_t>(pool.size()));
-    std::vector<std::future<std::vector<int>>> masks;
-    for (std::size_t w = 0; w < pool.size(); ++w) {
-      masks.push_back(pool.submit([&all_in] {
-        all_in.arrive_and_wait();
-        return thread_cpus();
-      }));
-    }
-    for (auto& mask : masks) pinned.push_back(mask.get());
-  });
-  creator.join();
-
-  ASSERT_EQ(pinned.size(), 2 * subset.size());
-  std::set<int> used;
-  for (const auto& mask : pinned) {
-    ASSERT_EQ(mask.size(), 1u) << "a worker runs unpinned";
-    EXPECT_TRUE(mask[0] == subset[0] || mask[0] == subset[1]) << mask[0];
-    used.insert(mask[0]);
-  }
-  EXPECT_EQ(used, std::set<int>(subset.begin(), subset.end()));
-}
-#endif
 
 TEST(TaskPool, SharedPoolIsAProcessWideSingleton) {
   TaskPool& first = TaskPool::shared();
